@@ -778,18 +778,6 @@ fn main() {
                     r.stats.estimation_time.as_secs_f64()
                 );
                 println!("DSE poly kernel: {}", r.stats.poly);
-                if r.stats.sim_reranked > 0 {
-                    println!(
-                        "DSE sim re-rank: {} finalist(s) measured, winner {} cycle(s) \
-                         (dep {}, port {}, drain {}) in {:.3} s",
-                        r.stats.sim_reranked,
-                        r.stats.sim_cycles,
-                        r.stats.sim_stall_dep,
-                        r.stats.sim_stall_port,
-                        r.stats.sim_stall_drain,
-                        r.stats.sim_time.as_secs_f64()
-                    );
-                }
             }
             if report.has_errors() {
                 std::process::exit(1);
@@ -801,11 +789,11 @@ fn main() {
             if let Some(r) = &dse {
                 println!(
                     "DSE validation: {} certificate(s) checked ({} passed, {} sampled \
-                     candidates), {} dataflow fixpoint iteration(s)",
+                     candidates), {} value-range fixpoint iteration(s)",
                     r.stats.certificates_checked,
                     r.stats.certificates_passed,
                     r.stats.certificates_sampled,
-                    r.stats.dataflow_iterations
+                    r.stats.range_iterations
                 );
             }
             if !report.passed() {
@@ -839,12 +827,6 @@ fn main() {
                 }
             );
             if let Some(r) = &dse {
-                if r.stats.sim_reranked > 0 {
-                    println!(
-                        "DSE sim re-rank: {} finalist(s) measured, winner {} cycle(s)",
-                        r.stats.sim_reranked, r.stats.sim_cycles
-                    );
-                }
                 if search != SearchMode::Greedy {
                     println!(
                         "DSE {search} search: {} wave(s), width {}, {} state(s) expanded",

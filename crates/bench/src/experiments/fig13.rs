@@ -6,7 +6,7 @@
 
 use crate::experiments::common::{paper_options, Table};
 use crate::kernels;
-use pom::dse::stage2::group_compile;
+use pom::dse::search::stage2::group_compile;
 use pom::{auto_dse, baselines, CompileOptions, Function};
 
 /// Per-layer accumulated statistics.

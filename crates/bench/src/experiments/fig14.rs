@@ -8,7 +8,8 @@
 
 use crate::experiments::common::{fmt_speedup, paper_options, Table};
 use crate::kernels;
-use pom::dse::stage2::{bottleneck_optimize, plan_groups, schedule_for};
+use pom::dse::search::bottleneck_optimize;
+use pom::dse::search::ladder::{plan_groups, schedule_for};
 use pom::{auto_dse, baselines, compile, Function, Primitive};
 
 /// One ablation measurement.

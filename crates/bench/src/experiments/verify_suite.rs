@@ -29,7 +29,7 @@ pub struct VerifyRow {
     /// Candidate schedules picked up by sampled validation.
     pub certificates_sampled: usize,
     /// Fixpoint iterations of the value-range analysis on the winner.
-    pub dataflow_iterations: usize,
+    pub range_iterations: usize,
     /// Rendered rejection report, when the winner failed validation.
     pub rejection: Option<String>,
 }
@@ -60,7 +60,6 @@ pub fn run_suite(size: usize, sample_every: usize) -> VerifyReport {
 pub fn run_on(kernels: Vec<(&'static str, pom::Function)>, sample_every: usize) -> VerifyReport {
     let opts = CompileOptions::default();
     let cfg = DseConfig {
-        validate_winner: true,
         validate_sample_every: sample_every,
         ..DseConfig::default()
     };
@@ -81,7 +80,7 @@ pub fn run_on(kernels: Vec<(&'static str, pom::Function)>, sample_every: usize) 
                     certificates_checked: r.stats.certificates_checked,
                     certificates_passed: r.stats.certificates_passed,
                     certificates_sampled: r.stats.certificates_sampled,
-                    dataflow_iterations: r.stats.dataflow_iterations,
+                    range_iterations: r.stats.range_iterations,
                     rejection: None,
                 }
             }
@@ -92,7 +91,7 @@ pub fn run_on(kernels: Vec<(&'static str, pom::Function)>, sample_every: usize) 
                 certificates_checked: 0,
                 certificates_passed: 0,
                 certificates_sampled: 0,
-                dataflow_iterations: 0,
+                range_iterations: 0,
                 rejection: Some(report),
             },
             Err(e) => VerifyRow {
@@ -102,7 +101,7 @@ pub fn run_on(kernels: Vec<(&'static str, pom::Function)>, sample_every: usize) 
                 certificates_checked: 0,
                 certificates_passed: 0,
                 certificates_sampled: 0,
-                dataflow_iterations: 0,
+                range_iterations: 0,
                 rejection: Some(format!("compile error: {e}")),
             },
         };
@@ -134,7 +133,7 @@ pub fn render(r: &VerifyReport) -> String {
             row.certificates_checked,
             row.certificates_passed,
             row.certificates_sampled,
-            row.dataflow_iterations,
+            row.range_iterations,
         );
     }
     for row in &r.rows {
@@ -154,14 +153,14 @@ pub fn to_json(r: &VerifyReport) -> String {
             s,
             "    {{\"kernel\": \"{}\", \"primitives\": {}, \"obligations\": {}, \
              \"certificates_checked\": {}, \"certificates_passed\": {}, \
-             \"certificates_sampled\": {}, \"dataflow_iterations\": {}, \"passed\": {}}}",
+             \"certificates_sampled\": {}, \"range_iterations\": {}, \"passed\": {}}}",
             row.kernel,
             row.primitives,
             row.obligations,
             row.certificates_checked,
             row.certificates_passed,
             row.certificates_sampled,
-            row.dataflow_iterations,
+            row.range_iterations,
             row.rejection.is_none(),
         );
         s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });

@@ -4,15 +4,17 @@
 //! a stage touches each array's elements — the producer's store stream
 //! defines the push order (its last write of an element is the push),
 //! the consumer's load stream defines the pop order. This module walks
-//! a stage's top-level ops exactly like `ir::interp::execute_func`
-//! (same bound evaluation, same guard semantics) and records every
-//! access as a flat element index, optionally executing the stores so
-//! that downstream stages observe produced values.
+//! a stage's top-level ops with the interpreter's own walker
+//! (`pom_ir::interp::walk_stores`) and records every access as a flat
+//! element index, optionally executing the stores so that downstream
+//! stages observe produced values.
 
 use pom_dsl::{interp::eval_expr, MemoryState};
-use pom_ir::{AffineFunc, AffineOp};
+use pom_ir::interp::walk_stores;
+use pom_ir::AffineFunc;
 use pom_poly::AccessFn;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Ordered per-array access streams of one stage.
 ///
@@ -86,48 +88,8 @@ pub(crate) fn stage_streams(
     let mut st = StageStreams::default();
     let mut env = HashMap::new();
     for &i in ops {
-        walk_op(&func.body[i], &mut env, &mut mem, &shapes, &mut st);
-    }
-    st
-}
-
-fn walk_op(
-    op: &AffineOp,
-    env: &mut HashMap<String, i64>,
-    mem: &mut Option<&mut MemoryState>,
-    shapes: &HashMap<String, Vec<usize>>,
-    st: &mut StageStreams,
-) {
-    match op {
-        AffineOp::For(l) => {
-            let lb = l
-                .lbs
-                .iter()
-                .map(|b| b.eval_lower(env))
-                .max()
-                .expect("loop without lower bound");
-            let ub = l
-                .ubs
-                .iter()
-                .map(|b| b.eval_upper(env))
-                .min()
-                .expect("loop without upper bound");
-            for v in lb..=ub {
-                env.insert(l.iv.clone(), v);
-                for o in &l.body {
-                    walk_op(o, env, mem, shapes, st);
-                }
-            }
-            env.remove(&l.iv);
-        }
-        AffineOp::If(i) => {
-            if i.conds.iter().all(|c| c.satisfied(env)) {
-                for o in &i.body {
-                    walk_op(o, env, mem, shapes, st);
-                }
-            }
-        }
-        AffineOp::Store(s) => {
+        let op = std::slice::from_ref(&func.body[i]);
+        let Ok(()) = walk_stores(op, &mut env, &mut |s, env| {
             for a in s.value.loads() {
                 let flat = flat_of(a, &shapes[&a.array], env);
                 let v = mem.as_deref().map_or(0.0, |m| m.load(a, env));
@@ -145,6 +107,8 @@ fn walk_op(
                 .entry(s.dest.array.clone())
                 .or_default()
                 .push((flat, v));
-        }
+            Ok::<(), Infallible>(())
+        });
     }
+    st
 }

@@ -20,7 +20,8 @@
 //!   degrades to basic pipelining (Section VII-D).
 
 use crate::compile::{apply_schedule, compile, CompileOptions, Compiled};
-use crate::stage2::{plan_groups, schedule_for, GroupConfig};
+use crate::search::ladder::{plan_groups, schedule_for, GroupConfig};
+use crate::search::stage2::{group_compile, lint_screen};
 use pom_dsl::{Function, Primitive};
 use pom_graph::DepGraph;
 use pom_hls::estimate::Sharing;
@@ -201,7 +202,7 @@ pub fn scalehls_like(f: &Function, opts: &CompileOptions, problem_size: usize) -
         .collect();
     let mut stats: Vec<(u64, pom_hls::ResourceUsage)> = groups
         .iter()
-        .map(|gr| crate::stage2::group_compile(&g, gr, &sh_opts))
+        .map(|gr| group_compile(&g, gr, &sh_opts))
         .collect();
     for gi in 0..groups.len() {
         loop {
@@ -211,19 +212,16 @@ pub fn scalehls_like(f: &Function, opts: &CompileOptions, problem_size: usize) -
             // does not stop it from growing another).
             let mut best: Option<(GroupConfig, u64, pom_hls::ResourceUsage)> = None;
             for cand in groups[gi].escalation_candidates() {
-                if crate::stage2::lint_screen(&g, &groups, gi, &cand, &sh_opts, false) {
+                if lint_screen(&g, &groups[gi], &cand, &sh_opts) {
                     continue;
                 }
-                let (l2, r2) = crate::stage2::group_compile(&g, &cand, &sh_opts);
+                let (l2, r2) = group_compile(&g, &cand, &sh_opts);
                 // Dataflow composition: every nest keeps its own hardware.
                 let mut total = pom_hls::ResourceUsage::zero();
                 for (i, (_, r)) in stats.iter().enumerate() {
                     total = total.plus(if i == gi { &r2 } else { r });
                 }
-                let fits = total.dsp <= sh_opts.device.dsp
-                    && total.ff <= sh_opts.device.ff
-                    && total.lut <= sh_opts.device.lut;
-                if fits
+                if total.fits_logic(&sh_opts.device)
                     && l2 < stats[gi].0
                     && best.as_ref().map(|(_, bl, _)| l2 < *bl).unwrap_or(true)
                 {

@@ -1,6 +1,6 @@
-//! Memoization for the DSE hot path: compile/estimate results keyed by a
-//! structural hash of (stage-1 function fingerprint, `GroupConfig`), plus
-//! a full-function compile cache that lets the final-repair walk-back
+//! Memoization for the DSE hot path: per-group compile/estimate results
+//! keyed by the scheduled sub-function's structural fingerprint, plus a
+//! full-function compile cache that lets the final-repair walk-back
 //! loop, the post-retarget recompile in `auto_dse_with`, and repeated
 //! emissions reuse prior results instead of recompiling.
 //!
@@ -30,7 +30,6 @@
 //! the same options set.
 
 use crate::compile::{compile_timed, CompileError, CompileOptions, Compiled};
-use crate::stage2::GroupConfig;
 use crate::store::ArtifactStore;
 use pom_dsl::Function;
 use pom_hls::{DepSummary, ResourceUsage};
@@ -336,8 +335,6 @@ pub struct DseCache {
     /// group whose template is unsafe to reuse — its candidates fall
     /// back to full per-candidate dependence analysis.
     dep_templates: Mutex<Bounded<u64, Option<Arc<DepSummary>>>>,
-    /// BRAM18K usage of the full schedule per (fingerprint, groups).
-    bram: Mutex<Bounded<(u64, Vec<GroupConfig>), u64>>,
     /// Full-function compiles keyed by the *scheduled* fingerprint.
     /// Memory-only: `Compiled` holds lowered IR with no parser, so it
     /// cannot round-trip through the store — the serving layer persists
@@ -374,7 +371,6 @@ impl DseCache {
             infeasible: Mutex::new(Bounded::new(cap)),
             group_qor: Mutex::new(Bounded::new(cap)),
             dep_templates: Mutex::new(Bounded::new(cap)),
-            bram: Mutex::new(Bounded::new(cap)),
             full: Mutex::new(Bounded::new(cap)),
             sim: Mutex::new(Bounded::new(cap)),
             store: None,
@@ -420,7 +416,6 @@ impl DseCache {
         locked(&self.infeasible).len()
             + locked(&self.group_qor).len()
             + locked(&self.dep_templates).len()
-            + locked(&self.bram).len()
             + locked(&self.full).len()
             + locked(&self.sim).len()
     }
@@ -511,7 +506,7 @@ impl DseCache {
     /// plain [`fingerprint`] of its *untiled* scheduled sub-function.
     /// `compute` returns `None` when the template cannot soundly stand in
     /// for the tiled candidates' summaries (see `dep_template` in
-    /// `stage2`); the verdict itself is memoized either way — including
+    /// `search::stage2`); the verdict itself is memoized either way — including
     /// through the store, where the persisted `none` saves the failed
     /// reuse probe, not just the successful analysis. Template traffic is
     /// deliberately not counted in `hits`/`misses` — those report
@@ -537,32 +532,6 @@ impl DseCache {
             s.save_dep_template(key, t.as_deref());
         }
         t
-    }
-
-    /// Memoized BRAM18K usage of the full schedule under `groups`.
-    pub fn memo_bram(&self, fp: u64, groups: &[GroupConfig], compute: impl FnOnce() -> u64) -> u64 {
-        let key = (fp, groups.to_vec());
-        if let Some(&v) = locked(&self.bram).get(&key) {
-            self.record(true);
-            return v;
-        }
-        // The persistent key folds the composite key down to 64 bits with
-        // the same stable hash the fingerprints use.
-        let skey = stable_hash(&key);
-        if let Some(v) = self.store.as_deref().and_then(|s| s.load_bram(skey)) {
-            self.record(true);
-            let n = locked(&self.bram).insert(key, v);
-            self.evicted(n);
-            return v;
-        }
-        let v = compute();
-        self.record(false);
-        let n = locked(&self.bram).insert(key, v);
-        self.evicted(n);
-        if let Some(s) = self.store.as_deref() {
-            s.save_bram(skey, v);
-        }
-        v
     }
 
     /// Compiles a fully scheduled function through the cache: the repair
@@ -736,7 +705,6 @@ mod tests {
                 .0,
             9
         );
-        a.memo_bram(3, &[], || 5);
         // A *fresh* cache over the same store answers without computing.
         let b = DseCache::with_store(store);
         assert!(b.memo_infeasible(1, || panic!("served from store")));
@@ -746,8 +714,7 @@ mod tests {
                 .0,
             9
         );
-        assert_eq!(b.memo_bram(3, &[], || panic!("served from store")), 5);
-        assert_eq!(b.hits(), 3);
+        assert_eq!(b.hits(), 2);
         assert_eq!(b.misses(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }

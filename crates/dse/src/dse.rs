@@ -2,8 +2,10 @@
 
 use crate::cache::{DseCache, PhaseAccum};
 use crate::compile::{compile_timed, CompileError, CompileOptions, Compiled};
+use crate::search::ladder::schedule_for;
+use crate::search::stage2::{bottleneck_optimize_impl, full_dep_template};
+use crate::search::{DseConfig, DseStats, GroupConfig, SearchMode};
 use crate::stage1::dependence_aware_transform;
-use crate::stage2::{bottleneck_optimize_impl, DseConfig, DseStats, GroupConfig};
 use pom_dsl::Function;
 use std::time::{Duration, Instant};
 
@@ -139,10 +141,8 @@ fn auto_dse_impl(
     let stage1 = dependence_aware_transform(f, cfg.stage1_max_iters);
     let stage1_time = t1.elapsed();
     let s2 = match cfg.search {
-        crate::stage2::SearchMode::Greedy => {
-            bottleneck_optimize_impl(&stage1, opts, cfg, cache, &acc)?
-        }
-        crate::stage2::SearchMode::Beam | crate::stage2::SearchMode::Portfolio => {
+        SearchMode::Greedy => bottleneck_optimize_impl(&stage1, opts, cfg, cache, &acc)?,
+        SearchMode::Beam | SearchMode::Portfolio => {
             crate::search::beam::beam_optimize_impl(&stage1, opts, cfg, cache, &acc)?
         }
     };
@@ -152,61 +152,10 @@ fn auto_dse_impl(
     let anytime = s2.anytime;
     // The final compiles can reuse the search's full-function dependence
     // template: a pipeline-II retarget never changes the dependences.
-    let mut full_template =
-        cache.and_then(|c| crate::stage2::full_dep_template(&stage1, &groups, c, opts, &acc));
+    let mut full_template = cache.and_then(|c| full_dep_template(&stage1, &groups, c, opts, &acc));
     // The repair loop's fitting compile is still in the cache, so this
     // lookup answers without recompiling the same schedule.
     let mut compiled = full_compile(cache, &scheduled, opts, &acc, full_template.as_deref())?;
-    // Optional simulator re-rank: measure the default winner and the
-    // trailing accepted schedules of the greedy descent with pom-sim and
-    // keep the fewest simulated cycles. Strict improvement is required,
-    // so ties preserve the estimator's winner; this runs before the II
-    // retarget and winner validation, which then see the re-ranked
-    // schedule exactly like the default path.
-    // The beam modes measure candidates during the search itself, so the
-    // finalist re-rank only applies to the greedy descent (which records
-    // finalists; the beam returns none).
-    if cfg.sim_rerank_top_k > 0 && cfg.search == crate::stage2::SearchMode::Greedy {
-        const SIM_SEED: u64 = 0x5EED;
-        let t_sim = Instant::now();
-        let measure = |c: &Compiled| {
-            let mut mem = pom_dsl::MemoryState::for_function_seeded(f, SIM_SEED);
-            pom_sim::simulate(&c.affine, &c.deps, &mut mem, &opts.model)
-        };
-        let mut report = measure(&compiled);
-        stats.sim_reranked = 1;
-        let mut swapped = false;
-        // Latest snapshots first: among equally fast finalists, the one
-        // the estimator accepted last wins.
-        for g in s2.finalists.iter().rev() {
-            if *g == groups {
-                continue;
-            }
-            let cand = crate::stage2::schedule_for(&stage1, g);
-            let c = full_compile(cache, &cand, opts, &acc, None)?;
-            let r = measure(&c);
-            stats.sim_reranked += 1;
-            if r.cycles < report.cycles {
-                report = r;
-                scheduled = cand;
-                groups = g.clone();
-                compiled = c;
-                swapped = true;
-            }
-        }
-        if swapped {
-            // The dependence template was built for the default groups;
-            // rebuild it so the retarget recompile below stays sound.
-            full_template = cache
-                .and_then(|c| crate::stage2::full_dep_template(&stage1, &groups, c, opts, &acc));
-        }
-        stats.sim_cycles = report.cycles;
-        stats.sim_stall_dep = report.stall_dep;
-        stats.sim_stall_port = report.stall_port;
-        stats.sim_stall_drain = report.stall_drain;
-        stats.sim_port_conflicts = report.port_conflicts;
-        stats.sim_time = t_sim.elapsed();
-    }
     // Rate-matched dataflow refinement (`DseConfig::dataflow`): cut the
     // sequential winner into dataflow stages, co-simulate the plan with
     // channel back-pressure, and greedily rebalance per-stage unrolls —
@@ -286,7 +235,7 @@ fn auto_dse_impl(
             }
             let mut winner: Option<(u64, Function, Vec<GroupConfig>, Compiled)> = None;
             for cg in cand_groups {
-                let cand_f = crate::stage2::schedule_for(&stage1, &cg);
+                let cand_f = schedule_for(&stage1, &cg);
                 let c = match full_compile(cache, &cand_f, opts, &acc, None) {
                     Ok(c) => c,
                     Err(_) => continue,
@@ -319,8 +268,7 @@ fn auto_dse_impl(
         }
         if rounds > 0 {
             // The dependence template was built for the original groups.
-            full_template = cache
-                .and_then(|c| crate::stage2::full_dep_template(&stage1, &groups, c, opts, &acc));
+            full_template = cache.and_then(|c| full_dep_template(&stage1, &groups, c, opts, &acc));
         }
         // Discharge the final plan's channel-sizing certificates and
         // record the dataflow-vs-sequential comparison on the winner.
@@ -361,48 +309,17 @@ fn auto_dse_impl(
         // compiles at most once; a re-run over a warm cache answers here.
         compiled = full_compile(cache, &scheduled, opts, &acc, full_template.as_deref())?;
     }
-    // Winner validation: the returned schedule carries a full certificate
-    // chain — every transformation primitive is replayed through the
-    // polyhedral layer and its obligations discharged. The dataflow
+    // Winner validation: the returned schedule always carries a full
+    // certificate chain — every transformation primitive is replayed
+    // through the polyhedral layer and its obligations discharged. The
     // value-range analysis runs over the winning design alongside it.
-    if cfg.validate_winner {
-        let report = pom_verify::validate(&scheduled);
-        stats.certificates_checked += report.checked();
-        stats.certificates_passed += report.checked() - report.rejected().len();
-        if !report.passed() {
-            return Err(CompileError::Rejected(report.render()));
-        }
-        stats.dataflow_iterations = pom_verify::analyze_ranges(&compiled.affine).iterations;
+    let report = pom_verify::validate(&scheduled);
+    stats.certificates_checked += report.checked();
+    stats.certificates_passed += report.checked() - report.rejected().len();
+    if !report.passed() {
+        return Err(CompileError::Rejected(report.render()));
     }
-    // Contracted-footprint BRAM accounting: re-price each array of the
-    // winning design at its pom-live live-window footprint, but only when
-    // the contraction's replay certificate passes — an array is never
-    // credited on the strength of the static analysis alone.
-    if cfg.contract_buffers {
-        const CONTRACT_SEED: u64 = 0x5EED;
-        let live = pom_live::analyze_func(&compiled.affine);
-        let mem0 = pom_live::seeded_memory(&compiled.affine, CONTRACT_SEED);
-        for al in live.arrays.iter().filter(|al| al.contracted()) {
-            if pom_live::replay_contraction(&compiled.affine, &mem0, &al.array, &al.windows)
-                .is_err()
-            {
-                continue;
-            }
-            let banks = compiled
-                .affine
-                .memrefs
-                .iter()
-                .find(|m| m.name == al.array)
-                .map(|m| m.banks().max(1) as u64)
-                .unwrap_or(1);
-            let full = pom_hls::bram18k_units(al.declared_bits(), banks);
-            let folded = pom_hls::bram18k_units(al.contracted_bits(), banks);
-            let saved = full.saturating_sub(folded);
-            compiled.qor.resources.bram18k = compiled.qor.resources.bram18k.saturating_sub(saved);
-            stats.buffers_contracted += 1;
-            stats.bram_contracted += saved;
-        }
-    }
+    stats.range_iterations = pom_verify::analyze_ranges(&compiled.affine).iterations;
     let dse_time: Duration = start.elapsed();
     // The counters are process-global, so under parallel evaluation this
     // delta includes the worker threads' kernel activity too — exactly the
@@ -521,7 +438,7 @@ mod tests {
         // Winner validation ran and every certificate passed.
         assert!(r.stats.certificates_checked > 0);
         assert_eq!(r.stats.certificates_checked, r.stats.certificates_passed);
-        assert!(r.stats.dataflow_iterations > 0);
+        assert!(r.stats.range_iterations > 0);
     }
 
     #[test]
@@ -579,45 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_rerank_measures_finalists_and_stays_deterministic() {
-        let n = 16usize;
-        let mut f = Function::new("mv");
-        let i = f.var("i", 0, n as i64);
-        let j = f.var("j", 0, n as i64);
-        let a = f.placeholder("A", &[n, n], DataType::F32);
-        let x = f.placeholder("x", &[n], DataType::F32);
-        let y = f.placeholder("y", &[n], DataType::F32);
-        f.compute(
-            "S",
-            &[i.clone(), j.clone()],
-            y.at(&[&i]) + a.at(&[&i, &j]) * x.at(&[&j]),
-            y.access(&[&i]),
-        );
-        let opts = CompileOptions::default();
-        let cfg = DseConfig {
-            sim_rerank_top_k: 2,
-            ..DseConfig::default()
-        };
-        let r1 = auto_dse_with(&f, &opts, &cfg).expect("DSE compiles");
-        let r2 = auto_dse_with(&f, &opts, &cfg).expect("DSE compiles");
-        // The re-rank ran, measured at least the default winner, and its
-        // measurement is recorded.
-        assert!(r1.stats.sim_reranked >= 1);
-        assert!(r1.stats.sim_cycles > 0);
-        // Deterministic: two runs agree on the winner and its measurement.
-        assert_eq!(r1.groups, r2.groups);
-        assert_eq!(r1.stats.sim_cycles, r2.stats.sim_cycles);
-        assert_eq!(r1.compiled.qor.latency, r2.compiled.qor.latency);
-        // The re-ranked winner still passed winner validation.
-        assert!(r1.stats.certificates_checked > 0);
-        assert_eq!(r1.stats.certificates_checked, r1.stats.certificates_passed);
-        // Re-ranking off leaves the sim counters untouched.
-        let off = auto_dse(&f, &opts).expect("DSE compiles");
-        assert_eq!(off.stats.sim_reranked, 0);
-        assert_eq!(off.stats.sim_cycles, 0);
-    }
-
-    #[test]
     fn illegal_user_schedule_is_caught_by_winner_validation() {
         // The mutation-test scenario end to end: a schedule carrying an
         // illegal interchange (the (1, -1) stencil dependence flips to
@@ -643,81 +521,5 @@ mod tests {
         };
         assert!(report.contains("dependences-preserved"), "{report}");
         assert!(report.contains("error[VERIFY]"), "{report}");
-
-        // The same schedule passes when validation is disabled — the
-        // rejection above really came from the certificate check.
-        let lax = DseConfig {
-            validate_winner: false,
-            ..DseConfig::default()
-        };
-        auto_dse_with(&f, &CompileOptions::default(), &lax).expect("compiles without validation");
-    }
-
-    #[test]
-    fn contract_buffers_reprices_winner_bram_without_changing_the_design() {
-        // Time-expanded Jacobi-1D (the Table III stencil shape): only
-        // rows t-1 and t of B are ever simultaneously live, so contracted
-        // accounting prices B at a 2-row window instead of all tsteps
-        // rows — but only after the folding replays bit-identically.
-        let (tsteps, n) = (64usize, 1026usize);
-        let n_ = n as i64;
-        let mut f = Function::new("jacobi1d");
-        let t = f.var("t", 1, tsteps as i64);
-        let i = f.var("i", 0, n_ - 2);
-        let b = f.placeholder("B", &[tsteps, n], DataType::F32);
-        let tm1 = t.expr() - 1;
-        let zero = pom_poly::LinearExpr::constant_expr(0);
-        let last = pom_poly::LinearExpr::constant_expr(n_ - 1);
-        f.compute(
-            "sb0",
-            std::slice::from_ref(&t),
-            b.at(&[tm1.clone(), zero.clone()]),
-            b.access(&[t.expr(), zero]),
-        );
-        f.compute(
-            "sb1",
-            std::slice::from_ref(&t),
-            b.at(&[tm1.clone(), last.clone()]),
-            b.access(&[t.expr(), last]),
-        );
-        let ip1 = i.expr() + 1;
-        let ip2 = i.expr() + 2;
-        f.compute(
-            "s",
-            &[t.clone(), i.clone()],
-            (b.at(&[tm1.clone(), i.expr()])
-                + b.at(&[tm1.clone(), ip1.clone()])
-                + b.at(&[tm1.clone(), ip2.clone()]))
-                / 3.0,
-            b.access(&[t.expr(), ip1]),
-        );
-        f.after("sb1", "sb0", "t");
-        f.after("s", "sb1", "t");
-        let opts = CompileOptions::default();
-        let off = auto_dse(&f, &opts).expect("DSE compiles");
-        let on_cfg = DseConfig {
-            contract_buffers: true,
-            ..DseConfig::default()
-        };
-        let on = auto_dse_with(&f, &opts, &on_cfg).expect("DSE compiles");
-        // Accounting changed; the design did not.
-        assert_eq!(on.groups, off.groups);
-        assert_eq!(on.compiled.qor.latency, off.compiled.qor.latency);
-        assert_eq!(off.stats.buffers_contracted, 0);
-        assert!(
-            on.stats.buffers_contracted >= 1,
-            "expected T to contract: {:?}",
-            on.stats
-        );
-        assert!(
-            on.compiled.qor.resources.bram18k < off.compiled.qor.resources.bram18k,
-            "contracted {} vs full {}",
-            on.compiled.qor.resources.bram18k,
-            off.compiled.qor.resources.bram18k
-        );
-        assert_eq!(
-            on.stats.bram_contracted,
-            off.compiled.qor.resources.bram18k - on.compiled.qor.resources.bram18k
-        );
     }
 }

@@ -8,7 +8,7 @@
 //!   interchange/skew moves guided by iteratively re-checked dependence
 //!   analysis, plus conservative fusion of independent compatible nests
 //!   (Fig. 10).
-//! * [`stage2`] is *bottleneck-oriented code optimization*: latency-ordered
+//! * [`search`] is *bottleneck-oriented code optimization*: latency-ordered
 //!   critical paths, parallelism escalation of the bottleneck node, a
 //!   resource-constraint exit mechanism, and an optimization list.
 //! * [`baselines`] re-implements the comparison frameworks' *strategies*
@@ -23,18 +23,15 @@ pub mod search;
 pub mod stage1;
 pub mod store;
 
-pub use search::stage2;
-
 pub use baselines::{pluto_like, polsca_like, scalehls_like, unoptimized, BaselineResult};
 pub use cache::{
     canonical_fingerprint, fingerprint, stable_hash, DseCache, PhaseAccum, StableHasher,
 };
 pub use compile::{compile, compile_timed, lint_report, CompileError, CompileOptions, Compiled};
 pub use dse::{auto_dse, auto_dse_with, auto_dse_with_cache, DseResult};
-pub use search::beam::AnytimePoint;
-pub use stage1::dependence_aware_transform;
-pub use stage2::{
-    bottleneck_optimize, bottleneck_optimize_with, try_bottleneck_optimize_with, DseConfig,
-    DseStats, GroupConfig, SearchMode, Stage2Result,
+pub use search::{
+    bottleneck_optimize, try_bottleneck_optimize, AnytimePoint, DseConfig, DseStats, GroupConfig,
+    SearchMode, Stage2Result,
 };
+pub use stage1::dependence_aware_transform;
 pub use store::ArtifactStore;

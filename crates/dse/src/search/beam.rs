@@ -10,7 +10,7 @@
 //! The beam search explores the same [`GroupConfig`] space wave by wave:
 //! every frontier state expands all single-step escalations of all its
 //! groups, candidates are evaluated through the shared memoized compile
-//! cache on the scoped worker pool, and the top `beam_width` survivors
+//! cache on the scoped worker pool, and the top [`BEAM_WIDTH`] survivors
 //! (by estimated total latency) form the next frontier. Survivors whose
 //! estimate lands within the sim-admission band of the best estimate
 //! seen are *measured*: their full schedule is compiled (cached) and run
@@ -39,22 +39,33 @@
 //! as reproducible as the clock; the determinism guarantee applies to
 //! `budget_ms: None`.
 
+use super::config::{DseConfig, SearchMode};
+use super::ladder::{plan_groups, GroupConfig};
 use super::stage2::{
-    bank_infeasible, bottleneck_optimize_impl, bram_of, eval_candidate, full_dep_template,
-    group_compile_timed, pipeline_infeasible, plan_groups, prepare_candidate, prepare_scheduled,
-    repair_and_finalize, run_indexed, schedule_for, scheduled_group, CandidateEval, DseConfig,
-    DseStats, GroupConfig, SearchMode, Stage2Result,
+    bottleneck_optimize_impl, composed_resources, eval_candidate, full_dep_template,
+    group_infeasible, group_qor, repair_and_finalize, run_indexed, CandidateEval, Stage2Result,
 };
-use crate::cache::{canonical_fingerprint, fingerprint, stable_hash, DseCache, PhaseAccum};
+use super::stats::DseStats;
+use crate::cache::{fingerprint, stable_hash, DseCache, PhaseAccum};
 use crate::compile::{CompileError, CompileOptions};
 use pom_dsl::Function;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-/// The deterministic simulation seed — the same one the greedy path's
-/// `sim_rerank_top_k` measurement uses, so greedy and beam cycle counts
-/// are directly comparable.
+/// The deterministic simulation seed of every in-search measurement.
 const SIM_SEED: u64 = 0x5EED;
+
+/// Frontier width: each expansion wave keeps this many states, ranked by
+/// the analytical estimate.
+const BEAM_WIDTH: usize = 4;
+
+/// Sim-admission band, in percent: a frontier survivor is simulated only
+/// when its analytical estimate is within this fraction above the best
+/// estimate seen so far (`est <= best * (100 + pct) / 100`). Bounds
+/// full-schedule simulation cost to the states that could plausibly win;
+/// survivors outside the band are counted in [`DseStats::sim_pruned`] and
+/// keep their estimate ranking.
+const SIM_ADMIT_PCT: u128 = 15;
 
 /// One point of a beam search's anytime incumbent trajectory: recorded
 /// each time a measured state strictly improves on the incumbent, so
@@ -122,24 +133,11 @@ pub(crate) fn beam_optimize_impl(
         .budget_ms
         .map(|ms| t0 + Duration::from_millis(ms.max(1)));
     let expired = move || deadline.is_some_and(|d| Instant::now() >= d);
-    let fp = fingerprint(stage1_fn);
     let workers = cfg.effective_workers();
-    let width = cfg.beam_width.max(1);
     let mut stats = DseStats::default();
     let mut anytime: Vec<AnytimePoint> = Vec::new();
-
-    let fits = |r: &pom_hls::ResourceUsage| {
-        r.dsp <= opts.device.dsp && r.ff <= opts.device.ff && r.lut <= opts.device.lut
-    };
-    let compose = |qor: &[(u64, pom_hls::ResourceUsage)]| {
-        let mut total = pom_hls::ResourceUsage::zero();
-        for (_, r) in qor {
-            total = match opts.sharing {
-                pom_hls::estimate::Sharing::Reuse => total.max(r),
-                pom_hls::estimate::Sharing::Dataflow => total.plus(r),
-            };
-        }
-        total
+    let fits = |qor: &[(u64, pom_hls::ResourceUsage)]| {
+        composed_resources(qor, opts).fits_logic(&opts.device)
     };
 
     // --- Seeds -----------------------------------------------------------
@@ -152,7 +150,6 @@ pub(crate) fn beam_optimize_impl(
         // measurably worse schedule than greedy.
         let greedy = bottleneck_optimize_impl(stage1_fn, opts, cfg, cache, acc)?;
         stats.lint_pruned += greedy.stats.lint_pruned;
-        stats.bank_pruned += greedy.stats.bank_pruned;
         stats.estimated += greedy.stats.estimated;
         stats.parallel_evaluated += greedy.stats.parallel_evaluated;
         stats.certificates_checked += greedy.stats.certificates_checked;
@@ -192,7 +189,7 @@ pub(crate) fn beam_optimize_impl(
         if base_state.is_none() {
             base_state = Some(state.clone());
         }
-        if fits(&compose(&state.qor)) {
+        if fits(&state.qor) {
             seeds.push(state);
         }
     }
@@ -219,7 +216,6 @@ pub(crate) fn beam_optimize_impl(
         &seeds,
         stage1_fn,
         opts,
-        cfg,
         cache,
         acc,
         &expired,
@@ -229,7 +225,7 @@ pub(crate) fn beam_optimize_impl(
         &mut anytime,
     )?;
     let mut frontier = seeds;
-    frontier.truncate(width);
+    frontier.truncate(BEAM_WIDTH);
     stats.beam_width = frontier.len();
 
     // --- Expansion waves -------------------------------------------------
@@ -265,39 +261,16 @@ pub(crate) fn beam_optimize_impl(
             }
             let (pi, gi, cand) = &expansions[k];
             let parent = &frontier_ref[*pi];
-            // Context for the relative prescreens, memoized per parent —
+            // Context for the relative prescreen, memoized per parent —
             // identical to the greedy loop's current-configuration
-            // context, computed in-worker (all three are deterministic).
-            let cur_infeasible = match cache {
-                Some(c) => {
-                    let scheduled = scheduled_group(stage1_fn, &parent.groups[*gi], acc);
-                    c.memo_infeasible(canonical_fingerprint(&scheduled), || {
-                        prepare_candidate(stage1_fn, &parent.groups[*gi], scheduled, c, opts, acc)
-                            .infeasible(opts)
-                    })
-                }
-                None => pipeline_infeasible(stage1_fn, &parent.groups[*gi], opts),
-            };
-            let cur_bram = cfg.lint_prune_bram.then(|| match cache {
-                Some(c) => c.memo_bram(fp, &parent.groups, || {
-                    bram_of(&schedule_for(stage1_fn, &parent.groups))
-                }),
-                None => bram_of(&schedule_for(stage1_fn, &parent.groups)),
-            });
-            let cur_bank_conflict = cfg
-                .bank_prune
-                .then(|| bank_infeasible(stage1_fn, &parent.groups[*gi], opts));
+            // context, computed in-worker (it is deterministic).
+            let cur_infeasible = group_infeasible(stage1_fn, &parent.groups[*gi], opts, cache, acc);
             eval_candidate(
                 stage1_fn,
-                fp,
-                &parent.groups,
-                *gi,
+                &parent.groups[*gi],
                 cand,
                 cur_infeasible,
-                cur_bram,
-                cur_bank_conflict,
                 opts,
-                cfg,
                 cache,
                 acc,
             )
@@ -312,7 +285,6 @@ pub(crate) fn beam_optimize_impl(
             match ev? {
                 None => stats.budget_expired = true,
                 Some(CandidateEval::Pruned) => stats.lint_pruned += 1,
-                Some(CandidateEval::PrunedBank) => stats.bank_pruned += 1,
                 Some(CandidateEval::Estimated(l, r)) => {
                     stats.estimated += 1;
                     let (pi, gi, cand) = &expansions[k];
@@ -325,7 +297,7 @@ pub(crate) fn beam_optimize_impl(
                     // Escalation only grows resources, so a state whose
                     // composed figure already misses the device has no
                     // viable descendants — drop it here.
-                    if fits(&compose(&qor)) {
+                    if fits(&qor) {
                         successors.push(BeamState { groups, qor, est });
                     }
                 }
@@ -335,7 +307,7 @@ pub(crate) fn beam_optimize_impl(
             break;
         }
         successors.sort_by_key(|s| s.est); // stable: expansion order breaks ties
-        successors.truncate(width);
+        successors.truncate(BEAM_WIDTH);
         frontier = successors;
         stats.beam_width = stats.beam_width.max(frontier.len());
 
@@ -343,7 +315,6 @@ pub(crate) fn beam_optimize_impl(
             &frontier,
             stage1_fn,
             opts,
-            cfg,
             cache,
             acc,
             &expired,
@@ -363,7 +334,7 @@ pub(crate) fn beam_optimize_impl(
         // seed (the greedy winner under portfolio) stands in.
         None => base_state.groups.clone(),
     };
-    let function = repair_and_finalize(stage1_fn, &mut groups, opts, cfg, cache, acc, &mut stats)?;
+    let function = repair_and_finalize(stage1_fn, &mut groups, opts, cache, acc, &mut stats)?;
     if let Some(inc) = &sim.incumbent {
         let report = match sim.reports.remove(&inc.key) {
             Some(r) => r,
@@ -371,7 +342,7 @@ pub(crate) fn beam_optimize_impl(
             // search over a shared cache, so no report was produced here
             // — re-measure once (deterministic seed, same count).
             None => {
-                let (_, compiled) = measure_final(stage1_fn, &inc.groups, opts, cfg, cache, acc)?;
+                let (_, compiled) = measure_final(stage1_fn, &inc.groups, opts, cache, acc)?;
                 let t_sim = Instant::now();
                 let r = sim.arena.simulate(
                     stage1_fn,
@@ -408,7 +379,6 @@ pub(crate) fn beam_optimize_impl(
         function,
         groups,
         stats,
-        finalists: Vec::new(),
         anytime,
     })
 }
@@ -423,7 +393,6 @@ fn admit_frontier(
     frontier: &[BeamState],
     stage1_fn: &Function,
     opts: &CompileOptions,
-    cfg: &DseConfig,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
     expired: &dyn Fn() -> bool,
@@ -432,9 +401,6 @@ fn admit_frontier(
     stats: &mut DseStats,
     anytime: &mut Vec<AnytimePoint>,
 ) -> Result<bool, CompileError> {
-    let fits = |r: &pom_hls::ResourceUsage| {
-        r.dsp <= opts.device.dsp && r.ff <= opts.device.ff && r.lut <= opts.device.lut
-    };
     for st in frontier {
         sim.best_est = sim.best_est.min(st.est);
     }
@@ -449,14 +415,13 @@ fn admit_frontier(
         // Admission band: only states whose estimate could plausibly beat
         // the best-estimated state's neighborhood are worth a full
         // compile and simulation.
-        let in_band =
-            (st.est as u128) * 100 <= (sim.best_est as u128) * (100 + cfg.sim_admit_pct as u128);
+        let in_band = (st.est as u128) * 100 <= (sim.best_est as u128) * (100 + SIM_ADMIT_PCT);
         if !in_band && sim.force != Some(h) {
             stats.sim_pruned += 1;
             continue;
         }
-        let (key, compiled) = measure_final(stage1_fn, &st.groups, opts, cfg, cache, acc)?;
-        if !fits(&compiled.qor.resources) {
+        let (key, compiled) = measure_final(stage1_fn, &st.groups, opts, cache, acc)?;
+        if !compiled.qor.resources.fits_logic(&opts.device) {
             // The walk-back ran out of tiles to shrink; the design is
             // over budget, so it cannot win at the device envelope.
             stats.sim_pruned += 1;
@@ -521,14 +486,12 @@ fn measure_final(
     stage1_fn: &Function,
     groups: &[GroupConfig],
     opts: &CompileOptions,
-    cfg: &DseConfig,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
 ) -> Result<(u64, crate::compile::Compiled), CompileError> {
     let mut g = groups.to_vec();
     let mut scratch = DseStats::default();
-    let mut scheduled =
-        repair_and_finalize(stage1_fn, &mut g, opts, cfg, cache, acc, &mut scratch)?;
+    let mut scheduled = repair_and_finalize(stage1_fn, &mut g, opts, cache, acc, &mut scratch)?;
     let template = cache.and_then(|c| full_dep_template(stage1_fn, &g, c, opts, acc));
     let mut compiled = crate::dse::full_compile(cache, &scheduled, opts, acc, template.as_deref())?;
     let mut retargeted = false;
@@ -540,26 +503,6 @@ fn measure_final(
         compiled = crate::dse::full_compile(cache, &scheduled, opts, acc, template.as_deref())?;
     }
     Ok((fingerprint(&scheduled), compiled))
-}
-
-/// Per-group QoR through the cache — the same memoized entry the greedy
-/// search's initial evaluation uses, so beam and greedy share entries.
-fn group_qor(
-    stage1_fn: &Function,
-    g: &GroupConfig,
-    opts: &CompileOptions,
-    cache: Option<&DseCache>,
-    acc: &PhaseAccum,
-) -> Result<(u64, pom_hls::ResourceUsage), CompileError> {
-    match cache {
-        Some(c) => {
-            let scheduled = scheduled_group(stage1_fn, g, acc);
-            c.memo_group_qor(canonical_fingerprint(&scheduled), || {
-                prepare_scheduled(scheduled, opts, acc).estimate(opts, acc)
-            })
-        }
-        None => group_compile_timed(stage1_fn, g, opts, acc),
-    }
 }
 
 /// The POLSCA-like portfolio seed: strip the innermost parallel level of

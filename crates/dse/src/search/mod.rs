@@ -1,12 +1,18 @@
 //! Search strategies over the stage-2 configuration space.
 //!
-//! * [`stage2`] — the paper's greedy bottleneck-oriented descent
-//!   (Section VI-B): escalate the parallelism of the latency-critical
-//!   group until a resource ceiling, then repair.
-//! * [`beam`] — an anytime parallel beam search over the same
-//!   [`GroupConfig`](stage2::GroupConfig) space, re-ranked by simulated
-//!   cycles from `pom-sim`, with a portfolio mode that seeds the beam
-//!   from the greedy winner and the baseline strategies' schedules.
+//! * [`config`] — [`DseConfig`] and [`SearchMode`]: what the designer
+//!   sets before a search.
+//! * [`stats`] — [`DseStats`]: what every search reports.
+//! * [`ladder`] — the space itself: per-group tile vectors
+//!   ([`GroupConfig`]), the escalation ladder that walks them, and the
+//!   schedule each point materializes to.
+//! * [`stage2`] — the paper's stage 2, the greedy bottleneck-oriented
+//!   descent (Section VI-B): escalate the parallelism of the
+//!   latency-critical group until a resource ceiling, then repair.
+//! * [`beam`] — an anytime parallel beam search over the same space,
+//!   ranked by simulated cycles from `pom-sim`, with a portfolio mode
+//!   that seeds the beam from the greedy winner and the baseline
+//!   strategies' schedules.
 //!
 //! Both searches share the memoized compile cache, the scoped worker
 //! pool, and the finalization path (resource repair, bank repair, winner
@@ -14,7 +20,13 @@
 //! explored — never how a winner is compiled or certified.
 
 pub mod beam;
+pub mod config;
+pub mod ladder;
 pub mod stage2;
+pub mod stats;
 
 pub use beam::AnytimePoint;
-pub use stage2::SearchMode;
+pub use config::{DseConfig, SearchMode};
+pub use ladder::GroupConfig;
+pub use stage2::{bottleneck_optimize, try_bottleneck_optimize, Stage2Result};
+pub use stats::DseStats;

@@ -10,6 +10,9 @@
 //! optimization list when it reaches maximum parallelism or the next step
 //! would exceed the device's resources (the paper's exit mechanism).
 
+use super::config::DseConfig;
+use super::ladder::{plan_groups, schedule_for, GroupConfig};
+use super::stats::DseStats;
 use crate::cache::{canonical_fingerprint, fingerprint, DseCache, PhaseAccum};
 use crate::compile::{
     apply_schedule, build_dep_summary, compile, compile_timed, lower, sub_function, CompileError,
@@ -17,125 +20,12 @@ use crate::compile::{
 };
 use pom_dsl::{Function, PartitionStyle, Primitive};
 use pom_graph::DepGraph;
-use pom_poly::{DepKind, StmtPoly};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use pom_poly::StmtPoly;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Counters reported by the stage-2 search.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DseStats {
-    /// Escalation candidates discarded by the lint prescreen before any
-    /// estimation was paid for them.
-    pub lint_pruned: usize,
-    /// Escalation candidates discarded because they would *introduce* a
-    /// provable bank conflict (POM006) the current configuration does not
-    /// have ([`DseConfig::bank_prune`]; 0 when the prescreen was off).
-    pub bank_pruned: usize,
-    /// Arrays whose partition factors the final bank-repair pass raised
-    /// to their minimal conflict-free values
-    /// ([`DseConfig::bank_repair`]; 0 when repair was off or nothing
-    /// needed raising).
-    pub bank_repaired: usize,
-    /// Escalation candidates that were fully estimated.
-    pub estimated: usize,
-    /// Compile/estimate cache lookups answered without computing (from
-    /// memory or the persistent store).
-    pub cache_hits: usize,
-    /// Cache lookups that had to compute their value.
-    pub cache_misses: usize,
-    /// In-memory cache entries dropped by capacity eviction.
-    pub cache_evictions: usize,
-    /// Live in-memory cache entries at search end, across all maps.
-    pub cache_entries: usize,
-    /// Lookups answered from the persistent artifact store (a subset of
-    /// `cache_hits`; 0 without [`DseConfig::store`]).
-    pub store_hits: usize,
-    /// Store lookups that found no valid artifact before computing.
-    pub store_misses: usize,
-    /// Artifacts spilled to the persistent store by this search.
-    pub store_writes: usize,
-    /// Candidates evaluated inside a concurrent batch (0 when the search
-    /// ran serially).
-    pub parallel_evaluated: usize,
-    /// Wall time of stage 1 (dependence-aware transformation).
-    pub stage1_time: Duration,
-    /// Wall time of stage 2 (bottleneck-oriented optimization).
-    pub stage2_time: Duration,
-    /// Time inside compile calls: schedule replay + dependence analysis +
-    /// affine lowering.
-    pub lowering_time: Duration,
-    /// Time inside compile calls: QoR estimation.
-    pub estimation_time: Duration,
-    /// Translation-validation certificates checked (winning schedule +
-    /// sampled candidates).
-    pub certificates_checked: usize,
-    /// Certificates whose every obligation passed.
-    pub certificates_passed: usize,
-    /// Candidates picked up by the sampled validation pass
-    /// (`DseConfig::validate_sample_every`).
-    pub certificates_sampled: usize,
-    /// Fixpoint iterations of the dataflow value-range analysis over the
-    /// winning design.
-    pub dataflow_iterations: usize,
-    /// Finalist schedules re-ranked by simulated cycles
-    /// ([`DseConfig::sim_rerank_top_k`]; 0 when re-ranking was off).
-    pub sim_reranked: usize,
-    /// Simulated cycle count of the returned schedule (0 unless
-    /// re-ranking ran).
-    pub sim_cycles: u64,
-    /// Simulated dependence-stall cycles of the returned schedule.
-    pub sim_stall_dep: u64,
-    /// Simulated port-contention stall cycles of the returned schedule.
-    pub sim_stall_port: u64,
-    /// Simulated pipeline-drain cycles of the returned schedule.
-    pub sim_stall_drain: u64,
-    /// Memory accesses whose simulated port grant slid past the request.
-    pub sim_port_conflicts: u64,
-    /// Wall time spent inside the simulator during re-ranking.
-    pub sim_time: Duration,
-    /// Arrays whose certificate-validated contraction reduced the
-    /// winner's BRAM figure ([`DseConfig::contract_buffers`]; 0 when
-    /// accounting at full footprints).
-    pub buffers_contracted: usize,
-    /// BRAM18K units reclaimed by contracted accounting.
-    pub bram_contracted: u64,
-    /// Polyhedral-kernel counters (FM eliminations, fan-out combinations,
-    /// projection-memo hits) accumulated across the whole search.
-    pub poly: pom_poly::PolyStats,
-    /// Expansion waves the beam search ran (0 under greedy search).
-    pub beam_depth: usize,
-    /// Widest frontier the beam search actually held (0 under greedy).
-    pub beam_width: usize,
-    /// Successor states the beam search evaluated across all waves.
-    pub beam_expanded: usize,
-    /// Frontier states admitted to full-schedule simulation by the
-    /// sim-admission band ([`DseConfig::sim_admit_pct`]).
-    pub sim_admitted: usize,
-    /// Frontier survivors *not* simulated because their analytical
-    /// estimate fell outside the admission band of the incumbent.
-    pub sim_pruned: usize,
-    /// True when [`DseConfig::budget_ms`] expired before the beam search
-    /// exhausted its frontier — the result is the anytime best-so-far.
-    pub budget_expired: bool,
-    /// Rate-matching rounds of the dataflow refinement that strictly
-    /// improved the plan ([`DseConfig::dataflow`]; 0 when off).
-    pub dataflow_rounds: usize,
-    /// Stages in the final dataflow plan (0 when the refinement was off).
-    pub dataflow_stages: usize,
-    /// Inter-stage channels in the final dataflow plan.
-    pub dataflow_channels: usize,
-    /// Simulated dataflow cycles of the final plan (0 when off).
-    pub dataflow_cycles: u64,
-    /// Simulated *sequential* cycles of the same final schedule — the
-    /// baseline the dataflow overlap is measured against.
-    pub dataflow_seq_cycles: u64,
-    /// Wall time spent partitioning, co-simulating, and certifying
-    /// during the dataflow refinement.
-    pub dataflow_time: Duration,
-}
-
-/// The outcome of [`bottleneck_optimize_with`]: the fully scheduled
+/// The outcome of [`try_bottleneck_optimize`]: the fully scheduled
 /// function, the final group configurations, and search statistics.
 #[derive(Clone, Debug)]
 pub struct Stage2Result {
@@ -145,594 +35,10 @@ pub struct Stage2Result {
     pub groups: Vec<GroupConfig>,
     /// Search counters (lint-pruned candidates etc.).
     pub stats: DseStats,
-    /// The last accepted group configurations of the greedy descent, most
-    /// recent last. Only recorded when [`DseConfig::sim_rerank_top_k`] is
-    /// positive (capped at that many snapshots); the final configuration
-    /// in `groups` is *not* duplicated here unless an accept produced it.
-    pub finalists: Vec<Vec<GroupConfig>>,
     /// The anytime incumbent trajectory of a beam/portfolio search:
     /// one point per strict incumbent improvement, in time order. Empty
     /// under greedy search (see [`crate::search::beam::AnytimePoint`]).
     pub anytime: Vec<crate::search::beam::AnytimePoint>,
-}
-
-/// The tiling/unrolling configuration of one node (fusion group).
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
-pub struct GroupConfig {
-    /// Compute names in the group (program order).
-    pub members: Vec<String>,
-    /// Loop dims of the group's representative statement, outermost first.
-    pub dims: Vec<String>,
-    /// Indices of levels that are parallel for *every* member.
-    pub parallel: Vec<usize>,
-    /// Trip count per level.
-    pub extents: Vec<i64>,
-    /// Current tile (unroll factor) per level; 1 = not unrolled.
-    pub tiles: Vec<i64>,
-}
-
-/// Which stage-2 search explores the configuration space.
-#[derive(Clone, Copy, Debug, Default, Hash, PartialEq, Eq)]
-pub enum SearchMode {
-    /// The paper's greedy bottleneck-oriented descent (Section VI-B).
-    /// The default — byte-identical to the pre-beam search.
-    #[default]
-    Greedy,
-    /// Anytime parallel beam search over the same space, re-ranked by
-    /// simulated cycles ([`crate::search::beam`]).
-    Beam,
-    /// [`SearchMode::Beam`] seeded from the greedy winner plus the
-    /// pluto/polsca/scalehls baseline schedules (diverse basins).
-    Portfolio,
-}
-
-impl SearchMode {
-    /// Every accepted mode name, in CLI presentation order.
-    pub const MODES: [&'static str; 3] = ["greedy", "beam", "portfolio"];
-
-    /// Parses a CLI mode name.
-    pub fn parse(s: &str) -> Option<SearchMode> {
-        match s {
-            "greedy" => Some(SearchMode::Greedy),
-            "beam" => Some(SearchMode::Beam),
-            "portfolio" => Some(SearchMode::Portfolio),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of the mode.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SearchMode::Greedy => "greedy",
-            SearchMode::Beam => "beam",
-            SearchMode::Portfolio => "portfolio",
-        }
-    }
-}
-
-impl std::fmt::Display for SearchMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// User-tunable DSE strategy parameters — the paper's "set of types and
-/// factors … determined before the search; users can specify suitable
-/// groups of strategies and parameters" (Section VI-B).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DseConfig {
-    /// Bound on the iterative dependence-recheck loop of stage 1
-    /// ("terminated … if the number of iterations has reached its
-    /// pre-defined bounds").
-    pub stage1_max_iters: usize,
-    /// Preferred per-level unroll cap before the ladder spills to other
-    /// levels.
-    pub level_cap: i64,
-    /// Hard cap on a node's parallelism degree (product of tiles).
-    pub max_parallelism: i64,
-    /// Extend the lint prescreen to the BRAM budget (POM003). The
-    /// always-on prescreen only discards candidates that would introduce
-    /// *Error*-level diagnostics (an infeasible pipeline II); BRAM
-    /// pressure is a Warning in the lint taxonomy, so pruning on it is a
-    /// policy choice: the seed search deliberately lets partitioning
-    /// overshoot BRAM (muxing costs surface in DSP/FF/LUT), and turning
-    /// this on trades peak parallelism for memory feasibility.
-    pub lint_prune_bram: bool,
-    /// Prune escalation candidates whose pipelined loops pom-bank proves
-    /// cannot meet their declared II through the declared partitioning
-    /// (POM006) when the current configuration has no such conflict.
-    /// Opt-in for the same reason as [`DseConfig::lint_prune_bram`]: bank
-    /// conflicts are a Warning (the design still works, just slower than
-    /// declared), and the seed search deliberately lets the estimator's
-    /// bank-aware ResMII price them instead of forbidding them.
-    pub bank_prune: bool,
-    /// After the resource walk-back, raise the partition factors of any
-    /// array whose provable bank conflicts make a declared II infeasible
-    /// to the minimal conflict-free values pom-bank computes. On by
-    /// default: repair is a no-op on conflict-free winners (every
-    /// non-stencil Table III kernel), and where it does fire the port
-    /// calendars would otherwise slide the issue past the declared II on
-    /// every iteration — a cost no II declaration absorbs. Repair can
-    /// grow BRAM/mux cost past what the walk-back just reclaimed; turn
-    /// it off to reproduce the pre-bank seed search.
-    pub bank_repair: bool,
-    /// Memoize compile/estimate results across the search (lint
-    /// prescreen, candidate estimation, the final-repair walk-back, and
-    /// the post-retarget recompile share one cache). Off reproduces the
-    /// seed's cost profile — every step pays the full pipeline again.
-    pub cache: bool,
-    /// Root directory of a persistent artifact store backing the cache
-    /// (see `pom_dse::store`): misses consult the matching store shard
-    /// before computing and computed entries are spilled for later
-    /// processes. `None` (the default) keeps the cache memory-only.
-    /// Ignored when [`DseConfig::cache`] is off; a store that fails to
-    /// open degrades to memory-only caching.
-    pub store: Option<std::path::PathBuf>,
-    /// Disk budget for the artifact store, enforced by an
-    /// oldest-artifact-first sweep ([`ArtifactStore::gc`]
-    /// (crate::store::ArtifactStore::gc)) when the store is opened.
-    /// `None` (the default) never sweeps. A contended sweep (another
-    /// process holds the store open) is skipped, not fatal.
-    pub store_max_bytes: Option<u64>,
-    /// Worker threads for candidate evaluation: `0` = one per available
-    /// core, `1` = serial. Parallel and serial searches produce
-    /// byte-identical schedules (ties break by candidate index).
-    pub workers: usize,
-    /// Run translation validation over the winning schedule and fail the
-    /// DSE if any rewrite's certificate is rejected. On by default: the
-    /// returned design always carries a passing certificate chain.
-    pub validate_winner: bool,
-    /// Additionally validate every `n`-th estimated candidate during the
-    /// search (deterministic by candidate counter). `0` disables
-    /// sampling. A rejected sample aborts the search with
-    /// [`CompileError::Rejected`] — it means a transformation primitive
-    /// produced an illegal schedule the legality screen missed.
-    pub validate_sample_every: usize,
-    /// Re-rank the last `k` accepted schedules of the greedy descent by
-    /// *simulated* cycles (pom-sim) and return the fastest. `0` (the
-    /// default) trusts the analytical estimate alone. Ties keep the
-    /// estimator's winner, so enabling this never degrades the result
-    /// under the simulator's own metric.
-    pub sim_rerank_top_k: usize,
-    /// Account each array at its pom-live *contracted* footprint (the
-    /// live-window modulo fold) in the winner's BRAM figure, but only
-    /// for arrays whose contraction passes its replay certificate
-    /// ([`pom_live::replay_contraction`]). Off by default: the emitted
-    /// design still declares full-size arrays, so the reduced figure is
-    /// a claim about the storage a folding backend would need — POM007
-    /// reports the same opportunity as a lint warning regardless.
-    pub contract_buffers: bool,
-    /// Which search explores the stage-2 space. [`SearchMode::Greedy`]
-    /// (the default) is byte-identical to the pre-beam search; the beam
-    /// modes trade more compile/simulate work for schedules the greedy
-    /// descent's single trajectory cannot reach.
-    pub search: SearchMode,
-    /// Frontier width of the beam search (ignored under greedy). Each
-    /// expansion wave keeps this many states, ranked by the analytical
-    /// estimate with simulated incumbents pinned first.
-    pub beam_width: usize,
-    /// Anytime wall-clock budget for the beam search: when it expires the
-    /// search stops at the next deadline check (before each candidate
-    /// compile and each simulation) and returns the best-so-far incumbent
-    /// with its verify certificate. `None` (the default) runs the beam to
-    /// frontier exhaustion. Ignored under greedy search.
-    pub budget_ms: Option<u64>,
-    /// Sim-admission band, in percent: a frontier survivor is simulated
-    /// only when its analytical estimate is within this fraction above
-    /// the best estimate seen so far (`est <= best * (100 + pct) / 100`).
-    /// Bounds full-schedule simulation cost to the states that could
-    /// plausibly win; survivors outside the band are counted in
-    /// [`DseStats::sim_pruned`] and keep their estimate ranking.
-    pub sim_admit_pct: u32,
-    /// Rate-matched dataflow refinement: after the sequential search
-    /// settles its winner, partition it into dataflow stages
-    /// (`pom-dataflow`), co-simulate the plan with channel-accurate
-    /// back-pressure, and iteratively rebalance the per-stage unrolls —
-    /// escalating the bottleneck stage and, when the envelope is tight,
-    /// de-escalating slack stages to pay for it. Only strict simulated
-    /// dataflow-cycle improvements whose resources stay within the
-    /// sequential winner's envelope are accepted; throughput follows the
-    /// slowest stage, so the refinement rate-matches stage IIs. Off by
-    /// default.
-    pub dataflow: bool,
-}
-
-impl Default for DseConfig {
-    fn default() -> Self {
-        DseConfig {
-            stage1_max_iters: 8,
-            level_cap: 16,
-            max_parallelism: 256,
-            lint_prune_bram: false,
-            bank_prune: false,
-            bank_repair: true,
-            cache: true,
-            store: None,
-            store_max_bytes: None,
-            workers: 0,
-            validate_winner: true,
-            validate_sample_every: 0,
-            sim_rerank_top_k: 0,
-            contract_buffers: false,
-            search: SearchMode::Greedy,
-            beam_width: 4,
-            budget_ms: None,
-            sim_admit_pct: 15,
-            dataflow: false,
-        }
-    }
-}
-
-impl DseConfig {
-    /// The seed's serial, uncached cost profile — the baseline the
-    /// `bench-dse` harness measures speedups against.
-    pub fn serial_uncached() -> Self {
-        DseConfig {
-            cache: false,
-            workers: 1,
-            ..DseConfig::default()
-        }
-    }
-
-    /// Effective worker count (resolves `0` to the machine's parallelism).
-    pub fn effective_workers(&self) -> usize {
-        match self.workers {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-}
-
-impl GroupConfig {
-    /// The parallelism degree: product of tiles (the paper divides this by
-    /// the achieved II to report *parallelism*).
-    pub fn parallelism(&self) -> i64 {
-        self.tiles.iter().product()
-    }
-
-    /// Escalates the parallelism degree one step: doubles the tile of the
-    /// innermost parallel level below the per-level preference cap, then
-    /// of any parallel level below its extent. Returns false when the
-    /// configured maximum parallelism is reached.
-    pub fn escalate(&mut self) -> bool {
-        self.escalate_with(&DseConfig::default())
-    }
-
-    /// [`GroupConfig::escalate`] under explicit strategy parameters.
-    pub fn escalate_with(&mut self, cfg: &DseConfig) -> bool {
-        if self.parallelism() * 2 > cfg.max_parallelism {
-            return false;
-        }
-        for &l in self.parallel.iter().rev() {
-            if self.tiles[l] * 2 <= self.extents[l].min(cfg.level_cap) {
-                self.tiles[l] *= 2;
-                return true;
-            }
-        }
-        for &l in self.parallel.iter().rev() {
-            if self.tiles[l] * 2 <= self.extents[l] {
-                self.tiles[l] *= 2;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// All single-step escalations (doubling one parallel level within its
-    /// extent), innermost first — used by greedy searches that want to try
-    /// alternatives when the preferred step regresses.
-    pub fn escalation_candidates(&self) -> Vec<GroupConfig> {
-        self.escalation_candidates_with(&DseConfig::default())
-    }
-
-    /// [`GroupConfig::escalation_candidates`] under explicit parameters.
-    pub fn escalation_candidates_with(&self, cfg: &DseConfig) -> Vec<GroupConfig> {
-        let mut out = Vec::new();
-        if self.parallelism() * 2 > cfg.max_parallelism {
-            return out;
-        }
-        for &l in self.parallel.iter().rev() {
-            if self.tiles[l] * 2 <= self.extents[l] {
-                let mut c = self.clone();
-                c.tiles[l] *= 2;
-                out.push(c);
-            }
-        }
-        out
-    }
-
-    /// All single-step de-escalations (halving one parallel level's tile
-    /// back towards 1), innermost first — the dataflow refinement's
-    /// rate-matching move: a stage running faster than the pipeline
-    /// bottleneck returns resources by shrinking its unroll, which the
-    /// bottleneck stage can then spend.
-    pub fn deescalation_candidates(&self) -> Vec<GroupConfig> {
-        let mut out = Vec::new();
-        for &l in self.parallel.iter().rev() {
-            if self.tiles[l] > 1 {
-                let mut c = self.clone();
-                c.tiles[l] /= 2;
-                out.push(c);
-            }
-        }
-        out
-    }
-
-    /// [`GroupConfig::escalation_candidates_with`] in the greedy ladder's
-    /// preference order: levels still under the per-level cap first
-    /// (innermost first), then the over-cap spills — so index 0 is
-    /// exactly the step [`GroupConfig::escalate_with`] would take, and
-    /// index-ordered tie-breaking reproduces the serial greedy trajectory
-    /// whenever candidates tie on latency.
-    pub fn escalation_candidates_preferred(&self, cfg: &DseConfig) -> Vec<GroupConfig> {
-        let mut out = Vec::new();
-        if self.parallelism() * 2 > cfg.max_parallelism {
-            return out;
-        }
-        let mut taken: Vec<usize> = Vec::new();
-        for &l in self.parallel.iter().rev() {
-            if self.tiles[l] * 2 <= self.extents[l].min(cfg.level_cap) {
-                let mut c = self.clone();
-                c.tiles[l] *= 2;
-                out.push(c);
-                taken.push(l);
-            }
-        }
-        for &l in self.parallel.iter().rev() {
-            if !taken.contains(&l) && self.tiles[l] * 2 <= self.extents[l] {
-                let mut c = self.clone();
-                c.tiles[l] *= 2;
-                out.push(c);
-            }
-        }
-        out
-    }
-}
-
-/// Derives the groups (fusion classes) of a stage-1-transformed function.
-pub fn plan_groups(f: &Function) -> Vec<GroupConfig> {
-    let stmts = apply_schedule(f);
-    // Group statements by their outermost static (fused statements share it).
-    let mut by_order: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
-    for (i, s) in stmts.iter().enumerate() {
-        by_order.entry(s.statics()[0]).or_default().push(i);
-    }
-    let mut groups = Vec::new();
-    for (_, members) in by_order {
-        // Representative: the *deepest* member (first on ties). Partially
-        // fused groups (statements sharing only an outer loop, e.g. a
-        // stencil's boundary-propagation statements riding the time loop)
-        // must be configured over the full nest, not the shallow member's.
-        let mut rep_idx = members[0];
-        for &m in &members[1..] {
-            if stmts[m].dims().len() > stmts[rep_idx].dims().len() {
-                rep_idx = m;
-            }
-        }
-        let rep = &stmts[rep_idx];
-        let dims = rep.dims().to_vec();
-        // Average extents with outer dims fixed at their midpoints, which
-        // handles the non-rectangular domains produced by skewing.
-        let mut env: HashMap<String, i64> = HashMap::new();
-        let mut extents: Vec<i64> = Vec::with_capacity(dims.len());
-        for d in &dims {
-            let (lb, ub) = extent_range(rep, d, &env);
-            env.insert(d.clone(), (lb + ub) / 2);
-            extents.push((ub - lb + 1).max(1));
-        }
-        // Parallel levels: parallel in every member that *has* the level
-        // (a shallower fused member does not iterate the deeper levels,
-        // so it cannot constrain them).
-        let mut parallel: Vec<usize> = (0..dims.len()).collect();
-        for &m in &members {
-            let depth = stmts[m].dims().len();
-            let carried = carried_levels(f, &stmts, m);
-            parallel
-                .retain(|&l| l >= depth || carried.get(l).map(|c| c.is_none()).unwrap_or(false));
-        }
-        groups.push(GroupConfig {
-            members: members
-                .iter()
-                .map(|&m| f.computes()[m].name().to_string())
-                .collect(),
-            tiles: vec![1; dims.len()],
-            dims,
-            parallel,
-            extents,
-        });
-    }
-    groups
-}
-
-fn extent_range(s: &StmtPoly, dim: &str, env: &HashMap<String, i64>) -> (i64, i64) {
-    let (lbs, ubs) = s.domain().bounds_of(dim);
-    let lb = lbs
-        .iter()
-        .map(|(e, d)| -((-e.eval_partial(env)).div_euclid(*d)))
-        .max()
-        .unwrap_or(0);
-    let ub = ubs
-        .iter()
-        .map(|(e, d)| e.eval_partial(env).div_euclid(*d))
-        .min()
-        .unwrap_or(lb);
-    (lb, ub.max(lb))
-}
-
-fn carried_levels(f: &Function, stmts: &[StmtPoly], idx: usize) -> Vec<Option<i64>> {
-    let c = &f.computes()[idx];
-    let s = &stmts[idx];
-    let store = c.store();
-    let mut carried = vec![None; s.dims().len()];
-    let mut deps = Vec::new();
-    for l in c.loads() {
-        if l.array == store.array {
-            deps.extend(s.analyze_dependence(store, l, DepKind::Flow));
-            deps.extend(s.analyze_dependence(store, store, DepKind::Output));
-        }
-    }
-    for d in deps {
-        if let (Some(level), Some(v)) = (d.carried_level, &d.distance) {
-            let dist = v.0[level];
-            carried[level] = Some(match carried[level] {
-                Some(cur) if cur <= dist => cur,
-                _ => dist,
-            });
-        } else if let Some(level) = d.carried_level {
-            carried[level] = Some(1);
-        }
-    }
-    carried
-}
-
-/// Materializes stage-2 primitives for the given group configurations on
-/// top of the stage-1-transformed function: splits + reorders, pipeline of
-/// the innermost tile loop, full unroll of intra-tile loops, and cyclic
-/// array partitioning matched to the unroll factors.
-pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
-    let mut g = base.clone();
-    let mut partition_factors: BTreeMap<String, Vec<i64>> = BTreeMap::new();
-    for p in g.placeholders() {
-        partition_factors.insert(p.name().to_string(), vec![1; p.shape().len()]);
-    }
-    // Per-member transformed dims: partially fused members may be
-    // shallower than the group's representative nest, and must only
-    // receive primitives for loops they actually have.
-    let base_stmts = apply_schedule(base);
-    let member_dims: HashMap<String, Vec<String>> = base
-        .computes()
-        .iter()
-        .zip(&base_stmts)
-        .map(|(c, s)| (c.name().to_string(), s.dims().to_vec()))
-        .collect();
-
-    for (gi, group) in groups.iter().enumerate() {
-        // Names: outer part "{dim}_g{gi}o", inner "{dim}_g{gi}u" — the
-        // group index keeps names unique when nests share iterator names.
-        let outer_name = |d: &str| format!("{d}_g{gi}o");
-        let inner_name = |d: &str| format!("{d}_g{gi}u");
-        let tiled: Vec<usize> = (0..group.dims.len())
-            .filter(|&l| group.tiles[l] > 1)
-            .collect();
-        // Loop order: carried/untiled-non-parallel dims stay outermost,
-        // then the tile loops, then untiled *parallel* dims (so the
-        // pipelined loop is a full-length parallel loop rather than a
-        // short tile loop whose pipeline would flush constantly), then
-        // the unrolled intra-tile loops.
-        let mut final_order: Vec<String> = Vec::new();
-        for (l, d) in group.dims.iter().enumerate() {
-            if !tiled.contains(&l) && !group.parallel.contains(&l) {
-                final_order.push(d.clone());
-            }
-        }
-        for &l in &tiled {
-            final_order.push(outer_name(&group.dims[l]));
-        }
-        for (l, d) in group.dims.iter().enumerate() {
-            if !tiled.contains(&l) && group.parallel.contains(&l) {
-                final_order.push(d.clone());
-            }
-        }
-        for &l in &tiled {
-            final_order.push(inner_name(&group.dims[l]));
-        }
-
-        for member in &group.members {
-            let mine = &member_dims[member];
-            let has = |d: &str| mine.iter().any(|x| x == d);
-            // Splits (only of loops this member has).
-            for &l in &tiled {
-                let d = &group.dims[l];
-                if has(d) {
-                    g.split(member, d, group.tiles[l], &outer_name(d), &inner_name(d));
-                }
-            }
-            // Reorder to final order by recording bubble-sort interchanges
-            // over the simulated current order, restricted to this
-            // member's loops.
-            let mut cur: Vec<String> = Vec::new();
-            for (l, d) in group.dims.iter().enumerate() {
-                if !has(d) {
-                    continue;
-                }
-                if tiled.contains(&l) {
-                    cur.push(outer_name(d));
-                    cur.push(inner_name(d));
-                } else {
-                    cur.push(d.clone());
-                }
-            }
-            let targets: Vec<&String> = final_order.iter().filter(|n| cur.contains(n)).collect();
-            for (target_pos, target) in targets.into_iter().enumerate() {
-                let from_pos = cur.iter().position(|x| x == target).expect("name tracked");
-                let mut p = from_pos;
-                while p > target_pos {
-                    g.interchange(member, &cur[p - 1].clone(), &cur[p].clone());
-                    cur.swap(p - 1, p);
-                    p -= 1;
-                }
-            }
-        }
-
-        // Pipeline the innermost non-unrolled loop and unroll intra-tile
-        // loops — on the *deepest* member (first on ties): a shallow fused
-        // member's innermost loop is a loop it shares with deeper members,
-        // and pipelining that shared loop would flatten everything below
-        // it in every fused statement.
-        let mut deepest = &group.members[0];
-        for member in &group.members[1..] {
-            if member_dims[member].len() > member_dims[deepest].len() {
-                deepest = member;
-            }
-        }
-        let pipeline_iv = final_order[group.dims.len() - 1].clone();
-        g.pipeline(deepest, &pipeline_iv, 1);
-        for &l in &tiled {
-            g.unroll(deepest, &inner_name(&group.dims[l]), group.tiles[l]);
-        }
-
-        // Partition factors: for every member access, each array dimension
-        // gets the product of tiles of the levels indexing it.
-        let stmts = apply_schedule(&g);
-        let names: Vec<&str> = g.computes().iter().map(|c| c.name()).collect();
-        for member in &group.members {
-            let idx = names.iter().position(|n| n == member).expect("member");
-            let c = &g.computes()[idx];
-            let s = &stmts[idx];
-            let mut accesses = vec![c.store().clone()];
-            accesses.extend(c.loads().iter().map(|l| (*l).clone()));
-            for acc in &accesses {
-                let cur_acc = s.access_to_current(acc);
-                let Some(factors) = partition_factors.get_mut(&acc.array) else {
-                    continue;
-                };
-                let shape = g
-                    .find_placeholder(&acc.array)
-                    .expect("declared array")
-                    .shape()
-                    .to_vec();
-                for (d, e) in cur_acc.indices.iter().enumerate() {
-                    let mut f = 1i64;
-                    for (l, dim) in group.dims.iter().enumerate() {
-                        if group.tiles[l] > 1 && e.uses(&inner_name(dim)) {
-                            f *= group.tiles[l];
-                        }
-                    }
-                    let f = f.min(shape[d] as i64).max(1);
-                    factors[d] = factors[d].max(f);
-                }
-            }
-        }
-    }
-
-    for (array, factors) in partition_factors {
-        if factors.iter().any(|&f| f > 1) {
-            g.partition(&array, &factors, PartitionStyle::Cyclic);
-        }
-    }
-    g
 }
 
 /// The bottleneck-oriented optimization loop. Returns the fully scheduled
@@ -743,31 +49,24 @@ pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
 /// the total latency is the sum over groups (sequential execution) and
 /// resources compose per the sharing policy (`max` under reuse, `+` under
 /// dataflow).
-pub fn bottleneck_optimize(stage1_fn: &Function, opts: &CompileOptions) -> Stage2Result {
-    bottleneck_optimize_with(stage1_fn, opts, &DseConfig::default())
-}
-
-/// [`bottleneck_optimize`] under explicit strategy parameters.
 ///
 /// # Panics
 ///
 /// Panics when a DSE-generated schedule fails to compile — use
-/// [`try_bottleneck_optimize_with`] to handle the error instead.
-pub fn bottleneck_optimize_with(
-    stage1_fn: &Function,
-    opts: &CompileOptions,
-    cfg: &DseConfig,
-) -> Stage2Result {
-    try_bottleneck_optimize_with(stage1_fn, opts, cfg).expect("stage-2 schedule compiles")
+/// [`try_bottleneck_optimize`] to handle the error instead.
+pub fn bottleneck_optimize(stage1_fn: &Function, opts: &CompileOptions) -> Stage2Result {
+    try_bottleneck_optimize(stage1_fn, opts, &DseConfig::default())
+        .expect("stage-2 schedule compiles")
 }
 
-/// [`bottleneck_optimize_with`] propagating compile failures.
+/// [`bottleneck_optimize`] under explicit strategy parameters,
+/// propagating compile failures.
 ///
 /// # Errors
 ///
 /// Returns the first [`CompileError`] (in deterministic candidate order)
 /// hit while estimating a candidate or the repaired full design.
-pub fn try_bottleneck_optimize_with(
+pub fn try_bottleneck_optimize(
     stage1_fn: &Function,
     opts: &CompileOptions,
     cfg: &DseConfig,
@@ -781,10 +80,20 @@ pub fn try_bottleneck_optimize_with(
 pub(crate) enum CandidateEval {
     /// Discarded by the lint prescreen before estimation.
     Pruned,
-    /// Discarded by the bank-conflict prescreen before estimation.
-    PrunedBank,
     /// Fully estimated: `(latency, resources)`.
     Estimated(u64, pom_hls::ResourceUsage),
+}
+
+/// The resources of a design whose groups, with per-group `(latency,
+/// resources)`, run one after the other under `opts.sharing`.
+pub(crate) fn composed_resources(
+    qor: &[(u64, pom_hls::ResourceUsage)],
+    opts: &CompileOptions,
+) -> pom_hls::ResourceUsage {
+    qor.iter()
+        .fold(pom_hls::ResourceUsage::zero(), |total, (_, r)| {
+            opts.sharing.compose(&total, r)
+        })
 }
 
 /// Evaluates `0..n` with `f` on up to `workers` scoped threads, returning
@@ -824,46 +133,25 @@ pub(crate) fn run_indexed<T: Send>(
         .collect()
 }
 
-/// Evaluates one escalation candidate: lint prescreen (relative to the
-/// current configuration), then estimation. The cached path computes the
-/// scheduled sub-function and its dependence summary once and shares them
-/// between the feasibility check and the estimate; the uncached path
-/// replays the seed's cost profile (separate `lint_screen` +
-/// `group_compile`, each paying schedule replay and dependence analysis).
-#[allow(clippy::too_many_arguments)]
+/// Evaluates one escalation candidate of the group currently configured
+/// as `cur`: lint prescreen (relative to `cur`), then estimation. The
+/// cached path computes the scheduled sub-function and its dependence
+/// summary once and shares them between the feasibility check and the
+/// estimate; the uncached path replays the seed's cost profile (separate
+/// `lint_screen` + `group_compile`, each paying schedule replay and
+/// dependence analysis).
 pub(crate) fn eval_candidate(
     stage1_fn: &Function,
-    fp: u64,
-    groups: &[GroupConfig],
-    bottleneck: usize,
+    cur: &GroupConfig,
     cand: &GroupConfig,
     cur_infeasible: bool,
-    cur_bram: Option<u64>,
-    cur_bank_conflict: Option<bool>,
     opts: &CompileOptions,
-    cfg: &DseConfig,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
 ) -> Result<CandidateEval, CompileError> {
-    // Bank prescreen (opt-in, relative): discard a candidate that would
-    // introduce a provable POM006 conflict the current configuration is
-    // free of. Runs on both the cached and uncached paths — the lowering
-    // it pays is not memoized, matching its opt-in nature.
-    if let Some(cur_conflicting) = cur_bank_conflict {
-        if !cur_conflicting && bank_infeasible(stage1_fn, cand, opts) {
-            return Ok(CandidateEval::PrunedBank);
-        }
-    }
     let Some(cache) = cache else {
         // Seed-profile path: every check re-derives everything.
-        if lint_screen(
-            stage1_fn,
-            groups,
-            bottleneck,
-            cand,
-            opts,
-            cfg.lint_prune_bram,
-        ) {
+        if lint_screen(stage1_fn, cur, cand, opts) {
             return Ok(CandidateEval::Pruned);
         }
         let (l, r) = group_compile_timed(stage1_fn, cand, opts, acc)?;
@@ -888,20 +176,10 @@ pub(crate) fn eval_candidate(
                 acc,
             )
         });
-        p.infeasible(opts)
+        p.infeasible()
     });
     if !cur_infeasible && cand_infeasible {
         return Ok(CandidateEval::Pruned);
-    }
-    if let Some(cur_bram) = cur_bram {
-        let mut cand_groups = groups.to_vec();
-        cand_groups[bottleneck] = cand.clone();
-        let cand_bram = cache.memo_bram(fp, &cand_groups, || {
-            bram_of(&schedule_for(stage1_fn, &cand_groups))
-        });
-        if cur_bram <= opts.device.bram18k && cand_bram > opts.device.bram18k {
-            return Ok(CandidateEval::Pruned);
-        }
     }
     let (l, r) = cache.memo_group_qor(key, || {
         let p = prepared.take().unwrap_or_else(|| {
@@ -919,10 +197,51 @@ pub(crate) fn eval_candidate(
     Ok(CandidateEval::Estimated(l, r))
 }
 
+/// POM001 verdict of a group's *current* configuration — the context of
+/// the relative lint prescreen, memoized when a cache is active.
+pub(crate) fn group_infeasible(
+    stage1_fn: &Function,
+    g: &GroupConfig,
+    opts: &CompileOptions,
+    cache: Option<&DseCache>,
+    acc: &PhaseAccum,
+) -> bool {
+    match cache {
+        Some(c) => {
+            let scheduled = scheduled_group(stage1_fn, g, acc);
+            c.memo_infeasible(canonical_fingerprint(&scheduled), || {
+                prepare_candidate(stage1_fn, g, scheduled, c, opts, acc).infeasible()
+            })
+        }
+        None => pipeline_infeasible(stage1_fn, g, opts),
+    }
+}
+
+/// Per-group `(latency, resources)` of a configuration not reached by
+/// escalation (initial groups, beam seeds), through the cache when one
+/// is active — greedy and beam share the memoized entries.
+pub(crate) fn group_qor(
+    stage1_fn: &Function,
+    g: &GroupConfig,
+    opts: &CompileOptions,
+    cache: Option<&DseCache>,
+    acc: &PhaseAccum,
+) -> Result<(u64, pom_hls::ResourceUsage), CompileError> {
+    match cache {
+        Some(c) => {
+            let scheduled = scheduled_group(stage1_fn, g, acc);
+            c.memo_group_qor(canonical_fingerprint(&scheduled), || {
+                prepare_scheduled(scheduled, opts, acc).estimate(opts, acc)
+            })
+        }
+        None => group_compile_timed(stage1_fn, g, opts, acc),
+    }
+}
+
 /// A group's scheduled sub-function with its transformed statements and
 /// dependence summary — the shared intermediates of the feasibility check
 /// and the estimate.
-pub(crate) struct PreparedGroup {
+struct PreparedGroup {
     scheduled: Function,
     stmts: Vec<StmtPoly>,
     deps: pom_hls::DepSummary,
@@ -930,7 +249,7 @@ pub(crate) struct PreparedGroup {
 
 /// Extracts and schedules a group's sub-function (the cheap half of a
 /// candidate evaluation — no polyhedral dependence analysis yet).
-pub(crate) fn scheduled_group(base: &Function, group: &GroupConfig, acc: &PhaseAccum) -> Function {
+fn scheduled_group(base: &Function, group: &GroupConfig, acc: &PhaseAccum) -> Function {
     let t0 = Instant::now();
     let members: Vec<&str> = group.members.iter().map(String::as_str).collect();
     let sub = sub_function(base, &members);
@@ -944,7 +263,7 @@ pub(crate) fn scheduled_group(base: &Function, group: &GroupConfig, acc: &PhaseA
 
 /// The expensive half: schedule replay + polyhedral dependence analysis
 /// over the already-scheduled sub-function.
-pub(crate) fn prepare_scheduled(
+fn prepare_scheduled(
     scheduled: Function,
     opts: &CompileOptions,
     acc: &PhaseAccum,
@@ -1010,7 +329,7 @@ fn dep_template(
 /// [`prepare_scheduled`] that reuses the group's dependence-summary
 /// template when one is available, skipping the polyhedral dependence
 /// analysis — the dominant cost of a candidate evaluation.
-pub(crate) fn prepare_candidate(
+fn prepare_candidate(
     stage1_fn: &Function,
     cand: &GroupConfig,
     scheduled: Function,
@@ -1090,12 +409,12 @@ pub(crate) fn full_dep_template(
 
 impl PreparedGroup {
     /// POM001 verdict on the already-analyzed schedule.
-    pub(crate) fn infeasible(&self, _opts: &CompileOptions) -> bool {
+    fn infeasible(&self) -> bool {
         schedule_carries_infeasible_ii(&self.scheduled, &self.deps)
     }
 
     /// Lowers + estimates, reusing the prepared statements and deps.
-    pub(crate) fn estimate(
+    fn estimate(
         self,
         opts: &CompileOptions,
         acc: &PhaseAccum,
@@ -1118,23 +437,13 @@ pub(crate) fn bottleneck_optimize_impl(
     acc: &PhaseAccum,
 ) -> Result<Stage2Result, CompileError> {
     let t_stage2 = Instant::now();
-    let fp = fingerprint(stage1_fn);
     let workers = cfg.effective_workers();
     let mut dse_stats = DseStats::default();
     let mut groups = plan_groups(stage1_fn);
-    // Ring buffer of the trailing K accepts: pop_front is O(1), and the
-    // pop runs inside the hot accept path of every escalation step.
-    let mut finalists: VecDeque<Vec<GroupConfig>> = VecDeque::new();
 
     // Initial per-group stats, evaluated concurrently when allowed.
-    let initial = run_indexed(groups.len(), workers, |i| match cache {
-        Some(c) => {
-            let scheduled = scheduled_group(stage1_fn, &groups[i], acc);
-            c.memo_group_qor(canonical_fingerprint(&scheduled), || {
-                prepare_scheduled(scheduled, opts, acc).estimate(opts, acc)
-            })
-        }
-        None => group_compile_timed(stage1_fn, &groups[i], opts, acc),
+    let initial = run_indexed(groups.len(), workers, |i| {
+        group_qor(stage1_fn, &groups[i], opts, cache, acc)
     });
     let mut stats: Vec<(u64, pom_hls::ResourceUsage)> =
         initial.into_iter().collect::<Result<_, _>>()?;
@@ -1158,17 +467,6 @@ pub(crate) fn bottleneck_optimize_impl(
             gp
         })
         .collect();
-
-    let compose = |stats: &[(u64, pom_hls::ResourceUsage)]| {
-        let mut acc = pom_hls::ResourceUsage::zero();
-        for (_, r) in stats {
-            acc = match opts.sharing {
-                pom_hls::estimate::Sharing::Reuse => acc.max(r),
-                pom_hls::estimate::Sharing::Dataflow => acc.plus(r),
-            };
-        }
-        acc
-    };
 
     let mut active: BTreeSet<usize> = (0..groups.len()).collect();
     while !active.is_empty() {
@@ -1198,23 +496,7 @@ pub(crate) fn bottleneck_optimize_impl(
         // Context for the relative lint prescreen: a candidate is pruned
         // only when it *introduces* a violation the current configuration
         // does not have.
-        let cur_infeasible = match cache {
-            Some(c) => {
-                let scheduled = scheduled_group(stage1_fn, &groups[bottleneck], acc);
-                c.memo_infeasible(canonical_fingerprint(&scheduled), || {
-                    prepare_candidate(stage1_fn, &groups[bottleneck], scheduled, c, opts, acc)
-                        .infeasible(opts)
-                })
-            }
-            None => pipeline_infeasible(stage1_fn, &groups[bottleneck], opts),
-        };
-        let cur_bram = cfg.lint_prune_bram.then(|| match cache {
-            Some(c) => c.memo_bram(fp, &groups, || bram_of(&schedule_for(stage1_fn, &groups))),
-            None => bram_of(&schedule_for(stage1_fn, &groups)),
-        });
-        let cur_bank_conflict = cfg
-            .bank_prune
-            .then(|| bank_infeasible(stage1_fn, &groups[bottleneck], opts));
+        let cur_infeasible = group_infeasible(stage1_fn, &groups[bottleneck], opts, cache, acc);
 
         // Evaluate every single-step escalation of the bottleneck — in
         // parallel when allowed. Results come back in candidate order, so
@@ -1222,15 +504,10 @@ pub(crate) fn bottleneck_optimize_impl(
         let evals = run_indexed(cands.len(), workers, |i| {
             eval_candidate(
                 stage1_fn,
-                fp,
-                &groups,
-                bottleneck,
+                &groups[bottleneck],
                 &cands[i],
                 cur_infeasible,
-                cur_bram,
-                cur_bank_conflict,
                 opts,
-                cfg,
                 cache,
                 acc,
             )
@@ -1244,7 +521,6 @@ pub(crate) fn bottleneck_optimize_impl(
         for (i, ev) in evals.into_iter().enumerate() {
             match ev? {
                 CandidateEval::Pruned => dse_stats.lint_pruned += 1,
-                CandidateEval::PrunedBank => dse_stats.bank_pruned += 1,
                 CandidateEval::Estimated(l2, r2) => {
                     dse_stats.estimated += 1;
                     // Sampled translation validation: every n-th estimated
@@ -1274,11 +550,7 @@ pub(crate) fn bottleneck_optimize_impl(
                     }
                     let mut cand_stats = stats.clone();
                     cand_stats[bottleneck] = (l2, r2);
-                    let total = compose(&cand_stats);
-                    let fits = total.dsp <= opts.device.dsp
-                        && total.ff <= opts.device.ff
-                        && total.lut <= opts.device.lut;
-                    if fits
+                    if composed_resources(&cand_stats, opts).fits_logic(&opts.device)
                         && l2 <= stats[bottleneck].0
                         && best.as_ref().map(|&(bl, _, _)| l2 < bl).unwrap_or(true)
                     {
@@ -1291,16 +563,6 @@ pub(crate) fn bottleneck_optimize_impl(
             Some((l2, r2, i)) => {
                 groups[bottleneck] = cands[i].clone();
                 stats[bottleneck] = (l2, r2);
-                if cfg.sim_rerank_top_k > 0 {
-                    // Keep the trailing K accepted configurations: the
-                    // greedy descent improves monotonically under the
-                    // estimator, so the most recent accepts are the ones
-                    // worth measuring.
-                    if finalists.len() == cfg.sim_rerank_top_k {
-                        finalists.pop_front();
-                    }
-                    finalists.push_back(groups.clone());
-                }
             }
             None => {
                 active.remove(&bottleneck);
@@ -1308,15 +570,7 @@ pub(crate) fn bottleneck_optimize_impl(
         }
     }
 
-    let function = repair_and_finalize(
-        stage1_fn,
-        &mut groups,
-        opts,
-        cfg,
-        cache,
-        acc,
-        &mut dse_stats,
-    )?;
+    let function = repair_and_finalize(stage1_fn, &mut groups, opts, cache, acc, &mut dse_stats)?;
     dse_stats.stage2_time = t_stage2.elapsed();
     if let Some(c) = cache {
         dse_stats.cache_hits = c.hits();
@@ -1335,7 +589,6 @@ pub(crate) fn bottleneck_optimize_impl(
         function,
         groups,
         stats: dse_stats,
-        finalists: finalists.into(),
         anytime: Vec::new(),
     })
 }
@@ -1349,7 +602,6 @@ pub(crate) fn repair_and_finalize(
     stage1_fn: &Function,
     groups: &mut [GroupConfig],
     opts: &CompileOptions,
-    cfg: &DseConfig,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
     dse_stats: &mut DseStats,
@@ -1374,10 +626,7 @@ pub(crate) fn repair_and_finalize(
                 c.qor
             }
         };
-        let fits = full.resources.dsp <= opts.device.dsp
-            && full.resources.ff <= opts.device.ff
-            && full.resources.lut <= opts.device.lut;
-        if fits {
+        if full.resources.fits_logic(&opts.device) {
             break;
         }
         let Some(victim) = groups
@@ -1400,102 +649,57 @@ pub(crate) fn repair_and_finalize(
     // partition factors to the minimal conflict-free values. The
     // override is appended to the schedule, so it supersedes the
     // tile-derived partitioning on lowering (last directive wins).
+    let mut function = schedule_for(stage1_fn, groups);
     let mut bank_overrides: Vec<(String, Vec<i64>)> = Vec::new();
-    if cfg.bank_repair {
-        let scheduled = schedule_for(stage1_fn, groups);
-        let stmts = apply_schedule(&scheduled);
-        if let Ok(func) = lower(&scheduled, &stmts) {
-            let ports = opts.model.ports_per_bank.max(1);
-            let mut seen: BTreeSet<String> = BTreeSet::new();
-            for rep in pom_bank::analyze_func(&func) {
-                // Any exact over-demand is worth repairing: the port
-                // calendars slide the issue past the *declared* II on
-                // every iteration, so no II choice absorbs a conflict —
-                // only repartitioning removes it.
-                if !rep.analysis.exact || rep.analysis.conflict_free(ports) {
+    let stmts = apply_schedule(&function);
+    if let Ok(func) = lower(&function, &stmts) {
+        let ports = opts.model.ports_per_bank.max(1);
+        let mut seen: BTreeSet<String> = BTreeSet::new();
+        for rep in pom_bank::analyze_func(&func) {
+            // Any exact over-demand is worth repairing: the port
+            // calendars slide the issue past the *declared* II on
+            // every iteration, so no II choice absorbs a conflict —
+            // only repartitioning removes it.
+            if !rep.analysis.exact || rep.analysis.conflict_free(ports) {
+                continue;
+            }
+            for p in rep
+                .analysis
+                .profiles
+                .iter()
+                .filter(|p| p.exact && p.max_demand > ports)
+            {
+                if !seen.insert(p.array.clone()) {
                     continue;
                 }
-                for p in rep
-                    .analysis
-                    .profiles
-                    .iter()
-                    .filter(|p| p.exact && p.max_demand > ports)
+                if let Some(factors) =
+                    pom_bank::minimal_conflict_free_factors(&func, &p.array, ports)
                 {
-                    if !seen.insert(p.array.clone()) {
-                        continue;
-                    }
-                    if let Some(factors) =
-                        pom_bank::minimal_conflict_free_factors(&func, &p.array, ports)
-                    {
-                        bank_overrides.push((p.array.clone(), factors));
-                    }
+                    bank_overrides.push((p.array.clone(), factors));
                 }
             }
         }
-        dse_stats.bank_repaired = bank_overrides.len();
     }
-
-    let mut function = schedule_for(stage1_fn, groups);
+    dse_stats.bank_repaired = bank_overrides.len();
     for (array, factors) in &bank_overrides {
         function.partition(array, factors, PartitionStyle::Cyclic);
     }
     Ok(function)
 }
 
-/// True when swapping `cand` in for group `bottleneck` would introduce a
-/// lint violation the current configuration does not have. Both checks
-/// run on the *schedule* alone — no lowering or estimation. Shared with
-/// the baseline strategies: legality screening is part of the substrate,
-/// not of any one search. `prune_bram` additionally screens the POM003
-/// BRAM budget (a Warning, hence opt-in — see [`DseConfig`]).
+/// True when replacing a group's current configuration `cur` with `cand`
+/// would introduce a lint Error the current configuration does not have
+/// (POM001: the candidate's pipelined loop carries a dependence its
+/// declared II cannot honour). Runs on the *schedule* alone — no lowering
+/// or estimation. Shared with the baseline strategies: legality screening
+/// is part of the substrate, not of any one search.
 pub(crate) fn lint_screen(
     stage1_fn: &Function,
-    groups: &[GroupConfig],
-    bottleneck: usize,
+    cur: &GroupConfig,
     cand: &GroupConfig,
     opts: &CompileOptions,
-    prune_bram: bool,
 ) -> bool {
-    let mut cand_groups = groups.to_vec();
-    cand_groups[bottleneck] = cand.clone();
-
-    // POM003: the candidate's partitioning blows the BRAM budget (the
-    // per-group fits check only tracks DSP/FF/LUT).
-    if prune_bram {
-        let cur_bram = bram_of(&schedule_for(stage1_fn, groups));
-        let cand_bram = bram_of(&schedule_for(stage1_fn, &cand_groups));
-        if cur_bram <= opts.device.bram18k && cand_bram > opts.device.bram18k {
-            return true;
-        }
-    }
-
-    // POM001: the candidate's pipelined loop carries a dependence its
-    // declared II cannot honour.
-    if !pipeline_infeasible(stage1_fn, &groups[bottleneck], opts)
-        && pipeline_infeasible(stage1_fn, cand, opts)
-    {
-        return true;
-    }
-    false
-}
-
-/// The BRAM18K units a scheduled function's arrays map to, mirroring the
-/// estimator's (and POM003's) accounting.
-pub(crate) fn bram_of(f: &Function) -> u64 {
-    let mut banks: BTreeMap<&str, u64> = BTreeMap::new();
-    for p in f.schedule() {
-        if let Primitive::Partition { array, factors, .. } = p {
-            let b: i64 = factors.iter().product();
-            banks.insert(array, b.max(1) as u64);
-        }
-    }
-    let mut bram = 0u64;
-    for p in f.placeholders() {
-        let b = banks.get(p.name()).copied().unwrap_or(1);
-        let bits = p.shape().iter().product::<usize>() as u64 * p.dtype().bits() as u64;
-        bram += pom_hls::bram18k_units(bits, b);
-    }
-    bram
+    !pipeline_infeasible(stage1_fn, cur, opts) && pipeline_infeasible(stage1_fn, cand, opts)
 }
 
 /// True when `scheduled` declares a pipeline II below the recurrence MII
@@ -1512,33 +716,9 @@ fn schedule_carries_infeasible_ii(scheduled: &Function, deps: &pom_hls::DepSumma
     })
 }
 
-/// True when the group's schedule declares a pipeline II that pom-bank's
-/// exact analysis proves infeasible: some memory bank's per-cycle demand
-/// cannot be served through its ports within the declared II (the POM006
-/// condition). Pays a full lowering of the group's sub-function.
-pub(crate) fn bank_infeasible(base: &Function, group: &GroupConfig, opts: &CompileOptions) -> bool {
-    let members: Vec<&str> = group.members.iter().map(String::as_str).collect();
-    let sub = sub_function(base, &members);
-    let scheduled = schedule_for(&sub, std::slice::from_ref(group));
-    let stmts = apply_schedule(&scheduled);
-    let Ok(func) = lower(&scheduled, &stmts) else {
-        return false;
-    };
-    let ports = opts.model.ports_per_bank.max(1);
-    pom_bank::analyze_func(&func).iter().any(|r| {
-        r.analysis
-            .min_feasible_ii(ports)
-            .is_some_and(|m| m > r.declared_ii)
-    })
-}
-
 /// True when the group's schedule declares a pipeline II below the
 /// recurrence MII of a dependence carried at the pipelined loop.
-pub(crate) fn pipeline_infeasible(
-    base: &Function,
-    group: &GroupConfig,
-    opts: &CompileOptions,
-) -> bool {
+fn pipeline_infeasible(base: &Function, group: &GroupConfig, opts: &CompileOptions) -> bool {
     let members: Vec<&str> = group.members.iter().map(String::as_str).collect();
     let sub = sub_function(base, &members);
     let scheduled = schedule_for(&sub, std::slice::from_ref(group));
@@ -1563,7 +743,7 @@ pub fn group_compile(
 }
 
 /// [`group_compile`] propagating errors and accumulating phase times.
-pub(crate) fn group_compile_timed(
+fn group_compile_timed(
     base: &Function,
     group: &GroupConfig,
     opts: &CompileOptions,
@@ -1576,7 +756,6 @@ pub(crate) fn group_compile_timed(
     acc.add(&times);
     Ok((c.qor.latency, c.qor.resources))
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1620,11 +799,12 @@ mod tests {
             extents: vec![64, 64, 64],
             tiles: vec![1, 1, 1],
         };
+        let cfg = DseConfig::default();
         for _ in 0..4 {
-            assert!(g.escalate());
+            g = g.escalation_candidates_preferred(&cfg).remove(0);
         }
         assert_eq!(g.tiles, vec![1, 1, 16], "j first, up to 16");
-        g.escalate();
+        g = g.escalation_candidates_preferred(&cfg).remove(0);
         assert_eq!(g.tiles, vec![1, 2, 16], "then i");
     }
 
@@ -1691,63 +871,6 @@ mod tests {
         assert!(groups[0].parallelism() <= 16);
     }
 
-    #[test]
-    fn lint_prescreen_prunes_bram_busting_candidates() {
-        // BICG at N = 256: stage 1 split-interchange-merges the two
-        // statements, so the merged nest accesses A in both orientations
-        // and escalating the shared parallel loop to 16 would partition A
-        // (16, 16) = 256 banks — 290 BRAM18K on a 280-unit device. With
-        // the opt-in BRAM prescreen the candidate is pruned before
-        // estimation and the search settles on a memory-feasible design.
-        let n = 256usize;
-        let mut f = Function::new("bicg");
-        let i = f.var("i", 0, n as i64);
-        let j = f.var("j", 0, n as i64);
-        let a = f.placeholder("A", &[n, n], DataType::F32);
-        let r = f.placeholder("r", &[n], DataType::F32);
-        let s = f.placeholder("s", &[n], DataType::F32);
-        let p = f.placeholder("p", &[n], DataType::F32);
-        let q = f.placeholder("q", &[n], DataType::F32);
-        f.compute(
-            "S1",
-            &[i.clone(), j.clone()],
-            s.at(&[&j]) + r.at(&[&i]) * a.at(&[&i, &j]),
-            s.access(&[&j]),
-        );
-        f.compute(
-            "S2",
-            &[i.clone(), j.clone()],
-            q.at(&[&i]) + a.at(&[&i, &j]) * p.at(&[&j]),
-            q.access(&[&i]),
-        );
-        let opts = CompileOptions::default();
-        let stage1 = dependence_aware_transform(&f, 8);
-        let cfg = DseConfig {
-            lint_prune_bram: true,
-            ..DseConfig::default()
-        };
-        let r = bottleneck_optimize_with(&stage1, &opts, &cfg);
-        assert!(r.stats.lint_pruned > 0, "stats {:?}", r.stats);
-        assert!(r.stats.estimated > 0, "stats {:?}", r.stats);
-        let q = compile(&r.function, &opts).expect("compiles").qor;
-        assert!(
-            q.resources.bram18k <= opts.device.bram18k,
-            "BRAM {} over budget {}",
-            q.resources.bram18k,
-            opts.device.bram18k
-        );
-
-        // The default strategy keeps the seed behavior: no BRAM pruning,
-        // higher parallelism, BRAM overshoot tolerated (POM003 reports it
-        // as a Warning downstream).
-        let default_r = bottleneck_optimize(&stage1, &opts);
-        assert_eq!(
-            default_r.stats.lint_pruned, 0,
-            "stats {:?}",
-            default_r.stats
-        );
-    }
-
     /// Lowers a scheduled function and asks pom-bank whether any
     /// pipelined loop's declared II is provably infeasible (POM006).
     fn has_bank_conflict(f: &Function, opts: &CompileOptions) -> bool {
@@ -1767,7 +890,6 @@ mod tests {
         let stage1 = dependence_aware_transform(&f, 8);
         let opts = CompileOptions::default();
         let r = bottleneck_optimize(&stage1, &opts);
-        assert_eq!(r.stats.bank_pruned, 0);
         assert_eq!(r.stats.bank_repaired, 0);
     }
 
@@ -1793,10 +915,9 @@ mod tests {
         let opts = CompileOptions::default();
         let cfg = DseConfig {
             max_parallelism: 1,
-            bank_repair: true,
             ..DseConfig::default()
         };
-        let r = bottleneck_optimize_with(&f, &opts, &cfg);
+        let r = try_bottleneck_optimize(&f, &opts, &cfg).expect("compiles");
         assert_eq!(r.stats.bank_repaired, 1, "stats {:?}", r.stats);
         let text: Vec<String> = r
             .function
@@ -1808,44 +929,6 @@ mod tests {
             text.iter().any(|p| p.contains("a.partition({2}")),
             "{text:?}"
         );
-        assert!(!has_bank_conflict(&r.function, &opts));
-
-        // Without repair the conflicting declaration survives.
-        let cfg_off = DseConfig {
-            max_parallelism: 1,
-            bank_repair: false,
-            ..DseConfig::default()
-        };
-        let r_off = bottleneck_optimize_with(&f, &opts, &cfg_off);
-        assert_eq!(r_off.stats.bank_repaired, 0);
-        assert!(has_bank_conflict(&r_off.function, &opts));
-    }
-
-    #[test]
-    fn bank_prune_stops_escalation_at_the_last_conflict_free_step() {
-        // b[i] = a[4i]: tiling by t partitions `a` t-way, but the stride-4
-        // accesses all land in bank 0 once t divides 4 — t = 2 keeps 2
-        // accesses on 2 ports (free), t = 4 piles 4 onto one bank (a
-        // provable conflict). The prescreen prunes the t = 4 step and the
-        // search settles on the last conflict-free configuration.
-        let n = 64usize;
-        let mut f = Function::new("gather");
-        let i = f.var("i", 0, n as i64);
-        let a = f.placeholder("a", &[4 * n], DataType::F32);
-        let b = f.placeholder("b", &[n], DataType::F32);
-        f.compute(
-            "s",
-            std::slice::from_ref(&i),
-            a.at(&[i.expr() * 4]) + 1.0,
-            b.access(&[&i]),
-        );
-        let opts = CompileOptions::default();
-        let cfg = DseConfig {
-            bank_prune: true,
-            ..DseConfig::default()
-        };
-        let r = bottleneck_optimize_with(&f, &opts, &cfg);
-        assert!(r.stats.bank_pruned >= 1, "stats {:?}", r.stats);
         assert!(!has_bank_conflict(&r.function, &opts));
     }
 

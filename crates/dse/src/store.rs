@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Version of the on-disk artifact schema. Bump on any format change:
 /// the version participates in the shard hash, so old shards become
 /// unreachable rather than misread.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The kinds of artifact the store holds, mirroring the [`DseCache`]
 /// maps plus the serving layer's full-compile responses.
@@ -77,9 +77,6 @@ pub enum Kind {
     /// `(latency, resources)` of a group compile (canonical-fingerprint
     /// key).
     GroupQor,
-    /// BRAM18K usage of a full schedule (stable hash of
-    /// `(fingerprint, groups)`).
-    Bram,
     /// Dependence-summary template of a group (plain-fingerprint key);
     /// `none` marks a template proven unsafe to reuse.
     DepTemplate,
@@ -94,18 +91,16 @@ impl Kind {
         match self {
             Kind::Infeasible => "inf",
             Kind::GroupQor => "qor",
-            Kind::Bram => "bram",
             Kind::DepTemplate => "dep",
             Kind::Full => "full",
         }
     }
 
     /// Every kind, for directory accounting.
-    pub fn all() -> [Kind; 5] {
+    pub fn all() -> [Kind; 4] {
         [
             Kind::Infeasible,
             Kind::GroupQor,
-            Kind::Bram,
             Kind::DepTemplate,
             Kind::Full,
         ]
@@ -472,23 +467,6 @@ impl ArtifactStore {
         ))
     }
 
-    /// Spills a BRAM18K verdict.
-    pub fn save_bram(&self, key: u64, bram: u64) {
-        self.save(Kind::Bram, key, &format!("{bram}\n"));
-    }
-
-    /// Loads a BRAM18K verdict.
-    pub fn load_bram(&self, key: u64) -> Option<u64> {
-        let body = self.load(Kind::Bram, key)?;
-        match body.trim().parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                self.load_errors.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Spills a dependence-summary template (`None` = template proven
     /// unsafe to reuse; that verdict is itself worth persisting).
     pub fn save_dep_template(&self, key: u64, t: Option<&DepSummary>) {
@@ -620,8 +598,6 @@ mod tests {
         };
         s.save_group_qor(9, 12345, &r);
         assert_eq!(s.load_group_qor(9), Some((12345, r)));
-        s.save_bram(11, 42);
-        assert_eq!(s.load_bram(11), Some(42));
         let mut d = DepSummary::new();
         d.insert(
             "k",
@@ -647,19 +623,19 @@ mod tests {
         let root = tmp_root("corrupt");
         let opts = CompileOptions::default();
         let s = ArtifactStore::open(&root, &opts).expect("opens");
-        assert_eq!(s.load_bram(99), None);
+        assert_eq!(s.load_infeasible(99), None);
         assert_eq!(s.misses(), 1);
         // A torn/garbage artifact must never be trusted.
-        fs::write(s.entry_path(Kind::Bram, 99), "garbage").expect("write");
-        assert_eq!(s.load_bram(99), None);
+        fs::write(s.entry_path(Kind::Infeasible, 99), "garbage").expect("write");
+        assert_eq!(s.load_infeasible(99), None);
         assert_eq!(s.load_errors(), 1);
         // Wrong-key content under the right name fails the header check.
         fs::write(
-            s.entry_path(Kind::Bram, 100),
-            "pom-artifact v1 bram 0000000000000063\n7\n",
+            s.entry_path(Kind::Infeasible, 100),
+            "pom-artifact v1 inf 0000000000000063\ntrue\n",
         )
         .expect("write");
-        assert_eq!(s.load_bram(100), None, "key 0x63 != 100 is rejected");
+        assert_eq!(s.load_infeasible(100), None, "key 0x63 != 100 is rejected");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -672,8 +648,12 @@ mod tests {
         let a = ArtifactStore::open(&root, &a_opts).expect("opens");
         let b = ArtifactStore::open(&root, &b_opts).expect("opens");
         assert_ne!(a.shard_dir(), b.shard_dir());
-        a.save_bram(1, 10);
-        assert_eq!(b.load_bram(1), None, "stale-config artifact is invisible");
+        a.save_infeasible(1, true);
+        assert_eq!(
+            b.load_infeasible(1),
+            None,
+            "stale-config artifact is invisible"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -682,8 +662,8 @@ mod tests {
         let root = tmp_root("clear");
         let opts = CompileOptions::default();
         let s = ArtifactStore::open(&root, &opts).expect("opens");
-        s.save_bram(1, 10);
-        s.save_bram(2, 20);
+        s.save_infeasible(1, true);
+        s.save_infeasible(2, false);
         // A handle's own shared lock upgrades in place; a *second* open
         // handle would block the upgrade (exercised cross-process in
         // tests/store_concurrent.rs).
@@ -696,7 +676,7 @@ mod tests {
         );
         drop(s2);
         assert_eq!(removed, 2);
-        assert_eq!(s.load_bram(1), None);
+        assert_eq!(s.load_infeasible(1), None);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -707,12 +687,12 @@ mod tests {
         let s = ArtifactStore::open(&root, &opts).expect("opens");
         // Three artifacts with strictly increasing mtimes.
         for (i, key) in [1u64, 2, 3].iter().enumerate() {
-            s.save_bram(*key, 10 + *key);
+            s.save_infeasible(*key, true);
             let t = std::time::SystemTime::UNIX_EPOCH
                 + std::time::Duration::from_secs(1_000_000 + i as u64);
             let f = File::options()
                 .write(true)
-                .open(s.entry_path(Kind::Bram, *key))
+                .open(s.entry_path(Kind::Infeasible, *key))
                 .expect("opens artifact");
             f.set_modified(t).expect("sets mtime");
         }
@@ -721,15 +701,15 @@ mod tests {
         // Budget for two artifacts: the oldest (key 1) goes, 2 and 3 stay.
         let removed = s.gc(2 * one + 1).expect("sweeps");
         assert_eq!(removed, 1);
-        assert_eq!(s.load_bram(1), None, "oldest artifact swept");
-        assert_eq!(s.load_bram(2), Some(12));
-        assert_eq!(s.load_bram(3), Some(13));
+        assert_eq!(s.load_infeasible(1), None, "oldest artifact swept");
+        assert_eq!(s.load_infeasible(2), Some(true));
+        assert_eq!(s.load_infeasible(3), Some(true));
         // Already within budget: a second sweep is a no-op.
         assert_eq!(s.gc(2 * one + 1).expect("sweeps"), 0);
         // A zero budget empties the shard.
         assert_eq!(s.gc(0).expect("sweeps"), 2);
         // A second live handle blocks the sweep, like clear().
-        s.save_bram(9, 9);
+        s.save_infeasible(9, true);
         let s2 = ArtifactStore::open(&root, &opts).expect("opens");
         assert_eq!(
             s.gc(0).map_err(|e| e.kind()),
@@ -737,7 +717,11 @@ mod tests {
             "another live handle blocks gc"
         );
         drop(s2);
-        assert_eq!(s.load_bram(9), Some(9), "contended sweep removed nothing");
+        assert_eq!(
+            s.load_infeasible(9),
+            Some(true),
+            "contended sweep removed nothing"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -746,11 +730,11 @@ mod tests {
         let root = tmp_root("usage");
         let opts = CompileOptions::default();
         let s = ArtifactStore::open(&root, &opts).expect("opens");
-        s.save_bram(1, 10);
+        s.save_dep_template(1, None);
         s.save_infeasible(2, false);
         s.save_infeasible(3, true);
         let usage = s.disk_usage();
-        assert_eq!(usage["bram"].0, 1);
+        assert_eq!(usage["dep"].0, 1);
         assert_eq!(usage["inf"].0, 2);
         assert!(usage["inf"].1 > 0);
         assert_eq!(usage["qor"].0, 0);

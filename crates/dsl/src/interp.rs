@@ -89,6 +89,23 @@ impl fmt::Display for ArrayData {
     }
 }
 
+/// The seeded contents of array `name`, as a function of the flat element
+/// index: the one mixing function behind every seeded [`MemoryState`], so
+/// a state seeded from a DSL function and one seeded from its lowered
+/// form hold identical values.
+pub fn seeded_fill(name: &str, seed: u64) -> impl Fn(usize) -> f64 {
+    let name_salt: u64 = name.bytes().map(u64::from).sum();
+    move |i| {
+        let mut x = (i as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(seed ^ name_salt);
+        x ^= x >> 29;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^= x >> 32;
+        ((x % 1000) as f64) / 100.0 - 5.0
+    }
+}
+
 /// Named array storage shared by the reference interpreter and the IR
 /// interpreter in `pom-ir`.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -130,16 +147,7 @@ impl MemoryState {
         self.arrays
             .retain(|name, _| f.placeholders().iter().any(|p| p.name() == name));
         for p in f.placeholders() {
-            let name_salt: u64 = p.name().bytes().map(u64::from).sum();
-            let fill = |i: usize| {
-                let mut x = (i as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(seed ^ name_salt);
-                x ^= x >> 29;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x ^= x >> 32;
-                ((x % 1000) as f64) / 100.0 - 5.0
-            };
+            let fill = seeded_fill(p.name(), seed);
             match self.arrays.get_mut(p.name()) {
                 Some(a) if a.shape() == p.shape() => a.refill(fill),
                 _ => {

@@ -62,6 +62,14 @@ impl ResourceUsage {
             && self.bram18k <= other.bram18k
     }
 
+    /// True when the compute fabric (DSP/FF/LUT) fits `device` — the DSE's
+    /// resource exit test. BRAM is deliberately left out: the search lets
+    /// partitioning overshoot it (the muxing cost surfaces in FF/LUT) and
+    /// POM003 reports the overshoot downstream.
+    pub fn fits_logic(&self, device: &DeviceSpec) -> bool {
+        self.dsp <= device.dsp && self.ff <= device.ff && self.lut <= device.lut
+    }
+
     /// True when usage fits within `device` (BRAM included).
     pub fn fits(&self, device: &DeviceSpec) -> bool {
         self.dsp <= device.dsp

@@ -113,6 +113,17 @@ pub enum Sharing {
     Dataflow,
 }
 
+impl Sharing {
+    /// Resources of `a` and `b` executed one after the other under this
+    /// policy.
+    pub fn compose(self, a: &ResourceUsage, b: &ResourceUsage) -> ResourceUsage {
+        match self {
+            Sharing::Reuse => a.max(b),
+            Sharing::Dataflow => a.plus(b),
+        }
+    }
+}
+
 /// Per-pipelined-loop results.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopQoR {
@@ -234,10 +245,7 @@ impl Estimator<'_> {
         for op in ops {
             let (l, r) = self.one(op, env);
             latency += l;
-            res = match self.sharing {
-                Sharing::Reuse => res.max(&r),
-                Sharing::Dataflow => res.plus(&r),
-            };
+            res = self.sharing.compose(&res, &r);
         }
         (latency, res)
     }

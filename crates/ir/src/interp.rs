@@ -5,9 +5,10 @@
 //! polyhedral transformations and lowering) computes exactly what the
 //! reference DSL semantics compute.
 
-use crate::ops::{AffineFunc, AffineOp};
+use crate::ops::{AffineFunc, AffineOp, ForOp, StoreOp};
 use pom_dsl::{interp::eval_expr, MemoryState};
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Executes a function, mutating `mem`.
 ///
@@ -17,42 +18,75 @@ use std::collections::HashMap;
 /// those are compiler bugs the tests are designed to surface.
 pub fn execute_func(func: &AffineFunc, mem: &mut MemoryState) {
     let mut env: HashMap<String, i64> = HashMap::new();
-    exec_ops(&func.body, &mut env, mem);
+    let Ok(()) = walk_stores(&func.body, &mut env, &mut |s, env| {
+        let v = eval_expr(&s.value, env, mem);
+        mem.store(&s.dest, env, v);
+        Ok::<(), Infallible>(())
+    });
 }
 
-fn exec_ops(ops: &[AffineOp], env: &mut HashMap<String, i64>, mem: &mut MemoryState) {
+/// The inclusive trip range of `l` under `env`: the largest lower bound
+/// and the smallest upper bound (empty when the second is below the
+/// first). Every consumer of loop semantics — interpreter, simulator,
+/// replay, stream recorder — reads bounds through here.
+///
+/// # Panics
+///
+/// Panics when `l` has no lower or no upper bound, which the IR verifier
+/// rejects.
+pub fn loop_bounds(l: &ForOp, env: &HashMap<String, i64>) -> (i64, i64) {
+    let lb = l
+        .lbs
+        .iter()
+        .map(|b| b.eval_lower(env))
+        .max()
+        .expect("loop without lower bound");
+    let ub = l
+        .ubs
+        .iter()
+        .map(|b| b.eval_upper(env))
+        .min()
+        .expect("loop without upper bound");
+    (lb, ub)
+}
+
+/// The one walker of affine semantics: visits every store instance of
+/// `ops` in execution order — loops over [`loop_bounds`], `affine.if`
+/// bodies only when every guard holds — calling `on_store` with the
+/// induction-variable environment of that instance. `env` carries the
+/// enclosing loops' values in and is restored when the walk completes.
+/// The first `Err` from `on_store` stops the walk and is returned.
+///
+/// # Panics
+///
+/// Panics when a loop lacks a bound (see [`loop_bounds`]).
+pub fn walk_stores<'a, E, F>(
+    ops: &'a [AffineOp],
+    env: &mut HashMap<String, i64>,
+    on_store: &mut F,
+) -> Result<(), E>
+where
+    F: FnMut(&'a StoreOp, &HashMap<String, i64>) -> Result<(), E>,
+{
     for op in ops {
         match op {
             AffineOp::For(l) => {
-                let lb = l
-                    .lbs
-                    .iter()
-                    .map(|b| b.eval_lower(env))
-                    .max()
-                    .expect("loop without lower bound");
-                let ub = l
-                    .ubs
-                    .iter()
-                    .map(|b| b.eval_upper(env))
-                    .min()
-                    .expect("loop without upper bound");
+                let (lb, ub) = loop_bounds(l, env);
                 for v in lb..=ub {
                     env.insert(l.iv.clone(), v);
-                    exec_ops(&l.body, env, mem);
+                    walk_stores(&l.body, env, on_store)?;
                 }
                 env.remove(&l.iv);
             }
             AffineOp::If(i) => {
                 if i.conds.iter().all(|c| c.satisfied(env)) {
-                    exec_ops(&i.body, env, mem);
+                    walk_stores(&i.body, env, on_store)?;
                 }
             }
-            AffineOp::Store(s) => {
-                let v = eval_expr(&s.value, env, mem);
-                mem.store(&s.dest, env, v);
-            }
+            AffineOp::Store(s) => on_store(s, env)?,
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

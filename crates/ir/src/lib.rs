@@ -32,15 +32,3 @@ pub use passes::{
     SimplifyBounds,
 };
 pub use verify::{verify, VerifyError};
-
-/// Floor division toward negative infinity.
-pub(crate) fn floor_div_i64(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    a.div_euclid(b)
-}
-
-/// Ceiling division toward positive infinity.
-pub(crate) fn ceil_div_i64(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    -((-a).div_euclid(b))
-}

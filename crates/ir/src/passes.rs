@@ -14,7 +14,7 @@
 
 use crate::ops::{AffineFunc, AffineOp};
 use crate::verify::{verify, VerifyError};
-use pom_poly::{Bound, LinearExpr};
+use pom_poly::{ceil_div, floor_div, Bound, LinearExpr};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -174,15 +174,9 @@ fn bound_interval(
 ) -> Option<(i64, i64)> {
     let (lo, hi) = expr_interval(&b.expr, ranges)?;
     Some(if lower {
-        (
-            crate::ceil_div_i64(lo, b.div),
-            crate::ceil_div_i64(hi, b.div),
-        )
+        (ceil_div(lo, b.div), ceil_div(hi, b.div))
     } else {
-        (
-            crate::floor_div_i64(lo, b.div),
-            crate::floor_div_i64(hi, b.div),
-        )
+        (floor_div(lo, b.div), floor_div(hi, b.div))
     })
 }
 

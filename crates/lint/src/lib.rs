@@ -25,7 +25,7 @@
 //! | `POM010` | dataflow channel stalls above threshold (under-sized) | Warning | IV |
 //!
 //! The linter is wired into three places: `PassManager::lint_each` (a
-//! post-pass hook alongside `verify_each`), `dse::stage2` (candidate
+//! post-pass hook alongside `verify_each`), `dse::search` (candidate
 //! configurations are lint-screened before paying estimation cost), and
 //! `pomc --emit lint` (a rendered report with a nonzero exit on errors).
 

@@ -45,7 +45,7 @@ pub use replay::{replay_contraction, seeded_memory};
 pub use report::{render, to_json};
 
 use pom_ir::{AffineFunc, AffineOp};
-use pom_poly::{fm, Constraint, ConstraintKind, LinearExpr};
+use pom_poly::{ceil_div, floor_div, fm, Constraint, ConstraintKind, LinearExpr};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maximum number of access sites per array before the analysis degrades
@@ -497,16 +497,6 @@ enum DeltaBound {
     Empty,
     Range(i64),
     Unbounded,
-}
-
-fn floor_div(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    a.div_euclid(b)
-}
-
-fn ceil_div(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    -((-a).div_euclid(b))
 }
 
 /// Bounds `|delta|` over the (rationally relaxed) system `sys`. The FM
@@ -987,8 +977,7 @@ fn observable(s: &Site, r: &Site) -> bool {
     fm::feasible(&sys)
 }
 
-/// Contracted storage bits for every array with a claimed contraction —
-/// the map `DseConfig::contract_buffers` feeds into BRAM accounting.
+/// Contracted storage bits for every array with a claimed contraction.
 pub fn contracted_footprints(func: &AffineFunc) -> BTreeMap<String, u64> {
     analyze_func(func)
         .arrays

@@ -11,31 +11,23 @@
 //! coincidentally-equal seeded values still fails when their cells
 //! alias.
 
-use pom_dsl::interp::ArrayData;
+use pom_dsl::interp::{seeded_fill, ArrayData};
 use pom_dsl::{BinOp, Expr, MemoryState, UnOp};
-use pom_ir::{AffineFunc, AffineOp};
+use pom_ir::interp::walk_stores;
+use pom_ir::{AffineFunc, StoreOp};
 use pom_poly::AccessFn;
 use std::collections::HashMap;
 
-/// Seeds a [`MemoryState`] for an affine function with the same mixing
-/// function as `MemoryState::for_function_seeded`, so replay
-/// certificates observe exactly the memory the differential test
-/// harnesses use.
+/// Seeds a [`MemoryState`] for an affine function exactly as
+/// `MemoryState::for_function_seeded` seeds one for the DSL function it
+/// was lowered from, so replay certificates observe the memory the
+/// differential test harnesses use.
 pub fn seeded_memory(func: &AffineFunc, seed: u64) -> MemoryState {
     let mut mem = MemoryState::new();
     for m in &func.memrefs {
-        let name_salt: u64 = m.name.bytes().map(u64::from).sum();
         mem.insert(
             m.name.clone(),
-            ArrayData::from_fn(&m.shape, |i| {
-                let mut x = (i as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(seed ^ name_salt);
-                x ^= x >> 29;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x ^= x >> 32;
-                ((x % 1000) as f64) / 100.0 - 5.0
-            }),
+            ArrayData::from_fn(&m.shape, seeded_fill(&m.name, seed)),
         );
     }
     mem
@@ -124,32 +116,23 @@ struct Exec {
     mem: MemoryState,
     folded: Folded,
     stream: Vec<u64>,
-    env: HashMap<String, i64>,
 }
 
 impl Exec {
-    fn eval_idx(&self, a: &AccessFn) -> Vec<i64> {
-        a.indices
-            .iter()
-            .map(|e| e.eval_partial(&self.env))
-            .collect()
-    }
-
-    fn eval(&mut self, e: &Expr) -> Result<f64, String> {
+    fn eval(&mut self, e: &Expr, env: &HashMap<String, i64>) -> Result<f64, String> {
         Ok(match e {
             Expr::Load(a) => {
                 if a.array == self.folded.array {
-                    let idx = self.eval_idx(a);
-                    self.folded.load(&idx)?
+                    self.folded.load(&eval_idx(a, env))?
                 } else {
-                    self.mem.load(a, &self.env)
+                    self.mem.load(a, env)
                 }
             }
-            Expr::Affine(e) => e.eval_partial(&self.env) as f64,
+            Expr::Affine(e) => e.eval_partial(env) as f64,
             Expr::Const(v) => *v,
             Expr::Binary(op, l, r) => {
-                let a = self.eval(l)?;
-                let b = self.eval(r)?;
+                let a = self.eval(l, env)?;
+                let b = self.eval(r, env)?;
                 match op {
                     BinOp::Add => a + b,
                     BinOp::Sub => a - b,
@@ -159,51 +142,24 @@ impl Exec {
                     BinOp::Min => a.min(b),
                 }
             }
-            Expr::Unary(UnOp::Neg, e) => -self.eval(e)?,
+            Expr::Unary(UnOp::Neg, e) => -self.eval(e, env)?,
         })
     }
 
-    fn run(&mut self, ops: &[AffineOp]) -> Result<(), String> {
-        for op in ops {
-            match op {
-                AffineOp::For(l) => {
-                    let lb = l
-                        .lbs
-                        .iter()
-                        .map(|b| b.eval_lower(&self.env))
-                        .max()
-                        .ok_or("loop without lower bound")?;
-                    let ub = l
-                        .ubs
-                        .iter()
-                        .map(|b| b.eval_upper(&self.env))
-                        .min()
-                        .ok_or("loop without upper bound")?;
-                    for v in lb..=ub {
-                        self.env.insert(l.iv.clone(), v);
-                        self.run(&l.body)?;
-                    }
-                    self.env.remove(&l.iv);
-                }
-                AffineOp::If(i) => {
-                    if i.conds.iter().all(|c| c.satisfied(&self.env)) {
-                        self.run(&i.body)?;
-                    }
-                }
-                AffineOp::Store(s) => {
-                    let v = self.eval(&s.value)?;
-                    self.stream.push(v.to_bits());
-                    if s.dest.array == self.folded.array {
-                        let idx = self.eval_idx(&s.dest);
-                        self.folded.store(&idx, v)?;
-                    } else {
-                        self.mem.store(&s.dest, &self.env, v);
-                    }
-                }
-            }
+    fn store(&mut self, s: &StoreOp, env: &HashMap<String, i64>) -> Result<(), String> {
+        let v = self.eval(&s.value, env)?;
+        self.stream.push(v.to_bits());
+        if s.dest.array == self.folded.array {
+            self.folded.store(&eval_idx(&s.dest, env), v)
+        } else {
+            self.mem.store(&s.dest, env, v);
+            Ok(())
         }
-        Ok(())
     }
+}
+
+fn eval_idx(a: &AccessFn, env: &HashMap<String, i64>) -> Vec<i64> {
+    a.indices.iter().map(|e| e.eval_partial(env)).collect()
 }
 
 fn run_one(
@@ -231,9 +187,10 @@ fn run_one(
         mem: mem0.clone(),
         folded: Folded::new(array, &m.shape, windows, &initial),
         stream: Vec::new(),
-        env: HashMap::new(),
     };
-    exec.run(&func.body)?;
+    walk_stores(&func.body, &mut HashMap::new(), &mut |s, env| {
+        exec.store(s, env)
+    })?;
     Ok((exec.stream, exec.mem))
 }
 
@@ -247,6 +204,9 @@ pub fn replay_contraction(
     array: &str,
     windows: &[i64],
 ) -> Result<u64, String> {
+    // The walker panics on malformed IR (a loop lacking a bound); a
+    // certificate check must reject it instead.
+    pom_ir::verify(func).map_err(|e| e.to_string())?;
     let m = func
         .memref(array)
         .ok_or_else(|| format!("unknown array {array}"))?;

@@ -78,13 +78,13 @@ pub(crate) fn gcd(a: i64, b: i64) -> i64 {
 }
 
 /// Floor division that rounds toward negative infinity.
-pub(crate) fn floor_div(a: i64, b: i64) -> i64 {
+pub fn floor_div(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0, "floor_div expects a positive divisor");
     a.div_euclid(b)
 }
 
 /// Ceiling division that rounds toward positive infinity.
-pub(crate) fn ceil_div(a: i64, b: i64) -> i64 {
+pub fn ceil_div(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0, "ceil_div expects a positive divisor");
     -((-a).div_euclid(b))
 }

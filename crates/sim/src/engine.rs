@@ -1,8 +1,9 @@
 //! The cycle-approximate simulation engine.
 //!
 //! Executes an annotated [`AffineFunc`] with the *exact* sequential
-//! semantics of `ir::interp::execute_func` (so the final memory state is
-//! bit-identical), while overlaying a timing model of the generated
+//! semantics of `ir::interp::execute_func` — loop bounds and pipeline
+//! bodies go through the interpreter's own `loop_bounds`/`walk_stores`,
+//! so the final memory state is bit-identical — while overlaying a timing model of the generated
 //! hardware:
 //!
 //! * A pipelined loop issues one iteration every `pipeline_ii` cycles,
@@ -36,9 +37,11 @@ use pom_bank::ArrayBanks;
 use pom_dsl::interp::eval_expr;
 use pom_dsl::{Expr, MemoryState};
 use pom_hls::{CostModel, DepSummary};
+use pom_ir::interp::{loop_bounds, walk_stores};
 use pom_ir::{AffineFunc, AffineOp, ForOp, StoreOp};
 use pom_poly::AccessFn;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Simulates `func`, mutating `mem` exactly as `ir::interp::execute_func`
@@ -355,26 +358,8 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Loop bounds under the current environment — identical to
-    /// `ir::interp` (max of lower bounds, min of upper bounds, inclusive).
-    fn bounds(&self, l: &ForOp) -> (i64, i64) {
-        let lb = l
-            .lbs
-            .iter()
-            .map(|b| b.eval_lower(&self.env))
-            .max()
-            .expect("loop without lower bound");
-        let ub = l
-            .ubs
-            .iter()
-            .map(|b| b.eval_upper(&self.env))
-            .min()
-            .expect("loop without upper bound");
-        (lb, ub)
-    }
-
-    /// Resolves an access to its element under the current environment.
-    fn elem_of(&self, a: &AccessFn) -> Elem {
+    /// Resolves an access to its element under `env`.
+    fn elem_of(&self, a: &AccessFn, env: &HashMap<String, i64>) -> Elem {
         let aid = *self
             .ids
             .get(a.array.as_str())
@@ -383,7 +368,7 @@ impl<'a> Sim<'a> {
         assert_eq!(a.indices.len(), info.shape.len(), "index rank mismatch");
         let mut flat = 0usize;
         for (d, (e, &n)) in a.indices.iter().zip(&info.shape).enumerate() {
-            let i = e.eval_partial(&self.env);
+            let i = e.eval_partial(env);
             assert!(
                 i >= 0 && (i as usize) < n,
                 "index {i} out of bounds for dim {d} (size {n})"
@@ -456,7 +441,7 @@ impl<'a> Sim<'a> {
     }
 
     fn exec_seq_loop(&mut self, l: &'a ForOp, t: u64, mem: &mut MemoryState) -> u64 {
-        let (lb, ub) = self.bounds(l);
+        let (lb, ub) = loop_bounds(l, &self.env);
         if ub < lb {
             return t;
         }
@@ -482,10 +467,7 @@ impl<'a> Sim<'a> {
     }
 
     fn exec_store_seq(&mut self, s: &'a StoreOp, t: u64, mem: &mut MemoryState) -> u64 {
-        let elems: Vec<Elem> = s.value.loads().iter().map(|a| self.elem_of(a)).collect();
-        let v = eval_expr(&s.value, &self.env, mem);
-        mem.store(&s.dest, &self.env, v);
-        let dest = self.elem_of(&s.dest);
+        let (elems, dest) = self.exec_store(s, &self.env, mem);
         self.occ_access(&elems, dest);
         let avails: Vec<u64> = elems
             .iter()
@@ -565,7 +547,7 @@ impl<'a> Sim<'a> {
         mem: &mut MemoryState,
     ) {
         if let Some((first, rest)) = outers.split_first() {
-            let (lb, ub) = self.bounds(first);
+            let (lb, ub) = loop_bounds(first, &self.env);
             for v in lb..=ub {
                 self.env.insert(first.iv.clone(), v);
                 self.pipe_nest(rest, pipe, region, mem);
@@ -573,7 +555,7 @@ impl<'a> Sim<'a> {
             self.env.remove(&first.iv);
             return;
         }
-        let (lb, ub) = self.bounds(pipe);
+        let (lb, ub) = loop_bounds(pipe, &self.env);
         for v in lb..=ub {
             self.env.insert(pipe.iv.clone(), v);
             self.collect(&pipe.body, region, mem);
@@ -582,41 +564,38 @@ impl<'a> Sim<'a> {
         self.env.remove(&pipe.iv);
     }
 
-    /// Functionally executes one pipeline iteration (inner loops fully
-    /// unrolled, conditions evaluated, stores applied in program order —
-    /// exactly the interpreter's semantics) while collecting its store
-    /// instances for the timing pass.
+    /// Applies one store instance to `mem` exactly as the interpreter does
+    /// and resolves the elements it read and the one it wrote.
+    fn exec_store(
+        &self,
+        s: &StoreOp,
+        env: &HashMap<String, i64>,
+        mem: &mut MemoryState,
+    ) -> (Vec<Elem>, Elem) {
+        let loads = s
+            .value
+            .loads()
+            .iter()
+            .map(|a| self.elem_of(a, env))
+            .collect();
+        let v = eval_expr(&s.value, env, mem);
+        mem.store(&s.dest, env, v);
+        (loads, self.elem_of(&s.dest, env))
+    }
+
+    /// Functionally executes one pipeline iteration through the
+    /// interpreter's walker (inner loops fully unrolled, conditions
+    /// evaluated, stores applied in program order) while collecting its
+    /// store instances for the timing pass.
     fn collect(&mut self, ops: &'a [AffineOp], region: &mut Region<'a>, mem: &mut MemoryState) {
-        for op in ops {
-            match op {
-                AffineOp::Store(s) => {
-                    let loads: Vec<Elem> =
-                        s.value.loads().iter().map(|a| self.elem_of(a)).collect();
-                    let v = eval_expr(&s.value, &self.env, mem);
-                    mem.store(&s.dest, &self.env, v);
-                    let dest = self.elem_of(&s.dest);
-                    self.occ_access(&loads, dest);
-                    region.insts.push(Inst {
-                        store: s,
-                        loads,
-                        dest,
-                    });
-                }
-                AffineOp::If(i) => {
-                    if i.conds.iter().all(|c| c.satisfied(&self.env)) {
-                        self.collect(&i.body, region, mem);
-                    }
-                }
-                AffineOp::For(l) => {
-                    let (lb, ub) = self.bounds(l);
-                    for v in lb..=ub {
-                        self.env.insert(l.iv.clone(), v);
-                        self.collect(&l.body, region, mem);
-                    }
-                    self.env.remove(&l.iv);
-                }
-            }
-        }
+        let mut env = std::mem::take(&mut self.env);
+        let Ok(()) = walk_stores(ops, &mut env, &mut |store, env| {
+            let (loads, dest) = self.exec_store(store, env, mem);
+            self.occ_access(&loads, dest);
+            region.insts.push(Inst { store, loads, dest });
+            Ok::<(), Infallible>(())
+        });
+        self.env = env;
     }
 
     /// Times one collected pipeline iteration: dependence-ready issue,

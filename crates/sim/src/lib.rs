@@ -3,10 +3,10 @@
 //! The measurement layer of the POM reproduction. The analytical QoR
 //! estimator in `pom-hls` is the DSE's objective function; this crate
 //! provides an *executable* performance model that both audits it and
-//! re-ranks its finalists: an event-driven simulator that executes the
-//! annotated affine dialect directly, with the exact functional
-//! semantics of `ir::interp::execute_func` (final memory state is
-//! bit-identical) and a cycle-approximate timing overlay.
+//! ranks the beam search's frontier: an event-driven simulator that
+//! executes the annotated affine dialect directly, with the exact
+//! functional semantics of `ir::interp::execute_func` (final memory
+//! state is bit-identical) and a cycle-approximate timing overlay.
 //!
 //! What is modeled (see `DESIGN.md` §11 for the full semantics):
 //!

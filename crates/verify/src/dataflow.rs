@@ -19,21 +19,11 @@
 //!   control.
 //!
 //! Every entry point reports the number of fixpoint iterations it took,
-//! which the DSE surfaces in `DseStats::dataflow_iterations`.
+//! which the DSE surfaces in `DseStats::range_iterations`.
 
 use pom_ir::{AffineFunc, AffineOp, ForOp, StoreOp};
-use pom_poly::{Constraint, ConstraintKind, LinearExpr};
+use pom_poly::{ceil_div, floor_div, Constraint, ConstraintKind, LinearExpr};
 use std::collections::BTreeMap;
-
-fn floor_div(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    a.div_euclid(b)
-}
-
-fn ceil_div(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    -((-a).div_euclid(b))
-}
 
 /// A lattice value for the generic fixpoint engine.
 pub trait AbstractValue: Clone + PartialEq + std::fmt::Debug {

@@ -24,8 +24,8 @@
 use crate::cert::{Certificate, Obligation, ObligationKind, ValidationReport};
 use pom_dsl::{Compute, Function, Primitive};
 use pom_poly::{
-    fm, AccessFn, BasicSet, Constraint, ConstraintKind, DepKind, DependenceAnalysis, LinearExpr,
-    StmtPoly,
+    ceil_div, floor_div, fm, AccessFn, BasicSet, Constraint, ConstraintKind, DepKind,
+    DependenceAnalysis, LinearExpr, StmtPoly,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -595,16 +595,6 @@ fn bounded_points(set: &BasicSet, limit: usize) -> Option<Vec<Vec<i64>>> {
         limit,
     )
     .then_some(out)
-}
-
-fn floor_div(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    a.div_euclid(b)
-}
-
-fn ceil_div(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    -((-a).div_euclid(b))
 }
 
 /// Checks that the transformed domain maps onto exactly the declared

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example dnn_resource_reuse`
 
-use pom::dse::stage2::group_compile;
+use pom::dse::search::stage2::group_compile;
 use pom::{auto_dse, baselines, CompileOptions};
 use pom_bench::kernels;
 

@@ -57,7 +57,6 @@ fn differential(f: &Function, seed: u64) {
     // Full-validation DSE: winner certificates plus every 2nd estimated
     // candidate replayed through the certificate checker.
     let cfg = DseConfig {
-        validate_winner: true,
         validate_sample_every: 2,
         ..DseConfig::default()
     };

@@ -84,14 +84,28 @@ fn cached_search_equals_uncached_search() {
 #[test]
 fn fast_mode_reports_cache_traffic_and_phase_times() {
     let opts = paper_options();
-    let r = auto_dse_with(&kernels::gemm(32), &opts, &DseConfig::default()).expect("DSE compiles");
+    let cfg = DseConfig::default();
+    let r = auto_dse_with(&kernels::gemm(32), &opts, &cfg).expect("DSE compiles");
     assert!(r.stats.cache_hits > 0, "repeated compiles never hit cache");
     assert!(r.stats.cache_misses > 0, "cache cannot be all hits");
+    // `PhaseAccum` sums every worker's time, so under parallel evaluation
+    // the phases are bounded by wall time x workers, not by wall time.
+    let workers = u32::try_from(cfg.effective_workers()).expect("worker count fits u32");
     assert!(
-        r.stats.lowering_time + r.stats.estimation_time <= r.dse_time,
-        "phase times exceed total DSE wall time"
+        r.stats.lowering_time + r.stats.estimation_time <= r.dse_time * workers,
+        "phase times exceed total DSE worker time"
     );
     assert!(r.stats.stage2_time <= r.dse_time);
+
+    let one = DseConfig {
+        workers: 1,
+        ..DseConfig::default()
+    };
+    let r = auto_dse_with(&kernels::gemm(32), &opts, &one).expect("DSE compiles");
+    assert!(
+        r.stats.lowering_time + r.stats.estimation_time <= r.dse_time,
+        "single-worker phase times exceed total DSE wall time"
+    );
 }
 
 /// The persistent artifact store is the third performance knob: a search

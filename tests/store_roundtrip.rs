@@ -72,14 +72,6 @@ proptest! {
     }
 
     #[test]
-    fn bram_round_trips(key in 0u64..u64::MAX, bram in 0u64..u64::MAX) {
-        with_store("bram", |store, _| {
-            store.save_bram(key, bram);
-            assert_eq!(store.load_bram(key), Some(bram));
-        });
-    }
-
-    #[test]
     fn dep_template_round_trips(
         key in 0u64..u64::MAX,
         raw in proptest::collection::vec(
@@ -177,8 +169,12 @@ fn different_compile_options_use_disjoint_shards() {
     opts.lint = !opts.lint;
     let b = ArtifactStore::open(&root, &opts).unwrap();
     assert_ne!(a.shard_dir(), b.shard_dir(), "config must key the shard");
-    a.save_bram(1, 42);
-    assert_eq!(b.load_bram(1), None, "artifacts must not cross configs");
+    a.save_infeasible(1, true);
+    assert_eq!(
+        b.load_infeasible(1),
+        None,
+        "artifacts must not cross configs"
+    );
     drop((a, b));
     let _ = std::fs::remove_dir_all(&root);
 }
