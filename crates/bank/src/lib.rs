@@ -40,7 +40,7 @@
 
 use pom_dsl::PartitionStyle;
 use pom_ir::{AffineFunc, AffineOp, ForOp, MemRefDecl};
-use pom_poly::{congruent_coeffs, fm, residue, Bound, Constraint, LinearExpr};
+use pom_poly::{ceil_div, congruent_coeffs, floor_div, fm, residue, Constraint, DimId, LinearExpr};
 use std::collections::HashMap;
 
 /// Upper bound on enumerated access instances per pipeline iteration;
@@ -167,60 +167,80 @@ impl ArrayBanks {
 /// unrolled iterators have been replaced by their concrete values and
 /// free iterators (pipeline + enclosing sequential) remain symbolic.
 #[derive(Clone, Debug)]
-struct Access {
-    array: String,
+struct Access<'a> {
+    array: &'a str,
     idx: Vec<LinearExpr>,
 }
 
 /// One store instance of a pipeline iteration, in program order.
-struct Inst {
-    loads: Vec<Access>,
-    dest: Access,
+struct Inst<'a> {
+    loads: Vec<Access<'a>>,
+    dest: Access<'a>,
 }
 
 /// Enumerates the store instances of one pipeline iteration.
-struct Collector {
-    /// Concrete values of unrolled (in-pipeline) iterators.
-    env: HashMap<String, i64>,
-    insts: Vec<Inst>,
+struct Collector<'a> {
+    /// Concrete values of the pinned iterators: a case assignment, then
+    /// the unrolled (in-pipeline) loops entered so far, innermost last.
+    env: Vec<(DimId, i64)>,
+    insts: Vec<Inst<'a>>,
     exact: bool,
     /// Set when inexactness came from an inner loop whose bounds mention
     /// a symbolic iterator — the one failure case enumeration repairs.
     symbolic_bounds: bool,
 }
 
-impl Collector {
-    fn subst(&self, a: &pom_poly::AccessFn) -> Access {
-        let idx = a
-            .indices
-            .iter()
-            .map(|e| {
-                let mut e = e.clone();
-                for (iv, &v) in &self.env {
-                    e = e.substituted(iv, &LinearExpr::constant_expr(v));
-                }
-                e
-            })
-            .collect();
+impl<'a> Collector<'a> {
+    fn new(env: Vec<(DimId, i64)>) -> Self {
+        Collector {
+            env,
+            insts: Vec::new(),
+            exact: true,
+            symbolic_bounds: false,
+        }
+    }
+
+    /// `e` with every pinned iterator folded into the constant.
+    fn fold(&self, e: &LinearExpr) -> LinearExpr {
+        let mut e = e.clone();
+        for &(iv, v) in self.env.iter().rev() {
+            let c = e.coeff_id(iv);
+            if c != 0 {
+                e.set_coeff_id(iv, 0);
+                e.add_constant(c.checked_mul(v).expect("index constant overflows i64"));
+            }
+        }
+        e
+    }
+
+    fn subst(&self, a: &'a pom_poly::AccessFn) -> Access<'a> {
         Access {
-            array: a.array.clone(),
-            idx,
+            array: &a.array,
+            idx: a.indices.iter().map(|e| self.fold(e)).collect(),
         }
     }
 
     /// Bounds of an in-pipeline loop; `None` when they depend on a
     /// symbolic (free) iterator and the instance set varies per iteration.
     fn const_bounds(&self, l: &ForOp) -> Option<(i64, i64)> {
-        let closed = |b: &Bound| b.expr.vars().all(|v| self.env.contains_key(v));
-        if !l.lbs.iter().all(&closed) || !l.ubs.iter().all(&closed) {
-            return None;
-        }
-        let lb = l.lbs.iter().map(|b| b.eval_lower(&self.env)).max()?;
-        let ub = l.ubs.iter().map(|b| b.eval_upper(&self.env)).min()?;
-        Some((lb, ub))
+        let closed = |e: &LinearExpr| {
+            let e = self.fold(e);
+            e.is_constant().then(|| e.constant())
+        };
+        let lbs: Option<Vec<i64>> = l
+            .lbs
+            .iter()
+            .map(|b| Some(ceil_div(closed(&b.expr)?, b.div)))
+            .collect();
+        let ubs: Option<Vec<i64>> = l
+            .ubs
+            .iter()
+            .map(|b| Some(floor_div(closed(&b.expr)?, b.div)))
+            .collect();
+        Some((lbs?.into_iter().max()?, ubs?.into_iter().min()?))
     }
 
-    fn collect(&mut self, ops: &[AffineOp]) {
+    fn collect(&mut self, ops: &'a [AffineOp]) {
         for op in ops {
             if !self.exact {
                 return;
@@ -247,11 +267,12 @@ impl Collector {
                         self.symbolic_bounds = true;
                         return;
                     };
+                    let iv = DimId::intern(&l.iv);
                     for v in lb..=ub {
-                        self.env.insert(l.iv.clone(), v);
+                        self.env.push((iv, v));
                         self.collect(&l.body);
+                        self.env.pop();
                     }
-                    self.env.remove(&l.iv);
                 }
             }
         }
@@ -278,18 +299,19 @@ fn alias(a: &Access, b: &Access, domain: &[Constraint], fm_budget: &mut usize) -
     if a.idx.len() != b.idx.len() {
         return Alias::Unknown;
     }
-    let mut eqs: Vec<Constraint> = Vec::new();
+    // Index pairs with one linear part differ by a constant everywhere:
+    // unrolled copies of one access, the common case, are decided here
+    // without building a difference.
+    let same_linear = |x: &LinearExpr, y: &LinearExpr| x.terms_ids() == y.terms_ids();
+    let mut symbolic = false;
     for (x, y) in a.idx.iter().zip(&b.idx) {
-        let delta = x.clone() - y.clone();
-        if delta.is_constant() {
-            if delta.constant() != 0 {
-                return Alias::Never;
-            }
-        } else {
-            eqs.push(Constraint::eq_zero(delta));
+        if !same_linear(x, y) {
+            symbolic = true;
+        } else if x.constant() != y.constant() {
+            return Alias::Never;
         }
     }
-    if eqs.is_empty() {
+    if !symbolic {
         return Alias::Same;
     }
     // Some dimension differs symbolically: equal only where the equality
@@ -300,7 +322,11 @@ fn alias(a: &Access, b: &Access, domain: &[Constraint], fm_budget: &mut usize) -
     }
     *fm_budget -= 1;
     let mut cs = domain.to_vec();
-    cs.extend(eqs);
+    for (x, y) in a.idx.iter().zip(&b.idx) {
+        if !same_linear(x, y) {
+            cs.push(Constraint::eq_zero(x.clone() - y.clone()));
+        }
+    }
     if fm::feasible(&cs) {
         Alias::Unknown
     } else {
@@ -456,12 +482,7 @@ pub fn analyze_pipeline(
     }
     push_iv_bounds(&mut dom, pipe);
 
-    let mut col = Collector {
-        env: HashMap::new(),
-        insts: Vec::new(),
-        exact: true,
-        symbolic_bounds: false,
-    };
+    let mut col = Collector::new(Vec::new());
     col.collect(&pipe.body);
     if col.exact {
         return profiles_of(memrefs, &col.insts, &dom);
@@ -499,15 +520,16 @@ pub fn analyze_pipeline(
         }
     }
 
-    let mut envs: Vec<HashMap<String, i64>> = vec![HashMap::new()];
+    let mut envs: Vec<Vec<(DimId, i64)>> = vec![Vec::new()];
     for v in &case_vars {
         let (lb, ub) = ranges[v];
+        let iv = DimId::intern(v);
         envs = envs
             .into_iter()
             .flat_map(|e| {
                 (lb..=ub).map(move |val| {
                     let mut e = e.clone();
-                    e.insert(v.to_string(), val);
+                    e.push((iv, val));
                     e
                 })
             })
@@ -516,12 +538,7 @@ pub fn analyze_pipeline(
 
     let mut merged: Vec<BankProfile> = Vec::new();
     for env in envs {
-        let mut col = Collector {
-            env,
-            insts: Vec::new(),
-            exact: true,
-            symbolic_bounds: false,
-        };
+        let mut col = Collector::new(env);
         col.collect(&pipe.body);
         if !col.exact {
             return BankAnalysis::inexact();
@@ -696,8 +713,7 @@ fn profiles_of(memrefs: &[MemRefDecl], insts: &[Inst], domain: &[Constraint]) ->
                         key_ok = false;
                         break 'acc;
                     }
-                    let delta = e.clone() - r.clone();
-                    key.push(residue(delta.constant(), bd.factor));
+                    key.push(residue(e.constant() - r.constant(), bd.factor));
                 } else {
                     // Block mapping: exact only for constant indices.
                     if !e.is_constant() {
@@ -758,36 +774,62 @@ pub struct LoopBankReport {
 /// are fully unrolled into it, mirroring both the estimator and the
 /// simulator.
 pub fn analyze_func(func: &AffineFunc) -> Vec<LoopBankReport> {
+    pipelines(func)
+        .into_iter()
+        .map(|site| {
+            let mut stmts = Vec::new();
+            stored_stmts(&site.pipe.body, &mut stmts);
+            LoopBankReport {
+                iv: site.pipe.iv.clone(),
+                stmts,
+                declared_ii: site.pipe.attrs.pipeline_ii.unwrap_or(1).max(1) as u64,
+                analysis: site.analyze(&func.memrefs),
+            }
+        })
+        .collect()
+}
+
+/// One outermost pipelined loop with what [`analyze_pipeline`] needs of
+/// its surroundings.
+struct PipelineSite<'a> {
+    pipe: &'a ForOp,
+    /// Enclosing sequential iterators with constant bounds.
+    outer: Vec<(String, i64, i64)>,
+    /// Whether a sequential-level guard encloses the pipeline.
+    guarded: bool,
+}
+
+impl PipelineSite<'_> {
+    fn analyze(&self, memrefs: &[MemRefDecl]) -> BankAnalysis {
+        analyze_pipeline(memrefs, self.pipe, &self.outer, self.guarded)
+    }
+}
+
+/// The outermost pipelined loops of `func`, in program order.
+fn pipelines(func: &AffineFunc) -> Vec<PipelineSite<'_>> {
     let mut out = Vec::new();
-    let mut outer = Vec::new();
-    walk(func, &func.body, &mut outer, false, &mut out);
+    walk(&func.body, &mut Vec::new(), false, &mut out);
     out
 }
 
-fn walk(
-    func: &AffineFunc,
-    ops: &[AffineOp],
+fn walk<'a>(
+    ops: &'a [AffineOp],
     outer: &mut Vec<(String, i64, i64)>,
     guarded: bool,
-    out: &mut Vec<LoopBankReport>,
+    out: &mut Vec<PipelineSite<'a>>,
 ) {
     for op in ops {
         match op {
-            AffineOp::For(l) if l.attrs.pipeline_ii.is_some() => {
-                let mut stmts = Vec::new();
-                stored_stmts(&l.body, &mut stmts);
-                out.push(LoopBankReport {
-                    iv: l.iv.clone(),
-                    stmts,
-                    declared_ii: l.attrs.pipeline_ii.unwrap_or(1).max(1) as u64,
-                    analysis: analyze_pipeline(&func.memrefs, l, outer, guarded),
-                });
-            }
+            AffineOp::For(l) if l.attrs.pipeline_ii.is_some() => out.push(PipelineSite {
+                pipe: l,
+                outer: outer.clone(),
+                guarded,
+            }),
             AffineOp::For(l) => {
                 let pushed = const_range(l).map(|(lb, ub)| {
                     outer.push((l.iv.clone(), lb, ub));
                 });
-                walk(func, &l.body, outer, guarded, out);
+                walk(&l.body, outer, guarded, out);
                 if pushed.is_some() {
                     outer.pop();
                 }
@@ -795,10 +837,21 @@ fn walk(
             // A sequential-level guard selects whole pipeline executions;
             // it does not make the per-iteration instance set vary, but it
             // may skip outer-iterator cases — remember it.
-            AffineOp::If(i) => walk(func, &i.body, outer, true, out),
+            AffineOp::If(i) => walk(&i.body, outer, true, out),
             AffineOp::Store(_) => {}
         }
     }
+}
+
+/// True when some store under `ops` writes or reads `array`.
+fn touches(ops: &[AffineOp], array: &str) -> bool {
+    ops.iter().any(|op| match op {
+        AffineOp::Store(s) => {
+            s.dest.array == array || s.value.loads().iter().any(|a| a.array == array)
+        }
+        AffineOp::For(l) => touches(&l.body, array),
+        AffineOp::If(i) => touches(&i.body, array),
+    })
 }
 
 /// Statement names stored anywhere under `ops`, in program order.
@@ -833,29 +886,36 @@ pub fn minimal_conflict_free_factors(
     ports_per_bank: u64,
 ) -> Option<Vec<i64>> {
     let mid = func.memrefs.iter().position(|m| m.name == array)?;
-    let worst = |f: &AffineFunc| -> Option<u64> {
+    // A loop that never touches `array` has no profile for it under any
+    // partitioning, and a trial changes nothing but `array`'s declaration.
+    let sites: Vec<PipelineSite> = pipelines(func)
+        .into_iter()
+        .filter(|site| touches(&site.pipe.body, array))
+        .collect();
+    let worst = |memrefs: &[MemRefDecl]| -> u64 {
         let mut worst = 0u64;
-        for rep in analyze_func(f) {
-            if !rep.analysis.exact {
+        for site in &sites {
+            let analysis = site.analyze(memrefs);
+            if !analysis.exact {
                 continue;
             }
-            for p in &rep.analysis.profiles {
+            for p in &analysis.profiles {
                 if p.array == array && p.exact {
                     worst = worst.max(p.max_demand);
                 }
             }
         }
-        Some(worst)
+        worst
     };
-    let mut cur = func.clone();
-    let mut demand = worst(&cur)?;
+    let mut cur = func.memrefs.clone();
+    let mut demand = worst(&cur);
     if demand <= ports_per_bank.max(1) {
         return None; // already conflict-free: nothing to repair
     }
     loop {
         // Try doubling each dimension's factor; keep the best reducer.
-        let shape = cur.memrefs[mid].shape.clone();
-        let base: Vec<i64> = match &cur.memrefs[mid].partition {
+        let shape = cur[mid].shape.clone();
+        let base: Vec<i64> = match &cur[mid].partition {
             Some(p) => p.factors.clone(),
             None => vec![1; shape.len()],
         };
@@ -868,19 +928,19 @@ pub fn minimal_conflict_free_factors(
             }
             let mut factors = base.clone();
             factors[d] = f;
-            let mut trial = cur.clone();
-            set_partition(&mut trial.memrefs[mid], &factors);
-            if let Some(w) = worst(&trial) {
-                if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-                    best = Some((w, factors));
-                }
+            let kept = cur[mid].partition.clone();
+            set_partition(&mut cur[mid], &factors);
+            let w = worst(&cur);
+            cur[mid].partition = kept;
+            if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
+                best = Some((w, factors));
             }
         }
         let (w, factors) = best?;
         if w >= demand {
             return None; // no dimension split reduces the demand
         }
-        set_partition(&mut cur.memrefs[mid], &factors);
+        set_partition(&mut cur[mid], &factors);
         demand = w;
         if demand <= ports_per_bank.max(1) {
             return Some(factors);
@@ -904,7 +964,7 @@ mod tests {
     use super::*;
     use pom_dsl::{DataType, Expr};
     use pom_ir::{HlsAttrs, PartitionInfo, StoreOp};
-    use pom_poly::AccessFn;
+    use pom_poly::{AccessFn, Bound};
 
     fn cb(v: i64) -> Bound {
         Bound::new(LinearExpr::constant_expr(v), 1)
@@ -1030,6 +1090,38 @@ mod tests {
         let x = an.profiles.iter().find(|p| p.array == "x").unwrap();
         assert_eq!((x.reads, x.max_demand), (4, 1));
         assert!(an.conflict_free(2));
+    }
+
+    #[test]
+    fn an_unknown_pair_counts_only_when_met_before_the_same_match() {
+        // A load is compared with the earlier writes, then with the
+        // earlier memory reads, and the scan stops at the first `Same`.
+        // `a[i]` against `a[i]` is `Same`; against `a[2i]` it is `Unknown`
+        // (equal at i = 0 only). Which of the two the first store writes
+        // decides whether the second store's load of `a[i]` meets the
+        // `Unknown` pair at all.
+        let i = || LinearExpr::var("i");
+        let analyze = |written: LinearExpr, read: LinearExpr| {
+            let l = pipe_loop(
+                "i",
+                4,
+                1,
+                vec![
+                    store("a", vec![written], load("a", vec![read])),
+                    store("b", vec![i()], load("a", vec![i()])),
+                ],
+            );
+            let mem = vec![memref("a", &[8], None), memref("b", &[4], None)];
+            analyze_pipeline(&mem, &l, &[], false)
+        };
+        // `Same` first: forwarded from the write, `a[2i]` never consulted.
+        let an = analyze(i(), i() * 2);
+        assert!(an.exact);
+        let a = an.profiles.iter().find(|p| p.array == "a").unwrap();
+        assert_eq!((a.reads, a.writes), (1, 1));
+        // `Unknown` first: the matching earlier read is right behind it,
+        // and the loop is inexact all the same.
+        assert!(!analyze(i() * 2, i()).exact);
     }
 
     #[test]

@@ -131,7 +131,20 @@ impl Compiled {
 /// Panics if a primitive references an unknown compute or iterator — the
 /// DSL layer validates compute names, so this indicates a malformed
 /// schedule (e.g. splitting an already-split loop by its old name).
+/// [`compile`] and `auto_dse` reject such a schedule up front
+/// (`CompileError::Rejected`); this entry point serves callers replaying
+/// schedules already known to be well formed.
 pub fn apply_schedule(f: &Function) -> Vec<StmtPoly> {
+    try_apply_schedule(f).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`apply_schedule`].
+///
+/// # Errors
+///
+/// Returns [`CompileError::Rejected`] carrying the validator's rendered
+/// report when a primitive names an iterator its statement does not have.
+pub(crate) fn try_apply_schedule(f: &Function) -> Result<Vec<StmtPoly>, CompileError> {
     let mut stmts: Vec<StmtPoly> = f
         .computes()
         .iter()
@@ -148,59 +161,12 @@ pub fn apply_schedule(f: &Function) -> Vec<StmtPoly> {
         .enumerate()
         .map(|(i, c)| (c.name().to_string(), i))
         .collect();
-
     for p in f.schedule() {
-        match p {
-            Primitive::Interchange { stmt, i, j } => {
-                stmts[index[stmt]].interchange(i, j);
-            }
-            Primitive::Split {
-                stmt,
-                i,
-                factor,
-                i0,
-                i1,
-            } => {
-                stmts[index[stmt]].split(i, *factor, i0, i1);
-            }
-            Primitive::Tile {
-                stmt,
-                i,
-                j,
-                t1,
-                t2,
-                i0,
-                j0,
-                i1,
-                j1,
-            } => {
-                stmts[index[stmt]].tile(i, j, *t1, *t2, i0, j0, i1, j1);
-            }
-            Primitive::Skew {
-                stmt,
-                i,
-                j,
-                factor,
-                i2,
-                j2,
-            } => {
-                stmts[index[stmt]].skew(i, j, *factor, i2, j2);
-            }
-            Primitive::After { stmt, other, level } => {
-                let other_snapshot = stmts[index[other]].clone();
-                let s = &mut stmts[index[stmt]];
-                match level {
-                    Some(l) => s.after(&other_snapshot, l),
-                    None => s.after_all(&other_snapshot),
-                }
-            }
-            Primitive::Pipeline { .. }
-            | Primitive::Unroll { .. }
-            | Primitive::Partition { .. }
-            | Primitive::AutoDse => {}
+        if p.replay(&mut stmts, &index).is_err() {
+            return Err(CompileError::Rejected(pom_verify::validate(f).render()));
         }
     }
-    stmts
+    Ok(stmts)
 }
 
 /// Builds the per-loop dependence summary for estimation: every
@@ -422,7 +388,7 @@ pub fn compile_timed(
     opts: &CompileOptions,
 ) -> Result<(Compiled, PhaseTimes), CompileError> {
     let t0 = std::time::Instant::now();
-    let stmts = apply_schedule(f);
+    let stmts = try_apply_schedule(f)?;
     let deps = build_dep_summary(f, &stmts, &opts.model);
     let analysis = t0.elapsed();
     let (c, mut times) = compile_prepared(f, stmts, deps, opts)?;

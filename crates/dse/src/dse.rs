@@ -137,6 +137,9 @@ fn auto_dse_impl(
     // requests, so this search's stats are deltas, not absolutes.
     let snap = cache.map(CacheSnapshot::take);
     let acc = PhaseAccum::default();
+    // Everything below replays `f`'s own schedule as a prefix of every
+    // candidate's; reject one that does not replay before searching.
+    crate::compile::try_apply_schedule(f)?;
     let t1 = Instant::now();
     let stage1 = dependence_aware_transform(f, cfg.stage1_max_iters);
     let stage1_time = t1.elapsed();

@@ -15,7 +15,7 @@ use super::ladder::{plan_groups, schedule_for, GroupConfig};
 use super::stats::DseStats;
 use crate::cache::{canonical_fingerprint, fingerprint, DseCache, PhaseAccum};
 use crate::compile::{
-    apply_schedule, build_dep_summary, compile, compile_timed, lower, sub_function, CompileError,
+    apply_schedule, build_dep_summary, compile, compile_timed, sub_function, CompileError,
     CompileOptions,
 };
 use pom_dsl::{Function, PartitionStyle, Primitive};
@@ -613,21 +613,18 @@ pub(crate) fn repair_and_finalize(
     // fitting iteration's compile stays in the cache, so `auto_dse_with`
     // reuses it instead of recompiling the same schedule.
     let full_template = cache.and_then(|c| full_dep_template(stage1_fn, groups, c, opts, acc));
-    loop {
+    let (mut function, fitting) = loop {
         let scheduled = schedule_for(stage1_fn, groups);
         let full = match cache {
-            Some(c) => c
-                .compile_full(&scheduled, opts, acc, full_template.as_deref())?
-                .qor
-                .clone(),
+            Some(c) => c.compile_full(&scheduled, opts, acc, full_template.as_deref())?,
             None => {
                 let (c, times) = compile_timed(&scheduled, opts)?;
                 acc.add(&times);
-                c.qor
+                Arc::new(c)
             }
         };
-        if full.resources.fits_logic(&opts.device) {
-            break;
+        if full.qor.resources.fits_logic(&opts.device) {
+            break (scheduled, full);
         }
         let Some(victim) = groups
             .iter()
@@ -636,47 +633,43 @@ pub(crate) fn repair_and_finalize(
             .max_by_key(|(_, g)| g.parallelism())
             .map(|(i, _)| i)
         else {
-            break; // nothing left to shrink
+            break (scheduled, full); // nothing left to shrink
         };
         let g = &mut groups[victim];
         let widest = (0..g.tiles.len())
             .max_by_key(|&l| g.tiles[l])
             .expect("non-empty tiles");
         g.tiles[widest] = (g.tiles[widest] / 2).max(1);
-    }
+    };
     // Bank repair: where pom-bank proves the final design's pipelined
     // accesses overload a bank's ports, raise the offending arrays'
     // partition factors to the minimal conflict-free values. The
     // override is appended to the schedule, so it supersedes the
-    // tile-derived partitioning on lowering (last directive wins).
-    let mut function = schedule_for(stage1_fn, groups);
+    // tile-derived partitioning on lowering (last directive wins). The
+    // design analysed is the lowering the loop above just compiled.
+    let func = &fitting.affine;
     let mut bank_overrides: Vec<(String, Vec<i64>)> = Vec::new();
-    let stmts = apply_schedule(&function);
-    if let Ok(func) = lower(&function, &stmts) {
-        let ports = opts.model.ports_per_bank.max(1);
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        for rep in pom_bank::analyze_func(&func) {
-            // Any exact over-demand is worth repairing: the port
-            // calendars slide the issue past the *declared* II on
-            // every iteration, so no II choice absorbs a conflict —
-            // only repartitioning removes it.
-            if !rep.analysis.exact || rep.analysis.conflict_free(ports) {
+    let ports = opts.model.ports_per_bank.max(1);
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    for rep in pom_bank::analyze_func(func) {
+        // Any exact over-demand is worth repairing: the port
+        // calendars slide the issue past the *declared* II on
+        // every iteration, so no II choice absorbs a conflict —
+        // only repartitioning removes it.
+        if !rep.analysis.exact || rep.analysis.conflict_free(ports) {
+            continue;
+        }
+        for p in rep
+            .analysis
+            .profiles
+            .iter()
+            .filter(|p| p.exact && p.max_demand > ports)
+        {
+            if !seen.insert(p.array.clone()) {
                 continue;
             }
-            for p in rep
-                .analysis
-                .profiles
-                .iter()
-                .filter(|p| p.exact && p.max_demand > ports)
-            {
-                if !seen.insert(p.array.clone()) {
-                    continue;
-                }
-                if let Some(factors) =
-                    pom_bank::minimal_conflict_free_factors(&func, &p.array, ports)
-                {
-                    bank_overrides.push((p.array.clone(), factors));
-                }
+            if let Some(factors) = pom_bank::minimal_conflict_free_factors(func, &p.array, ports) {
+                bank_overrides.push((p.array.clone(), factors));
             }
         }
     }
@@ -759,6 +752,7 @@ fn group_compile_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::lower;
     use crate::stage1::dependence_aware_transform;
     use pom_dsl::DataType;
 

@@ -5,6 +5,8 @@
 //! polyhedral IR (loop transformations) and the annotated affine dialect
 //! (hardware optimizations).
 
+use pom_poly::StmtPoly;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Array partition styles for `A.partition({t1, t2}, style)`.
@@ -171,7 +173,121 @@ impl Primitive {
             Primitive::Pipeline { .. } | Primitive::Unroll { .. } | Primitive::Partition { .. }
         )
     }
+
+    /// Replays a loop transformation on the statement list (`index` maps
+    /// compute names to positions in `stmts`); hardware optimizations and
+    /// `auto_DSE` leave the polyhedral statements untouched. The one
+    /// replay step shared by lowering and translation validation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownIterator`], leaving `stmts` unchanged, when the
+    /// primitive names a loop its statement does not currently have (e.g.
+    /// splitting an already-split loop by its old name).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown compute name (the DSL validates those when
+    /// the primitive is recorded) and on the transformations' own
+    /// preconditions (non-adjacent tile levels, factors below 1).
+    pub fn replay(
+        &self,
+        stmts: &mut [StmtPoly],
+        index: &HashMap<String, usize>,
+    ) -> Result<(), UnknownIterator> {
+        let known =
+            |s: &StmtPoly, names: &[&String]| match names.iter().find(|n| s.dim_index(n).is_none())
+            {
+                Some(n) => Err(UnknownIterator {
+                    iterator: n.to_string(),
+                    stmt: s.name().to_string(),
+                }),
+                None => Ok(()),
+            };
+        match self {
+            Primitive::Interchange { stmt, i, j } => {
+                let s = &mut stmts[index[stmt]];
+                known(s, &[i, j])?;
+                s.interchange(i, j);
+            }
+            Primitive::Split {
+                stmt,
+                i,
+                factor,
+                i0,
+                i1,
+            } => {
+                let s = &mut stmts[index[stmt]];
+                known(s, &[i])?;
+                s.split(i, *factor, i0, i1);
+            }
+            Primitive::Tile {
+                stmt,
+                i,
+                j,
+                t1,
+                t2,
+                i0,
+                j0,
+                i1,
+                j1,
+            } => {
+                let s = &mut stmts[index[stmt]];
+                known(s, &[i, j])?;
+                s.tile(i, j, *t1, *t2, i0, j0, i1, j1);
+            }
+            Primitive::Skew {
+                stmt,
+                i,
+                j,
+                factor,
+                i2,
+                j2,
+            } => {
+                let s = &mut stmts[index[stmt]];
+                known(s, &[i, j])?;
+                s.skew(i, j, *factor, i2, j2);
+            }
+            Primitive::After { stmt, other, level } => {
+                let snapshot = stmts[index[other]].clone();
+                let s = &mut stmts[index[stmt]];
+                match level {
+                    Some(l) => {
+                        known(&snapshot, &[l])?;
+                        s.after(&snapshot, l);
+                    }
+                    None => s.after_all(&snapshot),
+                }
+            }
+            Primitive::Pipeline { .. }
+            | Primitive::Unroll { .. }
+            | Primitive::Partition { .. }
+            | Primitive::AutoDse => {}
+        }
+        Ok(())
+    }
 }
+
+/// A loop transformation named a loop its statement does not have.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownIterator {
+    /// The iterator name the primitive used.
+    iterator: String,
+    /// The statement whose current loops were searched.
+    stmt: String,
+}
+
+impl fmt::Display for UnknownIterator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "iterator `{}` is not a loop of statement `{}`",
+            self.iterator, self.stmt
+        )
+    }
+}
+
+impl std::error::Error for UnknownIterator {}
 
 impl fmt::Display for Primitive {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -360,8 +360,30 @@ impl BasicSet {
     /// # Panics
     ///
     /// Panics if a dimension is unbounded or the enumeration exceeds
-    /// `limit` points.
+    /// `limit` points; [`BasicSet::try_enumerate_points`] returns `None`
+    /// instead.
     pub fn enumerate_points(&self, limit: usize) -> Vec<Vec<i64>> {
+        self.enumerate(limit).unwrap_or_else(|stop| match stop {
+            EnumStop::Limit => panic!("point enumeration exceeded limit {limit}"),
+            EnumStop::Unbounded(level, side) => {
+                panic!("dimension {} has no {side} bound", self.dims[level])
+            }
+        })
+    }
+
+    /// [`BasicSet::enumerate_points`] for callers with a fallback: `None`
+    /// when the walk reaches a dimension without a lower or upper bound,
+    /// or when the set holds more than `limit` points.
+    pub fn try_enumerate_points(&self, limit: usize) -> Option<Vec<Vec<i64>>> {
+        self.enumerate(limit).ok()
+    }
+
+    /// Counts the integer points of a bounded set (testing helper).
+    pub fn count_points(&self) -> usize {
+        self.enumerate_points(10_000_000).len()
+    }
+
+    fn enumerate(&self, limit: usize) -> Result<Vec<Vec<i64>>, EnumStop> {
         // Bound candidates per level only depend on the dimension, not the
         // prefix values, so they are computed once here instead of on
         // every recursion node (each bounds_of is a full FM projection of
@@ -371,24 +393,19 @@ impl BasicSet {
         let dim_ids = self.dim_ids();
         let mut out = Vec::new();
         let mut point = Vec::new();
-        self.enumerate_rec(0, &level_bounds, &dim_ids, &mut point, &mut out, limit);
-        out
-    }
-
-    /// Counts the integer points of a bounded set (testing helper).
-    pub fn count_points(&self) -> usize {
-        self.enumerate_points(10_000_000).len()
+        self.enumerate_rec(&level_bounds, &dim_ids, &mut point, &mut out, limit)?;
+        Ok(out)
     }
 
     fn enumerate_rec(
         &self,
-        level: usize,
         level_bounds: &[(Vec<BoundTerm>, Vec<BoundTerm>)],
         dim_ids: &[DimId],
         point: &mut Vec<i64>,
         out: &mut Vec<Vec<i64>>,
         limit: usize,
-    ) {
+    ) -> Result<(), EnumStop> {
+        let level = point.len();
         if level == self.dims.len() {
             let inside = self.constraints.iter().all(|c| {
                 let v = eval_dense(&c.expr, dim_ids, point, false);
@@ -398,32 +415,39 @@ impl BasicSet {
                 }
             });
             if inside {
-                assert!(
-                    out.len() < limit,
-                    "point enumeration exceeded limit {limit}"
-                );
+                if out.len() >= limit {
+                    return Err(EnumStop::Limit);
+                }
                 out.push(point.clone());
             }
-            return;
+            return Ok(());
         }
-        let dim = &self.dims[level];
         let (lbs, ubs) = &level_bounds[level];
         let lb = lbs
             .iter()
             .map(|(e, d)| ceil_div(eval_dense(e, dim_ids, point, true), *d))
             .max()
-            .unwrap_or_else(|| panic!("dimension {dim} has no lower bound"));
+            .ok_or(EnumStop::Unbounded(level, "lower"))?;
         let ub = ubs
             .iter()
             .map(|(e, d)| floor_div(eval_dense(e, dim_ids, point, true), *d))
             .min()
-            .unwrap_or_else(|| panic!("dimension {dim} has no upper bound"));
+            .ok_or(EnumStop::Unbounded(level, "upper"))?;
         for v in lb..=ub {
             point.push(v);
-            self.enumerate_rec(level + 1, level_bounds, dim_ids, point, out, limit);
+            self.enumerate_rec(level_bounds, dim_ids, point, out, limit)?;
             point.pop();
         }
+        Ok(())
     }
+}
+
+/// Why a point enumeration gave up (the walk is lazy: a missing bound
+/// only counts once some prefix actually reaches that dimension).
+enum EnumStop {
+    Limit,
+    /// The level, and which bound (`"lower"` / `"upper"`) it lacks.
+    Unbounded(usize, &'static str),
 }
 
 impl fmt::Display for BasicSet {

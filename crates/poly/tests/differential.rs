@@ -209,6 +209,42 @@ proptest! {
         prop_assert_eq!(dense.count_points(), named.count_points());
     }
 
+    /// The fallible enumerator returns the reference enumeration, and
+    /// `None` exactly when that holds more than `limit` points or the
+    /// walk meets a dimension without a lower or an upper bound. The
+    /// outermost dimension is the one left unboxed, so the walk always
+    /// reaches it.
+    #[test]
+    fn try_enumerate_points_matches(
+        spec in spec_strategy(),
+        limit in 0usize..60,
+        boxed_from in 0usize..2,
+    ) {
+        let mut system: Vec<Spec> = Vec::new();
+        for d in boxed_from..DIMS.len() {
+            let mut unit = vec![0; DIMS.len()];
+            unit[d] = 1;
+            system.push((1, unit.clone(), 0)); // d >= 0
+            unit[d] = -1;
+            system.push((1, unit, 4)); // d <= 4
+        }
+        system.extend(spec.iter().cloned());
+        let (dc, nc) = materialize(&system);
+        let mut dense = pom_poly::BasicSet::universe(&DIMS);
+        let mut named = reference::BasicSet::universe(&DIMS);
+        dc.into_iter().for_each(|c| dense.add_constraint(c));
+        nc.into_iter().for_each(|c| named.add_constraint(c));
+
+        let (lbs, ubs) = named.bounds_of(DIMS[0]);
+        let expected = if lbs.is_empty() || ubs.is_empty() {
+            None
+        } else {
+            let all = named.enumerate_points(1_000_000);
+            (all.len() <= limit).then_some(all)
+        };
+        prop_assert_eq!(dense.try_enumerate_points(limit), expected, "limit {} system {:?}", limit, system);
+    }
+
     /// Projection through the `BasicSet` surface agrees on the surviving
     /// integer points.
     #[test]

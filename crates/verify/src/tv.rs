@@ -25,9 +25,9 @@ use crate::cert::{Certificate, Obligation, ObligationKind, ValidationReport};
 use pom_dsl::{Compute, Function, Primitive};
 use pom_poly::{
     ceil_div, floor_div, fm, AccessFn, BasicSet, Constraint, ConstraintKind, DepKind,
-    DependenceAnalysis, LinearExpr, StmtPoly,
+    DependenceAnalysis, DimId, LinearExpr, StmtPoly,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Tuning knobs of the validator.
 #[derive(Clone, Copy, Debug)]
@@ -80,6 +80,17 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
     // Original-space dependences do not depend on the schedule: compute
     // them once and re-check them after every rewrite.
     let deps: Vec<Vec<DepRecord>> = computes.iter().map(original_deps).collect();
+    // Neither does a statement's original side of the domain and
+    // footprint comparisons: it is built at the statement's first loop
+    // transformation and dropped after its last, so a long schedule holds
+    // the enumerations of the statements in flight, not of all of them.
+    let mut originals: Vec<Option<Original>> = computes.iter().map(|_| None).collect();
+    let mut last_rewrite = vec![0; computes.len()];
+    for (step, p) in f.schedule().iter().enumerate() {
+        if p.is_loop_transformation() {
+            last_rewrite[index[p.stmt().expect("loop transformations name a statement")]] = step;
+        }
+    }
 
     let mut report = ValidationReport {
         func: f.name().to_string(),
@@ -91,27 +102,40 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
             Primitive::Interchange { stmt, .. }
             | Primitive::Split { stmt, .. }
             | Primitive::Tile { stmt, .. }
-            | Primitive::Skew { stmt, .. } => {
+            | Primitive::Skew { stmt, .. }
+            | Primitive::After { stmt, .. } => {
                 let si = index[stmt];
-                apply_one(p, &mut stmts, &index);
-                let c = &computes[si];
-                let s = &stmts[si];
-                let obs = vec![
-                    dependences_obligation(c, s, &deps[si]),
-                    domain_obligation(c, s, opts.enumerate_limit),
-                    footprint_obligation(c, s, opts.enumerate_limit),
-                ];
-                (stmt.clone(), obs)
-            }
-            Primitive::After { stmt, .. } => {
-                let si = index[stmt];
-                apply_one(p, &mut stmts, &index);
-                let c = &computes[si];
-                let s = &stmts[si];
-                let obs = vec![
-                    domain_obligation(c, s, opts.enumerate_limit),
-                    order_obligation(f, &stmts),
-                ];
+                let obs = match p.replay(&mut stmts, &index) {
+                    Ok(()) => {
+                        let c = &computes[si];
+                        let s = &stmts[si];
+                        let orig = originals[si]
+                            .get_or_insert_with(|| Original::of(c, opts.enumerate_limit));
+                        let cur = Transformed::of(s, orig, opts.enumerate_limit);
+                        if matches!(p, Primitive::After { .. }) {
+                            vec![
+                                domain_obligation(orig, s, &cur, opts.enumerate_limit),
+                                order_obligation(f, &stmts),
+                            ]
+                        } else {
+                            vec![
+                                dependences_obligation(c, s, &deps[si], &cur),
+                                domain_obligation(orig, s, &cur, opts.enumerate_limit),
+                                footprint_obligation(orig, s, &cur),
+                            ]
+                        }
+                    }
+                    // Nothing was replayed, so there is no transformed
+                    // domain to compare; later steps see the statement as
+                    // it was before this one.
+                    Err(unknown) => vec![Obligation::failed(
+                        ObligationKind::DomainPreserved,
+                        format!("the rewrite cannot be replayed: {unknown}"),
+                    )],
+                };
+                if last_rewrite[si] == step {
+                    originals[si] = None;
+                }
                 (stmt.clone(), obs)
             }
             Primitive::Pipeline { stmt, .. } | Primitive::Unroll { stmt, .. } => (
@@ -146,52 +170,6 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
     report
 }
 
-/// Replays one loop-transformation primitive on the statement list,
-/// duplicating `pom_dse::compile::apply_schedule` semantics.
-fn apply_one(p: &Primitive, stmts: &mut [StmtPoly], index: &HashMap<String, usize>) {
-    match p {
-        Primitive::Interchange { stmt, i, j } => stmts[index[stmt]].interchange(i, j),
-        Primitive::Split {
-            stmt,
-            i,
-            factor,
-            i0,
-            i1,
-        } => stmts[index[stmt]].split(i, *factor, i0, i1),
-        Primitive::Tile {
-            stmt,
-            i,
-            j,
-            t1,
-            t2,
-            i0,
-            j0,
-            i1,
-            j1,
-        } => stmts[index[stmt]].tile(i, j, *t1, *t2, i0, j0, i1, j1),
-        Primitive::Skew {
-            stmt,
-            i,
-            j,
-            factor,
-            i2,
-            j2,
-        } => stmts[index[stmt]].skew(i, j, *factor, i2, j2),
-        Primitive::After { stmt, other, level } => {
-            let snapshot = stmts[index[other]].clone();
-            let s = &mut stmts[index[stmt]];
-            match level {
-                Some(l) => s.after(&snapshot, l),
-                None => s.after_all(&snapshot),
-            }
-        }
-        Primitive::Pipeline { .. }
-        | Primitive::Unroll { .. }
-        | Primitive::Partition { .. }
-        | Primitive::AutoDse => {}
-    }
-}
-
 /// Uniform self-dependences of a compute in its original iteration
 /// space, exactly as the stage-1 legality analysis collects them.
 fn original_deps(c: &Compute) -> Vec<DepRecord> {
@@ -224,12 +202,355 @@ fn original_deps(c: &Compute) -> Vec<DepRecord> {
         .collect()
 }
 
+// ---------------------------------------------------------------------
+// Shared facts: what a rewrite step does not change, and what all of a
+// step's obligations read
+// ---------------------------------------------------------------------
+
+/// A (possibly half-open) integer interval; `None` means unbounded.
+type DeltaIv = (Option<i64>, Option<i64>);
+
+/// A linear expression compiled against a dimension list: evaluating it
+/// at a point given in that order is a dot product. Variables the list
+/// does not name evaluate as zero, like `LinearExpr::eval_partial`.
+struct Row {
+    terms: Vec<(usize, i64)>,
+    constant: i64,
+}
+
+impl Row {
+    fn compile(e: &LinearExpr, dims: &[DimId]) -> Row {
+        Row {
+            terms: e
+                .terms_ids()
+                .iter()
+                .filter_map(|&(id, c)| Some((dims.iter().rposition(|&d| d == id)?, c)))
+                .collect(),
+            constant: e.constant(),
+        }
+    }
+
+    fn eval(&self, point: &[i64]) -> i64 {
+        self.terms
+            .iter()
+            .fold(self.constant, |v, &(pos, c)| v + c * point[pos])
+    }
+}
+
+/// Mixed-radix packing of integer vectors that lie inside a box: one
+/// `(low, extent)` pair per coordinate, the extents' product within
+/// `u64`.
+struct Packer(Vec<(i64, u64)>);
+
+impl Packer {
+    /// Packs inside the tight box of the `arity`-vectors `walk` feeds to
+    /// its callback. A box too large to index with a `u64` — or around
+    /// nothing — packs no vector at all, like a vector of another arity;
+    /// [`PointSet`] then compares the vectors themselves.
+    fn around(arity: usize, walk: impl FnOnce(&mut dyn FnMut(&[i64]))) -> Packer {
+        let mut lo = vec![i64::MAX; arity];
+        let mut hi = vec![i64::MIN; arity];
+        walk(&mut |v| {
+            if v.len() == arity {
+                for (k, &x) in v.iter().enumerate() {
+                    lo[k] = lo[k].min(x);
+                    hi[k] = hi[k].max(x);
+                }
+            }
+        });
+        let mut volume = Some(1u64);
+        let dims: Vec<(i64, u64)> = lo
+            .iter()
+            .zip(&hi)
+            .map(|(&l, &h)| {
+                let extent = u64::try_from(h as i128 - l as i128 + 1).ok();
+                volume = volume.zip(extent).and_then(|(v, e)| v.checked_mul(e));
+                (l, extent.unwrap_or(0))
+            })
+            .collect();
+        match volume {
+            Some(_) => Packer(dims),
+            None => Packer(vec![(0, 0); arity]),
+        }
+    }
+
+    fn pack(&self, v: &[i64]) -> Option<u64> {
+        if v.len() != self.0.len() {
+            return None;
+        }
+        let mut key = 0u64;
+        for (&x, &(lo, extent)) in v.iter().zip(&self.0) {
+            let off = u64::try_from(x as i128 - lo as i128).ok()?;
+            if off >= extent {
+                return None;
+            }
+            key = key * extent + off;
+        }
+        Some(key)
+    }
+}
+
+/// A finite set of integer vectors: those inside a [`Packer`]'s box as
+/// sorted keys, the rest verbatim. Two sets built with one packer are
+/// equal exactly when they hold the same vectors.
+#[derive(Default, PartialEq, Eq)]
+struct PointSet {
+    keys: Vec<u64>,
+    outside: BTreeSet<Vec<i64>>,
+}
+
+impl PointSet {
+    /// The set of the vectors `walk` feeds to its callback.
+    fn collect(packer: &Packer, walk: impl FnOnce(&mut dyn FnMut(&[i64]))) -> PointSet {
+        let mut set = PointSet::default();
+        walk(&mut |v| match packer.pack(v) {
+            Some(key) => set.keys.push(key),
+            None => {
+                set.outside.insert(v.to_vec());
+            }
+        });
+        set.keys.sort_unstable();
+        set.keys.dedup();
+        set.keys.shrink_to_fit();
+        set
+    }
+
+    /// The same, packed in the tight box of the vectors themselves.
+    /// `walk` runs twice (the box, then the keys) so that the vectors are
+    /// never all held at once.
+    fn tight(arity: usize, walk: impl Fn(&mut dyn FnMut(&[i64]))) -> (Packer, PointSet) {
+        let packer = Packer::around(arity, &walk);
+        let set = PointSet::collect(&packer, &walk);
+        (packer, set)
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len() + self.outside.len()
+    }
+
+    /// Number of vectors the two sets share.
+    fn common(&self, other: &PointSet) -> usize {
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        while i < self.keys.len() && j < other.keys.len() {
+            match self.keys[i].cmp(&other.keys[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    n += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        n + self.outside.intersection(&other.outside).count()
+    }
+}
+
+/// The original side of a statement's domain and footprint comparisons.
+struct Original<'a> {
+    dims: Vec<String>,
+    domain: BasicSet,
+    /// The store, then the loads in body order.
+    accesses: Vec<&'a AccessFn>,
+    /// `None` when the domain is not enumerable within the limit.
+    enumerated: Option<Enumerated<'a>>,
+}
+
+/// The enumerated original domain, in comparison form.
+struct Enumerated<'a> {
+    instances: (Packer, PointSet),
+    /// Per accessed array, in name order: which of `accesses` touch it,
+    /// and the cells they touch.
+    footprint: Vec<Footprint<'a>>,
+}
+
+struct Footprint<'a> {
+    array: &'a str,
+    accesses: Vec<usize>,
+    cells: (Packer, PointSet),
+}
+
+impl<'a> Enumerated<'a> {
+    fn of(points: &[Vec<i64>], dims: &[String], accesses: &[&'a AccessFn]) -> Self {
+        let instances = PointSet::tight(dims.len(), |see| points.iter().for_each(|p| see(p)));
+        let dim_ids: Vec<DimId> = dims.iter().map(|d| DimId::intern(d)).collect();
+        let rows: Vec<Vec<Row>> = accesses
+            .iter()
+            .map(|a| {
+                a.indices
+                    .iter()
+                    .map(|e| Row::compile(e, &dim_ids))
+                    .collect()
+            })
+            .collect();
+        let mut arrays: Vec<&str> = accesses.iter().map(|a| a.array.as_str()).collect();
+        arrays.sort_unstable();
+        arrays.dedup();
+        if points.is_empty() {
+            arrays.clear(); // no instance touches any array
+        }
+        let footprint = arrays
+            .into_iter()
+            .map(|array| {
+                let touching: Vec<usize> = (0..accesses.len())
+                    .filter(|&k| accesses[k].array == array)
+                    .collect();
+                let cells = PointSet::tight(rows[touching[0]].len(), |see| {
+                    for &k in &touching {
+                        each_image(&rows[k], points, see);
+                    }
+                });
+                Footprint {
+                    array,
+                    accesses: touching,
+                    cells,
+                }
+            })
+            .collect();
+        Enumerated {
+            instances,
+            footprint,
+        }
+    }
+}
+
+/// Feeds `see` the image of every point under `rows`.
+fn each_image(rows: &[Row], points: &[Vec<i64>], see: &mut dyn FnMut(&[i64])) {
+    let mut image = Vec::with_capacity(rows.len());
+    for p in points {
+        image.clear();
+        image.extend(rows.iter().map(|r| r.eval(p)));
+        see(&image);
+    }
+}
+
+impl<'a> Original<'a> {
+    fn of(c: &'a Compute, limit: usize) -> Self {
+        let dims = c.iter_names();
+        let domain = c.domain();
+        let accesses: Vec<&AccessFn> = std::iter::once(c.store()).chain(c.loads()).collect();
+        let enumerated = bounded_points(&domain, &box_bounds(&domain), limit)
+            .map(|points| Enumerated::of(&points, &dims, &accesses));
+        Original {
+            dims,
+            domain,
+            accesses,
+            enumerated,
+        }
+    }
+}
+
+/// What one rewrite step's obligations all read of the transformed
+/// statement: its dimension ids, its domain's constant box, and (when the
+/// original side is enumerated too) its points.
+struct Transformed {
+    dims: Vec<DimId>,
+    bx: Vec<DeltaIv>,
+    points: Option<Vec<Vec<i64>>>,
+}
+
+impl Transformed {
+    fn of(s: &StmtPoly, orig: &Original, limit: usize) -> Self {
+        let bx = box_bounds(s.domain());
+        // Without an enumerated original there is nothing to compare the
+        // points against; both comparisons go symbolic either way.
+        let points = orig
+            .enumerated
+            .as_ref()
+            .and_then(|_| bounded_points(s.domain(), &bx, limit));
+        Transformed {
+            dims: s.dims().iter().map(|d| DimId::intern(d)).collect(),
+            bx,
+            points,
+        }
+    }
+}
+
+/// Constant lower/upper bounds per dimension of a set (its bounding
+/// box), in dimension order, ignoring bounds that mention other dims.
+fn box_bounds(set: &BasicSet) -> Vec<DeltaIv> {
+    set.dims()
+        .iter()
+        .map(|d| {
+            let (lbs, ubs) = set.bounds_of(d);
+            let lo = lbs
+                .iter()
+                .filter(|(e, _)| e.is_constant())
+                .map(|(e, dv)| ceil_div(e.constant(), *dv))
+                .max();
+            let hi = ubs
+                .iter()
+                .filter(|(e, _)| e.is_constant())
+                .map(|(e, dv)| floor_div(e.constant(), *dv))
+                .min();
+            (lo, hi)
+        })
+        .collect()
+}
+
+/// Range of a linear expression over the box `bx` of `dims`.
+fn expr_range(e: &LinearExpr, dims: &[DimId], bx: &[DeltaIv]) -> DeltaIv {
+    let mut lo = Some(e.constant());
+    let mut hi = Some(e.constant());
+    for &(id, c) in e.terms_ids() {
+        let (blo, bhi) = dims
+            .iter()
+            .rposition(|&d| d == id)
+            .map_or((None, None), |pos| bx[pos]);
+        let (tlo, thi) = if c > 0 {
+            (blo.map(|x| x * c), bhi.map(|x| x * c))
+        } else {
+            (bhi.map(|x| x * c), blo.map(|x| x * c))
+        };
+        lo = lo.zip(tlo).map(|(a, b)| a + b);
+        hi = hi.zip(thi).map(|(a, b)| a + b);
+    }
+    (lo, hi)
+}
+
+/// Enumerates up to `limit` integer points of a set whose constant box
+/// is `bx`; `None` when the set has more points than the limit or a
+/// dimension is unbounded.
+fn bounded_points(set: &BasicSet, bx: &[DeltaIv], limit: usize) -> Option<Vec<Vec<i64>>> {
+    // Cheap cardinality screen: when every dim has constant bounds,
+    // compare the box volume against the limit before paying for the
+    // enumeration walk. A box past the limit may still contain a small
+    // set (non-divisible splits overshoot slightly), so bailing here
+    // only trades the exact comparison for the symbolic fallback the
+    // callers already handle — never an unsound answer.
+    let mut volume: Option<u128> = Some(1);
+    for b in bx {
+        match *b {
+            (Some(lo), Some(hi)) => {
+                if lo > hi {
+                    return Some(Vec::new()); // contradictory constant bounds
+                }
+                volume = volume.map(|v| v.saturating_mul((hi - lo + 1) as u128));
+            }
+            _ => volume = None,
+        }
+    }
+    if volume.is_some_and(|v| v > limit as u128) {
+        return None;
+    }
+    set.try_enumerate_points(limit)
+}
+
+// ---------------------------------------------------------------------
+// Obligations
+// ---------------------------------------------------------------------
+
 /// Checks that every recorded dependence stays lexicographically
 /// non-negative under the statement's current schedule.
-fn dependences_obligation(c: &Compute, s: &StmtPoly, deps: &[DepRecord]) -> Obligation {
+fn dependences_obligation(
+    c: &Compute,
+    s: &StmtPoly,
+    deps: &[DepRecord],
+    cur: &Transformed,
+) -> Obligation {
     let dims = c.iter_names();
     for d in deps {
-        if let Some(level) = violated_level(s, &dims, &d.dist) {
+        if let Some(level) = violated_level(s, &dims, &d.dist, &cur.bx) {
             return Obligation::failed(
                 ObligationKind::DependencesPreserved,
                 format!(
@@ -263,9 +584,14 @@ fn dependences_obligation(c: &Compute, s: &StmtPoly, deps: &[DepRecord]) -> Obli
 /// integer operations. Only levels the screen cannot decide pay for the
 /// exact Fourier–Motzkin check on the doubled instance system, so the
 /// result is identical to running FM everywhere.
-fn violated_level(s: &StmtPoly, orig_dims: &[String], dist: &[i64]) -> Option<usize> {
+fn violated_level(
+    s: &StmtPoly,
+    orig_dims: &[String],
+    dist: &[i64],
+    bx: &[DeltaIv],
+) -> Option<usize> {
     let cur_dims: Vec<String> = s.dims().to_vec();
-    let screened = displacement_safe_levels(s, orig_dims, dist, &cur_dims);
+    let screened = displacement_safe_levels(s, orig_dims, dist, &cur_dims, bx);
     if screened
         .as_ref()
         .is_some_and(|safe| safe.iter().all(|&b| b))
@@ -320,9 +646,6 @@ fn violated_level(s: &StmtPoly, orig_dims: &[String], dist: &[i64]) -> Option<us
     None
 }
 
-/// A (possibly half-open) integer interval; `None` means unbounded.
-type DeltaIv = (Option<i64>, Option<i64>);
-
 /// Sound per-level screen for [`violated_level`]: `safe[l] == true`
 /// proves no instance pair related by `dist` executes in reversed order
 /// at transformed level `l`; `false` means "undecided, run FM".
@@ -332,11 +655,12 @@ type DeltaIv = (Option<i64>, Option<i64>);
 /// each original dim's reconstruction expression `e_od` (linear in the
 /// current dims) yields one equation `Σ coeff(e_od, cd) · δ_cd =
 /// dist[od]` — the constant parts cancel. Each `δ_cd` starts bounded by
-/// the spread of `cd`'s constant domain bounds, and interval narrowing
-/// over the equations (with integer rounding) tightens the rest: for a
-/// tiled dim, `T·δ_out + δ_inn = 0` with `δ_inn ∈ (-T, T)` pins both to
-/// zero. Level `l` is safe when, after also pinning every outer `δ` to
-/// zero, `δ_l` cannot be negative — or the pinned system is empty.
+/// the spread of `cd`'s constant domain bounds (`bx`, the transformed
+/// domain's box), and interval narrowing over the equations (with
+/// integer rounding) tightens the rest: for a tiled dim, `T·δ_out +
+/// δ_inn = 0` with `δ_inn ∈ (-T, T)` pins both to zero. Level `l` is
+/// safe when, after also pinning every outer `δ` to zero, `δ_l` cannot
+/// be negative — or the pinned system is empty.
 ///
 /// Returns `None` when the screen cannot be built (a reconstruction
 /// expression is missing or mentions an unknown dim).
@@ -345,6 +669,7 @@ fn displacement_safe_levels(
     orig_dims: &[String],
     dist: &[i64],
     cur_dims: &[String],
+    bx: &[DeltaIv],
 ) -> Option<Vec<bool>> {
     let n = cur_dims.len();
     let pos: HashMap<&str, usize> = cur_dims
@@ -365,24 +690,13 @@ fn displacement_safe_levels(
     }
 
     // δ_cd ∈ [lo - hi, hi - lo] whenever cd has constant bounds.
-    let dom = s.domain();
-    let mut base: Vec<DeltaIv> = vec![(None, None); n];
-    for (i, d) in cur_dims.iter().enumerate() {
-        let (lbs, ubs) = dom.bounds_of(d);
-        let lo = lbs
-            .iter()
-            .filter(|(e, _)| e.is_constant())
-            .map(|(e, dv)| ceil_div(e.constant(), *dv))
-            .max();
-        let hi = ubs
-            .iter()
-            .filter(|(e, _)| e.is_constant())
-            .map(|(e, dv)| floor_div(e.constant(), *dv))
-            .min();
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            base[i] = (Some(lo - hi), Some(hi - lo));
-        }
-    }
+    let mut base: Vec<DeltaIv> = bx
+        .iter()
+        .map(|b| match *b {
+            (Some(lo), Some(hi)) => (Some(lo - hi), Some(hi - lo)),
+            _ => (None, None),
+        })
+        .collect();
     let base_empty = !narrow_deltas(&mut base, &eqs);
 
     let mut safe = vec![false; n];
@@ -472,172 +786,40 @@ fn narrow_deltas(iv: &mut [DeltaIv], eqs: &[(Vec<(usize, i64)>, i64)]) -> bool {
     true
 }
 
-/// Constant lower/upper bounds per dimension of a set (its bounding
-/// box), ignoring bounds that mention other dims.
-fn box_bounds(set: &BasicSet) -> HashMap<String, DeltaIv> {
-    let mut out = HashMap::new();
-    for d in set.dims() {
-        let (lbs, ubs) = set.bounds_of(d);
-        let lo = lbs
-            .iter()
-            .filter(|(e, _)| e.is_constant())
-            .map(|(e, dv)| ceil_div(e.constant(), *dv))
-            .max();
-        let hi = ubs
-            .iter()
-            .filter(|(e, _)| e.is_constant())
-            .map(|(e, dv)| floor_div(e.constant(), *dv))
-            .min();
-        out.insert(d.clone(), (lo, hi));
-    }
-    out
-}
-
-/// Range of a linear expression over a bounding box.
-fn expr_range(e: &LinearExpr, bx: &HashMap<String, DeltaIv>) -> DeltaIv {
-    let mut lo = Some(e.constant());
-    let mut hi = Some(e.constant());
-    for (v, c) in e.terms() {
-        if c == 0 {
-            continue;
-        }
-        let (blo, bhi) = bx.get(v).copied().unwrap_or((None, None));
-        let (tlo, thi) = if c > 0 {
-            (blo.map(|x| x * c), bhi.map(|x| x * c))
-        } else {
-            (bhi.map(|x| x * c), blo.map(|x| x * c))
-        };
-        lo = lo.zip(tlo).map(|(a, b)| a + b);
-        hi = hi.zip(thi).map(|(a, b)| a + b);
-    }
-    (lo, hi)
-}
-
-/// Enumerates up to `limit` integer points of a bounded set, returning
-/// `None` when the set has more points than the limit or a dimension is
-/// unbounded — a graceful fallback, unlike `BasicSet::enumerate_points`,
-/// which panics past its limit.
-fn bounded_points(set: &BasicSet, limit: usize) -> Option<Vec<Vec<i64>>> {
-    // Cheap cardinality screen: when every dim has constant bounds,
-    // compare the box volume against the limit before paying for the
-    // enumeration walk. A box past the limit may still contain a small
-    // set (non-divisible splits overshoot slightly), so bailing here
-    // only trades the exact comparison for the symbolic fallback the
-    // callers already handle — never an unsound answer.
-    let bx = box_bounds(set);
-    let mut volume: Option<u128> = Some(1);
-    for d in set.dims() {
-        match bx.get(d) {
-            Some(&(Some(lo), Some(hi))) => {
-                if lo > hi {
-                    return Some(Vec::new()); // contradictory constant bounds
-                }
-                volume = volume.map(|v| v.saturating_mul((hi - lo + 1) as u128));
-            }
-            _ => volume = None,
-        }
-    }
-    if volume.is_some_and(|v| v > limit as u128) {
-        return None;
-    }
-    fn rec(
-        set: &BasicSet,
-        dims: &[String],
-        level: usize,
-        prefix: &mut HashMap<String, i64>,
-        point: &mut Vec<i64>,
-        out: &mut Vec<Vec<i64>>,
-        limit: usize,
-    ) -> bool {
-        if level == dims.len() {
-            if set.contains(point) {
-                if out.len() >= limit {
-                    return false;
-                }
-                out.push(point.clone());
-            }
-            return true;
-        }
-        let (lbs, ubs) = set.bounds_of(&dims[level]);
-        let lb = lbs
-            .iter()
-            .map(|(e, d)| ceil_div(e.eval_partial(prefix), *d))
-            .max();
-        let ub = ubs
-            .iter()
-            .map(|(e, d)| floor_div(e.eval_partial(prefix), *d))
-            .min();
-        let (Some(lb), Some(ub)) = (lb, ub) else {
-            return false; // unbounded dimension: not enumerable
-        };
-        for v in lb..=ub {
-            prefix.insert(dims[level].clone(), v);
-            point.push(v);
-            let ok = rec(set, dims, level + 1, prefix, point, out, limit);
-            point.pop();
-            prefix.remove(&dims[level]);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    let dims = set.dims().to_vec();
-    let mut out = Vec::new();
-    rec(
-        set,
-        &dims,
-        0,
-        &mut HashMap::new(),
-        &mut Vec::new(),
-        &mut out,
-        limit,
-    )
-    .then_some(out)
-}
-
 /// Checks that the transformed domain maps onto exactly the declared
 /// statement instances.
-fn domain_obligation(c: &Compute, s: &StmtPoly, limit: usize) -> Obligation {
-    let orig = c.domain();
+fn domain_obligation(orig: &Original, s: &StmtPoly, cur: &Transformed, limit: usize) -> Obligation {
     // Symbolic direction (always checked, exact): the image of every
     // transformed point satisfies every original-domain constraint.
-    if let Some(witness) = domain_inclusion_violation(&orig, s) {
+    if let Some(witness) = domain_inclusion_violation(&orig.domain, s, cur) {
         return Obligation::failed(ObligationKind::DomainPreserved, witness);
     }
     // Exact cardinality + set equality when the domain is enumerable.
-    let before = bounded_points(&orig, limit);
-    let after_cur = bounded_points(s.domain(), limit);
-    if let (Some(before), Some(after_cur)) = (before, after_cur) {
-        let orig_dims = c.iter_names();
-        let cur_dims = s.dims().to_vec();
-        let after: Vec<Vec<i64>> = after_cur
+    if let (Some(before), Some(points)) = (&orig.enumerated, &cur.points) {
+        let (packer, before) = &before.instances;
+        // A reconstruction expression the statement lost maps every
+        // point outside any original domain.
+        let rows: Vec<Row> = orig
+            .dims
             .iter()
-            .map(|p| {
-                let env: HashMap<String, i64> =
-                    cur_dims.iter().cloned().zip(p.iter().copied()).collect();
-                orig_dims
-                    .iter()
-                    .map(|od| {
-                        s.orig_expr(od)
-                            .map(|e| e.eval_partial(&env))
-                            .unwrap_or(i64::MIN)
-                    })
-                    .collect()
+            .map(|od| match s.orig_expr(od) {
+                Some(e) => Row::compile(e, &cur.dims),
+                None => Row {
+                    terms: Vec::new(),
+                    constant: i64::MIN,
+                },
             })
             .collect();
-        let before_set: BTreeSet<&Vec<i64>> = before.iter().collect();
-        let after_set: BTreeSet<&Vec<i64>> = after.iter().collect();
-        if after.len() != before.len() || before_set != after_set {
+        let after = PointSet::collect(packer, |see| each_image(&rows, points, see));
+        if points.len() != before.len() || *before != after {
             return Obligation::failed(
                 ObligationKind::DomainPreserved,
                 format!(
                     "transformed domain covers {} of {} original instances ({} points \
                      enumerated)",
-                    after_set.intersection(&before_set).count(),
-                    before_set.len(),
-                    after.len()
+                    after.common(before),
+                    before.len(),
+                    points.len()
                 ),
             );
         }
@@ -661,15 +843,14 @@ fn domain_obligation(c: &Compute, s: &StmtPoly, limit: usize) -> Obligation {
 /// Returns a description of an original-domain constraint the
 /// transformed statement can violate, or `None` when the image of the
 /// transformed domain is included in the original domain.
-fn domain_inclusion_violation(orig: &BasicSet, s: &StmtPoly) -> Option<String> {
+fn domain_inclusion_violation(orig: &BasicSet, s: &StmtPoly, cur: &Transformed) -> Option<String> {
     let dom = s.domain().constraints().to_vec();
     // Box screen: the range of the pulled-back constraint over the
     // transformed domain's bounding box decides most constraints in a
     // few integer ops; only box-undecided ones pay for Fourier–Motzkin.
-    let bx = box_bounds(s.domain());
     for c in orig.constraints() {
-        let cur = s.to_current(&c.expr);
-        let (lo, hi) = expr_range(&cur, &bx);
+        let pulled = s.to_current(&c.expr);
+        let (lo, hi) = expr_range(&pulled, &cur.dims, &cur.bx);
         let box_safe = match c.kind {
             ConstraintKind::GeZero => lo.is_some_and(|l| l >= 0),
             ConstraintKind::Eq => lo == Some(0) && hi == Some(0),
@@ -680,14 +861,14 @@ fn domain_inclusion_violation(orig: &BasicSet, s: &StmtPoly) -> Option<String> {
         let violated = match c.kind {
             ConstraintKind::GeZero => {
                 let mut sys = dom.clone();
-                sys.push(Constraint::ge_zero(-cur.clone() - 1));
+                sys.push(Constraint::ge_zero(-pulled.clone() - 1));
                 fm::feasible(&sys)
             }
             ConstraintKind::Eq => {
                 let mut above = dom.clone();
-                above.push(Constraint::ge_zero(cur.clone() - 1));
+                above.push(Constraint::ge_zero(pulled.clone() - 1));
                 let mut below = dom.clone();
-                below.push(Constraint::ge_zero(-cur.clone() - 1));
+                below.push(Constraint::ge_zero(-pulled.clone() - 1));
                 fm::feasible(&above) || fm::feasible(&below)
             }
         };
@@ -702,50 +883,39 @@ fn domain_inclusion_violation(orig: &BasicSet, s: &StmtPoly) -> Option<String> {
 }
 
 /// Checks that per-array read/write footprints are unchanged.
-fn footprint_obligation(c: &Compute, s: &StmtPoly, limit: usize) -> Obligation {
-    let accesses: Vec<&AccessFn> = std::iter::once(c.store()).chain(c.loads()).collect();
-    let orig = c.domain();
-    let orig_dims = c.iter_names();
-    let (Some(before_pts), Some(after_pts)) = (
-        bounded_points(&orig, limit),
-        bounded_points(s.domain(), limit),
-    ) else {
+fn footprint_obligation(orig: &Original, s: &StmtPoly, cur: &Transformed) -> Obligation {
+    let (Some(before), Some(points)) = (&orig.enumerated, &cur.points) else {
         return Obligation::passed(
             ObligationKind::FootprintPreserved,
             "follows from domain preservation: transformed accesses are the original access \
              functions composed with the iterator-reconstruction map",
         );
     };
-    let mut before: BTreeMap<&str, BTreeSet<Vec<i64>>> = BTreeMap::new();
-    for p in &before_pts {
-        let env: HashMap<String, i64> = orig_dims.iter().cloned().zip(p.iter().copied()).collect();
-        for a in &accesses {
-            before
-                .entry(a.array.as_str())
-                .or_default()
-                .insert(a.indices.iter().map(|e| e.eval_partial(&env)).collect());
-        }
-    }
-    let cur_dims = s.dims().to_vec();
-    let cur_accesses: Vec<AccessFn> = accesses.iter().map(|a| s.access_to_current(a)).collect();
-    let mut after: BTreeMap<&str, BTreeSet<Vec<i64>>> = BTreeMap::new();
-    for p in &after_pts {
-        let env: HashMap<String, i64> = cur_dims.iter().cloned().zip(p.iter().copied()).collect();
-        for a in &cur_accesses {
-            after
-                .entry(a.array.as_str())
-                .or_default()
-                .insert(a.indices.iter().map(|e| e.eval_partial(&env)).collect());
-        }
-    }
-    for (array, cells) in &before {
-        if after.get(array) != Some(cells) {
-            let after_n = after.get(array).map(BTreeSet::len).unwrap_or(0);
+    let rows: Vec<Vec<Row>> = orig
+        .accesses
+        .iter()
+        .map(|a| {
+            a.indices
+                .iter()
+                .map(|e| Row::compile(&s.to_current(e), &cur.dims))
+                .collect()
+        })
+        .collect();
+    for fp in &before.footprint {
+        let (packer, cells) = &fp.cells;
+        let after = PointSet::collect(packer, |see| {
+            for &k in &fp.accesses {
+                each_image(&rows[k], points, see);
+            }
+        });
+        if after != *cells {
             return Obligation::failed(
                 ObligationKind::FootprintPreserved,
                 format!(
-                    "access footprint of `{array}` changed: {} cells before, {after_n} after",
-                    cells.len()
+                    "access footprint of `{}` changed: {} cells before, {} after",
+                    fp.array,
+                    cells.len(),
+                    after.len()
                 ),
             );
         }
@@ -754,7 +924,7 @@ fn footprint_obligation(c: &Compute, s: &StmtPoly, limit: usize) -> Obligation {
         ObligationKind::FootprintPreserved,
         format!(
             "footprints of {} array(s) enumerated on both sides; cell sets identical",
-            before.len()
+            before.footprint.len()
         ),
     )
 }
@@ -940,6 +1110,110 @@ mod tests {
         assert!(r.passed(), "{}", r.render());
         let detail = &r.certificates[0].obligations[1].detail;
         assert!(detail.contains("symbolically"), "{detail}");
+    }
+
+    /// The two enumeration obligations of `f`'s only compute against a
+    /// hand-built transformed statement, as `validate_with` discharges
+    /// them. The DSL's own primitives cannot break either, so the failing
+    /// paths are only reachable this way.
+    fn enumeration_obligations(f: &Function, s: &StmtPoly) -> (Obligation, Obligation) {
+        let limit = ValidateOptions::default().enumerate_limit;
+        let orig = Original::of(&f.computes()[0], limit);
+        let cur = Transformed::of(s, &orig, limit);
+        (
+            domain_obligation(&orig, s, &cur, limit),
+            footprint_obligation(&orig, s, &cur),
+        )
+    }
+
+    #[test]
+    fn domain_with_a_row_cut_off_fails_both_enumerations() {
+        // i stops one short: the image stays inside the original domain
+        // (the symbolic direction holds) but misses 64 of 512 instances,
+        // and with them one row of A and of C.
+        let f = gemm(8);
+        let s = StmtPoly::new("s", &[("i", 0, 6), ("j", 0, 7), ("k", 0, 7)]);
+        let (domain, footprint) = enumeration_obligations(&f, &s);
+        assert_eq!(
+            domain,
+            Obligation::failed(
+                ObligationKind::DomainPreserved,
+                "transformed domain covers 448 of 512 original instances (448 points enumerated)"
+            )
+        );
+        assert_eq!(
+            footprint,
+            Obligation::failed(
+                ObligationKind::FootprintPreserved,
+                "access footprint of `A` changed: 64 cells before, 56 after"
+            )
+        );
+    }
+
+    #[test]
+    fn domain_over_a_shifted_rectangle_moves_the_footprint() {
+        // Same cardinality, one row down: the cell counts agree and only
+        // the set comparison tells the footprints apart (row 8 lies
+        // outside the original cells' bounding box).
+        let f = gemm(8);
+        let s = StmtPoly::new("s", &[("i", 1, 8), ("j", 0, 7), ("k", 0, 7)]);
+        let (domain, footprint) = enumeration_obligations(&f, &s);
+        assert_eq!(
+            domain,
+            Obligation::failed(
+                ObligationKind::DomainPreserved,
+                "some transformed instance maps outside the original domain: constraint \
+                 `-i + 7 >= 0` can be violated"
+            )
+        );
+        assert_eq!(
+            footprint,
+            Obligation::failed(
+                ObligationKind::FootprintPreserved,
+                "access footprint of `A` changed: 64 cells before, 64 after"
+            )
+        );
+    }
+
+    #[test]
+    fn enumeration_is_exact_up_to_the_limit_and_symbolic_one_past_it() {
+        let limit = ValidateOptions::default().enumerate_limit;
+        let details = |n: usize| {
+            let mut f = Function::new("scale");
+            let i = f.var("i", 0, n as i64);
+            let x = f.placeholder("X", &[n], DataType::F32);
+            let y = f.placeholder("Y", &[n], DataType::F32);
+            f.compute(
+                "s",
+                std::slice::from_ref(&i),
+                x.at(&[&i]) * 2.0,
+                y.access(&[&i]),
+            );
+            f.split("s", "i", 4, "i0", "i1");
+            let r = validate(&f);
+            assert!(r.passed(), "{}", r.render());
+            let obs = &r.certificates[0].obligations;
+            (obs[1].detail.clone(), obs[2].detail.clone())
+        };
+        assert_eq!(
+            details(limit),
+            (
+                "4096 instances enumerated on both sides; sets identical".to_string(),
+                "footprints of 2 array(s) enumerated on both sides; cell sets identical"
+                    .to_string()
+            )
+        );
+        assert_eq!(
+            details(limit + 1),
+            (
+                "image inclusion proven symbolically (Fourier–Motzkin); exact enumeration \
+                 skipped beyond 4096 points"
+                    .to_string(),
+                "follows from domain preservation: transformed accesses are the original \
+                 access functions composed with the iterator-reconstruction map"
+                    .to_string()
+            )
+        );
     }
 
     #[test]

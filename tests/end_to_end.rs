@@ -224,3 +224,61 @@ fn dse_config_knobs_shape_the_search() {
     assert!(free.groups[0].parallelism() > 4);
     assert!(free.compiled.qor.latency <= constrained.compiled.qor.latency);
 }
+
+#[test]
+fn schedule_naming_an_unknown_iterator_is_rejected_not_a_panic() {
+    // One malformed primitive per loop transformation; each names `zz`,
+    // which no statement of 2mm has, after one well-formed split.
+    type Malform = fn(&mut pom::Function);
+    let cases: [(&str, Malform); 5] = [
+        ("split", |f| {
+            f.split("mm1", "zz", 4, "a", "b");
+        }),
+        ("tile", |f| {
+            f.tile("mm1", "i", "zz", 4, 4, "a", "b", "c", "d");
+        }),
+        ("interchange", |f| {
+            f.interchange("mm1", "zz", "j");
+        }),
+        ("skew", |f| {
+            f.skew("mm1", "zz", "j", 1, "a", "b");
+        }),
+        ("after", |f| {
+            f.after("mm2", "mm1", "zz");
+        }),
+    ];
+    for (what, malform) in cases {
+        let mut f = kernels::mm2(16);
+        f.split("mm1", "k", 4, "k0", "k1");
+        malform(&mut f);
+        f.pipeline("mm1", "j", 1);
+
+        let report = pom::validate(&f);
+        assert!(!report.passed(), "{what}: {}", report.render());
+        assert_eq!(report.checked(), 3, "{what}: one certificate per step");
+        assert!(report.certificates[0].passed(), "{what}");
+        let failure = report.certificates[1]
+            .failures()
+            .next()
+            .unwrap_or_else(|| panic!("{what}: step 1 must carry a failed obligation"));
+        assert_eq!(
+            failure.detail,
+            "the rewrite cannot be replayed: iterator `zz` is not a loop of statement `mm1`",
+            "{what}"
+        );
+
+        let opts = CompileOptions::default();
+        for (entry, err) in [
+            ("compile", compile(&f, &opts).map(|_| ()).unwrap_err()),
+            ("auto_dse", auto_dse(&f, &opts).map(|_| ()).unwrap_err()),
+        ] {
+            let pom::CompileError::Rejected(text) = err else {
+                panic!("{what}/{entry}: expected Rejected, got {err}");
+            };
+            assert!(
+                text.contains("iterator `zz` is not a loop of statement `mm1`"),
+                "{what}/{entry}: {text}"
+            );
+        }
+    }
+}
