@@ -1,5 +1,6 @@
 //! Memoization for the DSE hot path: per-group compile/estimate results
-//! keyed by the scheduled sub-function's structural fingerprint, plus a
+//! keyed by the group's canonical fingerprint and tile vector
+//! ([`GroupSlice::key`](crate::search::ladder::GroupSlice::key)), plus a
 //! full-function compile cache that lets the final-repair walk-back
 //! loop, the post-retarget recompile in `auto_dse_with`, and repeated
 //! emissions reuse prior results instead of recompiling.
@@ -7,8 +8,9 @@
 //! Thread-safety: every map sits behind its own `Mutex` and the counters
 //! are atomics, so one [`DseCache`] can be shared by the scoped worker
 //! threads of the parallel candidate evaluation. Entries are pure
-//! functions of their key (the fingerprint covers placeholders, computes,
-//! *and* the recorded schedule), so a racing double-compute writes the
+//! functions of their key (every key covers placeholders, computes, the
+//! recorded schedule *and* the configuration applied on top of it), so a
+//! racing double-compute writes the
 //! same value twice — correctness never depends on who wins. Locks use
 //! poisoned-lock recovery (`PoisonError::into_inner`): a panicked worker
 //! can at worst leave a *missing* entry behind, never a wrong one, so
@@ -29,10 +31,11 @@
 //! [`ArtifactStore`](crate::store::ArtifactStore) whose shard hash pins
 //! the same options set.
 
-use crate::compile::{compile_timed, CompileError, CompileOptions, Compiled};
+use crate::compile::{CompileError, CompileOptions, Compiled};
 use crate::store::ArtifactStore;
 use pom_dsl::Function;
 use pom_hls::{DepSummary, ResourceUsage};
+use pom_poly::StmtPoly;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -249,6 +252,16 @@ impl PhaseAccum {
             .fetch_add(t.estimation.as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// Runs `f`, adding its wall time to the lowering phase. Calls must
+    /// not nest, or the inner time is counted twice.
+    pub fn time_lowering<T>(&self, f: impl FnOnce() -> T) -> T {
+        let t0 = std::time::Instant::now();
+        let out = f();
+        self.lowering_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+
     /// Total time spent in schedule replay + dependence analysis +
     /// lowering.
     pub fn lowering(&self) -> Duration {
@@ -322,17 +335,17 @@ impl<K: Eq + Hash + Clone, V> Bounded<K, V> {
 /// The DSE compile/estimate cache (see module docs).
 #[derive(Debug)]
 pub struct DseCache {
-    /// `pipeline_infeasible` verdicts per scheduled-group canonical key.
+    /// `pipeline_infeasible` verdicts per group configuration, keyed by
+    /// [`GroupSlice::key`](crate::search::ladder::GroupSlice::key).
     infeasible: Mutex<Bounded<u64, bool>>,
-    /// `(latency, resources)` of a group compiled as a sub-function,
-    /// keyed by the scheduled sub-function's [`canonical_fingerprint`] —
-    /// structurally identical groups (repeated DNN layers, symmetric
-    /// matmuls) share entries.
+    /// `(latency, resources)` of a group configuration compiled as a
+    /// sub-function, under the same key — structurally identical groups
+    /// (repeated DNN layers, symmetric matmuls) share entries.
     group_qor: Mutex<Bounded<u64, (u64, ResourceUsage)>>,
-    /// Per-group dependence-summary templates keyed by the *untiled*
-    /// scheduled sub-function's plain [`fingerprint`] (names must match
-    /// the group exactly, so no alpha-renaming here). `None` marks a
-    /// group whose template is unsafe to reuse — its candidates fall
+    /// Dependence-summary templates of a group, or of the whole
+    /// function, keyed by the *untiled* schedule's plain [`fingerprint`]
+    /// (names must match exactly, so no alpha-renaming here). `None`
+    /// marks a template that is unsafe to reuse — the candidates fall
     /// back to full per-candidate dependence analysis.
     dep_templates: Mutex<Bounded<u64, Option<Arc<DepSummary>>>>,
     /// Full-function compiles keyed by the *scheduled* fingerprint.
@@ -451,8 +464,9 @@ impl DseCache {
         }
     }
 
-    /// Memoized pipeline-II feasibility verdict for one scheduled group,
-    /// keyed by its [`canonical_fingerprint`].
+    /// Memoized pipeline-II feasibility verdict for one group
+    /// configuration, keyed by
+    /// [`GroupSlice::key`](crate::search::ladder::GroupSlice::key).
     pub fn memo_infeasible(&self, key: u64, compute: impl FnOnce() -> bool) -> bool {
         if let Some(&v) = locked(&self.infeasible).get(&key) {
             self.record(true);
@@ -474,9 +488,10 @@ impl DseCache {
         v
     }
 
-    /// Memoized `(latency, resources)` of one group's sub-function
-    /// compile, keyed by its [`canonical_fingerprint`]. Errors are never
-    /// cached — they abort the search anyway.
+    /// Memoized `(latency, resources)` of one group configuration's
+    /// sub-function compile, under the same key as
+    /// [`DseCache::memo_infeasible`]. Errors are never cached — they
+    /// abort the search anyway.
     pub fn memo_group_qor(
         &self,
         key: u64,
@@ -502,8 +517,9 @@ impl DseCache {
         Ok(v)
     }
 
-    /// Memoized dependence-summary template for one group, keyed by the
-    /// plain [`fingerprint`] of its *untiled* scheduled sub-function.
+    /// Memoized dependence-summary template for one group (or the whole
+    /// function), keyed by the plain [`fingerprint`] of its *untiled*
+    /// schedule.
     /// `compute` returns `None` when the template cannot soundly stand in
     /// for the tiled candidates' summaries (see `dep_template` in
     /// `search::stage2`); the verdict itself is memoized either way — including
@@ -536,10 +552,11 @@ impl DseCache {
 
     /// Compiles a fully scheduled function through the cache: the repair
     /// walk-back loop, `auto_dse_with`'s final compile, and any repeated
-    /// emission of the same schedule share one compile. When `deps` is
-    /// given it stands in for the function's dependence summary — the
-    /// dominant compile cost — so a repair/retarget step that only changed
-    /// tile factors or pipeline IIs skips the polyhedral analysis.
+    /// emission of the same schedule share one compile. `prepare` runs on
+    /// a miss only and supplies `f`'s transformed statements and
+    /// dependence summary — the search extends statements it already holds
+    /// and, when a repair/retarget step only changed tile factors or
+    /// pipeline IIs, reuses a dependence-summary template.
     ///
     /// # Errors
     ///
@@ -549,24 +566,15 @@ impl DseCache {
         f: &Function,
         opts: &CompileOptions,
         acc: &PhaseAccum,
-        deps: Option<&DepSummary>,
+        prepare: impl FnOnce() -> (Vec<StmtPoly>, DepSummary),
     ) -> Result<Arc<Compiled>, CompileError> {
         let fp = fingerprint(f);
         if let Some(c) = locked(&self.full).get(&fp) {
             self.record(true);
             return Ok(Arc::clone(c));
         }
-        let (c, times) = match deps {
-            Some(d) => {
-                let t0 = std::time::Instant::now();
-                let stmts = crate::compile::apply_schedule(f);
-                let analysis = t0.elapsed();
-                let (c, mut times) = crate::compile::compile_prepared(f, stmts, d.clone(), opts)?;
-                times.lowering += analysis;
-                (c, times)
-            }
-            None => compile_timed(f, opts)?,
-        };
+        let (stmts, deps) = acc.time_lowering(prepare);
+        let (c, times) = crate::compile::compile_prepared(f, stmts, deps, opts)?;
         acc.add(&times);
         self.record(false);
         let c = Arc::new(c);
@@ -623,9 +631,18 @@ mod tests {
         let acc = PhaseAccum::default();
         let f = tiny();
         let opts = CompileOptions::default();
-        let a = cache.compile_full(&f, &opts, &acc, None).expect("compiles");
+        let prepare = || {
+            let stmts = crate::compile::apply_schedule(&f);
+            let deps = crate::compile::build_dep_summary(&f, &stmts, &opts.model);
+            (stmts, deps)
+        };
+        let a = cache
+            .compile_full(&f, &opts, &acc, prepare)
+            .expect("compiles");
         assert_eq!(cache.misses(), 1);
-        let b = cache.compile_full(&f, &opts, &acc, None).expect("compiles");
+        let b = cache
+            .compile_full(&f, &opts, &acc, || panic!("served from the cache"))
+            .expect("compiles");
         assert_eq!(cache.hits(), 1);
         assert_eq!(a.qor, b.qor);
         assert!(acc.lowering() > Duration::ZERO);

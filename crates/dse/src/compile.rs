@@ -145,7 +145,7 @@ pub fn apply_schedule(f: &Function) -> Vec<StmtPoly> {
 /// Returns [`CompileError::Rejected`] carrying the validator's rendered
 /// report when a primitive names an iterator its statement does not have.
 pub(crate) fn try_apply_schedule(f: &Function) -> Result<Vec<StmtPoly>, CompileError> {
-    let mut stmts: Vec<StmtPoly> = f
+    let stmts: Vec<StmtPoly> = f
         .computes()
         .iter()
         .enumerate()
@@ -155,13 +155,29 @@ pub(crate) fn try_apply_schedule(f: &Function) -> Result<Vec<StmtPoly>, CompileE
             s
         })
         .collect();
+    replay_from(f, stmts, 0)
+}
+
+/// Replays `f.schedule()[done..]` onto `stmts`, which must be `f`'s
+/// statements with the first `done` primitives already replayed — the
+/// DSE search replays a stage-1 prefix once and extends it per candidate
+/// by the candidate's own suffix.
+///
+/// # Errors
+///
+/// Same as [`try_apply_schedule`].
+pub(crate) fn replay_from(
+    f: &Function,
+    mut stmts: Vec<StmtPoly>,
+    done: usize,
+) -> Result<Vec<StmtPoly>, CompileError> {
     let index: HashMap<String, usize> = f
         .computes()
         .iter()
         .enumerate()
         .map(|(i, c)| (c.name().to_string(), i))
         .collect();
-    for p in f.schedule() {
+    for p in &f.schedule()[done..] {
         if p.replay(&mut stmts, &index).is_err() {
             return Err(CompileError::Rejected(pom_verify::validate(f).render()));
         }

@@ -1,9 +1,9 @@
 //! The complete two-stage DSE engine (`f.auto_DSE()`).
 
 use crate::cache::{DseCache, PhaseAccum};
-use crate::compile::{compile_timed, CompileError, CompileOptions, Compiled};
-use crate::search::ladder::schedule_for;
-use crate::search::stage2::{bottleneck_optimize_impl, full_dep_template};
+use crate::compile::{CompileError, CompileOptions, Compiled};
+use crate::search::ladder::SearchBase;
+use crate::search::stage2::{bottleneck_optimize_impl, full_compile, full_dep_template};
 use crate::search::{DseConfig, DseStats, GroupConfig, SearchMode};
 use crate::stage1::dependence_aware_transform;
 use pom_dsl::Function;
@@ -143,10 +143,13 @@ fn auto_dse_impl(
     let t1 = Instant::now();
     let stage1 = dependence_aware_transform(f, cfg.stage1_max_iters);
     let stage1_time = t1.elapsed();
+    // The one replay of the stage-1 schedule this search pays; every
+    // stage-2 consumer below reads it.
+    let base = acc.time_lowering(|| SearchBase::new(&stage1));
     let s2 = match cfg.search {
-        SearchMode::Greedy => bottleneck_optimize_impl(&stage1, opts, cfg, cache, &acc)?,
+        SearchMode::Greedy => bottleneck_optimize_impl(&base, opts, cfg, cache, &acc)?,
         SearchMode::Beam | SearchMode::Portfolio => {
-            crate::search::beam::beam_optimize_impl(&stage1, opts, cfg, cache, &acc)?
+            crate::search::beam::beam_optimize_impl(&base, opts, cfg, cache, &acc)?
         }
     };
     let mut scheduled = s2.function;
@@ -155,10 +158,13 @@ fn auto_dse_impl(
     let anytime = s2.anytime;
     // The final compiles can reuse the search's full-function dependence
     // template: a pipeline-II retarget never changes the dependences.
-    let mut full_template = cache.and_then(|c| full_dep_template(&stage1, &groups, c, opts, &acc));
+    let mut full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, &acc));
     // The repair loop's fitting compile is still in the cache, so this
     // lookup answers without recompiling the same schedule.
-    let mut compiled = full_compile(cache, &scheduled, opts, &acc, full_template.as_deref())?;
+    let compile_full = |f: &Function, deps: Option<&pom_hls::DepSummary>| {
+        full_compile(&base, f, deps, opts, cache, &acc).map(|c| (*c).clone())
+    };
+    let mut compiled = compile_full(&scheduled, full_template.as_deref())?;
     // Rate-matched dataflow refinement (`DseConfig::dataflow`): cut the
     // sequential winner into dataflow stages, co-simulate the plan with
     // channel back-pressure, and greedily rebalance per-stage unrolls —
@@ -238,8 +244,8 @@ fn auto_dse_impl(
             }
             let mut winner: Option<(u64, Function, Vec<GroupConfig>, Compiled)> = None;
             for cg in cand_groups {
-                let cand_f = schedule_for(&stage1, &cg);
-                let c = match full_compile(cache, &cand_f, opts, &acc, None) {
+                let cand_f = base.full().schedule(&cg);
+                let c = match compile_full(&cand_f, None) {
                     Ok(c) => c,
                     Err(_) => continue,
                 };
@@ -271,7 +277,7 @@ fn auto_dse_impl(
         }
         if rounds > 0 {
             // The dependence template was built for the original groups.
-            full_template = cache.and_then(|c| full_dep_template(&stage1, &groups, c, opts, &acc));
+            full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, &acc));
         }
         // Discharge the final plan's channel-sizing certificates and
         // record the dataflow-vs-sequential comparison on the winner.
@@ -310,7 +316,7 @@ fn auto_dse_impl(
     if retargeted {
         // A genuine retarget changes the schedule's fingerprint, so this
         // compiles at most once; a re-run over a warm cache answers here.
-        compiled = full_compile(cache, &scheduled, opts, &acc, full_template.as_deref())?;
+        compiled = compile_full(&scheduled, full_template.as_deref())?;
     }
     // Winner validation: the returned schedule always carries a full
     // certificate chain — every transformation primitive is replayed
@@ -376,25 +382,6 @@ impl CacheSnapshot {
             store_hits,
             store_misses,
             store_writes,
-        }
-    }
-}
-
-/// Full-function compile through the cache when one is active. Shared
-/// with the beam search's sim-admission pass.
-pub(crate) fn full_compile(
-    cache: Option<&DseCache>,
-    f: &Function,
-    opts: &CompileOptions,
-    acc: &PhaseAccum,
-    deps: Option<&pom_hls::DepSummary>,
-) -> Result<Compiled, CompileError> {
-    match cache {
-        Some(c) => Ok((*c.compile_full(f, opts, acc, deps)?).clone()),
-        None => {
-            let (c, times) = compile_timed(f, opts)?;
-            acc.add(&times);
-            Ok(c)
         }
     }
 }

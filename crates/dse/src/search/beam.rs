@@ -40,16 +40,16 @@
 //! `budget_ms: None`.
 
 use super::config::{DseConfig, SearchMode};
-use super::ladder::{plan_groups, GroupConfig};
+use super::ladder::{GroupConfig, SearchBase};
 use super::stage2::{
-    bottleneck_optimize_impl, composed_resources, eval_candidate, full_dep_template,
+    bottleneck_optimize_impl, composed_resources, eval_candidate, full_compile, full_dep_template,
     group_infeasible, group_qor, repair_and_finalize, run_indexed, CandidateEval, Stage2Result,
 };
 use super::stats::DseStats;
 use crate::cache::{fingerprint, stable_hash, DseCache, PhaseAccum};
-use crate::compile::{CompileError, CompileOptions};
-use pom_dsl::Function;
+use crate::compile::{CompileError, CompileOptions, Compiled};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The deterministic simulation seed of every in-search measurement.
@@ -122,7 +122,7 @@ struct SimLoop {
 /// repair) — so the downstream II retarget and winner validation in
 /// `auto_dse_with` run identically on the beam winner.
 pub(crate) fn beam_optimize_impl(
-    stage1_fn: &Function,
+    search_base: &SearchBase,
     opts: &CompileOptions,
     cfg: &DseConfig,
     cache: Option<&DseCache>,
@@ -141,14 +141,14 @@ pub(crate) fn beam_optimize_impl(
     };
 
     // --- Seeds -----------------------------------------------------------
-    let base = plan_groups(stage1_fn);
+    let base = search_base.groups().to_vec();
     let mut seed_groups: Vec<Vec<GroupConfig>> = vec![base.clone()];
     let mut force: Option<u64> = None;
     if cfg.search == SearchMode::Portfolio {
         // The greedy winner anchors the portfolio: it bypasses the
         // admission band below, so the portfolio never returns a
         // measurably worse schedule than greedy.
-        let greedy = bottleneck_optimize_impl(stage1_fn, opts, cfg, cache, acc)?;
+        let greedy = bottleneck_optimize_impl(search_base, opts, cfg, cache, acc)?;
         stats.lint_pruned += greedy.stats.lint_pruned;
         stats.estimated += greedy.stats.estimated;
         stats.parallel_evaluated += greedy.stats.parallel_evaluated;
@@ -172,7 +172,13 @@ pub(crate) fn beam_optimize_impl(
         .collect();
     let evals = run_indexed(jobs.len(), workers, |k| {
         let (si, gi) = jobs[k];
-        group_qor(stage1_fn, &seed_groups[si][gi], opts, cache, acc)
+        group_qor(
+            search_base.slice(gi),
+            &seed_groups[si][gi],
+            opts,
+            cache,
+            acc,
+        )
     });
     if workers > 1 && jobs.len() > 1 {
         stats.parallel_evaluated += jobs.len();
@@ -214,7 +220,7 @@ pub(crate) fn beam_optimize_impl(
     // greedy seed's estimate rank.
     stats.budget_expired = admit_frontier(
         &seeds,
-        stage1_fn,
+        search_base,
         opts,
         cache,
         acc,
@@ -264,9 +270,10 @@ pub(crate) fn beam_optimize_impl(
             // Context for the relative prescreen, memoized per parent —
             // identical to the greedy loop's current-configuration
             // context, computed in-worker (it is deterministic).
-            let cur_infeasible = group_infeasible(stage1_fn, &parent.groups[*gi], opts, cache, acc);
+            let slice = search_base.slice(*gi);
+            let cur_infeasible = group_infeasible(slice, &parent.groups[*gi], opts, cache, acc);
             eval_candidate(
-                stage1_fn,
+                slice,
                 &parent.groups[*gi],
                 cand,
                 cur_infeasible,
@@ -313,7 +320,7 @@ pub(crate) fn beam_optimize_impl(
 
         if admit_frontier(
             &frontier,
-            stage1_fn,
+            search_base,
             opts,
             cache,
             acc,
@@ -334,7 +341,7 @@ pub(crate) fn beam_optimize_impl(
         // seed (the greedy winner under portfolio) stands in.
         None => base_state.groups.clone(),
     };
-    let function = repair_and_finalize(stage1_fn, &mut groups, opts, cache, acc, &mut stats)?;
+    let function = repair_and_finalize(search_base, &mut groups, opts, cache, acc, &mut stats)?;
     if let Some(inc) = &sim.incumbent {
         let report = match sim.reports.remove(&inc.key) {
             Some(r) => r,
@@ -342,10 +349,10 @@ pub(crate) fn beam_optimize_impl(
             // search over a shared cache, so no report was produced here
             // — re-measure once (deterministic seed, same count).
             None => {
-                let (_, compiled) = measure_final(stage1_fn, &inc.groups, opts, cache, acc)?;
+                let (_, compiled) = measure_final(search_base, &inc.groups, opts, cache, acc)?;
                 let t_sim = Instant::now();
                 let r = sim.arena.simulate(
-                    stage1_fn,
+                    search_base.full().function(),
                     SIM_SEED,
                     &compiled.affine,
                     &compiled.deps,
@@ -391,7 +398,7 @@ pub(crate) fn beam_optimize_impl(
 #[allow(clippy::too_many_arguments)]
 fn admit_frontier(
     frontier: &[BeamState],
-    stage1_fn: &Function,
+    base: &SearchBase,
     opts: &CompileOptions,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
@@ -420,7 +427,7 @@ fn admit_frontier(
             stats.sim_pruned += 1;
             continue;
         }
-        let (key, compiled) = measure_final(stage1_fn, &st.groups, opts, cache, acc)?;
+        let (key, compiled) = measure_final(base, &st.groups, opts, cache, acc)?;
         if !compiled.qor.resources.fits_logic(&opts.device) {
             // The walk-back ran out of tiles to shrink; the design is
             // over budget, so it cannot win at the device envelope.
@@ -432,7 +439,7 @@ fn admit_frontier(
         let reports = &mut sim.reports;
         let mut run = || {
             let r = arena.simulate(
-                stage1_fn,
+                base.full().function(),
                 SIM_SEED,
                 &compiled.affine,
                 &compiled.deps,
@@ -483,24 +490,24 @@ fn admit_frontier(
 /// same state costs one cache lookup); the winner's own finalization at
 /// search end records the real counters.
 fn measure_final(
-    stage1_fn: &Function,
+    base: &SearchBase,
     groups: &[GroupConfig],
     opts: &CompileOptions,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
-) -> Result<(u64, crate::compile::Compiled), CompileError> {
+) -> Result<(u64, Arc<Compiled>), CompileError> {
     let mut g = groups.to_vec();
     let mut scratch = DseStats::default();
-    let mut scheduled = repair_and_finalize(stage1_fn, &mut g, opts, cache, acc, &mut scratch)?;
-    let template = cache.and_then(|c| full_dep_template(stage1_fn, &g, c, opts, acc));
-    let mut compiled = crate::dse::full_compile(cache, &scheduled, opts, acc, template.as_deref())?;
+    let mut scheduled = repair_and_finalize(base, &mut g, opts, cache, acc, &mut scratch)?;
+    let template = cache.and_then(|c| full_dep_template(base, &g, c, opts, acc));
+    let mut compiled = full_compile(base, &scheduled, template.as_deref(), opts, cache, acc)?;
     let mut retargeted = false;
     for l in &compiled.qor.loops {
         let issue_ii = l.achieved_ii.saturating_sub(l.port_slide);
         retargeted |= scheduled.retarget_pipeline_ii(&l.stmts, &l.iv, issue_ii as i64);
     }
     if retargeted {
-        compiled = crate::dse::full_compile(cache, &scheduled, opts, acc, template.as_deref())?;
+        compiled = full_compile(base, &scheduled, template.as_deref(), opts, cache, acc)?;
     }
     Ok((fingerprint(&scheduled), compiled))
 }

@@ -1,9 +1,11 @@
 //! The stage-2 configuration space: per-group tile vectors, the
-//! escalation ladder that walks them, and the schedule each point of the
-//! space materializes to.
+//! escalation ladder that walks them, the schedule each point of the
+//! space materializes to, and the [`SearchBase`] a search derives once
+//! so that materializing a point replays only the point's own primitives.
 
 use super::config::DseConfig;
-use crate::compile::apply_schedule;
+use crate::cache::{canonical_fingerprint, fingerprint, stable_hash};
+use crate::compile::{apply_schedule, replay_from, sub_function};
 use pom_dsl::{Function, PartitionStyle};
 use pom_poly::{DepKind, StmtPoly};
 use std::collections::{BTreeMap, HashMap};
@@ -102,7 +104,11 @@ impl GroupConfig {
 
 /// Derives the groups (fusion classes) of a stage-1-transformed function.
 pub fn plan_groups(f: &Function) -> Vec<GroupConfig> {
-    let stmts = apply_schedule(f);
+    plan_groups_on(f, &apply_schedule(f))
+}
+
+/// [`plan_groups`] over `f`'s already replayed statements.
+fn plan_groups_on(f: &Function, stmts: &[StmtPoly]) -> Vec<GroupConfig> {
     // Group statements by their outermost static (fused statements share it).
     let mut by_order: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
     for (i, s) in stmts.iter().enumerate() {
@@ -137,7 +143,7 @@ pub fn plan_groups(f: &Function) -> Vec<GroupConfig> {
         let mut parallel: Vec<usize> = (0..dims.len()).collect();
         for &m in &members {
             let depth = stmts[m].dims().len();
-            let carried = carried_levels(f, &stmts, m);
+            let carried = carried_levels(f, stmts, m);
             parallel
                 .retain(|&l| l >= depth || carried.get(l).map(|c| c.is_none()).unwrap_or(false));
         }
@@ -176,11 +182,15 @@ fn carried_levels(f: &Function, stmts: &[StmtPoly], idx: usize) -> Vec<Option<i6
     let store = c.store();
     let mut carried = vec![None; s.dims().len()];
     let mut deps = Vec::new();
+    let mut self_load = false;
     for l in c.loads() {
         if l.array == store.array {
             deps.extend(s.analyze_dependence(store, l, DepKind::Flow));
-            deps.extend(s.analyze_dependence(store, store, DepKind::Output));
+            self_load = true;
         }
+    }
+    if self_load {
+        deps.extend(s.analyze_dependence(store, store, DepKind::Output));
     }
     for d in deps {
         if let (Some(level), Some(v)) = (d.carried_level, &d.distance) {
@@ -199,8 +209,17 @@ fn carried_levels(f: &Function, stmts: &[StmtPoly], idx: usize) -> Vec<Option<i6
 /// Materializes stage-2 primitives for the given group configurations on
 /// top of the stage-1-transformed function: splits + reorders, pipeline of
 /// the innermost tile loop, full unroll of intra-tile loops, and cyclic
-/// array partitioning matched to the unroll factors.
+/// array partitioning matched to the unroll factors. Replays `base`'s
+/// schedule once; a search holds the replay in its [`SearchBase`] instead.
 pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
+    schedule_on(base, &apply_schedule(base), groups)
+}
+
+/// [`schedule_for`] over `base`'s already replayed statements. Everything
+/// a stage-2 schedule depends on is read from them — which loops a member
+/// has, and which array dimensions a tiled loop indexes — so recording a
+/// configuration replays nothing.
+fn schedule_on(base: &Function, base_stmts: &[StmtPoly], groups: &[GroupConfig]) -> Function {
     let mut g = base.clone();
     let mut partition_factors: BTreeMap<String, Vec<i64>> = BTreeMap::new();
     for p in g.placeholders() {
@@ -209,13 +228,13 @@ pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
     // Per-member transformed dims: partially fused members may be
     // shallower than the group's representative nest, and must only
     // receive primitives for loops they actually have.
-    let base_stmts = apply_schedule(base);
-    let member_dims: HashMap<String, Vec<String>> = base
+    let index: HashMap<&str, usize> = base
         .computes()
         .iter()
-        .zip(&base_stmts)
-        .map(|(c, s)| (c.name().to_string(), s.dims().to_vec()))
+        .enumerate()
+        .map(|(i, c)| (c.name(), i))
         .collect();
+    let member_dims = |member: &str| base_stmts[index[member]].dims();
 
     for (gi, group) in groups.iter().enumerate() {
         // Names: outer part "{dim}_g{gi}o", inner "{dim}_g{gi}u" — the
@@ -249,7 +268,7 @@ pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
         }
 
         for member in &group.members {
-            let mine = &member_dims[member];
+            let mine = member_dims(member);
             let has = |d: &str| mine.iter().any(|x| x == d);
             // Splits (only of loops this member has).
             for &l in &tiled {
@@ -292,7 +311,7 @@ pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
         // it in every fused statement.
         let mut deepest = &group.members[0];
         for member in &group.members[1..] {
-            if member_dims[member].len() > member_dims[deepest].len() {
+            if member_dims(member).len() > member_dims(deepest).len() {
                 deepest = member;
             }
         }
@@ -303,29 +322,25 @@ pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
         }
 
         // Partition factors: for every member access, each array dimension
-        // gets the product of tiles of the levels indexing it.
-        let stmts = apply_schedule(&g);
-        let names: Vec<&str> = g.computes().iter().map(|c| c.name()).collect();
+        // gets the product of tiles of the levels indexing it. A split
+        // rewrites `d` to `t*d_o + d_u` wherever `d` occurs, so an index
+        // uses the unrolled `d_u` exactly when it uses `d` before the
+        // split — the stage-1 statements answer without a replay.
         for member in &group.members {
-            let idx = names.iter().position(|n| n == member).expect("member");
-            let c = &g.computes()[idx];
-            let s = &stmts[idx];
-            let mut accesses = vec![c.store().clone()];
-            accesses.extend(c.loads().iter().map(|l| (*l).clone()));
-            for acc in &accesses {
-                let cur_acc = s.access_to_current(acc);
+            let c = &base.computes()[index[member.as_str()]];
+            let s = &base_stmts[index[member.as_str()]];
+            for acc in std::iter::once(c.store()).chain(c.loads()) {
                 let Some(factors) = partition_factors.get_mut(&acc.array) else {
                     continue;
                 };
-                let shape = g
+                let shape = base
                     .find_placeholder(&acc.array)
                     .expect("declared array")
-                    .shape()
-                    .to_vec();
-                for (d, e) in cur_acc.indices.iter().enumerate() {
+                    .shape();
+                for (d, e) in s.access_to_current(acc).indices.iter().enumerate() {
                     let mut f = 1i64;
                     for (l, dim) in group.dims.iter().enumerate() {
-                        if group.tiles[l] > 1 && e.uses(&inner_name(dim)) {
+                        if group.tiles[l] > 1 && e.uses(dim) {
                             f *= group.tiles[l];
                         }
                     }
@@ -342,4 +357,161 @@ pub fn schedule_for(base: &Function, groups: &[GroupConfig]) -> Function {
         }
     }
     g
+}
+
+/// A function with its recorded schedule replayed once: what stage-2
+/// schedules are recorded on and their statements extended from.
+#[derive(Debug)]
+pub struct Replayed {
+    function: Function,
+    stmts: Vec<StmtPoly>,
+}
+
+impl Replayed {
+    fn new(function: Function) -> Self {
+        let stmts = apply_schedule(&function);
+        Replayed { function, stmts }
+    }
+
+    /// The function the replay belongs to.
+    pub fn function(&self) -> &Function {
+        &self.function
+    }
+
+    /// [`schedule_for`] on the held function, replaying nothing.
+    pub fn schedule(&self, groups: &[GroupConfig]) -> Function {
+        schedule_on(&self.function, &self.stmts, groups)
+    }
+
+    /// The transformed statements of `scheduled`, which must extend the
+    /// held function's schedule (as [`Replayed::schedule`]'s results do,
+    /// also after bank overrides and II retargets): the held statements
+    /// plus a replay of the appended primitives only.
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`apply_schedule`], when an appended primitive names a
+    /// loop its statement does not have.
+    pub fn stmts_of(&self, scheduled: &Function) -> Vec<StmtPoly> {
+        let done = self.function.schedule().len();
+        debug_assert!(
+            scheduled.schedule()[..done]
+                .iter()
+                .zip(self.function.schedule())
+                .all(|(a, b)| a == b || !b.is_loop_transformation()),
+            "schedule does not extend the replayed prefix"
+        );
+        replay_from(scheduled, self.stmts.clone(), done).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// What one group contributes to every candidate of a search: its
+/// sub-function of the stage-1 function (replayed), that sub-function's
+/// alpha-renamed fingerprint, and the untiled schedule the group's
+/// dependence-summary template is analysed on.
+#[derive(Debug)]
+pub struct GroupSlice {
+    sub: Replayed,
+    sub_key: u64,
+    reference: Function,
+    reference_key: u64,
+}
+
+impl GroupSlice {
+    fn new(stage1: &Function, untiled: &GroupConfig) -> Self {
+        let members: Vec<&str> = untiled.members.iter().map(String::as_str).collect();
+        let sub = Replayed::new(sub_function(stage1, &members));
+        let reference = sub.schedule(std::slice::from_ref(untiled));
+        GroupSlice {
+            sub_key: canonical_fingerprint(sub.function()),
+            reference_key: fingerprint(&reference),
+            sub,
+            reference,
+        }
+    }
+
+    /// The replayed sub-function candidates are recorded on.
+    pub fn sub(&self) -> &Replayed {
+        &self.sub
+    }
+
+    /// The group's untiled scheduled sub-function and its plain
+    /// [`fingerprint`] — the dependence-template reference and its key,
+    /// both constants of the group.
+    pub(crate) fn reference(&self) -> (&Function, u64) {
+        (&self.reference, self.reference_key)
+    }
+
+    /// The memo key of configuration `g` of this group, computed without
+    /// building `g`'s scheduled sub-function.
+    ///
+    /// Soundness: `schedule_for(sub, g)` is a function of `(sub,
+    /// g.members, g.dims, g.parallel, g.tiles)`, and `members`, `dims`
+    /// and `parallel` are themselves functions of `sub` ([`plan_groups`]
+    /// reads only the members' statements and self-dependences). Equal
+    /// `(canonical_fingerprint(sub), tiles, parallel)` therefore implies
+    /// alpha-equivalent scheduled sub-functions — the property the
+    /// infeasibility and group-QoR memos rely on. The key merges slightly
+    /// *more* than `canonical_fingerprint` of the scheduled sub-function
+    /// did: `schedule_for` emits `partition` primitives in array-name
+    /// order, so two alpha-equivalent groups whose arrays sort
+    /// differently (gaussian's `img, tmp` vs `out, tmp`) render
+    /// differently although they lower to the same design.
+    pub fn key(&self, g: &GroupConfig) -> u64 {
+        stable_hash(&(self.sub_key, &g.tiles, &g.parallel, g.dims.len()))
+    }
+}
+
+/// Everything a stage-2 search derives from the stage-1 function alone,
+/// derived once: the function with its schedule replayed, the untiled
+/// groups, one [`GroupSlice`] per group, and the untiled full schedule
+/// the full-function dependence template is analysed on. Lives for one
+/// search and is dropped with it.
+#[derive(Debug)]
+pub struct SearchBase {
+    full: Replayed,
+    groups: Vec<GroupConfig>,
+    slices: Vec<GroupSlice>,
+    reference: Function,
+    reference_key: u64,
+}
+
+impl SearchBase {
+    /// Replays `stage1`'s schedule once, plans its groups, and cuts one
+    /// slice per group.
+    pub fn new(stage1: &Function) -> Self {
+        let full = Replayed::new(stage1.clone());
+        let groups = plan_groups_on(&full.function, &full.stmts);
+        let slices = groups.iter().map(|g| GroupSlice::new(stage1, g)).collect();
+        let reference = full.schedule(&groups);
+        SearchBase {
+            reference_key: fingerprint(&reference),
+            full,
+            groups,
+            slices,
+            reference,
+        }
+    }
+
+    /// The replayed stage-1 function full schedules are recorded on.
+    pub fn full(&self) -> &Replayed {
+        &self.full
+    }
+
+    /// [`plan_groups`] of the stage-1 function (every tile 1). Every
+    /// configuration a search visits differs from these in `tiles` only.
+    pub fn groups(&self) -> &[GroupConfig] {
+        &self.groups
+    }
+
+    /// The slice of group `gi`.
+    pub fn slice(&self, gi: usize) -> &GroupSlice {
+        &self.slices[gi]
+    }
+
+    /// The untiled full schedule and its plain [`fingerprint`] — the
+    /// full-function dependence-template reference and its key.
+    pub(crate) fn reference(&self) -> (&Function, u64) {
+        (&self.reference, self.reference_key)
+    }
 }

@@ -11,19 +11,19 @@
 //! would exceed the device's resources (the paper's exit mechanism).
 
 use super::config::DseConfig;
-use super::ladder::{plan_groups, schedule_for, GroupConfig};
+use super::ladder::{schedule_for, GroupConfig, GroupSlice, SearchBase};
 use super::stats::DseStats;
-use crate::cache::{canonical_fingerprint, fingerprint, DseCache, PhaseAccum};
+use crate::cache::{DseCache, PhaseAccum};
 use crate::compile::{
     apply_schedule, build_dep_summary, compile, compile_timed, sub_function, CompileError,
-    CompileOptions,
+    CompileOptions, Compiled,
 };
 use pom_dsl::{Function, PartitionStyle, Primitive};
 use pom_graph::DepGraph;
 use pom_poly::StmtPoly;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The outcome of [`try_bottleneck_optimize`]: the fully scheduled
 /// function, the final group configurations, and search statistics.
@@ -73,7 +73,8 @@ pub fn try_bottleneck_optimize(
 ) -> Result<Stage2Result, CompileError> {
     let cache = cfg.cache.then(DseCache::new);
     let acc = PhaseAccum::default();
-    bottleneck_optimize_impl(stage1_fn, opts, cfg, cache.as_ref(), &acc)
+    let base = acc.time_lowering(|| SearchBase::new(stage1_fn));
+    bottleneck_optimize_impl(&base, opts, cfg, cache.as_ref(), &acc)
 }
 
 /// One candidate's evaluation outcome.
@@ -133,15 +134,17 @@ pub(crate) fn run_indexed<T: Send>(
         .collect()
 }
 
-/// Evaluates one escalation candidate of the group currently configured
-/// as `cur`: lint prescreen (relative to `cur`), then estimation. The
-/// cached path computes the scheduled sub-function and its dependence
-/// summary once and shares them between the feasibility check and the
-/// estimate; the uncached path replays the seed's cost profile (separate
-/// `lint_screen` + `group_compile`, each paying schedule replay and
-/// dependence analysis).
+/// Evaluates one escalation candidate of the group behind `slice`,
+/// currently configured as `cur`: lint prescreen (relative to `cur`),
+/// then estimation. The cached path names the candidate by
+/// [`GroupSlice::key`] — a hit builds nothing — and on a miss builds the
+/// scheduled sub-function, its statements and its dependence summary once
+/// and shares them between the feasibility check and the estimate; the
+/// uncached path replays the seed's cost profile (`lint_screen` and
+/// `group_compile` apart, each paying schedule replay and dependence
+/// analysis).
 pub(crate) fn eval_candidate(
-    stage1_fn: &Function,
+    slice: &GroupSlice,
     cur: &GroupConfig,
     cand: &GroupConfig,
     cur_infeasible: bool,
@@ -151,48 +154,32 @@ pub(crate) fn eval_candidate(
 ) -> Result<CandidateEval, CompileError> {
     let Some(cache) = cache else {
         // Seed-profile path: every check re-derives everything.
-        if lint_screen(stage1_fn, cur, cand, opts) {
+        let sub = slice.sub().function();
+        if lint_screen(sub, cur, cand, opts) {
             return Ok(CandidateEval::Pruned);
         }
-        let (l, r) = group_compile_timed(stage1_fn, cand, opts, acc)?;
+        let (l, r) = group_compile_timed(sub, cand, opts, acc)?;
         return Ok(CandidateEval::Estimated(l, r));
     };
 
     // Memoized path: dependence analysis and estimation happen at most
     // once per *canonical* scheduled sub-function — structurally identical
     // candidates (repeated DNN layers, symmetric nests) share entries.
-    let scheduled = scheduled_group(stage1_fn, cand, acc);
-    let key = canonical_fingerprint(&scheduled);
-    let mut sched = Some(scheduled);
+    let key = slice.key(cand);
     let mut prepared: Option<PreparedGroup> = None;
     let cand_infeasible = cache.memo_infeasible(key, || {
-        let p = prepared.get_or_insert_with(|| {
-            prepare_candidate(
-                stage1_fn,
-                cand,
-                sched.take().expect("scheduled"),
-                cache,
-                opts,
-                acc,
-            )
-        });
-        p.infeasible()
+        prepared
+            .get_or_insert_with(|| prepare_candidate(slice, cand, cache, opts, acc))
+            .infeasible()
     });
     if !cur_infeasible && cand_infeasible {
         return Ok(CandidateEval::Pruned);
     }
     let (l, r) = cache.memo_group_qor(key, || {
-        let p = prepared.take().unwrap_or_else(|| {
-            prepare_candidate(
-                stage1_fn,
-                cand,
-                sched.take().expect("scheduled"),
-                cache,
-                opts,
-                acc,
-            )
-        });
-        p.estimate(opts, acc)
+        prepared
+            .take()
+            .unwrap_or_else(|| prepare_candidate(slice, cand, cache, opts, acc))
+            .estimate(opts, acc)
     })?;
     Ok(CandidateEval::Estimated(l, r))
 }
@@ -200,20 +187,17 @@ pub(crate) fn eval_candidate(
 /// POM001 verdict of a group's *current* configuration — the context of
 /// the relative lint prescreen, memoized when a cache is active.
 pub(crate) fn group_infeasible(
-    stage1_fn: &Function,
+    slice: &GroupSlice,
     g: &GroupConfig,
     opts: &CompileOptions,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
 ) -> bool {
     match cache {
-        Some(c) => {
-            let scheduled = scheduled_group(stage1_fn, g, acc);
-            c.memo_infeasible(canonical_fingerprint(&scheduled), || {
-                prepare_candidate(stage1_fn, g, scheduled, c, opts, acc).infeasible()
-            })
-        }
-        None => pipeline_infeasible(stage1_fn, g, opts),
+        Some(c) => c.memo_infeasible(slice.key(g), || {
+            prepare_candidate(slice, g, c, opts, acc).infeasible()
+        }),
+        None => pipeline_infeasible(slice.sub().function(), g, opts),
     }
 }
 
@@ -221,20 +205,17 @@ pub(crate) fn group_infeasible(
 /// escalation (initial groups, beam seeds), through the cache when one
 /// is active — greedy and beam share the memoized entries.
 pub(crate) fn group_qor(
-    stage1_fn: &Function,
+    slice: &GroupSlice,
     g: &GroupConfig,
     opts: &CompileOptions,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
 ) -> Result<(u64, pom_hls::ResourceUsage), CompileError> {
     match cache {
-        Some(c) => {
-            let scheduled = scheduled_group(stage1_fn, g, acc);
-            c.memo_group_qor(canonical_fingerprint(&scheduled), || {
-                prepare_scheduled(scheduled, opts, acc).estimate(opts, acc)
-            })
-        }
-        None => group_compile_timed(stage1_fn, g, opts, acc),
+        Some(c) => c.memo_group_qor(slice.key(g), || {
+            prepare(slice, g, None, opts, acc).estimate(opts, acc)
+        }),
+        None => group_compile_timed(slice.sub().function(), g, opts, acc),
     }
 }
 
@@ -247,44 +228,58 @@ struct PreparedGroup {
     deps: pom_hls::DepSummary,
 }
 
-/// Extracts and schedules a group's sub-function (the cheap half of a
-/// candidate evaluation — no polyhedral dependence analysis yet).
-fn scheduled_group(base: &Function, group: &GroupConfig, acc: &PhaseAccum) -> Function {
-    let t0 = Instant::now();
-    let members: Vec<&str> = group.members.iter().map(String::as_str).collect();
-    let sub = sub_function(base, &members);
-    let scheduled = schedule_for(&sub, std::slice::from_ref(group));
-    acc.add(&crate::compile::PhaseTimes {
-        lowering: t0.elapsed(),
-        estimation: Duration::ZERO,
-    });
-    scheduled
-}
-
-/// The expensive half: schedule replay + polyhedral dependence analysis
-/// over the already-scheduled sub-function.
-fn prepare_scheduled(
-    scheduled: Function,
+/// Builds configuration `g` of `slice`'s group: records its primitives on
+/// the slice's sub-function, extends the slice's statements by a replay of
+/// those primitives only, and takes the dependence summary from
+/// `template` when one is given — the polyhedral dependence analysis is
+/// the dominant cost of a candidate evaluation.
+fn prepare(
+    slice: &GroupSlice,
+    g: &GroupConfig,
+    template: Option<Arc<pom_hls::DepSummary>>,
     opts: &CompileOptions,
     acc: &PhaseAccum,
 ) -> PreparedGroup {
-    let t0 = Instant::now();
-    let stmts = apply_schedule(&scheduled);
-    let deps = build_dep_summary(&scheduled, &stmts, &opts.model);
-    acc.add(&crate::compile::PhaseTimes {
-        lowering: t0.elapsed(),
-        estimation: Duration::ZERO,
-    });
-    PreparedGroup {
-        scheduled,
-        stmts,
-        deps,
-    }
+    acc.time_lowering(|| {
+        let scheduled = slice.sub().schedule(std::slice::from_ref(g));
+        let stmts = slice.sub().stmts_of(&scheduled);
+        let deps = match template {
+            Some(deps) => (*deps).clone(),
+            None => build_dep_summary(&scheduled, &stmts, &opts.model),
+        };
+        PreparedGroup {
+            scheduled,
+            stmts,
+            deps,
+        }
+    })
+}
+
+/// [`prepare`] under the group's dependence-summary template, when the
+/// candidate may use one.
+fn prepare_candidate(
+    slice: &GroupSlice,
+    cand: &GroupConfig,
+    cache: &DseCache,
+    opts: &CompileOptions,
+    acc: &PhaseAccum,
+) -> PreparedGroup {
+    let template = dep_template(slice, cand, cache, opts, acc);
+    prepare(slice, cand, template, opts, acc)
+}
+
+/// True when `g` tiles a level [`plan_groups`] did not prove parallel —
+/// such a configuration gets no dependence-summary template.
+///
+/// [`plan_groups`]: super::ladder::plan_groups
+fn tiles_carried_level(g: &GroupConfig) -> bool {
+    (0..g.tiles.len()).any(|l| g.tiles[l] > 1 && !g.parallel.contains(&l))
 }
 
 /// The memoized dependence-summary *template* of a candidate's group: the
-/// summary of the group's untiled scheduled sub-function, reusable for
-/// every tiled escalation of that group.
+/// summary of the group's untiled scheduled sub-function (a constant of
+/// the slice, like its key), reusable for every tiled escalation of that
+/// group.
 ///
 /// Soundness: stage 2 only tiles `parallel` levels, which `plan_groups`
 /// verified carry no dependence in any member. A carried dependence's
@@ -298,61 +293,26 @@ fn prepare_scheduled(
 /// analysis carries a dependence at *any* parallel dim is rejected
 /// (`None`) — both fall back to full per-candidate dependence analysis.
 fn dep_template(
-    stage1_fn: &Function,
+    slice: &GroupSlice,
     cand: &GroupConfig,
     cache: &DseCache,
     opts: &CompileOptions,
     acc: &PhaseAccum,
 ) -> Option<Arc<pom_hls::DepSummary>> {
-    if (0..cand.tiles.len()).any(|l| cand.tiles[l] > 1 && !cand.parallel.contains(&l)) {
+    if tiles_carried_level(cand) {
         return None;
     }
-    let mut untiled = cand.clone();
-    untiled.tiles = vec![1; untiled.tiles.len()];
-    let reference = scheduled_group(stage1_fn, &untiled, acc);
-    let key = fingerprint(&reference);
+    let (reference, key) = slice.reference();
     cache.memo_dep_template(key, || {
-        let t0 = Instant::now();
-        let stmts = apply_schedule(&reference);
-        let deps = build_dep_summary(&reference, &stmts, &opts.model);
-        acc.add(&crate::compile::PhaseTimes {
-            lowering: t0.elapsed(),
-            estimation: Duration::ZERO,
-        });
-        let parallel_carries_dep = deps
-            .loops()
-            .any(|name| cand.parallel.iter().any(|&l| cand.dims[l] == name));
-        (!parallel_carries_dep).then_some(deps)
+        acc.time_lowering(|| {
+            let stmts = slice.sub().stmts_of(reference);
+            let deps = build_dep_summary(reference, &stmts, &opts.model);
+            let parallel_carries_dep = deps
+                .loops()
+                .any(|name| cand.parallel.iter().any(|&l| cand.dims[l] == name));
+            (!parallel_carries_dep).then_some(deps)
+        })
     })
-}
-
-/// [`prepare_scheduled`] that reuses the group's dependence-summary
-/// template when one is available, skipping the polyhedral dependence
-/// analysis — the dominant cost of a candidate evaluation.
-fn prepare_candidate(
-    stage1_fn: &Function,
-    cand: &GroupConfig,
-    scheduled: Function,
-    cache: &DseCache,
-    opts: &CompileOptions,
-    acc: &PhaseAccum,
-) -> PreparedGroup {
-    match dep_template(stage1_fn, cand, cache, opts, acc) {
-        Some(deps) => {
-            let t0 = Instant::now();
-            let stmts = apply_schedule(&scheduled);
-            acc.add(&crate::compile::PhaseTimes {
-                lowering: t0.elapsed(),
-                estimation: Duration::ZERO,
-            });
-            PreparedGroup {
-                scheduled,
-                stmts,
-                deps: (*deps).clone(),
-            }
-        }
-        None => prepare_scheduled(scheduled, opts, acc),
-    }
 }
 
 /// [`dep_template`] for the *complete* function under `groups`: the
@@ -363,48 +323,61 @@ fn prepare_candidate(
 /// same soundness argument and guards as [`dep_template`] apply, per
 /// group.
 pub(crate) fn full_dep_template(
-    stage1_fn: &Function,
+    base: &SearchBase,
     groups: &[GroupConfig],
     cache: &DseCache,
     opts: &CompileOptions,
     acc: &PhaseAccum,
 ) -> Option<Arc<pom_hls::DepSummary>> {
-    if groups
-        .iter()
-        .any(|g| (0..g.tiles.len()).any(|l| g.tiles[l] > 1 && !g.parallel.contains(&l)))
-    {
+    if groups.iter().any(tiles_carried_level) {
         return None;
     }
-    let untiled: Vec<GroupConfig> = groups
-        .iter()
-        .map(|g| {
-            let mut u = g.clone();
-            u.tiles = vec![1; u.tiles.len()];
-            u
+    let (reference, key) = base.reference();
+    acc.time_lowering(|| {
+        cache.memo_dep_template(key, || {
+            let stmts = base.full().stmts_of(reference);
+            let deps = build_dep_summary(reference, &stmts, &opts.model);
+            let parallel_carries_dep = deps.loops().any(|name| {
+                groups
+                    .iter()
+                    .any(|g| g.parallel.iter().any(|&l| g.dims[l] == name))
+            });
+            // Runtime guard on template reuse: the reference schedule the
+            // template is derived from must itself carry a passing
+            // certificate chain — a rejected rewrite would make every reuse
+            // of its dependence summary unsound. Memoized with the template.
+            (!parallel_carries_dep && pom_verify::validate(reference).passed()).then_some(deps)
         })
-        .collect();
-    let t0 = Instant::now();
-    let reference = schedule_for(stage1_fn, &untiled);
-    let key = fingerprint(&reference);
-    let out = cache.memo_dep_template(key, || {
-        let stmts = apply_schedule(&reference);
-        let deps = build_dep_summary(&reference, &stmts, &opts.model);
-        let parallel_carries_dep = deps.loops().any(|name| {
-            groups
-                .iter()
-                .any(|g| g.parallel.iter().any(|&l| g.dims[l] == name))
-        });
-        // Runtime guard on template reuse: the reference schedule the
-        // template is derived from must itself carry a passing
-        // certificate chain — a rejected rewrite would make every reuse
-        // of its dependence summary unsound. Memoized with the template.
-        (!parallel_carries_dep && pom_verify::validate(&reference).passed()).then_some(deps)
-    });
-    acc.add(&crate::compile::PhaseTimes {
-        lowering: t0.elapsed(),
-        estimation: Duration::ZERO,
-    });
-    out
+    })
+}
+
+/// Compiles a full schedule recorded on `base` — through the cache when
+/// one is active, where a miss extends the base's statements instead of
+/// replaying the stage-1 prefix again. `deps`, when given, stands in for
+/// the dependence analysis (see [`full_dep_template`]).
+pub(crate) fn full_compile(
+    base: &SearchBase,
+    scheduled: &Function,
+    deps: Option<&pom_hls::DepSummary>,
+    opts: &CompileOptions,
+    cache: Option<&DseCache>,
+    acc: &PhaseAccum,
+) -> Result<Arc<Compiled>, CompileError> {
+    match cache {
+        Some(c) => c.compile_full(scheduled, opts, acc, || {
+            let stmts = base.full().stmts_of(scheduled);
+            let deps = match deps {
+                Some(d) => d.clone(),
+                None => build_dep_summary(scheduled, &stmts, &opts.model),
+            };
+            (stmts, deps)
+        }),
+        None => {
+            let (c, times) = compile_timed(scheduled, opts)?;
+            acc.add(&times);
+            Ok(Arc::new(c))
+        }
+    }
 }
 
 impl PreparedGroup {
@@ -430,7 +403,7 @@ impl PreparedGroup {
 /// serial/parallel modes. `cache`, when present, is shared with the
 /// caller so `auto_dse_with` can reuse the repair loop's final compile.
 pub(crate) fn bottleneck_optimize_impl(
-    stage1_fn: &Function,
+    base: &SearchBase,
     opts: &CompileOptions,
     cfg: &DseConfig,
     cache: Option<&DseCache>,
@@ -439,17 +412,17 @@ pub(crate) fn bottleneck_optimize_impl(
     let t_stage2 = Instant::now();
     let workers = cfg.effective_workers();
     let mut dse_stats = DseStats::default();
-    let mut groups = plan_groups(stage1_fn);
+    let mut groups = base.groups().to_vec();
 
     // Initial per-group stats, evaluated concurrently when allowed.
     let initial = run_indexed(groups.len(), workers, |i| {
-        group_qor(stage1_fn, &groups[i], opts, cache, acc)
+        group_qor(base.slice(i), &groups[i], opts, cache, acc)
     });
     let mut stats: Vec<(u64, pom_hls::ResourceUsage)> =
         initial.into_iter().collect::<Result<_, _>>()?;
 
     // Data paths over groups, from the dependence graph.
-    let graph = DepGraph::build(stage1_fn);
+    let graph = DepGraph::build(base.full().function());
     let compute_group: HashMap<String, usize> = groups
         .iter()
         .enumerate()
@@ -496,14 +469,15 @@ pub(crate) fn bottleneck_optimize_impl(
         // Context for the relative lint prescreen: a candidate is pruned
         // only when it *introduces* a violation the current configuration
         // does not have.
-        let cur_infeasible = group_infeasible(stage1_fn, &groups[bottleneck], opts, cache, acc);
+        let slice = base.slice(bottleneck);
+        let cur_infeasible = group_infeasible(slice, &groups[bottleneck], opts, cache, acc);
 
         // Evaluate every single-step escalation of the bottleneck — in
         // parallel when allowed. Results come back in candidate order, so
         // selection below is identical for serial and parallel runs.
         let evals = run_indexed(cands.len(), workers, |i| {
             eval_candidate(
-                stage1_fn,
+                slice,
                 &groups[bottleneck],
                 &cands[i],
                 cur_infeasible,
@@ -534,13 +508,9 @@ pub(crate) fn bottleneck_optimize_impl(
                         // group, so validating the group's sub-function
                         // covers every rewrite the candidate introduces
                         // without replaying the untouched groups.
-                        let members: Vec<&str> =
-                            cands[i].members.iter().map(String::as_str).collect();
-                        let sub = sub_function(stage1_fn, &members);
-                        let report = pom_verify::validate(&schedule_for(
-                            &sub,
-                            std::slice::from_ref(&cands[i]),
-                        ));
+                        let report = pom_verify::validate(
+                            &slice.sub().schedule(std::slice::from_ref(&cands[i])),
+                        );
                         dse_stats.certificates_sampled += report.checked();
                         dse_stats.certificates_checked += report.checked();
                         dse_stats.certificates_passed += report.checked() - report.rejected().len();
@@ -570,7 +540,7 @@ pub(crate) fn bottleneck_optimize_impl(
         }
     }
 
-    let function = repair_and_finalize(stage1_fn, &mut groups, opts, cache, acc, &mut dse_stats)?;
+    let function = repair_and_finalize(base, &mut groups, opts, cache, acc, &mut dse_stats)?;
     dse_stats.stage2_time = t_stage2.elapsed();
     if let Some(c) = cache {
         dse_stats.cache_hits = c.hits();
@@ -599,7 +569,7 @@ pub(crate) fn bottleneck_optimize_impl(
 /// exactly the code the greedy descent uses — a mode switch can never
 /// change how a winner becomes a function.
 pub(crate) fn repair_and_finalize(
-    stage1_fn: &Function,
+    base: &SearchBase,
     groups: &mut [GroupConfig],
     opts: &CompileOptions,
     cache: Option<&DseCache>,
@@ -612,17 +582,10 @@ pub(crate) fn repair_and_finalize(
     // exceeds the device, walk back the most parallel group one step. The
     // fitting iteration's compile stays in the cache, so `auto_dse_with`
     // reuses it instead of recompiling the same schedule.
-    let full_template = cache.and_then(|c| full_dep_template(stage1_fn, groups, c, opts, acc));
+    let full_template = cache.and_then(|c| full_dep_template(base, groups, c, opts, acc));
     let (mut function, fitting) = loop {
-        let scheduled = schedule_for(stage1_fn, groups);
-        let full = match cache {
-            Some(c) => c.compile_full(&scheduled, opts, acc, full_template.as_deref())?,
-            None => {
-                let (c, times) = compile_timed(&scheduled, opts)?;
-                acc.add(&times);
-                Arc::new(c)
-            }
-        };
+        let scheduled = acc.time_lowering(|| base.full().schedule(groups));
+        let full = full_compile(base, &scheduled, full_template.as_deref(), opts, cache, acc)?;
         if full.qor.resources.fits_logic(&opts.device) {
             break (scheduled, full);
         }
@@ -753,6 +716,7 @@ fn group_compile_timed(
 mod tests {
     use super::*;
     use crate::compile::lower;
+    use crate::search::ladder::plan_groups;
     use crate::stage1::dependence_aware_transform;
     use pom_dsl::DataType;
 

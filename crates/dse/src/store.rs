@@ -60,10 +60,10 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Version of the on-disk artifact schema. Bump on any format change:
-/// the version participates in the shard hash, so old shards become
-/// unreachable rather than misread.
-pub const SCHEMA_VERSION: u32 = 2;
+/// Version of the on-disk artifact schema. Bump on any change to the
+/// format or to what a key means: the version participates in the shard
+/// hash, so old shards become unreachable rather than misread.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The kinds of artifact the store holds, mirroring the [`DseCache`]
 /// maps plus the serving layer's full-compile responses.
@@ -71,14 +71,19 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// [`DseCache`]: crate::cache::DseCache
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Kind {
-    /// `pipeline_infeasible` verdict of a scheduled group
-    /// (canonical-fingerprint key).
+    /// `pipeline_infeasible` verdict of one configuration of a group,
+    /// keyed by [`GroupSlice::key`]: the stable hash of the group's
+    /// *unscheduled* sub-function's canonical fingerprint, the tile
+    /// vector, the parallel levels and the nest depth.
+    ///
+    /// [`GroupSlice::key`]: crate::search::ladder::GroupSlice::key
     Infeasible,
-    /// `(latency, resources)` of a group compile (canonical-fingerprint
-    /// key).
+    /// `(latency, resources)` of one configuration of a group compiled as
+    /// a sub-function (same key as [`Kind::Infeasible`]).
     GroupQor,
-    /// Dependence-summary template of a group (plain-fingerprint key);
-    /// `none` marks a template proven unsafe to reuse.
+    /// Dependence-summary template of a group, or of the whole function,
+    /// keyed by the plain fingerprint of its *untiled* schedule; `none`
+    /// marks a template proven unsafe to reuse.
     DepTemplate,
     /// A full compile's rendered serving artifact — schedule, QoR, and
     /// emitted HLS C — keyed by the input function's plain fingerprint.
