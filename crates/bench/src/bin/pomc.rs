@@ -1,627 +1,242 @@
 //! `pomc` — the POM command-line driver.
 //!
-//! Compiles a built-in benchmark kernel through the full flow and prints
-//! the requested artefact:
-//!
-//! ```text
-//! pomc <kernel> [--size N] [--emit dsl|graph|ir|c|tb|report|schedule|lint|verify|sim|live|dataflow|cache]
-//!               [--no-dse] [--dataflow] [--store DIR] [--store-max-bytes BYTES] [--daemon SOCKET]
-//! pomc bench-dse [--size N] [--out PATH] [--ceiling SECS]
-//! pomc bench-sim [--size N] [--out PATH]
-//! pomc bench-dataflow [--size N] [--out PATH]
-//! pomc bench-live [--size N] [--out PATH]
-//! pomc bench-serve [--size N] [--repeat N] [--clients N] [--out PATH]
-//! pomc verify-all [--size N] [--sample-every K] [--out PATH]
-//! ```
+//! `pomc <kernel>` compiles a built-in benchmark kernel (see
+//! [`pom_bench::serve::SUITE`]) through the full flow and prints the
+//! artefact `--emit` names; `pomc <audit>` runs one whole-suite audit of
+//! the [`AUDITS`] table, prints its table, writes its JSON report and
+//! exits 1 when its gate fails. Run `pomc` without arguments for the
+//! usage text, which is generated from the same tables that parse the
+//! flags. Bad usage exits 2 before anything is compiled.
 //!
 //! `--store DIR` backs the DSE cache with the persistent artifact store
-//! rooted at `DIR` (shared across processes; see `pom_dse::store`), and
-//! `--emit cache` prints the cache + store statistics of the run.
-//! `--store-max-bytes BYTES` sweeps the store's shard down to the given
-//! disk budget on open, oldest artifacts first (skipped when another
-//! process holds the store open).
-//! `--daemon SOCKET` sends the request to a running `pomd` instead of
-//! compiling locally and prints the daemon's serving payload (schedule +
-//! QoR + HLS C); other emit modes don't apply over the daemon.
-//!
-//! `bench-serve` replays the duplicate-heavy serving traffic mix against
-//! cold-process, warm-store, and daemon configurations, writes
-//! `BENCH_serve.json`, and exits nonzero when the warm-vs-cold speedup,
-//! cross-process hit rate, or byte-identity gates fail.
-//!
-//! `--emit lint` runs the `pom-lint` diagnostics suite (POM001–POM010)
-//! over the compiled design and exits nonzero when any error-severity
-//! diagnostic fires. On multi-nest kernels the run includes a dataflow
-//! co-simulation so the measured channel-pressure check (POM010) has
-//! per-channel stall figures to judge.
-//!
-//! `--emit dataflow` partitions the compiled design into dataflow
-//! stages (`pom-dataflow`), replays every channel-sizing certificate,
-//! co-simulates the stage processes over bounded channels, and prints
-//! the dataflow-vs-sequential cycle comparison. Exits nonzero on memory
-//! divergence, deadlock, or a failed certificate. `--dataflow` turns on
-//! the rate-matching DSE refinement (beam searches only) so the winner
-//! is picked by simulated dataflow cycles. `bench-dataflow` runs the
-//! audit over the whole 14-kernel suite and writes
-//! `BENCH_dataflow.json`; it fails unless memory is bit-identical and
-//! deadlock-free everywhere, every certificate replays, and the
-//! dataflow winner strictly beats the sequential winner's simulated
-//! cycles on vgg16 and resnet18 at an equal resource envelope.
-//!
-//! `--emit live` runs `pom-live`'s whole-function liveness analysis over
-//! the compiled design: per-array live windows, contraction candidates
-//! (each replayed through its certificate on the spot), flow-depth rows,
-//! and dead stores. Exits nonzero on any dead store (POM008 is an error)
-//! or failed contraction replay. `bench-live` runs the liveness audit
-//! over the whole 14-kernel suite (seed + DSE schedules): every array's
-//! static live bound must dominate the simulator's measured per-array
-//! high-water occupancy, and every claimed contraction must replay
-//! bit-identically; measurements are written to `LIVE_report.json`.
-//!
-//! `--emit verify` replays the schedule through `pom-verify`'s
-//! translation validation and exits nonzero when any certificate is
-//! rejected. `verify-all` runs the certificate sweep over the Table
-//! III + Table V suite (winner + sampled candidate validation), writes
-//! `VERIFY_certificates.json`, and exits nonzero on any rejection.
-//!
-//! `bench-dse` runs the Table III + Table V suite with the serial seed
-//! profile and with the parallel + memoized search, checks the outputs
-//! are identical, writes `BENCH_dse.json`, and exits nonzero when any
-//! kernel's fast-mode DSE exceeds `--ceiling` seconds or diverges from
-//! the serial search.
-//!
-//! `--emit sim` runs the cycle-approximate simulator (`pom-sim`) over
-//! the compiled design and prints the measured cycle report next to the
-//! analytical estimate. `bench-sim` runs the differential audit over
-//! the whole 14-kernel suite (seed + DSE schedules): simulator memory
-//! must match the affine interpreter bit for bit on every kernel, the
-//! analytical latency must stay within ±15% of the simulated cycles on
-//! the Table III and image kernels, every loop pom-bank certifies
-//! conflict-free must simulate with zero port stalls, and the
-//! measurements are written to `BENCH_sim.json`.
-//!
-//! Kernels: gemm, bicg, gesummv, 2mm, 3mm, jacobi1d, jacobi2d, heat1d,
-//! seidel, edge_detect, gaussian, blur, vgg16, resnet18.
+//! rooted at `DIR` (shared across processes; see `pom_dse::store`);
+//! `--store-max-bytes BYTES` sweeps its shard down to a disk budget on
+//! open, oldest artifacts first. `--daemon SOCKET` sends the request to
+//! a running `pomd` instead of compiling locally and prints the daemon's
+//! serving payload (schedule + QoR + HLS C); other emit modes don't apply
+//! over the daemon. `--dataflow` turns on the rate-matching DSE
+//! refinement (beam searches only), so the winner is picked by simulated
+//! dataflow cycles. The `lint`, `verify`, `sim`, `live` and `dataflow`
+//! emit modes exit 1 on an error-severity diagnostic, a rejected
+//! certificate, a memory divergence from the interpreter, a dead store
+//! or failed contraction replay, and a deadlock or failed channel
+//! certificate, respectively.
 
 use pom::{
     auto_dse_with, baselines, ArtifactStore, CompileOptions, DseConfig, MemoryState, Pom,
     SearchMode,
 };
+use pom_bench::cli::{self, FlagSpec, Flags, Kind};
+use pom_bench::experiments::common::Report;
 use pom_bench::experiments::{
     bench_dataflow, bench_dse, bench_live, bench_poly, bench_serve, bench_sim, verify_suite,
 };
 use pom_bench::serve::kernel_by_name;
 
 /// The artefacts `--emit` can produce, validated before any compilation.
-const EMIT_MODES: &[&str] = &[
-    "dsl", "graph", "ir", "c", "tb", "report", "schedule", "lint", "verify", "sim", "live",
-    "dataflow", "cache",
+const EMIT_MODES: &str = "dsl|graph|ir|c|tb|report|schedule|lint|verify|sim|live|dataflow|cache";
+
+/// The flags of `pomc <kernel>`.
+const COMPILE_FLAGS: &[FlagSpec] = &[
+    SIZE,
+    FlagSpec::new("--emit", EMIT_MODES, Kind::Text),
+    FlagSpec::new("--search", "greedy|beam|portfolio", Kind::Text),
+    FlagSpec::new("--budget-ms", "MS", Kind::Int),
+    FlagSpec::switch("--no-dse"),
+    FlagSpec::switch("--dataflow"),
+    FlagSpec::new("--store", "DIR", Kind::Text),
+    FlagSpec::new("--store-max-bytes", "BYTES", Kind::Int),
+    FlagSpec::new("--daemon", "SOCKET", Kind::Text),
 ];
 
-const USAGE: &str = "usage: pomc <kernel> [--size N] [--emit dsl|graph|ir|c|tb|report|schedule|lint|verify|sim|live|dataflow|cache] [--search greedy|beam|portfolio] [--budget-ms MS] [--no-dse] [--dataflow] [--store DIR] [--store-max-bytes BYTES] [--daemon SOCKET]\n       pomc bench-dse [--size N] [--out PATH] [--ceiling SECS] [--beam]\n       pomc bench-poly [--iters N] [--out PATH] [--baseline PATH]\n       pomc bench-sim [--size N] [--out PATH]\n       pomc bench-dataflow [--size N] [--out PATH]\n       pomc bench-live [--size N] [--out PATH]\n       pomc bench-serve [--size N] [--repeat N] [--clients N] [--out PATH]\n       pomc verify-all [--size N] [--sample-every K] [--out PATH]";
+const SIZE: FlagSpec = FlagSpec::new("--size", "N", Kind::Int);
+const OUT: FlagSpec = FlagSpec::new("--out", "PATH", Kind::Text);
 
-fn bench_poly_main(args: &[String]) -> ! {
-    let mut iters = 200usize;
-    let mut out = "BENCH_poly.json".to_string();
-    let mut baseline_path = "BENCH_poly_baseline.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--iters" => {
-                iters = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--iters expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--baseline" => {
-                baseline_path = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--baseline expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
+/// One whole-suite audit subcommand. Each audit's contract — what it
+/// measures and what its gate means — is its module's `//!` header.
+struct Audit {
+    /// The subcommand.
+    name: &'static str,
+    /// One sentence for the usage text.
+    about: &'static str,
+    /// Where the JSON report goes without `--out`.
+    out: &'static str,
+    /// Accepted flags besides `--out`.
+    flags: &'static [FlagSpec],
+    /// Runs the audit and gates it: `Report::fails` decides the exit code.
+    run: fn(&Flags) -> Report,
+}
+
+impl Audit {
+    /// Every flag the audit accepts: its own, then `--out`.
+    fn all_flags(&self) -> Vec<FlagSpec> {
+        [self.flags, &[OUT]].concat()
     }
-    let report = bench_poly::run_suite(iters);
-    print!("{}", bench_poly::render(&report));
-    if let Err(e) = std::fs::write(&out, bench_poly::to_json(&report)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match bench_poly::parse_baseline(&text) {
-            Some(b) => Some(b),
-            None => {
-                eprintln!("FAIL: {baseline_path} exists but does not parse");
-                std::process::exit(1);
-            }
+}
+
+const AUDITS: &[Audit] = &[
+    Audit {
+        name: "bench-dse",
+        about: "serial seed vs memoized DSE over the Table III + V suite; fails on a diverged or \
+                over-ceiling search, with --beam also on a portfolio that regresses or never wins \
+                (bench_dse)",
+        out: "BENCH_dse.json",
+        flags: &[
+            SIZE,
+            FlagSpec::new("--ceiling", "SECS", Kind::Float),
+            FlagSpec::switch("--beam"),
+        ],
+        run: |f| {
+            let size = f.int("--size").unwrap_or(64);
+            let report = bench_dse::run_suite(size);
+            let beam = f.has("--beam").then(|| bench_dse::run_beam_suite(size));
+            let ceiling = f.float("--ceiling").unwrap_or(f64::INFINITY);
+            bench_dse::report(&report, beam.as_ref(), ceiling)
         },
-        Err(_) => {
-            println!("no baseline at {baseline_path}; gating on floors only");
-            None
-        }
-    };
-    let fails = bench_poly::gate(&report, baseline.as_ref());
-    for f in &fails {
+    },
+    Audit {
+        name: "bench-poly",
+        about: "dense vs reference polyhedral kernel; fails under the 5x floors or off the \
+                committed baseline's ratios and DSE fingerprints (bench_poly)",
+        out: "BENCH_poly.json",
+        flags: &[
+            FlagSpec::new("--iters", "N", Kind::Int),
+            FlagSpec::new("--baseline", "PATH", Kind::Text),
+        ],
+        run: |f| {
+            let report = bench_poly::run_suite(f.int("--iters").unwrap_or(200));
+            let path = f.text("--baseline").unwrap_or("BENCH_poly_baseline.json");
+            let Ok(text) = std::fs::read_to_string(path) else {
+                println!("no baseline at {path}; gating on floors only");
+                return bench_poly::report(&report, None);
+            };
+            let baseline = bench_poly::parse_baseline(&text);
+            let mut out = bench_poly::report(&report, baseline.as_ref());
+            if baseline.is_none() {
+                out.fails.push(format!("{path} exists but does not parse"));
+            }
+            out
+        },
+    },
+    Audit {
+        name: "bench-sim",
+        about: "seed + DSE schedules of all 14 kernels through the simulator; fails on a memory \
+                divergence, a gated estimate outside ±15%, or port stalls in a certified loop \
+                (bench_sim)",
+        out: "BENCH_sim.json",
+        flags: &[SIZE],
+        run: |f| bench_sim::report(&bench_sim::run_suite(f.int("--size").unwrap_or(32))),
+    },
+    Audit {
+        name: "bench-dataflow",
+        about: "dataflow vs sequential winners of all 14 kernels; fails on a divergence, deadlock \
+                or failed channel certificate, or a DNN that does not win in-envelope \
+                (bench_dataflow)",
+        out: "BENCH_dataflow.json",
+        flags: &[SIZE],
+        run: |f| bench_dataflow::report(&bench_dataflow::run_suite(f.int("--size").unwrap_or(64))),
+    },
+    Audit {
+        name: "bench-live",
+        about: "static live windows vs simulated high-water on all 14 kernels; fails on a bound \
+                below the measurement or a contraction that does not replay (bench_live)",
+        out: "LIVE_report.json",
+        flags: &[SIZE],
+        run: |f| bench_live::report(&bench_live::run_suite(f.int("--size").unwrap_or(32))),
+    },
+    Audit {
+        name: "bench-serve",
+        about: "duplicate-heavy traffic against cold processes, a warm store and a daemon; fails \
+                under 5x warm speedup, under 50% warm hits, or on diverging payloads (bench_serve)",
+        out: "BENCH_serve.json",
+        flags: &[
+            SIZE,
+            FlagSpec::new("--repeat", "N", Kind::Int),
+            FlagSpec::new("--clients", "N", Kind::Int),
+        ],
+        run: |f| {
+            bench_serve::report(&bench_serve::run_suite(
+                f.int("--size").unwrap_or(32),
+                f.int("--repeat").unwrap_or(2),
+                f.int("--clients").unwrap_or(4),
+            ))
+        },
+    },
+    Audit {
+        name: "verify-all",
+        about: "certificate sweep over the Table III + V suite, winners plus every K-th \
+                candidate (0 = winners only); fails on any rejection (verify_suite)",
+        out: "VERIFY_certificates.json",
+        flags: &[SIZE, FlagSpec::new("--sample-every", "K", Kind::Int)],
+        run: |f| {
+            verify_suite::report(&verify_suite::run_suite(
+                f.int("--size").unwrap_or(32),
+                f.int("--sample-every").unwrap_or(4),
+            ))
+        },
+    },
+];
+
+/// The usage text: one line per command from the tables that parse
+/// them, one sentence per audit.
+fn usage() -> String {
+    let mut text = cli::usage_line("usage: pomc <kernel>", COMPILE_FLAGS);
+    for a in AUDITS {
+        let head = format!("\n       pomc {}", a.name);
+        text.push_str(&cli::usage_line(&head, &a.all_flags()));
+    }
+    for a in AUDITS {
+        text.push_str(&format!(
+            "\n{}: {}; default --out {}",
+            a.name, a.about, a.out
+        ));
+    }
+    text
+}
+
+/// Prints `why` and the usage text, exits 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("{why}\n{}", usage());
+    std::process::exit(2);
+}
+
+/// Runs one audit: table to stdout, JSON to `--out`, one `FAIL:` line
+/// per gate failure, exit 1 iff there is one.
+fn run_audit(audit: &Audit, args: &[String]) -> ! {
+    let specs = audit.all_flags();
+    let flags = cli::parse(args, &specs).unwrap_or_else(|why| usage_error(&why));
+    let report = (audit.run)(&flags);
+    print!("{}", report.render());
+    let out = flags.text("--out").unwrap_or(audit.out);
+    if let Err(e) = std::fs::write(out, report.to_json()) {
+        eprintln!("failed to write {out}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {out}");
+    for f in &report.fails {
         eprintln!("FAIL: {f}");
     }
-    std::process::exit(if fails.is_empty() { 0 } else { 1 });
-}
-
-fn verify_all_main(args: &[String]) -> ! {
-    let mut size = 32usize;
-    let mut sample_every = 4usize;
-    let mut out = "VERIFY_certificates.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                size = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--size expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--sample-every" => {
-                sample_every = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--sample-every expects a number (0 disables sampling)");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = verify_suite::run_suite(size, sample_every);
-    print!("{}", verify_suite::render(&report));
-    if let Err(e) = std::fs::write(&out, verify_suite::to_json(&report)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    std::process::exit(if report.all_passed() { 0 } else { 1 });
-}
-
-fn bench_dse_main(args: &[String]) -> ! {
-    let mut size = 64usize;
-    let mut out = "BENCH_dse.json".to_string();
-    let mut ceiling = f64::INFINITY;
-    let mut beam = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                size = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--size expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--ceiling" => {
-                ceiling = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--ceiling expects seconds");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--beam" => {
-                beam = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = bench_dse::run_suite(size);
-    print!("{}", bench_dse::render(&report));
-    let beam_report = beam.then(|| bench_dse::run_beam_suite(size));
-    if let Some(b) = &beam_report {
-        print!("{}", bench_dse::render_beam(b));
-    }
-    if let Err(e) = std::fs::write(
-        &out,
-        bench_dse::to_json_with_beam(&report, beam_report.as_ref()),
-    ) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    let mut failed = false;
-    for k in &report.rows {
-        if !k.identical {
-            eprintln!("FAIL: {} parallel search diverged from serial", k.kernel);
-            failed = true;
-        }
-        if k.fast_s > ceiling {
-            eprintln!(
-                "FAIL: {} DSE took {:.3} s (> ceiling {:.3} s)",
-                k.kernel, k.fast_s, ceiling
-            );
-            failed = true;
-        }
-    }
-    if let Some(b) = &beam_report {
-        // Beam gates: (a) the portfolio never regresses any kernel's
-        // simulated QoR, (b) it strictly beats greedy somewhere, (c) the
-        // anytime curves honor their strictly-decreasing contract.
-        for k in &b.rows {
-            if k.regression {
-                eprintln!(
-                    "FAIL: {} portfolio regressed vs greedy ({} > {} simulated cycles)",
-                    k.kernel, k.beam_cycles, k.greedy_cycles
-                );
-                failed = true;
-            }
-            if !k.both_fit {
-                eprintln!("FAIL: {} winner exceeds the device envelope", k.kernel);
-                failed = true;
-            }
-            if !k.anytime_monotonic {
-                eprintln!(
-                    "FAIL: {} anytime curve is not strictly decreasing",
-                    k.kernel
-                );
-                failed = true;
-            }
-        }
-        if b.strict_wins == 0 {
-            eprintln!("FAIL: portfolio strictly beat greedy on no kernel");
-            failed = true;
-        }
-    }
-    std::process::exit(if failed { 1 } else { 0 });
-}
-
-fn bench_serve_main(args: &[String]) -> ! {
-    let mut size = 32usize;
-    let mut repeat = 2usize;
-    let mut clients = 4usize;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                size = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--size expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--repeat" => {
-                repeat = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--repeat expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--clients" => {
-                clients = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--clients expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = bench_serve::run(&bench_serve::traffic(size, repeat), clients);
-    print!("{}", bench_serve::render(&report));
-    if let Err(e) = std::fs::write(&out, bench_serve::to_json(&report)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    let fails = bench_serve::gate(&report);
-    for f in &fails {
-        eprintln!("FAIL: {f}");
-    }
-    std::process::exit(if fails.is_empty() { 0 } else { 1 });
-}
-
-fn bench_sim_main(args: &[String]) -> ! {
-    let mut size = 32usize;
-    let mut out = "BENCH_sim.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                size = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--size expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = bench_sim::run_suite(size);
-    print!("{}", bench_sim::render(&report));
-    if let Err(e) = std::fs::write(&out, bench_sim::to_json(&report)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    let fails = bench_sim::gate(&report);
-    for f in &fails {
-        eprintln!("FAIL: {f}");
-    }
-    std::process::exit(if fails.is_empty() { 0 } else { 1 });
-}
-
-fn bench_dataflow_main(args: &[String]) -> ! {
-    let mut size = 64usize;
-    let mut out = "BENCH_dataflow.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                size = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--size expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = bench_dataflow::run_suite(size);
-    print!("{}", bench_dataflow::render(&report));
-    if let Err(e) = std::fs::write(&out, bench_dataflow::to_json(&report)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    let fails = bench_dataflow::gate(&report);
-    for f in &fails {
-        eprintln!("FAIL: {f}");
-    }
-    std::process::exit(if fails.is_empty() { 0 } else { 1 });
-}
-
-fn bench_live_main(args: &[String]) -> ! {
-    let mut size = 32usize;
-    let mut out = "LIVE_report.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                size = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--size expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = bench_live::run_suite(size);
-    print!("{}", bench_live::render(&report));
-    if let Err(e) = std::fs::write(&out, bench_live::to_json(&report)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    let fails = bench_live::gate(&report);
-    for f in &fails {
-        eprintln!("FAIL: {f}");
-    }
-    std::process::exit(if fails.is_empty() { 0 } else { 1 });
+    std::process::exit(if report.fails.is_empty() { 0 } else { 1 });
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(kernel) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        usage_error("expected a kernel or an audit name");
     };
-    if kernel == "bench-dse" {
-        bench_dse_main(&args[1..]);
+    if let Some(audit) = AUDITS.iter().find(|a| a.name == kernel) {
+        run_audit(audit, &args[1..]);
     }
-    if kernel == "bench-live" {
-        bench_live_main(&args[1..]);
-    }
-    if kernel == "bench-poly" {
-        bench_poly_main(&args[1..]);
-    }
-    if kernel == "bench-sim" {
-        bench_sim_main(&args[1..]);
-    }
-    if kernel == "bench-dataflow" {
-        bench_dataflow_main(&args[1..]);
-    }
-    if kernel == "bench-serve" {
-        bench_serve_main(&args[1..]);
-    }
-    if kernel == "verify-all" {
-        verify_all_main(&args[1..]);
-    }
-    let mut size = 256usize;
-    let mut emit = "report".to_string();
-    let mut use_dse = true;
-    let mut dataflow = false;
-    let mut search = "greedy".to_string();
-    let mut budget_ms: Option<u64> = None;
-    let mut store: Option<std::path::PathBuf> = None;
-    let mut store_max_bytes: Option<u64> = None;
-    let mut daemon: Option<std::path::PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                size = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--size expects a number");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--emit" => {
-                emit = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--emit expects a mode: {}", EMIT_MODES.join("|"));
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--no-dse" => {
-                use_dse = false;
-                i += 1;
-            }
-            "--dataflow" => {
-                dataflow = true;
-                i += 1;
-            }
-            "--search" => {
-                search = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--search expects a mode: {}", SearchMode::MODES.join("|"));
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--budget-ms" => {
-                budget_ms = args.get(i + 1).and_then(|v| v.parse().ok());
-                if budget_ms.is_none() {
-                    eprintln!("--budget-ms expects a millisecond count");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--store" => {
-                store = args.get(i + 1).map(std::path::PathBuf::from);
-                if store.is_none() {
-                    eprintln!("--store expects a directory");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--store-max-bytes" => {
-                store_max_bytes = args.get(i + 1).and_then(|v| v.parse().ok());
-                if store_max_bytes.is_none() {
-                    eprintln!("--store-max-bytes expects a byte count");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--daemon" => {
-                daemon = args.get(i + 1).map(std::path::PathBuf::from);
-                if daemon.is_none() {
-                    eprintln!("--daemon expects a socket path");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let flags = cli::parse(&args[1..], COMPILE_FLAGS).unwrap_or_else(|why| usage_error(&why));
+    let size = flags.int("--size").unwrap_or(256);
+    let emit = flags.text("--emit").unwrap_or("report");
+    let use_dse = !flags.has("--no-dse");
+    let dataflow = flags.has("--dataflow");
+    let search = flags.text("--search").unwrap_or("greedy");
+    let budget_ms = flags.int("--budget-ms").map(|ms| ms as u64);
+    let store = flags.text("--store").map(std::path::PathBuf::from);
+    let store_max_bytes = flags.int("--store-max-bytes").map(|b| b as u64);
+    let daemon = flags.text("--daemon").map(std::path::PathBuf::from);
 
     // Daemon mode: hand the request to a running pomd and print its
     // serving payload (schedule + QoR + HLS C) — no local compile.
@@ -642,56 +257,46 @@ fn main() {
         }
     }
 
-    // Validate the emit mode *before* compiling anything: a typo should
-    // fail fast, not after a full DSE run.
-    if !EMIT_MODES.contains(&emit.as_str()) {
-        eprintln!(
-            "unknown --emit {emit}; valid modes: {}\n{USAGE}",
-            EMIT_MODES.join(", ")
-        );
-        std::process::exit(2);
+    // Validate everything *before* compiling anything: a typo or a
+    // meaningless combination should fail fast, not after a full DSE run.
+    if !EMIT_MODES.split('|').any(|m| m == emit) {
+        usage_error(&format!("unknown --emit {emit}"));
     }
-
-    if emit == "cache" && !use_dse {
-        eprintln!("--emit cache reports the DSE cache; it cannot be combined with --no-dse");
-        std::process::exit(2);
-    }
-
-    // Same fail-fast contract for the search flags: a bad mode name or a
-    // meaningless budget is a usage error, caught before any compilation.
-    let Some(search) = SearchMode::parse(&search) else {
-        eprintln!(
-            "unknown --search {search}; valid modes: {}\n{USAGE}",
-            SearchMode::MODES.join(", ")
-        );
-        std::process::exit(2);
+    let Some(search) = SearchMode::parse(search) else {
+        usage_error(&format!("unknown --search {search}"));
     };
-    if budget_ms == Some(0) {
-        eprintln!("--budget-ms expects a positive budget (0 would return the untuned seed)");
-        std::process::exit(2);
+    let greedy = search == SearchMode::Greedy;
+    let misuse = [
+        (
+            emit == "cache" && !use_dse,
+            "--emit cache reports the DSE cache; it cannot be combined with --no-dse",
+        ),
+        (
+            budget_ms == Some(0),
+            "--budget-ms expects a positive budget (0 would return the untuned seed)",
+        ),
+        (
+            budget_ms.is_some() && greedy,
+            "--budget-ms only applies to the beam searches; pass --search beam|portfolio",
+        ),
+        (
+            !greedy && !use_dse,
+            "--search beam|portfolio runs inside the DSE; it cannot be combined with --no-dse",
+        ),
+        (
+            dataflow && !use_dse,
+            "--dataflow runs inside the DSE; it cannot be combined with --no-dse",
+        ),
+        (
+            dataflow && greedy,
+            "--dataflow rate-matching rides on the bounded searches; pass --search beam|portfolio",
+        ),
+    ];
+    if let Some((_, why)) = misuse.iter().find(|(bad, _)| *bad) {
+        usage_error(why);
     }
-    if budget_ms.is_some() && search == SearchMode::Greedy {
-        eprintln!("--budget-ms only applies to the beam searches; pass --search beam|portfolio");
-        std::process::exit(2);
-    }
-    if search != SearchMode::Greedy && !use_dse {
-        eprintln!("--search {search} runs inside the DSE; it cannot be combined with --no-dse");
-        std::process::exit(2);
-    }
-    if dataflow && !use_dse {
-        eprintln!("--dataflow runs inside the DSE; it cannot be combined with --no-dse");
-        std::process::exit(2);
-    }
-    if dataflow && search == SearchMode::Greedy {
-        eprintln!(
-            "--dataflow rate-matching rides on the bounded searches; pass --search beam|portfolio"
-        );
-        std::process::exit(2);
-    }
-
     let Some(f) = kernel_by_name(kernel, size) else {
-        eprintln!("unknown kernel {kernel}\n{USAGE}");
-        std::process::exit(2);
+        usage_error(&format!("unknown kernel {kernel}"));
     };
 
     let driver = Pom::new();
@@ -720,7 +325,7 @@ fn main() {
         .map(|r| r.function.clone())
         .unwrap_or_else(|| f.clone());
 
-    match emit.as_str() {
+    match emit {
         "dsl" => println!("{f}"),
         "schedule" => {
             for p in scheduled.schedule() {

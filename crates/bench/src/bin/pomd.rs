@@ -18,77 +18,43 @@
 //!
 //! Wire protocol and semantics: see `pom_bench::serve`.
 
+use pom_bench::cli::{self, FlagSpec, Kind};
 use pom_bench::serve;
 use pom_dse::{CompileOptions, DseConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: pomd serve --socket PATH [--store DIR] [--store-max-bytes BYTES]\n       pomd stats --socket PATH\n       pomd shutdown --socket PATH";
+/// `--socket` (required by every command) first, then what only `serve`
+/// takes.
+const FLAGS: &[FlagSpec] = &[
+    FlagSpec::new("--socket", "PATH", Kind::Text),
+    FlagSpec::new("--store", "DIR", Kind::Text),
+    FlagSpec::new("--store-max-bytes", "BYTES", Kind::Int),
+];
 
-struct Flags {
-    socket: Option<PathBuf>,
-    store: Option<PathBuf>,
-    store_max_bytes: Option<u64>,
-}
-
-fn parse_flags(args: &[String]) -> Flags {
-    let mut flags = Flags {
-        socket: None,
-        store: None,
-        store_max_bytes: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                flags.socket = args.get(i + 1).map(PathBuf::from);
-                if flags.socket.is_none() {
-                    eprintln!("--socket expects a path");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--store" => {
-                flags.store = args.get(i + 1).map(PathBuf::from);
-                if flags.store.is_none() {
-                    eprintln!("--store expects a directory");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--store-max-bytes" => {
-                flags.store_max_bytes = args.get(i + 1).and_then(|v| v.parse().ok());
-                if flags.store_max_bytes.is_none() {
-                    eprintln!("--store-max-bytes expects a byte count");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    flags
+fn usage_error(why: &str) -> ! {
+    eprintln!(
+        "{why}\n{}\n       pomd stats --socket PATH\n       pomd shutdown --socket PATH",
+        cli::usage_line("usage: pomd serve --socket PATH", &FLAGS[1..])
+    );
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(verb) = args.first().map(String::as_str) else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        usage_error("expected a command");
     };
-    let flags = parse_flags(&args[1..]);
-    let Some(socket) = flags.socket else {
-        eprintln!("--socket is required\n{USAGE}");
-        std::process::exit(2);
+    let flags = cli::parse(&args[1..], FLAGS).unwrap_or_else(|why| usage_error(&why));
+    let Some(socket) = flags.text("--socket").map(PathBuf::from) else {
+        usage_error("--socket is required");
     };
-    let store = flags.store;
+    let store = flags.text("--store").map(PathBuf::from);
+    let store_max_bytes = flags.int("--store-max-bytes").map(|b| b as u64);
     match verb {
         "serve" => {
             let cfg = DseConfig {
-                store_max_bytes: flags.store_max_bytes,
+                store_max_bytes,
                 ..DseConfig::default()
             };
             let engine = Arc::new(serve::ServeEngine::new(
@@ -103,9 +69,8 @@ fn main() {
             }
         }
         "stats" | "shutdown" => {
-            if store.is_some() || flags.store_max_bytes.is_some() {
-                eprintln!("--store/--store-max-bytes only apply to serve\n{USAGE}");
-                std::process::exit(2);
+            if store.is_some() || store_max_bytes.is_some() {
+                usage_error("--store/--store-max-bytes only apply to serve");
             }
             match serve::client_request(&socket, verb) {
                 Ok(Ok(payload)) => print!("{payload}"),
@@ -119,9 +84,6 @@ fn main() {
                 }
             }
         }
-        other => {
-            eprintln!("unknown command {other}\n{USAGE}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown command {other}")),
     }
 }

@@ -22,21 +22,19 @@
 //! Results render as a table and serialize as `BENCH_dataflow.json` so
 //! the dataflow-overlap trajectory is tracked across PRs.
 
-use crate::experiments::bench_dse::pool_run;
-use crate::experiments::bench_sim::{suite, SIM_SEED};
-use crate::experiments::common::{paper_options, Table};
+use crate::experiments::bench_sim::{run_over_suite, SuiteRun, SIM_SEED};
+use crate::experiments::common::{col, Column, Report};
 use pom::{
     auto_dse_with, channel_certificates, execute_func, partition_dataflow, seeded_memory, simulate,
     simulate_dataflow, CompileOptions, DseConfig, Function,
 };
-use std::fmt::Write as _;
 
 /// Kernels the strict dataflow-vs-sequential throughput gate applies to:
 /// the whole-model DNN chains whose layer nests the partitioner overlaps.
 pub const THROUGHPUT_GATED: &[&str] = &["vgg16", "resnet18"];
 
 /// One kernel's dataflow measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KernelDataflow {
     /// Kernel name.
     pub kernel: &'static str,
@@ -66,27 +64,6 @@ pub struct KernelDataflow {
     pub within_envelope: bool,
     /// This row participates in the strict throughput gate.
     pub gated: bool,
-}
-
-impl KernelDataflow {
-    /// True when the row violates no gate it participates in.
-    pub fn passes(&self) -> bool {
-        self.identical
-            && !self.deadlock
-            && self.certs_passed == self.certs_checked
-            && (!self.gated || (self.df_cycles < self.seq_cycles && self.within_envelope))
-    }
-}
-
-/// The whole suite's measurements.
-#[derive(Clone, Debug)]
-pub struct DataflowBenchReport {
-    /// One row per kernel, in suite order.
-    pub rows: Vec<KernelDataflow>,
-    /// Problem size the suite ran at.
-    pub size: usize,
-    /// Worker threads used by the cross-kernel pool.
-    pub pool_workers: usize,
 }
 
 /// Measures one kernel: sequential winner simulated sequentially,
@@ -155,27 +132,16 @@ pub fn measure(kernel: &'static str, f: &Function, opts: &CompileOptions) -> Ker
     }
 }
 
-/// Runs the suite at `size` and returns the full report.
-pub fn run_suite(size: usize) -> DataflowBenchReport {
-    let opts = paper_options();
-    let suite = suite(size);
-    let pool_workers = DseConfig::default().effective_workers();
-    let rows: Vec<KernelDataflow> = pool_run(suite.len(), pool_workers, |i| {
-        let (name, f) = &suite[i];
-        measure(name, f, &opts)
-    });
-    DataflowBenchReport {
-        rows,
-        size,
-        pool_workers,
-    }
+/// Runs the suite at `size`: one row per kernel.
+pub fn run_suite(size: usize) -> SuiteRun<KernelDataflow> {
+    run_over_suite(size, |kernel, f, opts| vec![measure(kernel, f, opts)])
 }
 
 /// The gates: bit-identical memory and zero deadlocks everywhere, every
 /// channel certificate replayed, and a strict simulated-cycles win at an
 /// equal resource envelope on the DNN chains. Returns human-readable
 /// failures (empty = pass).
-pub fn gate(r: &DataflowBenchReport) -> Vec<String> {
+pub fn gate(r: &SuiteRun<KernelDataflow>) -> Vec<String> {
     let mut fails = Vec::new();
     for k in &r.rows {
         if !k.identical {
@@ -211,94 +177,40 @@ pub fn gate(r: &DataflowBenchReport) -> Vec<String> {
     fails
 }
 
-/// Serializes the report as `BENCH_dataflow.json` (hand-rolled, no deps).
-pub fn to_json(r: &DataflowBenchReport) -> String {
-    let mut s = String::from("{\n  \"rows\": [\n");
-    for (i, k) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"kernel\": \"{}\", \"stages\": {}, \"channels\": {}, \"fifos\": {}, \
-             \"seq_cycles\": {}, \"df_cycles\": {}, \"speedup\": {:.6}, \"identical\": {}, \
-             \"deadlock\": {}, \"stall_channel\": {}, \"certs_checked\": {}, \
-             \"certs_passed\": {}, \"within_envelope\": {}, \"gated\": {}}}",
-            k.kernel,
-            k.stages,
-            k.channels,
-            k.fifos,
-            k.seq_cycles,
-            k.df_cycles,
-            k.speedup,
-            k.identical,
-            k.deadlock,
-            k.stall_channel,
-            k.certs_checked,
-            k.certs_passed,
-            k.within_envelope,
-            k.gated,
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        s,
-        "  ],\n  \"size\": {},\n  \"pool_workers\": {},\n  \"all_passed\": {}\n}}\n",
-        r.size,
-        r.pool_workers,
-        gate(r).is_empty(),
-    );
-    s
-}
+const COLUMNS: &[Column<KernelDataflow>] = &[
+    col("kernel", "Kernel", |k| k.kernel.into()),
+    col("stages", "Stages", |k| k.stages.into()),
+    col("channels", "Channels", |k| k.channels.into()),
+    col("fifos", "FIFOs", |k| k.fifos.into()),
+    col("seq_cycles", "Sequential", |k| k.seq_cycles.into()),
+    col("df_cycles", "Dataflow", |k| k.df_cycles.into()),
+    col("speedup", "Speedup", |k| k.speedup.into()),
+    col("identical", "Identical", |k| k.identical.into()),
+    col("deadlock", "Deadlock", |k| k.deadlock.into()),
+    col("stall_channel", "ChanStall", |k| k.stall_channel.into()),
+    col("certs_checked", "Certs", |k| k.certs_checked.into()),
+    col("certs_passed", "Passed", |k| k.certs_passed.into()),
+    col("within_envelope", "Envelope", |k| k.within_envelope.into()),
+    col("gated", "Gated", |k| k.gated.into()),
+];
 
-/// Renders the report as an aligned table (the human-readable view).
-pub fn render(r: &DataflowBenchReport) -> String {
-    let mut t = Table::new(
+/// The table and `BENCH_dataflow.json` of a run, gated by [`gate`].
+pub fn report(r: &SuiteRun<KernelDataflow>) -> Report {
+    let mut out = r.report(
         "Dataflow vs sequential simulated cycles — DSE winners",
-        &[
-            "Kernel",
-            "Stages",
-            "Channels",
-            "FIFOs",
-            "Sequential",
-            "Dataflow",
-            "Speedup",
-            "Identical",
-            "ChanStall",
-            "Certs",
-            "Envelope",
-            "Gated",
-        ],
+        COLUMNS,
     );
-    for k in &r.rows {
-        t.row(&[
-            k.kernel.to_string(),
-            k.stages.to_string(),
-            k.channels.to_string(),
-            k.fifos.to_string(),
-            k.seq_cycles.to_string(),
-            k.df_cycles.to_string(),
-            format!("{:.3}", k.speedup),
-            k.identical.to_string(),
-            k.stall_channel.to_string(),
-            format!("{}/{}", k.certs_passed, k.certs_checked),
-            k.within_envelope.to_string(),
-            k.gated.to_string(),
-        ]);
-    }
-    let mut out = t.render();
-    let overlapped = r.rows.iter().filter(|k| k.stages > 1).count();
-    let _ = writeln!(
-        out,
-        "size {}: {} kernel(s), {} with a multi-stage pipeline, {} pool worker(s)",
-        r.size,
-        r.rows.len(),
-        overlapped,
-        r.pool_workers
-    );
+    let multi_stage = r.rows.iter().filter(|k| k.stages > 1).count();
+    out.summary
+        .push(("multi_stage_kernels", multi_stage.into()));
+    out.fails = gate(r);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::paper_options;
     use crate::kernels;
 
     #[test]
@@ -314,16 +226,17 @@ mod tests {
         assert!(row.channels >= 1);
         assert_eq!(row.certs_passed, row.certs_checked);
         assert!(row.certs_checked >= 1);
-        let report = DataflowBenchReport {
+        let report = SuiteRun {
             rows: vec![row],
             size: 8,
             pool_workers: 1,
         };
-        let json = to_json(&report);
+        let report = super::report(&report);
+        let json = report.to_json();
         assert!(json.contains("\"kernel\": \"2mm\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-        let text = render(&report);
+        let text = report.render();
         assert!(text.contains("2mm"));
         assert!(text.contains("Speedup"));
     }

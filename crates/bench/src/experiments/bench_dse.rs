@@ -2,26 +2,30 @@
 //!
 //! Runs the Table III + Table V kernel suite twice: once with the seed's
 //! serial, uncached cost profile (`DseConfig::serial_uncached`) and once
-//! with the performance layer on (compile/estimate cache + parallel
-//! candidate evaluation + a cross-kernel worker pool). Verifies that both
-//! runs produce byte-identical schedules/QoR, and renders the results as
-//! a table and as `BENCH_dse.json`, so the DSE-time trajectory (the
-//! paper's "DSE Time(s)" column) is tracked across PRs.
+//! with the performance layer on (compile/estimate cache + a
+//! cross-kernel worker pool). [`gate`] fails the run when the two
+//! disagree on a schedule or QoR, or when a fast search exceeds the
+//! `--ceiling`; [`report`] is the table and `BENCH_dse.json`, so the
+//! DSE-time trajectory (the paper's "DSE Time(s)" column) is tracked
+//! across PRs. `--beam` adds the greedy-vs-portfolio comparison
+//! ([`run_beam_suite`]) as the `"beam"` section, gated on: no simulated
+//! regression, both winners inside the device, strictly decreasing
+//! anytime curves, and at least one strict win.
 
-use crate::experiments::common::{paper_options, Table};
-use crate::kernels;
+use crate::experiments::bench_sim;
+use crate::experiments::common::{col, paper_options, Cell, Column, Report};
 use pom::{auto_dse_with, DseConfig, DseResult, Function, MemoryState, SearchMode};
-use std::fmt::Write as _;
+use pom_dse::run_indexed;
 use std::time::Instant;
 
 /// One kernel's before/after measurements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KernelBench {
     /// Kernel name.
     pub kernel: &'static str,
     /// Wall seconds of the serial, uncached search (seed profile).
     pub serial_s: f64,
-    /// Wall seconds of the cached, parallel search.
+    /// Wall seconds of the memoized search (run on the cross-kernel pool).
     pub fast_s: f64,
     /// `serial_s / fast_s`.
     pub speedup: f64,
@@ -35,7 +39,7 @@ pub struct KernelBench {
     pub cache_hits: usize,
     /// Cache lookups that computed their value.
     pub cache_misses: usize,
-    /// Candidates evaluated inside concurrent batches.
+    /// Candidates evaluated inside concurrent beam waves (0 for greedy).
     pub parallel_evaluated: usize,
     /// Fast-search phase breakdown, in seconds.
     pub stage1_s: f64,
@@ -48,7 +52,7 @@ pub struct KernelBench {
 }
 
 /// The whole suite's measurements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BenchReport {
     /// Per-kernel rows, in suite order.
     pub rows: Vec<KernelBench>,
@@ -62,22 +66,15 @@ pub struct BenchReport {
     pub pool_workers: usize,
 }
 
-/// The Table III (typical HLS) + Table V (image + DNN) kernel suite.
-/// `size` scales the polyhedral problem sizes; the DNN models always run
-/// at scale 1 (their cost is in statement count, not extents).
+/// The Table III (typical HLS) + Table V (image + DNN) kernel suite:
+/// the shared 14-kernel suite ([`bench_sim::suite`]) without its four
+/// stencils. `size` scales the polyhedral problem sizes; the DNN models
+/// always run at scale 1 (their cost is in statement count, not extents).
 pub fn suite(size: usize) -> Vec<(&'static str, Function)> {
-    vec![
-        ("gemm", kernels::gemm(size)),
-        ("bicg", kernels::bicg(size)),
-        ("gesummv", kernels::gesummv(size)),
-        ("2mm", kernels::mm2(size)),
-        ("3mm", kernels::mm3(size)),
-        ("edge_detect", kernels::edge_detect(size)),
-        ("gaussian", kernels::gaussian(size)),
-        ("blur", kernels::blur(size)),
-        ("vgg16", kernels::vgg16(1)),
-        ("resnet18", kernels::resnet18(1)),
-    ]
+    const STENCILS: &[&str] = &["jacobi1d", "jacobi2d", "heat1d", "seidel"];
+    let mut suite = bench_sim::suite(size);
+    suite.retain(|(name, _)| !STENCILS.contains(name));
+    suite
 }
 
 /// True when two DSE results are byte-identical where it matters: the
@@ -86,34 +83,6 @@ pub fn results_identical(a: &DseResult, b: &DseResult) -> bool {
     a.function.to_string() == b.function.to_string()
         && a.groups == b.groups
         && a.compiled.qor == b.compiled.qor
-}
-
-/// Dispatches `jobs` across up to `workers` scoped threads, returning
-/// results in job order.
-pub(crate) fn pool_run<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                *slots[i].lock().expect("slot") = Some(v);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("slot").expect("worker filled slot"))
-        .collect()
 }
 
 /// Runs the suite at `size` and returns the full report.
@@ -135,9 +104,9 @@ pub fn run_suite(size: usize) -> BenchReport {
         .collect();
 
     // Fast mode: per-kernel DSE dispatched across the worker pool, each
-    // search caching + evaluating candidates in parallel.
+    // search memoized.
     let t_pool = Instant::now();
-    let fast: Vec<(f64, DseResult)> = pool_run(suite.len(), pool_workers, |i| {
+    let fast: Vec<(f64, DseResult)> = run_indexed(suite.len(), pool_workers, |i| {
         let t = Instant::now();
         let r = auto_dse_with(&suite[i].1, &opts, &fast_cfg).expect("DSE compiles");
         (t.elapsed().as_secs_f64(), r)
@@ -179,7 +148,7 @@ pub fn run_suite(size: usize) -> BenchReport {
 /// One kernel's greedy-vs-portfolio comparison: both winners simulated
 /// with identically seeded memory, so the cycle counts are the same
 /// metric the beam's sim-admission loop optimizes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BeamBench {
     /// Kernel name.
     pub kernel: &'static str,
@@ -218,7 +187,7 @@ pub struct BeamBench {
 }
 
 /// The whole beam-vs-greedy comparison.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BeamReport {
     /// Per-kernel rows, in suite order.
     pub rows: Vec<BeamBench>,
@@ -297,197 +266,141 @@ pub fn run_beam_suite(size: usize) -> BeamReport {
     }
 }
 
-/// Serializes the beam comparison as the `"beam"` section appended to
-/// `BENCH_dse.json` by `pomc bench-dse --beam`.
-pub fn beam_to_json(r: &BeamReport) -> String {
-    let mut s = String::from("  \"beam\": {\n    \"kernels\": [\n");
-    for (i, k) in r.rows.iter().enumerate() {
-        let curve = k
-            .anytime
-            .iter()
-            .map(|(t, c)| format!("[{}, {c}]", json_f(*t)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            s,
-            "      {{\"kernel\": \"{}\", \"greedy_cycles\": {}, \"beam_cycles\": {}, \
-             \"greedy_est\": {}, \"beam_est\": {}, \"both_fit\": {}, \"strict_win\": {}, \
-             \"regression\": {}, \"greedy_s\": {}, \"beam_s\": {}, \"sim_admitted\": {}, \
-             \"sim_pruned\": {}, \"beam_expanded\": {}, \"anytime_monotonic\": {}, \
-             \"anytime\": [{curve}]}}",
-            k.kernel,
-            k.greedy_cycles,
-            k.beam_cycles,
-            k.greedy_est,
-            k.beam_est,
-            k.both_fit,
-            k.strict_win,
-            k.regression,
-            json_f(k.greedy_s),
-            json_f(k.beam_s),
-            k.sim_admitted,
-            k.sim_pruned,
-            k.beam_expanded,
-            k.anytime_monotonic,
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        s,
-        "    ],\n    \"strict_wins\": {},\n    \"regressions\": {},\n    \
-         \"all_monotonic\": {}\n  }}",
-        r.strict_wins, r.regressions, r.all_monotonic,
-    );
-    s
-}
+const COLUMNS: &[Column<KernelBench>] = &[
+    col("kernel", "Kernel", |k| k.kernel.into()),
+    col("serial_s", "Serial (s)", |k| k.serial_s.into()),
+    col("fast_s", "Fast (s)", |k| k.fast_s.into()),
+    col("speedup", "Speedup", |k| k.speedup.into()),
+    col("identical", "Identical", |k| k.identical.into()),
+    col("estimated", "Estimated", |k| k.estimated.into()),
+    col("lint_pruned", "Pruned", |k| k.lint_pruned.into()),
+    col("cache_hits", "Hits", |k| k.cache_hits.into()),
+    col("cache_misses", "Misses", |k| k.cache_misses.into()),
+    col("parallel_evaluated", "", |k| k.parallel_evaluated.into()),
+    col("stage1_s", "", |k| k.stage1_s.into()),
+    col("stage2_s", "", |k| k.stage2_s.into()),
+    col("lowering_s", "", |k| k.lowering_s.into()),
+    col("estimation_s", "", |k| k.estimation_s.into()),
+];
 
-/// Renders the beam comparison as an aligned table.
-pub fn render_beam(r: &BeamReport) -> String {
-    let mut t = Table::new(
-        "DSE search QoR — greedy vs portfolio beam (simulated cycles)",
-        &[
-            "Kernel",
-            "Greedy",
-            "Beam",
-            "Win",
-            "Greedy (s)",
-            "Beam (s)",
-            "Simmed",
-            "Pruned",
-        ],
-    );
+const BEAM_COLUMNS: &[Column<BeamBench>] = &[
+    col("kernel", "Kernel", |k| k.kernel.into()),
+    col("greedy_cycles", "Greedy", |k| k.greedy_cycles.into()),
+    col("beam_cycles", "Beam", |k| k.beam_cycles.into()),
+    col("greedy_est", "", |k| k.greedy_est.into()),
+    col("beam_est", "", |k| k.beam_est.into()),
+    col("both_fit", "Fit", |k| k.both_fit.into()),
+    col("strict_win", "Win", |k| k.strict_win.into()),
+    col("regression", "Regressed", |k| k.regression.into()),
+    col("greedy_s", "Greedy (s)", |k| k.greedy_s.into()),
+    col("beam_s", "Beam (s)", |k| k.beam_s.into()),
+    col("sim_admitted", "Simmed", |k| k.sim_admitted.into()),
+    col("sim_pruned", "Pruned", |k| k.sim_pruned.into()),
+    col("beam_expanded", "", |k| k.beam_expanded.into()),
+    col("anytime_monotonic", "Monotonic", |k| {
+        k.anytime_monotonic.into()
+    }),
+    col("anytime", "", |k| {
+        let point = |(t, c): &(f64, u64)| Cell::List(vec![(*t).into(), (*c).into()]);
+        Cell::List(k.anytime.iter().map(point).collect())
+    }),
+];
+
+/// The gates. Every kernel's fast search must agree with the serial one
+/// and finish inside `ceiling` seconds; with `--beam`, the portfolio
+/// never regresses a kernel's simulated cycles, both winners fit the
+/// device, every anytime curve is strictly decreasing, and the portfolio
+/// strictly beats greedy somewhere. Returns human-readable failures
+/// (empty = pass).
+pub fn gate(r: &BenchReport, beam: Option<&BeamReport>, ceiling: f64) -> Vec<String> {
+    let mut fails = Vec::new();
     for k in &r.rows {
-        t.row(&[
-            k.kernel.to_string(),
-            k.greedy_cycles.to_string(),
-            k.beam_cycles.to_string(),
-            if k.strict_win {
-                "strict".into()
-            } else if k.regression {
-                "REGRESSED".into()
-            } else {
-                "tie".into()
-            },
-            format!("{:.3}", k.greedy_s),
-            format!("{:.3}", k.beam_s),
-            k.sim_admitted.to_string(),
-            k.sim_pruned.to_string(),
-        ]);
-    }
-    let mut out = t.render();
-    let _ = writeln!(
-        out,
-        "beam: {} strict win(s), {} regression(s), anytime curves {}",
-        r.strict_wins,
-        r.regressions,
-        if r.all_monotonic {
-            "monotonic"
-        } else {
-            "NON-MONOTONIC"
+        if !k.identical {
+            fails.push(format!("{} parallel search diverged from serial", k.kernel));
         }
-    );
-    out
-}
-
-fn json_f(v: f64) -> String {
-    format!("{v:.6}")
-}
-
-/// Serializes the report as `BENCH_dse.json` (no external deps; the
-/// format is flat enough to hand-roll).
-pub fn to_json(r: &BenchReport) -> String {
-    to_json_with_beam(r, None)
-}
-
-/// [`to_json`] with the optional greedy-vs-beam comparison appended as a
-/// `"beam"` object (`pomc bench-dse --beam`).
-pub fn to_json_with_beam(r: &BenchReport, beam: Option<&BeamReport>) -> String {
-    let mut s = String::from("{\n  \"kernels\": [\n");
-    for (i, k) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"kernel\": \"{}\", \"serial_s\": {}, \"fast_s\": {}, \"speedup\": {}, \
-             \"identical\": {}, \"estimated\": {}, \"lint_pruned\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"parallel_evaluated\": {}, \"stage1_s\": {}, \
-             \"stage2_s\": {}, \"lowering_s\": {}, \"estimation_s\": {}}}",
-            k.kernel,
-            json_f(k.serial_s),
-            json_f(k.fast_s),
-            json_f(k.speedup),
-            k.identical,
-            k.estimated,
-            k.lint_pruned,
-            k.cache_hits,
-            k.cache_misses,
-            k.parallel_evaluated,
-            json_f(k.stage1_s),
-            json_f(k.stage2_s),
-            json_f(k.lowering_s),
-            json_f(k.estimation_s),
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
+        if k.fast_s > ceiling {
+            fails.push(format!(
+                "{} DSE took {:.3} s (> ceiling {:.3} s)",
+                k.kernel, k.fast_s, ceiling
+            ));
+        }
     }
-    let _ = write!(
-        s,
-        "  ],\n  \"serial_total_s\": {},\n  \"fast_wall_s\": {},\n  \"total_speedup\": {},\n  \
-         \"pool_workers\": {}",
-        json_f(r.serial_total_s),
-        json_f(r.fast_wall_s),
-        json_f(r.total_speedup),
-        r.pool_workers,
+    for k in beam.iter().flat_map(|b| &b.rows) {
+        if k.regression {
+            fails.push(format!(
+                "{} portfolio regressed vs greedy ({} > {} simulated cycles)",
+                k.kernel, k.beam_cycles, k.greedy_cycles
+            ));
+        }
+        if !k.both_fit {
+            fails.push(format!("{} winner exceeds the device envelope", k.kernel));
+        }
+        if !k.anytime_monotonic {
+            fails.push(format!(
+                "{} anytime curve is not strictly decreasing",
+                k.kernel
+            ));
+        }
+    }
+    if beam.is_some_and(|b| b.strict_wins == 0) {
+        fails.push("portfolio strictly beat greedy on no kernel".to_string());
+    }
+    fails
+}
+
+/// The table and `BENCH_dse.json` of a run (`beam`: the `--beam`
+/// comparison as the `"beam"` section), gated under `ceiling`. Beside
+/// the headline `total_speedup` the summary names the kernel with the
+/// worst `fast_s / serial_s`, so a per-kernel loss cannot hide behind
+/// the DNNs' win.
+pub fn report(r: &BenchReport, beam: Option<&BeamReport>, ceiling: f64) -> Report {
+    let mut out = Report::new(
+        "DSE performance — serial seed vs memoized",
+        "kernels",
+        COLUMNS,
+        &r.rows,
     );
+    let fast_over_serial = |k: &KernelBench| k.fast_s / k.serial_s.max(1e-9);
+    let worst = r
+        .rows
+        .iter()
+        .max_by(|a, b| fast_over_serial(a).total_cmp(&fast_over_serial(b)));
+    out.summary = vec![
+        ("serial_total_s", r.serial_total_s.into()),
+        ("fast_wall_s", r.fast_wall_s.into()),
+        ("total_speedup", r.total_speedup.into()),
+        ("pool_workers", r.pool_workers.into()),
+        (
+            "worst_fast_over_serial",
+            worst.map_or(0.0, fast_over_serial).into(),
+        ),
+        (
+            "worst_fast_over_serial_kernel",
+            worst.map_or("", |k| k.kernel).into(),
+        ),
+    ];
     if let Some(b) = beam {
-        s.push_str(",\n");
-        s.push_str(&beam_to_json(b));
-        s.push('\n');
-    } else {
-        s.push('\n');
+        let mut section = Report::new(
+            "DSE search QoR — greedy vs portfolio beam (simulated cycles)",
+            "kernels",
+            BEAM_COLUMNS,
+            &b.rows,
+        );
+        section.summary = vec![
+            ("strict_wins", b.strict_wins.into()),
+            ("regressions", b.regressions.into()),
+            ("all_monotonic", b.all_monotonic.into()),
+        ];
+        out.sections.push(("beam", section));
     }
-    s.push_str("}\n");
-    s
-}
-
-/// Renders the report as an aligned table (the human-readable view).
-pub fn render(r: &BenchReport) -> String {
-    let mut t = Table::new(
-        "DSE performance — serial seed vs parallel + memoized",
-        &[
-            "Kernel",
-            "Serial (s)",
-            "Fast (s)",
-            "Speedup",
-            "Identical",
-            "Estimated",
-            "Pruned",
-            "Hits",
-            "Misses",
-        ],
-    );
-    for k in &r.rows {
-        t.row(&[
-            k.kernel.to_string(),
-            format!("{:.3}", k.serial_s),
-            format!("{:.3}", k.fast_s),
-            format!("{:.2}x", k.speedup),
-            k.identical.to_string(),
-            k.estimated.to_string(),
-            k.lint_pruned.to_string(),
-            k.cache_hits.to_string(),
-            k.cache_misses.to_string(),
-        ]);
-    }
-    let mut out = t.render();
-    let _ = writeln!(
-        out,
-        "total: serial {:.3} s, fast wall {:.3} s, speedup {:.2}x ({} pool worker(s))",
-        r.serial_total_s, r.fast_wall_s, r.total_speedup, r.pool_workers
-    );
+    out.fails = gate(r, beam, ceiling);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels;
 
     #[test]
     fn small_suite_is_identical_and_json_well_formed() {
@@ -500,6 +413,7 @@ mod tests {
             let b = auto_dse_with(&f, &opts, &fast_cfg).expect("DSE compiles");
             assert!(results_identical(&a, &b), "{} diverged", f.name());
             assert!(b.stats.cache_hits > 0, "cache never hit");
+            assert_eq!(b.stats.parallel_evaluated, 0, "greedy steps are serial");
         }
         let report = BenchReport {
             rows: vec![],
@@ -508,8 +422,89 @@ mod tests {
             total_speedup: 2.0,
             pool_workers: 4,
         };
-        let json = to_json(&report);
+        let json = super::report(&report, None, f64::INFINITY).to_json();
         assert!(json.contains("\"total_speedup\": 2.000000"));
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+    }
+
+    fn good() -> (BenchReport, BeamReport) {
+        let row = |kernel, serial_s, fast_s| KernelBench {
+            kernel,
+            serial_s,
+            fast_s,
+            identical: true,
+            ..Default::default()
+        };
+        let beam_row = |kernel, beam_cycles| BeamBench {
+            kernel,
+            greedy_cycles: 100,
+            beam_cycles,
+            both_fit: true,
+            strict_win: beam_cycles < 100,
+            anytime: vec![(0.1, 100), (0.2, beam_cycles)],
+            anytime_monotonic: true,
+            ..Default::default()
+        };
+        let bench = BenchReport {
+            rows: vec![row("gemm", 0.004, 0.012), row("vgg16", 5.0, 0.25)],
+            ..Default::default()
+        };
+        let beam = BeamReport {
+            rows: vec![beam_row("gemm", 100), beam_row("vgg16", 95)],
+            strict_wins: 1,
+            regressions: 0,
+            all_monotonic: true,
+        };
+        (bench, beam)
+    }
+
+    #[test]
+    fn gate_fires_on_each_breach_and_only_then() {
+        let (bench, beam) = good();
+        assert!(gate(&bench, None, 120.0).is_empty());
+        assert!(gate(&bench, Some(&beam), 120.0).is_empty());
+
+        let mut diverged = bench.clone();
+        diverged.rows[0].identical = false;
+        let fails = gate(&diverged, None, 120.0);
+        assert_eq!(fails, ["gemm parallel search diverged from serial"]);
+
+        let fails = gate(&bench, None, 0.1);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("vgg16 DSE took 0.250 s (> ceiling"));
+        assert_eq!(gate(&bench, None, 0.0).len(), 2, "--ceiling 0 fails all");
+
+        let mut regressed = beam.clone();
+        regressed.rows[0].beam_cycles = 101;
+        regressed.rows[0].regression = true;
+        let fails = gate(&bench, Some(&regressed), 120.0);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("gemm portfolio regressed vs greedy (101 > 100"));
+
+        let mut unfit = beam.clone();
+        unfit.rows[1].both_fit = false;
+        let fails = gate(&bench, Some(&unfit), 120.0);
+        assert_eq!(fails, ["vgg16 winner exceeds the device envelope"]);
+
+        let mut bumpy = beam.clone();
+        bumpy.rows[1].anytime_monotonic = false;
+        let fails = gate(&bench, Some(&bumpy), 120.0);
+        assert_eq!(fails, ["vgg16 anytime curve is not strictly decreasing"]);
+
+        let mut no_win = beam.clone();
+        no_win.strict_wins = 0;
+        let fails = gate(&bench, Some(&no_win), 120.0);
+        assert_eq!(fails, ["portfolio strictly beat greedy on no kernel"]);
+    }
+
+    #[test]
+    fn summary_names_the_worst_per_kernel_ratio() {
+        let (bench, _) = good();
+        let json = super::report(&bench, None, f64::INFINITY).to_json();
+        assert!(
+            json.contains("\"worst_fast_over_serial\": 3.000000"),
+            "{json}"
+        );
+        assert!(json.contains("\"worst_fast_over_serial_kernel\": \"gemm\""));
     }
 }

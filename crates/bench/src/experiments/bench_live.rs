@@ -21,17 +21,14 @@
 //! Results render as a table and serialize as `LIVE_report.json` so the
 //! contraction coverage trajectory is tracked across PRs.
 
-use crate::experiments::bench_dse::pool_run;
-use crate::experiments::bench_sim::{suite, SIM_SEED};
-use crate::experiments::common::{paper_options, Table};
+use crate::experiments::bench_sim::{run_over_suite, seed_and_dse, SuiteRun, SIM_SEED};
+use crate::experiments::common::{col, Column, Report};
 use pom::{
-    auto_dse_with, compile, replay_contraction, seeded_memory, simulate, CompileOptions, Compiled,
-    DseConfig, Function, MemoryState,
+    replay_contraction, seeded_memory, simulate, CompileOptions, Compiled, Function, MemoryState,
 };
-use std::fmt::Write as _;
 
 /// One (kernel, schedule) liveness audit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KernelLive {
     /// Kernel name.
     pub kernel: &'static str,
@@ -59,17 +56,6 @@ pub struct KernelLive {
     pub cert_failures: usize,
     /// Contraction certificates replayed.
     pub certs_replayed: usize,
-}
-
-/// The whole suite's audits.
-#[derive(Clone, Debug)]
-pub struct LiveBenchReport {
-    /// Two rows per kernel (seed, dse), in suite order.
-    pub rows: Vec<KernelLive>,
-    /// Problem size the suite ran at.
-    pub size: usize,
-    /// Worker threads used by the cross-kernel pool.
-    pub pool_workers: usize,
 }
 
 /// Audits one compiled design's liveness claims against the simulator.
@@ -125,32 +111,17 @@ pub fn measure(
     row
 }
 
-/// Runs the suite at `size` and returns the full report.
-pub fn run_suite(size: usize) -> LiveBenchReport {
-    let opts = paper_options();
-    let suite = suite(size);
-    let cfg = DseConfig::default();
-    let pool_workers = cfg.effective_workers();
-    let rows: Vec<Vec<KernelLive>> = pool_run(suite.len(), pool_workers, |i| {
-        let (name, f) = &suite[i];
-        let seed = compile(f, &opts).expect("seed schedule compiles");
-        let dse = auto_dse_with(f, &opts, &cfg).expect("DSE compiles");
-        vec![
-            measure(name, "seed", f, &seed, &opts),
-            measure(name, "dse", &dse.function, &dse.compiled, &opts),
-        ]
-    });
-    LiveBenchReport {
-        rows: rows.into_iter().flatten().collect(),
-        size,
-        pool_workers,
-    }
+/// Runs the suite at `size`: two rows per kernel (seed, dse).
+pub fn run_suite(size: usize) -> SuiteRun<KernelLive> {
+    run_over_suite(size, |kernel, f, opts| {
+        seed_and_dse(kernel, f, opts, measure)
+    })
 }
 
 /// The gate: no array's simulated high-water may exceed its static
 /// bound, and every claimed contraction must replay. Returns
 /// human-readable failures (empty = pass).
-pub fn gate(r: &LiveBenchReport) -> Vec<String> {
+pub fn gate(r: &SuiteRun<KernelLive>) -> Vec<String> {
     let mut fails = Vec::new();
     for k in &r.rows {
         if k.bound_violations > 0 {
@@ -169,97 +140,47 @@ pub fn gate(r: &LiveBenchReport) -> Vec<String> {
     fails
 }
 
-/// Serializes the report as `LIVE_report.json` (hand-rolled, no deps).
-pub fn to_json(r: &LiveBenchReport) -> String {
-    let mut s = String::from("{\n  \"rows\": [\n");
-    for (i, k) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"kernel\": \"{}\", \"schedule\": \"{}\", \"arrays\": {}, \
-             \"exact\": {}, \"contracted\": {}, \"declared_bits\": {}, \
-             \"contracted_bits\": {}, \"flow_edges\": {}, \"dead_stores\": {}, \
-             \"bound_violations\": {}, \"certs_replayed\": {}, \"cert_failures\": {}}}",
-            k.kernel,
-            k.schedule,
-            k.arrays,
-            k.exact,
-            k.contracted,
-            k.declared_bits,
-            k.contracted_bits,
-            k.flow_edges,
-            k.dead_stores,
-            k.bound_violations,
-            k.certs_replayed,
-            k.cert_failures,
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        s,
-        "  ],\n  \"size\": {},\n  \"pool_workers\": {},\n  \"all_passed\": {}\n}}\n",
-        r.size,
-        r.pool_workers,
-        gate(r).is_empty(),
-    );
-    s
-}
+const COLUMNS: &[Column<KernelLive>] = &[
+    col("kernel", "Kernel", |k| k.kernel.into()),
+    col("schedule", "Schedule", |k| k.schedule.into()),
+    col("arrays", "Arrays", |k| k.arrays.into()),
+    col("exact", "Exact", |k| k.exact.into()),
+    col("contracted", "Contracted", |k| k.contracted.into()),
+    col("declared_bits", "DeclaredBits", |k| k.declared_bits.into()),
+    col("contracted_bits", "ContractedBits", |k| {
+        k.contracted_bits.into()
+    }),
+    col("flow_edges", "Flows", |k| k.flow_edges.into()),
+    col("dead_stores", "Dead", |k| k.dead_stores.into()),
+    col("bound_violations", "Violations", |k| {
+        k.bound_violations.into()
+    }),
+    col("certs_replayed", "Certs", |k| k.certs_replayed.into()),
+    col("cert_failures", "Failed", |k| k.cert_failures.into()),
+];
 
-/// Renders the report as an aligned table (the human-readable view).
-pub fn render(r: &LiveBenchReport) -> String {
-    let mut t = Table::new(
+/// The table and `LIVE_report.json` of a run, gated by [`gate`].
+pub fn report(r: &SuiteRun<KernelLive>) -> Report {
+    let mut out = r.report(
         "Liveness audit — static windows vs simulated high-water",
-        &[
-            "Kernel",
-            "Schedule",
-            "Arrays",
-            "Exact",
-            "Contracted",
-            "DeclaredKb",
-            "ContractedKb",
-            "Flows",
-            "Dead",
-            "Violations",
-            "Certs",
-        ],
+        COLUMNS,
     );
-    for k in &r.rows {
-        t.row(&[
-            k.kernel.to_string(),
-            k.schedule.to_string(),
-            k.arrays.to_string(),
-            k.exact.to_string(),
-            k.contracted.to_string(),
-            format!("{:.1}", k.declared_bits as f64 / 8192.0),
-            format!("{:.1}", k.contracted_bits as f64 / 8192.0),
-            k.flow_edges.to_string(),
-            k.dead_stores.to_string(),
-            k.bound_violations.to_string(),
-            format!(
-                "{}/{}",
-                k.certs_replayed - k.cert_failures,
-                k.certs_replayed
-            ),
-        ]);
-    }
-    let mut out = t.render();
-    let declared: u64 = r.rows.iter().map(|k| k.declared_bits).sum();
-    let contracted: u64 = r.rows.iter().map(|k| k.contracted_bits).sum();
-    let _ = writeln!(
-        out,
-        "size {}: {} row(s), suite storage {:.1} KiB declared -> {:.1} KiB contracted, {} pool worker(s)",
-        r.size,
-        r.rows.len(),
-        declared as f64 / 8192.0,
-        contracted as f64 / 8192.0,
-        r.pool_workers
-    );
+    let total = |bits: fn(&KernelLive) -> u64| r.rows.iter().map(bits).sum::<u64>();
+    let declared = total(|k| k.declared_bits);
+    let contracted = total(|k| k.contracted_bits);
+    out.summary.push(("suite_declared_bits", declared.into()));
+    out.summary
+        .push(("suite_contracted_bits", contracted.into()));
+    out.fails = gate(r);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::paper_options;
     use crate::kernels;
+    use pom::compile;
 
     #[test]
     fn jacobi1d_seed_row_contracts_and_passes_the_cross_check() {
@@ -277,16 +198,17 @@ mod tests {
         );
         assert!(row.contracted_bits < row.declared_bits);
         assert_eq!(row.dead_stores, 0);
-        let report = LiveBenchReport {
+        let report = SuiteRun {
             rows: vec![row],
             size: 18,
             pool_workers: 1,
         };
         assert!(gate(&report).is_empty());
-        let json = to_json(&report);
+        let report = super::report(&report);
+        let json = report.to_json();
         assert!(json.contains("\"kernel\": \"jacobi1d\""));
         assert!(json.contains("\"all_passed\": true"));
-        let text = render(&report);
+        let text = report.render();
         assert!(text.contains("jacobi1d"));
         assert!(text.contains("Contracted"));
     }

@@ -17,16 +17,16 @@
 //! committed `BENCH_poly_baseline.json` — any schedule or QoR divergence
 //! fails the job even when the timings are fine.
 
-use crate::experiments::common::{paper_options, Table};
+use crate::experiments::common::{col, paper_options, Cell, Column, Report};
 use crate::kernels;
 use pom::{auto_dse_with, DseConfig, Function};
-use pom_poly::reference;
+use pom_poly::{fnv1a64, reference};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One microbenchmark's measurements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PolyBenchRow {
     /// Workload name (`fm_*` or `dep_*`).
     pub name: &'static str,
@@ -54,17 +54,6 @@ pub struct PolyBenchReport {
     pub fingerprints: Vec<(&'static str, u64)>,
     /// Dense-kernel counters accumulated over the benchmark's dense runs.
     pub stats: pom_poly::PolyStats,
-}
-
-/// FNV-1a over a byte string; the fingerprint primitive (deterministic
-/// across processes, unlike `DefaultHasher`).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One abstract constraint row: equality flag, `(dim index, coeff)`
@@ -680,89 +669,48 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
     }
 }
 
-fn json_f(v: f64) -> String {
-    format!("{v:.6}")
-}
+const COLUMNS: &[Column<PolyBenchRow>] = &[
+    col("name", "Workload", |r| r.name.into()),
+    col("ref_s", "Reference (s)", |r| r.ref_s.into()),
+    col("dense_s", "Dense (s)", |r| r.dense_s.into()),
+    col("speedup", "Speedup", |r| r.speedup.into()),
+    col("identical", "Identical", |r| r.identical.into()),
+];
 
-/// Serializes the report as `BENCH_poly.json` (hand-rolled, like the
-/// other harnesses; fingerprints as hex strings to dodge JSON's 53-bit
-/// integer ceiling).
-pub fn to_json(r: &PolyBenchReport) -> String {
-    let mut s = String::from("{\n  \"rows\": [\n");
-    for (i, row) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"ref_s\": {}, \"dense_s\": {}, \"speedup\": {}, \
-             \"identical\": {}}}",
-            row.name,
-            json_f(row.ref_s),
-            json_f(row.dense_s),
-            json_f(row.speedup),
-            row.identical,
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        s,
-        "  ],\n  \"fm_speedup\": {},\n  \"dep_speedup\": {},\n  \"fingerprints\": [\n",
-        json_f(r.fm_speedup),
-        json_f(r.dep_speedup),
-    );
-    for (i, (k, fp)) in r.fingerprints.iter().enumerate() {
-        let _ = write!(s, "    {{\"kernel\": \"{k}\", \"fp\": \"{fp:016x}\"}}");
-        s.push_str(if i + 1 < r.fingerprints.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let st = &r.stats;
-    let _ = write!(
-        s,
-        "  ],\n  \"poly_stats\": {{\"eliminations\": {}, \"combinations_generated\": {}, \
-         \"combinations_dropped\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
-         \"peak_constraints\": {}}}\n}}\n",
-        st.eliminations,
-        st.combinations_generated,
-        st.combinations_dropped,
-        st.memo_hits,
-        st.memo_misses,
-        st.peak_constraints,
-    );
-    s
-}
-
-/// Renders the report as an aligned table.
-pub fn render(r: &PolyBenchReport) -> String {
-    let mut t = Table::new(
+/// The table and `BENCH_poly.json` of a run, gated by [`gate`] against
+/// `baseline`. Fingerprints are hex strings, to dodge JSON's 53-bit
+/// integer ceiling; [`parse_baseline`] reads the same file back.
+pub fn report(r: &PolyBenchReport, baseline: Option<&Baseline>) -> Report {
+    let mut out = Report::new(
         "Polyhedral kernel — dense interned vs name-keyed reference",
-        &[
-            "Workload",
-            "Reference (s)",
-            "Dense (s)",
-            "Speedup",
-            "Identical",
-        ],
+        "rows",
+        COLUMNS,
+        &r.rows,
     );
-    for row in &r.rows {
-        t.row(&[
-            row.name.to_string(),
-            format!("{:.4}", row.ref_s),
-            format!("{:.4}", row.dense_s),
-            format!("{:.1}x", row.speedup),
-            row.identical.to_string(),
-        ]);
-    }
-    let mut out = t.render();
-    let _ = writeln!(
-        out,
-        "aggregate: FM projection {:.1}x, dependence sweep {:.1}x",
-        r.fm_speedup, r.dep_speedup
-    );
-    let _ = writeln!(out, "dense kernel: {}", r.stats);
-    for (k, fp) in &r.fingerprints {
-        let _ = writeln!(out, "fingerprint {k}: {fp:016x}");
-    }
+    let fingerprints = r.fingerprints.iter().map(|(kernel, fp)| {
+        Cell::Obj(vec![
+            ("kernel", (*kernel).into()),
+            ("fp", Cell::Str(format!("{fp:016x}"))),
+        ])
+    });
+    let st = &r.stats;
+    out.summary = vec![
+        ("fm_speedup", r.fm_speedup.into()),
+        ("dep_speedup", r.dep_speedup.into()),
+        ("fingerprints", Cell::List(fingerprints.collect())),
+        (
+            "poly_stats",
+            Cell::Obj(vec![
+                ("eliminations", st.eliminations.into()),
+                ("combinations_generated", st.combinations_generated.into()),
+                ("combinations_dropped", st.combinations_dropped.into()),
+                ("memo_hits", st.memo_hits.into()),
+                ("memo_misses", st.memo_misses.into()),
+                ("peak_constraints", st.peak_constraints.into()),
+            ]),
+        ),
+    ];
+    out.fails = gate(r, baseline);
     out
 }
 
@@ -901,7 +849,7 @@ mod tests {
             fingerprints: vec![("gemm", 0xdead_beef_1234_5678)],
             stats: pom_poly::PolyStats::default(),
         };
-        let json = to_json(&report);
+        let json = super::report(&report, None).to_json();
         assert!(json.contains("\"fm_speedup\": 10.000000"));
         assert!(json.contains("\"fp\": \"deadbeef12345678\""));
         let b = parse_baseline(&json).expect("parses");
@@ -921,6 +869,6 @@ mod tests {
     fn fnv_is_stable() {
         // Pinned value: the fingerprint primitive must never drift, or
         // every committed baseline silently invalidates.
-        assert_eq!(fnv1a64(b"pom"), 0x779b_5519_564f_2a37);
+        assert_eq!(pom_poly::fnv1a64(b"pom"), 0x779b_5519_564f_2a37);
     }
 }

@@ -20,19 +20,18 @@
 //! ≥ 50%, and byte-identical payloads for every unique request across
 //! all three configurations.
 
-use crate::experiments::bench_dse::pool_run;
-use crate::experiments::common::Table;
+use crate::experiments::common::{col, Column, Report};
 use crate::kernels;
-use crate::serve::{client_request, run_server, ServeEngine};
+use crate::serve::{client_request, run_server, ServeEngine, SUITE};
 use pom::{CompileOptions, DseConfig};
+use pom_dse::run_indexed;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One serving configuration's measurements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ConfigStats {
     /// Configuration name: `cold`, `warm`, or `daemon`.
     pub config: &'static str,
@@ -61,7 +60,7 @@ pub struct ConfigStats {
 }
 
 /// The whole benchmark's measurements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     /// Per-configuration rows: cold, warm, daemon.
     pub rows: Vec<ConfigStats>,
@@ -89,25 +88,9 @@ pub struct ServeReport {
 /// set repeated `repeat` times and shuffled by a fixed-seed LCG — so the
 /// stream is duplicate-heavy, interleaved, and identical on every run.
 pub fn traffic(size: usize, repeat: usize) -> Vec<(String, usize)> {
-    let kernels14 = [
-        "gemm",
-        "bicg",
-        "gesummv",
-        "2mm",
-        "3mm",
-        "jacobi1d",
-        "jacobi2d",
-        "heat1d",
-        "seidel",
-        "edge_detect",
-        "gaussian",
-        "blur",
-        "vgg16",
-        "resnet18",
-    ];
     let mut stream = Vec::new();
     for _ in 0..repeat.max(1) {
-        for k in kernels14 {
+        for k in SUITE {
             stream.push((k.to_string(), size));
         }
         for (ci, co, sz) in kernels::vgg16_layer_shapes(1) {
@@ -234,7 +217,7 @@ fn replay_daemon(
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let t0 = Instant::now();
-    let results: Vec<(f64, String, String)> = pool_run(stream.len(), clients.max(1), |i| {
+    let results: Vec<(f64, String, String)> = run_indexed(stream.len(), clients.max(1), |i| {
         let (name, size) = &stream[i];
         let t = Instant::now();
         let payload = client_request(socket, &format!("compile {name} {size}"))
@@ -345,100 +328,46 @@ fn run_in(scratch: &Path, stream: &[(String, usize)], clients: usize) -> ServeRe
     }
 }
 
-/// Runs the standard traffic mix at `size`, repeated `repeat` times.
-pub fn run_suite(size: usize, repeat: usize) -> ServeReport {
-    run(&traffic(size, repeat), 4)
+/// Runs the standard traffic mix at `size`, repeated `repeat` times,
+/// with `clients` concurrent daemon clients.
+pub fn run_suite(size: usize, repeat: usize, clients: usize) -> ServeReport {
+    run(&traffic(size, repeat), clients)
 }
 
-fn json_f(v: f64) -> String {
-    format!("{v:.6}")
-}
+const COLUMNS: &[Column<ConfigStats>] = &[
+    col("config", "Config", |c| c.config.into()),
+    col("requests", "Requests", |c| c.requests.into()),
+    col("wall_s", "Wall (s)", |c| c.wall_s.into()),
+    col("kernels_per_s", "Kernels/s", |c| c.kernels_per_s.into()),
+    col("p50_ms", "p50 (ms)", |c| c.p50_ms.into()),
+    col("p95_ms", "p95 (ms)", |c| c.p95_ms.into()),
+    col("p99_ms", "p99 (ms)", |c| c.p99_ms.into()),
+    col("compiles", "Compiles", |c| c.compiles.into()),
+    col("store_hits", "", |c| c.store_hits.into()),
+    col("memory_hits", "", |c| c.memory_hits.into()),
+    col("batch_merged", "", |c| c.batch_merged.into()),
+    col("hit_rate", "Hit rate", |c| c.hit_rate.into()),
+];
 
-/// Serializes the report as `BENCH_serve.json` (hand-rolled, flat).
-pub fn to_json(r: &ServeReport) -> String {
-    let mut s = String::from("{\n  \"configs\": [\n");
-    for (i, c) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"config\": \"{}\", \"requests\": {}, \"wall_s\": {}, \
-             \"kernels_per_s\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \
-             \"compiles\": {}, \"store_hits\": {}, \"memory_hits\": {}, \
-             \"batch_merged\": {}, \"hit_rate\": {}}}",
-            c.config,
-            c.requests,
-            json_f(c.wall_s),
-            json_f(c.kernels_per_s),
-            json_f(c.p50_ms),
-            json_f(c.p95_ms),
-            json_f(c.p99_ms),
-            c.compiles,
-            c.store_hits,
-            c.memory_hits,
-            c.batch_merged,
-            json_f(c.hit_rate),
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        s,
-        "  ],\n  \"unique_requests\": {},\n  \"total_requests\": {},\n  \
-         \"duplicate_fraction\": {},\n  \"warm_speedup\": {},\n  \"daemon_speedup\": {},\n  \
-         \"prime_s\": {},\n  \"identical\": {},\n  \"clients\": {}\n}}\n",
-        r.unique_requests,
-        r.total_requests,
-        json_f(r.duplicate_fraction),
-        json_f(r.warm_speedup),
-        json_f(r.daemon_speedup),
-        json_f(r.prime_s),
-        r.identical,
-        r.clients,
-    );
-    s
-}
-
-/// Renders the report as an aligned table.
-pub fn render(r: &ServeReport) -> String {
-    let mut t = Table::new(
+/// The table and `BENCH_serve.json` of a run, gated by [`gate`].
+pub fn report(r: &ServeReport) -> Report {
+    let mut out = Report::new(
         "Serving throughput — cold process vs warm store vs daemon",
-        &[
-            "Config",
-            "Requests",
-            "Wall (s)",
-            "Kernels/s",
-            "p50 (ms)",
-            "p95 (ms)",
-            "p99 (ms)",
-            "Compiles",
-            "Hit rate",
-        ],
+        "configs",
+        COLUMNS,
+        &r.rows,
     );
-    for c in &r.rows {
-        t.row(&[
-            c.config.to_string(),
-            c.requests.to_string(),
-            format!("{:.3}", c.wall_s),
-            format!("{:.2}", c.kernels_per_s),
-            format!("{:.2}", c.p50_ms),
-            format!("{:.2}", c.p95_ms),
-            format!("{:.2}", c.p99_ms),
-            c.compiles.to_string(),
-            format!("{:.0}%", c.hit_rate * 100.0),
-        ]);
-    }
-    let mut out = t.render();
-    let _ = writeln!(
-        out,
-        "traffic: {} request(s), {} unique ({:.0}% duplicates); prime {:.3} s; \
-         warm {:.2}x cold, daemon {:.2}x cold ({} client(s)); payloads identical: {}",
-        r.total_requests,
-        r.unique_requests,
-        r.duplicate_fraction * 100.0,
-        r.prime_s,
-        r.warm_speedup,
-        r.daemon_speedup,
-        r.clients,
-        r.identical
-    );
+    out.summary = vec![
+        ("unique_requests", r.unique_requests.into()),
+        ("total_requests", r.total_requests.into()),
+        ("duplicate_fraction", r.duplicate_fraction.into()),
+        ("warm_speedup", r.warm_speedup.into()),
+        ("daemon_speedup", r.daemon_speedup.into()),
+        ("prime_s", r.prime_s.into()),
+        ("identical", r.identical.into()),
+        ("clients", r.clients.into()),
+    ];
+    out.fails = gate(r);
     out
 }
 
@@ -511,10 +440,11 @@ mod tests {
             daemon.compiles <= report.unique_requests,
             "daemon compiles each unique kernel at most once"
         );
-        let json = to_json(&report);
+        let report = super::report(&report);
+        let json = report.to_json();
         assert!(json.contains("\"config\": \"daemon\""));
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(render(&report).contains("Kernels/s"));
+        assert!(report.render().contains("Kernels/s"));
     }
 
     #[test]

@@ -25,15 +25,14 @@
 //! Results render as a table and serialize as `BENCH_sim.json` so the
 //! estimator-vs-measurement trajectory is tracked across PRs.
 
-use crate::experiments::bench_dse::pool_run;
-use crate::experiments::common::{paper_options, Table};
-use crate::kernels;
+use crate::experiments::common::{col, paper_options, Column, Report};
+use crate::serve::{kernel_by_name, SUITE};
 use pom::{
     auto_dse_with, bank_report, compile, execute_func, simulate, CompileOptions, Compiled,
     DseConfig, Function, MemoryState,
 };
+use pom_dse::run_indexed;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Seed for the deterministic pseudo-random array contents.
 pub const SIM_SEED: u64 = 42;
@@ -60,28 +59,18 @@ pub const GATED: &[&str] = &[
     "blur",
 ];
 
-/// The full 14-kernel suite under `pomc`'s per-kernel size conventions.
+/// The full 14-kernel [`SUITE`] under `pomc`'s per-kernel size
+/// conventions ([`kernel_by_name`]: derived extents are clamped, so any
+/// `size` builds).
 pub fn suite(size: usize) -> Vec<(&'static str, Function)> {
-    vec![
-        ("gemm", kernels::gemm(size)),
-        ("bicg", kernels::bicg(size)),
-        ("gesummv", kernels::gesummv(size)),
-        ("2mm", kernels::mm2(size)),
-        ("3mm", kernels::mm3(size)),
-        ("jacobi1d", kernels::jacobi1d(size / 16, size)),
-        ("jacobi2d", kernels::jacobi2d(size / 16, size / 8)),
-        ("heat1d", kernels::heat1d(size / 16, size)),
-        ("seidel", kernels::seidel(size / 4)),
-        ("edge_detect", kernels::edge_detect(size)),
-        ("gaussian", kernels::gaussian(size)),
-        ("blur", kernels::blur(size)),
-        ("vgg16", kernels::vgg16(1)),
-        ("resnet18", kernels::resnet18(1)),
-    ]
+    SUITE
+        .iter()
+        .map(|name| (*name, kernel_by_name(name, size).expect("suite kernel")))
+        .collect()
 }
 
 /// One (kernel, schedule) measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KernelSim {
     /// Kernel name.
     pub kernel: &'static str,
@@ -116,25 +105,63 @@ pub struct KernelSim {
     pub sim_s: f64,
 }
 
-impl KernelSim {
-    /// True when the row violates neither the equivalence nor (when
-    /// gated) the tolerance requirement.
-    pub fn passes(&self) -> bool {
-        self.identical
-            && self.certified_stall_port == 0
-            && (!self.gated || (self.ratio - 1.0).abs() <= TOLERANCE)
-    }
-}
-
-/// The whole suite's measurements.
+/// What one whole-suite audit (`bench-sim`, `bench-live`,
+/// `bench-dataflow`) measured.
 #[derive(Clone, Debug)]
-pub struct SimBenchReport {
-    /// Two rows per kernel (seed, dse), in suite order.
-    pub rows: Vec<KernelSim>,
+pub struct SuiteRun<R> {
+    /// The audit's rows, in suite order.
+    pub rows: Vec<R>,
     /// Problem size the suite ran at.
     pub size: usize,
     /// Worker threads used by the cross-kernel pool.
     pub pool_workers: usize,
+}
+
+impl<R> SuiteRun<R> {
+    /// The run's rows under `columns` (JSON key `"rows"`), with `size`
+    /// and `pool_workers` leading the summary.
+    pub fn report(&self, title: &str, columns: &[Column<R>]) -> Report {
+        let mut out = Report::new(title, "rows", columns, &self.rows);
+        out.summary = vec![
+            ("size", self.size.into()),
+            ("pool_workers", self.pool_workers.into()),
+        ];
+        out
+    }
+}
+
+/// Runs `per_kernel` over [`suite`]`(size)` on the cross-kernel pool.
+pub fn run_over_suite<R: Send>(
+    size: usize,
+    per_kernel: impl Fn(&'static str, &Function, &CompileOptions) -> Vec<R> + Sync,
+) -> SuiteRun<R> {
+    let opts = paper_options();
+    let suite = suite(size);
+    let pool_workers = DseConfig::default().effective_workers();
+    let rows = run_indexed(suite.len(), pool_workers, |i| {
+        per_kernel(suite[i].0, &suite[i].1, &opts)
+    });
+    SuiteRun {
+        rows: rows.into_iter().flatten().collect(),
+        size,
+        pool_workers,
+    }
+}
+
+/// `measure` on a kernel's seed (recorded) schedule and on its auto-DSE
+/// winner: the two rows `bench-sim` and `bench-live` report per kernel.
+pub fn seed_and_dse<R>(
+    kernel: &'static str,
+    f: &Function,
+    opts: &CompileOptions,
+    measure: fn(&'static str, &'static str, &Function, &Compiled, &CompileOptions) -> R,
+) -> Vec<R> {
+    let seed = compile(f, opts).expect("seed schedule compiles");
+    let dse = auto_dse_with(f, opts, &DseConfig::default()).expect("DSE compiles");
+    vec![
+        measure(kernel, "seed", f, &seed, opts),
+        measure(kernel, "dse", &dse.function, &dse.compiled, opts),
+    ]
 }
 
 /// Simulates one compiled design and checks it against the interpreter.
@@ -193,32 +220,17 @@ pub fn measure(
     }
 }
 
-/// Runs the suite at `size` and returns the full report.
-pub fn run_suite(size: usize) -> SimBenchReport {
-    let opts = paper_options();
-    let suite = suite(size);
-    let cfg = DseConfig::default();
-    let pool_workers = cfg.effective_workers();
-    let rows: Vec<Vec<KernelSim>> = pool_run(suite.len(), pool_workers, |i| {
-        let (name, f) = &suite[i];
-        let seed = compile(f, &opts).expect("seed schedule compiles");
-        let dse = auto_dse_with(f, &opts, &cfg).expect("DSE compiles");
-        vec![
-            measure(name, "seed", f, &seed, &opts),
-            measure(name, "dse", &dse.function, &dse.compiled, &opts),
-        ]
-    });
-    SimBenchReport {
-        rows: rows.into_iter().flatten().collect(),
-        size,
-        pool_workers,
-    }
+/// Runs the suite at `size`: two rows per kernel (seed, dse).
+pub fn run_suite(size: usize) -> SuiteRun<KernelSim> {
+    run_over_suite(size, |kernel, f, opts| {
+        seed_and_dse(kernel, f, opts, measure)
+    })
 }
 
 /// The gate: every row must be functionally identical; gated rows must
 /// additionally keep the analytical estimate within ±15% of the
 /// simulated cycles. Returns human-readable failures (empty = pass).
-pub fn gate(r: &SimBenchReport) -> Vec<String> {
+pub fn gate(r: &SuiteRun<KernelSim>) -> Vec<String> {
     let mut fails = Vec::new();
     for k in &r.rows {
         if !k.identical {
@@ -248,104 +260,48 @@ pub fn gate(r: &SimBenchReport) -> Vec<String> {
     fails
 }
 
-fn json_f(v: f64) -> String {
-    format!("{v:.6}")
-}
+const COLUMNS: &[Column<KernelSim>] = &[
+    col("kernel", "Kernel", |k| k.kernel.into()),
+    col("schedule", "Schedule", |k| k.schedule.into()),
+    col("est_cycles", "Estimated", |k| k.est_cycles.into()),
+    col("sim_cycles", "Simulated", |k| k.sim_cycles.into()),
+    col("ratio", "Est/Sim", |k| k.ratio.into()),
+    col("identical", "Identical", |k| k.identical.into()),
+    col("stall_dep", "Dep", |k| k.stall_dep.into()),
+    col("stall_port", "Port", |k| k.stall_port.into()),
+    col("stall_drain", "Drain", |k| k.stall_drain.into()),
+    col("port_conflicts", "", |k| k.port_conflicts.into()),
+    col("pipeline_iterations", "", |k| k.pipeline_iterations.into()),
+    col("gated", "Gated", |k| k.gated.into()),
+    col("certified_free", "CertFree", |k| k.certified_free.into()),
+    col("certified_stall_port", "", |k| {
+        k.certified_stall_port.into()
+    }),
+    col("sim_s", "", |k| k.sim_s.into()),
+];
 
-/// Serializes the report as `BENCH_sim.json` (hand-rolled, no deps).
-pub fn to_json(r: &SimBenchReport) -> String {
-    let mut s = String::from("{\n  \"rows\": [\n");
-    for (i, k) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"kernel\": \"{}\", \"schedule\": \"{}\", \"est_cycles\": {}, \
-             \"sim_cycles\": {}, \"ratio\": {}, \"identical\": {}, \"stall_dep\": {}, \
-             \"stall_port\": {}, \"stall_drain\": {}, \"port_conflicts\": {}, \
-             \"pipeline_iterations\": {}, \"gated\": {}, \"certified_free\": {}, \
-             \"certified_stall_port\": {}, \"sim_s\": {}}}",
-            k.kernel,
-            k.schedule,
-            k.est_cycles,
-            k.sim_cycles,
-            json_f(k.ratio),
-            k.identical,
-            k.stall_dep,
-            k.stall_port,
-            k.stall_drain,
-            k.port_conflicts,
-            k.pipeline_iterations,
-            k.gated,
-            k.certified_free,
-            k.certified_stall_port,
-            json_f(k.sim_s),
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        s,
-        "  ],\n  \"size\": {},\n  \"pool_workers\": {},\n  \"all_passed\": {}\n}}\n",
-        r.size,
-        r.pool_workers,
-        gate(r).is_empty(),
-    );
-    s
-}
-
-/// Renders the report as an aligned table (the human-readable view).
-pub fn render(r: &SimBenchReport) -> String {
-    let mut t = Table::new(
+/// The table and `BENCH_sim.json` of a run, gated by [`gate`].
+pub fn report(r: &SuiteRun<KernelSim>) -> Report {
+    let mut out = r.report(
         "Simulated vs estimated cycles — seed and DSE schedules",
-        &[
-            "Kernel",
-            "Schedule",
-            "Estimated",
-            "Simulated",
-            "Est/Sim",
-            "Identical",
-            "Dep",
-            "Port",
-            "Drain",
-            "Gated",
-            "CertFree",
-        ],
+        COLUMNS,
     );
-    for k in &r.rows {
-        t.row(&[
-            k.kernel.to_string(),
-            k.schedule.to_string(),
-            k.est_cycles.to_string(),
-            k.sim_cycles.to_string(),
-            format!("{:.3}", k.ratio),
-            k.identical.to_string(),
-            k.stall_dep.to_string(),
-            k.stall_port.to_string(),
-            k.stall_drain.to_string(),
-            k.gated.to_string(),
-            k.certified_free.to_string(),
-        ]);
-    }
-    let mut out = t.render();
     let worst = r
         .rows
         .iter()
         .filter(|k| k.gated)
         .map(|k| (k.ratio - 1.0).abs())
         .fold(0.0f64, f64::max);
-    let _ = writeln!(
-        out,
-        "size {}: {} row(s), worst gated deviation {:.1}% (tolerance {:.0}%), {} pool worker(s)",
-        r.size,
-        r.rows.len(),
-        100.0 * worst,
-        100.0 * TOLERANCE,
-        r.pool_workers
-    );
+    out.summary.push(("worst_gated_deviation", worst.into()));
+    out.summary.push(("tolerance", TOLERANCE.into()));
+    out.fails = gate(r);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels;
 
     #[test]
     fn seed_gemm_row_is_identical_and_json_well_formed() {
@@ -359,16 +315,17 @@ mod tests {
         assert!(row.sim_cycles > 0);
         assert!(row.gated);
         assert_eq!(row.certified_stall_port, 0, "certified loops stalled");
-        let report = SimBenchReport {
+        let report = SuiteRun {
             rows: vec![row],
             size: 8,
             pool_workers: 1,
         };
-        let json = to_json(&report);
+        let report = super::report(&report);
+        let json = report.to_json();
         assert!(json.contains("\"kernel\": \"gemm\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-        let text = render(&report);
+        let text = report.render();
         assert!(text.contains("gemm"));
         assert!(text.contains("Est/Sim"));
     }

@@ -5,16 +5,16 @@
 //! each winning schedule once more through `pom-verify` to record the
 //! per-obligation certificate chain. The result is a machine-readable
 //! summary (`VERIFY_certificates.json`) consumed by the
-//! `verify-all-kernels` CI job, which fails when any kernel's winning
+//! `audit` CI matrix, which fails when any kernel's winning
 //! schedule is rejected.
 
 use crate::experiments::bench_dse::suite;
+use crate::experiments::common::{col, Column, Report};
 use pom::verify;
 use pom::{auto_dse_with, CompileOptions, DseConfig};
-use std::fmt::Write;
 
 /// One kernel's certificate summary.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct VerifyRow {
     /// Kernel name (suite order).
     pub kernel: &'static str,
@@ -39,14 +39,6 @@ pub struct VerifyRow {
 pub struct VerifyReport {
     /// Per-kernel rows, in suite order.
     pub rows: Vec<VerifyRow>,
-}
-
-impl VerifyReport {
-    /// True when every kernel's winning schedule carries a passing
-    /// certificate chain.
-    pub fn all_passed(&self) -> bool {
-        self.rows.iter().all(|r| r.rejection.is_none())
-    }
 }
 
 /// Runs the sweep over the full Table III + Table V suite.
@@ -84,25 +76,13 @@ pub fn run_on(kernels: Vec<(&'static str, pom::Function)>, sample_every: usize) 
                     rejection: None,
                 }
             }
-            Err(pom::CompileError::Rejected(report)) => VerifyRow {
-                kernel: name,
-                primitives: 0,
-                obligations: 0,
-                certificates_checked: 0,
-                certificates_passed: 0,
-                certificates_sampled: 0,
-                range_iterations: 0,
-                rejection: Some(report),
-            },
             Err(e) => VerifyRow {
                 kernel: name,
-                primitives: 0,
-                obligations: 0,
-                certificates_checked: 0,
-                certificates_passed: 0,
-                certificates_sampled: 0,
-                range_iterations: 0,
-                rejection: Some(format!("compile error: {e}")),
+                rejection: Some(match e {
+                    pom::CompileError::Rejected(report) => report,
+                    e => format!("compile error: {e}"),
+                }),
+                ..Default::default()
             },
         };
         rows.push(row);
@@ -110,63 +90,44 @@ pub fn run_on(kernels: Vec<(&'static str, pom::Function)>, sample_every: usize) 
     VerifyReport { rows }
 }
 
-/// Human-readable table.
-pub fn render(r: &VerifyReport) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<12} {:>5} {:>6} {:>8} {:>7} {:>8} {:>6}  status",
-        "kernel", "prims", "oblig", "checked", "passed", "sampled", "iters"
-    );
-    for row in &r.rows {
-        let status = if row.rejection.is_none() {
-            "ok"
-        } else {
-            "REJECTED"
-        };
-        let _ = writeln!(
-            s,
-            "{:<12} {:>5} {:>6} {:>8} {:>7} {:>8} {:>6}  {status}",
-            row.kernel,
-            row.primitives,
-            row.obligations,
-            row.certificates_checked,
-            row.certificates_passed,
-            row.certificates_sampled,
-            row.range_iterations,
-        );
-    }
-    for row in &r.rows {
-        if let Some(rej) = &row.rejection {
-            let _ = writeln!(s, "\n--- {} ---\n{rej}", row.kernel);
-        }
-    }
-    s
+/// The gate: every kernel's winning schedule must carry a passing
+/// certificate chain. A failure carries the rendered rejection report.
+pub fn gate(r: &VerifyReport) -> Vec<String> {
+    let rejected = r.rows.iter().filter_map(|row| {
+        let rejection = row.rejection.as_ref()?;
+        Some(format!("{}: schedule rejected\n{rejection}", row.kernel))
+    });
+    rejected.collect()
 }
 
-/// Serializes the sweep as `VERIFY_certificates.json` (hand-rolled, no
-/// external deps — same convention as `bench_dse::to_json`).
-pub fn to_json(r: &VerifyReport) -> String {
-    let mut s = String::from("{\n  \"kernels\": [\n");
-    for (i, row) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"kernel\": \"{}\", \"primitives\": {}, \"obligations\": {}, \
-             \"certificates_checked\": {}, \"certificates_passed\": {}, \
-             \"certificates_sampled\": {}, \"range_iterations\": {}, \"passed\": {}}}",
-            row.kernel,
-            row.primitives,
-            row.obligations,
-            row.certificates_checked,
-            row.certificates_passed,
-            row.certificates_sampled,
-            row.range_iterations,
-            row.rejection.is_none(),
-        );
-        s.push_str(if i + 1 < r.rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(s, "  ],\n  \"all_passed\": {}\n}}\n", r.all_passed());
-    s
+const COLUMNS: &[Column<VerifyRow>] = &[
+    col("kernel", "Kernel", |r| r.kernel.into()),
+    col("primitives", "Prims", |r| r.primitives.into()),
+    col("obligations", "Oblig", |r| r.obligations.into()),
+    col("certificates_checked", "Checked", |r| {
+        r.certificates_checked.into()
+    }),
+    col("certificates_passed", "Passed", |r| {
+        r.certificates_passed.into()
+    }),
+    col("certificates_sampled", "Sampled", |r| {
+        r.certificates_sampled.into()
+    }),
+    col("range_iterations", "Iters", |r| r.range_iterations.into()),
+    col("passed", "Ok", |r| r.rejection.is_none().into()),
+];
+
+/// The table and `VERIFY_certificates.json` of a sweep, gated by
+/// [`gate`].
+pub fn report(r: &VerifyReport) -> Report {
+    let mut out = Report::new(
+        "Certificate sweep — DSE winners + sampled candidates",
+        "kernels",
+        COLUMNS,
+        &r.rows,
+    );
+    out.fails = gate(r);
+    out
 }
 
 #[cfg(test)]
@@ -184,10 +145,10 @@ mod tests {
             ],
             2,
         );
-        assert!(r.all_passed(), "{}", render(&r));
+        assert_eq!(gate(&r), Vec::<String>::new());
         assert!(r.rows.iter().all(|k| k.certificates_checked > 0));
         assert!(r.rows.iter().any(|k| k.certificates_sampled > 0));
-        let json = to_json(&r);
+        let json = report(&r).to_json();
         assert!(json.contains("\"all_passed\": true"));
         assert!(json.contains("\"kernel\": \"gemm\""));
     }

@@ -58,20 +58,46 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::kernels as k;
 
+/// The 14 built-in kernels, in suite order: Table III's typical HLS
+/// benchmarks, Table VII's stencils, Table V's image pipelines and DNNs.
+/// Every whole-suite audit (`bench-sim`, `bench-live`, `bench-dataflow`,
+/// the `bench-serve` traffic mix, and `bench-dse`/`verify-all` minus the
+/// stencils) builds its inputs from this list through
+/// [`kernel_by_name`], so `pomc <kernel>`, `pomd` and the audits agree on
+/// what a name and a size mean.
+pub const SUITE: [&str; 14] = [
+    "gemm",
+    "bicg",
+    "gesummv",
+    "2mm",
+    "3mm",
+    "jacobi1d",
+    "jacobi2d",
+    "heat1d",
+    "seidel",
+    "edge_detect",
+    "gaussian",
+    "blur",
+    "vgg16",
+    "resnet18",
+];
+
 /// Maps a kernel name (+ default size) to its DSL function — the same
 /// vocabulary `pomc` exposes, plus the `conv<ci>x<co>x<size>` layer
 /// pattern. Size transforms mirror `pomc`: time-iterated stencils take
 /// fewer timesteps than their spatial extent, seidel shrinks, and the
-/// DNNs ignore `size` (scale 1). Derived extents are clamped to their
-/// smallest non-degenerate values, so an arbitrary wire-supplied size
-/// can never build an empty iteration space (which would panic a daemon
-/// worker).
+/// DNNs ignore `size` (scale 1). `size` itself (0 → 1; the 3×3 image
+/// stencils need 3) and the extents derived from it are clamped to
+/// their smallest non-degenerate values, so an arbitrary wire-supplied
+/// size can never build an empty iteration space (which would panic a
+/// daemon worker).
 pub fn kernel_by_name(name: &str, size: usize) -> Option<Function> {
     if let Some(shape) = name.strip_prefix("conv") {
         if let Some((ci, co, sz)) = parse_conv_shape(shape) {
             return Some(k::conv_layer_kernel(ci, co, sz));
         }
     }
+    let size = size.max(1);
     let tsteps = (size / 16).max(2);
     Some(match name {
         "gemm" => k::gemm(size),
@@ -83,9 +109,9 @@ pub fn kernel_by_name(name: &str, size: usize) -> Option<Function> {
         "jacobi2d" => k::jacobi2d(tsteps, (size / 8).max(4)),
         "heat1d" => k::heat1d(tsteps, size.max(4)),
         "seidel" => k::seidel((size / 4).max(4)),
-        "edge_detect" => k::edge_detect(size),
-        "gaussian" => k::gaussian(size),
-        "blur" => k::blur(size),
+        "edge_detect" => k::edge_detect(size.max(3)),
+        "gaussian" => k::gaussian(size.max(3)),
+        "blur" => k::blur(size.max(3)),
         "vgg16" => k::vgg16(1),
         "resnet18" => k::resnet18(1),
         _ => return None,
@@ -537,6 +563,42 @@ mod tests {
         assert!(kernel_by_name("conv4x16x4", 0).is_some());
         assert!(kernel_by_name("convx", 32).is_none());
         assert!(kernel_by_name("nope", 32).is_none());
+    }
+
+    #[test]
+    fn suite_sizes_are_unchanged_at_the_ci_sizes_and_clamped_below() {
+        // What `bench_sim::suite` built before it became a map over
+        // `SUITE`: unclamped `size / 16` timesteps, which is an empty
+        // `t` range below 16 (`pomc bench-sim --size 8` panicked in
+        // `Var::new`). At the sizes CI runs, clamped and unclamped agree
+        // byte for byte.
+        for size in [32, 64] {
+            let old = [
+                k::gemm(size),
+                k::bicg(size),
+                k::gesummv(size),
+                k::mm2(size),
+                k::mm3(size),
+                k::jacobi1d(size / 16, size),
+                k::jacobi2d(size / 16, size / 8),
+                k::heat1d(size / 16, size),
+                k::seidel(size / 4),
+                k::edge_detect(size),
+                k::gaussian(size),
+                k::blur(size),
+                k::vgg16(1),
+                k::resnet18(1),
+            ];
+            for (name, want) in SUITE.iter().zip(&old) {
+                let got = kernel_by_name(name, size).expect("suite kernel");
+                assert_eq!(got.to_string(), want.to_string(), "{name}@{size}");
+            }
+        }
+        for size in [0, 1, 2, 8, 15] {
+            for name in SUITE {
+                assert!(kernel_by_name(name, size).is_some(), "{name}@{size}");
+            }
+        }
     }
 
     #[test]

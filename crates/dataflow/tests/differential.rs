@@ -362,11 +362,7 @@ fn minimize(mut spec: ChainSpec, run: impl Fn(&ChainSpec) -> Result<(), String>)
 /// returns its path. Replayed by `corpus_regressions_replay`.
 fn persist(spec: &ChainSpec, property: &str) -> PathBuf {
     let line = spec.serialize();
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in line.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = pom_poly::fnv1a64(line.as_bytes());
     let dir = corpus_dir();
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(format!("dataflow-diff-{:08x}.kernel", h as u32));

@@ -58,7 +58,7 @@ pub struct StableHasher(u64);
 
 impl Default for StableHasher {
     fn default() -> Self {
-        StableHasher(0xcbf2_9ce4_8422_2325)
+        StableHasher(pom_poly::fnv::OFFSET_BASIS)
     }
 }
 
@@ -68,10 +68,7 @@ impl Hasher for StableHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = pom_poly::fnv::extend(self.0, bytes);
     }
 }
 

@@ -30,8 +30,8 @@ pub use cache::{
 pub use compile::{compile, compile_timed, lint_report, CompileError, CompileOptions, Compiled};
 pub use dse::{auto_dse, auto_dse_with, auto_dse_with_cache, DseResult};
 pub use search::{
-    bottleneck_optimize, try_bottleneck_optimize, AnytimePoint, DseConfig, DseStats, GroupConfig,
-    SearchMode, Stage2Result,
+    bottleneck_optimize, run_indexed, try_bottleneck_optimize, AnytimePoint, DseConfig, DseStats,
+    GroupConfig, SearchMode, Stage2Result,
 };
 pub use stage1::dependence_aware_transform;
 pub use store::ArtifactStore;

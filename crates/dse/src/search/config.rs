@@ -75,9 +75,12 @@ pub struct DseConfig {
     /// `None` (the default) never sweeps. A contended sweep (another
     /// process holds the store open) is skipped, not fatal.
     pub store_max_bytes: Option<u64>,
-    /// Worker threads for candidate evaluation: `0` = one per available
-    /// core, `1` = serial. Parallel and serial searches produce
-    /// byte-identical schedules (ties break by candidate index).
+    /// Worker threads for the beam/portfolio waves and the greedy
+    /// descent's initial per-group evaluation: `0` = one per available
+    /// core, `1` = serial. The greedy steps are always serial (≤ 3
+    /// candidates each: too narrow to repay a thread batch). Parallel
+    /// and serial searches produce byte-identical schedules (ties break
+    /// by candidate index).
     pub workers: usize,
     /// Besides the winner (whose certificate chain is always checked),
     /// validate every `n`-th estimated candidate during the search

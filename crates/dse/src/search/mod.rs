@@ -14,10 +14,13 @@
 //!   that seeds the beam from the greedy winner and the baseline
 //!   strategies' schedules.
 //!
-//! Both searches share the memoized compile cache, the scoped worker
-//! pool, and the finalization path (resource repair, bank repair, winner
-//! validation), so a mode switch changes only which schedules are
-//! explored — never how a winner is compiled or certified.
+//! Both searches share the memoized compile cache and the finalization
+//! path (resource repair, bank repair, winner validation), so a mode
+//! switch changes only which schedules are explored — never how a winner
+//! is compiled or certified. The scoped worker pool
+//! ([`run_indexed`]) serves the beam's waves and the greedy descent's
+//! one initial per-group batch; the descent evaluates its ≤ 3
+//! candidates per step serially.
 
 pub mod beam;
 pub mod config;
@@ -28,5 +31,5 @@ pub mod stats;
 pub use beam::AnytimePoint;
 pub use config::{DseConfig, SearchMode};
 pub use ladder::GroupConfig;
-pub use stage2::{bottleneck_optimize, try_bottleneck_optimize, Stage2Result};
+pub use stage2::{bottleneck_optimize, run_indexed, try_bottleneck_optimize, Stage2Result};
 pub use stats::DseStats;

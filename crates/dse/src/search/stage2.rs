@@ -99,12 +99,9 @@ pub(crate) fn composed_resources(
 
 /// Evaluates `0..n` with `f` on up to `workers` scoped threads, returning
 /// results in index order — the caller's selection logic is therefore
-/// independent of completion order.
-pub(crate) fn run_indexed<T: Send>(
-    n: usize,
-    workers: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
+/// independent of completion order. The workspace's one indexed pool:
+/// the beam's waves and the `pom-bench` audit suites both run on it.
+pub fn run_indexed<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
@@ -410,12 +407,13 @@ pub(crate) fn bottleneck_optimize_impl(
     acc: &PhaseAccum,
 ) -> Result<Stage2Result, CompileError> {
     let t_stage2 = Instant::now();
-    let workers = cfg.effective_workers();
     let mut dse_stats = DseStats::default();
     let mut groups = base.groups().to_vec();
 
-    // Initial per-group stats, evaluated concurrently when allowed.
-    let initial = run_indexed(groups.len(), workers, |i| {
+    // Initial per-group stats: the one batch of the greedy descent with
+    // real width (one job per group), and the one kept on the pool — see
+    // DESIGN.md §8, "Greedy steps are serial", for why it stays for now.
+    let initial = run_indexed(groups.len(), cfg.effective_workers(), |i| {
         group_qor(base.slice(i), &groups[i], opts, cache, acc)
     });
     let mut stats: Vec<(u64, pom_hls::ResourceUsage)> =
@@ -472,27 +470,18 @@ pub(crate) fn bottleneck_optimize_impl(
         let slice = base.slice(bottleneck);
         let cur_infeasible = group_infeasible(slice, &groups[bottleneck], opts, cache, acc);
 
-        // Evaluate every single-step escalation of the bottleneck — in
-        // parallel when allowed. Results come back in candidate order, so
-        // selection below is identical for serial and parallel runs.
-        let evals = run_indexed(cands.len(), workers, |i| {
-            eval_candidate(
-                slice,
-                &groups[bottleneck],
-                &cands[i],
-                cur_infeasible,
-                opts,
-                cache,
-                acc,
-            )
-        });
-        if workers > 1 && cands.len() > 1 {
-            dse_stats.parallel_evaluated += cands.len();
-        }
+        // Evaluate every single-step escalation of the bottleneck, one
+        // after the other: a step offers at most three candidates (1.8 on
+        // average), too few to repay a batch of fresh threads — see
+        // DESIGN.md §8, "Greedy steps are serial".
+        let cur = &groups[bottleneck];
+        let evals = cands
+            .iter()
+            .map(|cand| eval_candidate(slice, cur, cand, cur_infeasible, opts, cache, acc));
 
         // Best candidate by (fits, latency), ties broken by index.
         let mut best: Option<(u64, pom_hls::ResourceUsage, usize)> = None;
-        for (i, ev) in evals.into_iter().enumerate() {
+        for (i, ev) in evals.enumerate() {
             match ev? {
                 CandidateEval::Pruned => dse_stats.lint_pruned += 1,
                 CandidateEval::Estimated(l2, r2) => {

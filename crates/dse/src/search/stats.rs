@@ -30,8 +30,8 @@ pub struct DseStats {
     pub store_misses: usize,
     /// Artifacts spilled to the persistent store by this search.
     pub store_writes: usize,
-    /// Candidates evaluated inside a concurrent batch (0 when the search
-    /// ran serially).
+    /// Candidates evaluated inside a concurrent beam/portfolio wave (0
+    /// for a greedy search, and for any search run with one worker).
     pub parallel_evaluated: usize,
     /// Wall time of stage 1 (dependence-aware transformation).
     pub stage1_time: Duration,

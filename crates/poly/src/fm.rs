@@ -94,10 +94,10 @@ fn drop_parallel_redundant(cs: &mut Vec<Constraint>) -> bool {
     let mut sigs: Vec<u64> = Vec::with_capacity(cs.len());
     let mut dropped = 0u64;
     for i in 0..cs.len() {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = crate::fnv::OFFSET_BASIS;
         let mut mix = |v: u64| {
             h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(crate::fnv::PRIME);
         };
         mix(cs[i].kind as u64 + 1);
         for &(id, coeff) in cs[i].expr.terms_ids() {

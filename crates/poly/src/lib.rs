@@ -40,6 +40,7 @@ pub mod constraint;
 pub mod dependence;
 pub mod expr;
 pub mod fm;
+pub mod fnv;
 pub mod map;
 pub mod parse;
 pub mod reference;
@@ -55,6 +56,7 @@ pub use congruence::{congruent_coeffs, may_equal, may_share_class, range_over, r
 pub use constraint::{Constraint, ConstraintKind};
 pub use dependence::{AccessFn, DepKind, Dependence, DependenceAnalysis};
 pub use expr::LinearExpr;
+pub use fnv::fnv1a64;
 pub use map::Map;
 pub use parse::{parse_set, ParseError};
 pub use schedule::{schedule_map, timestamp, UnionMap};
