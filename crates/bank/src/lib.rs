@@ -11,19 +11,27 @@
 //! 1. Every access of one pipeline iteration is enumerated in program
 //!    order — unrolled inner loops are expanded with concrete iterator
 //!    values, while the pipeline iterator and enclosing sequential
-//!    iterators stay symbolic ([`analyze_pipeline`]).
+//!    iterators stay symbolic ([`analyze_pipeline`]). The body is
+//!    compiled once: each index expression splits into an interned
+//!    symbolic part and an integer form over the pinned iterators, so an
+//!    access instance is a shape id plus one `i64` per dimension.
 //! 2. Accesses are classified exactly as the simulator's `time_iteration`
 //!    does: a load forwarded from an earlier same-iteration store costs no
 //!    port, repeated reads of one element cost one port, and only the last
-//!    writer of an element writes back. The aliasing questions this poses
-//!    for symbolic iterators are answered by the congruence/FM layer in
-//!    `pom_poly::congruence` — `false` answers are proofs.
+//!    writer of an element writes back. Two accesses of one shape alias
+//!    exactly when their constants agree, which a hashed lookup answers;
+//!    the remaining aliasing questions go to Fourier–Motzkin feasibility
+//!    over the free iterators' domain — `false` answers are proofs.
 //! 3. Surviving accesses are grouped into *bank classes*: residues of the
 //!    index expressions modulo the cyclic partition factors (mixed-radix
 //!    across dimensions, same combine as the simulator's `bank_of`). When
 //!    every pair of accesses has congruent coefficients, class
 //!    cardinalities are iteration-invariant and the per-bank demand is
 //!    exact ([`BankProfile::max_demand`]).
+//!
+//! Steps 1–2 do not depend on the partitioning and step 3 does, so the
+//! partition search ([`minimal_conflict_free_factors`]) runs 1–2 once per
+//! loop and only step 3 per trial.
 //!
 //! From the profile follow an exact bank-aware ResMII
 //! ([`BankAnalysis::exact_res_mii`]), a conflict-freedom predicate
@@ -32,16 +40,18 @@
 //! ([`minimal_conflict_free_factors`]).
 //!
 //! Whenever the structure is not analyzable — guards inside the pipeline
-//! body, non-constant inner-loop bounds, undecidable aliasing, or more
-//! than [`INSTANCE_CAP`] instances — the analysis degrades to *inexact*
-//! and claims nothing, so every exact verdict it does emit is sound.
+//! body, non-constant inner-loop bounds, undecidable aliasing, index
+//! constants that overflow `i64`, or more than [`INSTANCE_CAP`]
+//! instances — the analysis degrades to *inexact* and claims nothing, so
+//! every exact verdict it does emit is sound.
 
 #![warn(missing_docs)]
 
 use pom_dsl::PartitionStyle;
 use pom_ir::{AffineFunc, AffineOp, ForOp, MemRefDecl};
-use pom_poly::{ceil_div, congruent_coeffs, floor_div, fm, residue, Constraint, DimId, LinearExpr};
-use std::collections::HashMap;
+use pom_poly::{congruent_coeffs, fm, AccessFn, Bound, Constraint, DimId, LinearExpr};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Upper bound on enumerated access instances per pipeline iteration;
 /// beyond it the analysis reports inexact instead of grinding.
@@ -69,6 +79,19 @@ pub struct BankDim {
     pub chunk: i64,
     /// Cyclic (`i % factor`) vs. block (`i / chunk`) mapping.
     pub cyclic: bool,
+}
+
+impl BankDim {
+    /// The bank coordinate of index `c` along this dimension.
+    fn bank(&self, c: i64) -> u64 {
+        if self.factor <= 1 {
+            0
+        } else if self.cyclic {
+            c.rem_euclid(self.factor) as u64
+        } else {
+            (c / self.chunk).min(self.factor - 1) as u64
+        }
+    }
 }
 
 /// The complete bank mapping of one array: per-dimension mappings
@@ -129,158 +152,356 @@ impl ArrayBanks {
     pub fn bank_of_coords(&self, coords: &[i64]) -> u32 {
         let mut bank = 0u64;
         for (bd, &c) in self.dims.iter().zip(coords) {
-            let b = if bd.factor <= 1 {
-                0
-            } else if bd.cyclic {
-                c.rem_euclid(bd.factor)
-            } else {
-                (c / bd.chunk).min(bd.factor - 1)
-            };
-            bank = bank * bd.factor as u64 + b as u64;
+            bank = bank * bd.factor as u64 + bd.bank(c);
         }
         bank as u32
     }
 
-    /// The bank a row-major flat element index lives in.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arrays of rank > 8 (never produced by the DSL).
+    /// The bank a row-major flat element index lives in: one pass from
+    /// the innermost dimension out, peeling each coordinate off `flat` and
+    /// weighting its bank by the factors of the dimensions inside it.
     pub fn bank_of_flat(&self, flat: usize) -> u32 {
-        assert!(self.shape.len() <= 8, "arrays of rank > 8 are not banked");
-        let mut coords = [0i64; 8];
-        let mut rem = flat;
-        for d in (0..self.shape.len()).rev() {
-            let n = self.shape[d].max(1);
-            coords[d] = (rem % n) as i64;
+        let (mut rem, mut bank, mut weight) = (flat, 0u64, 1u64);
+        for (d, &n) in self.shape.iter().enumerate().rev() {
+            let n = n.max(1);
+            let c = (rem % n) as i64;
             rem /= n;
-        }
-        self.bank_of_coords(&coords[..self.shape.len()])
-    }
-}
-
-// ---------------------------------------------------------------------
-// Access instances of one pipeline iteration
-// ---------------------------------------------------------------------
-
-/// One access instance: array name plus index expressions in which
-/// unrolled iterators have been replaced by their concrete values and
-/// free iterators (pipeline + enclosing sequential) remain symbolic.
-#[derive(Clone, Debug)]
-struct Access<'a> {
-    array: &'a str,
-    idx: Vec<LinearExpr>,
-}
-
-/// One store instance of a pipeline iteration, in program order.
-struct Inst<'a> {
-    loads: Vec<Access<'a>>,
-    dest: Access<'a>,
-}
-
-/// Enumerates the store instances of one pipeline iteration.
-struct Collector<'a> {
-    /// Concrete values of the pinned iterators: a case assignment, then
-    /// the unrolled (in-pipeline) loops entered so far, innermost last.
-    env: Vec<(DimId, i64)>,
-    insts: Vec<Inst<'a>>,
-    exact: bool,
-    /// Set when inexactness came from an inner loop whose bounds mention
-    /// a symbolic iterator — the one failure case enumeration repairs.
-    symbolic_bounds: bool,
-}
-
-impl<'a> Collector<'a> {
-    fn new(env: Vec<(DimId, i64)>) -> Self {
-        Collector {
-            env,
-            insts: Vec::new(),
-            exact: true,
-            symbolic_bounds: false,
-        }
-    }
-
-    /// `e` with every pinned iterator folded into the constant.
-    fn fold(&self, e: &LinearExpr) -> LinearExpr {
-        let mut e = e.clone();
-        for &(iv, v) in self.env.iter().rev() {
-            let c = e.coeff_id(iv);
-            if c != 0 {
-                e.set_coeff_id(iv, 0);
-                e.add_constant(c.checked_mul(v).expect("index constant overflows i64"));
+            // Like `bank_of_coords`, dimensions without a mapping do not
+            // contribute.
+            if let Some(bd) = self.dims.get(d) {
+                bank = bank.wrapping_add(bd.bank(c).wrapping_mul(weight));
+                weight = weight.wrapping_mul(bd.factor as u64);
             }
         }
-        e
+        bank as u32
     }
+}
 
-    fn subst(&self, a: &'a pom_poly::AccessFn) -> Access<'a> {
-        Access {
-            array: &a.array,
-            idx: a.indices.iter().map(|e| self.fold(e)).collect(),
+// ---------------------------------------------------------------------
+// Compiled access sites
+// ---------------------------------------------------------------------
+//
+// A pipeline iteration pins some iterators to concrete values — a case
+// assignment (outermost) and the unrolled in-pipeline loops — and leaves
+// the rest (the pipeline iterator, enclosing sequential loops) symbolic.
+// Compiling a body splits each index expression into its symbolic free
+// part, interned once per body, and an integer form over the pinned
+// slots. Enumerating an iteration then only evaluates integer forms.
+
+/// An integer form over the pinned slots: `base + Σ coeff · vals[slot]`.
+struct Pinned {
+    base: i64,
+    terms: Vec<(usize, i64)>,
+}
+
+impl Pinned {
+    /// Splits `e` over the pinned `stack` (slot = position) into its free
+    /// terms and its pinned form. An iterator pinned twice binds to its
+    /// innermost slot.
+    fn split(e: &LinearExpr, stack: &[DimId]) -> (Vec<(DimId, i64)>, Pinned) {
+        let mut free = Vec::new();
+        let mut terms = Vec::new();
+        for &(id, c) in e.terms_ids() {
+            match stack.iter().rposition(|&s| s == id) {
+                Some(slot) => terms.push((slot, c)),
+                None => free.push((id, c)),
+            }
         }
-    }
-
-    /// Bounds of an in-pipeline loop; `None` when they depend on a
-    /// symbolic (free) iterator and the instance set varies per iteration.
-    fn const_bounds(&self, l: &ForOp) -> Option<(i64, i64)> {
-        let closed = |e: &LinearExpr| {
-            let e = self.fold(e);
-            e.is_constant().then(|| e.constant())
+        let pinned = Pinned {
+            base: e.constant(),
+            terms,
         };
-        let lbs: Option<Vec<i64>> = l
-            .lbs
-            .iter()
-            .map(|b| Some(ceil_div(closed(&b.expr)?, b.div)))
-            .collect();
-        let ubs: Option<Vec<i64>> = l
-            .ubs
-            .iter()
-            .map(|b| Some(floor_div(closed(&b.expr)?, b.div)))
-            .collect();
-        Some((lbs?.into_iter().max()?, ubs?.into_iter().min()?))
+        (free, pinned)
     }
 
-    fn collect(&mut self, ops: &'a [AffineOp]) {
-        for op in ops {
-            if !self.exact {
-                return;
-            }
-            match op {
-                AffineOp::Store(s) => {
-                    if self.insts.len() >= INSTANCE_CAP {
-                        self.exact = false;
-                        return;
-                    }
-                    let loads = s.value.loads().iter().map(|a| self.subst(a)).collect();
-                    let dest = self.subst(&s.dest);
-                    self.insts.push(Inst { loads, dest });
-                }
-                // A guard over symbolic iterators makes the instance set
-                // iteration-dependent; claim nothing.
-                AffineOp::If(_) => {
-                    self.exact = false;
-                    return;
-                }
+    /// The value under `vals`; `None` on `i64` overflow.
+    fn eval(&self, vals: &[i64]) -> Option<i64> {
+        self.terms.iter().try_fold(self.base, |acc, &(slot, c)| {
+            acc.checked_add(c.checked_mul(vals[slot])?)
+        })
+    }
+}
+
+/// FNV-1a as a [`Hasher`]. The crate's maps key on interned ids and on
+/// instance-constant hashes; a collision costs an ordered scan, never a
+/// wrong verdict.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(pom_poly::fnv::OFFSET_BASIS)
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = pom_poly::fnv::extend(self.0, bytes);
+    }
+}
+
+type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
+
+/// The interned free parts of one compiled body.
+#[derive(Default)]
+struct Shapes {
+    lin_ids: FnvMap<Vec<(DimId, i64)>, usize>,
+    /// Free part of one index expression, by id (constant zero).
+    lins: Vec<LinearExpr>,
+    shape_ids: FnvMap<Vec<usize>, usize>,
+    /// Free-part ids of one access, one per dimension, by shape id.
+    shapes: Vec<Vec<usize>>,
+}
+
+impl Shapes {
+    fn lin(&mut self, free: Vec<(DimId, i64)>) -> usize {
+        if let Some(&id) = self.lin_ids.get(&free) {
+            return id;
+        }
+        let mut e = LinearExpr::zero();
+        for &(d, c) in &free {
+            e.set_coeff_id(d, c);
+        }
+        self.lins.push(e);
+        self.lin_ids.insert(free, self.lins.len() - 1);
+        self.lins.len() - 1
+    }
+
+    fn shape(&mut self, lins: Vec<usize>) -> usize {
+        if let Some(&id) = self.shape_ids.get(&lins) {
+            return id;
+        }
+        self.shapes.push(lins.clone());
+        self.shape_ids.insert(lins, self.shapes.len() - 1);
+        self.shapes.len() - 1
+    }
+}
+
+/// One access, compiled: its array, its shape and one pinned form per
+/// dimension.
+struct Site {
+    array: usize,
+    shape: usize,
+    idx: Vec<Pinned>,
+}
+
+/// One op of a compiled pipelined body.
+enum Op {
+    Store {
+        loads: Vec<Site>,
+        dest: Site,
+    },
+    /// An in-pipeline loop, unrolled into `slot`. `bounds` (lower, upper;
+    /// each with its divisor) is `None` when a bound mentions a free
+    /// iterator or a side has no bound.
+    For {
+        slot: usize,
+        bounds: Option<[Vec<(Pinned, i64)>; 2]>,
+        body: Vec<Op>,
+    },
+    /// A guard inside the pipeline: the instance set varies per iteration.
+    If,
+}
+
+/// A pipelined body compiled against a prefix of pinned case iterators.
+struct Body<'a> {
+    ops: Vec<Op>,
+    /// Pinned slots: the case prefix plus the deepest in-pipeline nest.
+    slots: usize,
+    /// Accessed array names; a site's `array` indexes this.
+    arrays: Vec<&'a str>,
+    shapes: Shapes,
+}
+
+impl<'a> Body<'a> {
+    fn compile(pipe: &'a ForOp, cases: &[DimId]) -> Self {
+        let mut body = Body {
+            ops: Vec::new(),
+            slots: cases.len(),
+            arrays: Vec::new(),
+            shapes: Shapes::default(),
+        };
+        body.ops = body.compile_ops(&pipe.body, &mut cases.to_vec());
+        body
+    }
+
+    fn compile_ops(&mut self, ops: &'a [AffineOp], stack: &mut Vec<DimId>) -> Vec<Op> {
+        ops.iter()
+            .map(|op| match op {
+                AffineOp::Store(s) => Op::Store {
+                    loads: s
+                        .value
+                        .loads()
+                        .into_iter()
+                        .map(|a| self.site(a, stack))
+                        .collect(),
+                    dest: self.site(&s.dest, stack),
+                },
+                AffineOp::If(_) => Op::If,
                 AffineOp::For(l) => {
-                    let Some((lb, ub)) = self.const_bounds(l) else {
-                        self.exact = false;
-                        self.symbolic_bounds = true;
-                        return;
+                    let side = |bs: &[Bound]| -> Option<Vec<(Pinned, i64)>> {
+                        if bs.is_empty() {
+                            return None;
+                        }
+                        bs.iter()
+                            .map(|b| {
+                                let (free, pinned) = Pinned::split(&b.expr, stack);
+                                free.is_empty().then_some((pinned, b.div))
+                            })
+                            .collect()
                     };
-                    let iv = DimId::intern(&l.iv);
+                    let bounds = side(&l.lbs).zip(side(&l.ubs)).map(|(lo, hi)| [lo, hi]);
+                    let slot = stack.len();
+                    stack.push(DimId::intern(&l.iv));
+                    self.slots = self.slots.max(stack.len());
+                    let body = self.compile_ops(&l.body, stack);
+                    stack.pop();
+                    Op::For { slot, bounds, body }
+                }
+            })
+            .collect()
+    }
+
+    fn site(&mut self, a: &'a AccessFn, stack: &[DimId]) -> Site {
+        let array = match self.arrays.iter().position(|&n| n == a.array) {
+            Some(i) => i,
+            None => {
+                self.arrays.push(&a.array);
+                self.arrays.len() - 1
+            }
+        };
+        let mut lins = Vec::with_capacity(a.indices.len());
+        let mut idx = Vec::with_capacity(a.indices.len());
+        for e in &a.indices {
+            let (free, pinned) = Pinned::split(e, stack);
+            lins.push(self.shapes.lin(free));
+            idx.push(pinned);
+        }
+        Site {
+            array,
+            shape: self.shapes.shape(lins),
+            idx,
+        }
+    }
+
+    /// The store instances of the iteration whose case iterators take the
+    /// values `case`.
+    fn instances(&self, case: &[i64]) -> Result<Insts, Stop> {
+        let mut vals = vec![0; self.slots];
+        vals[..case.len()].copy_from_slice(case);
+        let mut insts = Insts::default();
+        insts.collect(&self.ops, &mut vals)?;
+        Ok(insts)
+    }
+}
+
+/// Why an iteration's instances could not be enumerated.
+enum Stop {
+    /// An in-pipeline loop bound mentions a free iterator — the one
+    /// failure case enumeration repairs.
+    SymbolicBounds,
+    /// A guard, the instance cap, or an `i64` overflow.
+    Inexact,
+}
+
+/// One access instance: its site's array and shape, where its index
+/// constants start in the iteration's arena, and their hash.
+#[derive(Clone, Copy)]
+struct Acc {
+    array: usize,
+    shape: usize,
+    at: usize,
+    hash: u64,
+}
+
+/// The store instances of one pipeline iteration, in program order.
+#[derive(Default)]
+struct Insts {
+    /// Index constants of every instance, back to back.
+    consts: Vec<i64>,
+    loads: Vec<Acc>,
+    /// Store `i` reads `loads[load_ends[i - 1]..load_ends[i]]`.
+    load_ends: Vec<usize>,
+    dests: Vec<Acc>,
+}
+
+impl Insts {
+    fn push(&mut self, site: &Site, vals: &[i64]) -> Result<Acc, Stop> {
+        let at = self.consts.len();
+        let mut hash = 0u64;
+        for p in &site.idx {
+            let c = p.eval(vals).ok_or(Stop::Inexact)?;
+            // One FxHash step: the key of the buckets' hashed sets.
+            hash = (hash.rotate_left(5) ^ c as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+            self.consts.push(c);
+        }
+        Ok(Acc {
+            array: site.array,
+            shape: site.shape,
+            at,
+            hash,
+        })
+    }
+
+    fn collect(&mut self, ops: &[Op], vals: &mut [i64]) -> Result<(), Stop> {
+        for op in ops {
+            match op {
+                Op::Store { loads, dest } => {
+                    if self.dests.len() >= INSTANCE_CAP {
+                        return Err(Stop::Inexact);
+                    }
+                    for site in loads {
+                        let a = self.push(site, vals)?;
+                        self.loads.push(a);
+                    }
+                    self.load_ends.push(self.loads.len());
+                    let d = self.push(dest, vals)?;
+                    self.dests.push(d);
+                }
+                Op::If => return Err(Stop::Inexact),
+                Op::For { bounds: None, .. } => return Err(Stop::SymbolicBounds),
+                Op::For {
+                    slot,
+                    bounds: Some([lbs, ubs]),
+                    body,
+                } => {
+                    let (Some(lb), Some(ub)) = (bound(lbs, vals, true), bound(ubs, vals, false))
+                    else {
+                        return Err(Stop::Inexact);
+                    };
                     for v in lb..=ub {
-                        self.env.push((iv, v));
-                        self.collect(&l.body);
-                        self.env.pop();
+                        vals[*slot] = v;
+                        self.collect(body, vals)?;
                     }
                 }
             }
         }
+        Ok(())
     }
 }
 
+/// A compiled loop bound under `vals`: the `max` of the lower sides'
+/// ceilings or the `min` of the upper sides' floors. `None` on overflow.
+fn bound(sides: &[(Pinned, i64)], vals: &[i64], lower: bool) -> Option<i64> {
+    let mut out: Option<i64> = None;
+    for (p, div) in sides {
+        let v = p.eval(vals)?;
+        let q = v.checked_div_euclid(*div)?;
+        let b = if lower && v.checked_rem_euclid(*div)? != 0 {
+            q + 1
+        } else {
+            q
+        };
+        out = Some(out.map_or(b, |o| if lower { o.max(b) } else { o.min(b) }));
+    }
+    out
+}
+
 // ---------------------------------------------------------------------
-// Symbolic aliasing
+// Classification (partition-independent)
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -293,49 +514,322 @@ enum Alias {
     Unknown,
 }
 
-/// Decides whether two accesses of the same array refer to the same
-/// element, over the free-iterator `domain`.
-fn alias(a: &Access, b: &Access, domain: &[Constraint], fm_budget: &mut usize) -> Alias {
-    if a.idx.len() != b.idx.len() {
-        return Alias::Unknown;
+/// What classifying one iteration's instances reads.
+struct Cx<'s> {
+    shapes: &'s Shapes,
+    consts: &'s [i64],
+    /// The free iterators' domain.
+    domain: &'s [Constraint],
+}
+
+impl Cx<'_> {
+    fn consts(&self, a: Acc) -> &[i64] {
+        &self.consts[a.at..a.at + self.shapes.shapes[a.shape].len()]
     }
-    // Index pairs with one linear part differ by a constant everywhere:
-    // unrolled copies of one access, the common case, are decided here
-    // without building a difference.
-    let same_linear = |x: &LinearExpr, y: &LinearExpr| x.terms_ids() == y.terms_ids();
-    let mut symbolic = false;
-    for (x, y) in a.idx.iter().zip(&b.idx) {
-        if !same_linear(x, y) {
-            symbolic = true;
-        } else if x.constant() != y.constant() {
-            return Alias::Never;
+
+    /// Decides whether two accesses of the same array refer to the same
+    /// element over the domain.
+    fn alias(&self, a: Acc, b: Acc, fm_budget: &mut usize) -> Alias {
+        let (la, lb) = (&self.shapes.shapes[a.shape], &self.shapes.shapes[b.shape]);
+        if la.len() != lb.len() {
+            return Alias::Unknown;
+        }
+        // Dimensions with one free part differ by a constant everywhere.
+        let (ca, cb) = (self.consts(a), self.consts(b));
+        let mut symbolic = false;
+        for d in 0..la.len() {
+            if la[d] != lb[d] {
+                symbolic = true;
+            } else if ca[d] != cb[d] {
+                return Alias::Never;
+            }
+        }
+        if !symbolic {
+            return Alias::Same;
+        }
+        // Some dimension differs symbolically: equal only where the
+        // equality system is feasible. Rational FM over-approximates the
+        // integers, so `Never` is sound and `Unknown` is the honest
+        // remainder.
+        if *fm_budget == 0 {
+            return Alias::Unknown;
+        }
+        *fm_budget -= 1;
+        let mut cs = self.domain.to_vec();
+        for d in (0..la.len()).filter(|&d| la[d] != lb[d]) {
+            let mut diff = self.shapes.lins[la[d]].clone();
+            let Some(k) = ca[d].checked_sub(cb[d]) else {
+                return Alias::Unknown;
+            };
+            if diff.try_add_scaled(&self.shapes.lins[lb[d]], -1).is_err() {
+                return Alias::Unknown;
+            }
+            diff.set_constant(k);
+            cs.push(Constraint::eq_zero(diff));
+        }
+        if fm::feasible(&cs) {
+            Alias::Unknown
+        } else {
+            Alias::Never
         }
     }
-    if !symbolic {
-        return Alias::Same;
-    }
-    // Some dimension differs symbolically: equal only where the equality
-    // system is feasible. Rational FM over-approximates the integers, so
-    // `Never` is sound and `Unknown` is the honest remainder.
-    if *fm_budget == 0 {
-        return Alias::Unknown;
-    }
-    *fm_budget -= 1;
-    let mut cs = domain.to_vec();
-    for (x, y) in a.idx.iter().zip(&b.idx) {
-        if !same_linear(x, y) {
-            cs.push(Constraint::eq_zero(x.clone() - y.clone()));
+
+    /// The first verdict other than `Never` of `q` against `earlier`, in
+    /// order — the scan stops there, so a later pair is never evaluated.
+    fn scan(&self, q: Acc, earlier: impl IntoIterator<Item = Acc>, fm_budget: &mut usize) -> Alias {
+        for e in earlier {
+            match self.alias(q, e, fm_budget) {
+                Alias::Never => {}
+                verdict => return verdict,
+            }
         }
-    }
-    if fm::feasible(&cs) {
-        Alias::Unknown
-    } else {
         Alias::Never
     }
 }
 
+/// The earlier accesses of one array that an access is compared with.
+struct Bucket {
+    entries: Vec<Acc>,
+    /// The shape of every entry, while the bucket is non-empty and they
+    /// all agree.
+    uniform: Option<usize>,
+    /// Constants hash → an entry with those constants, while `uniform`.
+    set: FnvMap<u64, usize>,
+}
+
+impl Bucket {
+    fn with_capacity(n: usize) -> Self {
+        Bucket {
+            entries: Vec::with_capacity(n),
+            uniform: None,
+            set: FnvMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
+    /// The scan's verdict for `q` when constants alone decide it: when
+    /// every entry has `q`'s shape, `alias` is constant equality, so the
+    /// scan meets `Same` exactly when some entry has `q`'s constants and
+    /// never reaches FM. `None` when the ordered scan has to run.
+    fn fast(&self, q: Acc, cx: &Cx) -> Option<Alias> {
+        if self.entries.is_empty() {
+            return Some(Alias::Never);
+        }
+        if self.uniform != Some(q.shape) {
+            return None;
+        }
+        match self.set.get(&q.hash) {
+            None => Some(Alias::Never),
+            Some(&e) if cx.consts(self.entries[e]) == cx.consts(q) => Some(Alias::Same),
+            Some(_) => None, // a hash collision: the scan decides
+        }
+    }
+
+    fn find(&self, q: Acc, cx: &Cx, fm_budget: &mut usize) -> Alias {
+        self.fast(q, cx)
+            .unwrap_or_else(|| cx.scan(q, self.entries.iter().copied(), fm_budget))
+    }
+
+    fn insert(&mut self, a: Acc) {
+        if self.entries.is_empty() {
+            self.uniform = Some(a.shape);
+        } else if self.uniform != Some(a.shape) {
+            self.uniform = None;
+            self.set.clear();
+        }
+        if self.uniform.is_some() {
+            self.set.entry(a.hash).or_insert(self.entries.len());
+        }
+        self.entries.push(a);
+    }
+}
+
+/// The memory reads and write-backs of one pipeline iteration, per array.
+struct Case {
+    consts: Vec<i64>,
+    reads: Vec<Vec<Acc>>,
+    writes: Vec<Vec<Acc>>,
+}
+
+impl Case {
+    /// Classifies `insts` with the simulator's rules; `None` when some
+    /// aliasing question the rules pose is undecidable.
+    fn classify(
+        insts: Insts,
+        arrays: usize,
+        shapes: &Shapes,
+        domain: &[Constraint],
+    ) -> Option<Case> {
+        let cx = Cx {
+            shapes,
+            consts: &insts.consts,
+            domain,
+        };
+        let mut fm_budget = FM_BUDGET;
+        let (mut loads, mut dests) = (vec![0; arrays], vec![0; arrays]);
+        insts.loads.iter().for_each(|a| loads[a.array] += 1);
+        insts.dests.iter().for_each(|a| dests[a.array] += 1);
+        let buckets =
+            |n: &[usize]| -> Vec<Bucket> { n.iter().map(|&n| Bucket::with_capacity(n)).collect() };
+
+        // Memory reads: an element read before any same-iteration write
+        // comes from memory; repeated reads of one element cost one port.
+        // A load is compared with the earlier writes, then the earlier
+        // memory reads, and the first verdict other than `Never` decides.
+        let (mut written, mut read) = (buckets(&dests), buckets(&loads));
+        let mut start = 0;
+        for (&dest, &end) in insts.dests.iter().zip(&insts.load_ends) {
+            'load: for &q in &insts.loads[start..end] {
+                for earlier in [&written[q.array], &read[q.array]] {
+                    match earlier.find(q, &cx, &mut fm_budget) {
+                        Alias::Same => continue 'load,
+                        Alias::Never => {}
+                        Alias::Unknown => return None,
+                    }
+                }
+                read[q.array].insert(q);
+            }
+            start = end;
+            written[dest.array].insert(dest);
+        }
+
+        // Write-backs: only the last writer of each element touches
+        // memory. A reverse pass decides the stores whose later writes
+        // all share their shape; the rest scan their later writes in
+        // program order, so FM sees the pairs it always saw, in order.
+        let mut later = buckets(&dests);
+        let mut fast = vec![None; insts.dests.len()];
+        for (i, &d) in insts.dests.iter().enumerate().rev() {
+            fast[i] = later[d.array].fast(d, &cx);
+            later[d.array].insert(d);
+        }
+        let mut writes = vec![Vec::new(); arrays];
+        for (i, &d) in insts.dests.iter().enumerate() {
+            let verdict = fast[i].unwrap_or_else(|| {
+                let rest = insts.dests[i + 1..].iter().copied();
+                cx.scan(d, rest.filter(|l| l.array == d.array), &mut fm_budget)
+            });
+            match verdict {
+                Alias::Same => {}
+                Alias::Never => writes[d.array].push(d),
+                Alias::Unknown => return None,
+            }
+        }
+        Some(Case {
+            reads: read.into_iter().map(|b| b.entries).collect(),
+            writes,
+            consts: insts.consts,
+        })
+    }
+}
+
+/// The partition-independent half of one pipeline's analysis: the
+/// compiled body and the classified accesses of each iteration case.
+struct Classified<'a> {
+    body: Body<'a>,
+    cases: Vec<Case>,
+    /// Whether `cases` enumerate outer-iterator assignments (merged as
+    /// the worst case) rather than being the one symbolic iteration.
+    enumerated: bool,
+}
+
+/// Steps 1–2 of [`analyze_pipeline`]; `None` when inexact.
+fn classify<'a>(
+    pipe: &'a ForOp,
+    outer: &[(String, i64, i64)],
+    guarded: bool,
+) -> Option<Classified<'a>> {
+    let mut dom = Vec::new();
+    let mut range = |iv: &str, lb: i64, ub: i64| {
+        dom.push(Constraint::ge(
+            LinearExpr::var(iv),
+            LinearExpr::constant_expr(lb),
+        ));
+        dom.push(Constraint::le(
+            LinearExpr::var(iv),
+            LinearExpr::constant_expr(ub),
+        ));
+    };
+    for (iv, lb, ub) in outer {
+        range(iv, *lb, *ub);
+    }
+    if let Some((lb, ub)) = const_range(pipe) {
+        range(&pipe.iv, lb, ub);
+    }
+
+    let body = Body::compile(pipe, &[]);
+    match body.instances(&[]) {
+        Ok(insts) => {
+            let case = Case::classify(insts, body.arrays.len(), &body.shapes, &dom)?;
+            return Some(Classified {
+                body,
+                cases: vec![case],
+                enumerated: false,
+            });
+        }
+        Err(Stop::SymbolicBounds) if !guarded => {}
+        Err(_) => return None,
+    }
+
+    // Ranges of the iterators a case assignment may pin: the enclosing
+    // sequential iterators plus the pipeline's own (all executed in full).
+    let mut ranges: HashMap<&str, (i64, i64)> = outer
+        .iter()
+        .map(|(iv, lb, ub)| (iv.as_str(), (*lb, *ub)))
+        .collect();
+    if let Some((lb, ub)) = const_range(pipe) {
+        ranges.insert(&pipe.iv, (lb, ub));
+    }
+    let mut inner = Vec::new();
+    let mut mentioned = BTreeSet::new();
+    bound_vars(&pipe.body, &mut inner, &mut mentioned);
+    let case_vars: Vec<&str> = mentioned
+        .iter()
+        .map(String::as_str)
+        .filter(|v| !inner.iter().any(|iv| iv == v))
+        .collect();
+    let mut cases = 1usize;
+    for v in &case_vars {
+        let (lb, ub) = ranges.get(v)?;
+        let n = ub.checked_sub(*lb)?.checked_add(1)?.max(0) as usize;
+        cases = cases.saturating_mul(n);
+        if cases == 0 || cases > CASE_CAP {
+            return None;
+        }
+    }
+
+    // One assignment per case, the first iterator varying slowest.
+    let mut envs: Vec<Vec<i64>> = vec![Vec::new()];
+    for v in &case_vars {
+        let (lb, ub) = ranges[v];
+        envs = envs
+            .into_iter()
+            .flat_map(|e| {
+                (lb..=ub).map(move |val| {
+                    let mut e = e.clone();
+                    e.push(val);
+                    e
+                })
+            })
+            .collect();
+    }
+    let ids: Vec<DimId> = case_vars.iter().map(|v| DimId::intern(v)).collect();
+    let body = Body::compile(pipe, &ids);
+    let cases = envs
+        .iter()
+        .map(|env| {
+            let insts = body.instances(env).ok()?;
+            Case::classify(insts, body.arrays.len(), &body.shapes, &dom)
+        })
+        .collect::<Option<Vec<Case>>>()?;
+    Some(Classified {
+        body,
+        cases,
+        enumerated: true,
+    })
+}
+
 // ---------------------------------------------------------------------
-// Profiles
+// Profiles (partition-dependent)
 // ---------------------------------------------------------------------
 
 /// Per-array access-multiplicity profile of one pipeline iteration.
@@ -447,6 +941,126 @@ impl BankAnalysis {
     }
 }
 
+impl Classified<'_> {
+    /// Step 3: groups the classified accesses into bank classes under the
+    /// partitioning `memrefs` declares.
+    fn group(&self, memrefs: &[MemRefDecl]) -> BankAnalysis {
+        let profiles = |case: &Case| -> Vec<BankProfile> {
+            memrefs
+                .iter()
+                .filter_map(|m| {
+                    let a = self.body.arrays.iter().position(|&n| n == m.name)?;
+                    let (reads, writes) = (&case.reads[a], &case.writes[a]);
+                    (!reads.is_empty() || !writes.is_empty())
+                        .then(|| self.profile(m, case, reads, writes))
+                })
+                .collect()
+        };
+        if !self.enumerated {
+            return BankAnalysis {
+                exact: true,
+                profiles: profiles(&self.cases[0]),
+            };
+        }
+        // Every case is executed, so the worst case per array is exact.
+        let mut merged: Vec<BankProfile> = Vec::new();
+        for p in self.cases.iter().flat_map(profiles) {
+            match merged.iter_mut().find(|m| m.array == p.array) {
+                Some(m) => {
+                    m.exact &= p.exact;
+                    if p.max_demand > m.max_demand {
+                        m.classes = p.classes;
+                    }
+                    m.reads = m.reads.max(p.reads);
+                    m.writes = m.writes.max(p.writes);
+                    m.max_demand = m.max_demand.max(p.max_demand);
+                    m.max_read_demand = m.max_read_demand.max(p.max_read_demand);
+                }
+                None => merged.push(p),
+            }
+        }
+        BankAnalysis {
+            exact: true,
+            profiles: merged,
+        }
+    }
+
+    fn profile(&self, m: &MemRefDecl, case: &Case, reads: &[Acc], writes: &[Acc]) -> BankProfile {
+        let ab = ArrayBanks::of(m);
+        let shapes = &self.body.shapes;
+        let reference = reads.first().or(writes.first()).expect("non-empty");
+        // Classes are iteration-invariant exactly when every access is
+        // congruent (mod factor) to the reference along each cyclic
+        // dimension; block mapping is exact only for constant indices.
+        // Both depend on the shape alone, so each shape is checked once.
+        let classifiable = |shape: usize| {
+            let (s, r) = (&shapes.shapes[shape], &shapes.shapes[reference.shape]);
+            s.len() == ab.dims.len()
+                && ab.dims.iter().enumerate().all(|(d, bd)| {
+                    bd.factor <= 1
+                        || if bd.cyclic {
+                            s[d] == r[d]
+                                || congruent_coeffs(
+                                    &shapes.lins[s[d]],
+                                    &shapes.lins[r[d]],
+                                    bd.factor,
+                                )
+                        } else {
+                            shapes.lins[s[d]].is_constant()
+                        }
+                })
+        };
+        let mut seen: Vec<usize> = Vec::new();
+        // The mixed-radix class key must also fit a `u64`.
+        let exact = ab
+            .dims
+            .iter()
+            .try_fold(1u64, |p, bd| p.checked_mul(bd.factor.max(1) as u64))
+            .is_some()
+            && reads.iter().chain(writes).all(|a| {
+                seen.contains(&a.shape) || {
+                    seen.push(a.shape);
+                    classifiable(a.shape)
+                }
+            });
+        let (mut classes, mut max_demand, mut max_read_demand) = (0, 0, 0);
+        if exact {
+            // A cyclic key is the residue itself, not its difference from
+            // the reference's: shifting every residue by one constant is a
+            // bijection, so the class counts are the same.
+            let key = |a: &Acc| {
+                let consts = &case.consts[a.at..a.at + ab.dims.len()];
+                ab.dims.iter().zip(consts).fold(0u64, |key, (bd, &c)| {
+                    let c = if bd.cyclic { c } else { c.max(0) };
+                    key * bd.factor.max(1) as u64 + bd.bank(c)
+                })
+            };
+            let mut keys: Vec<(u64, bool)> = reads
+                .iter()
+                .map(|a| (key(a), false))
+                .chain(writes.iter().map(|a| (key(a), true)))
+                .collect();
+            keys.sort_unstable();
+            for class in keys.chunk_by(|x, y| x.0 == y.0) {
+                let r = class.iter().filter(|k| !k.1).count() as u64;
+                classes += 1;
+                max_demand = max_demand.max(class.len() as u64);
+                max_read_demand = max_read_demand.max(r);
+            }
+        }
+        BankProfile {
+            array: m.name.clone(),
+            banks: ab.banks(),
+            reads: reads.len() as u64,
+            writes: writes.len() as u64,
+            exact,
+            classes,
+            max_demand,
+            max_read_demand,
+        }
+    }
+}
+
 /// Analyzes one pipelined loop body.
 ///
 /// `pipe` is the pipelined loop; `outer` lists the enclosing sequential
@@ -469,104 +1083,7 @@ pub fn analyze_pipeline(
     outer: &[(String, i64, i64)],
     guarded: bool,
 ) -> BankAnalysis {
-    let mut dom = Vec::new();
-    for (iv, lb, ub) in outer {
-        dom.push(Constraint::ge(
-            LinearExpr::var(iv),
-            LinearExpr::constant_expr(*lb),
-        ));
-        dom.push(Constraint::le(
-            LinearExpr::var(iv),
-            LinearExpr::constant_expr(*ub),
-        ));
-    }
-    push_iv_bounds(&mut dom, pipe);
-
-    let mut col = Collector::new(Vec::new());
-    col.collect(&pipe.body);
-    if col.exact {
-        return profiles_of(memrefs, &col.insts, &dom);
-    }
-    if !col.symbolic_bounds || guarded {
-        return BankAnalysis::inexact();
-    }
-
-    // Ranges of the iterators a case assignment may pin: the enclosing
-    // sequential iterators plus the pipeline's own (all executed in full).
-    let mut ranges: HashMap<&str, (i64, i64)> = outer
-        .iter()
-        .map(|(iv, lb, ub)| (iv.as_str(), (*lb, *ub)))
-        .collect();
-    if let Some((lb, ub)) = const_range(pipe) {
-        ranges.insert(&pipe.iv, (lb, ub));
-    }
-    let mut inner = Vec::new();
-    let mut mentioned = std::collections::BTreeSet::new();
-    bound_vars(&pipe.body, &mut inner, &mut mentioned);
-    let case_vars: Vec<&str> = mentioned
-        .iter()
-        .map(String::as_str)
-        .filter(|v| !inner.iter().any(|iv| iv == v))
-        .collect();
-    let mut cases = 1usize;
-    for v in &case_vars {
-        let Some((lb, ub)) = ranges.get(v) else {
-            return BankAnalysis::inexact();
-        };
-        let n = (ub - lb + 1).max(0) as usize;
-        cases = cases.saturating_mul(n);
-        if cases == 0 || cases > CASE_CAP {
-            return BankAnalysis::inexact();
-        }
-    }
-
-    let mut envs: Vec<Vec<(DimId, i64)>> = vec![Vec::new()];
-    for v in &case_vars {
-        let (lb, ub) = ranges[v];
-        let iv = DimId::intern(v);
-        envs = envs
-            .into_iter()
-            .flat_map(|e| {
-                (lb..=ub).map(move |val| {
-                    let mut e = e.clone();
-                    e.push((iv, val));
-                    e
-                })
-            })
-            .collect();
-    }
-
-    let mut merged: Vec<BankProfile> = Vec::new();
-    for env in envs {
-        let mut col = Collector::new(env);
-        col.collect(&pipe.body);
-        if !col.exact {
-            return BankAnalysis::inexact();
-        }
-        let an = profiles_of(memrefs, &col.insts, &dom);
-        if !an.exact {
-            return BankAnalysis::inexact();
-        }
-        for p in an.profiles {
-            match merged.iter_mut().find(|m| m.array == p.array) {
-                Some(m) => {
-                    m.exact &= p.exact;
-                    if p.max_demand > m.max_demand {
-                        m.classes = p.classes;
-                    }
-                    m.reads = m.reads.max(p.reads);
-                    m.writes = m.writes.max(p.writes);
-                    m.max_demand = m.max_demand.max(p.max_demand);
-                    m.max_read_demand = m.max_read_demand.max(p.max_read_demand);
-                }
-                None => merged.push(p),
-            }
-        }
-    }
-    BankAnalysis {
-        exact: true,
-        profiles: merged,
-    }
+    classify(pipe, outer, guarded).map_or_else(BankAnalysis::inexact, |c| c.group(memrefs))
 }
 
 /// Constant bounds of a loop, when both sides are constant.
@@ -583,11 +1100,7 @@ fn const_range(l: &ForOp) -> Option<(i64, i64)> {
 
 /// Collects every iterator mentioned by an in-pipeline loop bound
 /// (`mentioned`) and every in-pipeline loop iv (`inner`).
-fn bound_vars(
-    ops: &[AffineOp],
-    inner: &mut Vec<String>,
-    mentioned: &mut std::collections::BTreeSet<String>,
-) {
+fn bound_vars(ops: &[AffineOp], inner: &mut Vec<String>, mentioned: &mut BTreeSet<String>) {
     for op in ops {
         match op {
             AffineOp::For(l) => {
@@ -602,150 +1115,6 @@ fn bound_vars(
             AffineOp::If(i) => bound_vars(&i.body, inner, mentioned),
             AffineOp::Store(_) => {}
         }
-    }
-}
-
-/// Adds `lb <= iv <= ub` to `dom` when the loop's bounds are constant.
-fn push_iv_bounds(dom: &mut Vec<Constraint>, l: &ForOp) {
-    let env = HashMap::new();
-    if l.lbs.iter().all(|b| b.expr.is_constant()) && l.ubs.iter().all(|b| b.expr.is_constant()) {
-        if let (Some(lb), Some(ub)) = (
-            l.lbs.iter().map(|b| b.eval_lower(&env)).max(),
-            l.ubs.iter().map(|b| b.eval_upper(&env)).min(),
-        ) {
-            dom.push(Constraint::ge(
-                LinearExpr::var(&l.iv),
-                LinearExpr::constant_expr(lb),
-            ));
-            dom.push(Constraint::le(
-                LinearExpr::var(&l.iv),
-                LinearExpr::constant_expr(ub),
-            ));
-        }
-    }
-}
-
-/// Classifies the collected instances (simulator semantics: forwarding,
-/// read dedupe, last-writer write-back) and groups the surviving
-/// accesses into bank classes.
-fn profiles_of(memrefs: &[MemRefDecl], insts: &[Inst], domain: &[Constraint]) -> BankAnalysis {
-    let mut fm_budget = FM_BUDGET;
-
-    // Memory reads: an element read before any same-iteration write comes
-    // from memory; repeated reads of one element cost one port.
-    let mut written: Vec<&Access> = Vec::new();
-    let mut mem_reads: Vec<&Access> = Vec::new();
-    for inst in insts {
-        'load: for a in &inst.loads {
-            for w in written.iter().filter(|w| w.array == a.array) {
-                match alias(a, w, domain, &mut fm_budget) {
-                    Alias::Same => continue 'load,
-                    Alias::Never => {}
-                    Alias::Unknown => return BankAnalysis::inexact(),
-                }
-            }
-            for r in mem_reads.iter().filter(|r| r.array == a.array) {
-                match alias(a, r, domain, &mut fm_budget) {
-                    Alias::Same => continue 'load,
-                    Alias::Never => {}
-                    Alias::Unknown => return BankAnalysis::inexact(),
-                }
-            }
-            mem_reads.push(a);
-        }
-        written.push(&inst.dest);
-    }
-
-    // Write-backs: only the last writer of each element touches memory.
-    let mut writes: Vec<&Access> = Vec::new();
-    for (i, inst) in insts.iter().enumerate() {
-        let mut dead = false;
-        for later in &insts[i + 1..] {
-            if later.dest.array != inst.dest.array {
-                continue;
-            }
-            match alias(&inst.dest, &later.dest, domain, &mut fm_budget) {
-                Alias::Same => {
-                    dead = true;
-                    break;
-                }
-                Alias::Never => {}
-                Alias::Unknown => return BankAnalysis::inexact(),
-            }
-        }
-        if !dead {
-            writes.push(&inst.dest);
-        }
-    }
-
-    let mut profiles = Vec::new();
-    for m in memrefs {
-        let reads: Vec<&&Access> = mem_reads.iter().filter(|a| a.array == m.name).collect();
-        let wr: Vec<&&Access> = writes.iter().filter(|a| a.array == m.name).collect();
-        if reads.is_empty() && wr.is_empty() {
-            continue;
-        }
-        let ab = ArrayBanks::of(m);
-        let mut demand: HashMap<Vec<i64>, (u64, u64)> = HashMap::new();
-        let mut key_ok = true;
-        let reference = reads.first().or(wr.first()).expect("non-empty");
-        'acc: for (a, is_write) in reads
-            .iter()
-            .map(|a| (**a, false))
-            .chain(wr.iter().map(|a| (**a, true)))
-        {
-            if a.idx.len() != ab.dims.len() {
-                key_ok = false;
-                break;
-            }
-            let mut key = Vec::with_capacity(ab.dims.len());
-            for (d, bd) in ab.dims.iter().enumerate() {
-                if bd.factor <= 1 {
-                    key.push(0);
-                    continue;
-                }
-                let e = &a.idx[d];
-                if bd.cyclic {
-                    // Classes are iteration-invariant exactly when every
-                    // access is congruent (mod factor) to the reference.
-                    let r = &reference.idx[d];
-                    if !congruent_coeffs(e, r, bd.factor) {
-                        key_ok = false;
-                        break 'acc;
-                    }
-                    key.push(residue(e.constant() - r.constant(), bd.factor));
-                } else {
-                    // Block mapping: exact only for constant indices.
-                    if !e.is_constant() {
-                        key_ok = false;
-                        break 'acc;
-                    }
-                    key.push((e.constant().max(0) / bd.chunk).min(bd.factor - 1));
-                }
-            }
-            let slot = demand.entry(key).or_insert((0, 0));
-            if is_write {
-                slot.1 += 1;
-            } else {
-                slot.0 += 1;
-            }
-        }
-        let max_demand = demand.values().map(|&(r, w)| r + w).max().unwrap_or(0);
-        let max_read_demand = demand.values().map(|&(r, _)| r).max().unwrap_or(0);
-        profiles.push(BankProfile {
-            array: m.name.clone(),
-            banks: ab.banks(),
-            reads: reads.len() as u64,
-            writes: wr.len() as u64,
-            exact: key_ok,
-            classes: if key_ok { demand.len() as u64 } else { 0 },
-            max_demand: if key_ok { max_demand } else { 0 },
-            max_read_demand: if key_ok { max_read_demand } else { 0 },
-        });
-    }
-    BankAnalysis {
-        exact: true,
-        profiles,
     }
 }
 
@@ -783,7 +1152,7 @@ pub fn analyze_func(func: &AffineFunc) -> Vec<LoopBankReport> {
                 iv: site.pipe.iv.clone(),
                 stmts,
                 declared_ii: site.pipe.attrs.pipeline_ii.unwrap_or(1).max(1) as u64,
-                analysis: site.analyze(&func.memrefs),
+                analysis: analyze_pipeline(&func.memrefs, site.pipe, &site.outer, site.guarded),
             }
         })
         .collect()
@@ -797,12 +1166,6 @@ struct PipelineSite<'a> {
     outer: Vec<(String, i64, i64)>,
     /// Whether a sequential-level guard encloses the pipeline.
     guarded: bool,
-}
-
-impl PipelineSite<'_> {
-    fn analyze(&self, memrefs: &[MemRefDecl]) -> BankAnalysis {
-        analyze_pipeline(memrefs, self.pipe, &self.outer, self.guarded)
-    }
 }
 
 /// The outermost pipelined loops of `func`, in program order.
@@ -885,37 +1248,41 @@ pub fn minimal_conflict_free_factors(
     array: &str,
     ports_per_bank: u64,
 ) -> Option<Vec<i64>> {
-    let mid = func.memrefs.iter().position(|m| m.name == array)?;
-    // A loop that never touches `array` has no profile for it under any
-    // partitioning, and a trial changes nothing but `array`'s declaration.
-    let sites: Vec<PipelineSite> = pipelines(func)
+    // A trial changes nothing but `array`'s declaration, so only its
+    // profiles are regrouped, and only in the loops that touch it (a loop
+    // that never does has no profile for it under any partitioning).
+    // Classification does not depend on the partitioning: once per loop.
+    let mut cur: Vec<MemRefDecl> = func
+        .memrefs
+        .iter()
+        .filter(|m| m.name == array)
+        .cloned()
+        .collect();
+    if cur.is_empty() {
+        return None;
+    }
+    let loops: Vec<Classified> = pipelines(func)
         .into_iter()
         .filter(|site| touches(&site.pipe.body, array))
+        .filter_map(|site| classify(site.pipe, &site.outer, site.guarded))
         .collect();
     let worst = |memrefs: &[MemRefDecl]| -> u64 {
-        let mut worst = 0u64;
-        for site in &sites {
-            let analysis = site.analyze(memrefs);
-            if !analysis.exact {
-                continue;
-            }
-            for p in &analysis.profiles {
-                if p.array == array && p.exact {
-                    worst = worst.max(p.max_demand);
-                }
-            }
-        }
-        worst
+        loops
+            .iter()
+            .flat_map(|l| l.group(memrefs).profiles)
+            .filter(|p| p.exact)
+            .map(|p| p.max_demand)
+            .max()
+            .unwrap_or(0)
     };
-    let mut cur = func.memrefs.clone();
     let mut demand = worst(&cur);
     if demand <= ports_per_bank.max(1) {
         return None; // already conflict-free: nothing to repair
     }
     loop {
         // Try doubling each dimension's factor; keep the best reducer.
-        let shape = cur[mid].shape.clone();
-        let base: Vec<i64> = match &cur[mid].partition {
+        let shape = cur[0].shape.clone();
+        let base: Vec<i64> = match &cur[0].partition {
             Some(p) => p.factors.clone(),
             None => vec![1; shape.len()],
         };
@@ -928,10 +1295,10 @@ pub fn minimal_conflict_free_factors(
             }
             let mut factors = base.clone();
             factors[d] = f;
-            let kept = cur[mid].partition.clone();
-            set_partition(&mut cur[mid], &factors);
+            let kept = cur[0].partition.clone();
+            set_partition(&mut cur[0], &factors);
             let w = worst(&cur);
-            cur[mid].partition = kept;
+            cur[0].partition = kept;
             if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
                 best = Some((w, factors));
             }
@@ -940,7 +1307,7 @@ pub fn minimal_conflict_free_factors(
         if w >= demand {
             return None; // no dimension split reduces the demand
         }
-        set_partition(&mut cur[mid], &factors);
+        set_partition(&mut cur[0], &factors);
         demand = w;
         if demand <= ports_per_bank.max(1) {
             return Some(factors);
@@ -1232,5 +1599,156 @@ mod tests {
         g.memrefs.push(memref("c", &[1], None));
         g.body.push(AffineOp::For(l2));
         assert_eq!(minimal_conflict_free_factors(&g, "c", 1), None);
+    }
+
+    fn unrolled(iv: &str, lb: i64, ubs: Vec<Bound>, body: Vec<AffineOp>) -> AffineOp {
+        AffineOp::For(ForOp {
+            iv: iv.into(),
+            lbs: vec![cb(lb)],
+            ubs,
+            attrs: HlsAttrs::default(),
+            extra: Vec::new(),
+            body,
+        })
+    }
+
+    #[test]
+    fn index_constants_near_i64_max_never_panic() {
+        // a[c*k + i] with k unrolled over 0..=2: the k = 2 copy overflows
+        // i64, so the loop claims nothing.
+        let (i, k) = (LinearExpr::var("i"), LinearExpr::var("k"));
+        let c = i64::MAX / 2 + 1;
+        let body = vec![store(
+            "b",
+            vec![i.clone()],
+            load("a", vec![k * c + i.clone()]),
+        )];
+        let l = pipe_loop("i", 4, 1, vec![unrolled("k", 0, vec![cb(2)], body)]);
+        let mem = vec![memref("a", &[8], Some(&[3])), memref("b", &[4], None)];
+        assert!(!analyze_pipeline(&mem, &l, &[], false).exact);
+        // a[i - 2] beside a[i + MAX - 1]: the constants' difference
+        // overflows, their classes mod 3 (1 and 0) do not.
+        let body = load("a", vec![i.clone() - 2]) + load("a", vec![i.clone() + (i64::MAX - 1)]);
+        let l = pipe_loop("i", 4, 1, vec![store("b", vec![i.clone()], body)]);
+        let an = analyze_pipeline(&mem, &l, &[], false);
+        let a = an.profiles.iter().find(|p| p.array == "a").unwrap();
+        assert!(an.exact && a.exact);
+        assert_eq!((a.reads, a.classes, a.max_demand), (2, 2, 1));
+    }
+
+    #[test]
+    fn mixed_shapes_fall_back_to_the_ordered_scan_and_fm() {
+        // Loads a[i+8], a[2i], a[i+7]: once a[2i] joins the memory reads
+        // they no longer share one shape, so a[i+7] is scanned in order.
+        // It differs from a[i+8] by a constant, and FM decides the pair
+        // with a[2i]: equal at i = 7 only.
+        let i = || LinearExpr::var("i");
+        let analyze = |n: i64| {
+            let body =
+                load("a", vec![i() + 8]) + load("a", vec![i() * 2]) + load("a", vec![i() + 7]);
+            let l = pipe_loop("i", n, 1, vec![store("b", vec![i()], body)]);
+            let mem = vec![memref("a", &[32], None), memref("b", &[8], None)];
+            analyze_pipeline(&mem, &l, &[], false)
+        };
+        // i in [0, 6]: every pair is `Never`, three memory reads.
+        let an = analyze(7);
+        let a = an.profiles.iter().find(|p| p.array == "a").unwrap();
+        assert!(an.exact);
+        assert_eq!((a.reads, a.max_demand), (3, 3));
+        // i in [0, 7]: a[i+7] may be a[2i]; a hashed lookup would have
+        // missed it.
+        assert!(!analyze(8).exact);
+    }
+
+    #[test]
+    fn one_site_compiled_under_two_case_prefixes() {
+        // for io (pipe, 0..=2) { for ii in 0..=min(3, 9 - 4*io) {
+        //   b[4io + ii] = a[4io + ii] + c[io] } }
+        // The tail bound mentions io, so the body is compiled first with
+        // no prefix (c[io] symbolic; enumeration stops at the bound) and
+        // then under the case prefix io, where each site folds io away:
+        // c[io] becomes a constant, which its block partition requires.
+        let (io, ii) = (LinearExpr::var("io"), LinearExpr::var("ii"));
+        let idx = io.clone() * 4 + ii.clone();
+        let tail = Bound::new(LinearExpr::constant_expr(9) - io.clone() * 4, 1);
+        let body = vec![store(
+            "b",
+            vec![idx.clone()],
+            load("a", vec![idx.clone()]) + load("c", vec![io.clone()]),
+        )];
+        let l = pipe_loop("io", 3, 1, vec![unrolled("ii", 0, vec![cb(3), tail], body)]);
+        let mut c = memref("c", &[3], Some(&[3]));
+        c.partition.as_mut().unwrap().style = pom_dsl::PartitionStyle::Block;
+        let mem = vec![memref("a", &[12], Some(&[2])), memref("b", &[12], None), c];
+        let an = analyze_pipeline(&mem, &l, &[], false);
+        assert!(an.exact);
+        let p = |name: &str| an.profiles.iter().find(|p| p.array == name).unwrap();
+        // Cases io = 0, 1 read four elements of a (two per bank), io = 2
+        // reads two: the merge keeps the worst case.
+        assert_eq!((p("a").reads, p("a").classes, p("a").max_demand), (4, 2, 2));
+        // c[io] is read once per case (four times per instance set, deduped).
+        assert!(p("c").exact);
+        assert_eq!((p("c").reads, p("c").classes, p("c").max_demand), (1, 1, 1));
+        assert_eq!((p("b").writes, p("b").max_demand), (4, 4));
+    }
+
+    #[test]
+    fn write_backs_with_mixed_later_shapes_scan_in_order() {
+        // Stores a[i+8], a[2i], a[i+8]. The first store's later writes
+        // have two shapes, so it scans them in order: a[2i] first (FM),
+        // then the `Same` a[i+8] that makes it dead.
+        let i = || LinearExpr::var("i");
+        let analyze = |n: i64| {
+            let x = || load("x", vec![i()]);
+            let l = pipe_loop(
+                "i",
+                n,
+                1,
+                vec![
+                    store("a", vec![i() + 8], x()),
+                    store("a", vec![i() * 2], x()),
+                    store("a", vec![i() + 8], x()),
+                ],
+            );
+            let mem = vec![memref("a", &[32], None), memref("x", &[16], None)];
+            analyze_pipeline(&mem, &l, &[], false)
+        };
+        // i in [0, 6]: a[2i] never meets a[i+8]; two write-backs.
+        let an = analyze(7);
+        let a = an.profiles.iter().find(|p| p.array == "a").unwrap();
+        assert!(an.exact);
+        assert_eq!((a.writes, a.max_demand), (2, 2));
+        // i in [0, 8]: they meet at i = 8, before the `Same`.
+        assert!(!analyze(9).exact);
+    }
+
+    #[test]
+    fn bank_of_flat_agrees_with_bank_of_coords_at_every_rank() {
+        const SIZES: [usize; 10] = [2, 3, 1, 2, 3, 1, 2, 3, 1, 2];
+        for rank in 1..=10 {
+            let shape = &SIZES[..rank];
+            let factors: Vec<i64> = (0..rank).map(|d| d as i64 % 3 + 1).collect();
+            for style in [
+                pom_dsl::PartitionStyle::Cyclic,
+                pom_dsl::PartitionStyle::Block,
+            ] {
+                // Full factor vectors and one that maps only the first
+                // dimension.
+                for f in [&factors[..], &factors[..1]] {
+                    let mut m = memref("t", shape, Some(f));
+                    m.partition.as_mut().unwrap().style = style;
+                    let ab = ArrayBanks::of(&m);
+                    for flat in 0..shape.iter().product::<usize>() {
+                        let mut coords = vec![0i64; rank];
+                        let mut rem = flat;
+                        for d in (0..rank).rev() {
+                            coords[d] = (rem % shape[d]) as i64;
+                            rem /= shape[d];
+                        }
+                        assert_eq!(ab.bank_of_flat(flat), ab.bank_of_coords(&coords));
+                    }
+                }
+            }
+        }
     }
 }

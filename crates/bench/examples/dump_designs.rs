@@ -1,9 +1,10 @@
 //! Dumps every design of the ledger's search workloads as text, one file
-//! per input: schedule, groups, QoR, search counters and HLS C. A change
-//! that must not move a design builds this in a parent checkout and in
-//! the working tree and `diff -rq`s the two output directories; CI runs
-//! it twice and diffs the runs (run-to-run and worker-interleaving
-//! determinism).
+//! per input: schedule, groups, QoR, search counters, the winner's bank
+//! verdicts (every loop's analysis and each array's minimal conflict-free
+//! factors) and HLS C. A change that must not move a design builds this
+//! in a parent checkout and in the working tree and `diff -rq`s the two
+//! output directories; CI runs it twice and diffs the runs (run-to-run
+//! and worker-interleaving determinism).
 //!
 //! ```text
 //! cargo run --release -p pom-bench --example dump_designs -- <out-dir> greedy|portfolio
@@ -13,6 +14,7 @@
 //! `portfolio` is `portfolio_sim` (5 inputs, `SearchMode::Portfolio` with
 //! the dataflow refinement).
 
+use pom::bank;
 use pom::dse::{auto_dse_with, DseConfig, SearchMode};
 use pom::CompileOptions;
 use std::io::Write;
@@ -63,11 +65,21 @@ fn main() {
         let opts = CompileOptions::for_function(&f);
         let r = auto_dse_with(&f, &opts, &cfg).expect("DSE compiles");
         let st = &r.stats;
+        let affine = &r.compiled.affine;
+        let repairs: Vec<(&str, Option<Vec<i64>>)> = affine
+            .memrefs
+            .iter()
+            .map(|m| {
+                let ports = opts.model.ports_per_bank;
+                let factors = bank::minimal_conflict_free_factors(affine, &m.name, ports);
+                (m.name.as_str(), factors)
+            })
+            .collect();
         let mut w =
             std::fs::File::create(format!("{out}/{k}@{s}.{mode}.txt")).expect("create the dump");
         writeln!(
             w,
-            "== function\n{}\n== groups\n{:#?}\n== qor\n{:#?}\n== counts\ncerts {} passed {} estimated {} pruned {} repaired {}\n== hls_c\n{}",
+            "== function\n{}\n== groups\n{:#?}\n== qor\n{:#?}\n== counts\ncerts {} passed {} estimated {} pruned {} repaired {}\n== bank\n{:#?}\n{:#?}\n== hls_c\n{}",
             r.function,
             r.groups,
             r.compiled.qor,
@@ -76,6 +88,8 @@ fn main() {
             st.estimated,
             st.lint_pruned,
             st.bank_repaired,
+            bank::analyze_func(affine),
+            repairs,
             r.compiled.hls_c()
         )
         .expect("write the dump");

@@ -38,13 +38,13 @@ pub fn congruent_coeffs(a: &LinearExpr, b: &LinearExpr, m: i64) -> bool {
     if m <= 1 {
         return true;
     }
-    let delta = a.clone() - b.clone();
-    for (_, c) in delta.terms() {
-        if residue(c, m) != 0 {
-            return false;
-        }
-    }
-    true
+    // Residues compared term by term: forming `a - b` could overflow.
+    a.terms_ids()
+        .iter()
+        .all(|&(id, c)| residue(c, m) == residue(b.coeff_id(id), m))
+        && b.terms_ids()
+            .iter()
+            .all(|&(id, c)| a.uses_id(id) || residue(c, m) == 0)
 }
 
 /// Bounds of `e` over `domain`, by Fourier–Motzkin projection onto a
