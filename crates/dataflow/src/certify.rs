@@ -14,6 +14,7 @@
 use crate::stream::stage_streams;
 use crate::DataflowPlan;
 use pom_dsl::MemoryState;
+use pom_ir::interp::{Fault, Program};
 use pom_ir::AffineFunc;
 use pom_verify::{Certificate, Obligation, ObligationKind};
 use std::collections::HashMap;
@@ -147,28 +148,62 @@ pub(crate) fn min_fifo_depth(pushes: &[usize], reads: &[usize]) -> u64 {
 /// [`ObligationKind::ChannelSized`] obligation per consumer.
 ///
 /// The stages are executed sequentially (interpreter order) against the
-/// copied memory while their valued access streams are captured, so the
-/// pushed and popped values compared by the replay are exactly the
-/// values the sequential semantics produce.
+/// copied memory while the channel arrays' valued access streams are
+/// captured, so the pushed and popped values compared by the replay are
+/// exactly the values the sequential semantics produce. Execution stops
+/// after the last stage a channel touches; a plan without channels
+/// executes nothing. When the execution faults (say `mem0` lacks an
+/// array), every certificate carries one failed obligation saying why.
 pub fn channel_certificates(
     func: &AffineFunc,
     plan: &DataflowPlan,
     mem0: &MemoryState,
 ) -> Vec<Certificate> {
-    let mut mem = mem0.clone();
-    let streams: Vec<_> = plan
-        .stages
+    let Some(last) = plan
+        .channels
         .iter()
-        .map(|st| stage_streams(func, &st.ops, Some(&mut mem)))
+        .flat_map(|ch| std::iter::once(ch.spec.producer).chain(ch.spec.consumers.iter().copied()))
+        .max()
+    else {
+        return Vec::new();
+    };
+    let prog = Program::new(func);
+    let mut record = vec![false; prog.arrays().len()];
+    for ch in &plan.channels {
+        if let Some(id) = prog.array_id(&ch.spec.array) {
+            record[id] = true;
+        }
+    }
+    let mut mem = mem0.clone();
+    let mut m = prog.bind(&mut mem);
+    let streams: Result<Vec<_>, Fault> = plan.stages[..=last]
+        .iter()
+        .map(|st| stage_streams(&prog, &mut m, &st.ops, &record, true))
         .collect();
     let mut certs = Vec::new();
     for (ci, ch) in plan.channels.iter().enumerate() {
         let s = &ch.spec;
         let kind = if s.pingpong { "ping-pong" } else { "fifo" };
-        let pushes = streams[s.producer].pushes(&s.array);
         let mut obligations = Vec::new();
+        let streams = match &streams {
+            Ok(streams) => streams,
+            Err(fault) => {
+                let why = match fault {
+                    Fault::Missing(a) => format!("memory lacks array `{a}`"),
+                    f => f.to_string(),
+                };
+                obligations.push(Obligation::failed(
+                    ObligationKind::ChannelSized,
+                    format!("`{}`: the stage replay stopped: {why}", s.array),
+                ));
+                certs.push(channel_certificate(plan, ci, kind, obligations));
+                continue;
+            }
+        };
+        let id = prog.array_id(&s.array);
+        let pushes = streams[s.producer].pushes(id);
         for &c in &s.consumers {
-            let reads = streams[c].reads.get(&s.array).cloned().unwrap_or_default();
+            let reads = streams[c].reads(id);
             if s.consumers.len() > 1 && !s.pingpong {
                 obligations.push(Obligation::failed(
                     ObligationKind::ChannelSized,
@@ -182,7 +217,7 @@ pub fn channel_certificates(
                 continue;
             }
             let who = &plan.stages[c].name;
-            obligations.push(match replay_channel(&pushes, &reads, s.capacity) {
+            obligations.push(match replay_channel(&pushes, reads, s.capacity) {
                 Replay::Ok {
                     pushes,
                     reads,
@@ -219,22 +254,33 @@ pub fn channel_certificates(
                 ),
             });
         }
-        certs.push(Certificate {
-            step: ci,
-            rewrite: format!("channel {}: {kind} depth {}", s.array, s.capacity),
-            stmt: format!(
-                "{} -> {}",
-                plan.stages[s.producer].name,
-                s.consumers
-                    .iter()
-                    .map(|&c| plan.stages[c].name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-            obligations,
-        });
+        certs.push(channel_certificate(plan, ci, kind, obligations));
     }
     certs
+}
+
+/// The certificate of channel `ci` of `plan`, carrying `obligations`.
+fn channel_certificate(
+    plan: &DataflowPlan,
+    ci: usize,
+    kind: &str,
+    obligations: Vec<Obligation>,
+) -> Certificate {
+    let s = &plan.channels[ci].spec;
+    Certificate {
+        step: ci,
+        rewrite: format!("channel {}: {kind} depth {}", s.array, s.capacity),
+        stmt: format!(
+            "{} -> {}",
+            plan.stages[s.producer].name,
+            s.consumers
+                .iter()
+                .map(|&c| plan.stages[c].name.as_str())
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+        obligations,
+    }
 }
 
 #[cfg(test)]

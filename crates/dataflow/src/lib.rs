@@ -35,6 +35,7 @@ pub use certify::channel_certificates;
 
 use pom_dsl::Function;
 use pom_graph::DepGraph;
+use pom_ir::interp::Program;
 use pom_ir::{AffineFunc, AffineOp};
 use pom_live::LiveReport;
 use pom_sim::{ChannelSpec, StageSpec};
@@ -318,33 +319,60 @@ fn partition_impl(
             }
         }
     }
-    let streams: Vec<_> = stages
+    let flows: Vec<(&str, usize, Vec<usize>)> = writer
         .iter()
-        .map(|st| stream::stage_streams(affine, &st.ops, None))
+        .filter_map(|(&array, &p)| {
+            let consumers: Vec<usize> = readers
+                .get(array)
+                .map(|rs| rs.iter().copied().filter(|&c| c != p).collect())
+                .unwrap_or_default();
+            assert!(
+                consumers.iter().all(|&c| c > p),
+                "partitioner invariant: `{array}` read by a stage before its writer"
+            );
+            (!consumers.is_empty()).then_some((array, p, consumers))
+        })
         .collect();
-    let mut channels = Vec::new();
-    for (array, &p) in &writer {
-        let consumers: Vec<usize> = readers
-            .get(array)
-            .map(|rs| rs.iter().copied().filter(|&c| c != p).collect())
-            .unwrap_or_default();
-        if consumers.is_empty() {
-            continue;
+
+    // Element streams of the channel arrays only, walked shape-only in
+    // the stages that produce or consume one, and there only through the
+    // units that touch one.
+    let prog = Program::new(affine);
+    let mut record = vec![false; prog.arrays().len()];
+    let mut walked = vec![false; stages.len()];
+    for (array, p, consumers) in &flows {
+        if let Some(id) = prog.array_id(array) {
+            record[id] = true;
         }
-        assert!(
-            consumers.iter().all(|&c| c > p),
-            "partitioner invariant: `{array}` read by a stage before its writer"
-        );
-        let pushes: Vec<usize> = streams[p].pushes(array).iter().map(|&(e, _)| e).collect();
+        for &s in std::iter::once(p).chain(consumers) {
+            walked[s] = true;
+        }
+    }
+    let mut m = prog.layout_only();
+    let recorded = |a: &String| prog.array_id(a).is_some_and(|id| record[id]);
+    let streams: Vec<_> = stage_units
+        .iter()
+        .zip(&walked)
+        .map(|(us, &walk)| {
+            let touching: Vec<usize> = us
+                .iter()
+                .copied()
+                .filter(|&u| walk && units[u].reads.iter().chain(&units[u].writes).any(recorded))
+                .collect();
+            stream::stage_streams(&prog, &mut m, &touching, &record, false)
+                .unwrap_or_else(|fault| panic!("{fault}"))
+        })
+        .collect();
+
+    let mut channels = Vec::new();
+    for (array, p, consumers) in flows {
+        let id = prog.array_id(array);
+        let pushes: Vec<usize> = streams[p].pushes(id).iter().map(|&(e, _)| e).collect();
         let footprint = pushes.len() as u64;
         let min_depth = consumers
             .iter()
             .map(|&c| {
-                let reads: Vec<usize> = streams[c]
-                    .reads
-                    .get(*array)
-                    .map(|rs| rs.iter().map(|&(e, _)| e).collect())
-                    .unwrap_or_default();
+                let reads: Vec<usize> = streams[c].reads(id).iter().map(|&(e, _)| e).collect();
                 certify::min_fifo_depth(&pushes, &reads)
             })
             .max()
@@ -353,7 +381,7 @@ fn partition_impl(
             .depths
             .iter()
             .filter(|d| {
-                d.array == *array
+                d.array == array
                     && stage_stmts[p].contains(&d.producer)
                     && consumers
                         .iter()
@@ -382,13 +410,8 @@ fn partition_impl(
         // construction; if it ever fires, retry as ping-pong.
         let (capacity, pingpong) = if !pingpong {
             let push_vals: Vec<(usize, f64)> = pushes.iter().map(|&e| (e, 0.0)).collect();
-            let c0 = consumers[0];
-            let reads: Vec<(usize, f64)> = streams[c0]
-                .reads
-                .get(*array)
-                .map(|rs| rs.iter().map(|&(e, _)| (e, 0.0)).collect())
-                .unwrap_or_default();
-            match certify::replay_channel(&push_vals, &reads, capacity) {
+            let reads = streams[consumers[0]].reads(id);
+            match certify::replay_channel(&push_vals, reads, capacity) {
                 certify::Replay::Deadlock { .. } => (footprint.max(1) * 2, true),
                 _ => (capacity, pingpong),
             }
@@ -397,7 +420,7 @@ fn partition_impl(
         };
         channels.push(Channel {
             spec: ChannelSpec {
-                array: (*array).to_string(),
+                array: array.to_string(),
                 producer: p,
                 consumers,
                 capacity,
@@ -644,6 +667,40 @@ mod tests {
                 assert_eq!(g.to_bits(), w.to_bits(), "{} diverged", m.name);
             }
         }
+    }
+
+    #[test]
+    fn memory_lacking_an_array_fails_the_certificate_naming_it() {
+        let f = chain3(16, false);
+        let live = analyze_func(&f);
+        let plan = partition_affine(&f, &live);
+        let mut mem0 = seeded(&f, 7);
+        mem0.take_entry("A");
+        let certs = channel_certificates(&f, &plan, &mem0);
+        assert_eq!(certs.len(), plan.channels.len());
+        for c in &certs {
+            assert!(!c.passed());
+            let detail = &c.failures().next().unwrap().detail;
+            assert!(detail.contains("memory lacks array `A`"), "got: {detail}");
+        }
+    }
+
+    #[test]
+    fn a_plan_without_channels_certifies_against_empty_memory() {
+        // One stage (an anti dependence merges both units): nothing to
+        // certify, so nothing executes — not even against memory that
+        // holds no array at all.
+        let mut f = chain3(16, false);
+        f.body.push(pipe_for(
+            "m",
+            0,
+            15,
+            vec![st("w", "A", LinearExpr::var("m"), Expr::Const(0.0))],
+        ));
+        let live = analyze_func(&f);
+        let plan = partition_affine(&f, &live);
+        assert!(plan.channels.is_empty());
+        assert!(channel_certificates(&f, &plan, &MemoryState::new()).is_empty());
     }
 
     #[test]

@@ -1,114 +1,93 @@
 //! Interpreter-order access-stream extraction.
 //!
 //! Channel sizing and certificate replay both need the *order* in which
-//! a stage touches each array's elements — the producer's store stream
-//! defines the push order (its last write of an element is the push),
-//! the consumer's load stream defines the pop order. This module walks
-//! a stage's top-level ops with the interpreter's own walker
-//! (`pom_ir::interp::walk_stores`) and records every access as a flat
-//! element index, optionally executing the stores so that downstream
+//! a stage touches each channel array's elements — the producer's store
+//! stream defines the push order (its last write of an element is the
+//! push), the consumer's load stream defines the pop order. This module
+//! walks a stage's top-level ops with the interpreter's own walker
+//! (`pom_ir::interp::Machine::walk`) and records the accesses to the
+//! arrays asked for — only channel arrays are ever recorded — as flat
+//! element indices, optionally executing every store so that downstream
 //! stages observe produced values.
 
-use pom_dsl::{interp::eval_expr, MemoryState};
-use pom_ir::interp::walk_stores;
-use pom_ir::AffineFunc;
-use pom_poly::AccessFn;
-use std::collections::HashMap;
-use std::convert::Infallible;
+use pom_ir::interp::{Fault, Machine, Program};
 
-/// Ordered per-array access streams of one stage.
+/// Ordered access streams of one stage, by array id (empty for an array
+/// that was not recorded).
 ///
-/// Values are the loaded/stored `f64`s when the walk executed against a
-/// [`MemoryState`], and `0.0` placeholders for a shape-only walk.
+/// Values are the loaded/stored `f64`s when the walk executed against
+/// memory, and `0.0` placeholders for a shape-only walk.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct StageStreams {
-    /// Every store, per array, in interpreter order: `(flat, value)`.
-    pub writes: HashMap<String, Vec<(usize, f64)>>,
-    /// Every load, per array, in interpreter order: `(flat, value)`.
-    pub reads: HashMap<String, Vec<(usize, f64)>>,
+    /// Every recorded store, in interpreter order: `(flat, value)`.
+    pub writes: Vec<Vec<(usize, f64)>>,
+    /// Every recorded load, in interpreter order: `(flat, value)`.
+    pub reads: Vec<Vec<(usize, f64)>>,
 }
 
 impl StageStreams {
-    /// The push stream of `array`: its stores filtered to each element's
-    /// *last* write, preserving the order in which those last writes
-    /// occur. This matches the channel semantics of
+    /// The loads of array `id`.
+    pub fn reads(&self, id: Option<usize>) -> &[(usize, f64)] {
+        id.and_then(|id| self.reads.get(id)).map_or(&[], |r| &r[..])
+    }
+
+    /// The push stream of array `id`: its stores filtered to each
+    /// element's *last* write, preserving the order in which those last
+    /// writes occur. This matches the channel semantics of
     /// `pom_sim::simulate_dataflow`, where a push is the producer's
     /// final write of an element.
-    pub fn pushes(&self, array: &str) -> Vec<(usize, f64)> {
-        let Some(ws) = self.writes.get(array) else {
+    pub fn pushes(&self, id: Option<usize>) -> Vec<(usize, f64)> {
+        let Some(ws) = id.and_then(|id| self.writes.get(id)) else {
             return Vec::new();
         };
-        let mut last: HashMap<usize, usize> = HashMap::new();
-        for (i, (e, _)) in ws.iter().enumerate() {
-            last.insert(*e, i);
+        let cells = ws.iter().map(|&(e, _)| e + 1).max().unwrap_or(0);
+        let mut last = vec![usize::MAX; cells];
+        for (i, &(e, _)) in ws.iter().enumerate() {
+            last[e] = i;
         }
         ws.iter()
             .enumerate()
-            .filter(|(i, (e, _))| last[e] == *i)
+            .filter(|&(i, &(e, _))| last[e] == i)
             .map(|(_, &ev)| ev)
             .collect()
     }
 }
 
-/// Declared shapes by array name.
-pub(crate) fn shapes_of(func: &AffineFunc) -> HashMap<String, Vec<usize>> {
-    func.memrefs
-        .iter()
-        .map(|m| (m.name.clone(), m.shape.clone()))
-        .collect()
-}
-
-/// Flattens an access under `env` with the same row-major convention as
-/// `ArrayData::flat_index` and the simulator's element ids.
-fn flat_of(a: &AccessFn, shape: &[usize], env: &HashMap<String, i64>) -> usize {
-    assert_eq!(a.indices.len(), shape.len(), "index rank mismatch");
-    let mut flat = 0usize;
-    for (d, (e, &n)) in a.indices.iter().zip(shape).enumerate() {
-        let i = e.eval_partial(env);
-        assert!(
-            i >= 0 && (i as usize) < n,
-            "index {i} out of bounds for dim {d} (size {n}) of {}",
-            a.array
-        );
-        flat = flat * n + i as usize;
-    }
-    flat
-}
-
-/// Walks the stage made of `func.body[ops]` in interpreter order and
-/// returns its access streams. With `mem`, every store is executed
-/// (loads read the current memory, the stored value is recorded), so
-/// walking stages sequentially reproduces `execute_func` exactly.
-pub(crate) fn stage_streams(
-    func: &AffineFunc,
+/// Walks the top-level ops `ops` of `prog` in interpreter order on `m`
+/// and records the accesses to every array `id` with `record[id]`. With
+/// `exec`, every store is executed (loads read the current memory, the
+/// stored value is recorded), so walking stages sequentially on one
+/// bound machine reproduces `execute_func` exactly; without it the walk
+/// only resolves elements (`m` may then be a layout-only machine).
+///
+/// # Errors
+///
+/// The walk's [`Fault`] (an out-of-bounds access, an array `m` lacks).
+pub(crate) fn stage_streams<'a>(
+    prog: &Program<'a>,
+    m: &mut Machine<'a>,
     ops: &[usize],
-    mut mem: Option<&mut MemoryState>,
-) -> StageStreams {
-    let shapes = shapes_of(func);
-    let mut st = StageStreams::default();
-    let mut env = HashMap::new();
+    record: &[bool],
+    exec: bool,
+) -> Result<StageStreams, Fault> {
+    let mut st = StageStreams {
+        writes: vec![Vec::new(); record.len()],
+        reads: vec![Vec::new(); record.len()],
+    };
     for &i in ops {
-        let op = std::slice::from_ref(&func.body[i]);
-        let Ok(()) = walk_stores(op, &mut env, &mut |s, env| {
-            for a in s.value.loads() {
-                let flat = flat_of(a, &shapes[&a.array], env);
-                let v = mem.as_deref().map_or(0.0, |m| m.load(a, env));
-                st.reads.entry(a.array.clone()).or_default().push((flat, v));
+        m.walk(std::slice::from_ref(&prog.ops()[i]), &mut |inst, arrays| {
+            for &e in inst.loads {
+                if record[e.0] {
+                    let v = if exec { arrays.get(e) } else { 0.0 };
+                    st.reads[e.0].push((e.1, v));
+                }
             }
-            let flat = flat_of(&s.dest, &shapes[&s.dest.array], env);
-            let v = if let Some(m) = mem.as_deref_mut() {
-                let v = eval_expr(&s.value, env, m);
-                m.store(&s.dest, env, v);
-                v
-            } else {
-                0.0
-            };
-            st.writes
-                .entry(s.dest.array.clone())
-                .or_default()
-                .push((flat, v));
-            Ok::<(), Infallible>(())
-        });
+            let v = if exec { arrays.exec(inst) } else { 0.0 };
+            if record[inst.dest.0] {
+                st.writes[inst.dest.0].push((inst.dest.1, v));
+            }
+            Ok::<(), Fault>(())
+        })?;
     }
-    st
+    Ok(st)
 }

@@ -42,6 +42,11 @@ impl ArrayData {
         &self.data
     }
 
+    /// The raw data, row-major, mutably (the shape is fixed).
+    pub fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     fn flat_index(&self, idx: &[i64]) -> usize {
         assert_eq!(idx.len(), self.shape.len(), "index rank mismatch");
         let mut flat = 0usize;
@@ -177,6 +182,12 @@ impl MemoryState {
     /// Mutable array lookup.
     pub fn array_mut(&mut self, name: &str) -> Option<&mut ArrayData> {
         self.arrays.get_mut(name)
+    }
+
+    /// Removes an array together with its key, so that [`Self::insert`]
+    /// can put it back without copying either.
+    pub fn take_entry(&mut self, name: &str) -> Option<(String, ArrayData)> {
+        self.arrays.remove_entry(name)
     }
 
     /// Reads through an access function under an iterator environment.

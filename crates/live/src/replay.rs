@@ -12,11 +12,9 @@
 //! alias.
 
 use pom_dsl::interp::{seeded_fill, ArrayData};
-use pom_dsl::{BinOp, Expr, MemoryState, UnOp};
-use pom_ir::interp::walk_stores;
-use pom_ir::{AffineFunc, StoreOp};
-use pom_poly::AccessFn;
-use std::collections::HashMap;
+use pom_dsl::MemoryState;
+use pom_ir::interp::{Fault, Program};
+use pom_ir::AffineFunc;
 
 /// Seeds a [`MemoryState`] for an affine function exactly as
 /// `MemoryState::for_function_seeded` seeds one for the DSL function it
@@ -35,58 +33,47 @@ pub fn seeded_memory(func: &AffineFunc, seed: u64) -> MemoryState {
 
 /// The contracted (or identity, when `windows == extents`) storage of
 /// the array under test.
-struct Folded {
-    array: String,
-    extents: Vec<usize>,
-    windows: Vec<i64>,
+struct Folded<'m> {
+    array: &'m str,
+    /// The contracted slot of every original element (flat index).
+    slot_of: Vec<usize>,
     data: Vec<f64>,
     written: Vec<bool>,
     /// Flat original index of the element that seeded each slot.
     init_cell: Vec<Option<usize>>,
-    initial: Vec<f64>,
+    initial: &'m [f64],
 }
 
-impl Folded {
-    fn new(array: &str, extents: &[usize], windows: &[i64], initial: &[f64]) -> Self {
+impl<'m> Folded<'m> {
+    fn new(array: &'m str, extents: &[usize], windows: &[i64], initial: &'m [f64]) -> Self {
         let slots: usize = windows.iter().map(|&w| w.max(1) as usize).product();
+        let cells: usize = extents.iter().product();
+        let slot_of = (0..cells)
+            .map(|flat| {
+                // Peel the coordinates off innermost-first; each folds to
+                // `e_d mod W_d`, combined row-major over the windows.
+                let (mut rest, mut slot, mut weight) = (flat, 0usize, 1usize);
+                for (&n, &w) in extents.iter().zip(windows).rev() {
+                    let w = w.max(1) as usize;
+                    slot += (rest % n) % w * weight;
+                    rest /= n;
+                    weight *= w;
+                }
+                slot
+            })
+            .collect();
         Folded {
-            array: array.to_string(),
-            extents: extents.to_vec(),
-            windows: windows.to_vec(),
+            array,
+            slot_of,
             data: vec![0.0; slots],
             written: vec![false; slots],
             init_cell: vec![None; slots],
-            initial: initial.to_vec(),
+            initial,
         }
     }
 
-    fn flat_orig(&self, idx: &[i64]) -> Result<usize, String> {
-        let mut flat = 0usize;
-        for (d, &i) in idx.iter().enumerate() {
-            let ext = self.extents[d] as i64;
-            if i < 0 || i >= ext {
-                return Err(format!(
-                    "index {i} out of bounds (dim {d}, extent {ext}) on {}",
-                    self.array
-                ));
-            }
-            flat = flat * self.extents[d] + i as usize;
-        }
-        Ok(flat)
-    }
-
-    fn slot(&self, idx: &[i64]) -> usize {
-        let mut s = 0usize;
-        for (d, &i) in idx.iter().enumerate() {
-            let w = self.windows[d].max(1);
-            s = s * w as usize + i.rem_euclid(w) as usize;
-        }
-        s
-    }
-
-    fn load(&mut self, idx: &[i64]) -> Result<f64, String> {
-        let flat = self.flat_orig(idx)?;
-        let s = self.slot(idx);
+    fn load(&mut self, flat: usize) -> Result<f64, String> {
+        let s = self.slot_of[flat];
         if self.written[s] {
             return Ok(self.data[s]);
         }
@@ -103,95 +90,80 @@ impl Folded {
         }
     }
 
-    fn store(&mut self, idx: &[i64], v: f64) -> Result<(), String> {
-        self.flat_orig(idx)?;
-        let s = self.slot(idx);
+    fn store(&mut self, flat: usize, v: f64) {
+        let s = self.slot_of[flat];
         self.written[s] = true;
         self.data[s] = v;
-        Ok(())
     }
 }
 
-struct Exec {
-    mem: MemoryState,
-    folded: Folded,
-    stream: Vec<u64>,
+/// Why a replay run stopped.
+enum Stop {
+    Fault(Fault),
+    Diverged(String),
 }
 
-impl Exec {
-    fn eval(&mut self, e: &Expr, env: &HashMap<String, i64>) -> Result<f64, String> {
-        Ok(match e {
-            Expr::Load(a) => {
-                if a.array == self.folded.array {
-                    self.folded.load(&eval_idx(a, env))?
-                } else {
-                    self.mem.load(a, env)
-                }
-            }
-            Expr::Affine(e) => e.eval_partial(env) as f64,
-            Expr::Const(v) => *v,
-            Expr::Binary(op, l, r) => {
-                let a = self.eval(l, env)?;
-                let b = self.eval(r, env)?;
-                match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a / b,
-                    BinOp::Max => a.max(b),
-                    BinOp::Min => a.min(b),
-                }
-            }
-            Expr::Unary(UnOp::Neg, e) => -self.eval(e, env)?,
-        })
+impl From<Fault> for Stop {
+    fn from(f: Fault) -> Stop {
+        Stop::Fault(f)
     }
+}
 
-    fn store(&mut self, s: &StoreOp, env: &HashMap<String, i64>) -> Result<(), String> {
-        let v = self.eval(&s.value, env)?;
-        self.stream.push(v.to_bits());
-        if s.dest.array == self.folded.array {
-            self.folded.store(&eval_idx(&s.dest, env), v)
-        } else {
-            self.mem.store(&s.dest, env, v);
-            Ok(())
+impl From<Stop> for String {
+    fn from(s: Stop) -> String {
+        match s {
+            Stop::Fault(Fault::Missing(a)) => format!("memory lacks array {a}"),
+            Stop::Fault(Fault::OutOfBounds {
+                array,
+                dim,
+                index,
+                size,
+            }) => format!("index {index} out of bounds (dim {dim}, extent {size}) on {array}"),
+            Stop::Fault(f) => f.to_string(),
+            Stop::Diverged(why) => why,
         }
     }
 }
 
-fn eval_idx(a: &AccessFn, env: &HashMap<String, i64>) -> Vec<i64> {
-    a.indices.iter().map(|e| e.eval_partial(env)).collect()
-}
-
+/// Executes `prog` over a copy of `mem0` with array `id` backed by a
+/// [`Folded`] buffer of shape `windows`; returns the store value stream
+/// and the final memory.
 fn run_one(
-    func: &AffineFunc,
+    prog: &Program<'_>,
     mem0: &MemoryState,
-    array: &str,
+    id: usize,
     windows: &[i64],
 ) -> Result<(Vec<u64>, MemoryState), String> {
-    let m = func
-        .memref(array)
-        .ok_or_else(|| format!("unknown array {array}"))?;
-    if windows.len() != m.shape.len() {
-        return Err(format!(
-            "window rank {} does not match array rank {}",
-            windows.len(),
-            m.shape.len()
-        ));
-    }
+    let array = prog.arrays()[id];
     let initial = mem0
         .array(array)
-        .ok_or_else(|| format!("memory lacks array {array}"))?
-        .data()
-        .to_vec();
-    let mut exec = Exec {
-        mem: mem0.clone(),
-        folded: Folded::new(array, &m.shape, windows, &initial),
-        stream: Vec::new(),
-    };
-    walk_stores(&func.body, &mut HashMap::new(), &mut |s, env| {
-        exec.store(s, env)
-    })?;
-    Ok((exec.stream, exec.mem))
+        .ok_or_else(|| format!("memory lacks array {array}"))?;
+    let mut folded = Folded::new(array, initial.shape(), windows, initial.data());
+    let mut mem = mem0.clone();
+    let mut m = prog.bind(&mut mem);
+    let mut stream = Vec::new();
+    let mut vals = Vec::new();
+    let run = m.walk(prog.ops(), &mut |inst, arrays| {
+        vals.clear();
+        for &e in inst.loads {
+            vals.push(if e.0 == id {
+                folded.load(e.1).map_err(Stop::Diverged)?
+            } else {
+                arrays.get(e)
+            });
+        }
+        let v = inst.value(|k| vals[k]);
+        stream.push(v.to_bits());
+        if inst.dest.0 == id {
+            folded.store(inst.dest.1, v);
+        } else {
+            arrays.set(inst.dest, v);
+        }
+        Ok::<(), Stop>(())
+    });
+    m.restore(&mut mem);
+    run?;
+    Ok((stream, mem))
 }
 
 /// Replays `func` with `array` contracted to `windows` and compares the
@@ -204,15 +176,31 @@ pub fn replay_contraction(
     array: &str,
     windows: &[i64],
 ) -> Result<u64, String> {
-    // The walker panics on malformed IR (a loop lacking a bound); a
-    // certificate check must reject it instead.
+    // Malformed IR (a loop lacking a bound, an undeclared array) is
+    // rejected before anything runs.
     pom_ir::verify(func).map_err(|e| e.to_string())?;
     let m = func
         .memref(array)
         .ok_or_else(|| format!("unknown array {array}"))?;
+    if windows.len() != m.shape.len() {
+        return Err(format!(
+            "window rank {} does not match array rank {}",
+            windows.len(),
+            m.shape.len()
+        ));
+    }
+    if let Some(held) = mem0.array(array).filter(|a| a.shape() != m.shape) {
+        return Err(format!(
+            "memory holds {array} as {:?}, declared {:?}",
+            held.shape(),
+            m.shape
+        ));
+    }
+    let prog = Program::new(func);
+    let id = prog.array_id(array).expect("declared above");
     let extents: Vec<i64> = m.shape.iter().map(|&s| s as i64).collect();
-    let (ref_stream, ref_mem) = run_one(func, mem0, array, &extents)?;
-    let (con_stream, con_mem) = run_one(func, mem0, array, windows)?;
+    let (ref_stream, ref_mem) = run_one(&prog, mem0, id, &extents)?;
+    let (con_stream, con_mem) = run_one(&prog, mem0, id, windows)?;
     if ref_stream.len() != con_stream.len() {
         return Err(format!(
             "store counts diverge: {} vs {}",

@@ -632,3 +632,38 @@ fn partial_tile_pair_is_not_merged() {
     assert_eq!(b.windows, vec![4, 32]);
     assert!(!b.contracted());
 }
+
+#[test]
+fn replay_against_memory_lacking_an_array_fails_naming_it() {
+    // for t { T[t] = A[t] + 1; B[t] = T[t] } with T contracted to one
+    // cell, replayed over memory that holds T and B but not A.
+    let mut f = AffineFunc::new("chain");
+    for name in ["A", "T", "B"] {
+        f.memrefs.push(MemRefDecl::new(name, &[8], DataType::F32));
+    }
+    f.body.push(fl(
+        "t",
+        0,
+        7,
+        vec![
+            st(
+                "s1",
+                "T",
+                vec![v("t")],
+                add(ld("A", vec![v("t")]), Expr::Const(1.0)),
+            ),
+            st("s2", "B", vec![v("t")], ld("T", vec![v("t")])),
+        ],
+    ));
+    let full = seeded_memory(&f, 3);
+    assert!(replay_contraction(&f, &full, "T", &[1]).is_ok());
+    let mut mem = pom_dsl::MemoryState::new();
+    for name in ["T", "B"] {
+        mem.insert(name, full.array(name).unwrap().clone());
+    }
+    let err = replay_contraction(&f, &mem, "T", &[1]).unwrap_err();
+    assert_eq!(err, "memory lacks array A");
+    // The contracted array itself missing is reported the same way.
+    let err = replay_contraction(&f, &pom_dsl::MemoryState::new(), "T", &[1]).unwrap_err();
+    assert_eq!(err, "memory lacks array T");
+}

@@ -6,8 +6,10 @@
 //! boundary). This module simulates that execution in two passes:
 //!
 //! 1. **Functional pass** — every stage is executed *sequentially in
-//!    program order* through the existing event engine
-//!    ([`crate::simulate_traced`]) on one shared memory, so the final
+//!    program order* through the event engine (as
+//!    [`crate::simulate_traced`] does), each on its slice of the
+//!    function's top-level ops of one compiled program and on one shared
+//!    memory, so the final
 //!    [`MemoryState`] is bit-identical to `ir::interp::execute_func` by
 //!    construction. Each stage yields a local [`SimReport`] plus a
 //!    [`TraceEvent`] stream: per store event, the elements read and
@@ -46,12 +48,12 @@
 //! untouched; cross-stage value timing moves from the engine's `ready`
 //! plane into channel commit times.
 
-use crate::engine::simulate_traced;
+use crate::engine::run_stage;
 use crate::report::SimReport;
 use pom_dsl::MemoryState;
 use pom_hls::{CostModel, DepSummary};
+use pom_ir::interp::Program;
 use pom_ir::AffineFunc;
-use std::collections::HashMap;
 
 /// `(array id, flat element index)` — an element of a declared memref,
 /// with the array id being its position in [`AffineFunc::memrefs`].
@@ -213,19 +215,24 @@ impl DataflowReport {
     }
 }
 
-/// Per-channel replay state derived from the functional traces.
+/// Marks an element without an event in [`ChanState`]'s tables.
+const NONE: usize = usize::MAX;
+
+/// Per-channel replay state derived from the functional traces; every
+/// table is dense over the channel array's elements.
 struct ChanState {
-    /// Producer's last-write event per element: the element's value is
-    /// final (published) once that event commits.
-    last_write_ev: HashMap<usize, usize>,
+    /// Producer's last-write event per element (or [`NONE`]): the
+    /// element's value is final (published) once that event commits.
+    last_write_ev: Vec<usize>,
     /// Elements in push order (order of last writes in the trace).
     pushes: Vec<usize>,
     /// Element → push index.
-    push_index: HashMap<usize, usize>,
-    /// Per consumer stage: last-read `(event, read slot)` per element —
-    /// the slot is the read's position inside the event's read list, so
-    /// releases can be judged element-granularly within an event.
-    last_read_ev: Vec<HashMap<usize, (usize, usize)>>,
+    push_index: Vec<usize>,
+    /// Per consumer stage: last-read `(event, read slot)` per element
+    /// (event [`NONE`] when never read) — the slot is the read's position
+    /// inside the event's read list, so releases can be judged
+    /// element-granularly within an event.
+    last_read_ev: Vec<Vec<(usize, usize)>>,
 }
 
 /// Simulates `func` as a dataflow pipeline of `stages` communicating
@@ -247,15 +254,26 @@ pub fn simulate_dataflow(
     model: &CostModel,
 ) -> DataflowReport {
     // ---- functional pass: per-stage sequential execution + traces ----
+    let prog = Program::new(func);
+    let mut m = prog.bind(mem);
     let mut reports = Vec::with_capacity(stages.len());
     let mut traces = Vec::with_capacity(stages.len());
+    let mut fault = None;
     for st in stages {
-        let mut sub = AffineFunc::new(format!("{}::{}", func.name, st.name));
-        sub.memrefs = func.memrefs.clone();
-        sub.body = st.ops.iter().map(|&i| func.body[i].clone()).collect();
-        let (report, trace) = simulate_traced(&sub, deps, mem, model);
-        reports.push(report);
-        traces.push(trace);
+        match run_stage(func, &prog, &st.ops, &mut m, deps, model, true) {
+            Ok((report, trace)) => {
+                reports.push(report);
+                traces.push(trace);
+            }
+            Err(f) => {
+                fault = Some(f);
+                break;
+            }
+        }
+    }
+    m.restore(mem);
+    if let Some(f) = fault {
+        panic!("{f}");
     }
 
     // ---- channel metadata from the traces ----
@@ -266,45 +284,43 @@ pub fn simulate_dataflow(
             .unwrap_or_else(|| panic!("channel names unknown array {name}"))
     };
     let mut chans: Vec<ChanState> = Vec::with_capacity(channels.len());
-    let mut chan_by_aid: HashMap<usize, usize> = HashMap::new();
+    let mut chan_by_aid: Vec<Option<usize>> = vec![None; prog.arrays().len()];
     for (ci, ch) in channels.iter().enumerate() {
         let aid = aid_of(&ch.array);
-        chan_by_aid.insert(aid, ci);
-        let mut last_write_pos = HashMap::new();
+        chan_by_aid[aid] = Some(ci);
+        let cells: usize = func.memrefs[aid].shape.iter().product();
+        let mut last_write_pos = vec![(NONE, NONE); cells];
         for (e, ev) in traces[ch.producer].iter().enumerate() {
             for (wi, &(a, flat)) in ev.writes.iter().enumerate() {
                 if a == aid {
-                    last_write_pos.insert(flat, (e, wi));
+                    last_write_pos[flat] = (e, wi);
                 }
             }
         }
         let mut pushes = Vec::new();
-        let mut push_index = HashMap::new();
+        let mut push_index = vec![NONE; cells];
         for (e, ev) in traces[ch.producer].iter().enumerate() {
             for (wi, &(a, flat)) in ev.writes.iter().enumerate() {
-                if a == aid && last_write_pos.get(&flat) == Some(&(e, wi)) {
-                    push_index.insert(flat, pushes.len());
+                if a == aid && last_write_pos[flat] == (e, wi) {
+                    push_index[flat] = pushes.len();
                     pushes.push(flat);
                 }
             }
         }
-        let last_write_ev = last_write_pos
-            .into_iter()
-            .map(|(f, (e, _))| (f, e))
-            .collect();
+        let last_write_ev = last_write_pos.into_iter().map(|(e, _)| e).collect();
         let last_read_ev = ch
             .consumers
             .iter()
             .map(|&cs| {
-                let mut m = HashMap::new();
+                let mut last = vec![(NONE, NONE); cells];
                 for (e, ev) in traces[cs].iter().enumerate() {
                     for (ri, &(a, flat)) in ev.reads.iter().enumerate() {
                         if a == aid {
-                            m.insert(flat, (e, ri));
+                            last[flat] = (e, ri);
                         }
                     }
                 }
-                m
+                last
             })
             .collect();
         chans.push(ChanState {
@@ -364,7 +380,7 @@ pub fn simulate_dataflow(
                 let mut blocked = false;
                 while head_reads[s] < ev.reads.len() {
                     let (a, flat) = ev.reads[head_reads[s]];
-                    let Some(&ci) = chan_by_aid.get(&a) else {
+                    let Some(ci) = chan_by_aid[a] else {
                         head_reads[s] += 1;
                         continue;
                     };
@@ -376,10 +392,11 @@ pub fn simulate_dataflow(
                         head_reads[s] += 1; // not a declared consumer: live-in
                         continue;
                     }
-                    let Some(&pev) = chans[ci].last_write_ev.get(&flat) else {
+                    let pev = chans[ci].last_write_ev[flat];
+                    if pev == NONE {
                         head_reads[s] += 1; // never written by producer: live-in
                         continue;
-                    };
+                    }
                     // Availability: the element's value is final once
                     // the producer's last-write event has committed.
                     let prod = channels[ci].producer;
@@ -394,17 +411,17 @@ pub fn simulate_dataflow(
                     // only legal once that element's final read has
                     // retired — a committed consumer event, or an
                     // already-retired read inside a blocked head event.
-                    let k = chans[ci].push_index[&flat];
+                    let k = chans[ci].push_index[flat];
                     if k >= admitted[ci] {
                         let cap = channels[ci].capacity as usize;
                         let mut stuck = false;
                         while admitted[ci] <= k {
                             let evicted = chans[ci].pushes[admitted[ci] - cap];
                             for (j, &cs) in channels[ci].consumers.iter().enumerate() {
-                                let Some(&(rev, slot)) = chans[ci].last_read_ev[j].get(&evicted)
-                                else {
+                                let (rev, slot) = chans[ci].last_read_ev[j][evicted];
+                                if rev == NONE {
                                     continue; // never read: released at push
-                                };
+                                }
                                 let released = rev < cursor[cs]
                                     || (rev == cursor[cs] && slot < head_reads[cs]);
                                 if !released {
@@ -487,13 +504,14 @@ pub fn simulate_dataflow(
             let mut prev = 0u64;
             let mut vstall = 0u64;
             for (m, flat) in cst.pushes.iter().enumerate() {
-                let avail = ev_finish[ch.producer][cst.last_write_ev[flat]];
+                let avail = ev_finish[ch.producer][cst.last_write_ev[*flat]];
                 let mut t = avail.max(prev);
                 if m >= cap {
                     let evicted = cst.pushes[m - cap];
                     let mut rel = 0u64;
                     for (j, &cs) in ch.consumers.iter().enumerate() {
-                        if let Some(&(rev, _)) = cst.last_read_ev[j].get(&evicted) {
+                        let (rev, _) = cst.last_read_ev[j][evicted];
+                        if rev != NONE {
                             rel = rel.max(ev_gissue[cs][rev]);
                         }
                     }

@@ -1,10 +1,10 @@
 //! The cycle-approximate simulation engine.
 //!
 //! Executes an annotated [`AffineFunc`] with the *exact* sequential
-//! semantics of `ir::interp::execute_func` — loop bounds and pipeline
-//! bodies go through the interpreter's own `loop_bounds`/`walk_stores`,
-//! so the final memory state is bit-identical — while overlaying a timing model of the generated
-//! hardware:
+//! semantics of `ir::interp::execute_func` — it walks the same compiled
+//! [`Program`], and pipeline bodies go through the interpreter's own
+//! walker, so the final memory state is bit-identical — while overlaying
+//! a timing model of the generated hardware:
 //!
 //! * A pipelined loop issues one iteration every `pipeline_ii` cycles,
 //!   *unless* a loop-carried dependence has not produced its value yet
@@ -34,14 +34,11 @@
 use crate::dataflow::TraceEvent;
 use crate::report::{ArrayOccupancy, BankStall, LoopSim, SimReport};
 use pom_bank::ArrayBanks;
-use pom_dsl::interp::eval_expr;
 use pom_dsl::{Expr, MemoryState};
 use pom_hls::{CostModel, DepSummary};
-use pom_ir::interp::{loop_bounds, walk_stores};
-use pom_ir::{AffineFunc, AffineOp, ForOp, StoreOp};
-use pom_poly::AccessFn;
-use std::collections::{HashMap, HashSet};
-use std::convert::Infallible;
+use pom_ir::interp::{Elem, Fault, Loop, Machine, Op, Program};
+use pom_ir::AffineFunc;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Simulates `func`, mutating `mem` exactly as `ir::interp::execute_func`
@@ -61,12 +58,7 @@ pub fn simulate(
     mem: &mut MemoryState,
     model: &CostModel,
 ) -> SimReport {
-    let t0 = Instant::now();
-    let mut sim = Sim::new(func, deps, model);
-    let cycles = sim.exec_seq(&func.body, 0, mem);
-    let mut report = sim.into_report(cycles);
-    report.sim_time = t0.elapsed();
-    report
+    simulate_whole(func, deps, mem, model, false).0
 }
 
 /// [`simulate`] with an access trace: additionally returns one
@@ -81,23 +73,56 @@ pub fn simulate_traced(
     mem: &mut MemoryState,
     model: &CostModel,
 ) -> (SimReport, Vec<TraceEvent>) {
-    let t0 = Instant::now();
-    let mut sim = Sim::new(func, deps, model);
-    sim.trace = Some(Vec::new());
-    let cycles = sim.exec_seq(&func.body, 0, mem);
-    let trace = sim.trace.take().unwrap_or_default();
-    let mut report = sim.into_report(cycles);
-    report.sim_time = t0.elapsed();
-    (report, trace)
+    simulate_whole(func, deps, mem, model, true)
 }
 
-/// `(array id, flat element index)` — the unit of dependence tracking.
-type Elem = (usize, usize);
+fn simulate_whole(
+    func: &AffineFunc,
+    deps: &DepSummary,
+    mem: &mut MemoryState,
+    model: &CostModel,
+    trace: bool,
+) -> (SimReport, Vec<TraceEvent>) {
+    let prog = Program::new(func);
+    let mut m = prog.bind(mem);
+    let all: Vec<usize> = (0..prog.ops().len()).collect();
+    let run = run_stage(func, &prog, &all, &mut m, deps, model, trace);
+    m.restore(mem);
+    run.unwrap_or_else(|fault| panic!("{fault}"))
+}
 
-/// One store instance collected from a pipeline iteration.
+/// Simulates the top-level ops `stage` of `prog` (compiled from `func`)
+/// on `m`, with fresh timing state; the report's `sim_time` is the
+/// stage's own.
+pub(crate) fn run_stage<'p, 'a>(
+    func: &'a AffineFunc,
+    prog: &'p Program<'a>,
+    stage: &[usize],
+    m: &mut Machine<'a>,
+    deps: &'p DepSummary,
+    model: &'p CostModel,
+    trace: bool,
+) -> Result<(SimReport, Vec<TraceEvent>), Fault> {
+    let t0 = Instant::now();
+    let mut sim = Sim::new(func, prog, m, deps, model);
+    if trace {
+        sim.trace = Some(Vec::new());
+    }
+    let mut t = 0;
+    for &i in stage {
+        t = sim.exec_op(&prog.ops()[i], t, m)?;
+    }
+    let trace = sim.trace.take().unwrap_or_default();
+    let mut report = sim.into_report(func.memrefs.len(), t);
+    report.sim_time = t0.elapsed();
+    Ok((report, trace))
+}
+
+/// One store instance collected from a pipeline iteration: its value
+/// tree, its loads (a range of `Sim::loads`) and its destination.
 struct Inst<'a> {
-    store: &'a StoreOp,
-    loads: Vec<Elem>,
+    value: &'a Expr,
+    loads: std::ops::Range<usize>,
     dest: Elem,
 }
 
@@ -127,8 +152,26 @@ impl ElemLive {
     };
 }
 
-/// Port occupancy of one (array, bank) pair within a pipeline region.
+/// Per-element scratch of the pipeline timing pass, stamped with the
+/// iteration (epoch) that set it, so nothing is cleared between
+/// iterations: a field is current only while its stamp equals the epoch.
+#[derive(Clone, Copy, Default)]
+struct Scratch {
+    /// Epoch in which the element was first read from memory; `grant` is
+    /// that read's port grant.
+    seen: u32,
+    /// Epoch in which the element was written; `writer` is the index of
+    /// the iteration's last store instance writing it.
+    written: u32,
+    writer: u32,
+    grant: u64,
+}
+
+/// Port occupancy of one (array, bank) pair within a pipeline region;
+/// reset lazily when a new region first reserves on it.
+#[derive(Default)]
 struct Calendar {
+    region: u32,
     base: u64,
     used: Vec<u8>,
 }
@@ -150,10 +193,10 @@ impl Calendar {
     }
 }
 
-/// Mutable state of one pipeline region (a pipelined loop plus any outer
-/// loops flattened into it): issue bookkeeping, port calendars, and
-/// per-iteration scratch buffers.
-struct Region<'a> {
+/// Issue bookkeeping of one pipeline region (a pipelined loop plus any
+/// outer loops flattened into it).
+struct Region {
+    id: u32,
     start: u64,
     target_ii: u64,
     iters: u64,
@@ -162,61 +205,31 @@ struct Region<'a> {
     last_finish: u64,
     stall_dep: u64,
     stall_port: u64,
-    calendars: HashMap<(usize, u32), Calendar>,
-    insts: Vec<Inst<'a>>,
-    // Scratch, reused across iterations.
-    mem_reads: Vec<Elem>,
-    seen_reads: HashSet<Elem>,
-    written: HashSet<Elem>,
-    read_grant: HashMap<Elem, u64>,
-    last_writer: HashMap<Elem, usize>,
-    results: Vec<u64>,
 }
 
-impl<'a> Region<'a> {
-    fn new(start: u64, target_ii: u64) -> Self {
-        Region {
-            start,
-            target_ii,
-            iters: 0,
-            first_issue: start,
-            last_issue: start,
-            last_finish: start,
-            stall_dep: 0,
-            stall_port: 0,
-            calendars: HashMap::new(),
-            insts: Vec::new(),
-            mem_reads: Vec::new(),
-            seen_reads: HashSet::new(),
-            written: HashSet::new(),
-            read_grant: HashMap::new(),
-            last_writer: HashMap::new(),
-            results: Vec::new(),
-        }
-    }
-
-    fn grant(&mut self, key: (usize, u32), at: u64, ports: u64) -> u64 {
-        let start = self.start;
-        let cal = self.calendars.entry(key).or_insert_with(|| Calendar {
-            base: start,
-            used: Vec::new(),
-        });
-        cal.reserve(at, ports)
-    }
-}
-
-struct Sim<'a> {
-    deps: &'a DepSummary,
-    model: &'a CostModel,
-    /// Array name → dense id into `info`/`ready`.
-    ids: HashMap<&'a str, usize>,
+struct Sim<'p, 'a> {
+    deps: &'p DepSummary,
+    model: &'p CostModel,
+    /// Array names by id (the program's).
+    names: &'p [&'a str],
     /// Bank mapping per array (shared semantics with pom-bank's static
     /// analysis — the simulator is its dynamic ground truth).
     info: Vec<ArrayBanks>,
-    /// Per-(array id, bank): delayed grants and total slide cycles.
-    bank_stalls: HashMap<(usize, u32), (u64, u64)>,
+    /// Per array: true when every element sits in bank 0.
+    single_bank: Vec<bool>,
+    /// Per (array, bank): delayed grants and total slide cycles.
+    bank_stalls: Vec<Vec<(u64, u64)>>,
     /// Per element: the cycle its current value becomes forwardable.
     ready: Vec<Vec<u64>>,
+    /// Per element: pipeline scratch, allocated for an array the first
+    /// time a pipeline iteration touches it.
+    scratch: Vec<Vec<Scratch>>,
+    /// Per (array, bank): the port calendar of the current region.
+    calendars: Vec<Vec<Calendar>>,
+    /// The current pipeline iteration's stamp.
+    epoch: u32,
+    /// Regions started so far (the current region's calendar stamp).
+    regions: u32,
     /// Per element: liveness state for the occupancy counter.
     occ: Vec<Vec<ElemLive>>,
     /// Per array: closed liveness intervals emitted so far.
@@ -224,7 +237,6 @@ struct Sim<'a> {
     /// Program-order step counter: one step per executed store (its loads
     /// share the step and are ordered before the write).
     step: u64,
-    env: HashMap<String, i64>,
     stall_dep: u64,
     stall_port: u64,
     stall_drain: u64,
@@ -234,33 +246,55 @@ struct Sim<'a> {
     loops: HashMap<String, LoopSim>,
     /// When present, one [`TraceEvent`] is recorded per store event.
     trace: Option<Vec<TraceEvent>>,
+    // The current pipeline iteration's store instances, their loads, and
+    // the reused buffers of its timing pass.
+    insts: Vec<Inst<'a>>,
+    loads: Vec<Elem>,
+    mem_reads: Vec<Elem>,
+    results: Vec<u64>,
+    avails: Vec<u64>,
 }
 
-impl<'a> Sim<'a> {
-    fn new(func: &'a AffineFunc, deps: &'a DepSummary, model: &'a CostModel) -> Self {
-        let mut ids = HashMap::new();
-        let mut info = Vec::new();
-        let mut ready = Vec::new();
-        let mut occ = Vec::new();
-        for m in &func.memrefs {
-            ids.insert(m.name.as_str(), info.len());
-            let cells = m.shape.iter().product::<usize>();
-            ready.push(vec![0u64; cells]);
-            occ.push(vec![ElemLive::UNTOUCHED; cells]);
-            info.push(ArrayBanks::of(m));
-        }
-        let live_intervals = vec![Vec::new(); info.len()];
+impl<'p, 'a> Sim<'p, 'a> {
+    fn new(
+        func: &'a AffineFunc,
+        prog: &'p Program<'a>,
+        m: &Machine<'a>,
+        deps: &'p DepSummary,
+        model: &'p CostModel,
+    ) -> Self {
+        let names = prog.arrays();
+        // An array accessed without a declaration (which the verifier
+        // rejects) is simulated as one bank, at its bound shape.
+        let info: Vec<ArrayBanks> = (0..names.len())
+            .map(|id| match func.memrefs.get(id) {
+                Some(decl) => ArrayBanks::of(decl),
+                None => ArrayBanks {
+                    shape: m.arrays.shape(id).unwrap_or(&[]).to_vec(),
+                    dims: Vec::new(),
+                },
+            })
+            .collect();
+        let cells = |b: &ArrayBanks| b.shape.iter().product::<usize>();
+        let n = names.len();
         Sim {
             deps,
             model,
-            ids,
+            names,
+            single_bank: info.iter().map(|b| b.banks() == 1).collect(),
+            bank_stalls: vec![Vec::new(); n],
+            ready: info.iter().map(|b| vec![0u64; cells(b)]).collect(),
+            scratch: vec![Vec::new(); n],
+            calendars: (0..n).map(|_| Vec::new()).collect(),
+            epoch: 0,
+            regions: 0,
+            occ: info
+                .iter()
+                .map(|b| vec![ElemLive::UNTOUCHED; cells(b)])
+                .collect(),
+            live_intervals: vec![Vec::new(); n],
             info,
-            bank_stalls: HashMap::new(),
-            ready,
-            occ,
-            live_intervals,
             step: 0,
-            env: HashMap::new(),
             stall_dep: 0,
             stall_port: 0,
             stall_drain: 0,
@@ -269,17 +303,20 @@ impl<'a> Sim<'a> {
             loop_order: Vec::new(),
             loops: HashMap::new(),
             trace: None,
+            insts: Vec::new(),
+            loads: Vec::new(),
+            mem_reads: Vec::new(),
+            results: Vec::new(),
+            avails: Vec::new(),
         }
     }
 
-    fn into_report(mut self, cycles: u64) -> SimReport {
+    /// The report, with occupancy rows for the first `declared` arrays
+    /// (the memrefs).
+    fn into_report(mut self, declared: usize, cycles: u64) -> SimReport {
         let mut loops = self.loops;
-        let mut names = vec![""; self.info.len()];
-        for (name, &id) in &self.ids {
-            names[id] = name;
-        }
-        let mut occupancy = Vec::with_capacity(self.info.len());
-        for (aid, states) in self.occ.into_iter().enumerate() {
+        let mut occupancy = Vec::with_capacity(declared);
+        for (aid, states) in self.occ.into_iter().enumerate().take(declared) {
             let intervals = &mut self.live_intervals[aid];
             for st in states {
                 if st.open_start != u64::MAX {
@@ -287,21 +324,24 @@ impl<'a> Sim<'a> {
                 }
             }
             occupancy.push(ArrayOccupancy {
-                array: names[aid].to_string(),
+                array: self.names[aid].to_string(),
                 cells: self.info[aid].shape.iter().product::<usize>() as u64,
                 high_water: high_water(intervals),
             });
         }
-        let mut bank_stalls: Vec<BankStall> = self
-            .bank_stalls
-            .iter()
-            .map(|(&(aid, bank), &(conflicts, slide_cycles))| BankStall {
-                array: names[aid].to_string(),
-                bank,
-                conflicts,
-                slide_cycles,
-            })
-            .collect();
+        let mut bank_stalls: Vec<BankStall> = Vec::new();
+        for (aid, banks) in self.bank_stalls.iter().enumerate() {
+            for (bank, &(conflicts, slide_cycles)) in banks.iter().enumerate() {
+                if conflicts > 0 {
+                    bank_stalls.push(BankStall {
+                        array: self.names[aid].to_string(),
+                        bank: bank as u32,
+                        conflicts,
+                        slide_cycles,
+                    });
+                }
+            }
+        }
         bank_stalls.sort_by(|a, b| a.array.cmp(&b.array).then(a.bank.cmp(&b.bank)));
         SimReport {
             cycles,
@@ -358,37 +398,41 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Resolves an access to its element under `env`.
-    fn elem_of(&self, a: &AccessFn, env: &HashMap<String, i64>) -> Elem {
-        let aid = *self
-            .ids
-            .get(a.array.as_str())
-            .unwrap_or_else(|| panic!("unknown array {}", a.array));
-        let info = &self.info[aid];
-        assert_eq!(a.indices.len(), info.shape.len(), "index rank mismatch");
-        let mut flat = 0usize;
-        for (d, (e, &n)) in a.indices.iter().zip(&info.shape).enumerate() {
-            let i = e.eval_partial(env);
-            assert!(
-                i >= 0 && (i as usize) < n,
-                "index {i} out of bounds for dim {d} (size {n})"
-            );
-            flat = flat * n + i as usize;
-        }
-        (aid, flat)
-    }
-
     /// The bank an element lives in (mixed-radix across dimensions).
+    #[inline]
     fn bank_of(&self, e: Elem) -> u32 {
-        self.info[e.0].bank_of_flat(e.1)
+        if self.single_bank[e.0] {
+            0
+        } else {
+            self.info[e.0].bank_of_flat(e.1)
+        }
     }
 
     /// Attributes one delayed grant on `(array, bank)`.
-    fn note_conflict(&mut self, key: (usize, u32), slide: u64) {
+    fn note_conflict(&mut self, aid: usize, bank: u32, slide: u64) {
         self.port_conflicts += 1;
-        let slot = self.bank_stalls.entry(key).or_insert((0, 0));
+        let banks = &mut self.bank_stalls[aid];
+        if banks.len() <= bank as usize {
+            banks.resize(bank as usize + 1, (0, 0));
+        }
+        let slot = &mut banks[bank as usize];
         slot.0 += 1;
         slot.1 += slide;
+    }
+
+    /// Reserves a port of `(array, bank)` at or after `at` in `region`.
+    fn grant(&mut self, region: &Region, aid: usize, bank: u32, at: u64, ports: u64) -> u64 {
+        let cals = &mut self.calendars[aid];
+        if cals.len() <= bank as usize {
+            cals.resize_with(bank as usize + 1, Calendar::default);
+        }
+        let cal = &mut cals[bank as usize];
+        if cal.region != region.id {
+            cal.region = region.id;
+            cal.base = region.start;
+            cal.used.clear();
+        }
+        cal.reserve(at, ports)
     }
 
     // ------------------------------------------------------------------
@@ -397,42 +441,46 @@ impl<'a> Sim<'a> {
 
     /// Executes ops in sequence starting at cycle `t`; returns the finish
     /// cycle.
-    fn exec_seq(&mut self, ops: &'a [AffineOp], t: u64, mem: &mut MemoryState) -> u64 {
+    fn exec_seq(&mut self, ops: &'p [Op<'a>], t: u64, m: &mut Machine<'a>) -> Result<u64, Fault> {
         let mut t = t;
         for op in ops {
-            t = match op {
-                AffineOp::For(l) => {
-                    if let Some((outers, pipe)) = self.flatten_chain(l) {
-                        self.exec_pipeline(&outers, pipe, t, mem)
-                    } else {
-                        self.exec_seq_loop(l, t, mem)
-                    }
-                }
-                AffineOp::If(i) => {
-                    if i.conds.iter().all(|c| c.satisfied(&self.env)) {
-                        self.exec_seq(&i.body, t, mem)
-                    } else {
-                        t
-                    }
-                }
-                AffineOp::Store(s) => self.exec_store_seq(s, t, mem),
-            };
+            t = self.exec_op(op, t, m)?;
         }
-        t
+        Ok(t)
+    }
+
+    fn exec_op(&mut self, op: &'p Op<'a>, t: u64, m: &mut Machine<'a>) -> Result<u64, Fault> {
+        match op {
+            Op::For(l) => {
+                if let Some((outers, pipe)) = self.flatten_chain(l) {
+                    self.exec_pipeline(&outers, pipe, t, m)
+                } else {
+                    self.exec_seq_loop(l, t, m)
+                }
+            }
+            Op::If(g) => {
+                if g.holds(m.ivs())? {
+                    self.exec_seq(&g.body, t, m)
+                } else {
+                    Ok(t)
+                }
+            }
+            Op::Store(_) => self.exec_store_seq(op, t, m),
+        }
     }
 
     /// Mirrors `hls::estimate::try_flatten`: the chain of perfect,
     /// attribute-free, dependence-free loops down to a pipelined loop.
     /// `Some((outers, pipe))` when `l` heads a flattenable nest (possibly
     /// with zero outers, i.e. `l` is itself pipelined).
-    fn flatten_chain(&self, l: &'a ForOp) -> Option<(Vec<&'a ForOp>, &'a ForOp)> {
-        if l.attrs.pipeline_ii.is_some() {
+    fn flatten_chain(&self, l: &'p Loop<'a>) -> Option<(Vec<&'p Loop<'a>>, &'p Loop<'a>)> {
+        if l.op.attrs.pipeline_ii.is_some() {
             return Some((Vec::new(), l));
         }
-        if l.attrs.unroll_factor.is_some() || self.deps.carried_at(&l.iv).is_some() {
+        if l.op.attrs.unroll_factor.is_some() || self.deps.carried_at(&l.op.iv).is_some() {
             return None;
         }
-        let [AffineOp::For(inner)] = &l.body[..] else {
+        let [Op::For(inner)] = &l.body[..] else {
             return None;
         };
         let (mut outers, pipe) = self.flatten_chain(inner)?;
@@ -440,12 +488,17 @@ impl<'a> Sim<'a> {
         Some((outers, pipe))
     }
 
-    fn exec_seq_loop(&mut self, l: &'a ForOp, t: u64, mem: &mut MemoryState) -> u64 {
-        let (lb, ub) = loop_bounds(l, &self.env);
+    fn exec_seq_loop(
+        &mut self,
+        l: &'p Loop<'a>,
+        t: u64,
+        m: &mut Machine<'a>,
+    ) -> Result<u64, Fault> {
+        let (lb, ub) = l.bounds(m.ivs())?;
         if ub < lb {
-            return t;
+            return Ok(t);
         }
-        let u = l.attrs.unroll_factor.unwrap_or(1).max(1);
+        let u = l.op.attrs.unroll_factor.unwrap_or(1).max(1);
         let mut t = t;
         let mut v = lb;
         while v <= ub {
@@ -456,35 +509,47 @@ impl<'a> Sim<'a> {
             let start = t;
             let mut finish = start;
             while v <= chunk_end {
-                self.env.insert(l.iv.clone(), v);
-                finish = finish.max(self.exec_seq(&l.body, start, mem));
+                m.set_iv(l, v);
+                finish = finish.max(self.exec_seq(&l.body, start, m)?);
                 v += 1;
             }
             t = finish + self.model.loop_overhead;
         }
-        self.env.remove(&l.iv);
-        t
+        Ok(t)
     }
 
-    fn exec_store_seq(&mut self, s: &'a StoreOp, t: u64, mem: &mut MemoryState) -> u64 {
-        let (elems, dest) = self.exec_store(s, &self.env, mem);
-        self.occ_access(&elems, dest);
-        let avails: Vec<u64> = elems
-            .iter()
-            .map(|&e| (t + self.model.load_latency).max(self.ready[e.0][e.1]))
-            .collect();
-        let result = walk_time(self.model, &s.value, &mut avails.iter().copied(), t);
-        self.ready[dest.0][dest.1] = result;
-        let finish = result + self.model.store_latency;
-        if let Some(tr) = &mut self.trace {
-            tr.push(TraceEvent {
-                issue: t,
-                finish,
-                reads: elems,
-                writes: vec![dest],
-            });
-        }
-        finish
+    /// Executes the store `op` (an [`Op::Store`]) at cycle `t`.
+    fn exec_store_seq(
+        &mut self,
+        op: &'p Op<'a>,
+        t: u64,
+        m: &mut Machine<'a>,
+    ) -> Result<u64, Fault> {
+        let mut finish = t;
+        m.walk(std::slice::from_ref(op), &mut |inst, arrays| {
+            arrays.exec(inst);
+            self.occ_access(inst.loads, inst.dest);
+            let model = self.model;
+            self.avails.clear();
+            for &e in inst.loads {
+                let ready = self.ready[e.0][e.1];
+                self.avails.push((t + model.load_latency).max(ready));
+            }
+            let value = &inst.store.op.value;
+            let result = walk_time(model, value, &mut self.avails.iter().copied(), t);
+            self.ready[inst.dest.0][inst.dest.1] = result;
+            finish = result + model.store_latency;
+            if let Some(tr) = &mut self.trace {
+                tr.push(TraceEvent {
+                    issue: t,
+                    finish,
+                    reads: inst.loads.to_vec(),
+                    writes: vec![inst.dest],
+                });
+            }
+            Ok::<(), Fault>(())
+        })?;
+        Ok(finish)
     }
 
     // ------------------------------------------------------------------
@@ -493,28 +558,40 @@ impl<'a> Sim<'a> {
 
     fn exec_pipeline(
         &mut self,
-        outers: &[&'a ForOp],
-        pipe: &'a ForOp,
+        outers: &[&'p Loop<'a>],
+        pipe: &'p Loop<'a>,
         t: u64,
-        mem: &mut MemoryState,
-    ) -> u64 {
-        let target_ii = pipe.attrs.pipeline_ii.unwrap_or(1).max(1) as u64;
-        let mut region = Region::new(t, target_ii);
-        self.pipe_nest(outers, pipe, &mut region, mem);
+        m: &mut Machine<'a>,
+    ) -> Result<u64, Fault> {
+        let target_ii = pipe.op.attrs.pipeline_ii.unwrap_or(1).max(1) as u64;
+        self.regions += 1;
+        let mut region = Region {
+            id: self.regions,
+            start: t,
+            target_ii,
+            iters: 0,
+            first_issue: t,
+            last_issue: t,
+            last_finish: t,
+            stall_dep: 0,
+            stall_port: 0,
+        };
+        self.pipe_nest(outers, pipe, &mut region, m)?;
         if region.iters == 0 {
-            return t;
+            return Ok(t);
         }
         let drain = region.last_finish.saturating_sub(region.last_issue);
         self.stall_dep += region.stall_dep;
         self.stall_port += region.stall_port;
         self.stall_drain += drain;
         self.pipeline_iterations += region.iters;
-        if !self.loops.contains_key(&pipe.iv) {
-            self.loop_order.push(pipe.iv.clone());
+        let iv = &pipe.op.iv;
+        if !self.loops.contains_key(iv) {
+            self.loop_order.push(iv.clone());
             self.loops.insert(
-                pipe.iv.clone(),
+                iv.clone(),
                 LoopSim {
-                    iv: pipe.iv.clone(),
+                    iv: iv.clone(),
                     target_ii,
                     iterations: 0,
                     flushes: 0,
@@ -526,7 +603,7 @@ impl<'a> Sim<'a> {
                 },
             );
         }
-        let agg = self.loops.get_mut(&pipe.iv).expect("inserted above");
+        let agg = self.loops.get_mut(iv).expect("inserted above");
         agg.iterations += region.iters;
         agg.flushes += 1;
         agg.issue_span += region.last_issue - region.first_issue;
@@ -534,89 +611,95 @@ impl<'a> Sim<'a> {
         agg.stall_dep += region.stall_dep;
         agg.stall_port += region.stall_port;
         agg.drain += drain;
-        region.last_finish + self.model.loop_overhead
+        Ok(region.last_finish + self.model.loop_overhead)
     }
 
     /// Walks the flattened outer loops down to the pipelined loop,
     /// issuing one pipeline iteration per innermost trip.
     fn pipe_nest(
         &mut self,
-        outers: &[&'a ForOp],
-        pipe: &'a ForOp,
-        region: &mut Region<'a>,
-        mem: &mut MemoryState,
-    ) {
+        outers: &[&'p Loop<'a>],
+        pipe: &'p Loop<'a>,
+        region: &mut Region,
+        m: &mut Machine<'a>,
+    ) -> Result<(), Fault> {
         if let Some((first, rest)) = outers.split_first() {
-            let (lb, ub) = loop_bounds(first, &self.env);
+            let (lb, ub) = first.bounds(m.ivs())?;
             for v in lb..=ub {
-                self.env.insert(first.iv.clone(), v);
-                self.pipe_nest(rest, pipe, region, mem);
+                m.set_iv(first, v);
+                self.pipe_nest(rest, pipe, region, m)?;
             }
-            self.env.remove(&first.iv);
-            return;
+            return Ok(());
         }
-        let (lb, ub) = loop_bounds(pipe, &self.env);
+        let (lb, ub) = pipe.bounds(m.ivs())?;
         for v in lb..=ub {
-            self.env.insert(pipe.iv.clone(), v);
-            self.collect(&pipe.body, region, mem);
+            m.set_iv(pipe, v);
+            self.collect(&pipe.body, m)?;
             self.time_iteration(region);
         }
-        self.env.remove(&pipe.iv);
-    }
-
-    /// Applies one store instance to `mem` exactly as the interpreter does
-    /// and resolves the elements it read and the one it wrote.
-    fn exec_store(
-        &self,
-        s: &StoreOp,
-        env: &HashMap<String, i64>,
-        mem: &mut MemoryState,
-    ) -> (Vec<Elem>, Elem) {
-        let loads = s
-            .value
-            .loads()
-            .iter()
-            .map(|a| self.elem_of(a, env))
-            .collect();
-        let v = eval_expr(&s.value, env, mem);
-        mem.store(&s.dest, env, v);
-        (loads, self.elem_of(&s.dest, env))
+        Ok(())
     }
 
     /// Functionally executes one pipeline iteration through the
     /// interpreter's walker (inner loops fully unrolled, conditions
     /// evaluated, stores applied in program order) while collecting its
     /// store instances for the timing pass.
-    fn collect(&mut self, ops: &'a [AffineOp], region: &mut Region<'a>, mem: &mut MemoryState) {
-        let mut env = std::mem::take(&mut self.env);
-        let Ok(()) = walk_stores(ops, &mut env, &mut |store, env| {
-            let (loads, dest) = self.exec_store(store, env, mem);
-            self.occ_access(&loads, dest);
-            region.insts.push(Inst { store, loads, dest });
-            Ok::<(), Infallible>(())
-        });
-        self.env = env;
+    fn collect(&mut self, ops: &'p [Op<'a>], m: &mut Machine<'a>) -> Result<(), Fault> {
+        m.walk(ops, &mut |inst, arrays| {
+            arrays.exec(inst);
+            self.occ_access(inst.loads, inst.dest);
+            for &(aid, _) in inst.loads.iter().chain([&inst.dest]) {
+                if self.scratch[aid].is_empty() {
+                    self.scratch[aid] = vec![Scratch::default(); self.ready[aid].len()];
+                }
+            }
+            let start = self.loads.len();
+            self.loads.extend_from_slice(inst.loads);
+            self.insts.push(Inst {
+                value: &inst.store.op.value,
+                loads: start..self.loads.len(),
+                dest: inst.dest,
+            });
+            Ok::<(), Fault>(())
+        })
+    }
+
+    /// Starts a new pipeline iteration's stamp, clearing every stamp when
+    /// the counter wraps.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            for cells in &mut self.scratch {
+                cells.fill(Scratch::default());
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
     }
 
     /// Times one collected pipeline iteration: dependence-ready issue,
     /// port grants, statement results, write-back.
-    fn time_iteration(&mut self, region: &mut Region<'a>) {
-        let insts = std::mem::take(&mut region.insts);
+    fn time_iteration(&mut self, region: &mut Region) {
         let ports = self.model.ports_per_bank.max(1);
+        let load_latency = self.model.load_latency;
+        let ep = self.next_epoch();
 
         // Classify reads: an element read before any write this iteration
         // comes from memory (needs a port); one written earlier is
-        // forwarded in registers.
-        region.mem_reads.clear();
-        region.seen_reads.clear();
-        region.written.clear();
-        for inst in &insts {
-            for &e in &inst.loads {
-                if !region.written.contains(&e) && region.seen_reads.insert(e) {
-                    region.mem_reads.push(e);
+        // forwarded in registers. Each element's last writer is the one
+        // that writes it back.
+        self.mem_reads.clear();
+        for (i, inst) in self.insts.iter().enumerate() {
+            for &e in &self.loads[inst.loads.clone()] {
+                let sc = &mut self.scratch[e.0][e.1];
+                if sc.written != ep && sc.seen != ep {
+                    sc.seen = ep;
+                    self.mem_reads.push(e);
                 }
             }
-            region.written.insert(inst.dest);
+            let sc = &mut self.scratch[inst.dest.0][inst.dest.1];
+            sc.written = ep;
+            sc.writer = i as u32;
         }
 
         // Dependence-ready issue time: every memory operand must have been
@@ -628,63 +711,62 @@ impl<'a> Sim<'a> {
             region.last_issue + region.target_ii
         };
         let mut dep_issue = tentative;
-        for &e in &region.mem_reads {
-            dep_issue = dep_issue.max(self.ready[e.0][e.1].saturating_sub(self.model.load_latency));
+        for &e in &self.mem_reads {
+            dep_issue = dep_issue.max(self.ready[e.0][e.1].saturating_sub(load_latency));
         }
         region.stall_dep += dep_issue - tentative;
 
         // Port grants for the memory reads, in program order.
-        region.read_grant.clear();
         let mut issue = dep_issue;
-        for i in 0..region.mem_reads.len() {
-            let e = region.mem_reads[i];
+        for i in 0..self.mem_reads.len() {
+            let e = self.mem_reads[i];
             let bank = self.bank_of(e);
-            let g = region.grant((e.0, bank), dep_issue, ports);
+            let g = self.grant(region, e.0, bank, dep_issue, ports);
             if g > dep_issue {
-                self.note_conflict((e.0, bank), g - dep_issue);
+                self.note_conflict(e.0, bank, g - dep_issue);
             }
             issue = issue.max(g);
-            region.read_grant.insert(e, g);
+            self.scratch[e.0][e.1].grant = g;
         }
         region.stall_port += issue - dep_issue;
 
         // Statement results in program order, with value forwarding.
-        region.results.clear();
-        for inst in &insts {
-            let avails = inst.loads.iter().map(|&e| {
+        self.results.clear();
+        for inst in &self.insts {
+            self.avails.clear();
+            for &e in &self.loads[inst.loads.clone()] {
                 let ready = self.ready[e.0][e.1];
-                match region.read_grant.get(&e) {
-                    Some(&g) => ready.max(g + self.model.load_latency),
+                let sc = &self.scratch[e.0][e.1];
+                self.avails.push(if sc.seen == ep {
+                    ready.max(sc.grant + load_latency)
+                } else {
                     // Forwarded: produced earlier in this iteration.
-                    None => ready.max(dep_issue),
-                }
-            });
+                    ready.max(dep_issue)
+                });
+            }
             let result = walk_time(
                 self.model,
-                &inst.store.value,
-                &mut avails.collect::<Vec<_>>().into_iter(),
+                inst.value,
+                &mut self.avails.iter().copied(),
                 dep_issue,
             );
             self.ready[inst.dest.0][inst.dest.1] = result;
-            region.results.push(result);
+            self.results.push(result);
         }
 
         // Write-back: only the last writer of each element touches memory
         // (earlier same-iteration writes are dead in-register values).
-        region.last_writer.clear();
-        for (i, inst) in insts.iter().enumerate() {
-            region.last_writer.insert(inst.dest, i);
-        }
         let mut finish = issue;
-        for (i, inst) in insts.iter().enumerate() {
-            if region.last_writer.get(&inst.dest) != Some(&i) {
+        for i in 0..self.insts.len() {
+            let dest = self.insts[i].dest;
+            if self.scratch[dest.0][dest.1].writer != i as u32 {
                 continue;
             }
-            let bank = self.bank_of(inst.dest);
-            let r = region.results[i];
-            let g = region.grant((inst.dest.0, bank), r, ports);
+            let bank = self.bank_of(dest);
+            let r = self.results[i];
+            let g = self.grant(region, dest.0, bank, r, ports);
             if g > r {
-                self.note_conflict((inst.dest.0, bank), g - r);
+                self.note_conflict(dest.0, bank, g - r);
             }
             finish = finish.max(g + self.model.store_latency);
         }
@@ -696,29 +778,28 @@ impl<'a> Sim<'a> {
         region.last_finish = region.last_finish.max(finish);
         region.iters += 1;
 
-        if self.trace.is_some() {
+        if let Some(tr) = &mut self.trace {
             // Writes in write-back order (the last writer of each element
             // this iteration): their sequence across events defines the
             // channel push order the dataflow co-simulation replays.
-            let writes: Vec<Elem> = insts
+            let scratch = &self.scratch;
+            let writes: Vec<Elem> = self
+                .insts
                 .iter()
                 .enumerate()
-                .filter(|(i, inst)| region.last_writer.get(&inst.dest) == Some(i))
+                .filter(|(i, inst)| scratch[inst.dest.0][inst.dest.1].writer == *i as u32)
                 .map(|(_, inst)| inst.dest)
                 .collect();
-            let reads = region.mem_reads.clone();
-            if let Some(tr) = &mut self.trace {
-                tr.push(TraceEvent {
-                    issue,
-                    finish,
-                    reads,
-                    writes,
-                });
-            }
+            tr.push(TraceEvent {
+                issue,
+                finish,
+                reads: self.mem_reads.clone(),
+                writes,
+            });
         }
 
-        region.insts = insts;
-        region.insts.clear();
+        self.insts.clear();
+        self.loads.clear();
     }
 }
 
