@@ -8,8 +8,8 @@
 //! 1. **High-water cross-check** — for every array, the static bound on
 //!    simultaneously-live elements (`∏ windows`, or the declared size
 //!    when the analysis degrades to inexact) must be ≥ the simulator's
-//!    measured per-array live high-water ([`SimReport::occupancy`]
-//!    (pom::SimReport)). The two derive liveness independently (FM
+//!    measured per-array live high-water
+//!    ([`SimReport::occupancy`](pom::SimReport::occupancy)). The two derive liveness independently (FM
 //!    projection vs per-element last-read intervals), so a violation
 //!    means one of them is wrong.
 //! 2. **Certificate replay** — every array the analysis claims

@@ -84,9 +84,7 @@ pub use pom_live::{
 pub use pom_sim::{
     simulate, simulate_dataflow, ArrayOccupancy, DataflowReport, LoopSim, SimReport,
 };
-pub use pom_verify::{
-    analyze_ranges, bank_report, live_report, narrowing_hints, validate, ValidationReport,
-};
+pub use pom_verify::{analyze_ranges, bank_report, live_report, validate, ValidationReport};
 
 /// The end-to-end POM driver: analysis, scheduling (user-specified or
 /// automatic), lowering, and HLS C generation.
@@ -116,16 +114,6 @@ impl Pom {
     /// resource reuse).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A driver targeting a specific device.
-    pub fn with_device(device: DeviceSpec) -> Self {
-        Pom {
-            options: CompileOptions {
-                device,
-                ..Default::default()
-            },
-        }
     }
 
     /// Builds the dependence graph IR of a function (layer 1).

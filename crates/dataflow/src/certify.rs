@@ -3,21 +3,20 @@
 //!
 //! A [`crate::Channel`]'s capacity is *certified* by replaying the
 //! producer's push stream and every consumer's pop stream through a
-//! ring of exactly the certified capacity, under the same blocking
-//! rules the co-simulation uses: a pop of element `e` requires the push
-//! of `e`, and the `k`-th push requires the element of push
-//! `k − capacity` to be fully released (its last pop committed). The
+//! ring of exactly the certified capacity, under the blocking rule the
+//! co-simulation uses too (`pom_sim::Ring`): a pop of element `e`
+//! requires the push of `e`, and the `k`-th push requires the element of
+//! push `k − capacity` to be fully released (its last pop committed). The
 //! replay discharges one [`ObligationKind::ChannelSized`] obligation
 //! per consumer: no deadlock, and every popped value bit-identical to
 //! the pushed one.
 
-use crate::stream::stage_streams;
+use crate::stream::{ring, stage_streams};
 use crate::DataflowPlan;
 use pom_dsl::MemoryState;
 use pom_ir::interp::{Fault, Program};
 use pom_ir::AffineFunc;
 use pom_verify::{Certificate, Obligation, ObligationKind};
-use std::collections::HashMap;
 
 /// Outcome of replaying one consumer's stream through a bounded ring.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,93 +53,58 @@ pub(crate) enum Replay {
     },
 }
 
-/// Replays one consumer's pop stream against the producer's push stream
-/// through a ring of `capacity` slots. Streams carry `(flat, value)`
-/// pairs; a shape-only replay (all values `0.0`) degrades to a pure
-/// deadlock check.
+/// Replays one consumer's pop stream `reads` against the producer's
+/// store stream `writes` through a ring of `capacity` slots: a pop of a
+/// pushed element first admits every push up to its own
+/// ([`pom_sim::Ring::admit`]), and is served the value of the
+/// producer's final write of it. Streams carry `(flat, value)` pairs; a
+/// shape-only replay (all values `0.0`) degrades to a pure deadlock
+/// check.
 pub(crate) fn replay_channel(
-    pushes: &[(usize, f64)],
+    writes: &[(usize, f64)],
     reads: &[(usize, f64)],
     capacity: u64,
 ) -> Replay {
-    let d = capacity.max(1) as usize;
-    let push_index: HashMap<usize, usize> = pushes
-        .iter()
-        .enumerate()
-        .map(|(k, (e, _))| (*e, k))
-        .collect();
-    let mut last_read: HashMap<usize, usize> = HashMap::new();
-    for (i, (e, _)) in reads.iter().enumerate() {
-        if push_index.contains_key(e) {
-            last_read.insert(*e, i);
-        }
-    }
-    let mut ring: HashMap<usize, f64> = HashMap::new();
-    let mut next_push = 0usize;
+    let ring = ring(writes, [reads]);
+    let mut admitted = 0usize;
     let mut live_ins = 0usize;
-    for (i, (e, want)) in reads.iter().enumerate() {
-        let Some(&k) = push_index.get(e) else {
+    for (i, &(e, want)) in reads.iter().enumerate() {
+        let (Some(k), Some(w)) = (ring.push_index(e), ring.last_write(e)) else {
             live_ins += 1;
             continue;
         };
-        while next_push <= k {
-            if next_push >= d {
-                let (pe, _) = pushes[next_push - d];
-                if last_read.get(&pe).is_some_and(|&lr| lr >= i) {
-                    return Replay::Deadlock { read: i, holds: pe };
-                }
+        while admitted <= k {
+            if let Err(holds) = ring.admit(admitted, capacity, |_| i) {
+                return Replay::Deadlock { read: i, holds };
             }
-            let (pe, pv) = pushes[next_push];
-            ring.insert(pe, pv);
-            next_push += 1;
+            admitted += 1;
         }
-        let got = ring[e];
+        let got = writes[w].1;
         if got.to_bits() != want.to_bits() {
             return Replay::Mismatch {
                 read: i,
-                elem: *e,
+                elem: e,
                 got,
-                want: *want,
+                want,
             };
         }
     }
     Replay::Ok {
-        pushes: pushes.len(),
+        pushes: ring.pushes().len(),
         reads: reads.len(),
         live_ins,
     }
 }
 
-/// The minimal deadlock-free FIFO depth for one consumer, computed
-/// positionally: with a ring, push `k` reuses the slot of push
-/// `k − depth`, so depth must exceed `K(lr_j) − j` for every push `j`,
-/// where `lr_j` is the position of `j`'s last pop and `K(i)` is the
-/// highest push index any pop up to `i` requires. Elements never popped
-/// release at push time and impose nothing.
+/// The minimal deadlock-free FIFO depth of one consumer's pop stream
+/// (`Ring::depth`).
+#[cfg(test)]
 pub(crate) fn min_fifo_depth(pushes: &[usize], reads: &[usize]) -> u64 {
-    let push_index: HashMap<usize, usize> =
-        pushes.iter().enumerate().map(|(k, &e)| (e, k)).collect();
-    let mut last_read: HashMap<usize, usize> = HashMap::new();
-    let mut k_run = Vec::with_capacity(reads.len());
-    let mut k = 0usize;
-    let mut any = false;
-    for (i, e) in reads.iter().enumerate() {
-        if let Some(&p) = push_index.get(e) {
-            last_read.insert(*e, i);
-            k = if any { k.max(p) } else { p };
-            any = true;
-        }
-        k_run.push(if any { Some(k) } else { None });
-    }
-    let mut depth = 1u64;
-    for (j, e) in pushes.iter().enumerate() {
-        if let Some(&lr) = last_read.get(e) {
-            if let Some(kk) = k_run[lr] {
-                depth = depth.max((kk - j) as u64 + 1);
-            }
-        }
-    }
-    depth
+    pom_sim::Ring::new(
+        pushes.iter().copied().enumerate(),
+        [reads.iter().copied().enumerate()],
+    )
+    .depth()
 }
 
 /// Replays every channel of `plan` over a copy of `mem0` and returns
@@ -201,7 +165,7 @@ pub fn channel_certificates(
             }
         };
         let id = prog.array_id(&s.array);
-        let pushes = streams[s.producer].pushes(id);
+        let writes = streams[s.producer].writes(id);
         for &c in &s.consumers {
             let reads = streams[c].reads(id);
             if s.consumers.len() > 1 && !s.pingpong {
@@ -217,7 +181,7 @@ pub fn channel_certificates(
                 continue;
             }
             let who = &plan.stages[c].name;
-            obligations.push(match replay_channel(&pushes, reads, s.capacity) {
+            obligations.push(match replay_channel(writes, reads, s.capacity) {
                 Replay::Ok {
                     pushes,
                     reads,
@@ -286,6 +250,7 @@ fn channel_certificate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn replay_passes_in_order_stream() {
@@ -362,5 +327,44 @@ mod tests {
         let pe = [0usize, 1];
         let re = [1usize];
         assert_eq!(min_fifo_depth(&pe, &re), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The minimal-depth lemma: whatever the push order and the pop
+        /// order — repeated pops, pops of live-ins never pushed, pushes
+        /// nobody pops — a replay at `min_fifo_depth` passes and, when
+        /// that depth exceeds one, a replay one slot shallower deadlocks.
+        #[test]
+        fn replay_at_min_depth_passes_and_one_less_deadlocks(
+            keys in proptest::collection::vec(0u32..1000, 1..13),
+            pops in proptest::collection::vec(0usize..16, 0..40),
+        ) {
+            // Push order: elements `0..n` sorted by a random key; pops of
+            // `n..n + 3` are live-ins.
+            let n = keys.len();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&e| keys[e]);
+            let pops: Vec<usize> = pops.into_iter().map(|e| e % (n + 3)).collect();
+            let valued = |es: &[usize]| -> Vec<(usize, f64)> {
+                es.iter().map(|&e| (e, e as f64 + 0.5)).collect()
+            };
+            let (pushes, reads) = (valued(&order), valued(&pops));
+            let depth = min_fifo_depth(&order, &pops);
+            let at_depth = replay_channel(&pushes, &reads, depth);
+            prop_assert!(
+                matches!(at_depth, Replay::Ok { .. }),
+                "{order:?} / {pops:?} at depth {depth}: {at_depth:?}"
+            );
+            if depth > 1 {
+                let shallower = replay_channel(&pushes, &reads, depth - 1);
+                prop_assert!(
+                    matches!(shallower, Replay::Deadlock { .. }),
+                    "{order:?} / {pops:?} at depth {}: {shallower:?}",
+                    depth - 1
+                );
+            }
+        }
     }
 }

@@ -147,13 +147,6 @@ impl DataflowPlan {
         }
         s
     }
-
-    /// Total channel buffer footprint in elements (FIFO capacities plus
-    /// ping-pong double buffers) — the BRAM the dataflow conversion
-    /// *adds* relative to the shared-memory schedule.
-    pub fn buffer_elems(&self) -> u64 {
-        self.channels.iter().map(|c| c.spec.capacity).sum()
-    }
 }
 
 /// Per-unit (top-level op) access summary used by the partitioner.
@@ -367,16 +360,12 @@ fn partition_impl(
     let mut channels = Vec::new();
     for (array, p, consumers) in flows {
         let id = prog.array_id(array);
-        let pushes: Vec<usize> = streams[p].pushes(id).iter().map(|&(e, _)| e).collect();
-        let footprint = pushes.len() as u64;
-        let min_depth = consumers
-            .iter()
-            .map(|&c| {
-                let reads: Vec<usize> = streams[c].reads(id).iter().map(|&(e, _)| e).collect();
-                certify::min_fifo_depth(&pushes, &reads)
-            })
-            .max()
-            .unwrap_or(1);
+        let ring = stream::ring(
+            streams[p].writes(id),
+            consumers.iter().map(|&c| streams[c].reads(id)),
+        );
+        let footprint = ring.pushes().len() as u64;
+        let min_depth = ring.depth();
         let window_depth = live
             .depths
             .iter()
@@ -397,26 +386,15 @@ fn partition_impl(
         // consumption order keeping more than half the footprint in
         // flight (e.g. a transposed or reversed reader), or multiple
         // consumers, falls back to ping-pong — 2× footprint, which the
-        // push rule can never exhaust.
+        // push rule can never exhaust. A FIFO's capacity is at least the
+        // ring depth, at which the replay of the same streams cannot
+        // deadlock (the lemma `certify`'s property test pins).
         let streamable = min_depth <= (footprint / 2).max(FIFO_LATENCY_FLOOR);
         let fifo = consumers.len() == 1 && streamable;
         let (capacity, pingpong) = if fifo {
             (min_depth.max(FIFO_LATENCY_FLOOR), false)
         } else {
             (footprint.max(1) * 2, true)
-        };
-        // Safety net: a shape-only replay at the chosen capacity. The
-        // positional minimal depth makes a FIFO deadlock impossible by
-        // construction; if it ever fires, retry as ping-pong.
-        let (capacity, pingpong) = if !pingpong {
-            let push_vals: Vec<(usize, f64)> = pushes.iter().map(|&e| (e, 0.0)).collect();
-            let reads = streams[consumers[0]].reads(id);
-            match certify::replay_channel(&push_vals, reads, capacity) {
-                certify::Replay::Deadlock { .. } => (footprint.max(1) * 2, true),
-                _ => (capacity, pingpong),
-            }
-        } else {
-            (capacity, pingpong)
         };
         channels.push(Channel {
             spec: ChannelSpec {

@@ -3,7 +3,8 @@
 //! Channel sizing and certificate replay both need the *order* in which
 //! a stage touches each channel array's elements — the producer's store
 //! stream defines the push order (its last write of an element is the
-//! push), the consumer's load stream defines the pop order. This module
+//! push), the consumer's load stream defines the pop order; [`ring`]
+//! turns them into the channel's `pom_sim::Ring`. This module
 //! walks a stage's top-level ops with the interpreter's own walker
 //! (`pom_ir::interp::Machine::walk`) and records the accesses to the
 //! arrays asked for — only channel arrays are ever recorded — as flat
@@ -11,6 +12,7 @@
 //! stages observe produced values.
 
 use pom_ir::interp::{Fault, Machine, Program};
+use pom_sim::Ring;
 
 /// Ordered access streams of one stage, by array id (empty for an array
 /// that was not recorded).
@@ -31,26 +33,23 @@ impl StageStreams {
         id.and_then(|id| self.reads.get(id)).map_or(&[], |r| &r[..])
     }
 
-    /// The push stream of array `id`: its stores filtered to each
-    /// element's *last* write, preserving the order in which those last
-    /// writes occur. This matches the channel semantics of
-    /// `pom_sim::simulate_dataflow`, where a push is the producer's
-    /// final write of an element.
-    pub fn pushes(&self, id: Option<usize>) -> Vec<(usize, f64)> {
-        let Some(ws) = id.and_then(|id| self.writes.get(id)) else {
-            return Vec::new();
-        };
-        let cells = ws.iter().map(|&(e, _)| e + 1).max().unwrap_or(0);
-        let mut last = vec![usize::MAX; cells];
-        for (i, &(e, _)) in ws.iter().enumerate() {
-            last[e] = i;
-        }
-        ws.iter()
-            .enumerate()
-            .filter(|&(i, &(e, _))| last[e] == i)
-            .map(|(_, &ev)| ev)
-            .collect()
+    /// The stores of array `id`.
+    pub fn writes(&self, id: Option<usize>) -> &[(usize, f64)] {
+        id.and_then(|id| self.writes.get(id))
+            .map_or(&[], |w| &w[..])
     }
+}
+
+/// The [`Ring`] of a channel whose producer stores `writes` and whose
+/// consumers load `reads`, each stream positioned by its index. The
+/// ring's push order is each element's last write, in the order those
+/// last writes occur — the semantics of `pom_sim::simulate_dataflow`.
+pub(crate) fn ring<'s>(
+    writes: &'s [(usize, f64)],
+    reads: impl IntoIterator<Item = &'s [(usize, f64)]>,
+) -> Ring {
+    let positioned = |s: &'s [(usize, f64)]| s.iter().enumerate().map(|(i, &(e, _))| (i, e));
+    Ring::new(positioned(writes), reads.into_iter().map(positioned))
 }
 
 /// Walks the top-level ops `ops` of `prog` in interpreter order on `m`

@@ -28,7 +28,7 @@
 //! the schedule via the platform-independent [`StableHasher`], and a
 //! cache opened with [`DseCache::with_store`] transparently spills and
 //! reloads entries through a shared on-disk
-//! [`ArtifactStore`](crate::store::ArtifactStore) whose shard hash pins
+//! [`ArtifactStore`] whose shard hash pins
 //! the same options set.
 
 use crate::compile::{CompileError, CompileOptions, Compiled};

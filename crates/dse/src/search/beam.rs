@@ -10,7 +10,7 @@
 //! The beam search explores the same [`GroupConfig`] space wave by wave:
 //! every frontier state expands all single-step escalations of all its
 //! groups, candidates are evaluated through the shared memoized compile
-//! cache on the scoped worker pool, and the top [`BEAM_WIDTH`] survivors
+//! cache on the scoped worker pool, and the top `BEAM_WIDTH` survivors
 //! (by estimated total latency) form the next frontier. Survivors whose
 //! estimate lands within the sim-admission band of the best estimate
 //! seen are *measured*: their full schedule is compiled (cached) and run

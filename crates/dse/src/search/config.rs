@@ -17,9 +17,6 @@ pub enum SearchMode {
 }
 
 impl SearchMode {
-    /// Every accepted mode name, in CLI presentation order.
-    pub const MODES: [&'static str; 3] = ["greedy", "beam", "portfolio"];
-
     /// Parses a CLI mode name.
     pub fn parse(s: &str) -> Option<SearchMode> {
         match s {
@@ -70,8 +67,9 @@ pub struct DseConfig {
     /// open degrades to memory-only caching.
     pub store: Option<std::path::PathBuf>,
     /// Disk budget for the artifact store, enforced by an
-    /// oldest-artifact-first sweep ([`ArtifactStore::gc`]
-    /// (crate::store::ArtifactStore::gc)) when the store is opened.
+    /// oldest-artifact-first sweep
+    /// ([`ArtifactStore::gc`](crate::ArtifactStore::gc)) when the store
+    /// is opened.
     /// `None` (the default) never sweeps. A contended sweep (another
     /// process holds the store open) is skipped, not fatal.
     pub store_max_bytes: Option<u64>,
@@ -86,7 +84,7 @@ pub struct DseConfig {
     /// validate every `n`-th estimated candidate during the search
     /// (deterministic by candidate counter). `0` disables sampling. A
     /// rejected sample aborts the search with
-    /// [`CompileError::Rejected`] — it means a transformation primitive
+    /// [`CompileError::Rejected`](crate::CompileError::Rejected) — it means a transformation primitive
     /// produced an illegal schedule the legality screen missed.
     pub validate_sample_every: usize,
     /// Which search explores the stage-2 space. [`SearchMode::Greedy`]

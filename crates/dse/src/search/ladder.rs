@@ -73,7 +73,7 @@ impl GroupConfig {
 
     /// All single-step escalations under `cfg`'s parallelism cap, in the
     /// greedy ladder's preference order: levels still under
-    /// [`LEVEL_CAP`] first (innermost first), then the over-cap spills —
+    /// `LEVEL_CAP` first (innermost first), then the over-cap spills —
     /// so index 0 is the paper's preferred step, and index-ordered
     /// tie-breaking reproduces the serial greedy trajectory whenever
     /// candidates tie on latency.

@@ -588,9 +588,9 @@ pub(crate) fn repair_and_finalize(
             break (scheduled, full); // nothing left to shrink
         };
         let g = &mut groups[victim];
-        let widest = (0..g.tiles.len())
-            .max_by_key(|&l| g.tiles[l])
-            .expect("non-empty tiles");
+        let Some(widest) = (0..g.tiles.len()).max_by_key(|&l| g.tiles[l]) else {
+            break (scheduled, full); // no tile to halve
+        };
         g.tiles[widest] = (g.tiles[widest] / 2).max(1);
     };
     // Bank repair: where pom-bank proves the final design's pipelined

@@ -24,7 +24,7 @@ pub struct DseStats {
     /// Live in-memory cache entries at search end, across all maps.
     pub cache_entries: usize,
     /// Lookups answered from the persistent artifact store (a subset of
-    /// `cache_hits`; 0 without [`DseConfig::store`]).
+    /// `cache_hits`; 0 without [`DseConfig::store`](crate::DseConfig::store)).
     pub store_hits: usize,
     /// Store lookups that found no valid artifact before computing.
     pub store_misses: usize,
@@ -81,11 +81,12 @@ pub struct DseStats {
     /// Frontier survivors *not* simulated because their analytical
     /// estimate fell outside the admission band of the incumbent.
     pub sim_pruned: usize,
-    /// True when [`DseConfig::budget_ms`] expired before the beam search
+    /// True when [`DseConfig::budget_ms`](crate::DseConfig::budget_ms) expired before the beam search
     /// exhausted its frontier — the result is the anytime best-so-far.
     pub budget_expired: bool,
     /// Rate-matching rounds of the dataflow refinement that strictly
-    /// improved the plan ([`DseConfig::dataflow`]; 0 when off).
+    /// improved the plan ([`DseConfig::dataflow`](crate::DseConfig::dataflow);
+    /// 0 when off).
     pub dataflow_rounds: usize,
     /// Stages in the final dataflow plan (0 when the refinement was off).
     pub dataflow_stages: usize,

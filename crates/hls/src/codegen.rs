@@ -3,7 +3,7 @@
 //! Every HLS attribute becomes its `#pragma HLS` spelling, matching the
 //! equivalent code the paper shows in Fig. 6.
 
-use pom_dsl::{BinOp, Expr, UnOp};
+use pom_dsl::{Expr, UnOp};
 use pom_ir::{AffineFunc, AffineOp};
 use pom_poly::{Bound, ConstraintKind, LinearExpr};
 use std::fmt::Write as _;
@@ -180,11 +180,6 @@ fn value_c(e: &Expr) -> String {
         }
         Expr::Unary(UnOp::Neg, x) => format!("(-{})", value_c(x)),
     }
-}
-
-/// C spelling helper exposed for tests.
-pub fn binop_c(op: BinOp) -> &'static str {
-    op.c_spelling()
 }
 
 #[cfg(test)]

@@ -120,24 +120,6 @@ impl CostModel {
         r
     }
 
-    /// Loop-control resources for a counter narrowed to `bits` bits.
-    ///
-    /// The stock [`CostModel::loop_control`] entry prices a full 32-bit
-    /// counter/comparator pair; a bitwidth-narrowing hint from
-    /// `pom-verify` (`narrowing_hints`) proves a smaller width, and the
-    /// counter FF/LUT shrink proportionally. Opt-in — the estimator
-    /// keeps pricing `loop_control` unless a caller substitutes this —
-    /// so default QoR figures are unchanged.
-    pub fn loop_control_for_bits(&self, bits: u32) -> ResourceUsage {
-        let bits = u64::from(bits.clamp(1, 32));
-        ResourceUsage {
-            dsp: self.loop_control.dsp,
-            ff: (self.loop_control.ff * bits).div_ceil(32),
-            lut: (self.loop_control.lut * bits).div_ceil(32),
-            bram18k: self.loop_control.bram18k,
-        }
-    }
-
     /// The power proxy.
     pub fn power(&self, r: &ResourceUsage) -> f64 {
         self.power_base
@@ -221,20 +203,6 @@ mod tests {
         let r = m.body_resources(&c);
         assert_eq!(r.dsp, 2 + 3);
         assert_eq!(r.ff, 205 + 143);
-    }
-
-    #[test]
-    fn loop_control_scales_with_counter_width() {
-        let m = CostModel::vitis_f32();
-        // Full width reproduces the stock table entry.
-        assert_eq!(m.loop_control_for_bits(32), m.loop_control);
-        // A 6-bit counter (trip 64 loop) needs ~1/5 of the control fabric.
-        let narrow = m.loop_control_for_bits(6);
-        assert_eq!(narrow.ff, (64u64 * 6).div_ceil(32));
-        assert_eq!(narrow.lut, (96u64 * 6).div_ceil(32));
-        // Degenerate widths stay within [1, 32] bits.
-        assert_eq!(m.loop_control_for_bits(0), m.loop_control_for_bits(1));
-        assert_eq!(m.loop_control_for_bits(99), m.loop_control);
     }
 
     #[test]

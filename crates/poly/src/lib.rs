@@ -22,7 +22,7 @@
 //! into the process-wide [`space`] table and expressions hold sorted
 //! `(DimId, i64)` coefficient rows, so the Fourier–Motzkin and dependence
 //! hot paths never touch a `String`. The original `BTreeMap`-backed
-//! kernel survives as [`reference`], the oracle for the differential
+//! kernel survives as [`reference`](mod@reference), the oracle for the differential
 //! proptest suite and the baseline for `pomc bench-poly`.
 //!
 //! ```

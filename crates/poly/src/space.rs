@@ -1,7 +1,7 @@
 //! The interned dimension space shared by every expression and constraint.
 //!
 //! Dimension and parameter names are interned exactly once into a global
-//! [`SymbolTable`]; everything downstream of the DSL manipulates compact
+//! `SymbolTable`; everything downstream of the DSL manipulates compact
 //! [`DimId`]s (a `u32`). This is the isl-style "space" trick: expressions
 //! become coefficient rows over interned ids instead of string-keyed
 //! trees, so the Fourier–Motzkin / dependence hot path never touches a

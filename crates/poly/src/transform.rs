@@ -125,11 +125,6 @@ impl StmtPoly {
         self.dims.iter().position(|d| d == name)
     }
 
-    /// Sets the sequence constant at `idx` (0 = before the outermost loop).
-    pub fn set_static(&mut self, idx: usize, value: i64) {
-        self.statics[idx] = value;
-    }
-
     /// Sets the outermost sequence constant, ordering whole loop nests.
     pub fn set_order(&mut self, order: i64) {
         self.statics[0] = order;

@@ -25,10 +25,10 @@
 //!    capacity` requires the evicted element `m − capacity` to have
 //!    been fully released (its final read retired) by every consumer.
 //!    Producers themselves never block — capacity is accounted where
-//!    it bites, at the admission of the pop — which mirrors the
-//!    on-demand push model of the partitioner's channel
-//!    certificates: a plan whose per-channel replays pass cannot
-//!    deadlock here. Admission is purely structural (slots free at the
+//!    it bites, at the admission of the pop. That admission is
+//!    [`Ring::admit`], the rule the partitioner's channel certificates
+//!    replay, so a plan whose per-channel replays pass cannot deadlock
+//!    here. It is purely structural (slots free at the
 //!    consumer's *issue* of the evicting read, which never postdates
 //!    its own frontier), so only availability delays add timing: every
 //!    slip increase is attributed as pop-side channel stall. Push-side
@@ -50,6 +50,7 @@
 
 use crate::engine::run_stage;
 use crate::report::SimReport;
+use crate::ring::Ring;
 use pom_dsl::MemoryState;
 use pom_hls::{CostModel, DepSummary};
 use pom_ir::interp::Program;
@@ -215,26 +216,6 @@ impl DataflowReport {
     }
 }
 
-/// Marks an element without an event in [`ChanState`]'s tables.
-const NONE: usize = usize::MAX;
-
-/// Per-channel replay state derived from the functional traces; every
-/// table is dense over the channel array's elements.
-struct ChanState {
-    /// Producer's last-write event per element (or [`NONE`]): the
-    /// element's value is final (published) once that event commits.
-    last_write_ev: Vec<usize>,
-    /// Elements in push order (order of last writes in the trace).
-    pushes: Vec<usize>,
-    /// Element → push index.
-    push_index: Vec<usize>,
-    /// Per consumer stage: last-read `(event, read slot)` per element
-    /// (event [`NONE`] when never read) — the slot is the read's position
-    /// inside the event's read list, so releases can be judged
-    /// element-granularly within an event.
-    last_read_ev: Vec<Vec<(usize, usize)>>,
-}
-
 /// Simulates `func` as a dataflow pipeline of `stages` communicating
 /// over `channels`, mutating `mem` exactly as the sequential
 /// interpreter would (the functional pass runs stages in program
@@ -276,59 +257,58 @@ pub fn simulate_dataflow(
         panic!("{f}");
     }
 
-    // ---- channel metadata from the traces ----
+    // ---- one ring per channel, from the traces ----
+    //
+    // Write positions are producer event indices: an element's value is
+    // final once its last-write event commits. Read positions number a
+    // consumer's reads across its whole trace (`read_base[s][e]` reads
+    // precede event `e` of stage `s`), so consumer `cs` has retired
+    // exactly the reads below `read_base[cs][cursor[cs]] + head_reads[cs]`.
     let aid_of = |name: &str| {
         func.memrefs
             .iter()
             .position(|m| m.name == name)
             .unwrap_or_else(|| panic!("channel names unknown array {name}"))
     };
-    let mut chans: Vec<ChanState> = Vec::with_capacity(channels.len());
+    let read_base: Vec<Vec<usize>> = traces
+        .iter()
+        .map(|t| {
+            std::iter::once(0)
+                .chain(t.iter().scan(0, |n, ev| {
+                    *n += ev.reads.len();
+                    Some(*n)
+                }))
+                .collect()
+        })
+        .collect();
+    let event_of = |s: usize, pos: usize| read_base[s].partition_point(|&b| b <= pos) - 1;
     let mut chan_by_aid: Vec<Option<usize>> = vec![None; prog.arrays().len()];
+    let mut rings = Vec::with_capacity(channels.len());
     for (ci, ch) in channels.iter().enumerate() {
         let aid = aid_of(&ch.array);
         chan_by_aid[aid] = Some(ci);
-        let cells: usize = func.memrefs[aid].shape.iter().product();
-        let mut last_write_pos = vec![(NONE, NONE); cells];
-        for (e, ev) in traces[ch.producer].iter().enumerate() {
-            for (wi, &(a, flat)) in ev.writes.iter().enumerate() {
-                if a == aid {
-                    last_write_pos[flat] = (e, wi);
-                }
-            }
-        }
-        let mut pushes = Vec::new();
-        let mut push_index = vec![NONE; cells];
-        for (e, ev) in traces[ch.producer].iter().enumerate() {
-            for (wi, &(a, flat)) in ev.writes.iter().enumerate() {
-                if a == aid && last_write_pos[flat] == (e, wi) {
-                    push_index[flat] = pushes.len();
-                    pushes.push(flat);
-                }
-            }
-        }
-        let last_write_ev = last_write_pos.into_iter().map(|(e, _)| e).collect();
-        let last_read_ev = ch
-            .consumers
+        let writes = traces[ch.producer]
             .iter()
-            .map(|&cs| {
-                let mut last = vec![(NONE, NONE); cells];
-                for (e, ev) in traces[cs].iter().enumerate() {
-                    for (ri, &(a, flat)) in ev.reads.iter().enumerate() {
-                        if a == aid {
-                            last[flat] = (e, ri);
-                        }
-                    }
-                }
-                last
-            })
-            .collect();
-        chans.push(ChanState {
-            last_write_ev,
-            pushes,
-            push_index,
-            last_read_ev,
+            .enumerate()
+            .flat_map(move |(e, ev)| {
+                ev.writes
+                    .iter()
+                    .filter(move |w| w.0 == aid)
+                    .map(move |w| (e, w.1))
+            });
+        let reads = ch.consumers.iter().map(|&cs| {
+            traces[cs]
+                .iter()
+                .zip(&read_base[cs])
+                .flat_map(move |(ev, &base)| {
+                    ev.reads
+                        .iter()
+                        .enumerate()
+                        .filter(move |(_, r)| r.0 == aid)
+                        .map(move |(ri, r)| (base + ri, r.1))
+                })
         });
+        rings.push(Ring::new(writes, reads));
     }
 
     // ---- timing pass: round-robin in-order commit ----
@@ -343,7 +323,7 @@ pub fn simulate_dataflow(
     // deliver it: admitting push `m ≥ capacity` requires the evicted
     // element's final read to be retired by every consumer).
     // Producers never block; capacity is charged at the pop. This is
-    // exactly the certificate replay's on-demand ring model, so a plan
+    // the certificate replay's ring (`Ring::admit`), so a plan
     // whose per-channel replays pass cannot deadlock here — while a
     // reversed reader on an undersized FIFO still wedges (its first
     // pop demands an admission whose evictee is only read later).
@@ -392,53 +372,41 @@ pub fn simulate_dataflow(
                         head_reads[s] += 1; // not a declared consumer: live-in
                         continue;
                     }
-                    let pev = chans[ci].last_write_ev[flat];
-                    if pev == NONE {
+                    let ring = &rings[ci];
+                    let (Some(pev), Some(k)) = (ring.last_write(flat), ring.push_index(flat))
+                    else {
                         head_reads[s] += 1; // never written by producer: live-in
                         continue;
-                    }
+                    };
                     // Availability: the element's value is final once
                     // the producer's last-write event has committed.
-                    let prod = channels[ci].producer;
-                    if pev >= cursor[prod] {
+                    let ch = &channels[ci];
+                    if pev >= cursor[ch.producer] {
                         blocked = true;
                         break;
                     }
-                    let t = ev_finish[prod][pev];
+                    let t = ev_finish[ch.producer][pev];
                     // Admission: pops observe the bounded in-order FIFO
-                    // discipline. Admitting push `m ≥ capacity` frees a
-                    // slot by evicting push `m − capacity`, which is
-                    // only legal once that element's final read has
-                    // retired — a committed consumer event, or an
-                    // already-retired read inside a blocked head event.
-                    let k = chans[ci].push_index[flat];
-                    if k >= admitted[ci] {
-                        let cap = channels[ci].capacity as usize;
-                        let mut stuck = false;
-                        while admitted[ci] <= k {
-                            let evicted = chans[ci].pushes[admitted[ci] - cap];
-                            for (j, &cs) in channels[ci].consumers.iter().enumerate() {
-                                let (rev, slot) = chans[ci].last_read_ev[j][evicted];
-                                if rev == NONE {
-                                    continue; // never read: released at push
-                                }
-                                let released = rev < cursor[cs]
-                                    || (rev == cursor[cs] && slot < head_reads[cs]);
-                                if !released {
-                                    stuck = true;
-                                    break;
-                                }
-                            }
-                            if stuck {
-                                break;
-                            }
-                            admitted[ci] += 1;
-                            progressed = true;
-                        }
-                        if stuck {
-                            blocked = true;
+                    // discipline — pushes up to `k` must enter the ring,
+                    // each evicting an element whose final read has
+                    // retired (a committed consumer event, or an
+                    // already-retired read inside a blocked head event).
+                    let mut stuck = false;
+                    while admitted[ci] <= k {
+                        let retired = |j: usize| {
+                            let cs = ch.consumers[j];
+                            read_base[cs][cursor[cs]] + head_reads[cs]
+                        };
+                        if ring.admit(admitted[ci], ch.capacity, retired).is_err() {
+                            stuck = true;
                             break;
                         }
+                        admitted[ci] += 1;
+                        progressed = true;
+                    }
+                    if stuck {
+                        blocked = true;
+                        break;
                     }
                     if bind.is_none_or(|b| t > b.0) {
                         bind = Some((t, ci));
@@ -499,26 +467,26 @@ pub fn simulate_dataflow(
     // already reflects the slower endpoint's rate).
     if !deadlock {
         for (ci, ch) in channels.iter().enumerate() {
-            let cap = ch.capacity as usize;
-            let cst = &chans[ci];
+            let ring = &rings[ci];
             let mut prev = 0u64;
             let mut vstall = 0u64;
-            for (m, flat) in cst.pushes.iter().enumerate() {
-                let avail = ev_finish[ch.producer][cst.last_write_ev[*flat]];
+            for (m, &flat) in ring.pushes().iter().enumerate() {
+                let avail = ring
+                    .last_write(flat)
+                    .map_or(0, |e| ev_finish[ch.producer][e]);
                 let mut t = avail.max(prev);
-                if m >= cap {
-                    let evicted = cst.pushes[m - cap];
-                    let mut rel = 0u64;
-                    for (j, &cs) in ch.consumers.iter().enumerate() {
-                        let (rev, _) = cst.last_read_ev[j][evicted];
-                        if rev != NONE {
-                            rel = rel.max(ev_gissue[cs][rev]);
-                        }
-                    }
-                    if rel > t {
-                        vstall += rel - t;
-                        t = rel;
-                    }
+                let rel = ring.evictee(m, ch.capacity).map_or(0, |evicted| {
+                    ring.final_reads(evicted)
+                        .map(|(j, pos)| {
+                            let cs = ch.consumers[j];
+                            ev_gissue[cs][event_of(cs, pos)]
+                        })
+                        .max()
+                        .unwrap_or(0)
+                });
+                if rel > t {
+                    vstall += rel - t;
+                    t = rel;
                 }
                 prev = t;
             }
@@ -557,7 +525,7 @@ pub fn simulate_dataflow(
                 .collect(),
             capacity: ch.capacity,
             pingpong: ch.pingpong,
-            pushes: chans[ci].pushes.len() as u64,
+            pushes: rings[ci].pushes().len() as u64,
             stall_pop: chan_stats[ci].0,
             stall_push: chan_stats[ci].1,
         })

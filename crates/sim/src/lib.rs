@@ -35,6 +35,7 @@ mod arena;
 pub mod dataflow;
 mod engine;
 mod report;
+mod ring;
 
 pub use arena::{simulate_batch, SimArena};
 pub use dataflow::{
@@ -42,6 +43,7 @@ pub use dataflow::{
 };
 pub use engine::{simulate, simulate_traced};
 pub use report::{ArrayOccupancy, BankStall, LoopSim, SimReport};
+pub use ring::Ring;
 
 #[cfg(test)]
 mod tests {

@@ -11,11 +11,9 @@
 //!    rustc-style diagnostic ([`ValidationReport::render`]) instead of
 //!    silently miscompiling.
 //!
-//! 2. **A monotone dataflow framework** ([`dataflow`]): forward and
-//!    backward walks over the annotated affine IR with interval and
-//!    known-bits domains, powering value-range analysis (consumed by
-//!    pom-lint's bounds check), uninitialized-read detection, and
-//!    bitwidth-narrowing hints (consumed by the HLS cost model).
+//! 2. **Value-range analysis** ([`dataflow`]): a forward interval walk
+//!    over the annotated affine IR with `affine.if` guard narrowing,
+//!    consumed by pom-lint's bounds check.
 //!
 //! The crate sits below `pom-dse`, `pom-lint`, and `pom-hls` in the
 //! dependency graph and depends only on `pom-poly`, `pom-dsl`, and
@@ -30,10 +28,7 @@ pub mod tv;
 
 pub use bank::bank_report;
 pub use cert::{Certificate, Obligation, ObligationKind, ObligationStatus, ValidationReport};
-pub use dataflow::{
-    analyze_ranges, expr_interval, narrowing_hints, uninit_reads, AbstractValue, BitwidthHint,
-    Direction, Interval, KnownBits, UninitRead, ValueRanges,
-};
+pub use dataflow::{analyze_ranges, expr_interval, Interval, ValueRanges};
 pub use live::live_report;
 pub use passes::{check_hook, check_pass};
 pub use tv::{validate, validate_with, ValidateOptions};
