@@ -351,7 +351,10 @@ impl ServeEngine {
                 // after the drain must still hit the response cache.
                 locked(&self.responses).insert(fp, Arc::clone(&text));
                 if let Some(s) = self.cache.store() {
+                    // Published at once: another engine (or process)
+                    // over the same store sees the response next.
                     s.save_full(fp, &text);
+                    s.flush();
                 }
                 Ok(text)
             }

@@ -131,11 +131,42 @@ fn auto_dse_impl(
     cfg: &DseConfig,
     cache: Option<&DseCache>,
 ) -> Result<DseResult, CompileError> {
-    let start = Instant::now();
-    let poly_before = pom_poly::PolyStats::snapshot();
     // Counter snapshots: a daemon-shared cache accumulates across
     // requests, so this search's stats are deltas, not absolutes.
     let snap = cache.map(CacheSnapshot::take);
+    let result = run_search(f, opts, cfg, cache);
+    // The search's spills reach disk as one pack, on every exit — before
+    // the deltas, so `store_writes` counts what this search published.
+    let store = cache.and_then(DseCache::store);
+    if let Some(s) = store {
+        s.flush();
+    }
+    let mut r = result?;
+    if let (Some(c), Some(s0)) = (cache, snap) {
+        let stats = &mut r.stats;
+        stats.cache_hits = c.hits() - s0.hits;
+        stats.cache_misses = c.misses() - s0.misses;
+        stats.cache_evictions = c.evictions() - s0.evictions;
+        stats.cache_entries = c.entries();
+        if let Some(s) = store {
+            stats.store_hits = s.hits() - s0.store_hits;
+            stats.store_misses = s.misses() - s0.store_misses;
+            stats.store_writes = s.writes() - s0.store_writes;
+        }
+    }
+    Ok(r)
+}
+
+/// The search itself: stage 1, stage 2, the final compiles, the dataflow
+/// refinement and winner validation.
+fn run_search(
+    f: &Function,
+    opts: &CompileOptions,
+    cfg: &DseConfig,
+    cache: Option<&DseCache>,
+) -> Result<DseResult, CompileError> {
+    let start = Instant::now();
+    let poly_before = pom_poly::PolyStats::snapshot();
     let acc = PhaseAccum::default();
     // Everything below replays `f`'s own schedule as a prefix of every
     // candidate's; reject one that does not replay before searching.
@@ -337,17 +368,6 @@ fn auto_dse_impl(
     stats.stage1_time = stage1_time;
     stats.lowering_time = acc.lowering();
     stats.estimation_time = acc.estimation();
-    if let (Some(c), Some(s0)) = (cache, snap) {
-        stats.cache_hits = c.hits() - s0.hits;
-        stats.cache_misses = c.misses() - s0.misses;
-        stats.cache_evictions = c.evictions() - s0.evictions;
-        stats.cache_entries = c.entries();
-        if let Some(s) = c.store() {
-            stats.store_hits = s.hits() - s0.store_hits;
-            stats.store_misses = s.misses() - s0.store_misses;
-            stats.store_writes = s.writes() - s0.store_writes;
-        }
-    }
     Ok(DseResult {
         function: scheduled,
         compiled,

@@ -1,12 +1,12 @@
 //! Concurrency guarantees of the on-disk artifact store (DESIGN.md §13).
 //!
 //! The store's contract is lock-free reads against atomically published
-//! writes: a reader either misses (file not yet renamed into place) or
-//! sees a complete, valid artifact — never a torn one. Values are pure
-//! functions of their key, so racing writers produce identical bytes and
-//! "last rename wins" is harmless. These tests hammer one store directory
-//! from many threads and from two real OS processes and assert no reader
-//! ever observes corruption.
+//! packs: a reader sees a whole, fsynced pack or none — never a torn one.
+//! Values are pure functions of their key, so racing writers agree on
+//! every record. These tests hammer one store directory from many threads
+//! and from two real OS processes and assert no reader ever observes
+//! corruption, and check that a live handle sees packs published after
+//! it opened and that compaction keeps every record.
 
 use pom::hls::ResourceUsage;
 use pom::{ArtifactStore, CompileOptions};
@@ -145,5 +145,63 @@ fn two_processes_hammering_one_store_never_corrupt_it() {
         );
     }
     audit_disk(&root);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The pack files in a store root's default shard.
+fn pack_count(store: &ArtifactStore) -> usize {
+    std::fs::read_dir(store.shard_dir().join("entries"))
+        .expect("entries dir")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "pack"))
+        .count()
+}
+
+#[test]
+fn a_live_handle_sees_packs_published_after_it_opened() {
+    let root = scratch("rescan");
+    let opts = CompileOptions::default();
+    let a = ArtifactStore::open(&root, &opts).expect("store opens");
+    assert_eq!(a.load_full(5), None);
+    let b = ArtifactStore::open(&root, &opts).expect("store opens");
+    b.save_full(5, &expected_payload(5));
+    b.flush();
+    assert_eq!(
+        a.load_full(5),
+        Some(expected_payload(5)),
+        "the miss rescans"
+    );
+    assert_eq!((a.hits(), a.misses(), a.load_errors()), (1, 1, 0));
+    drop((a, b));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn seventeen_flushes_compact_to_one_pack() {
+    let root = scratch("compact");
+    let opts = CompileOptions::default();
+    let flushes = pom::dse::store::MAX_PACKS as u64 + 1;
+    for key in 0..flushes {
+        let s = ArtifactStore::open(&root, &opts).expect("store opens");
+        let (latency, usage) = expected_qor(key);
+        s.save_group_qor(key, latency, &usage);
+        s.flush();
+        let packs = pack_count(&s);
+        assert_eq!(
+            packs,
+            if key + 1 < flushes {
+                key as usize + 1
+            } else {
+                1
+            }
+        );
+    }
+    let s = ArtifactStore::open(&root, &opts).expect("store opens");
+    for key in 0..flushes {
+        assert_eq!(s.load_group_qor(key), Some(expected_qor(key)));
+    }
+    assert_eq!(s.load_errors(), 0);
+    assert_eq!(s.disk_usage()["qor"].0, flushes as usize);
+    drop(s);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -117,9 +117,9 @@ proptest! {
         });
     }
 
-    /// Flipping any byte of an artifact file either changes the parsed
-    /// value into another valid value of the same shape or makes the load
-    /// a miss — it must never panic or wedge the store.
+    /// Flipping any byte of a pack makes a fresh handle's load a miss
+    /// (counted as one load error) or the exact saved value — never
+    /// another value, and never a panic.
     #[test]
     fn corrupted_artifacts_never_panic(
         key in 0u64..u64::MAX,
@@ -127,37 +127,55 @@ proptest! {
         byte_pos in 0usize..4096,
         new_byte in 0u8..255,
     ) {
-        with_store("corrupt", |store, _| {
+        with_store("corrupt", |store, root| {
             let r = ResourceUsage { dsp: 1, ff: 2, lut: 3, bram18k: 4 };
             store.save_group_qor(key, latency, &r);
-            let path = store
-                .shard_dir()
-                .join("entries")
-                .join(format!("qor-{key:016x}.art"));
-            let mut bytes = std::fs::read(&path).expect("artifact exists");
+            store.flush();
+            let path = only_pack(store);
+            let mut bytes = std::fs::read(&path).expect("pack exists");
             let i = byte_pos % bytes.len();
             bytes[i] = new_byte;
             std::fs::write(&path, &bytes).expect("rewrite");
-            // Either a miss or some parseable (latency, usage) — both fine.
-            let _ = store.load_group_qor(key);
-            assert!(store.load_errors() <= 1);
+            let fresh = ArtifactStore::open(root, &CompileOptions::default()).expect("opens");
+            match fresh.load_group_qor(key) {
+                Some(got) => assert_eq!(got, (latency, r), "a flip yielded another value"),
+                None => assert_eq!(fresh.load_errors(), 1, "a miss is a counted rejection"),
+            }
+            assert!(fresh.load_errors() <= 1);
         });
     }
 }
 
+/// The one pack in the store's shard.
+fn only_pack(store: &ArtifactStore) -> PathBuf {
+    let packs: Vec<PathBuf> = std::fs::read_dir(store.shard_dir().join("entries"))
+        .expect("entries dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pack"))
+        .collect();
+    assert_eq!(packs.len(), 1, "one flush, one pack");
+    packs[0].clone()
+}
+
 #[test]
 fn truncated_artifact_is_a_miss() {
-    with_store("trunc", |store, _| {
+    with_store("trunc", |store, root| {
         store.save_full(7, "a response body\nwith two lines\n");
-        let path = store
-            .shard_dir()
-            .join("entries")
-            .join(format!("full-{:016x}.art", 7));
+        store.flush();
+        let path = only_pack(store);
         let text = std::fs::read_to_string(&path).unwrap();
-        // Cut inside the header line so the artifact cannot be validated.
-        std::fs::write(&path, &text[..10]).unwrap();
-        assert_eq!(store.load_full(7), None);
-        assert_eq!(store.load_errors(), 1);
+        // Cut inside the record's header line so it cannot be validated.
+        let record = text.find('\n').unwrap() + 1;
+        std::fs::write(&path, &text[..record + 10]).unwrap();
+        let fresh = ArtifactStore::open(root, &CompileOptions::default()).unwrap();
+        assert_eq!(fresh.load_full(7), None);
+        assert_eq!(fresh.load_errors(), 1);
+        // A cut inside the body fails the length check just the same.
+        std::fs::write(&path, &text[..text.len() - 3]).unwrap();
+        let fresh = ArtifactStore::open(root, &CompileOptions::default()).unwrap();
+        assert_eq!(fresh.load_full(7), None);
+        assert_eq!(fresh.load_errors(), 1);
     });
 }
 
