@@ -565,12 +565,15 @@ fn dep_works() -> Vec<DepWork> {
 const SIZES: [i64; 4] = [31, 63, 127, 255];
 
 /// The e2e fingerprint kernels: small enough for CI, spanning dense
-/// linear algebra and both stencil schedules.
+/// linear algebra, both stencil schedules, and the two networks, whose
+/// searches walk back over several steps (vgg16 8, resnet18 14).
 fn fingerprint_suite() -> Vec<(&'static str, Function)> {
     vec![
         ("gemm", kernels::gemm(32)),
         ("bicg", kernels::bicg(32)),
         ("seidel", kernels::seidel(8)),
+        ("vgg16", kernels::vgg16(1)),
+        ("resnet18", kernels::resnet18(1)),
     ]
 }
 

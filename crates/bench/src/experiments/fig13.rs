@@ -7,6 +7,7 @@
 use crate::experiments::common::{paper_options, Table};
 use crate::kernels;
 use pom::dse::search::stage2::group_compile;
+use pom::dse::PhaseAccum;
 use pom::{auto_dse, baselines, CompileOptions, Function};
 
 /// Per-layer accumulated statistics.
@@ -40,7 +41,8 @@ fn layer_points(
     let mut pom_points = Vec::new();
     let mut acc = 0u64;
     for (i, g) in pom.groups.iter().enumerate() {
-        let (_, r) = group_compile(&stage1, g, opts);
+        let (_, r) = group_compile(&stage1, g, opts, &PhaseAccum::default())
+            .expect("group schedule compiles");
         acc = acc.max(r.dsp);
         pom_points.push(LayerPoint {
             framework: "POM",
@@ -60,7 +62,8 @@ fn layer_points(
         let mut sh_opts = opts.clone();
         sh_opts.sharing = pom::hls::estimate::Sharing::Dataflow;
         // ScaleHLS's groups are planned on its fused/reordered function.
-        let (_, r) = group_compile(&sh.prepared, g, &sh_opts);
+        let (_, r) = group_compile(&sh.prepared, g, &sh_opts, &PhaseAccum::default())
+            .expect("group schedule compiles");
         acc += r.dsp;
         sh_points.push(LayerPoint {
             framework: "ScaleHLS",

@@ -19,6 +19,7 @@
 //!   sharing across nests — Fig. 13). At very large problem sizes its DSE
 //!   degrades to basic pipelining (Section VII-D).
 
+use crate::cache::PhaseAccum;
 use crate::compile::{apply_schedule, compile, CompileOptions, Compiled};
 use crate::search::ladder::{plan_groups, schedule_for, GroupConfig};
 use crate::search::stage2::{group_compile, lint_screen};
@@ -193,6 +194,9 @@ pub fn scalehls_like(f: &Function, opts: &CompileOptions, problem_size: usize) -
     // 3. Dependence-unaware tiling DSE, nest by nest in program order,
     //    dataflow resource composition (no sharing across nests).
     let prepared = g.clone();
+    let acc = PhaseAccum::default();
+    let estimate =
+        |gr: &GroupConfig| group_compile(&g, gr, &sh_opts, &acc).expect("group schedule compiles");
     let mut groups: Vec<GroupConfig> = plan_groups(&g)
         .into_iter()
         .map(|mut gr| {
@@ -200,10 +204,7 @@ pub fn scalehls_like(f: &Function, opts: &CompileOptions, problem_size: usize) -
             gr
         })
         .collect();
-    let mut stats: Vec<(u64, pom_hls::ResourceUsage)> = groups
-        .iter()
-        .map(|gr| group_compile(&g, gr, &sh_opts))
-        .collect();
+    let mut stats: Vec<(u64, pom_hls::ResourceUsage)> = groups.iter().map(estimate).collect();
     for gi in 0..groups.len() {
         loop {
             // Try every single-step escalation of this nest and keep the
@@ -215,7 +216,7 @@ pub fn scalehls_like(f: &Function, opts: &CompileOptions, problem_size: usize) -
                 if lint_screen(&g, &groups[gi], &cand, &sh_opts) {
                     continue;
                 }
-                let (l2, r2) = group_compile(&g, &cand, &sh_opts);
+                let (l2, r2) = estimate(&cand);
                 // Dataflow composition: every nest keeps its own hardware.
                 let mut total = pom_hls::ResourceUsage::zero();
                 for (i, (_, r)) in stats.iter().enumerate() {

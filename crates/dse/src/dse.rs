@@ -5,8 +5,9 @@ use crate::compile::{CompileError, CompileOptions, Compiled};
 use crate::search::ladder::SearchBase;
 use crate::search::stage2::{bottleneck_optimize_impl, full_compile, full_dep_template};
 use crate::search::{DseConfig, DseStats, GroupConfig, SearchMode};
-use crate::stage1::dependence_aware_transform;
+use crate::stage1::dependence_aware_transform_on;
 use pom_dsl::Function;
+use pom_graph::DepGraph;
 use std::time::{Duration, Instant};
 
 /// The result of automatic design space exploration.
@@ -172,11 +173,13 @@ fn run_search(
     // candidate's; reject one that does not replay before searching.
     crate::compile::try_apply_schedule(f)?;
     let t1 = Instant::now();
-    let stage1 = dependence_aware_transform(f, cfg.stage1_max_iters);
+    // One dependence graph per search: stage 1 changes no compute.
+    let graph = DepGraph::build(f);
+    let stage1 = dependence_aware_transform_on(f, cfg.stage1_max_iters, &graph);
     let stage1_time = t1.elapsed();
     // The one replay of the stage-1 schedule this search pays; every
     // stage-2 consumer below reads it.
-    let base = acc.time_lowering(|| SearchBase::new(&stage1));
+    let base = acc.time_lowering(|| SearchBase::with_graph(&stage1, graph));
     let s2 = match cfg.search {
         SearchMode::Greedy => bottleneck_optimize_impl(&base, opts, cfg, cache, &acc)?,
         SearchMode::Beam | SearchMode::Portfolio => {

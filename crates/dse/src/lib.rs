@@ -5,9 +5,9 @@
 //!   layers — dependence graph IR → polyhedral IR → annotated affine
 //!   dialect — and returns the lowered function with its QoR estimate.
 //! * [`stage1`] is *dependence-aware code transformation*: per-node
-//!   interchange/skew moves guided by iteratively re-checked dependence
-//!   analysis, plus conservative fusion of independent compatible nests
-//!   (Fig. 10).
+//!   interchange/skew moves whose dependences are re-checked after every
+//!   move on the transformed distance vectors, plus conservative fusion
+//!   of independent compatible nests (Fig. 10).
 //! * [`search`] is *bottleneck-oriented code optimization*: latency-ordered
 //!   critical paths, parallelism escalation of the bottleneck node, a
 //!   resource-constraint exit mechanism, and an optimization list.

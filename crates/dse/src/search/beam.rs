@@ -94,7 +94,7 @@ struct BeamState {
 /// The best *measured* state so far: fewest simulated cycles among
 /// states whose full compiled design fits the device.
 struct Incumbent {
-    groups: Vec<GroupConfig>,
+    state: BeamState,
     cycles: u64,
     /// Fingerprint of the winning full schedule — its report's key.
     key: u64,
@@ -335,13 +335,16 @@ pub(crate) fn beam_optimize_impl(
     }
 
     // --- Winner ----------------------------------------------------------
-    let mut groups = match &sim.incumbent {
-        Some(inc) => inc.groups.clone(),
+    let BeamState {
+        mut groups, qor, ..
+    } = match &sim.incumbent {
+        Some(inc) => inc.state.clone(),
         // Budget expired before the first measurement: the best estimated
         // seed (the greedy winner under portfolio) stands in.
-        None => base_state.groups.clone(),
+        None => base_state,
     };
-    let function = repair_and_finalize(search_base, &mut groups, opts, cache, acc, &mut stats)?;
+    let function =
+        repair_and_finalize(search_base, &mut groups, &qor, opts, cache, acc, &mut stats)?;
     if let Some(inc) = &sim.incumbent {
         let report = match sim.reports.remove(&inc.key) {
             Some(r) => r,
@@ -349,7 +352,7 @@ pub(crate) fn beam_optimize_impl(
             // search over a shared cache, so no report was produced here
             // — re-measure once (deterministic seed, same count).
             None => {
-                let (_, compiled) = measure_final(search_base, &inc.groups, opts, cache, acc)?;
+                let (_, compiled) = measure_final(search_base, &inc.state, opts, cache, acc)?;
                 let t_sim = Instant::now();
                 let r = sim.arena.simulate(
                     search_base.full().function(),
@@ -427,7 +430,7 @@ fn admit_frontier(
             stats.sim_pruned += 1;
             continue;
         }
-        let (key, compiled) = measure_final(base, &st.groups, opts, cache, acc)?;
+        let (key, compiled) = measure_final(base, st, opts, cache, acc)?;
         if !compiled.qor.resources.fits_logic(&opts.device) {
             // The walk-back ran out of tiles to shrink; the design is
             // over budget, so it cannot win at the device envelope.
@@ -462,7 +465,7 @@ fn admit_frontier(
             .unwrap_or(true)
         {
             sim.incumbent = Some(Incumbent {
-                groups: st.groups.clone(),
+                state: st.clone(),
                 cycles,
                 key,
             });
@@ -486,19 +489,20 @@ fn admit_frontier(
 /// (which is what makes the portfolio ≥ greedy guarantee hold).
 ///
 /// The repair walk-back re-runs per measured state over a scratch stats
-/// block (its compiles are memoized, so repeated finalization of the
-/// same state costs one cache lookup); the winner's own finalization at
-/// search end records the real counters.
+/// block (its group QoR and final compile are memoized, so repeated
+/// finalization of the same state costs cache lookups); the winner's own
+/// finalization at search end records the real counters.
 fn measure_final(
     base: &SearchBase,
-    groups: &[GroupConfig],
+    state: &BeamState,
     opts: &CompileOptions,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
 ) -> Result<(u64, Arc<Compiled>), CompileError> {
-    let mut g = groups.to_vec();
+    let mut g = state.groups.clone();
     let mut scratch = DseStats::default();
-    let mut scheduled = repair_and_finalize(base, &mut g, opts, cache, acc, &mut scratch)?;
+    let mut scheduled =
+        repair_and_finalize(base, &mut g, &state.qor, opts, cache, acc, &mut scratch)?;
     let template = cache.and_then(|c| full_dep_template(base, &g, c, opts, acc));
     let mut compiled = full_compile(base, &scheduled, template.as_deref(), opts, cache, acc)?;
     let mut retargeted = false;

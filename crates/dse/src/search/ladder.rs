@@ -7,6 +7,7 @@ use super::config::DseConfig;
 use crate::cache::{canonical_fingerprint, fingerprint, stable_hash};
 use crate::compile::{apply_schedule, replay_from, sub_function};
 use pom_dsl::{Function, PartitionStyle};
+use pom_graph::DepGraph;
 use pom_poly::{DepKind, StmtPoly};
 use std::collections::{BTreeMap, HashMap};
 
@@ -463,13 +464,14 @@ impl GroupSlice {
 }
 
 /// Everything a stage-2 search derives from the stage-1 function alone,
-/// derived once: the function with its schedule replayed, the untiled
-/// groups, one [`GroupSlice`] per group, and the untiled full schedule
-/// the full-function dependence template is analysed on. Lives for one
-/// search and is dropped with it.
+/// derived once: the function with its schedule replayed, its dependence
+/// graph, the untiled groups, one [`GroupSlice`] per group, and the
+/// untiled full schedule the full-function dependence template is
+/// analysed on. Lives for one search and is dropped with it.
 #[derive(Debug)]
 pub struct SearchBase {
     full: Replayed,
+    graph: DepGraph,
     groups: Vec<GroupConfig>,
     slices: Vec<GroupSlice>,
     reference: Function,
@@ -477,9 +479,15 @@ pub struct SearchBase {
 }
 
 impl SearchBase {
-    /// Replays `stage1`'s schedule once, plans its groups, and cuts one
-    /// slice per group.
+    /// Replays `stage1`'s schedule once, builds its dependence graph,
+    /// plans its groups, and cuts one slice per group.
     pub fn new(stage1: &Function) -> Self {
+        Self::with_graph(stage1, DepGraph::build(stage1))
+    }
+
+    /// [`SearchBase::new`] over a dependence graph of `stage1`'s computes
+    /// built by the caller — the one stage 1 already used.
+    pub(crate) fn with_graph(stage1: &Function, graph: DepGraph) -> Self {
         let full = Replayed::new(stage1.clone());
         let groups = plan_groups_on(&full.function, &full.stmts);
         let slices = groups.iter().map(|g| GroupSlice::new(stage1, g)).collect();
@@ -487,6 +495,7 @@ impl SearchBase {
         SearchBase {
             reference_key: fingerprint(&reference),
             full,
+            graph,
             groups,
             slices,
             reference,
@@ -496,6 +505,11 @@ impl SearchBase {
     /// The replayed stage-1 function full schedules are recorded on.
     pub fn full(&self) -> &Replayed {
         &self.full
+    }
+
+    /// The dependence graph of the stage-1 function's computes.
+    pub(crate) fn graph(&self) -> &DepGraph {
+        &self.graph
     }
 
     /// [`plan_groups`] of the stage-1 function (every tile 1). Every

@@ -15,11 +15,11 @@ use super::ladder::{schedule_for, GroupConfig, GroupSlice, SearchBase};
 use super::stats::DseStats;
 use crate::cache::{DseCache, PhaseAccum};
 use crate::compile::{
-    apply_schedule, build_dep_summary, compile, compile_timed, sub_function, CompileError,
-    CompileOptions, Compiled,
+    apply_schedule, build_dep_summary, compile_timed, sub_function, CompileError, CompileOptions,
+    Compiled,
 };
 use pom_dsl::{Function, PartitionStyle, Primitive};
-use pom_graph::DepGraph;
+use pom_hls::estimate::Sharing;
 use pom_poly::StmtPoly;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -155,7 +155,7 @@ pub(crate) fn eval_candidate(
         if lint_screen(sub, cur, cand, opts) {
             return Ok(CandidateEval::Pruned);
         }
-        let (l, r) = group_compile_timed(sub, cand, opts, acc)?;
+        let (l, r) = group_compile(sub, cand, opts, acc)?;
         return Ok(CandidateEval::Estimated(l, r));
     };
 
@@ -199,8 +199,10 @@ pub(crate) fn group_infeasible(
 }
 
 /// Per-group `(latency, resources)` of a configuration not reached by
-/// escalation (initial groups, beam seeds), through the cache when one
-/// is active — greedy and beam share the memoized entries.
+/// escalation (initial groups, beam seeds, walk-back steps), through the
+/// cache when one is active — greedy and beam share the memoized entries,
+/// and a miss uses the group's dependence-summary template like any
+/// candidate.
 pub(crate) fn group_qor(
     slice: &GroupSlice,
     g: &GroupConfig,
@@ -210,9 +212,9 @@ pub(crate) fn group_qor(
 ) -> Result<(u64, pom_hls::ResourceUsage), CompileError> {
     match cache {
         Some(c) => c.memo_group_qor(slice.key(g), || {
-            prepare(slice, g, None, opts, acc).estimate(opts, acc)
+            prepare_candidate(slice, g, c, opts, acc).estimate(opts, acc)
         }),
-        None => group_compile_timed(slice.sub().function(), g, opts, acc),
+        None => group_compile(slice.sub().function(), g, opts, acc),
     }
 }
 
@@ -396,17 +398,33 @@ impl PreparedGroup {
     }
 }
 
-/// The search loop proper, shared by the cached/uncached and
-/// serial/parallel modes. `cache`, when present, is shared with the
-/// caller so `auto_dse_with` can reuse the repair loop's final compile.
-pub(crate) fn bottleneck_optimize_impl(
+/// Where the greedy descent stops, before the resource walk-back.
+#[derive(Clone, Debug)]
+pub struct Descent {
+    /// The final per-group configurations.
+    pub groups: Vec<GroupConfig>,
+    /// Each group's `(latency, resources)` under its configuration.
+    pub qor: Vec<(u64, pom_hls::ResourceUsage)>,
+    /// The search counters so far.
+    pub stats: DseStats,
+}
+
+/// The greedy descent, shared by the cached/uncached and serial/parallel
+/// modes: escalate the bottleneck group on the critical path while the
+/// composed design fits, until every group has left the optimization
+/// list.
+///
+/// # Errors
+///
+/// Returns the first [`CompileError`] hit while estimating a candidate,
+/// or a rejected certificate of a sampled candidate.
+pub fn descend(
     base: &SearchBase,
     opts: &CompileOptions,
     cfg: &DseConfig,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
-) -> Result<Stage2Result, CompileError> {
-    let t_stage2 = Instant::now();
+) -> Result<Descent, CompileError> {
     let mut dse_stats = DseStats::default();
     let mut groups = base.groups().to_vec();
 
@@ -420,7 +438,7 @@ pub(crate) fn bottleneck_optimize_impl(
         initial.into_iter().collect::<Result<_, _>>()?;
 
     // Data paths over groups, from the dependence graph.
-    let graph = DepGraph::build(base.full().function());
+    let graph = base.graph();
     let compute_group: HashMap<String, usize> = groups
         .iter()
         .enumerate()
@@ -529,7 +547,30 @@ pub(crate) fn bottleneck_optimize_impl(
         }
     }
 
-    let function = repair_and_finalize(base, &mut groups, opts, cache, acc, &mut dse_stats)?;
+    Ok(Descent {
+        groups,
+        qor: stats,
+        stats: dse_stats,
+    })
+}
+
+/// The search loop proper: the greedy [`descend`], then the shared
+/// finalization. `cache`, when present, is shared with the caller so
+/// `auto_dse_with` can reuse the walk-back's final compile.
+pub(crate) fn bottleneck_optimize_impl(
+    base: &SearchBase,
+    opts: &CompileOptions,
+    cfg: &DseConfig,
+    cache: Option<&DseCache>,
+    acc: &PhaseAccum,
+) -> Result<Stage2Result, CompileError> {
+    let t_stage2 = Instant::now();
+    let Descent {
+        mut groups,
+        qor,
+        stats: mut dse_stats,
+    } = descend(base, opts, cfg, cache, acc)?;
+    let function = repair_and_finalize(base, &mut groups, &qor, opts, cache, acc, &mut dse_stats)?;
     dse_stats.stage2_time = t_stage2.elapsed();
     if let Some(c) = cache {
         dse_stats.cache_hits = c.hits();
@@ -552,47 +593,24 @@ pub(crate) fn bottleneck_optimize_impl(
     })
 }
 
-/// The shared tail of every stage-2 search: the resource-repair
-/// walk-back, bank repair, and the final schedule build. Factored out so
-/// the beam winner is repaired, repartitioned, and materialized by
-/// exactly the code the greedy descent uses — a mode switch can never
-/// change how a winner becomes a function.
+/// The shared tail of every stage-2 search: the resource walk-back, bank
+/// repair, and the final schedule build. Factored out so the beam winner
+/// is repaired, repartitioned, and materialized by exactly the code the
+/// greedy descent uses — a mode switch can never change how a winner
+/// becomes a function. `qor` is each group's `(latency, resources)`
+/// under `groups`, as the search holds it.
 pub(crate) fn repair_and_finalize(
     base: &SearchBase,
     groups: &mut [GroupConfig],
+    qor: &[(u64, pom_hls::ResourceUsage)],
     opts: &CompileOptions,
     cache: Option<&DseCache>,
     acc: &PhaseAccum,
     dse_stats: &mut DseStats,
 ) -> Result<Function, CompileError> {
-    // Final repair: the incremental per-group check cannot see globally
-    // accumulated overheads (every array's partition muxing exists once in
-    // the full design). Re-estimate the complete function and, while it
-    // exceeds the device, walk back the most parallel group one step. The
-    // fitting iteration's compile stays in the cache, so `auto_dse_with`
+    // The walk-back's final compile stays in the cache, so `auto_dse_with`
     // reuses it instead of recompiling the same schedule.
-    let full_template = cache.and_then(|c| full_dep_template(base, groups, c, opts, acc));
-    let (mut function, fitting) = loop {
-        let scheduled = acc.time_lowering(|| base.full().schedule(groups));
-        let full = full_compile(base, &scheduled, full_template.as_deref(), opts, cache, acc)?;
-        if full.qor.resources.fits_logic(&opts.device) {
-            break (scheduled, full);
-        }
-        let Some(victim) = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.parallelism() > 1)
-            .max_by_key(|(_, g)| g.parallelism())
-            .map(|(i, _)| i)
-        else {
-            break (scheduled, full); // nothing left to shrink
-        };
-        let g = &mut groups[victim];
-        let Some(widest) = (0..g.tiles.len()).max_by_key(|&l| g.tiles[l]) else {
-            break (scheduled, full); // no tile to halve
-        };
-        g.tiles[widest] = (g.tiles[widest] / 2).max(1);
-    };
+    let (mut function, fitting) = walk_back(base, groups, qor, opts, cache, acc)?;
     // Bank repair: where pom-bank proves the final design's pipelined
     // accesses overload a bank's ports, raise the offending arrays'
     // partition factors to the minimal conflict-free values. The
@@ -630,6 +648,155 @@ pub(crate) fn repair_and_finalize(
         function.partition(array, factors, PartitionStyle::Cyclic);
     }
     Ok(function)
+}
+
+/// The resource walk-back: while the full design's logic exceeds the
+/// device, [`step_back`]. Steps on the [`ComposedLogic`] of `qor` (each
+/// group's `(latency, resources)` under `groups`), updating only the
+/// victim's entry — a memo hit or one sub-function compile per step —
+/// and pays one full compile, at the first step whose composition fits
+/// or when nothing is left to shrink. Guard: when that compile's logic
+/// differs from the composition, the walk restarts from the given
+/// `groups` with one full compile per step. Returns the final full
+/// schedule and its compile; `groups` is left at the final configuration.
+///
+/// # Errors
+///
+/// Returns the first [`CompileError`] of a group or full compile.
+pub fn walk_back(
+    base: &SearchBase,
+    groups: &mut [GroupConfig],
+    qor: &[(u64, pom_hls::ResourceUsage)],
+    opts: &CompileOptions,
+    cache: Option<&DseCache>,
+    acc: &PhaseAccum,
+) -> Result<(Function, Arc<Compiled>), CompileError> {
+    // Halving parallel-level tiles preserves the full dependence template.
+    let template = cache.and_then(|c| full_dep_template(base, groups, c, opts, acc));
+    let template = template.as_deref();
+    let start = groups.to_vec();
+    let mut logic = ComposedLogic::new(base, groups, qor);
+    loop {
+        let scheduled = acc.time_lowering(|| base.full().schedule(groups));
+        let composed = logic.of(&scheduled, opts.sharing);
+        if !composed.fits_logic(&opts.device) {
+            if let Some(v) = step_back(groups) {
+                let (_, r) = group_qor(base.slice(v), &groups[v], opts, cache, acc)?;
+                logic.set(v, &groups[v], &r);
+                continue;
+            }
+        }
+        let full = full_compile(base, &scheduled, template, opts, cache, acc)?;
+        if same_logic(&full.qor.resources, &composed) {
+            return Ok((scheduled, full));
+        }
+        break;
+    }
+    // The composition missed a term: walk again, compiling every step.
+    groups.clone_from_slice(&start);
+    loop {
+        let scheduled = acc.time_lowering(|| base.full().schedule(groups));
+        let full = full_compile(base, &scheduled, template, opts, cache, acc)?;
+        if full.qor.resources.fits_logic(&opts.device) || step_back(groups).is_none() {
+            return Ok((scheduled, full));
+        }
+    }
+}
+
+/// One walk-back step: halves the widest tile (the last on ties) of the
+/// most parallel group (the last on ties) and returns that group's index,
+/// or `None` when every group is at parallelism 1.
+pub fn step_back(groups: &mut [GroupConfig]) -> Option<usize> {
+    let victim = groups
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| g.parallelism() > 1)
+        .max_by_key(|(_, g)| g.parallelism())
+        .map(|(i, _)| i)?;
+    let g = &mut groups[victim];
+    let widest = (0..g.tiles.len()).max_by_key(|&l| g.tiles[l])?;
+    g.tiles[widest] = (g.tiles[widest] / 2).max(1);
+    Some(victim)
+}
+
+/// DSP, FF and LUT agree — what
+/// [`pom_hls::ResourceUsage::fits_logic`] reads.
+fn same_logic(a: &pom_hls::ResourceUsage, b: &pom_hls::ResourceUsage) -> bool {
+    (a.dsp, a.ff, a.lut) == (b.dsp, b.ff, b.lut)
+}
+
+/// A full design's DSP/FF/LUT composed from per-group QoR, without
+/// lowering the full function. [`pom_hls::estimate()`] builds a design's
+/// logic as the [`Sharing`] composition of its top-level nests — whose
+/// resources depend only on operator counts, unroll factors and loop
+/// control — plus one [`pom_hls::bank_mux`] per partitioned array. So a
+/// group's QoR less the muxing of its own sub-schedule is its nests'
+/// share, and the full design's logic is the composition of those shares
+/// plus the muxing of the full schedule (DESIGN.md §8, "The walk-back
+/// composes").
+#[derive(Debug)]
+pub struct ComposedLogic<'a> {
+    base: &'a SearchBase,
+    nests: Vec<pom_hls::ResourceUsage>,
+}
+
+impl<'a> ComposedLogic<'a> {
+    /// The composition of `groups`, with `qor` each group's `(latency,
+    /// resources)`.
+    pub fn new(
+        base: &'a SearchBase,
+        groups: &[GroupConfig],
+        qor: &[(u64, pom_hls::ResourceUsage)],
+    ) -> Self {
+        let mut logic = ComposedLogic {
+            base,
+            nests: vec![pom_hls::ResourceUsage::zero(); groups.len()],
+        };
+        for (gi, (g, (_, r))) in groups.iter().zip(qor).enumerate() {
+            logic.set(gi, g, r);
+        }
+        logic
+    }
+
+    /// Sets group `gi` to configuration `g`, whose QoR has resources `r`.
+    pub fn set(&mut self, gi: usize, g: &GroupConfig, r: &pom_hls::ResourceUsage) {
+        let sub = self.base.slice(gi).sub().schedule(std::slice::from_ref(g));
+        let mux = partition_mux(&sub);
+        self.nests[gi] = pom_hls::ResourceUsage {
+            dsp: r.dsp.saturating_sub(mux.dsp),
+            ff: r.ff.saturating_sub(mux.ff),
+            lut: r.lut.saturating_sub(mux.lut),
+            bram18k: 0,
+        };
+    }
+
+    /// The logic of `scheduled`, the full schedule of the held
+    /// configurations, under `sharing` (BRAM is not composed).
+    pub fn of(&self, scheduled: &Function, sharing: Sharing) -> pom_hls::ResourceUsage {
+        self.nests
+            .iter()
+            .fold(pom_hls::ResourceUsage::zero(), |total, r| {
+                sharing.compose(&total, r)
+            })
+            .plus(&partition_mux(scheduled))
+    }
+}
+
+/// The bank muxing [`pom_hls::estimate()`] charges `f`'s lowering: one
+/// [`pom_hls::bank_mux`] per array, by the banks of its last `partition`
+/// directive (the one lowering keeps).
+fn partition_mux(f: &Function) -> pom_hls::ResourceUsage {
+    let mut banks: HashMap<&str, u64> = HashMap::new();
+    for p in f.schedule() {
+        if let Primitive::Partition { array, factors, .. } = p {
+            banks.insert(array, factors.iter().product::<i64>().max(1) as u64);
+        }
+    }
+    banks
+        .values()
+        .fold(pom_hls::ResourceUsage::zero(), |total, &b| {
+            total.plus(&pom_hls::bank_mux(b))
+        })
 }
 
 /// True when replacing a group's current configuration `cur` with `cand`
@@ -672,23 +839,14 @@ fn pipeline_infeasible(base: &Function, group: &GroupConfig, opts: &CompileOptio
     schedule_carries_infeasible_ii(&scheduled, &deps)
 }
 
-/// Compiles one group as a sub-function with its configuration applied.
+/// Compiles one group as a sub-function of `base` with its configuration
+/// applied, adding the phase times to `acc`; returns its `(latency,
+/// resources)`.
+///
+/// # Errors
+///
+/// Returns the [`CompileError`] of the group's schedule.
 pub fn group_compile(
-    base: &Function,
-    group: &GroupConfig,
-    opts: &CompileOptions,
-) -> (u64, pom_hls::ResourceUsage) {
-    let members: Vec<&str> = group.members.iter().map(String::as_str).collect();
-    let sub = sub_function(base, &members);
-    let scheduled = schedule_for(&sub, std::slice::from_ref(group));
-    let q = compile(&scheduled, opts)
-        .expect("group schedule compiles")
-        .qor;
-    (q.latency, q.resources)
-}
-
-/// [`group_compile`] propagating errors and accumulating phase times.
-fn group_compile_timed(
     base: &Function,
     group: &GroupConfig,
     opts: &CompileOptions,
@@ -701,10 +859,11 @@ fn group_compile_timed(
     acc.add(&times);
     Ok((c.qor.latency, c.qor.resources))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::lower;
+    use crate::compile::{compile, lower};
     use crate::search::ladder::plan_groups;
     use crate::stage1::dependence_aware_transform;
     use pom_dsl::DataType;

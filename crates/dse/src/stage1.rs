@@ -1,8 +1,8 @@
 //! DSE stage 1: dependence-aware code transformation (Section VI-A).
 //!
 //! Iteratively re-checks loop-carried dependences after each
-//! transformation, exactly as the paper describes: interchange moves
-//! carried loops *outward* (the FPGA-friendly shape keeps parallel loops
+//! transformation, as the paper describes: interchange moves carried
+//! loops *outward* (the FPGA-friendly shape keeps parallel loops
 //! innermost, where they are unrolled, and pipelines the tile loop above
 //! them — cf. Fig. 8's guidance of swapping the tightly dependent inner
 //! loop `k` with the outer loop); skewing (optionally followed by an
@@ -10,9 +10,16 @@
 //! conservative fusion pass merges independent, compatible nests
 //! (Fig. 10③).
 //!
-//! Every candidate move is validated for legality: the transformed
-//! distance vectors of all existing dependences must remain
-//! lexicographically non-negative.
+//! Each statement's dependences are analysed once. A statement with a
+//! non-uniform dependence is frozen; every other one has constant
+//! distance vectors, and since interchange and skew are unimodular, each
+//! transformed vector is a dependence of the moved statement. Every trial
+//! move is therefore re-checked on its transformed vectors — legal when
+//! all stay lexicographically non-negative, scored by the levels they
+//! carry — and the applied move's vectors become the statement's profile
+//! for the next iteration (DESIGN.md §8, "Stage 1 scores on distance
+//! vectors"). [`reanalysis_disagreements`] keeps the re-analysing search
+//! as the oracle of that equivalence.
 
 use crate::compile::apply_schedule;
 use pom_dsl::{Compute, Function};
@@ -61,6 +68,34 @@ impl Profile {
 
     fn is_ideal(&self) -> bool {
         self.inversions() == 0 && (self.parallel_count() > 0 || self.carried.is_empty())
+    }
+
+    /// The profile after `m`, read off the transformed distance vectors,
+    /// or `None` when `m` makes one of them lexicographically negative
+    /// (illegal). For a uniform profile each transformed vector is a
+    /// dependence of the moved statement — interchange and skew are
+    /// unimodular — carried at its first nonzero component. A dependence
+    /// with free (reuse) directions is held as one representative vector
+    /// per carried level, so a re-analysis may report other members of the
+    /// same set; its carried levels and distances are what
+    /// [`reanalysis_disagreements`] checks against.
+    fn after(&self, m: &Move) -> Option<Profile> {
+        let vectors = self
+            .vectors
+            .iter()
+            .map(|v| transform_vector(v, m))
+            .collect::<Option<Vec<_>>>()?;
+        let mut carried = vec![None; self.carried.len()];
+        for v in &vectors {
+            if let Some(l) = v.iter().position(|&x| x != 0) {
+                carried[l] = Some(carried[l].map_or(v[l], |c: i64| c.min(v[l])));
+            }
+        }
+        Some(Profile {
+            carried,
+            vectors,
+            non_uniform: false,
+        })
     }
 }
 
@@ -187,59 +222,81 @@ fn apply_move(s: &mut StmtPoly, m: &Move, fresh: &mut usize) -> Vec<pom_dsl::Pri
     }
 }
 
+/// The trial moves of a statement with `depth` loops: every interchange,
+/// then skews by 1 and 2, each with and without the follow-up interchange.
+fn candidates(depth: usize) -> Vec<Move> {
+    let mut out: Vec<Move> = Vec::new();
+    for a in 0..depth {
+        for b in (a + 1)..depth {
+            out.push(Move::Interchange(a, b));
+        }
+    }
+    for factor in 1..=2 {
+        for interchange in [false, true] {
+            out.push(Move::Skew {
+                factor,
+                interchange,
+            });
+        }
+    }
+    out
+}
+
+/// True when stage 1 leaves a statement alone: already ideal, frozen by a
+/// non-uniform dependence, or too shallow to move.
+fn settled(prof: &Profile, depth: usize) -> bool {
+    prof.is_ideal() || prof.non_uniform || depth < 2
+}
+
+/// The legal trial move that improves `prof`'s score most (first on
+/// ties), with the profile it leads to.
+fn best_move(prof: &Profile, depth: usize) -> Option<(Move, Profile)> {
+    if settled(prof, depth) {
+        return None;
+    }
+    let mut best: Option<(Move, Profile)> = None;
+    for m in candidates(depth) {
+        let Some(p2) = prof.after(&m) else {
+            continue;
+        };
+        let sc = p2.score();
+        if sc > prof.score() && best.as_ref().is_none_or(|(_, b)| sc > b.score()) {
+            best = Some((m, p2));
+        }
+    }
+    best
+}
+
 /// Stage 1: per-statement dependence-aware transformation with iterative
 /// re-checking (bounded by `max_iters`), followed by conservative fusion.
 pub fn dependence_aware_transform(f: &Function, max_iters: usize) -> Function {
+    dependence_aware_transform_on(f, max_iters, &DepGraph::build(f))
+}
+
+/// [`dependence_aware_transform`] over `f`'s dependence graph, built by
+/// the caller. Stage 1 records schedule primitives only, and the graph
+/// reads only the computes, so a search builds it once and hands it on
+/// to stage 2.
+pub(crate) fn dependence_aware_transform_on(
+    f: &Function,
+    max_iters: usize,
+    graph: &DepGraph,
+) -> Function {
     let mut g = f.clone();
+    let mut stmts = apply_schedule(&g);
+    let mut profiles: Vec<Profile> = g
+        .computes()
+        .iter()
+        .zip(&stmts)
+        .map(|(c, s)| profile(c, s))
+        .collect();
     let mut fresh = 0usize;
     for _ in 0..max_iters {
-        let stmts = apply_schedule(&g);
         let mut new_prims = Vec::new();
-        for (c, s) in g.computes().iter().zip(&stmts) {
-            let prof = profile(c, s);
-            if prof.is_ideal() || prof.non_uniform || s.dims().len() < 2 {
-                continue;
-            }
-            let n = s.dims().len();
-            let mut candidates: Vec<Move> = Vec::new();
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    candidates.push(Move::Interchange(a, b));
-                }
-            }
-            for factor in 1..=2 {
-                candidates.push(Move::Skew {
-                    factor,
-                    interchange: false,
-                });
-                candidates.push(Move::Skew {
-                    factor,
-                    interchange: true,
-                });
-            }
-
-            let mut best: Option<(Move, (usize, isize))> = None;
-            for m in candidates {
-                // Legality on existing vectors.
-                if !prof
-                    .vectors
-                    .iter()
-                    .all(|v| transform_vector(v, &m).is_some())
-                {
-                    continue;
-                }
-                let mut s2 = s.clone();
-                let mut tmp_fresh = fresh + 1000; // trial names never recorded
-                apply_move(&mut s2, &m, &mut tmp_fresh);
-                let p2 = profile(c, &s2);
-                let sc = p2.score();
-                if sc > prof.score() && best.as_ref().map(|(_, b)| sc > *b).unwrap_or(true) {
-                    best = Some((m, sc));
-                }
-            }
-            if let Some((m, _)) = best {
-                let mut s2 = s.clone();
-                new_prims.extend(apply_move(&mut s2, &m, &mut fresh));
+        for (s, prof) in stmts.iter_mut().zip(&mut profiles) {
+            if let Some((m, next)) = best_move(prof, s.dims().len()) {
+                new_prims.extend(apply_move(s, &m, &mut fresh));
+                *prof = next;
             }
         }
         if new_prims.is_empty() {
@@ -249,8 +306,87 @@ pub fn dependence_aware_transform(f: &Function, max_iters: usize) -> Function {
             g.record(p);
         }
     }
-    conservative_fuse(&mut g);
+    conservative_fuse(&mut g, graph, &stmts);
     g
+}
+
+/// Stage 1 as it ran before trial scores came from distance vectors —
+/// each iteration replays the schedule, and each legal trial move is
+/// applied to a copy of its statement, whose dependences are analysed
+/// again — checked against the vector-derived profiles at every step.
+/// Returns one line per disagreement: a trial whose transformed vectors
+/// carry other levels or distances than the re-analysed statement, a
+/// carried-forward profile whose carried levels differ from the next
+/// iteration's re-analysis, or a final schedule that differs from
+/// [`dependence_aware_transform`]'s. Empty when the two searches agree.
+///
+/// The vectors themselves are not compared: where a dependence has free
+/// (reuse) directions, the analysis keeps one representative vector per
+/// carried level, and after a move it may pick another member of the
+/// same dependence set than the transformed representative.
+pub fn reanalysis_disagreements(f: &Function, max_iters: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut g = f.clone();
+    let mut carried: Vec<Option<Profile>> = vec![None; g.computes().len()];
+    let mut fresh = 0usize;
+    for iter in 0..max_iters {
+        let stmts = apply_schedule(&g);
+        let mut new_prims = Vec::new();
+        for ((c, s), kept) in g.computes().iter().zip(&stmts).zip(&mut carried) {
+            let prof = profile(c, s);
+            if let Some(k) = kept.as_ref().filter(|k| k.carried != prof.carried) {
+                out.push(format!(
+                    "{}: iteration {iter} carried {k:?}, re-analysis {prof:?}",
+                    c.name()
+                ));
+            }
+            let depth = s.dims().len();
+            if settled(&prof, depth) {
+                continue;
+            }
+            let mut best: Option<(Move, Profile)> = None;
+            for m in candidates(depth) {
+                let Some(derived) = prof.after(&m) else {
+                    continue;
+                };
+                let mut trial = s.clone();
+                let mut trial_fresh = fresh + 1000; // trial names never recorded
+                apply_move(&mut trial, &m, &mut trial_fresh);
+                let p2 = profile(c, &trial);
+                if derived.carried != p2.carried {
+                    out.push(format!(
+                        "{}: iteration {iter} {m:?} vectors {derived:?}, re-analysis {p2:?}",
+                        c.name()
+                    ));
+                }
+                let sc = p2.score();
+                if sc > prof.score() && best.as_ref().is_none_or(|(_, b)| sc > b.score()) {
+                    best = Some((m, derived));
+                }
+            }
+            if let Some((m, derived)) = best {
+                new_prims.extend(apply_move(&mut s.clone(), &m, &mut fresh));
+                *kept = Some(derived);
+            }
+        }
+        if new_prims.is_empty() {
+            break;
+        }
+        for p in new_prims {
+            g.record(p);
+        }
+    }
+    let (graph, stmts) = (DepGraph::build(&g), apply_schedule(&g));
+    conservative_fuse(&mut g, &graph, &stmts);
+    let vectors = dependence_aware_transform(f, max_iters);
+    if vectors.schedule() != g.schedule() {
+        out.push(format!(
+            "schedule: vectors {:?}, re-analysis {:?}",
+            vectors.schedule(),
+            g.schedule()
+        ));
+    }
+    out
 }
 
 /// Constant `(lb, ub)` extents per level, when the (possibly transformed)
@@ -281,9 +417,8 @@ fn const_extents(s: &StmtPoly) -> Option<Vec<(i64, i64)>> {
 
 /// Conservative fusion (Fig. 10③): adjacent independent nests with equal
 /// constant extents are fused (interleaved at the innermost level).
-fn conservative_fuse(g: &mut Function) {
-    let graph = DepGraph::build(g);
-    let stmts = apply_schedule(g);
+/// `stmts` are `g`'s statements with its schedule applied.
+fn conservative_fuse(g: &mut Function, graph: &DepGraph, stmts: &[StmtPoly]) {
     let n = g.computes().len();
     let mut fused_into: Vec<Option<usize>> = vec![None; n];
     let mut prims = Vec::new();

@@ -177,6 +177,22 @@ pub fn bram18k_units(bits: u64, banks: u64) -> u64 {
     b * bits.div_ceil(b).div_ceil(18 * 1024).max(1)
 }
 
+/// The bank-selection muxing of one array split into `banks` banks: 8
+/// LUT and 4 FF per bank, nothing for an unpartitioned array. [`estimate`]
+/// adds it once per array of the function; the DSE's resource walk-back
+/// composes it the same way without lowering.
+pub fn bank_mux(banks: u64) -> ResourceUsage {
+    if banks > 1 {
+        ResourceUsage {
+            lut: banks * 8,
+            ff: banks * 4,
+            ..ResourceUsage::zero()
+        }
+    } else {
+        ResourceUsage::zero()
+    }
+}
+
 /// Estimates the QoR of an annotated affine function.
 pub fn estimate(func: &AffineFunc, deps: &DepSummary, model: &CostModel, sharing: Sharing) -> QoR {
     let banks: HashMap<String, u64> = func
@@ -211,11 +227,7 @@ pub fn estimate(func: &AffineFunc, deps: &DepSummary, model: &CostModel, sharing
     for m in &func.memrefs {
         let b = m.banks().max(1) as u64;
         res.bram18k += bram18k_units(m.bits(), b);
-        if b > 1 {
-            // Bank-selection muxing overhead.
-            res.lut += b * 8;
-            res.ff += b * 4;
-        }
+        res = res.plus(&bank_mux(b));
     }
     let power = model.power(&res);
     QoR {

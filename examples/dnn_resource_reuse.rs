@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example dnn_resource_reuse`
 
 use pom::dse::search::stage2::group_compile;
+use pom::dse::PhaseAccum;
 use pom::{auto_dse, baselines, CompileOptions};
 use pom_bench::kernels;
 
@@ -31,7 +32,8 @@ fn main() {
     );
     let mut max_dsp = 0;
     for g in &pom.groups {
-        let (_, r) = group_compile(&stage1, g, &opts);
+        let (_, r) = group_compile(&stage1, g, &opts, &PhaseAccum::default())
+            .expect("group schedule compiles");
         max_dsp = max_dsp.max(r.dsp);
         let tiles: Vec<String> = g.tiles.iter().map(|t| t.to_string()).collect();
         println!(
