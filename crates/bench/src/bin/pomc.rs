@@ -23,8 +23,8 @@
 //! certificate, respectively.
 
 use pom::{
-    auto_dse_with, baselines, ArtifactStore, CompileOptions, DseConfig, MemoryState, Pom,
-    SearchMode,
+    auto_dse_with, baselines, ArtifactStore, CompileOptions, DepGraph, DseConfig, DseResult,
+    Function, SearchMode, Signoff, SynthesisReport,
 };
 use pom_bench::cli::{self, FlagSpec, Flags, Kind};
 use pom_bench::experiments::common::Report;
@@ -299,7 +299,6 @@ fn main() {
         usage_error(&format!("unknown kernel {kernel}"));
     };
 
-    let driver = Pom::new();
     let opts = CompileOptions::default();
     let cfg = DseConfig {
         store: store.clone(),
@@ -320,10 +319,7 @@ fn main() {
     } else {
         None
     };
-    let scheduled = dse
-        .as_ref()
-        .map(|r| r.function.clone())
-        .unwrap_or_else(|| f.clone());
+    let scheduled = dse.as_ref().map_or(&f, |r| &r.function);
 
     match emit {
         "dsl" => println!("{f}"),
@@ -332,64 +328,9 @@ fn main() {
                 println!("{p};");
             }
         }
-        "graph" => println!("{}", driver.analyze(&f)),
-        "ir" => println!("{}", driver.compile(&scheduled).affine),
-        "c" => println!("{}", driver.compile(&scheduled).hls_c()),
-        "tb" => println!("{}", driver.testbench(&scheduled, 42)),
-        "report" => {
-            let base = baselines::baseline_compiled(&f, &opts);
-            let report = driver.report(&scheduled);
-            println!("{}", report.render());
-            println!(
-                "Speedup over unoptimized baseline: {:.1}x",
-                report.qor.speedup_over(&base.qor)
-            );
-            if let Some(r) = &dse {
-                if search != SearchMode::Greedy {
-                    println!(
-                        "Search ({search}): {} wave(s), {} expanded, {} simulated \
-                         ({} band-pruned), winner {} simulated cycle(s){}",
-                        r.stats.beam_depth,
-                        r.stats.beam_expanded,
-                        r.stats.sim_admitted,
-                        r.stats.sim_pruned,
-                        r.stats.sim_cycles,
-                        if r.stats.budget_expired {
-                            "; budget expired (anytime best-so-far)"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-            }
-        }
-        "lint" => {
-            let report = driver.lint(&scheduled);
-            println!("{}", report.render(scheduled.name()));
-            if let Some(r) = &dse {
-                println!(
-                    "DSE: {} candidate(s) estimated, {} lint-pruned before estimation",
-                    r.stats.estimated, r.stats.lint_pruned
-                );
-                println!(
-                    "DSE cache: {} hit(s), {} miss(es); {} candidate(s) evaluated in parallel",
-                    r.stats.cache_hits, r.stats.cache_misses, r.stats.parallel_evaluated
-                );
-                println!(
-                    "DSE phases: stage1 {:.3} s, stage2 {:.3} s (lowering {:.3} s, estimation {:.3} s)",
-                    r.stats.stage1_time.as_secs_f64(),
-                    r.stats.stage2_time.as_secs_f64(),
-                    r.stats.lowering_time.as_secs_f64(),
-                    r.stats.estimation_time.as_secs_f64()
-                );
-                println!("DSE poly kernel: {}", r.stats.poly);
-            }
-            if report.has_errors() {
-                std::process::exit(1);
-            }
-        }
+        "graph" => println!("{}", DepGraph::build(&f)),
         "verify" => {
-            let report = driver.verify(&scheduled);
+            let report = pom::validate(scheduled);
             print!("{}", report.render());
             if let Some(r) = &dse {
                 println!(
@@ -402,175 +343,6 @@ fn main() {
                 );
             }
             if !report.passed() {
-                std::process::exit(1);
-            }
-        }
-        "sim" => {
-            let compiled = driver.compile(&scheduled);
-            let mut interp_mem = MemoryState::for_function_seeded(&scheduled, 42);
-            pom::execute_func(&compiled.affine, &mut interp_mem);
-            let mut sim_mem = MemoryState::for_function_seeded(&scheduled, 42);
-            let report = pom::simulate(
-                &compiled.affine,
-                &compiled.deps,
-                &mut sim_mem,
-                &driver.options.model,
-            );
-            print!("{}", report.render());
-            println!(
-                "estimated cycles: {} ({:.3}x the simulated {})",
-                compiled.qor.latency,
-                compiled.qor.latency as f64 / report.cycles.max(1) as f64,
-                report.cycles
-            );
-            println!(
-                "memory vs interpreter: {}",
-                if sim_mem == interp_mem {
-                    "bit-identical"
-                } else {
-                    "DIVERGED"
-                }
-            );
-            if let Some(r) = &dse {
-                if search != SearchMode::Greedy {
-                    println!(
-                        "DSE {search} search: {} wave(s), width {}, {} state(s) expanded",
-                        r.stats.beam_depth, r.stats.beam_width, r.stats.beam_expanded
-                    );
-                    println!(
-                        "DSE sim admission: {} state(s) simulated, {} pruned by the \
-                         admission band, {:.3} s in the simulator{}",
-                        r.stats.sim_admitted,
-                        r.stats.sim_pruned,
-                        r.stats.sim_time.as_secs_f64(),
-                        if r.stats.budget_expired {
-                            " (budget expired: anytime best-so-far)"
-                        } else {
-                            ""
-                        }
-                    );
-                    println!(
-                        "DSE winner (simulated): {} cycle(s) (dep {}, port {}, drain {}; \
-                         {} port conflict(s))",
-                        r.stats.sim_cycles,
-                        r.stats.sim_stall_dep,
-                        r.stats.sim_stall_port,
-                        r.stats.sim_stall_drain,
-                        r.stats.sim_port_conflicts
-                    );
-                }
-            }
-            if sim_mem != interp_mem {
-                std::process::exit(1);
-            }
-        }
-        "dataflow" => {
-            let compiled = driver.compile(&scheduled);
-            let live = pom::live::analyze_func(&compiled.affine);
-            let plan = pom::partition_dataflow(&scheduled, &compiled.affine, &live);
-            print!("{}", plan.render());
-            // Replay every channel-sizing certificate on the spot: the
-            // printed depths are never a static-only claim.
-            let mem0 = pom::seeded_memory(&compiled.affine, 42);
-            let certs = pom::channel_certificates(&compiled.affine, &plan, &mem0);
-            let mut cert_failed = false;
-            for c in &certs {
-                for o in &c.obligations {
-                    let ok = o.status == pom::verify::ObligationStatus::Passed;
-                    cert_failed |= !ok;
-                    println!(
-                        "certificate {}: {} — {}",
-                        if ok { "passed" } else { "FAILED" },
-                        c.rewrite,
-                        o.detail
-                    );
-                }
-            }
-            let mut df_mem = pom::seeded_memory(&compiled.affine, 42);
-            let report = pom::simulate_dataflow(
-                &compiled.affine,
-                &compiled.deps,
-                &plan.stages,
-                &plan.channel_specs(),
-                &mut df_mem,
-                &driver.options.model,
-            );
-            print!("{}", report.render());
-            let mut seq_mem = pom::seeded_memory(&compiled.affine, 42);
-            let seq = pom::simulate(
-                &compiled.affine,
-                &compiled.deps,
-                &mut seq_mem,
-                &driver.options.model,
-            );
-            println!(
-                "sequential cycles: {} ({:.3}x the dataflow {})",
-                seq.cycles,
-                seq.cycles as f64 / report.cycles.max(1) as f64,
-                report.cycles
-            );
-            let mut interp_mem = pom::seeded_memory(&compiled.affine, 42);
-            pom::execute_func(&compiled.affine, &mut interp_mem);
-            println!(
-                "memory vs interpreter: {}",
-                if df_mem == interp_mem {
-                    "bit-identical"
-                } else {
-                    "DIVERGED"
-                }
-            );
-            if let Some(r) = &dse {
-                if dataflow {
-                    println!(
-                        "DSE dataflow: {} rate-matching round(s) over {} stage(s) and \
-                         {} channel(s), winner {} dataflow cycle(s) vs {} sequential, \
-                         {:.3} s refining",
-                        r.stats.dataflow_rounds,
-                        r.stats.dataflow_stages,
-                        r.stats.dataflow_channels,
-                        r.stats.dataflow_cycles,
-                        r.stats.dataflow_seq_cycles,
-                        r.stats.dataflow_time.as_secs_f64()
-                    );
-                }
-            }
-            if df_mem != interp_mem || report.deadlock || cert_failed {
-                std::process::exit(1);
-            }
-        }
-        "live" => {
-            let compiled = driver.compile(&scheduled);
-            let report = pom::live::analyze_func(&compiled.affine);
-            print!("{}", pom::live::render(&report));
-            // Replay every claimed contraction's certificate on the spot:
-            // the printed windows are never a static-only claim.
-            let contractible: Vec<_> = report.arrays.iter().filter(|a| a.contracted()).collect();
-            if !contractible.is_empty() {
-                let mem0 = pom::seeded_memory(&compiled.affine, 42);
-                for al in contractible {
-                    match pom::replay_contraction(&compiled.affine, &mem0, &al.array, &al.windows)
-                    {
-                        Ok(stores) => println!(
-                            "contraction `{}` -> [{}]: certificate passed ({stores} store(s) replayed)",
-                            al.array,
-                            al.windows
-                                .iter()
-                                .map(i64::to_string)
-                                .collect::<Vec<_>>()
-                                .join("x"),
-                        ),
-                        Err(e) => {
-                            eprintln!("contraction `{}` FAILED replay: {e}", al.array);
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-            if !report.dead_stores.is_empty() {
-                eprintln!(
-                    "{} dead store(s) found (POM008 is error-severity)",
-                    report.dead_stores.len()
-                );
                 std::process::exit(1);
             }
         }
@@ -616,6 +388,226 @@ fn main() {
                 None => println!("store: none (pass --store DIR to persist the cache)"),
             }
         }
+        _ => emit_design(emit, &f, dse.as_ref(), &opts, &cfg),
+    }
+}
+
+/// The `--emit` modes that show the compiled design, all read from one
+/// [`Signoff`] over the DSE winner's compilation (with `--no-dse`, the
+/// one compile of the recorded schedule). Exits 1 when the design fails
+/// the mode's check.
+fn emit_design(
+    emit: &str,
+    f: &Function,
+    dse: Option<&DseResult>,
+    opts: &CompileOptions,
+    cfg: &DseConfig,
+) {
+    let compiled;
+    let signoff = match dse {
+        Some(r) => Signoff::new(&r.function, &r.compiled, opts, 42),
+        None => {
+            compiled = pom::compile(f, opts).unwrap_or_else(|e| {
+                eprintln!("compile failed: {e}");
+                std::process::exit(1);
+            });
+            Signoff::new(f, &compiled, opts, 42)
+        }
+    };
+    let c = signoff.compiled();
+    let search = cfg.search;
+    match emit {
+        "ir" => println!("{}", c.affine),
+        "c" => println!("{}", c.hls_c()),
+        "tb" => println!("{}", pom::emit_testbench(&c.affine, 42)),
+        "report" => {
+            let base = baselines::baseline_compiled(f, opts);
+            let report = SynthesisReport::generate(
+                &c.affine,
+                &c.deps,
+                &opts.model,
+                &opts.device,
+                opts.sharing,
+            );
+            println!("{}", report.render());
+            println!(
+                "Speedup over unoptimized baseline: {:.1}x",
+                report.qor.speedup_over(&base.qor)
+            );
+            if let Some(r) = dse {
+                if search != SearchMode::Greedy {
+                    println!(
+                        "Search ({search}): {} wave(s), {} expanded, {} simulated \
+                         ({} band-pruned), winner {} simulated cycle(s){}",
+                        r.stats.beam_depth,
+                        r.stats.beam_expanded,
+                        r.stats.sim_admitted,
+                        r.stats.sim_pruned,
+                        r.stats.sim_cycles,
+                        if r.stats.budget_expired {
+                            "; budget expired (anytime best-so-far)"
+                        } else {
+                            ""
+                        }
+                    );
+                }
+            }
+        }
+        "lint" => {
+            let report = signoff.lint();
+            println!("{}", report.render(signoff.function().name()));
+            if let Some(r) = dse {
+                println!(
+                    "DSE: {} candidate(s) estimated, {} lint-pruned before estimation",
+                    r.stats.estimated, r.stats.lint_pruned
+                );
+                println!(
+                    "DSE cache: {} hit(s), {} miss(es); {} candidate(s) evaluated in parallel",
+                    r.stats.cache_hits, r.stats.cache_misses, r.stats.parallel_evaluated
+                );
+                println!(
+                    "DSE phases: stage1 {:.3} s, stage2 {:.3} s (lowering {:.3} s, estimation {:.3} s)",
+                    r.stats.stage1_time.as_secs_f64(),
+                    r.stats.stage2_time.as_secs_f64(),
+                    r.stats.lowering_time.as_secs_f64(),
+                    r.stats.estimation_time.as_secs_f64()
+                );
+                println!("DSE poly kernel: {}", r.stats.poly);
+            }
+            if report.has_errors() {
+                std::process::exit(1);
+            }
+        }
+        "sim" => {
+            let (report, sim_mem) = signoff.sim();
+            let identical = sim_mem == signoff.interpreted();
+            print!("{}", report.render());
+            println!(
+                "estimated cycles: {} ({:.3}x the simulated {})",
+                c.qor.latency,
+                c.qor.latency as f64 / report.cycles.max(1) as f64,
+                report.cycles
+            );
+            println!("memory vs interpreter: {}", verdict(identical));
+            if let Some(r) = dse {
+                if search != SearchMode::Greedy {
+                    println!(
+                        "DSE {search} search: {} wave(s), width {}, {} state(s) expanded",
+                        r.stats.beam_depth, r.stats.beam_width, r.stats.beam_expanded
+                    );
+                    println!(
+                        "DSE sim admission: {} state(s) simulated, {} pruned by the \
+                         admission band, {:.3} s in the simulator{}",
+                        r.stats.sim_admitted,
+                        r.stats.sim_pruned,
+                        r.stats.sim_time.as_secs_f64(),
+                        if r.stats.budget_expired {
+                            " (budget expired: anytime best-so-far)"
+                        } else {
+                            ""
+                        }
+                    );
+                    println!(
+                        "DSE winner (simulated): {} cycle(s) (dep {}, port {}, drain {}; \
+                         {} port conflict(s))",
+                        r.stats.sim_cycles,
+                        r.stats.sim_stall_dep,
+                        r.stats.sim_stall_port,
+                        r.stats.sim_stall_drain,
+                        r.stats.sim_port_conflicts
+                    );
+                }
+            }
+            if !identical {
+                std::process::exit(1);
+            }
+        }
+        "dataflow" => {
+            print!("{}", signoff.plan().render());
+            // Replay every channel-sizing certificate on the spot: the
+            // printed depths are never a static-only claim.
+            let mut cert_failed = false;
+            for cert in signoff.channel_certificates() {
+                for o in &cert.obligations {
+                    let ok = o.status == pom::verify::ObligationStatus::Passed;
+                    cert_failed |= !ok;
+                    println!(
+                        "certificate {}: {} — {}",
+                        if ok { "passed" } else { "FAILED" },
+                        cert.rewrite,
+                        o.detail
+                    );
+                }
+            }
+            let (report, df_mem) = signoff.cosim();
+            print!("{}", report.render());
+            let seq = &signoff.sim().0;
+            println!(
+                "sequential cycles: {} ({:.3}x the dataflow {})",
+                seq.cycles,
+                seq.cycles as f64 / report.cycles.max(1) as f64,
+                report.cycles
+            );
+            let identical = df_mem == signoff.interpreted();
+            println!("memory vs interpreter: {}", verdict(identical));
+            if let Some(r) = dse {
+                if cfg.dataflow {
+                    println!(
+                        "DSE dataflow: {} rate-matching round(s) over {} stage(s) and \
+                         {} channel(s), winner {} dataflow cycle(s) vs {} sequential, \
+                         {:.3} s refining",
+                        r.stats.dataflow_rounds,
+                        r.stats.dataflow_stages,
+                        r.stats.dataflow_channels,
+                        r.stats.dataflow_cycles,
+                        r.stats.dataflow_seq_cycles,
+                        r.stats.dataflow_time.as_secs_f64()
+                    );
+                }
+            }
+            if !identical || report.deadlock || cert_failed {
+                std::process::exit(1);
+            }
+        }
+        "live" => {
+            let report = signoff.live();
+            print!("{}", pom::live::render(report));
+            // Replay every claimed contraction's certificate on the spot:
+            // the printed windows are never a static-only claim.
+            for al in report.arrays.iter().filter(|a| a.contracted()) {
+                match pom::replay_contraction(&c.affine, signoff.memory(), &al.array, &al.windows) {
+                    Ok(stores) => println!(
+                        "contraction `{}` -> [{}]: certificate passed ({stores} store(s) replayed)",
+                        al.array,
+                        al.windows
+                            .iter()
+                            .map(i64::to_string)
+                            .collect::<Vec<_>>()
+                            .join("x"),
+                    ),
+                    Err(e) => {
+                        eprintln!("contraction `{}` FAILED replay: {e}", al.array);
+                        std::process::exit(1);
+                    }
+                }
+            }
+            if !report.dead_stores.is_empty() {
+                eprintln!(
+                    "{} dead store(s) found (POM008 is error-severity)",
+                    report.dead_stores.len()
+                );
+                std::process::exit(1);
+            }
+        }
         other => unreachable!("--emit {other} was validated against EMIT_MODES"),
+    }
+}
+
+/// How a simulation's final memory compares with the interpreter's.
+fn verdict(identical: bool) -> &'static str {
+    if identical {
+        "bit-identical"
+    } else {
+        "DIVERGED"
     }
 }

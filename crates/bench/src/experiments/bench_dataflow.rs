@@ -24,10 +24,7 @@
 
 use crate::experiments::bench_sim::{run_over_suite, SuiteRun, SIM_SEED};
 use crate::experiments::common::{col, Column, Report};
-use pom::{
-    auto_dse_with, channel_certificates, execute_func, partition_dataflow, seeded_memory, simulate,
-    simulate_dataflow, CompileOptions, DseConfig, Function,
-};
+use pom::{auto_dse_with, CompileOptions, DseConfig, Function, Signoff};
 
 /// Kernels the strict dataflow-vs-sequential throughput gate applies to:
 /// the whole-model DNN chains whose layer nests the partitioner overlaps.
@@ -77,32 +74,16 @@ pub fn measure(kernel: &'static str, f: &Function, opts: &CompileOptions) -> Ker
     let df = auto_dse_with(f, opts, &df_cfg).expect("dataflow DSE compiles");
 
     // Sequential reference: the sequential winner, simulated in order.
-    let mut seq_mem = seeded_memory(&seq.compiled.affine, SIM_SEED);
-    let seq_report = simulate(
-        &seq.compiled.affine,
-        &seq.compiled.deps,
-        &mut seq_mem,
-        &opts.model,
-    );
+    let seq_cycles = Signoff::new(&seq.function, &seq.compiled, opts, SIM_SEED)
+        .sim()
+        .0
+        .cycles;
 
-    // Dataflow execution of the dataflow winner.
-    let live = pom::live::analyze_func(&df.compiled.affine);
-    let plan = partition_dataflow(&df.function, &df.compiled.affine, &live);
-    let mut df_mem = seeded_memory(&df.compiled.affine, SIM_SEED);
-    let report = simulate_dataflow(
-        &df.compiled.affine,
-        &df.compiled.deps,
-        &plan.stages,
-        &plan.channel_specs(),
-        &mut df_mem,
-        &opts.model,
-    );
-    let mut interp_mem = seeded_memory(&df.compiled.affine, SIM_SEED);
-    execute_func(&df.compiled.affine, &mut interp_mem);
-
-    // Replay every channel-sizing certificate.
-    let mem0 = seeded_memory(&df.compiled.affine, SIM_SEED);
-    let certs = channel_certificates(&df.compiled.affine, &plan, &mem0);
+    // Dataflow execution of the dataflow winner, and every replayed
+    // channel-sizing certificate of its plan.
+    let signoff = Signoff::new(&df.function, &df.compiled, opts, SIM_SEED);
+    let (plan, (report, df_mem)) = (signoff.plan(), signoff.cosim());
+    let certs = signoff.channel_certificates();
     let certs_checked: usize = certs.iter().map(|c| c.obligations.len()).sum();
     let certs_passed: usize = certs
         .iter()
@@ -115,10 +96,10 @@ pub fn measure(kernel: &'static str, f: &Function, opts: &CompileOptions) -> Ker
         stages: plan.stages.len(),
         channels: plan.channels.len(),
         fifos: plan.channels.iter().filter(|c| !c.spec.pingpong).count(),
-        seq_cycles: seq_report.cycles,
+        seq_cycles,
         df_cycles: report.cycles,
-        speedup: seq_report.cycles as f64 / report.cycles.max(1) as f64,
-        identical: df_mem == interp_mem,
+        speedup: seq_cycles as f64 / report.cycles.max(1) as f64,
+        identical: df_mem == signoff.interpreted(),
         deadlock: report.deadlock,
         stall_channel: report.stall_channel,
         certs_checked,

@@ -23,9 +23,7 @@
 
 use crate::experiments::bench_sim::{run_over_suite, seed_and_dse, SuiteRun, SIM_SEED};
 use crate::experiments::common::{col, Column, Report};
-use pom::{
-    replay_contraction, seeded_memory, simulate, CompileOptions, Compiled, Function, MemoryState,
-};
+use pom::{replay_contraction, CompileOptions, Compiled, Function, Signoff};
 
 /// One (kernel, schedule) liveness audit.
 #[derive(Clone, Debug, Default)]
@@ -66,9 +64,8 @@ pub fn measure(
     compiled: &Compiled,
     opts: &CompileOptions,
 ) -> KernelLive {
-    let live = pom::live::analyze_func(&compiled.affine);
-    let mut sim_mem = MemoryState::for_function_seeded(f, SIM_SEED);
-    let report = simulate(&compiled.affine, &compiled.deps, &mut sim_mem, &opts.model);
+    let signoff = Signoff::new(f, compiled, opts, SIM_SEED);
+    let (live, report) = (signoff.live(), &signoff.sim().0);
     let sim_hw = |array: &str| {
         report
             .occupancy
@@ -98,14 +95,10 @@ pub fn measure(
         .iter()
         .filter(|al| sim_hw(&al.array) > al.high_water_cells)
         .count();
-    let contractible: Vec<_> = live.arrays.iter().filter(|a| a.contracted()).collect();
-    if !contractible.is_empty() {
-        let mem0 = seeded_memory(&compiled.affine, SIM_SEED);
-        for al in contractible {
-            row.certs_replayed += 1;
-            if replay_contraction(&compiled.affine, &mem0, &al.array, &al.windows).is_err() {
-                row.cert_failures += 1;
-            }
+    for al in live.arrays.iter().filter(|a| a.contracted()) {
+        row.certs_replayed += 1;
+        if replay_contraction(&compiled.affine, signoff.memory(), &al.array, &al.windows).is_err() {
+            row.cert_failures += 1;
         }
     }
     row

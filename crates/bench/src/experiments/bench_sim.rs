@@ -28,8 +28,7 @@
 use crate::experiments::common::{col, paper_options, Column, Report};
 use crate::serve::{kernel_by_name, SUITE};
 use pom::{
-    auto_dse_with, bank_report, compile, execute_func, simulate, CompileOptions, Compiled,
-    DseConfig, Function, MemoryState,
+    auto_dse_with, bank_report, compile, CompileOptions, Compiled, DseConfig, Function, Signoff,
 };
 use pom_dse::run_indexed;
 use std::collections::BTreeSet;
@@ -172,10 +171,8 @@ pub fn measure(
     compiled: &Compiled,
     opts: &CompileOptions,
 ) -> KernelSim {
-    let mut interp_mem = MemoryState::for_function_seeded(f, SIM_SEED);
-    execute_func(&compiled.affine, &mut interp_mem);
-    let mut sim_mem = MemoryState::for_function_seeded(f, SIM_SEED);
-    let report = simulate(&compiled.affine, &compiled.deps, &mut sim_mem, &opts.model);
+    let signoff = Signoff::new(f, compiled, opts, SIM_SEED);
+    let (report, sim_mem) = signoff.sim();
     let est = compiled.qor.latency;
     // Conflict-freedom cross-check: loops the static analysis certifies
     // conflict-free must simulate with zero port stalls.
@@ -207,7 +204,7 @@ pub fn measure(
         est_cycles: est,
         sim_cycles: report.cycles,
         ratio: est as f64 / report.cycles.max(1) as f64,
-        identical: sim_mem == interp_mem,
+        identical: sim_mem == signoff.interpreted(),
         stall_dep: report.stall_dep,
         stall_port: report.stall_port,
         stall_drain: report.stall_drain,

@@ -1,6 +1,6 @@
 //! Drives the built `pomc` binary: the audit table, the shared flag
-//! parser and the fail-fast contract, observed from outside the process.
-//! Every invocation here is a usage error, so nothing is ever compiled.
+//! parser and the fail-fast contract, observed from outside the process,
+//! plus the emit modes that sign a design off.
 
 use std::process::{Command, Output};
 
@@ -107,4 +107,24 @@ fn compile_usage_errors_fail_before_compiling() {
         "usage errors took {:?}: something compiled first",
         start.elapsed()
     );
+}
+
+#[test]
+fn signoff_emits_pass_on_gemm() {
+    for emit in ["sim", "dataflow", "live"] {
+        let out = pomc(&["gemm", "--size", "32", "--emit", emit]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--emit {emit}: {stderr}");
+        if emit != "live" {
+            assert!(
+                stdout.contains("memory vs interpreter: bit-identical"),
+                "--emit {emit}:\n{stdout}"
+            );
+        }
+        assert!(
+            !stdout.contains("FAILED") && !stderr.contains("FAILED"),
+            "--emit {emit}:\n{stdout}{stderr}"
+        );
+    }
 }

@@ -28,9 +28,10 @@
 //! f.auto_dse();
 //!
 //! let pom = Pom::new();
-//! let result = pom.codegen(&f);
+//! let result = pom.codegen(&f)?;
 //! assert!(result.hls_c.contains("#pragma HLS pipeline"));
 //! assert!(result.speedup_over_baseline > 10.0);
+//! # Ok::<(), pom::CompileError>(())
 //! ```
 //!
 //! ## Layer map (paper Fig. 3/7)
@@ -66,7 +67,7 @@ pub use pom_dataflow::{channel_certificates, partition as partition_dataflow, Da
 pub use pom_dse::{
     auto_dse, auto_dse_with, auto_dse_with_cache, baselines, compile, fingerprint, lint_report,
     AnytimePoint, ArtifactStore, CompileError, CompileOptions, Compiled, DseCache, DseConfig,
-    DseResult, DseStats, GroupConfig, SearchMode,
+    DseResult, DseStats, GroupConfig, SearchMode, Signoff,
 };
 pub use pom_dsl::{
     reference_execute, ArrayData, Compute, DataType, Expr, Function, MemoryState, PartitionStyle,
@@ -123,88 +124,65 @@ impl Pom {
 
     /// Compiles a function with its *recorded* schedule (no DSE).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the schedule does not lower to valid affine IR; use
-    /// [`Pom::try_compile`] to handle [`CompileError`] gracefully.
-    pub fn compile(&self, f: &Function) -> Compiled {
-        self.try_compile(f).expect("schedule compiles")
-    }
-
-    /// Fallible [`Pom::compile`].
-    pub fn try_compile(&self, f: &Function) -> Result<Compiled, CompileError> {
+    /// Returns a [`CompileError`] when the schedule does not replay
+    /// (e.g. it splits an already-split loop) or does not lower to valid
+    /// affine IR.
+    pub fn compile(&self, f: &Function) -> Result<Compiled, CompileError> {
         pom_dse::compile(f, &self.options)
     }
 
-    /// Runs the `pom-lint` diagnostics suite over the compiled design,
-    /// with source-level (DSL schedule) context for the legality checks.
-    pub fn lint(&self, f: &Function) -> LintReport {
-        let compiled = self.compile(f);
-        pom_dse::lint_report(f, &compiled, &self.options)
-    }
-
-    /// Replays the function's recorded schedule through `pom-verify`'s
-    /// translation validation: every transformation primitive is
-    /// certified (dependences preserved, domains and footprints equal)
-    /// and the report carries a rustc-style rendering of any rejection.
-    pub fn verify(&self, f: &Function) -> ValidationReport {
-        pom_verify::validate(f)
-    }
-
-    /// Compiles the function with its recorded schedule and simulates it
-    /// cycle-approximately on deterministic seeded memory, returning the
-    /// measurement alongside the final memory state (which matches the
-    /// affine interpreter's bit for bit).
-    pub fn simulate(&self, f: &Function, seed: u64) -> (SimReport, MemoryState) {
-        let compiled = self.compile(f);
-        let mut mem = MemoryState::for_function_seeded(f, seed);
-        let report = pom_sim::simulate(
-            &compiled.affine,
-            &compiled.deps,
-            &mut mem,
-            &self.options.model,
-        );
-        (report, mem)
-    }
-
     /// Generates a Vitis-style synthesis report for the compiled design.
-    pub fn report(&self, f: &Function) -> SynthesisReport {
-        let compiled = self.compile(f);
-        SynthesisReport::generate(
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Pom::compile`].
+    pub fn report(&self, f: &Function) -> Result<SynthesisReport, CompileError> {
+        let compiled = self.compile(f)?;
+        Ok(SynthesisReport::generate(
             &compiled.affine,
             &compiled.deps,
             &self.options.model,
             &self.options.device,
             self.options.sharing,
-        )
+        ))
     }
 
     /// Emits a self-checking C simulation testbench for the compiled
     /// kernel (companion to [`CodegenResult::hls_c`]).
-    pub fn testbench(&self, f: &Function, seed: u64) -> String {
-        let compiled = self.compile(f);
-        emit_testbench(&compiled.affine, seed)
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Pom::compile`].
+    pub fn testbench(&self, f: &Function, seed: u64) -> Result<String, CompileError> {
+        Ok(emit_testbench(&self.compile(f)?.affine, seed))
     }
 
     /// The paper's `codegen()`: runs auto-DSE when the schedule asks for
     /// it (`f.auto_DSE()`), otherwise replays the user schedule; emits
     /// HLS C and reports the speedup over the unoptimized baseline.
-    pub fn codegen(&self, f: &Function) -> CodegenResult {
-        let baseline = pom_dse::baselines::baseline_compiled(f, &self.options);
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CompileError`] when the recorded schedule does not
+    /// compile, or the search's winner fails validation.
+    pub fn codegen(&self, f: &Function) -> Result<CodegenResult, CompileError> {
         let (function, compiled, dse_time) = if f.wants_auto_dse() {
-            let r = pom_dse::auto_dse(f, &self.options).expect("DSE compiles");
+            let r = pom_dse::auto_dse(f, &self.options)?;
             (r.function, r.compiled, r.dse_time)
         } else {
-            (f.clone(), self.compile(f), Default::default())
+            (f.clone(), self.compile(f)?, Default::default())
         };
+        let baseline = pom_dse::baselines::baseline_compiled(f, &self.options);
         let hls_c = compiled.hls_c();
         let speedup = compiled.qor.speedup_over(&baseline.qor);
-        CodegenResult {
+        Ok(CodegenResult {
             function,
             compiled,
             hls_c,
             speedup_over_baseline: speedup,
             dse_time,
-        }
+        })
     }
 }

@@ -8,7 +8,7 @@ use pom_hls::{estimate, CarriedDep, CostModel, DepSummary, DeviceSpec, QoR};
 use pom_ir::{
     lower_to_affine, AffineFunc, MemRefDecl, PartitionInfo, PassIssue, StmtBody, VerifyError,
 };
-use pom_lint::{ChannelObservation, LintContext, LintReport, Linter};
+use pom_lint::LintReport;
 use pom_poly::{AstBuilder, DepKind, StmtPoly};
 use std::collections::HashMap;
 use std::fmt;
@@ -18,16 +18,14 @@ use std::fmt;
 pub enum CompileError {
     /// Lowering produced structurally invalid IR.
     InvalidIr(VerifyError),
-    /// An IR pass broke an invariant or tripped the lint hook.
+    /// An IR pass broke an invariant or failed its translation-validation
+    /// check.
     PassFailed {
         /// The offending pass.
         pass: String,
         /// What went wrong.
         issue: PassIssue,
     },
-    /// The compiled function carries error-severity lint diagnostics
-    /// (rendered report), with linting enabled in [`CompileOptions`].
-    Lint(String),
     /// Translation validation rejected the schedule: a rewrite failed a
     /// certificate obligation (rendered [`pom_verify::ValidationReport`]).
     Rejected(String),
@@ -40,7 +38,6 @@ impl fmt::Display for CompileError {
             CompileError::PassFailed { pass, issue } => {
                 write!(f, "pass {pass} broke the IR: {issue}")
             }
-            CompileError::Lint(report) => write!(f, "lint errors:\n{report}"),
             CompileError::Rejected(report) => {
                 write!(f, "translation validation rejected the schedule:\n{report}")
             }
@@ -59,11 +56,6 @@ pub struct CompileOptions {
     pub sharing: Sharing,
     /// Target device (used by DSE; estimation itself is device-free).
     pub device: DeviceSpec,
-    /// Runs the `pom-lint` standard analyses through the PassManager's
-    /// `lint_each` hook and fails compilation on error-severity findings.
-    /// Off by default: DSE explores intermediate points whose declared
-    /// IIs are retargeted only at the end.
-    pub lint: bool,
     /// Runs the PassManager in checked mode: `pom-verify`'s per-pass
     /// translation-validation hook proves each cleanup pass preserved
     /// the function's write footprint. Off by default — DSE validates
@@ -77,7 +69,6 @@ impl Default for CompileOptions {
             model: CostModel::vitis_f32(),
             sharing: Sharing::Reuse,
             device: DeviceSpec::xc7z020(),
-            lint: false,
             verify: false,
         }
     }
@@ -242,13 +233,14 @@ pub fn build_dep_summary(f: &Function, stmts: &[StmtPoly], model: &CostModel) ->
 /// Returns [`CompileError::InvalidIr`] when lowering breaks a structural
 /// invariant and [`CompileError::PassFailed`] when a cleanup pass does.
 pub fn lower(f: &Function, stmts: &[StmtPoly]) -> Result<AffineFunc, CompileError> {
-    lower_with_lint(f, stmts, None, false)
+    lower_checked(f, stmts, false)
 }
 
-fn lower_with_lint(
+/// [`lower`], with `pom-verify`'s per-pass translation validation when
+/// `checked` ([`CompileOptions::verify`]).
+fn lower_checked(
     f: &Function,
     stmts: &[StmtPoly],
-    lint: Option<pom_ir::LintHook>,
     checked: bool,
 ) -> Result<AffineFunc, CompileError> {
     let mut builder = AstBuilder::new();
@@ -315,59 +307,17 @@ fn lower_with_lint(
     if checked {
         pm = pm.check_each(pom_verify::check_hook());
     }
-    if let Some(hook) = lint {
-        pm = pm.lint_each(hook);
-    }
     pm.run(&mut func)
         .map_err(|(pass, issue)| CompileError::PassFailed { pass, issue })?;
     Ok(func)
 }
 
 /// Runs the standard lint registry over a compiled function with its full
-/// polyhedral context (dependences, schedule source, device).
-///
-/// When the function partitions into a dataflow pipeline, a channel-level
-/// co-simulation (`pom-sim`) backs the measured POM010 channel-pressure
-/// check; single-stage functions skip the simulation entirely, so the
-/// common lint path stays static.
+/// polyhedral context (dependences, schedule source, device, liveness
+/// and, for a dataflow pipeline, co-simulated channels):
+/// [`Signoff::lint`](crate::signoff::Signoff::lint) with seed 42.
 pub fn lint_report(f: &Function, c: &Compiled, opts: &CompileOptions) -> LintReport {
-    let live = pom_live::analyze_func(&c.affine);
-    let plan = pom_dataflow::partition(f, &c.affine, &live);
-    let mut channels: Vec<ChannelObservation> = Vec::new();
-    if plan.is_pipeline() {
-        let mut mem = pom_live::seeded_memory(&c.affine, 42);
-        let report = pom_sim::simulate_dataflow(
-            &c.affine,
-            &c.deps,
-            &plan.stages,
-            &plan.channel_specs(),
-            &mut mem,
-            &opts.model,
-        );
-        channels = report
-            .channels
-            .iter()
-            .map(|ch| ChannelObservation {
-                array: ch.array.clone(),
-                producer: ch.producer.clone(),
-                consumers: ch.consumers.clone(),
-                capacity: ch.capacity,
-                pingpong: ch.pingpong,
-                stall_pop: ch.stall_pop,
-                stall_push: ch.stall_push,
-                total_cycles: report.cycles,
-                min_depth: plan
-                    .channels
-                    .iter()
-                    .find(|pc| pc.spec.array == ch.array)
-                    .map_or(0, |pc| pc.min_depth),
-            })
-            .collect();
-    }
-    let cx = LintContext::new(&c.affine, &c.deps, &opts.model, &opts.device)
-        .with_source(f, &c.stmts)
-        .with_channels(&channels);
-    Linter::standard().run(&cx)
+    crate::signoff::Signoff::new(f, c, opts, 42).lint().clone()
 }
 
 /// Wall-clock breakdown of one [`compile_timed`] call: schedule
@@ -382,13 +332,13 @@ pub struct PhaseTimes {
 }
 
 /// Full pipeline: schedule application, dependence analysis, lowering,
-/// estimation — with inter-pass linting when `opts.lint` is set.
+/// estimation.
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] when lowering produces invalid IR, a pass
-/// breaks it, or (with `opts.lint`) the result carries error-severity
-/// lint diagnostics.
+/// Returns a [`CompileError`] when the schedule does not replay
+/// ([`CompileError::Rejected`]), lowering produces invalid IR, or a pass
+/// breaks it.
 pub fn compile(f: &Function, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     compile_timed(f, opts).map(|(c, _)| c)
 }
@@ -423,22 +373,7 @@ pub(crate) fn compile_prepared(
     opts: &CompileOptions,
 ) -> Result<(Compiled, PhaseTimes), CompileError> {
     let t0 = std::time::Instant::now();
-    let hook: Option<pom_ir::LintHook> = if opts.lint {
-        let (deps, model, device) = (deps.clone(), opts.model.clone(), opts.device.clone());
-        let (src_f, src_stmts) = (f.clone(), stmts.clone());
-        Some(Box::new(move |af: &AffineFunc| {
-            let cx = LintContext::new(af, &deps, &model, &device).with_source(&src_f, &src_stmts);
-            let report = Linter::standard().run(&cx);
-            if report.has_errors() {
-                Err(report.render(&af.name))
-            } else {
-                Ok(())
-            }
-        }))
-    } else {
-        None
-    };
-    let affine = lower_with_lint(f, &stmts, hook, opts.verify)?;
+    let affine = lower_checked(f, &stmts, opts.verify)?;
     let lowering = t0.elapsed();
     let t1 = std::time::Instant::now();
     let qor = estimate(&affine, &deps, &opts.model, opts.sharing);

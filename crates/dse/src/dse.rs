@@ -5,6 +5,7 @@ use crate::compile::{CompileError, CompileOptions, Compiled};
 use crate::search::ladder::SearchBase;
 use crate::search::stage2::{bottleneck_optimize_impl, full_compile, full_dep_template};
 use crate::search::{DseConfig, DseStats, GroupConfig, SearchMode};
+use crate::signoff::Signoff;
 use crate::stage1::dependence_aware_transform_on;
 use pom_dsl::Function;
 use pom_graph::DepGraph;
@@ -212,26 +213,14 @@ fn run_search(
         const DF_SEED: u64 = 0x5EED;
         let t_df = Instant::now();
         let envelope = compiled.qor.resources;
-        let measure = |c: &Compiled, plan: &pom_dataflow::DataflowPlan| {
-            let mut mem = pom_live::seeded_memory(&c.affine, DF_SEED);
-            pom_sim::simulate_dataflow(
-                &c.affine,
-                &c.deps,
-                &plan.stages,
-                &plan.channel_specs(),
-                &mut mem,
-                &opts.model,
-            )
-        };
-        let plan_of = |f: &Function, c: &Compiled| {
-            let live = pom_live::analyze_func(&c.affine);
-            pom_dataflow::partition(f, &c.affine, &live)
-        };
-        let mut plan = plan_of(&scheduled, &compiled);
-        let mut best = measure(&compiled, &plan);
+        // Each candidate's sign-off measures it; the accepted one becomes
+        // the incumbent, so its plan and co-simulation are never redone.
+        let mut incumbent = Signoff::owned(scheduled, compiled, opts, DF_SEED);
         let mut rounds = 0usize;
         const MAX_ROUNDS: usize = 16;
-        while plan.is_pipeline() && !best.deadlock && rounds < MAX_ROUNDS {
+        while incumbent.plan().is_pipeline() && !incumbent.cosim().0.deadlock && rounds < MAX_ROUNDS
+        {
+            let (plan, best) = (incumbent.plan(), &incumbent.cosim().0);
             // Bottleneck = the stage whose local schedule is slowest;
             // slack = the fastest (the one with cycles to give back).
             let local = |s: &pom_sim::StageSim| s.report.cycles;
@@ -276,7 +265,7 @@ fn run_search(
                     }
                 }
             }
-            let mut winner: Option<(u64, Function, Vec<GroupConfig>, Compiled)> = None;
+            let mut winner: Option<(u64, Signoff<'_>, Vec<GroupConfig>)> = None;
             for cg in cand_groups {
                 let cand_f = base.full().schedule(&cg);
                 let c = match compile_full(&cand_f, None) {
@@ -287,23 +276,18 @@ fn run_search(
                 if !c.qor.resources.within(&envelope) {
                     continue;
                 }
-                let p = plan_of(&cand_f, &c);
-                let r = measure(&c, &p);
-                if r.deadlock {
-                    continue;
-                }
+                let cand = Signoff::owned(cand_f, c, opts, DF_SEED);
+                let r = &cand.cosim().0;
                 let bar = winner.as_ref().map_or(best.cycles, |w| w.0);
-                if r.cycles < bar {
-                    winner = Some((r.cycles, cand_f, cg, c));
+                let cycles = r.cycles;
+                if !r.deadlock && cycles < bar {
+                    winner = Some((cycles, cand, cg));
                 }
             }
             match winner {
-                Some((_, f2, cg, c2)) => {
-                    scheduled = f2;
+                Some((_, cand, cg)) => {
+                    incumbent = cand;
                     groups = cg;
-                    compiled = c2;
-                    plan = plan_of(&scheduled, &compiled);
-                    best = measure(&compiled, &plan);
                     rounds += 1;
                 }
                 None => break,
@@ -315,13 +299,12 @@ fn run_search(
         }
         // Discharge the final plan's channel-sizing certificates and
         // record the dataflow-vs-sequential comparison on the winner.
-        let mem0 = pom_live::seeded_memory(&compiled.affine, DF_SEED);
-        let certs = pom_dataflow::channel_certificates(&compiled.affine, &plan, &mem0);
+        let certs = incumbent.channel_certificates();
         stats.certificates_checked += certs.len();
         stats.certificates_passed += certs.iter().filter(|c| c.passed()).count();
         if let Some(bad) = certs.iter().find(|c| !c.passed()) {
             let mut report = pom_verify::ValidationReport {
-                func: compiled.affine.name.clone(),
+                func: incumbent.compiled().affine.name.clone(),
                 certificates: vec![bad.clone()],
             };
             report
@@ -329,13 +312,13 @@ fn run_search(
                 .extend(certs.iter().filter(|c| c.passed()).cloned());
             return Err(CompileError::Rejected(report.render()));
         }
-        let mut mem = pom_live::seeded_memory(&compiled.affine, DF_SEED);
-        let seq = pom_sim::simulate(&compiled.affine, &compiled.deps, &mut mem, &opts.model);
+        let plan = incumbent.plan();
         stats.dataflow_rounds = rounds;
         stats.dataflow_stages = plan.stages.len();
         stats.dataflow_channels = plan.channels.len();
-        stats.dataflow_cycles = best.cycles;
-        stats.dataflow_seq_cycles = seq.cycles;
+        stats.dataflow_cycles = incumbent.cosim().0.cycles;
+        stats.dataflow_seq_cycles = incumbent.sim().0.cycles;
+        (scheduled, compiled) = incumbent.into_design();
         stats.dataflow_time = t_df.elapsed();
     }
     // Align declared IIs with what the recurrences actually allow: the

@@ -11,6 +11,9 @@
 //! * [`search`] is *bottleneck-oriented code optimization*: latency-ordered
 //!   critical paths, parallelism escalation of the bottleneck node, a
 //!   resource-constraint exit mechanism, and an optimization list.
+//! * [`signoff`] computes what signing a finished design off needs —
+//!   seeded memory, liveness, dataflow plan, co-simulation, sequential
+//!   simulation, interpretation, channel certificates, lint — once each.
 //! * [`baselines`] re-implements the comparison frameworks' *strategies*
 //!   on the same substrate: unoptimized, Pluto-like, POLSCA-like, and
 //!   ScaleHLS-like (see DESIGN.md for the substitution argument).
@@ -20,6 +23,7 @@ pub mod cache;
 pub mod compile;
 pub mod dse;
 pub mod search;
+pub mod signoff;
 pub mod stage1;
 pub mod store;
 
@@ -33,5 +37,6 @@ pub use search::{
     bottleneck_optimize, run_indexed, try_bottleneck_optimize, AnytimePoint, DseConfig, DseStats,
     GroupConfig, SearchMode, Stage2Result,
 };
+pub use signoff::Signoff;
 pub use stage1::dependence_aware_transform;
 pub use store::ArtifactStore;

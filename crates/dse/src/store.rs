@@ -24,7 +24,7 @@
 //!
 //! Cached values are pure functions of `(key, CompileOptions)`: the same
 //! fingerprint means a different QoR under a different cost model, device,
-//! sharing policy, or lint/verify setting. The shard directory name is a
+//! sharing policy, or verify setting. The shard directory name is a
 //! stable hash of all of those plus [`SCHEMA_VERSION`], so an artifact
 //! written under a stale cost model, an older schema, or a different
 //! device is *never even looked at* — stale artifacts are ignored, not
@@ -201,7 +201,6 @@ pub fn config_hash(opts: &CompileOptions) -> u64 {
     format!("{:?}", opts.model).hash(&mut h);
     format!("{:?}", opts.device).hash(&mut h);
     format!("{:?}", opts.sharing).hash(&mut h);
-    opts.lint.hash(&mut h);
     opts.verify.hash(&mut h);
     h.finish()
 }
@@ -209,13 +208,12 @@ pub fn config_hash(opts: &CompileOptions) -> u64 {
 /// The header text committed to a shard (also what `open` validates).
 fn header_text(opts: &CompileOptions) -> String {
     format!(
-        "pom-store v{}\nconfig {:016x}\nmodel {:?}\ndevice {:?}\nsharing {:?}\nlint {} verify {}\n",
+        "pom-store v{}\nconfig {:016x}\nmodel {:?}\ndevice {:?}\nsharing {:?}\nverify {}\n",
         SCHEMA_VERSION,
         config_hash(opts),
         opts.model,
         opts.device,
         opts.sharing,
-        opts.lint,
         opts.verify,
     )
 }

@@ -28,7 +28,6 @@ pub use interp::execute_func;
 pub use lower::{lower_to_affine, StmtBody};
 pub use ops::{AffineFunc, AffineOp, ForOp, IfOp, StoreOp};
 pub use passes::{
-    CheckHook, CollapseUnitLoops, LintHook, MaterializeUnroll, Pass, PassIssue, PassManager,
-    SimplifyBounds,
+    CheckHook, CollapseUnitLoops, MaterializeUnroll, Pass, PassIssue, PassManager, SimplifyBounds,
 };
 pub use verify::{verify, VerifyError};

@@ -26,15 +26,12 @@ pub trait Pass {
     fn run(&self, func: &mut AffineFunc);
 }
 
-/// Why a pipeline stopped: a structural invariant broke, an attached
-/// lint hook rejected the function, or a translation-validation hook
-/// rejected a rewrite.
+/// Why a pipeline stopped: a structural invariant broke or a
+/// translation-validation hook rejected a rewrite.
 #[derive(Debug)]
 pub enum PassIssue {
     /// The verifier found the IR structurally invalid.
     Verify(VerifyError),
-    /// The lint hook reported error-severity diagnostics (rendered).
-    Lint(String),
     /// The check hook rejected a pass's rewrite (rendered certificate).
     Check(String),
 }
@@ -43,16 +40,10 @@ impl fmt::Display for PassIssue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PassIssue::Verify(e) => write!(f, "{e}"),
-            PassIssue::Lint(msg) => write!(f, "lint errors:\n{msg}"),
             PassIssue::Check(msg) => write!(f, "pass check failed:\n{msg}"),
         }
     }
 }
-
-/// A semantic check the pipeline runs alongside structural verification —
-/// in practice `pom-lint`'s error-severity diagnostics. A hook rather
-/// than a direct dependency: the lint crate sits *above* the IR crate.
-pub type LintHook = Box<dyn Fn(&AffineFunc) -> Result<(), String>>;
 
 /// A per-pass translation-validation hook: `(pass name, before, after)`.
 /// In practice `pom-verify`'s checked mode, which proves each rewrite
@@ -65,7 +56,6 @@ pub type CheckHook = Box<dyn Fn(&str, &AffineFunc, &AffineFunc) -> Result<(), St
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
-    lint: Option<LintHook>,
     check: Option<CheckHook>,
 }
 
@@ -78,14 +68,6 @@ impl PassManager {
     /// Enables verification after every pass.
     pub fn verify_each(mut self, on: bool) -> Self {
         self.verify_each = on;
-        self
-    }
-
-    /// Attaches a lint hook, run after every pass (after verification)
-    /// and once on the final function even when the pipeline is empty.
-    /// An `Err` aborts the pipeline, naming the offending pass.
-    pub fn lint_each(mut self, hook: LintHook) -> Self {
-        self.lint = Some(hook);
         self
     }
 
@@ -117,8 +99,8 @@ impl PassManager {
     /// # Errors
     ///
     /// Returns the failing pass name and the issue when `verify_each` is
-    /// enabled and a pass breaks an invariant, or when the `lint_each`
-    /// hook rejects the function.
+    /// enabled and a pass breaks an invariant, or when the `check_each`
+    /// hook rejects a rewrite.
     pub fn run(&self, func: &mut AffineFunc) -> Result<(), (String, PassIssue)> {
         for p in &self.passes {
             let before = self.check.as_ref().map(|_| func.clone());
@@ -129,14 +111,6 @@ impl PassManager {
             if let (Some(hook), Some(before)) = (&self.check, &before) {
                 hook(p.name(), before, func)
                     .map_err(|m| (p.name().to_string(), PassIssue::Check(m)))?;
-            }
-            if let Some(hook) = &self.lint {
-                hook(func).map_err(|m| (p.name().to_string(), PassIssue::Lint(m)))?;
-            }
-        }
-        if self.passes.is_empty() {
-            if let Some(hook) = &self.lint {
-                hook(func).map_err(|m| ("<entry>".to_string(), PassIssue::Lint(m)))?;
             }
         }
         Ok(())

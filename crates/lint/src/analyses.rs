@@ -621,7 +621,14 @@ impl Analysis for Liveness {
     }
 
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let report = pom_live::analyze_func(cx.func);
+        let computed;
+        let report = match cx.live {
+            Some(r) => r,
+            None => {
+                computed = pom_live::analyze_func(cx.func);
+                &computed
+            }
+        };
         for al in &report.arrays {
             if !al.contracted() {
                 continue;

@@ -4,6 +4,7 @@
 use pom_dsl::Function;
 use pom_hls::{CostModel, DepSummary, DeviceSpec};
 use pom_ir::{AffineFunc, AffineOp, ForOp, StoreOp};
+use pom_live::LiveReport;
 use pom_poly::{Constraint, StmtPoly};
 
 /// The scheduled DSL source of a lowered function — required by the
@@ -69,6 +70,9 @@ pub struct LintContext<'a> {
     /// Measured dataflow channels, when a co-simulation ran (enables
     /// POM010).
     pub channels: Option<&'a [ChannelObservation]>,
+    /// `pom-live`'s report on `func`, when the caller already holds it;
+    /// the liveness analysis (POM007–POM009) computes it otherwise.
+    pub live: Option<&'a LiveReport>,
 }
 
 impl<'a> LintContext<'a> {
@@ -86,6 +90,7 @@ impl<'a> LintContext<'a> {
             device,
             source: None,
             channels: None,
+            live: None,
         }
     }
 
@@ -98,6 +103,13 @@ impl<'a> LintContext<'a> {
     /// Attaches measured dataflow-channel figures from a co-simulation.
     pub fn with_channels(mut self, channels: &'a [ChannelObservation]) -> Self {
         self.channels = Some(channels);
+        self
+    }
+
+    /// Attaches the liveness report of `func`, so the lint run does not
+    /// recompute it.
+    pub fn with_live(mut self, live: &'a LiveReport) -> Self {
+        self.live = Some(live);
         self
     }
 }

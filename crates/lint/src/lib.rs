@@ -24,10 +24,11 @@
 //! | `POM009` | minimal producer→consumer buffer depth | Note | IV |
 //! | `POM010` | dataflow channel stalls above threshold (under-sized) | Warning | IV |
 //!
-//! The linter is wired into three places: `PassManager::lint_each` (a
-//! post-pass hook alongside `verify_each`), `dse::search` (candidate
-//! configurations are lint-screened before paying estimation cost), and
-//! `pomc --emit lint` (a rendered report with a nonzero exit on errors).
+//! The linter is wired into two places: `dse::search` (candidate
+//! configurations are lint-screened before paying estimation cost) and
+//! the sign-off of a finished design (`pom_dse::signoff::Signoff::lint`,
+//! which attaches the sign-off's liveness report and co-simulated
+//! channels; `pom_dse::lint_report` and `pomc --emit lint` read it).
 
 pub mod analyses;
 pub mod context;

@@ -42,7 +42,7 @@ mod replay;
 mod report;
 
 pub use replay::{replay_contraction, seeded_memory};
-pub use report::{render, to_json};
+pub use report::render;
 
 use pom_ir::{AffineFunc, AffineOp};
 use pom_poly::{ceil_div, floor_div, fm, Constraint, ConstraintKind, LinearExpr};

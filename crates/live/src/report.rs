@@ -1,4 +1,4 @@
-//! Text and JSON rendering of a [`LiveReport`](crate::LiveReport).
+//! Text rendering of a [`LiveReport`](crate::LiveReport).
 
 use crate::LiveReport;
 use std::fmt::Write as _;
@@ -57,72 +57,4 @@ pub fn render(r: &LiveReport) -> String {
         );
     }
     out
-}
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-fn json_dims(v: &[i64]) -> String {
-    format!(
-        "[{}]",
-        v.iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    )
-}
-
-/// JSON rendering (the `LIVE_report.json` CI artifact).
-pub fn to_json(r: &LiveReport) -> String {
-    let arrays: Vec<String> = r
-        .arrays
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"array\":{},\"extents\":{},\"windows\":{},\"high_water_cells\":{},\"declared_bits\":{},\"contracted_bits\":{},\"exact\":{},\"contracted\":{}}}",
-                json_str(&a.array),
-                json_dims(&a.extents),
-                json_dims(&a.windows),
-                a.high_water_cells,
-                a.declared_bits(),
-                a.contracted_bits(),
-                a.exact,
-                a.contracted()
-            )
-        })
-        .collect();
-    let depths: Vec<String> = r
-        .depths
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"producer\":{},\"consumer\":{},\"array\":{},\"depth\":{},\"windows\":{}}}",
-                json_str(&d.producer),
-                json_str(&d.consumer),
-                json_str(&d.array),
-                d.depth,
-                json_dims(&d.windows)
-            )
-        })
-        .collect();
-    let dead: Vec<String> = r
-        .dead_stores
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"stmt\":{},\"array\":{},\"killer\":{}}}",
-                json_str(&d.stmt),
-                json_str(&d.array),
-                json_str(&d.killer)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"func\":{},\"arrays\":[{}],\"depths\":[{}],\"dead_stores\":[{}]}}",
-        json_str(&r.func),
-        arrays.join(","),
-        depths.join(","),
-        dead.join(",")
-    )
 }

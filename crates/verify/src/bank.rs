@@ -142,7 +142,6 @@ mod tests {
         assert_eq!(c.stmt, "i");
         assert_eq!(c.obligations[0].kind, ObligationKind::BankConflictFree);
         assert!(c.obligations[0].detail.contains("fits 2 port(s)/cycle"));
-        assert!(r.to_json().contains("\"kind\":\"bank-conflict-free\""));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub enum ObligationKind {
 }
 
 impl ObligationKind {
-    /// Kebab-case label used in renders and JSON.
+    /// Kebab-case label used in renders.
     pub fn label(&self) -> &'static str {
         match self {
             ObligationKind::DependencesPreserved => "dependences-preserved",
@@ -192,52 +192,12 @@ impl ValidationReport {
         ));
         out
     }
-
-    /// Serializes the report as JSON (hand-rolled; the workspace has no
-    /// serde) for the CI certificate artifact.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"func\":\"{}\",", escape(&self.func)));
-        s.push_str(&format!("\"passed\":{},", self.passed()));
-        s.push_str(&format!("\"checked\":{},", self.checked()));
-        s.push_str("\"certificates\":[");
-        for (i, c) in self.certificates.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"step\":{},\"rewrite\":\"{}\",\"stmt\":\"{}\",\"passed\":{},\"obligations\":[",
-                c.step,
-                escape(&c.rewrite),
-                escape(&c.stmt),
-                c.passed()
-            ));
-            for (j, o) in c.obligations.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"kind\":\"{}\",\"passed\":{},\"detail\":\"{}\"}}",
-                    o.kind.label(),
-                    o.status == ObligationStatus::Passed,
-                    escape(&o.detail)
-                ));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 impl fmt::Display for ValidationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -288,16 +248,5 @@ mod tests {
         assert!(text.contains("dependences-preserved: FAILED"));
         assert!(text.contains("1/2 certificates passed"));
         assert!(!text.contains("s.split"), "passing certs are not rendered");
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let j = report().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"func\":\"gemm\""));
-        assert!(j.contains("\"passed\":false"));
-        assert!(j.contains("\"kind\":\"dependences-preserved\""));
-        // Quotes in details are escaped.
-        assert!(j.contains("`A`"));
     }
 }

@@ -39,7 +39,7 @@ fn main() {
     let graph = pom.analyze(&f);
     println!("=== Dependence graph IR ===\n{graph}");
 
-    let result = pom.codegen(&f);
+    let result = pom.codegen(&f).expect("the schedule compiles");
     println!(
         "=== Annotated affine dialect ===\n{}\n",
         result.compiled.affine

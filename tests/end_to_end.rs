@@ -4,7 +4,8 @@
 //! framework orderings the paper reports.
 
 use pom::{
-    auto_dse, baselines, compile, execute_func, reference_execute, CompileOptions, MemoryState, Pom,
+    auto_dse, baselines, compile, execute_func, reference_execute, CompileError, CompileOptions,
+    MemoryState, Pom,
 };
 use pom_bench::kernels;
 
@@ -105,7 +106,7 @@ fn generated_hls_c_is_synthesizable_shaped() {
     let pom_driver = Pom::new();
     let mut g = f.clone();
     g.auto_dse();
-    let result = pom_driver.codegen(&g);
+    let result = pom_driver.codegen(&g).expect("DSE compiles");
     let c = &result.hls_c;
     assert!(c.contains("void gemm(float A[64][64]"));
     assert!(c.contains("#pragma HLS pipeline II=1"));
@@ -127,7 +128,7 @@ fn pipeline_layers_are_consistent() {
     assert_eq!(graph.nodes().len(), 3);
     let paths = graph.data_paths();
     assert_eq!(paths.len(), 2, "mm1->mm3 and mm2->mm3");
-    let compiled = pom_driver.compile(&f);
+    let compiled = pom_driver.compile(&f).expect("compiles");
     assert_eq!(compiled.affine.stores().len(), 3);
     assert_eq!(compiled.stmts.len(), 3);
 }
@@ -139,7 +140,7 @@ fn user_schedule_and_auto_dse_both_work_through_facade() {
     manual.pipeline("s", "j0", 1);
     manual.unroll("s", "j1", 8);
     let pom_driver = Pom::new();
-    let manual_result = pom_driver.codegen(&manual);
+    let manual_result = pom_driver.codegen(&manual).expect("schedule compiles");
     assert!(manual_result.speedup_over_baseline > 2.0);
     assert_eq!(
         manual_result.dse_time.as_nanos(),
@@ -149,8 +150,25 @@ fn user_schedule_and_auto_dse_both_work_through_facade() {
 
     let mut auto = kernels::gemm(32);
     auto.auto_dse();
-    let auto_result = pom_driver.codegen(&auto);
+    let auto_result = pom_driver.codegen(&auto).expect("DSE compiles");
     assert!(auto_result.speedup_over_baseline >= manual_result.speedup_over_baseline);
+}
+
+#[test]
+fn malformed_user_schedule_is_an_error_not_a_panic() {
+    // The second split names `j`, which the first split already replaced.
+    let mut f = kernels::gemm(32);
+    f.split("s", "j", 8, "j0", "j1");
+    f.split("s", "j", 4, "ja", "jb");
+    let pom_driver = Pom::new();
+    let manual = pom_driver.codegen(&f);
+    assert!(
+        matches!(manual, Err(CompileError::Rejected(_))),
+        "{manual:?}"
+    );
+    f.auto_dse();
+    let auto = pom_driver.codegen(&f);
+    assert!(matches!(auto, Err(CompileError::Rejected(_))), "{auto:?}");
 }
 
 #[test]
@@ -194,14 +212,14 @@ fn synthesis_report_and_testbench_generation() {
     f.pipeline("s", "j0", 1);
     f.unroll("s", "j1", 8);
     let pom_driver = Pom::new();
-    let report = pom_driver.report(&f);
+    let report = pom_driver.report(&f).expect("compiles");
     let text = report.render();
     assert!(text.contains("Synthesis report: gemm"));
     assert!(text.contains("loop_k"));
     assert!(text.contains("DSP48"));
     assert!(report.time_us() > 0.0);
 
-    let tb = pom_driver.testbench(&f, 7);
+    let tb = pom_driver.testbench(&f, 7).expect("compiles");
     assert!(tb.contains("int main(void)"));
     assert!(tb.contains("gemm(A, B, C);"));
 }

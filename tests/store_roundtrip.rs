@@ -184,7 +184,7 @@ fn different_compile_options_use_disjoint_shards() {
     let root = scratch("shards");
     let a = ArtifactStore::open(&root, &CompileOptions::default()).unwrap();
     let mut opts = CompileOptions::default();
-    opts.lint = !opts.lint;
+    opts.verify = !opts.verify;
     let b = ArtifactStore::open(&root, &opts).unwrap();
     assert_ne!(a.shard_dir(), b.shard_dir(), "config must key the shard");
     a.save_infeasible(1, true);
