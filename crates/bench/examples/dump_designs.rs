@@ -1,8 +1,10 @@
 //! Dumps every design of the ledger's search workloads as text, one file
 //! per input: schedule, groups, QoR, search counters, the winner's bank
 //! verdicts (every loop's analysis and each array's minimal conflict-free
-//! factors) and HLS C. The `signoff` mode dumps what signing a finished
-//! design off computes instead. A change that must not move a design
+//! factors), its translation-validation certificates (every obligation's
+//! text, passed ones included) and HLS C. The `signoff` mode dumps what
+//! signing a finished design off computes instead, plus the same
+//! certificates. A change that must not move a design
 //! builds this in a parent checkout and in the working tree and
 //! `diff -rq`s the two output directories; CI runs it twice and diffs
 //! the runs (run-to-run and worker-interleaving determinism).
@@ -17,7 +19,8 @@
 //! the 14-kernel suite at size 32, each greedy-compiled and then signed
 //! off: `{:#?}` of the simulation report (host time zeroed), the
 //! dataflow plan, its co-simulation, the channel certificates, the
-//! liveness report and certificates, and the lint report.
+//! liveness report and certificates, the lint report, the memory checks
+//! and the winner's certificates.
 
 use pom::bank;
 use pom::dse::{auto_dse_with, DseConfig, DseResult, SearchMode};
@@ -99,7 +102,8 @@ fn main() {
     }
 }
 
-/// The design: schedule, groups, QoR, counters, bank verdicts, HLS C.
+/// The design: schedule, groups, QoR, counters, bank verdicts,
+/// certificates, HLS C.
 fn design(r: &DseResult, opts: &CompileOptions) -> String {
     let st = &r.stats;
     let affine = &r.compiled.affine;
@@ -113,7 +117,7 @@ fn design(r: &DseResult, opts: &CompileOptions) -> String {
         })
         .collect();
     format!(
-        "== function\n{}\n== groups\n{:#?}\n== qor\n{:#?}\n== counts\ncerts {} passed {} estimated {} pruned {} repaired {}\n== bank\n{:#?}\n{:#?}\n== hls_c\n{}\n",
+        "== function\n{}\n== groups\n{:#?}\n== qor\n{:#?}\n== counts\ncerts {} passed {} estimated {} pruned {} repaired {}\n== bank\n{:#?}\n{:#?}\n== certificates\n{:#?}\n== hls_c\n{}\n",
         r.function,
         r.groups,
         r.compiled.qor,
@@ -124,6 +128,7 @@ fn design(r: &DseResult, opts: &CompileOptions) -> String {
         st.bank_repaired,
         bank::analyze_func(affine),
         repairs,
+        pom::validate(&r.function),
         r.compiled.hls_c()
     )
 }
@@ -156,8 +161,9 @@ fn signoff(src: &pom::Function, r: &DseResult, opts: &CompileOptions) -> String 
     let mut interpreted = MemoryState::for_function_seeded(src, SEED);
     pom::execute_func(&c.affine, &mut interpreted);
     format!(
-        "== sim\n{sim:#?}\n== plan\n{plan:#?}\n== dataflow\n{df:#?}\n== channel_certs\n{channel_certs:#?}\n== live\n{live:#?}\n== live_certs\n{live_certs:#?}\n== lint\n{lint:#?}\n== memory\nsim {} dataflow {}\n",
+        "== sim\n{sim:#?}\n== plan\n{plan:#?}\n== dataflow\n{df:#?}\n== channel_certs\n{channel_certs:#?}\n== live\n{live:#?}\n== live_certs\n{live_certs:#?}\n== lint\n{lint:#?}\n== memory\nsim {} dataflow {}\n== certificates\n{:#?}\n",
         sim_memory == interpreted,
         df_memory == interpreted,
+        pom::validate(f),
     )
 }

@@ -9,7 +9,7 @@ use pom_ir::{
     lower_to_affine, AffineFunc, MemRefDecl, PartitionInfo, PassIssue, StmtBody, VerifyError,
 };
 use pom_lint::LintReport;
-use pom_poly::{AstBuilder, DepKind, StmtPoly};
+use pom_poly::{build_ast, DepKind, StmtPoly};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -243,11 +243,7 @@ fn lower_checked(
     stmts: &[StmtPoly],
     checked: bool,
 ) -> Result<AffineFunc, CompileError> {
-    let mut builder = AstBuilder::new();
-    for s in stmts {
-        builder.add_stmt(s.clone());
-    }
-    let ast = builder.build();
+    let ast = build_ast(stmts);
 
     let bodies: HashMap<String, StmtBody> = f
         .computes()

@@ -6,8 +6,9 @@
 //! node types the paper names: *for*, *if*, *block*, and *user* nodes.
 //! Loop bounds are derived by Fourier–Motzkin projection of each
 //! statement's domain, which handles the non-rectangular domains produced
-//! by skewing; statements whose constraints differ under a shared loop get
-//! guard (*if*) nodes.
+//! by skewing — once per statement, in one table all its loops read;
+//! statements whose constraints differ under a shared loop get guard
+//! (*if*) nodes.
 
 use crate::constraint::Constraint;
 use crate::expr::LinearExpr;
@@ -116,7 +117,8 @@ impl AstNode {
     }
 }
 
-/// Builds a polyhedral AST from scheduled statements.
+/// Builds a polyhedral AST from scheduled statements it owns; see
+/// [`build_ast`] for statements held elsewhere.
 #[derive(Clone, Debug, Default)]
 pub struct AstBuilder {
     stmts: Vec<StmtPoly>,
@@ -137,26 +139,64 @@ impl AstBuilder {
     /// Builds the AST for all statements, honouring the lexicographic
     /// `2d+1` schedule order.
     pub fn build(&self) -> Vec<AstNode> {
-        let refs: Vec<&StmtPoly> = self.stmts.iter().collect();
-        build_level(&refs, 0)
+        build_ast(&self.stmts)
     }
 }
 
-fn build_level(items: &[&StmtPoly], depth: usize) -> Vec<AstNode> {
+/// Builds the AST of `stmts`, honouring the lexicographic `2d+1`
+/// schedule order. Each statement's loop bounds are projected once, one
+/// [`BasicSet::level_bounds`](crate::BasicSet::level_bounds) table per
+/// statement, and every loop the statement takes part in reads it.
+pub fn build_ast(stmts: &[StmtPoly]) -> Vec<AstNode> {
+    let items: Vec<Item> = stmts.iter().map(Item::of).collect();
+    let refs: Vec<&Item> = items.iter().collect();
+    build_level(&refs, 0)
+}
+
+/// A statement with the bounds of each of its loops, outermost first.
+struct Item<'a> {
+    stmt: &'a StmtPoly,
+    bounds: Vec<LoopBounds>,
+}
+
+/// A loop's lower and upper bound candidates.
+type LoopBounds = (Vec<Bound>, Vec<Bound>);
+
+impl<'a> Item<'a> {
+    fn of(stmt: &'a StmtPoly) -> Self {
+        debug_assert_eq!(
+            stmt.dims(),
+            stmt.domain().dims(),
+            "loops are the domain's dims"
+        );
+        let to_bounds = |terms: Vec<(LinearExpr, i64)>| -> Vec<Bound> {
+            terms.into_iter().map(|(e, d)| Bound::new(e, d)).collect()
+        };
+        let bounds = stmt
+            .domain()
+            .level_bounds()
+            .into_iter()
+            .map(|(lbs, ubs)| (to_bounds(lbs), to_bounds(ubs)))
+            .collect();
+        Item { stmt, bounds }
+    }
+}
+
+fn build_level(items: &[&Item], depth: usize) -> Vec<AstNode> {
     if items.is_empty() {
         return Vec::new();
     }
     // Group by the static sequence constant at this depth, ascending,
     // stable within a group.
-    let mut groups: Vec<(i64, Vec<&StmtPoly>)> = Vec::new();
-    let mut keys: Vec<i64> = items.iter().map(|s| s.statics()[depth]).collect();
+    let mut groups: Vec<(i64, Vec<&Item>)> = Vec::new();
+    let mut keys: Vec<i64> = items.iter().map(|s| s.stmt.statics()[depth]).collect();
     keys.sort_unstable();
     keys.dedup();
     for k in keys {
-        let group: Vec<&StmtPoly> = items
+        let group: Vec<&Item> = items
             .iter()
             .copied()
-            .filter(|s| s.statics()[depth] == k)
+            .filter(|s| s.stmt.statics()[depth] == k)
             .collect();
         groups.push((k, group));
     }
@@ -167,16 +207,18 @@ fn build_level(items: &[&StmtPoly], depth: usize) -> Vec<AstNode> {
         // statements that are leaves at this depth become user nodes.
         let mut idx = 0;
         while idx < group.len() {
-            let s = group[idx];
+            let s = group[idx].stmt;
             if s.dims().len() == depth {
                 out.push(user_node(s));
                 idx += 1;
                 continue;
             }
             let iv = &s.dims()[depth];
-            let mut run = vec![s];
+            let mut run = vec![group[idx]];
             let mut j = idx + 1;
-            while j < group.len() && group[j].dims().len() > depth && &group[j].dims()[depth] == iv
+            while j < group.len()
+                && group[j].stmt.dims().len() > depth
+                && &group[j].stmt.dims()[depth] == iv
             {
                 run.push(group[j]);
                 j += 1;
@@ -199,17 +241,7 @@ fn user_node(s: &StmtPoly) -> AstNode {
     }
 }
 
-/// Bounds of `stmt`'s loop at `depth`, projected over outer ivs.
-fn stmt_bounds(s: &StmtPoly, depth: usize) -> (Vec<Bound>, Vec<Bound>) {
-    let iv = &s.dims()[depth];
-    let (lbs, ubs) = s.domain().bounds_of(iv);
-    (
-        lbs.into_iter().map(|(e, d)| Bound::new(e, d)).collect(),
-        ubs.into_iter().map(|(e, d)| Bound::new(e, d)).collect(),
-    )
-}
-
-fn bounds_equal(a: &(Vec<Bound>, Vec<Bound>), b: &(Vec<Bound>, Vec<Bound>)) -> bool {
+fn bounds_equal(a: &LoopBounds, b: &LoopBounds) -> bool {
     let norm = |v: &[Bound]| {
         let mut v: Vec<(LinearExpr, i64)> = v.iter().map(|b| (b.expr.clone(), b.div)).collect();
         v.sort();
@@ -219,7 +251,7 @@ fn bounds_equal(a: &(Vec<Bound>, Vec<Bound>), b: &(Vec<Bound>, Vec<Bound>)) -> b
     norm(&a.0) == norm(&b.0) && norm(&a.1) == norm(&b.1)
 }
 
-fn constant_range(bounds: &(Vec<Bound>, Vec<Bound>)) -> Option<(i64, i64)> {
+fn constant_range(bounds: &LoopBounds) -> Option<(i64, i64)> {
     let env = HashMap::new();
     if bounds.0.iter().any(|b| !b.expr.is_constant())
         || bounds.1.iter().any(|b| !b.expr.is_constant())
@@ -231,19 +263,19 @@ fn constant_range(bounds: &(Vec<Bound>, Vec<Bound>)) -> Option<(i64, i64)> {
     Some((lb, ub))
 }
 
-fn loop_node(run: &[&StmtPoly], depth: usize) -> AstNode {
-    let iv = run[0].dims()[depth].clone();
-    let first_bounds = stmt_bounds(run[0], depth);
-    let all_equal = run
+fn loop_node(run: &[&Item], depth: usize) -> AstNode {
+    let iv = run[0].stmt.dims()[depth].clone();
+    let first_bounds = &run[0].bounds[depth];
+    let all_equal = run[1..]
         .iter()
-        .all(|s| bounds_equal(&stmt_bounds(s, depth), &first_bounds));
+        .all(|s| bounds_equal(&s.bounds[depth], first_bounds));
 
     if all_equal {
         let body = build_level(run, depth + 1);
         return AstNode::For {
             iv,
-            lbs: first_bounds.0,
-            ubs: first_bounds.1,
+            lbs: first_bounds.0.clone(),
+            ubs: first_bounds.1.clone(),
             body,
         };
     }
@@ -253,7 +285,7 @@ fn loop_node(run: &[&StmtPoly], depth: usize) -> AstNode {
     let ranges: Vec<(i64, i64)> = run
         .iter()
         .map(|s| {
-            constant_range(&stmt_bounds(s, depth)).unwrap_or_else(|| {
+            constant_range(&s.bounds[depth]).unwrap_or_else(|| {
                 panic!("cannot fuse statements with differing non-constant bounds at loop {iv}")
             })
         })

@@ -258,9 +258,11 @@ impl DependenceAnalysis {
             out
         });
         let realizable = |d: &[i64]| -> bool {
-            d.iter()
-                .zip(&ranges)
-                .all(|(&delta, &(lb, ub))| delta.abs() <= ub - lb)
+            d.iter().zip(&ranges).all(|(&delta, &(lb, ub))| {
+                // i128: the extent of a domain near the i64 edges does
+                // not fit an i64.
+                i128::from(delta).abs() <= i128::from(ub) - i128::from(lb)
+            })
         };
         let mut best_per_level: Vec<Option<DistanceVector>> = vec![None; n];
         let mut loop_independent = false;

@@ -29,6 +29,7 @@ use crate::constraint::{Constraint, ConstraintKind};
 use crate::expr::LinearExpr;
 use crate::space::{DimId, PolyError};
 use crate::stats;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
@@ -335,23 +336,48 @@ pub fn try_eliminate_all(
     constraints: &[Constraint],
     vars: &[&str],
 ) -> Result<Projection, PolyError> {
-    let mut scratch = Scratch::default();
-    let mut cur = match prepare(constraints) {
-        Some(cs) => cs,
-        None => return Ok(Projection::Infeasible),
+    let Some(cs) = prepare(constraints) else {
+        return Ok(Projection::Infeasible);
     };
-    for v in vars {
-        match eliminate_prepared(&cur, DimId::intern(v), &mut scratch)? {
-            Projection::Feasible(mut cs) => {
-                if !drop_parallel_redundant(&mut cs) {
-                    return Ok(Projection::Infeasible);
-                }
-                cur = cs;
-            }
-            Projection::Infeasible => return Ok(Projection::Infeasible),
-        }
+    let ids: Vec<DimId> = vars.iter().map(|v| DimId::intern(v)).collect();
+    Ok(match Prepared(cs).eliminate_all(&ids)? {
+        Some(cs) => Projection::Feasible(cs.into_owned()),
+        None => Projection::Infeasible,
+    })
+}
+
+/// A system after `simplify` and parallel-row collapsing: the common
+/// start of several projections of one system (the per-level bounds of
+/// a set), prepared once instead of once per projection.
+pub(crate) struct Prepared(Vec<Constraint>);
+
+impl Prepared {
+    /// Prepares `constraints`; `None` when they are proven infeasible.
+    pub(crate) fn new(constraints: &[Constraint]) -> Option<Prepared> {
+        prepare(constraints).map(Prepared)
     }
-    Ok(Projection::Feasible(cur))
+
+    /// [`try_eliminate_all`] of the prepared system, in `vars` order:
+    /// `None` when infeasible. Eliminating nothing borrows the rows.
+    pub(crate) fn eliminate_all(
+        &self,
+        vars: &[DimId],
+    ) -> Result<Option<Cow<'_, [Constraint]>>, PolyError> {
+        let mut scratch = Scratch::default();
+        let mut cur = Cow::Borrowed(self.0.as_slice());
+        for &v in vars {
+            match eliminate_prepared(&cur, v, &mut scratch)? {
+                Projection::Feasible(mut cs) => {
+                    if !drop_parallel_redundant(&mut cs) {
+                        return Ok(None);
+                    }
+                    cur = Cow::Owned(cs);
+                }
+                Projection::Infeasible => return Ok(None),
+            }
+        }
+        Ok(Some(cur))
+    }
 }
 
 /// Infallible [`try_eliminate_all`].

@@ -51,7 +51,7 @@ pub mod stats;
 pub mod transform;
 pub mod vector;
 
-pub use astbuild::{AstBuilder, AstNode, Bound, BoundKind};
+pub use astbuild::{build_ast, AstBuilder, AstNode, Bound, BoundKind};
 pub use congruence::{congruent_coeffs, may_equal, may_share_class, range_over, residue};
 pub use constraint::{Constraint, ConstraintKind};
 pub use dependence::{AccessFn, DepKind, Dependence, DependenceAnalysis};
@@ -60,7 +60,7 @@ pub use fnv::fnv1a64;
 pub use map::Map;
 pub use parse::{parse_set, ParseError};
 pub use schedule::{schedule_map, timestamp, UnionMap};
-pub use set::BasicSet;
+pub use set::{BasicSet, LevelBounds};
 pub use space::{DimId, PolyError};
 pub use stats::PolyStats;
 pub use transform::StmtPoly;

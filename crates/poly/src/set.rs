@@ -2,32 +2,82 @@
 
 use crate::constraint::{Constraint, ConstraintKind};
 use crate::expr::LinearExpr;
-use crate::fm::{self, Projection};
+use crate::fm;
 use crate::space::{DimId, PolyError};
 use crate::{ceil_div, floor_div};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Evaluates a dense expression row against a point given in `dim_ids`
-/// order. Dimensions beyond `point.len()` (an un-assigned suffix during
-/// enumeration) and ids absent from `dim_ids` evaluate as zero when
-/// `missing_zero`, and panic otherwise — mirroring
-/// [`LinearExpr::eval_partial`] and [`LinearExpr::eval`] respectively,
-/// without building a `HashMap<String, i64>` per evaluated point.
-fn eval_dense(expr: &LinearExpr, dim_ids: &[DimId], point: &[i64], missing_zero: bool) -> i64 {
-    let mut v = expr.constant();
-    for &(id, coeff) in expr.terms_ids() {
-        match dim_ids[..point.len()].iter().position(|&d| d == id) {
-            Some(pos) => v += coeff * point[pos],
-            None if missing_zero => {}
-            None => panic!("missing value for variable {}", id.name()),
+/// A linear expression compiled against a dimension list: `(position,
+/// coeff)` pairs and the constant, so evaluating it at a point given in
+/// that order is a dot product. A variable the list does not name
+/// evaluates as zero, like [`LinearExpr::eval_partial`] (enumeration
+/// compiles a level's bounds against the levels above it, so the point's
+/// un-assigned suffix is never read); [`DenseRow::eval_strict`] panics on
+/// it instead, like [`LinearExpr::eval`].
+struct DenseRow {
+    terms: Vec<(usize, i64)>,
+    constant: i64,
+    /// The first variable of the expression the list does not name.
+    unknown: Option<DimId>,
+}
+
+impl DenseRow {
+    fn compile(expr: &LinearExpr, dim_ids: &[DimId]) -> DenseRow {
+        let mut terms = Vec::with_capacity(expr.terms_ids().len());
+        let mut unknown = None;
+        for &(id, coeff) in expr.terms_ids() {
+            match dim_ids.iter().position(|&d| d == id) {
+                Some(pos) => terms.push((pos, coeff)),
+                None => {
+                    unknown.get_or_insert(id);
+                }
+            }
+        }
+        DenseRow {
+            terms,
+            constant: expr.constant(),
+            unknown,
         }
     }
-    v
+
+    fn eval(&self, point: &[i64]) -> i64 {
+        self.terms
+            .iter()
+            .fold(self.constant, |v, &(pos, c)| v + c * point[pos])
+    }
+
+    fn eval_strict(&self, point: &[i64]) -> i64 {
+        if let Some(id) = self.unknown {
+            panic!("missing value for variable {}", id.name());
+        }
+        self.eval(point)
+    }
+}
+
+/// A constraint compiled to a [`DenseRow`]; `holds` evaluates strictly.
+struct DenseConstraint(DenseRow, ConstraintKind);
+
+impl DenseConstraint {
+    fn compile(c: &Constraint, dim_ids: &[DimId]) -> Self {
+        DenseConstraint(DenseRow::compile(&c.expr, dim_ids), c.kind)
+    }
+
+    fn holds(&self, point: &[i64]) -> bool {
+        let v = self.0.eval_strict(point);
+        match self.1 {
+            ConstraintKind::Eq => v == 0,
+            ConstraintKind::GeZero => v >= 0,
+        }
+    }
 }
 
 /// One bound candidate: `(expr, divisor)` — see [`BasicSet::bounds_of`].
 pub type BoundTerm = (LinearExpr, i64);
+
+/// One level's `(lower, upper)` bound candidates — see
+/// [`BasicSet::bounds_of`] and [`BasicSet::level_bounds`].
+pub type LevelBounds = (Vec<BoundTerm>, Vec<BoundTerm>);
 
 /// An integer set `{ (d0, ..., dn) : constraints }` over *named*, ordered
 /// dimensions — the iteration-domain representation of the paper's
@@ -151,13 +201,9 @@ impl BasicSet {
             self.dims.len()
         );
         let dim_ids = self.dim_ids();
-        self.constraints.iter().all(|c| {
-            let v = eval_dense(&c.expr, &dim_ids, point, false);
-            match c.kind {
-                ConstraintKind::Eq => v == 0,
-                ConstraintKind::GeZero => v >= 0,
-            }
-        })
+        self.constraints
+            .iter()
+            .all(|c| DenseConstraint::compile(c, &dim_ids).holds(point))
     }
 
     /// The interned ids of the dimension list, in dimension order.
@@ -267,24 +313,63 @@ impl BasicSet {
     /// dimensions. Each bound is `(expr, divisor)`:
     /// lower bounds mean `dim >= ceil(expr / divisor)`,
     /// upper bounds mean `dim <= floor(expr / divisor)`.
-    pub fn bounds_of(&self, dim: &str) -> (Vec<BoundTerm>, Vec<BoundTerm>) {
+    pub fn bounds_of(&self, dim: &str) -> LevelBounds {
         let idx = self
             .dim_index(dim)
             .unwrap_or_else(|| panic!("dimension {dim} not found"));
-        let later: Vec<&str> = self.dims[idx + 1..].iter().map(String::as_str).collect();
-        let cs = match fm::eliminate_all(&self.constraints, &later) {
-            Projection::Feasible(cs) => cs,
-            Projection::Infeasible => {
-                return (
-                    vec![(LinearExpr::constant_expr(0), 1)],
-                    vec![(LinearExpr::constant_expr(-1), 1)],
-                )
-            }
+        let dim_ids = self.dim_ids();
+        Self::bounds_at(fm::Prepared::new(&self.constraints).as_ref(), &dim_ids, idx)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BasicSet::bounds_of`] of every dimension, outermost first:
+    /// `level_bounds()[k] == bounds_of(&dims()[k])`. The constraint system
+    /// is simplified once for all levels; each level still projects out
+    /// the later dimensions outermost first, exactly as `bounds_of` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `i64` coefficient overflow, like `bounds_of`; use
+    /// [`BasicSet::try_level_bounds`] to handle [`PolyError::Overflow`].
+    pub fn level_bounds(&self) -> Vec<LevelBounds> {
+        self.try_level_bounds().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Overflow-checked [`BasicSet::level_bounds`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when a Fourier–Motzkin combination
+    /// coefficient of some level's projection leaves `i64` range.
+    pub fn try_level_bounds(&self) -> Result<Vec<LevelBounds>, PolyError> {
+        let prepared = fm::Prepared::new(&self.constraints);
+        let dim_ids = self.dim_ids();
+        (0..self.dims.len())
+            .map(|k| Self::bounds_at(prepared.as_ref(), &dim_ids, k))
+            .collect()
+    }
+
+    /// The bounds of level `idx`, from the prepared system (`None`:
+    /// proven infeasible).
+    fn bounds_at(
+        prepared: Option<&fm::Prepared>,
+        dim_ids: &[DimId],
+        idx: usize,
+    ) -> Result<LevelBounds, PolyError> {
+        let projected = match prepared {
+            Some(p) => p.eliminate_all(&dim_ids[idx + 1..])?,
+            None => None,
         };
-        let dim_id = DimId::intern(dim);
+        let Some(cs) = projected else {
+            return Ok((
+                vec![(LinearExpr::constant_expr(0), 1)],
+                vec![(LinearExpr::constant_expr(-1), 1)],
+            ));
+        };
+        let dim_id = dim_ids[idx];
         let mut lbs = Vec::new();
         let mut ubs = Vec::new();
-        for c in &cs {
+        for c in cs.iter() {
             let a = c.expr.coeff_id(dim_id);
             if a == 0 {
                 continue;
@@ -312,7 +397,7 @@ impl BasicSet {
                 }
             }
         }
-        (lbs, ubs)
+        Ok((lbs, ubs))
     }
 
     /// When the set is a constant rectangle (every constraint bounds a
@@ -363,19 +448,30 @@ impl BasicSet {
     /// `limit` points; [`BasicSet::try_enumerate_points`] returns `None`
     /// instead.
     pub fn enumerate_points(&self, limit: usize) -> Vec<Vec<i64>> {
-        self.enumerate(limit).unwrap_or_else(|stop| match stop {
-            EnumStop::Limit => panic!("point enumeration exceeded limit {limit}"),
-            EnumStop::Unbounded(level, side) => {
-                panic!("dimension {} has no {side} bound", self.dims[level])
-            }
-        })
+        self.enumerate(&self.level_bounds(), limit)
+            .unwrap_or_else(|stop| match stop {
+                EnumStop::Limit => panic!("point enumeration exceeded limit {limit}"),
+                EnumStop::Unbounded(level, side) => {
+                    panic!("dimension {} has no {side} bound", self.dims[level])
+                }
+            })
     }
 
     /// [`BasicSet::enumerate_points`] for callers with a fallback: `None`
     /// when the walk reaches a dimension without a lower or upper bound,
     /// or when the set holds more than `limit` points.
     pub fn try_enumerate_points(&self, limit: usize) -> Option<Vec<Vec<i64>>> {
-        self.enumerate(limit).ok()
+        self.try_enumerate_points_with(&self.level_bounds(), limit)
+    }
+
+    /// [`BasicSet::try_enumerate_points`] walking bounds the caller already
+    /// holds; `levels` must be this set's [`BasicSet::level_bounds`].
+    pub fn try_enumerate_points_with(
+        &self,
+        levels: &[LevelBounds],
+        limit: usize,
+    ) -> Option<Vec<Vec<i64>>> {
+        self.enumerate(levels, limit).ok()
     }
 
     /// Counts the integer points of a bounded set (testing helper).
@@ -383,59 +479,75 @@ impl BasicSet {
         self.enumerate_points(10_000_000).len()
     }
 
-    fn enumerate(&self, limit: usize) -> Result<Vec<Vec<i64>>, EnumStop> {
+    fn enumerate(&self, levels: &[LevelBounds], limit: usize) -> Result<Vec<Vec<i64>>, EnumStop> {
+        assert_eq!(levels.len(), self.dims.len(), "one bounds entry per level");
         // Bound candidates per level only depend on the dimension, not the
-        // prefix values, so they are computed once here instead of on
-        // every recursion node (each bounds_of is a full FM projection of
-        // the later dimensions).
-        let level_bounds: Vec<(Vec<BoundTerm>, Vec<BoundTerm>)> =
-            self.dims.iter().map(|d| self.bounds_of(d)).collect();
+        // prefix values, so the walk reads one table of them; every row
+        // is compiled once against the dimension list. A level's bound
+        // rows see only the levels above it.
         let dim_ids = self.dim_ids();
+        let compile_bounds = |terms: &[BoundTerm], level: usize| -> Vec<DenseBound> {
+            terms
+                .iter()
+                .map(|(e, d)| (DenseRow::compile(e, &dim_ids[..level]), *d))
+                .collect()
+        };
+        let walk = Walk {
+            constraints: self
+                .constraints
+                .iter()
+                .map(|c| DenseConstraint::compile(c, &dim_ids))
+                .collect(),
+            levels: levels
+                .iter()
+                .enumerate()
+                .map(|(k, (lbs, ubs))| (compile_bounds(lbs, k), compile_bounds(ubs, k)))
+                .collect(),
+            limit,
+        };
         let mut out = Vec::new();
-        let mut point = Vec::new();
-        self.enumerate_rec(&level_bounds, &dim_ids, &mut point, &mut out, limit)?;
+        let mut point = Vec::with_capacity(self.dims.len());
+        walk.rec(&mut point, &mut out)?;
         Ok(out)
     }
+}
 
-    fn enumerate_rec(
-        &self,
-        level_bounds: &[(Vec<BoundTerm>, Vec<BoundTerm>)],
-        dim_ids: &[DimId],
-        point: &mut Vec<i64>,
-        out: &mut Vec<Vec<i64>>,
-        limit: usize,
-    ) -> Result<(), EnumStop> {
+/// A compiled bound candidate: the row and its divisor.
+type DenseBound = (DenseRow, i64);
+
+/// The compiled enumeration walk: every constraint row, and each level's
+/// lower and upper bound candidates.
+struct Walk {
+    constraints: Vec<DenseConstraint>,
+    levels: Vec<(Vec<DenseBound>, Vec<DenseBound>)>,
+    limit: usize,
+}
+
+impl Walk {
+    fn rec(&self, point: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) -> Result<(), EnumStop> {
         let level = point.len();
-        if level == self.dims.len() {
-            let inside = self.constraints.iter().all(|c| {
-                let v = eval_dense(&c.expr, dim_ids, point, false);
-                match c.kind {
-                    ConstraintKind::Eq => v == 0,
-                    ConstraintKind::GeZero => v >= 0,
-                }
-            });
-            if inside {
-                if out.len() >= limit {
+        let Some((lbs, ubs)) = self.levels.get(level) else {
+            if self.constraints.iter().all(|c| c.holds(point)) {
+                if out.len() >= self.limit {
                     return Err(EnumStop::Limit);
                 }
                 out.push(point.clone());
             }
             return Ok(());
-        }
-        let (lbs, ubs) = &level_bounds[level];
+        };
         let lb = lbs
             .iter()
-            .map(|(e, d)| ceil_div(eval_dense(e, dim_ids, point, true), *d))
+            .map(|(e, d)| ceil_div(e.eval(point), *d))
             .max()
             .ok_or(EnumStop::Unbounded(level, "lower"))?;
         let ub = ubs
             .iter()
-            .map(|(e, d)| floor_div(eval_dense(e, dim_ids, point, true), *d))
+            .map(|(e, d)| floor_div(e.eval(point), *d))
             .min()
             .ok_or(EnumStop::Unbounded(level, "upper"))?;
         for v in lb..=ub {
             point.push(v);
-            self.enumerate_rec(level_bounds, dim_ids, point, out, limit)?;
+            self.rec(point, out)?;
             point.pop();
         }
         Ok(())

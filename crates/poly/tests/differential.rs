@@ -245,6 +245,55 @@ proptest! {
         prop_assert_eq!(dense.try_enumerate_points(limit), expected, "limit {} system {:?}", limit, system);
     }
 
+    /// The one-table form of `bounds_of`: `level_bounds()[k]` is
+    /// `bounds_of(dims[k])` term for term, on boxed sets and on the raw
+    /// (possibly unbounded) system alike.
+    #[test]
+    fn level_bounds_match_bounds_of(spec in spec_strategy()) {
+        let (boxed, _) = materialize_sets(&spec);
+        let mut open = pom_poly::BasicSet::universe(&DIMS);
+        materialize(&spec).0.into_iter().for_each(|c| open.add_constraint(c));
+        for set in [boxed, open] {
+            let levels = set.level_bounds();
+            prop_assert_eq!(levels.len(), DIMS.len());
+            for (k, d) in DIMS.iter().enumerate() {
+                prop_assert_eq!(&levels[k], &set.bounds_of(d), "level {} of {}", k, set);
+            }
+        }
+    }
+
+    /// Enumerating from a level-bounds table walks exactly like
+    /// `try_enumerate_points`, `None` cases included: the table built one
+    /// `bounds_of` at a time and the one `level_bounds` returns give the
+    /// same answer. Same systems as `try_enumerate_points_matches`.
+    #[test]
+    fn enumeration_from_level_bounds_matches(
+        spec in spec_strategy(),
+        limit in 0usize..60,
+        boxed_from in 0usize..2,
+    ) {
+        let mut system: Vec<Spec> = Vec::new();
+        for d in boxed_from..DIMS.len() {
+            let mut unit = vec![0; DIMS.len()];
+            unit[d] = 1;
+            system.push((1, unit.clone(), 0)); // d >= 0
+            unit[d] = -1;
+            system.push((1, unit, 4)); // d <= 4
+        }
+        system.extend(spec.iter().cloned());
+        let mut dense = pom_poly::BasicSet::universe(&DIMS);
+        materialize(&system).0.into_iter().for_each(|c| dense.add_constraint(c));
+
+        let by_dim: Vec<pom_poly::LevelBounds> = DIMS.iter().map(|d| dense.bounds_of(d)).collect();
+        let expected = dense.try_enumerate_points(limit);
+        prop_assert_eq!(dense.try_enumerate_points_with(&by_dim, limit), expected.clone());
+        prop_assert_eq!(
+            dense.try_enumerate_points_with(&dense.level_bounds(), limit),
+            expected,
+            "limit {} system {:?}", limit, system
+        );
+    }
+
     /// Projection through the `BasicSet` surface agrees on the surviving
     /// integer points.
     #[test]

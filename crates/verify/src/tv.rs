@@ -25,7 +25,7 @@ use crate::cert::{Certificate, Obligation, ObligationKind, ValidationReport};
 use pom_dsl::{Compute, Function, Primitive};
 use pom_poly::{
     ceil_div, floor_div, fm, AccessFn, BasicSet, Constraint, ConstraintKind, DepKind,
-    DependenceAnalysis, DimId, LinearExpr, StmtPoly,
+    DependenceAnalysis, DimId, LevelBounds, LinearExpr, StmtPoly,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -238,9 +238,12 @@ impl Row {
 }
 
 /// Mixed-radix packing of integer vectors that lie inside a box: one
-/// `(low, extent)` pair per coordinate, the extents' product within
-/// `u64`.
-struct Packer(Vec<(i64, u64)>);
+/// `(low, extent)` pair per coordinate, and the box's cell count (the
+/// extents' product, within `u64`).
+struct Packer {
+    dims: Vec<(i64, u64)>,
+    cells: u64,
+}
 
 impl Packer {
     /// Packs inside the tight box of the `arity`-vectors `walk` feeds to
@@ -269,17 +272,20 @@ impl Packer {
             })
             .collect();
         match volume {
-            Some(_) => Packer(dims),
-            None => Packer(vec![(0, 0); arity]),
+            Some(cells) => Packer { dims, cells },
+            None => Packer {
+                dims: vec![(0, 0); arity],
+                cells: 0,
+            },
         }
     }
 
     fn pack(&self, v: &[i64]) -> Option<u64> {
-        if v.len() != self.0.len() {
+        if v.len() != self.dims.len() {
             return None;
         }
         let mut key = 0u64;
-        for (&x, &(lo, extent)) in v.iter().zip(&self.0) {
+        for (&x, &(lo, extent)) in v.iter().zip(&self.dims) {
             let off = u64::try_from(x as i128 - lo as i128).ok()?;
             if off >= extent {
                 return None;
@@ -290,29 +296,102 @@ impl Packer {
     }
 }
 
+/// The largest box (in cells) whose [`PointSet`]s are bitsets: 2^20 bits
+/// are 128 KiB per set.
+const BITSET_CELLS: u64 = 1 << 20;
+
 /// A finite set of integer vectors: those inside a [`Packer`]'s box as
-/// sorted keys, the rest verbatim. Two sets built with one packer are
+/// keys — a bitset over the box when it has at most [`BITSET_CELLS`]
+/// cells, sorted keys above that — the rest verbatim. The representation
+/// follows from the packer alone, so two sets built with one packer are
 /// equal exactly when they hold the same vectors.
-#[derive(Default, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 struct PointSet {
-    keys: Vec<u64>,
+    keys: Keys,
     outside: BTreeSet<Vec<i64>>,
+}
+
+#[derive(PartialEq, Eq)]
+enum Keys {
+    /// One bit per cell of the box, and the number of bits set.
+    Bits(Vec<u64>, usize),
+    /// Sorted, deduplicated.
+    Sorted(Vec<u64>),
+}
+
+impl Keys {
+    fn len(&self) -> usize {
+        match self {
+            Keys::Bits(_, n) => *n,
+            Keys::Sorted(keys) => keys.len(),
+        }
+    }
+
+    fn contains(&self, key: u64) -> bool {
+        match self {
+            Keys::Bits(words, _) => words
+                .get((key / 64) as usize)
+                .is_some_and(|w| w >> (key % 64) & 1 == 1),
+            Keys::Sorted(keys) => keys.binary_search(&key).is_ok(),
+        }
+    }
+
+    /// Number of keys the two share (only failure messages ask).
+    fn common(&self, other: &Keys) -> usize {
+        match (self, other) {
+            (Keys::Bits(a, _), Keys::Bits(b, _)) => a
+                .iter()
+                .zip(b)
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum(),
+            (Keys::Sorted(keys), other) | (other, Keys::Sorted(keys)) => {
+                keys.iter().filter(|&&k| other.contains(k)).count()
+            }
+        }
+    }
 }
 
 impl PointSet {
     /// The set of the vectors `walk` feeds to its callback.
     fn collect(packer: &Packer, walk: impl FnOnce(&mut dyn FnMut(&[i64]))) -> PointSet {
-        let mut set = PointSet::default();
-        walk(&mut |v| match packer.pack(v) {
-            Some(key) => set.keys.push(key),
-            None => {
-                set.outside.insert(v.to_vec());
-            }
-        });
-        set.keys.sort_unstable();
-        set.keys.dedup();
-        set.keys.shrink_to_fit();
-        set
+        Self::collect_capped(packer, BITSET_CELLS, walk)
+    }
+
+    /// [`PointSet::collect`], with bitsets up to `cap` cells.
+    fn collect_capped(
+        packer: &Packer,
+        cap: u64,
+        walk: impl FnOnce(&mut dyn FnMut(&[i64])),
+    ) -> PointSet {
+        let mut outside = BTreeSet::new();
+        let keys = if packer.cells <= cap {
+            let mut words = vec![0u64; packer.cells.div_ceil(64) as usize];
+            let mut n = 0;
+            walk(&mut |v| match packer.pack(v) {
+                Some(key) => {
+                    let (word, bit) = ((key / 64) as usize, 1u64 << (key % 64));
+                    n += usize::from(words[word] & bit == 0);
+                    words[word] |= bit;
+                }
+                None => {
+                    outside.insert(v.to_vec());
+                }
+            });
+            Keys::Bits(words, n)
+        } else {
+            let mut keys = Vec::new();
+            walk(&mut |v| match packer.pack(v) {
+                Some(key) => keys.push(key),
+                None => {
+                    outside.insert(v.to_vec());
+                }
+            });
+            keys.sort_unstable();
+            keys.dedup();
+            keys.shrink_to_fit();
+            Keys::Sorted(keys)
+        };
+        PointSet { keys, outside }
     }
 
     /// The same, packed in the tight box of the vectors themselves.
@@ -330,19 +409,7 @@ impl PointSet {
 
     /// Number of vectors the two sets share.
     fn common(&self, other: &PointSet) -> usize {
-        let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < self.keys.len() && j < other.keys.len() {
-            match self.keys[i].cmp(&other.keys[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n + self.outside.intersection(&other.outside).count()
+        self.keys.common(&other.keys) + self.outside.intersection(&other.outside).count()
     }
 }
 
@@ -429,7 +496,9 @@ impl<'a> Original<'a> {
         let dims = c.iter_names();
         let domain = c.domain();
         let accesses: Vec<&AccessFn> = std::iter::once(c.store()).chain(c.loads()).collect();
-        let enumerated = bounded_points(&domain, &box_bounds(&domain), limit)
+        let (levels, bx) = level_table(&domain);
+        let enumerated = levels
+            .and_then(|levels| bounded_points(&domain, &levels, &bx, limit))
             .map(|points| Enumerated::of(&points, &dims, &accesses));
         Original {
             dims,
@@ -451,13 +520,14 @@ struct Transformed {
 
 impl Transformed {
     fn of(s: &StmtPoly, orig: &Original, limit: usize) -> Self {
-        let bx = box_bounds(s.domain());
+        let (levels, bx) = level_table(s.domain());
         // Without an enumerated original there is nothing to compare the
         // points against; both comparisons go symbolic either way.
         let points = orig
             .enumerated
             .as_ref()
-            .and_then(|_| bounded_points(s.domain(), &bx, limit));
+            .and(levels)
+            .and_then(|levels| bounded_points(s.domain(), &levels, &bx, limit));
         Transformed {
             dims: s.dims().iter().map(|d| DimId::intern(d)).collect(),
             bx,
@@ -466,13 +536,17 @@ impl Transformed {
     }
 }
 
-/// Constant lower/upper bounds per dimension of a set (its bounding
-/// box), in dimension order, ignoring bounds that mention other dims.
-fn box_bounds(set: &BasicSet) -> Vec<DeltaIv> {
-    set.dims()
+/// A set's level-bounds table — `None` when a projection leaves `i64`
+/// — and its bounding box: the constant lower/upper bounds per dimension,
+/// in dimension order, ignoring bounds that mention other dims (every
+/// dimension unbounded without a table).
+fn level_table(set: &BasicSet) -> (Option<Vec<LevelBounds>>, Vec<DeltaIv>) {
+    let Ok(levels) = set.try_level_bounds() else {
+        return (None, vec![(None, None); set.dim_count()]);
+    };
+    let bx = levels
         .iter()
-        .map(|d| {
-            let (lbs, ubs) = set.bounds_of(d);
+        .map(|(lbs, ubs)| {
             let lo = lbs
                 .iter()
                 .filter(|(e, _)| e.is_constant())
@@ -485,10 +559,13 @@ fn box_bounds(set: &BasicSet) -> Vec<DeltaIv> {
                 .min();
             (lo, hi)
         })
-        .collect()
+        .collect();
+    (Some(levels), bx)
 }
 
-/// Range of a linear expression over the box `bx` of `dims`.
+/// Range of a linear expression over the box `bx` of `dims`. A bound
+/// whose value leaves `i64` is dropped (unbounded), which only widens
+/// the range.
 fn expr_range(e: &LinearExpr, dims: &[DimId], bx: &[DeltaIv]) -> DeltaIv {
     let mut lo = Some(e.constant());
     let mut hi = Some(e.constant());
@@ -497,21 +574,28 @@ fn expr_range(e: &LinearExpr, dims: &[DimId], bx: &[DeltaIv]) -> DeltaIv {
             .iter()
             .rposition(|&d| d == id)
             .map_or((None, None), |pos| bx[pos]);
-        let (tlo, thi) = if c > 0 {
-            (blo.map(|x| x * c), bhi.map(|x| x * c))
-        } else {
-            (bhi.map(|x| x * c), blo.map(|x| x * c))
-        };
-        lo = lo.zip(tlo).map(|(a, b)| a + b);
-        hi = hi.zip(thi).map(|(a, b)| a + b);
+        let (tlo, thi) = if c > 0 { (blo, bhi) } else { (bhi, blo) };
+        lo = add_scaled(lo, tlo, c);
+        hi = add_scaled(hi, thi, c);
     }
     (lo, hi)
 }
 
-/// Enumerates up to `limit` integer points of a set whose constant box
-/// is `bx`; `None` when the set has more points than the limit or a
-/// dimension is unbounded.
-fn bounded_points(set: &BasicSet, bx: &[DeltaIv], limit: usize) -> Option<Vec<Vec<i64>>> {
+/// `acc + x·c`, `None` when either side is unbounded or the value leaves
+/// `i64`.
+fn add_scaled(acc: Option<i64>, x: Option<i64>, c: i64) -> Option<i64> {
+    acc?.checked_add(x?.checked_mul(c)?)
+}
+
+/// Enumerates up to `limit` integer points of a set whose level-bounds
+/// table is `levels` and constant box is `bx`; `None` when the set has
+/// more points than the limit or a dimension is unbounded.
+fn bounded_points(
+    set: &BasicSet,
+    levels: &[LevelBounds],
+    bx: &[DeltaIv],
+    limit: usize,
+) -> Option<Vec<Vec<i64>>> {
     // Cheap cardinality screen: when every dim has constant bounds,
     // compare the box volume against the limit before paying for the
     // enumeration walk. A box past the limit may still contain a small
@@ -525,7 +609,8 @@ fn bounded_points(set: &BasicSet, bx: &[DeltaIv], limit: usize) -> Option<Vec<Ve
                 if lo > hi {
                     return Some(Vec::new()); // contradictory constant bounds
                 }
-                volume = volume.map(|v| v.saturating_mul((hi - lo + 1) as u128));
+                let extent = (hi as i128 - lo as i128 + 1) as u128;
+                volume = volume.map(|v| v.saturating_mul(extent));
             }
             _ => volume = None,
         }
@@ -533,7 +618,7 @@ fn bounded_points(set: &BasicSet, bx: &[DeltaIv], limit: usize) -> Option<Vec<Ve
     if volume.is_some_and(|v| v > limit as u128) {
         return None;
     }
-    set.try_enumerate_points(limit)
+    set.try_enumerate_points_with(levels, limit)
 }
 
 // ---------------------------------------------------------------------
@@ -689,11 +774,12 @@ fn displacement_safe_levels(
         eqs.push((coeffs, dist[k]));
     }
 
-    // δ_cd ∈ [lo - hi, hi - lo] whenever cd has constant bounds.
+    // δ_cd ∈ [lo - hi, hi - lo] whenever cd has constant bounds (and the
+    // spread fits `i64`; otherwise δ_cd is left unbounded).
     let mut base: Vec<DeltaIv> = bx
         .iter()
         .map(|b| match *b {
-            (Some(lo), Some(hi)) => (Some(lo - hi), Some(hi - lo)),
+            (Some(lo), Some(hi)) => (lo.checked_sub(hi), hi.checked_sub(lo)),
             _ => (None, None),
         })
         .collect();
@@ -741,24 +827,25 @@ fn narrow_deltas(iv: &mut [DeltaIv], eqs: &[(Vec<(usize, i64)>, i64)]) -> bool {
                         continue;
                     }
                     let (lo, hi) = iv[vj];
-                    let (tlo, thi) = if cj >= 0 {
-                        (lo.map(|v| v * cj), hi.map(|v| v * cj))
-                    } else {
-                        (hi.map(|v| v * cj), lo.map(|v| v * cj))
-                    };
-                    rest_lo = rest_lo.zip(tlo).map(|(a, b)| a + b);
-                    rest_hi = rest_hi.zip(thi).map(|(a, b)| a + b);
+                    let (tlo, thi) = if cj >= 0 { (lo, hi) } else { (hi, lo) };
+                    rest_lo = add_scaled(rest_lo, tlo, cj);
+                    rest_hi = add_scaled(rest_hi, thi, cj);
                 }
-                let num_lo = rest_hi.map(|r| rhs - r);
-                let num_hi = rest_lo.map(|r| rhs - r);
+                let num_lo = rest_hi.and_then(|r| rhs.checked_sub(r));
+                let num_hi = rest_lo.and_then(|r| rhs.checked_sub(r));
                 // Solve c·δ = num for num in [num_lo, num_hi]; a negative
                 // c flips the range (multiply the equation by -1).
                 let (num_lo, num_hi, c) = if c > 0 {
                     (num_lo, num_hi, c)
                 } else {
-                    (num_hi.map(|v| -v), num_lo.map(|v| -v), -c)
+                    (
+                        num_hi.and_then(i64::checked_neg),
+                        num_lo.and_then(i64::checked_neg),
+                        -c,
+                    )
                 };
-                let nlo = num_lo.map(|v| ceil_div(v, c));
+                // ceil(v / c) = -floor(-v / c); `-i64::MIN` leaves i64.
+                let nlo = num_lo.and_then(|v| Some(-floor_div(v.checked_neg()?, c)));
                 let nhi = num_hi.map(|v| floor_div(v, c));
                 let merged_lo = match (iv[vi].0, nlo) {
                     (Some(a), Some(b)) => Some(a.max(b)),
@@ -989,6 +1076,7 @@ fn cells_overlap(p: &Compute, pa: &AccessFn, c: &Compute, ca: &AccessFn) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cert::ObligationStatus;
     use pom_dsl::DataType;
 
     /// Jacobi-style stencil: A[t][i] = A[t-1][i+1] has dependence
@@ -1214,6 +1302,111 @@ mod tests {
                     .to_string()
             )
         );
+    }
+
+    /// `A[j][j] = 2·A[j][j] + A[j-1][j]` over `i ∈ [-2^62, 2^62]` and
+    /// `j ∈ [0, 7]`, with the loops declared in `order`, interchanged.
+    /// The extent of `i`, its displacement spread and the box range of
+    /// every expression over it leave `i64`; each screen must give up on
+    /// that bound ("undecided") instead of overflowing.
+    fn wide_interchange(order: [&str; 2]) -> ValidationReport {
+        let w = 1i64 << 62;
+        let mut f = Function::new("wide");
+        let i = f.var("i", -w, w + 1);
+        let j = f.var("j", 0, 8);
+        let a = f.placeholder("A", &[8, 8], DataType::F32);
+        let loops = order.map(|n| if n == "i" { i.clone() } else { j.clone() });
+        f.compute(
+            "s",
+            &loops,
+            a.at(&[&j, &j]) * 2.0 + a.at(&[j.expr() - 1, j.expr()]),
+            a.access(&[&j, &j]),
+        );
+        f.interchange("s", order[0], order[1]);
+        validate(&f)
+    }
+
+    #[test]
+    fn wide_domain_interchange_does_not_overflow() {
+        // (i, j) becomes (j, i): projecting i out of the transformed
+        // domain leaves i64, so there is no box and no enumeration, and
+        // the inclusion proof's own Fourier–Motzkin step overflows too —
+        // which `fm::feasible` answers conservatively ("may be violated").
+        let r = wide_interchange(["i", "j"]);
+        let obs = &r.certificates[0].obligations;
+        assert_eq!(obs.len(), 3, "{}", r.render());
+        assert_eq!(obs[0].status, ObligationStatus::Passed, "{}", r.render());
+        assert!(!obs[1].detail.contains("enumerated"), "{}", r.render());
+        // (j, i) becomes (i, j): now the original domain is the one that
+        // cannot be projected, the transformed one projects fine, and its
+        // box screens prove every obligation without FM.
+        let r = wide_interchange(["j", "i"]);
+        assert!(r.passed(), "{}", r.render());
+        assert!(
+            r.certificates[0].obligations[1]
+                .detail
+                .contains("symbolically"),
+            "{}",
+            r.render()
+        );
+    }
+
+    /// The packer around `vs` and their set, with bitsets up to `cap`.
+    fn packed(packer: Option<&Packer>, vs: &[Vec<i64>], cap: u64) -> (Packer, PointSet) {
+        let walk = |see: &mut dyn FnMut(&[i64])| vs.iter().for_each(|v| see(v));
+        let own = Packer::around(2, walk);
+        let set = PointSet::collect_capped(packer.unwrap_or(&own), cap, walk);
+        (own, set)
+    }
+
+    /// `==`, `len` and `common` of two [`PointSet`]s of `a` and `b` built
+    /// with the packer around `a`, with bitsets up to `cap` cells, next to
+    /// the same facts of the vectors themselves.
+    fn set_facts(a: &[Vec<i64>], b: &[Vec<i64>], cap: u64) -> [(bool, usize, usize, usize); 2] {
+        let (packer, pa) = packed(None, a, cap);
+        let (_, pb) = packed(Some(&packer), b, cap);
+        let (ta, tb): (BTreeSet<_>, BTreeSet<_>) = (a.iter().collect(), b.iter().collect());
+        [
+            (pa == pb, pa.len(), pb.len(), pa.common(&pb)),
+            (ta == tb, ta.len(), tb.len(), ta.intersection(&tb).count()),
+        ]
+    }
+
+    #[test]
+    fn bitset_and_sorted_point_sets_agree() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: i64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as i64
+        };
+        for trial in 0..300 {
+            // `b` reaches past `a`'s box on every side, and every fifth
+            // `b` is a reordered copy of `a` (the sets are equal).
+            let a: Vec<Vec<i64>> = (0..next(40)).map(|_| vec![next(6), next(9) - 4]).collect();
+            let b: Vec<Vec<i64>> = if trial % 5 == 0 {
+                a.iter().rev().cloned().collect()
+            } else {
+                (0..next(40))
+                    .map(|_| vec![next(8) - 1, next(11) - 5])
+                    .collect()
+            };
+            let [bits, oracle] = set_facts(&a, &b, u64::MAX);
+            let [sorted, _] = set_facts(&a, &b, 0);
+            assert_eq!(bits, oracle, "bitset, trial {trial}");
+            assert_eq!(sorted, oracle, "sorted keys, trial {trial}");
+        }
+        // A box of 2^22 cells, above the cap: sorted keys by default, and
+        // a forced bitset over it answers the same.
+        let a: Vec<Vec<i64>> = (0..2048).map(|k| vec![k, (k * 7) % 2048]).collect();
+        let b: Vec<Vec<i64>> = (0..2048).map(|k| vec![k, (k * 5) % 2049]).collect();
+        let (packer, sorted) = packed(None, &a, BITSET_CELLS);
+        assert!(packer.cells > BITSET_CELLS);
+        let [capped, oracle] = set_facts(&a, &b, BITSET_CELLS);
+        assert_eq!(capped, oracle);
+        assert_eq!(set_facts(&a, &b, u64::MAX)[0], oracle);
+        assert!(matches!(sorted.keys, Keys::Sorted(_)));
     }
 
     #[test]
