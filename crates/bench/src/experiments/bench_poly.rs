@@ -15,7 +15,12 @@
 //! dense-vs-reference does, so CI gates on the speedup and on FNV-1a
 //! fingerprints of end-to-end DSE results (schedule + QoR) against the
 //! committed `BENCH_poly_baseline.json` — any schedule or QoR divergence
-//! fails the job even when the timings are fine.
+//! fails the job even when the timings are fine. Each fingerprint kernel's
+//! Fourier–Motzkin elimination count is recorded beside its fingerprint
+//! and gated at +10 %, so the loop-bound derivation cannot drift back to
+//! one projection per level unnoticed. Those searches run serially, each
+//! on a fresh thread (the projection memo is per thread), so the counts
+//! are the same on every machine and every run.
 
 use crate::experiments::common::{col, paper_options, Cell, Column, Report};
 use crate::kernels;
@@ -50,8 +55,9 @@ pub struct PolyBenchReport {
     pub fm_speedup: f64,
     /// Aggregate dependence-sweep speedup.
     pub dep_speedup: f64,
-    /// FNV-1a fingerprints of `(schedule, QoR, groups)` per DSE kernel.
-    pub fingerprints: Vec<(&'static str, u64)>,
+    /// Per DSE kernel: the FNV-1a fingerprint of `(schedule, QoR,
+    /// groups)` and the search's FM eliminations (`DseStats::poly`).
+    pub fingerprints: Vec<(&'static str, u64, u64)>,
     /// Dense-kernel counters accumulated over the benchmark's dense runs.
     pub stats: pom_poly::PolyStats,
 }
@@ -649,17 +655,28 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
     let dep_dense: f64 = rows.iter().map(|r| r.dense_s).sum::<f64>() - fm_dense;
 
     // End-to-end fingerprints: the schedule, QoR, and group configs of a
-    // default DSE run, hashed deterministically. A dense-kernel change
-    // that shifts any schedule or QoR shows up here as a new fingerprint.
+    // DSE run, hashed deterministically. A dense-kernel change that shifts
+    // any schedule or QoR shows up here as a new fingerprint. The search
+    // is serial (schedules are byte-identical at any worker count) and
+    // runs on a thread of its own, so it starts from a cold projection
+    // memo: its FM elimination count depends neither on the machine's
+    // core count nor on what ran earlier in this process.
     let opts = paper_options();
-    let cfg = DseConfig::default();
+    let cfg = DseConfig {
+        workers: 1,
+        ..DseConfig::default()
+    };
     let fingerprints = fingerprint_suite()
         .into_iter()
         .map(|(name, f)| {
-            let r = auto_dse_with(&f, &opts, &cfg).expect("DSE compiles");
+            let r = std::thread::scope(|s| {
+                s.spawn(|| auto_dse_with(&f, &opts, &cfg).expect("DSE compiles"))
+                    .join()
+                    .expect("fingerprint search thread")
+            });
             let mut blob = r.function.to_string();
             let _ = write!(blob, "\n{:?}\n{:?}", r.compiled.qor, r.groups);
-            (name, fnv1a64(blob.as_bytes()))
+            (name, fnv1a64(blob.as_bytes()), r.stats.poly.eliminations)
         })
         .collect();
 
@@ -690,10 +707,11 @@ pub fn report(r: &PolyBenchReport, baseline: Option<&Baseline>) -> Report {
         COLUMNS,
         &r.rows,
     );
-    let fingerprints = r.fingerprints.iter().map(|(kernel, fp)| {
+    let fingerprints = r.fingerprints.iter().map(|&(kernel, fp, eliminations)| {
         Cell::Obj(vec![
-            ("kernel", (*kernel).into()),
+            ("kernel", kernel.into()),
             ("fp", Cell::Str(format!("{fp:016x}"))),
+            ("fm_eliminations", eliminations.into()),
         ])
     });
     let st = &r.stats;
@@ -718,8 +736,8 @@ pub fn report(r: &PolyBenchReport, baseline: Option<&Baseline>) -> Report {
 }
 
 /// The committed baseline: aggregate speedups plus per-kernel
-/// fingerprints. Parsed with plain string search — the file is flat and
-/// the repo has no JSON dependency.
+/// fingerprints and FM elimination counts. Parsed with plain string
+/// search — the file is flat and the repo has no JSON dependency.
 #[derive(Clone, Debug)]
 pub struct Baseline {
     /// Aggregate FM speedup recorded when the baseline was committed.
@@ -728,6 +746,9 @@ pub struct Baseline {
     pub dep_speedup: f64,
     /// `(kernel, fingerprint)` pairs that must match exactly.
     pub fingerprints: Vec<(String, u64)>,
+    /// `(kernel, FM eliminations)` pairs a run may exceed by at most
+    /// 10 %; a kernel without a recorded count is not gated.
+    pub fm_eliminations: Vec<(String, u64)>,
 }
 
 /// Extracts `"key": <number>` from flat JSON.
@@ -746,6 +767,7 @@ pub fn parse_baseline(text: &str) -> Option<Baseline> {
     let fm_speedup = json_number(text, "fm_speedup")?;
     let dep_speedup = json_number(text, "dep_speedup")?;
     let mut fingerprints = Vec::new();
+    let mut fm_eliminations = Vec::new();
     let mut rest = text;
     while let Some(at) = rest.find("\"kernel\":") {
         rest = &rest[at + 9..];
@@ -757,6 +779,10 @@ pub fn parse_baseline(text: &str) -> Option<Baseline> {
         let fp_start = 1; // skip opening quote
         let fp_end = fp_start + fp_rest[fp_start..].find('"')?;
         let fp = u64::from_str_radix(&fp_rest[fp_start..fp_end], 16).ok()?;
+        let entry = &rest[..rest.find('}').unwrap_or(rest.len())];
+        if let Some(n) = json_number(entry, "fm_eliminations") {
+            fm_eliminations.push((name.clone(), n as u64));
+        }
         fingerprints.push((name, fp));
         rest = &rest[fp_at..];
     }
@@ -764,6 +790,7 @@ pub fn parse_baseline(text: &str) -> Option<Baseline> {
         fm_speedup,
         dep_speedup,
         fingerprints,
+        fm_eliminations,
     })
 }
 
@@ -806,13 +833,24 @@ pub fn gate(report: &PolyBenchReport, baseline: Option<&Baseline>) -> Vec<String
             ));
         }
         for (kernel, want) in &b.fingerprints {
-            match report.fingerprints.iter().find(|(k, _)| k == kernel) {
-                Some((_, got)) if got == want => {}
-                Some((_, got)) => fails.push(format!(
+            match report.fingerprints.iter().find(|(k, ..)| k == kernel) {
+                Some((_, got, _)) if got == want => {}
+                Some((_, got, _)) => fails.push(format!(
                     "{kernel}: DSE fingerprint {got:016x} != baseline {want:016x} \
                      (schedule or QoR changed)"
                 )),
                 None => fails.push(format!("{kernel}: fingerprint missing from report")),
+            }
+        }
+        for (kernel, want) in &b.fm_eliminations {
+            let found = report.fingerprints.iter().find(|(k, ..)| k == kernel);
+            if let Some(&(_, _, got)) = found {
+                if got.saturating_mul(10) > want.saturating_mul(11) {
+                    fails.push(format!(
+                        "{kernel}: {got} FM eliminations, >10% over baseline {want} \
+                         (loop bounds projected per level again?)"
+                    ));
+                }
             }
         }
     }
@@ -849,7 +887,7 @@ mod tests {
             }],
             fm_speedup: 10.0,
             dep_speedup: 8.0,
-            fingerprints: vec![("gemm", 0xdead_beef_1234_5678)],
+            fingerprints: vec![("gemm", 0xdead_beef_1234_5678, 200)],
             stats: pom_poly::PolyStats::default(),
         };
         let json = super::report(&report, None).to_json();
@@ -861,11 +899,22 @@ mod tests {
             b.fingerprints,
             vec![("gemm".to_string(), 0xdead_beef_1234_5678)]
         );
+        assert_eq!(b.fm_eliminations, vec![("gemm".to_string(), 200)]);
         // A matching baseline gates clean; a shifted fingerprint fails.
         assert!(gate(&report, Some(&b)).is_empty());
         let mut bad = b.clone();
         bad.fingerprints[0].1 ^= 1;
         assert!(!gate(&report, Some(&bad)).is_empty());
+        // Up to 10 % more FM eliminations than the baseline pass; more
+        // fail, and a baseline without counts does not gate them.
+        let mut grown = report.clone();
+        grown.fingerprints[0].2 = 220;
+        assert!(gate(&grown, Some(&b)).is_empty());
+        grown.fingerprints[0].2 = 221;
+        assert_eq!(gate(&grown, Some(&b)).len(), 1);
+        let mut uncounted = b.clone();
+        uncounted.fm_eliminations.clear();
+        assert!(gate(&grown, Some(&uncounted)).is_empty());
     }
 
     #[test]

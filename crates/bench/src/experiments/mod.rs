@@ -240,7 +240,7 @@ mod tests {
             }],
             fm_speedup: 7.5,
             dep_speedup: f64::INFINITY,
-            fingerprints: vec![("gemm", 0xdead_beef_1234_5678)],
+            fingerprints: vec![("gemm", 0xdead_beef_1234_5678, 200)],
             stats: pom_poly::PolyStats::default(),
         };
         let sim = bench_sim::SuiteRun {
@@ -369,7 +369,7 @@ mod tests {
                 "rows",
                 "speedup",
             ],
-            &["all_passed"],
+            &["all_passed", "fm_eliminations"],
         ),
         (
             "bench-sim",

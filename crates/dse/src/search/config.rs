@@ -139,12 +139,16 @@ impl DseConfig {
         }
     }
 
-    /// Effective worker count (resolves `0` to the machine's parallelism).
+    /// Effective worker count (resolves `0` to the machine's parallelism,
+    /// read once per process: the query re-reads the cgroup files).
     pub fn effective_workers(&self) -> usize {
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         match self.workers {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            0 => *CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            }),
             n => n,
         }
     }

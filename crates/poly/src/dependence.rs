@@ -16,6 +16,7 @@ use crate::expr::LinearExpr;
 use crate::fm;
 use crate::set::BasicSet;
 use crate::vector::{Direction, DirectionVector, DistanceVector};
+use std::collections::HashMap;
 use std::fmt;
 
 /// An affine array access: `array[e0][e1]...` with each index an affine
@@ -191,72 +192,13 @@ impl DependenceAnalysis {
             return Vec::new(); // no integer solution: independent
         };
 
-        // Enumerate candidate distance vectors within the search radius.
-        let r = self.search_radius.max(1);
-        let mut candidates: Vec<Vec<i64>> = Vec::new();
-        let mut lambdas = vec![-r; nullspace.len()];
-        loop {
-            let mut d = particular.clone();
-            for (l, v) in lambdas.iter().zip(&nullspace) {
-                for (di, vi) in d.iter_mut().zip(v) {
-                    *di += l * vi;
-                }
-            }
-            candidates.push(d);
-            // Advance the odometer.
-            let mut i = 0;
-            loop {
-                if i == lambdas.len() {
-                    break;
-                }
-                lambdas[i] += 1;
-                if lambdas[i] <= r {
-                    break;
-                }
-                lambdas[i] = -r;
-                i += 1;
-            }
-            if i == lambdas.len() {
-                break;
-            }
-            if nullspace.is_empty() {
-                break;
-            }
-        }
-        if nullspace.is_empty() {
-            candidates = vec![particular];
-        }
-
         // Keep lexicographically non-negative vectors that actually connect
         // two points of the domain; group by carrying level, keeping the
         // minimal carried distance. Rectangular domains get a constant-time
         // realizability check; others fall back to Fourier–Motzkin.
-        let ranges = domain.rectangular_bounds().unwrap_or_else(|| {
-            // Non-rectangular (split/skewed) domain: approximate per-dim
-            // extents once by projecting each dimension with outer dims at
-            // their midpoints. Over-approximating realizability only adds
-            // conservative dependences, which is safe for both legality
-            // checking and II estimation.
-            let mut env: std::collections::HashMap<String, i64> = Default::default();
-            let mut out = Vec::with_capacity(dims.len());
-            for d in dims {
-                let (lbs, ubs) = domain.bounds_of(d);
-                let lb = lbs
-                    .iter()
-                    .map(|(e, dv)| crate::ceil_div(e.eval_partial(&env), *dv))
-                    .max()
-                    .unwrap_or(0);
-                let ub = ubs
-                    .iter()
-                    .map(|(e, dv)| crate::floor_div(e.eval_partial(&env), *dv))
-                    .min()
-                    .unwrap_or(lb)
-                    .max(lb);
-                env.insert(d.clone(), (lb + ub) / 2);
-                out.push((lb, ub));
-            }
-            out
-        });
+        let ranges = domain
+            .rectangular_bounds()
+            .unwrap_or_else(|| midpoint_extents(dims, domain));
         let realizable = |d: &[i64]| -> bool {
             d.iter().zip(&ranges).all(|(&delta, &(lb, ub))| {
                 // i128: the extent of a domain near the i64 edges does
@@ -266,28 +208,51 @@ impl DependenceAnalysis {
         };
         let mut best_per_level: Vec<Option<DistanceVector>> = vec![None; n];
         let mut loop_independent = false;
-        for d in candidates {
-            let dv = DistanceVector(d.clone());
-            if d.iter().all(|&x| x == 0) {
-                if realizable(&d) {
-                    loop_independent = true;
-                }
-                continue;
+        let mut consider = |d: &[i64]| {
+            let Some(level) = d.iter().position(|&x| x != 0) else {
+                loop_independent |= realizable(d);
+                return;
+            };
+            // Lexicographically positive, realizable, and a strictly
+            // shorter carried distance than the level's best so far.
+            if d[level] < 0 || !realizable(d) {
+                return;
             }
-            if !dv.is_lex_positive() {
-                continue;
-            }
-            if !realizable(&d) {
-                continue;
-            }
-            let level = dv.carried_level().expect("non-zero vector");
-            let dist = dv.0[level];
             let better = match &best_per_level[level] {
                 None => true,
-                Some(cur) => dist < cur.0[level],
+                Some(cur) => d[level] < cur.0[level],
             };
             if better {
-                best_per_level[level] = Some(dv);
+                best_per_level[level] = Some(DistanceVector(d.to_vec()));
+            }
+        };
+
+        // Candidate distance vectors within the search radius, in odometer
+        // order, each written into one reused buffer.
+        let r = self.search_radius.max(1);
+        if nullspace.is_empty() {
+            consider(&particular);
+        } else {
+            let mut lambdas = vec![-r; nullspace.len()];
+            let mut d = particular.clone();
+            loop {
+                d.copy_from_slice(&particular);
+                for (l, v) in lambdas.iter().zip(&nullspace) {
+                    for (di, vi) in d.iter_mut().zip(v) {
+                        *di += l * vi;
+                    }
+                }
+                consider(&d);
+                // Advance the odometer.
+                let mut i = 0;
+                while i < lambdas.len() && lambdas[i] == r {
+                    lambdas[i] = -r;
+                    i += 1;
+                }
+                if i == lambdas.len() {
+                    break;
+                }
+                lambdas[i] += 1;
             }
         }
 
@@ -384,6 +349,64 @@ impl DependenceAnalysis {
             carried_level: Some(level),
         }]
     }
+}
+
+/// Per-dimension extents of a non-rectangular (split/skewed) domain,
+/// approximated once by reading each dimension's bounds with the outer
+/// dimensions at their midpoints. Over-approximating realizability only
+/// adds conservative dependences, which is safe for both legality
+/// checking and II estimation. Bounds are evaluated in `i128` and
+/// clamped to `i64`, so a domain near the `i64` edges widens rather than
+/// overflows.
+fn midpoint_extents(dims: &[String], domain: &BasicSet) -> Vec<(i64, i64)> {
+    // One projection chain for all levels:
+    // `level_bounds()[dim_index(d)] == bounds_of(d)`.
+    let table = domain.level_bounds();
+    let mut env: HashMap<String, i64> = HashMap::new();
+    let mut out = Vec::with_capacity(dims.len());
+    for d in dims {
+        let idx = domain
+            .dim_index(d)
+            .unwrap_or_else(|| panic!("dimension {d} not found"));
+        let (lbs, ubs) = &table[idx];
+        let lb = lbs
+            .iter()
+            .map(|(e, dv)| eval_wide(e, &env).map_or(i64::MIN, |v| clamp(ceil_div_wide(v, *dv))))
+            .max()
+            .unwrap_or(0);
+        let ub = ubs
+            .iter()
+            .map(|(e, dv)| {
+                eval_wide(e, &env).map_or(i64::MAX, |v| clamp(v.div_euclid(i128::from(*dv))))
+            })
+            .min()
+            .unwrap_or(lb)
+            .max(lb);
+        // i128: `lb + ub` leaves i64 for a domain near its edges; the
+        // midpoint itself lies between them.
+        env.insert(d.clone(), ((i128::from(lb) + i128::from(ub)) / 2) as i64);
+        out.push((lb, ub));
+    }
+    out
+}
+
+/// [`LinearExpr::eval_partial`] in `i128`; `None` when even that
+/// overflows.
+fn eval_wide(e: &LinearExpr, env: &HashMap<String, i64>) -> Option<i128> {
+    e.terms_ids()
+        .iter()
+        .try_fold(i128::from(e.constant()), |v, &(id, c)| {
+            let x = env.get(id.name()).copied().unwrap_or(0);
+            v.checked_add(i128::from(c) * i128::from(x))
+        })
+}
+
+fn ceil_div_wide(a: i128, b: i64) -> i128 {
+    -((-a).div_euclid(i128::from(b)))
+}
+
+fn clamp(v: i128) -> i64 {
+    v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
 /// Solves `A x = b` over the integers via rational Gaussian elimination.
@@ -731,6 +754,30 @@ mod tests {
         assert_eq!(deps.len(), 1);
         assert!(deps[0].distance.is_none());
         assert_eq!(deps[0].direction.0[0], Direction::Unknown);
+    }
+
+    /// A skewed domain near the `i64` edge: reading the outer
+    /// dimension's midpoint once summed its bounds in `i64` (a debug
+    /// overflow panic, a wrapped negative midpoint in release). The
+    /// answer must be the one the same nest gets at the origin.
+    #[test]
+    fn skewed_domain_near_i64_edge_matches_the_origin() {
+        let d = dims(&["mi", "mj"]);
+        let analyze = |base: i64| {
+            let domain = BasicSet::from_bounds(&[("mi", base, base + 4)])
+                .intersect(&BasicSet::universe(&["mj"]))
+                .with_ge(LinearExpr::var("mj"), LinearExpr::var("mi"))
+                .with_le(LinearExpr::var("mj"), LinearExpr::var("mi") + 4);
+            assert!(domain.rectangular_bounds().is_none());
+            let store = AccessFn::new("A", vec![LinearExpr::var("mj")]);
+            let load = AccessFn::new("A", vec![LinearExpr::var("mj") - 1]);
+            DependenceAnalysis::new().analyze_pair(&store, &load, DepKind::Flow, &d, &domain)
+        };
+        let edge = analyze(1 << 62);
+        assert_eq!(edge, analyze(0));
+        assert!(edge
+            .iter()
+            .any(|x| x.distance == Some(DistanceVector(vec![0, 1]))));
     }
 
     #[test]

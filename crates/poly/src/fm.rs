@@ -378,6 +378,62 @@ impl Prepared {
         }
         Ok(Some(cur))
     }
+
+    /// The innermost-first projection chain of a system over `dims`:
+    /// hands `visit` the level-`k` system (every dimension after `k`
+    /// projected out) for `k` from the innermost level down to `stop`,
+    /// eliminating one dimension per step. The chain goes on only while
+    /// each step is [exact](exact_step) and feasible, so every system it
+    /// hands out has exactly the integer projection of the set as its
+    /// integer points. Returns the lowest level visited (`dims.len()`
+    /// when none was); the levels below it are the caller's to project
+    /// some other way.
+    pub(crate) fn exact_chain(
+        &self,
+        dims: &[DimId],
+        stop: usize,
+        mut visit: impl FnMut(usize, &[Constraint]),
+    ) -> usize {
+        let mut scratch = Scratch::default();
+        let mut cur = Cow::Borrowed(self.0.as_slice());
+        for k in (stop..dims.len()).rev() {
+            visit(k, &cur);
+            if k == stop || !exact_step(&cur, dims[k]) {
+                return k;
+            }
+            let Ok(Projection::Feasible(mut cs)) = eliminate_prepared(&cur, dims[k], &mut scratch)
+            else {
+                return k;
+            };
+            if !drop_parallel_redundant(&mut cs) {
+                return k;
+            }
+            cur = Cow::Owned(cs);
+        }
+        dims.len()
+    }
+}
+
+/// Whether eliminating `var` from `cs` keeps exactly the integer
+/// projection (Pugh's exact-shadow condition, in the two forms the
+/// kernel meets): an equality with a `±1` coefficient on `var` (which
+/// [`eliminate_uncached`] substitutes), or every lower-bound row on
+/// `var` with coefficient `+1`, or every upper-bound row with `-1`. An
+/// equality with a larger coefficient counts on both sides, as it is
+/// split into a lower and an upper row.
+fn exact_step(cs: &[Constraint], var: DimId) -> bool {
+    let (mut unit_lowers, mut unit_uppers) = (true, true);
+    for c in cs {
+        let a = c.expr.coeff_id(var);
+        match c.kind {
+            ConstraintKind::Eq if a == 1 || a == -1 => return true,
+            ConstraintKind::Eq if a != 0 => (unit_lowers, unit_uppers) = (false, false),
+            ConstraintKind::GeZero if a > 1 => unit_lowers = false,
+            ConstraintKind::GeZero if a < -1 => unit_uppers = false,
+            _ => {}
+        }
+    }
+    unit_lowers || unit_uppers
 }
 
 /// Infallible [`try_eliminate_all`].
@@ -616,6 +672,40 @@ mod tests {
         assert_eq!(first, second);
         let delta = crate::PolyStats::snapshot().delta(&before);
         assert!(delta.memo_hits >= 1, "second projection should hit memo");
+    }
+
+    #[test]
+    fn exact_step_conditions() {
+        let id = DimId::intern("ex_v");
+        let rows = |specs: &[(bool, i64)]| -> Vec<Constraint> {
+            specs
+                .iter()
+                .map(|&(eq, a)| {
+                    let e = var("ex_v") * a + var("ex_w") - 3;
+                    if eq {
+                        Constraint::eq_zero(e)
+                    } else {
+                        Constraint::ge_zero(e)
+                    }
+                })
+                .collect()
+        };
+        // A unit equality is substituted, whatever else bounds the dim.
+        assert!(exact_step(
+            &rows(&[(false, 3), (false, -2), (true, -1)]),
+            id
+        ));
+        // All lowers unit, or all uppers unit.
+        assert!(exact_step(
+            &rows(&[(false, 1), (false, 1), (false, -5)]),
+            id
+        ));
+        assert!(exact_step(&rows(&[(false, 4), (false, -1)]), id));
+        // Rows not on the dim, or a side with no rows at all.
+        assert!(exact_step(&rows(&[(false, 0), (false, 7)]), id));
+        // Non-unit on both sides; a non-unit equality counts on both.
+        assert!(!exact_step(&rows(&[(false, 3), (false, -2)]), id));
+        assert!(!exact_step(&rows(&[(true, 2), (false, 1)]), id));
     }
 
     #[test]

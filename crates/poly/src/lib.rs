@@ -60,7 +60,7 @@ pub use fnv::fnv1a64;
 pub use map::Map;
 pub use parse::{parse_set, ParseError};
 pub use schedule::{schedule_map, timestamp, UnionMap};
-pub use set::{BasicSet, LevelBounds};
+pub use set::{BasicSet, LevelBounds, Points};
 pub use space::{DimId, PolyError};
 pub use stats::PolyStats;
 pub use transform::StmtPoly;

@@ -101,8 +101,8 @@ impl UnionMap {
             .unwrap_or(1);
         let mut seen: HashMap<Vec<i64>, String> = HashMap::new();
         for s in stmts {
-            for p in s.domain().enumerate_points(limit) {
-                let ts = timestamp(s, &p, width);
+            for p in s.domain().enumerate_flat(limit).iter() {
+                let ts = timestamp(s, p, width);
                 if let Some(prev) = seen.insert(ts.clone(), s.name().to_string()) {
                     if prev != s.name() {
                         return Err(format!(

@@ -313,19 +313,44 @@ impl BasicSet {
     /// dimensions. Each bound is `(expr, divisor)`:
     /// lower bounds mean `dim >= ceil(expr / divisor)`,
     /// upper bounds mean `dim <= floor(expr / divisor)`.
+    ///
+    /// The later dimensions are projected out innermost first, one
+    /// Fourier–Motzkin step each, while every step is exact (see
+    /// [`BasicSet::level_bounds`]); past an inexact step they are
+    /// projected out outermost first.
     pub fn bounds_of(&self, dim: &str) -> LevelBounds {
         let idx = self
             .dim_index(dim)
             .unwrap_or_else(|| panic!("dimension {dim} not found"));
         let dim_ids = self.dim_ids();
-        Self::bounds_at(fm::Prepared::new(&self.constraints).as_ref(), &dim_ids, idx)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let prepared = fm::Prepared::new(&self.constraints);
+        let mut chained = None;
+        if let Some(p) = &prepared {
+            p.exact_chain(&dim_ids, idx, |k, cs| {
+                if k == idx {
+                    chained = Some(Self::read_bounds(cs, dim_ids[k]));
+                }
+            });
+        }
+        chained.unwrap_or_else(|| {
+            Self::bounds_at(prepared.as_ref(), &dim_ids, idx).unwrap_or_else(|e| panic!("{e}"))
+        })
     }
 
     /// [`BasicSet::bounds_of`] of every dimension, outermost first:
-    /// `level_bounds()[k] == bounds_of(&dims()[k])`. The constraint system
-    /// is simplified once for all levels; each level still projects out
-    /// the later dimensions outermost first, exactly as `bounds_of` does.
+    /// `level_bounds()[k] == bounds_of(&dims()[k])`.
+    ///
+    /// One projection chain serves all levels: starting from the
+    /// simplified system, level `n-1` reads its bounds, dimension `n-1`
+    /// is eliminated, level `n-2` reads its bounds, and so on — `n-1`
+    /// eliminations instead of one projection per level. The chain is
+    /// taken only while each step is exact (an equality with a `±1`
+    /// coefficient on the eliminated dimension, or all its lower-bound
+    /// rows with coefficient `+1`, or all its upper-bound rows with
+    /// `-1`): then every level's system has exactly the integer
+    /// projection of the set as its integer points. Below the first step
+    /// that is not exact, or that proves the set empty or overflows,
+    /// each level projects out its later dimensions outermost first.
     ///
     /// # Panics
     ///
@@ -344,13 +369,23 @@ impl BasicSet {
     pub fn try_level_bounds(&self) -> Result<Vec<LevelBounds>, PolyError> {
         let prepared = fm::Prepared::new(&self.constraints);
         let dim_ids = self.dim_ids();
-        (0..self.dims.len())
+        let mut chained = Vec::with_capacity(dim_ids.len());
+        let reached = match &prepared {
+            Some(p) => p.exact_chain(&dim_ids, 0, |k, cs| {
+                chained.push(Self::read_bounds(cs, dim_ids[k]));
+            }),
+            None => dim_ids.len(),
+        };
+        let mut levels = (0..reached)
             .map(|k| Self::bounds_at(prepared.as_ref(), &dim_ids, k))
-            .collect()
+            .collect::<Result<Vec<_>, _>>()?;
+        levels.extend(chained.into_iter().rev());
+        Ok(levels)
     }
 
-    /// The bounds of level `idx`, from the prepared system (`None`:
-    /// proven infeasible).
+    /// The bounds of level `idx`, projecting out the later dimensions
+    /// outermost first from the prepared system (`None`: proven
+    /// infeasible).
     fn bounds_at(
         prepared: Option<&fm::Prepared>,
         dim_ids: &[DimId],
@@ -360,16 +395,21 @@ impl BasicSet {
             Some(p) => p.eliminate_all(&dim_ids[idx + 1..])?,
             None => None,
         };
-        let Some(cs) = projected else {
-            return Ok((
+        Ok(match projected {
+            Some(cs) => Self::read_bounds(&cs, dim_ids[idx]),
+            None => (
                 vec![(LinearExpr::constant_expr(0), 1)],
                 vec![(LinearExpr::constant_expr(-1), 1)],
-            ));
-        };
-        let dim_id = dim_ids[idx];
+            ),
+        })
+    }
+
+    /// The bound candidates on `dim_id` of a system whose later
+    /// dimensions are projected out.
+    fn read_bounds(cs: &[Constraint], dim_id: DimId) -> LevelBounds {
         let mut lbs = Vec::new();
         let mut ubs = Vec::new();
-        for c in cs.iter() {
+        for c in cs {
             let a = c.expr.coeff_id(dim_id);
             if a == 0 {
                 continue;
@@ -397,7 +437,7 @@ impl BasicSet {
                 }
             }
         }
-        Ok((lbs, ubs))
+        (lbs, ubs)
     }
 
     /// When the set is a constant rectangle (every constraint bounds a
@@ -448,6 +488,15 @@ impl BasicSet {
     /// `limit` points; [`BasicSet::try_enumerate_points`] returns `None`
     /// instead.
     pub fn enumerate_points(&self, limit: usize) -> Vec<Vec<i64>> {
+        self.enumerate_flat(limit).to_vecs()
+    }
+
+    /// [`BasicSet::enumerate_points`] into one flat buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`BasicSet::enumerate_points`].
+    pub fn enumerate_flat(&self, limit: usize) -> Points {
         self.enumerate(&self.level_bounds(), limit)
             .unwrap_or_else(|stop| match stop {
                 EnumStop::Limit => panic!("point enumeration exceeded limit {limit}"),
@@ -471,15 +520,21 @@ impl BasicSet {
         levels: &[LevelBounds],
         limit: usize,
     ) -> Option<Vec<Vec<i64>>> {
+        self.try_enumerate_flat(levels, limit).map(|p| p.to_vecs())
+    }
+
+    /// [`BasicSet::try_enumerate_points_with`] into one flat buffer: the
+    /// same points in the same order, without a vector per point.
+    pub fn try_enumerate_flat(&self, levels: &[LevelBounds], limit: usize) -> Option<Points> {
         self.enumerate(levels, limit).ok()
     }
 
     /// Counts the integer points of a bounded set (testing helper).
     pub fn count_points(&self) -> usize {
-        self.enumerate_points(10_000_000).len()
+        self.enumerate_flat(10_000_000).len()
     }
 
-    fn enumerate(&self, levels: &[LevelBounds], limit: usize) -> Result<Vec<Vec<i64>>, EnumStop> {
+    fn enumerate(&self, levels: &[LevelBounds], limit: usize) -> Result<Points, EnumStop> {
         assert_eq!(levels.len(), self.dims.len(), "one bounds entry per level");
         // Bound candidates per level only depend on the dimension, not the
         // prefix values, so the walk reads one table of them; every row
@@ -505,10 +560,56 @@ impl BasicSet {
                 .collect(),
             limit,
         };
-        let mut out = Vec::new();
+        let mut out = Points::empty(self.dims.len());
         let mut point = Vec::with_capacity(self.dims.len());
         walk.rec(&mut point, &mut out)?;
         Ok(out)
+    }
+}
+
+/// Enumerated integer points, held flat: [`Points::arity`] coordinates
+/// per point, one point after another, in enumeration order. A
+/// zero-dimension set's points are a count with no coordinates.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Points {
+    arity: usize,
+    len: usize,
+    coords: Vec<i64>,
+}
+
+impl Points {
+    /// No points of `arity` coordinates.
+    pub fn empty(arity: usize) -> Points {
+        Points {
+            arity,
+            len: 0,
+            coords: Vec::new(),
+        }
+    }
+
+    /// Coordinates per point.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no points.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The points in order, each a slice of [`Points::arity`] coordinates.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[i64]> + '_ {
+        (0..self.len).map(move |k| &self.coords[k * self.arity..(k + 1) * self.arity])
+    }
+
+    /// One vector per point.
+    pub fn to_vecs(&self) -> Vec<Vec<i64>> {
+        self.iter().map(<[i64]>::to_vec).collect()
     }
 }
 
@@ -524,14 +625,15 @@ struct Walk {
 }
 
 impl Walk {
-    fn rec(&self, point: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) -> Result<(), EnumStop> {
+    fn rec(&self, point: &mut Vec<i64>, out: &mut Points) -> Result<(), EnumStop> {
         let level = point.len();
         let Some((lbs, ubs)) = self.levels.get(level) else {
             if self.constraints.iter().all(|c| c.holds(point)) {
-                if out.len() >= self.limit {
+                if out.len >= self.limit {
                     return Err(EnumStop::Limit);
                 }
-                out.push(point.clone());
+                out.coords.extend_from_slice(point);
+                out.len += 1;
             }
             return Ok(());
         };
@@ -714,6 +816,65 @@ mod tests {
         assert!(s.contains(&[5, 2]));
         assert!(!s.contains(&[2, 5]));
         assert_eq!(s.count_points(), 18);
+    }
+
+    #[test]
+    fn flat_points_hold_each_point_once_in_order() {
+        let s = BasicSet::from_bounds(&[("i", 0, 2), ("j", 0, 2)])
+            .with_le(LinearExpr::var("j"), LinearExpr::var("i"));
+        let points = s.enumerate_flat(100);
+        assert_eq!((points.arity(), points.len()), (2, 6));
+        let seen: Vec<&[i64]> = points.iter().collect();
+        assert_eq!(seen[0], &[0, 0]);
+        assert_eq!(seen[5], &[2, 2]);
+        assert_eq!(points.to_vecs(), s.enumerate_points(100));
+        assert_eq!(s.try_enumerate_flat(&s.level_bounds(), 5), None);
+        // A zero-dimension set: one point, no coordinates.
+        let unit = BasicSet::universe(&[]).enumerate_flat(1);
+        assert_eq!((unit.arity(), unit.len()), (0, 1));
+        assert_eq!(unit.to_vecs(), vec![Vec::<i64>::new()]);
+    }
+
+    #[test]
+    fn level_bounds_of_a_tiled_skewed_nest_come_from_one_chain() {
+        // i = 4*i0 + i1 over [0, 13], j skewed by i1: every step has a
+        // unit coefficient on one side, so the chain serves all levels.
+        let s = BasicSet::universe(&["i0", "i1", "j"])
+            .with_ge(
+                LinearExpr::term("i0", 4) + LinearExpr::var("i1"),
+                LinearExpr::constant_expr(0),
+            )
+            .with_le(
+                LinearExpr::term("i0", 4) + LinearExpr::var("i1"),
+                LinearExpr::constant_expr(13),
+            )
+            .with_ge(LinearExpr::var("i1"), LinearExpr::constant_expr(0))
+            .with_le(LinearExpr::var("i1"), LinearExpr::constant_expr(3))
+            .with_ge(LinearExpr::var("j"), LinearExpr::var("i1"))
+            .with_le(LinearExpr::var("j"), LinearExpr::var("i1") + 2);
+        let levels = s.level_bounds();
+        for (k, d) in s.dims().iter().enumerate() {
+            assert_eq!(levels[k], s.bounds_of(d), "level {k}");
+        }
+        // i0's range is the exact projection [0, 3]; the last tile
+        // holds i1 in [0, 1] only.
+        let env = |pairs: &[(&str, i64)]| -> HashMap<String, i64> {
+            pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+        };
+        let range = |(lbs, ubs): &LevelBounds, at: &HashMap<String, i64>| {
+            let lb = lbs
+                .iter()
+                .map(|(e, d)| ceil_div(e.eval_partial(at), *d))
+                .max();
+            let ub = ubs
+                .iter()
+                .map(|(e, d)| floor_div(e.eval_partial(at), *d))
+                .min();
+            (lb, ub)
+        };
+        assert_eq!(range(&levels[0], &env(&[])), (Some(0), Some(3)));
+        assert_eq!(range(&levels[1], &env(&[("i0", 3)])), (Some(0), Some(1)));
+        assert_eq!(s.count_points(), 14 * 3);
     }
 
     #[test]

@@ -311,8 +311,9 @@ impl StmtPoly {
     /// Enumerates the *original* iteration vectors of all instances, used
     /// to verify that transformations preserve the computation set.
     pub fn enumerate_original_instances(&self, limit: usize) -> Vec<Vec<i64>> {
-        let pts = self.domain.enumerate_points(limit);
-        pts.iter()
+        self.domain
+            .enumerate_flat(limit)
+            .iter()
             .map(|p| {
                 let assignment: HashMap<String, i64> =
                     self.dims.iter().cloned().zip(p.iter().copied()).collect();
@@ -327,7 +328,7 @@ impl StmtPoly {
     /// The trip count of the whole nest (product of points), for tests and
     /// latency estimation on small domains.
     pub fn instance_count(&self, limit: usize) -> usize {
-        self.domain.enumerate_points(limit).len()
+        self.domain.enumerate_flat(limit).len()
     }
 
     fn require_dim(&self, name: &str) -> usize {

@@ -8,7 +8,12 @@
 //! rows the reference keeps), per-dimension bounds, point enumeration, and
 //! full dependence analysis. The vendored proptest is deterministic (the
 //! RNG seed derives from the test name), so a green run pins the dense
-//! kernel to the seed semantics for these generators permanently.
+//! kernel to the seed semantics for these generators permanently — for
+//! bounds, where projecting outermost first is itself exact. Elsewhere
+//! `bounds_of` may be tighter than the reference (its innermost-first
+//! chain keeps exactly the integer projection), with the same integer
+//! points: `exact_chain_is_tighter_than_outermost_first` pins one such
+//! system, `inexact_chain_falls_back_to_outermost_first` the fallback.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -348,4 +353,369 @@ proptest! {
         let render_n: Vec<String> = named_deps.iter().map(|d| d.to_string()).collect();
         prop_assert_eq!(render_d, render_n);
     }
+}
+
+/// Dimension names of the POM-shaped systems, outermost first.
+const EX: [&str; 3] = ["ex_x", "ex_y", "ex_z"];
+
+/// One POM-shaped system over `EX`: `(y_shape, z_shape, tile, extent,
+/// skew, low, width)`. `x` is a box; `y` a box, a skew row over `x`, or
+/// the intra-tile dimension under `x` (`0 <= tile·x + y <= extent`); `z`
+/// a box, a skew row over `y` or over `x` and `y`, the intra-tile
+/// dimension under `y`, or a split of it (the tile's upper row only).
+type Shape = (u8, u8, i64, i64, i64, i64, i64);
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    (
+        (0u8..3, 0u8..5),
+        (2i64..5, 3i64..13),
+        (-2i64..3, -2i64..3, 0i64..5),
+    )
+        .prop_map(|((y_shape, z_shape), (tile, extent), (skew, low, width))| {
+            (y_shape, z_shape, tile, extent, skew, low, width)
+        })
+}
+
+/// The rows `coeffs·(x, y, z) + constant >= 0` of a shape.
+fn shape_rows(shape: Shape) -> Vec<([i64; 3], i64)> {
+    let (y_shape, z_shape, tile, extent, skew, low, width) = shape;
+    let mut rows = vec![([1, 0, 0], -low), ([-1, 0, 0], low + width)];
+    // `low <= coeffs·p <= low + width`.
+    let mut band = |coeffs: [i64; 3]| {
+        rows.push((coeffs, -low));
+        rows.push((coeffs.map(|c| -c), low + width));
+    };
+    match y_shape {
+        0 => band([0, 1, 0]),
+        1 => band([-skew, 1, 0]),
+        _ => {}
+    }
+    match z_shape {
+        0 => band([0, 0, 1]),
+        1 => band([0, -skew, 1]),
+        2 => band([-skew, -1, 1]),
+        _ => {}
+    }
+    if y_shape == 2 {
+        rows.extend([([tile, 1, 0], 0), ([-tile, -1, 0], extent)]);
+        rows.extend([([0, 1, 0], 0), ([0, -1, 0], tile - 1)]);
+    }
+    if z_shape >= 3 {
+        if z_shape == 3 {
+            rows.push(([0, tile, 1], 0));
+        }
+        rows.push(([0, -tile, -1], extent));
+        rows.extend([([0, 0, 1], 0), ([0, 0, -1], tile - 1)]);
+    }
+    rows
+}
+
+fn shape_set(rows: &[([i64; 3], i64)]) -> pom_poly::BasicSet {
+    let mut set = pom_poly::BasicSet::universe(&EX);
+    for (coeffs, constant) in rows {
+        let mut e = pom_poly::LinearExpr::constant_expr(*constant);
+        for (d, &c) in EX.iter().zip(coeffs) {
+            e.set_coeff(*d, c);
+        }
+        set.add_constraint(pom_poly::Constraint::ge_zero(e));
+    }
+    set
+}
+
+/// Every point of a shape, by brute force over a box that holds them
+/// all (`|x| <= 6`, so `|y| <= 20` and `|z| <= 50`).
+fn shape_points(rows: &[([i64; 3], i64)]) -> Vec<[i64; 3]> {
+    let mut points = Vec::new();
+    for x in -6..=6 {
+        for y in -20..=20 {
+            for z in -50..=50 {
+                let p = [x, y, z];
+                let holds = rows.iter().all(|(coeffs, constant)| {
+                    coeffs.iter().zip(p).map(|(c, v)| c * v).sum::<i64>() + constant >= 0
+                });
+                if holds {
+                    points.push(p);
+                }
+            }
+        }
+    }
+    points
+}
+
+/// Walks `levels` like the enumerator does and checks, at every prefix
+/// it reaches, that the level's bounds are exactly the brute-force fiber:
+/// the values the next dimension takes over the points with that prefix.
+fn check_fibers(levels: &[pom_poly::LevelBounds], points: &[[i64; 3]], prefix: &mut Vec<i64>) {
+    let k = prefix.len();
+    if k == EX.len() {
+        return;
+    }
+    let env: HashMap<String, i64> = EX
+        .iter()
+        .map(|d| d.to_string())
+        .zip(prefix.iter().copied())
+        .collect();
+    let (lbs, ubs) = &levels[k];
+    let lb = lbs
+        .iter()
+        .map(|(e, d)| pom_poly::ceil_div(e.eval_partial(&env), *d))
+        .max();
+    let ub = ubs
+        .iter()
+        .map(|(e, d)| pom_poly::floor_div(e.eval_partial(&env), *d))
+        .min();
+    let (Some(lb), Some(ub)) = (lb, ub) else {
+        panic!("level {k} unbounded at {prefix:?}");
+    };
+    let mut fiber: Vec<i64> = points
+        .iter()
+        .filter(|p| p[..k] == prefix[..])
+        .map(|p| p[k])
+        .collect();
+    fiber.sort_unstable();
+    fiber.dedup();
+    let expected: Vec<i64> = (lb..=ub).collect();
+    prop_assert_eq!(&fiber, &expected, "level {} at {:?}", k, prefix);
+    for v in lb..=ub {
+        prefix.push(v);
+        check_fibers(levels, points, prefix);
+        prefix.pop();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On the systems POM's transformations build — boxes under tile,
+    /// split and skew rows — every projection step is exact, so the
+    /// level bounds are the integer projection itself: at every prefix
+    /// the walk reaches, a level's bounds give exactly the values the
+    /// set's points take there, and the walk reaches no other prefix.
+    #[test]
+    fn level_bounds_are_exact_fibers_on_pom_shapes(shape in shape_strategy()) {
+        let rows = shape_rows(shape);
+        let set = shape_set(&rows);
+        let points = shape_points(&rows);
+        check_fibers(&set.level_bounds(), &points, &mut Vec::new());
+        let walked: Vec<Vec<i64>> = points.iter().map(|p| p.to_vec()).collect();
+        prop_assert_eq!(set.enumerate_points(100_000), walked, "shape {:?}", shape);
+    }
+
+    /// The flat enumeration is the nested one, point for point, `None`
+    /// cases included; both are the reference enumeration. Same systems
+    /// as `try_enumerate_points_matches`.
+    #[test]
+    fn flat_enumeration_matches_nested(
+        spec in spec_strategy(),
+        limit in 0usize..60,
+        boxed_from in 0usize..2,
+    ) {
+        let mut system: Vec<Spec> = Vec::new();
+        for d in boxed_from..DIMS.len() {
+            let mut unit = vec![0; DIMS.len()];
+            unit[d] = 1;
+            system.push((1, unit.clone(), 0)); // d >= 0
+            unit[d] = -1;
+            system.push((1, unit, 4)); // d <= 4
+        }
+        system.extend(spec.iter().cloned());
+        let (dc, nc) = materialize(&system);
+        let mut dense = pom_poly::BasicSet::universe(&DIMS);
+        let mut named = reference::BasicSet::universe(&DIMS);
+        dc.into_iter().for_each(|c| dense.add_constraint(c));
+        nc.into_iter().for_each(|c| named.add_constraint(c));
+
+        let (lbs, ubs) = named.bounds_of(DIMS[0]);
+        let expected = if lbs.is_empty() || ubs.is_empty() {
+            None
+        } else {
+            let all = named.enumerate_points(1_000_000);
+            (all.len() <= limit).then_some(all)
+        };
+        let flat = dense.try_enumerate_flat(&dense.level_bounds(), limit);
+        if let Some(points) = &flat {
+            prop_assert_eq!(points.arity(), DIMS.len());
+            prop_assert_eq!(points.iter().len(), points.len());
+            prop_assert_eq!(points.is_empty(), points.iter().next().is_none());
+        }
+        let nested = flat.map(|p| p.iter().map(<[i64]>::to_vec).collect::<Vec<_>>());
+        prop_assert_eq!(&nested, &expected, "limit {} system {:?}", limit, system);
+        prop_assert_eq!(dense.try_enumerate_points(limit), expected);
+    }
+}
+
+/// The `(max lower, min upper)` bound of level `idx` at every probe
+/// assignment of the dimensions before it, as `bounds_of_matches` probes.
+fn probe_bounds(
+    eval: impl Fn(&HashMap<String, i64>) -> (Option<i64>, Option<i64>),
+    idx: usize,
+) -> Vec<(Option<i64>, Option<i64>)> {
+    let mut probes = vec![HashMap::new()];
+    for o in &DIMS[..idx] {
+        probes = probes
+            .into_iter()
+            .flat_map(|p: HashMap<String, i64>| {
+                (-1i64..6).map(move |v| {
+                    let mut q = p.clone();
+                    q.insert(o.to_string(), v);
+                    q
+                })
+            })
+            .collect();
+    }
+    probes.iter().map(eval).collect()
+}
+
+fn dense_bounds_at(
+    bounds: &pom_poly::LevelBounds,
+    p: &HashMap<String, i64>,
+) -> (Option<i64>, Option<i64>) {
+    let (lbs, ubs) = bounds;
+    (
+        lbs.iter()
+            .map(|(e, k)| pom_poly::ceil_div(e.eval(p), *k))
+            .max(),
+        ubs.iter()
+            .map(|(e, k)| pom_poly::floor_div(e.eval(p), *k))
+            .min(),
+    )
+}
+
+/// The system on which projecting innermost first without the exactness
+/// condition gives bounds the reference does not: its first step
+/// eliminates `dp_k` between rows with coefficients 3 and −2. Level
+/// bounds must fall back to projecting outermost first, so that
+/// `level_bounds` and `bounds_of` agree with the reference at every
+/// probe, as `bounds_of_matches` demands of all systems.
+#[test]
+fn inexact_chain_falls_back_to_outermost_first() {
+    let spec: Vec<Spec> = vec![
+        (0, vec![2, -3, 3], -4),
+        (3, vec![2, -3, -1], 3),
+        (3, vec![3, 0, -2], 6),
+    ];
+    let (dense, named) = materialize_sets(&spec);
+    assert!(!dense.is_empty());
+    let levels = dense.level_bounds();
+    for (idx, d) in DIMS.iter().enumerate() {
+        let (nlo, nhi) = named.bounds_of(d);
+        let want = probe_bounds(
+            |p| {
+                (
+                    nlo.iter()
+                        .map(|(e, k)| pom_poly::ceil_div(e.eval(p), *k))
+                        .max(),
+                    nhi.iter()
+                        .map(|(e, k)| pom_poly::floor_div(e.eval(p), *k))
+                        .min(),
+                )
+            },
+            idx,
+        );
+        assert_eq!(
+            probe_bounds(|p| dense_bounds_at(&levels[idx], p), idx),
+            want,
+            "level_bounds of {d}"
+        );
+        let by_dim = dense.bounds_of(d);
+        assert_eq!(
+            probe_bounds(|p| dense_bounds_at(&by_dim, p), idx),
+            want,
+            "bounds_of {d}"
+        );
+    }
+}
+
+/// Where the innermost-first chain is exact but projecting outermost
+/// first is not, `bounds_of` is strictly tighter than the reference — and
+/// still right. Only `dp_i` is boxed (`materialize_sets` boxes every
+/// dimension, which makes the `dp_j` step inexact and hides this). The
+/// chain eliminates `dp_k` (every lower row on it is `+1`), tightening
+/// `-2i+2j+1 >= 0` to `j >= i`, then `dp_j` (every upper row is `-1` after
+/// tightening) and gets `dp_i <= 1`; the reference eliminates `dp_j` first
+/// and keeps `dp_i <= 2`, though no integer point has `dp_i = 2`.
+#[test]
+fn exact_chain_is_tighter_than_outermost_first() {
+    let spec: Vec<Spec> = vec![
+        (1, vec![1, 0, 0], 0),
+        (1, vec![-1, 0, 0], 4),
+        (1, vec![-1, 0, 1], 0),
+        (1, vec![1, 2, -3], 1),
+        (1, vec![1, -2, 0], 1),
+    ];
+    let (dc, nc) = materialize(&spec);
+    let mut dense = pom_poly::BasicSet::universe(&DIMS);
+    for c in dc {
+        dense.add_constraint(c);
+    }
+    let mut named = reference::BasicSet::universe(&DIMS);
+    for c in nc {
+        named.add_constraint(c);
+    }
+    // The integer points agree, and none has `dp_i = 2`.
+    let points = dense.enumerate_points(1000);
+    assert_eq!(points, named.enumerate_points(1000));
+    assert!(!points.is_empty());
+    assert!(points.iter().all(|p| p[0] <= 1));
+
+    let levels = dense.level_bounds();
+    for (idx, d) in DIMS.iter().enumerate() {
+        let (nlo, nhi) = named.bounds_of(d);
+        let wide = probe_bounds(
+            |p| {
+                (
+                    nlo.iter()
+                        .map(|(e, k)| pom_poly::ceil_div(e.eval(p), *k))
+                        .max(),
+                    nhi.iter()
+                        .map(|(e, k)| pom_poly::floor_div(e.eval(p), *k))
+                        .min(),
+                )
+            },
+            idx,
+        );
+        let tight = probe_bounds(|p| dense_bounds_at(&levels[idx], p), idx);
+        assert_eq!(
+            probe_bounds(|p| dense_bounds_at(&dense.bounds_of(d), p), idx),
+            tight,
+            "bounds_of {d} == level_bounds"
+        );
+        // The chain's bounds lie inside the reference's at every probe.
+        for ((tlo, thi), (wlo, whi)) in tight.iter().zip(&wide) {
+            assert!(tlo.is_some() && thi.is_some(), "{d} unbounded");
+            assert!(wlo.is_none_or(|w| tlo.unwrap() >= w), "{d} lower");
+            assert!(whi.is_none_or(|w| thi.unwrap() <= w), "{d} upper");
+        }
+        if idx == 0 {
+            assert_eq!(
+                (tight[0], wide[0]),
+                ((Some(0), Some(1)), (Some(0), Some(2)))
+            );
+        }
+    }
+}
+
+/// A zero-dimension set's points are a count with no coordinates: one
+/// empty point when its constraints hold, none when they do not.
+#[test]
+fn zero_dimension_flat_enumeration() {
+    let point = pom_poly::BasicSet::universe(&[]);
+    let points = point
+        .try_enumerate_flat(&point.level_bounds(), 10)
+        .expect("bounded");
+    assert_eq!((points.arity(), points.len()), (0, 1));
+    assert_eq!(points.iter().collect::<Vec<_>>(), vec![&[] as &[i64]]);
+    assert_eq!(
+        point.enumerate_points(10),
+        reference::BasicSet::universe(&[]).enumerate_points(10)
+    );
+    assert_eq!(point.try_enumerate_flat(&[], 0), None);
+
+    let empty = point.with_constraint(pom_poly::Constraint::ge_zero(
+        pom_poly::LinearExpr::constant_expr(-1),
+    ));
+    let none = empty.try_enumerate_flat(&[], 10).expect("bounded");
+    assert!(none.is_empty());
+    assert_eq!(none.iter().count(), 0);
+    assert_eq!(empty.enumerate_points(10), Vec::<Vec<i64>>::new());
 }

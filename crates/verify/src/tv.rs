@@ -25,7 +25,7 @@ use crate::cert::{Certificate, Obligation, ObligationKind, ValidationReport};
 use pom_dsl::{Compute, Function, Primitive};
 use pom_poly::{
     ceil_div, floor_div, fm, AccessFn, BasicSet, Constraint, ConstraintKind, DepKind,
-    DependenceAnalysis, DimId, LevelBounds, LinearExpr, StmtPoly,
+    DependenceAnalysis, DimId, LevelBounds, LinearExpr, Points, StmtPoly,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -438,8 +438,8 @@ struct Footprint<'a> {
 }
 
 impl<'a> Enumerated<'a> {
-    fn of(points: &[Vec<i64>], dims: &[String], accesses: &[&'a AccessFn]) -> Self {
-        let instances = PointSet::tight(dims.len(), |see| points.iter().for_each(|p| see(p)));
+    fn of(points: &Points, dims: &[String], accesses: &[&'a AccessFn]) -> Self {
+        let instances = PointSet::tight(dims.len(), |see| points.iter().for_each(see));
         let dim_ids: Vec<DimId> = dims.iter().map(|d| DimId::intern(d)).collect();
         let rows: Vec<Vec<Row>> = accesses
             .iter()
@@ -482,9 +482,9 @@ impl<'a> Enumerated<'a> {
 }
 
 /// Feeds `see` the image of every point under `rows`.
-fn each_image(rows: &[Row], points: &[Vec<i64>], see: &mut dyn FnMut(&[i64])) {
+fn each_image(rows: &[Row], points: &Points, see: &mut dyn FnMut(&[i64])) {
     let mut image = Vec::with_capacity(rows.len());
-    for p in points {
+    for p in points.iter() {
         image.clear();
         image.extend(rows.iter().map(|r| r.eval(p)));
         see(&image);
@@ -515,7 +515,7 @@ impl<'a> Original<'a> {
 struct Transformed {
     dims: Vec<DimId>,
     bx: Vec<DeltaIv>,
-    points: Option<Vec<Vec<i64>>>,
+    points: Option<Points>,
 }
 
 impl Transformed {
@@ -595,7 +595,7 @@ fn bounded_points(
     levels: &[LevelBounds],
     bx: &[DeltaIv],
     limit: usize,
-) -> Option<Vec<Vec<i64>>> {
+) -> Option<Points> {
     // Cheap cardinality screen: when every dim has constant bounds,
     // compare the box volume against the limit before paying for the
     // enumeration walk. A box past the limit may still contain a small
@@ -607,7 +607,7 @@ fn bounded_points(
         match *b {
             (Some(lo), Some(hi)) => {
                 if lo > hi {
-                    return Some(Vec::new()); // contradictory constant bounds
+                    return Some(Points::empty(set.dim_count())); // contradictory constant bounds
                 }
                 let extent = (hi as i128 - lo as i128 + 1) as u128;
                 volume = volume.map(|v| v.saturating_mul(extent));
@@ -618,7 +618,7 @@ fn bounded_points(
     if volume.is_some_and(|v| v > limit as u128) {
         return None;
     }
-    set.try_enumerate_points_with(levels, limit)
+    set.try_enumerate_flat(levels, limit)
 }
 
 // ---------------------------------------------------------------------
