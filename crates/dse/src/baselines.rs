@@ -26,7 +26,7 @@ use crate::search::stage2::{group_compile, lint_screen};
 use pom_dsl::{Function, Primitive};
 use pom_graph::DepGraph;
 use pom_hls::estimate::Sharing;
-use pom_poly::DepKind;
+use pom_poly::{lex_non_negative, DepKind};
 use std::time::Instant;
 
 /// A named baseline result.
@@ -329,18 +329,9 @@ fn reorder_carried_outermost(g: &mut Function) {
             continue;
         }
         // Legality: permuted vectors stay lexicographically non-negative.
-        let legal = vectors.iter().all(|v| {
-            let p: Vec<i64> = order.iter().map(|&l| v[l]).collect();
-            for &x in &p {
-                if x > 0 {
-                    return true;
-                }
-                if x < 0 {
-                    return false;
-                }
-            }
-            true
-        });
+        let legal = vectors
+            .iter()
+            .all(|v| lex_non_negative(order.iter().map(|&l| v[l])));
         if !legal {
             continue;
         }

@@ -2,14 +2,14 @@
 //! polyhedral statements → polyhedral AST → annotated affine dialect →
 //! QoR estimate (Fig. 7 of the paper).
 
-use pom_dsl::{Function, Primitive};
+use pom_dsl::{Compute, Function, Primitive};
 use pom_hls::estimate::{dep_chain_latency, Sharing};
 use pom_hls::{estimate, CarriedDep, CostModel, DepSummary, DeviceSpec, QoR};
 use pom_ir::{
     lower_to_affine, AffineFunc, MemRefDecl, PartitionInfo, PassIssue, StmtBody, VerifyError,
 };
 use pom_lint::LintReport;
-use pom_poly::{build_ast, DepKind, StmtPoly};
+use pom_poly::{build_ast, DepKind, Dependence, StmtPoly};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -18,8 +18,7 @@ use std::fmt;
 pub enum CompileError {
     /// Lowering produced structurally invalid IR.
     InvalidIr(VerifyError),
-    /// An IR pass broke an invariant or failed its translation-validation
-    /// check.
+    /// An IR pass broke an invariant.
     PassFailed {
         /// The offending pass.
         pass: String,
@@ -56,11 +55,6 @@ pub struct CompileOptions {
     pub sharing: Sharing,
     /// Target device (used by DSE; estimation itself is device-free).
     pub device: DeviceSpec,
-    /// Runs the PassManager in checked mode: `pom-verify`'s per-pass
-    /// translation-validation hook proves each cleanup pass preserved
-    /// the function's write footprint. Off by default — DSE validates
-    /// the winning schedule instead of every intermediate compile.
-    pub verify: bool,
 }
 
 impl Default for CompileOptions {
@@ -69,7 +63,6 @@ impl Default for CompileOptions {
             model: CostModel::vitis_f32(),
             sharing: Sharing::Reuse,
             device: DeviceSpec::xc7z020(),
-            verify: false,
         }
     }
 }
@@ -176,31 +169,31 @@ pub(crate) fn replay_from(
     Ok(stmts)
 }
 
+/// The self-dependences of compute `c` analysed in the *transformed*
+/// space of its statement `s`: flow per load of the stored array, and
+/// output when there is such a load. What stage 1 profiles and the
+/// estimator's dependence summary records.
+pub(crate) fn self_dependences(c: &Compute, s: &StmtPoly) -> Vec<Dependence> {
+    let store = c.store();
+    let mut deps = Vec::new();
+    for l in c.loads() {
+        if l.array == store.array {
+            deps.extend(s.analyze_dependence(store, l, DepKind::Flow));
+        }
+    }
+    if c.loads().iter().any(|l| l.array == store.array) {
+        deps.extend(s.analyze_dependence(store, store, DepKind::Output));
+    }
+    deps
+}
+
 /// Builds the per-loop dependence summary for estimation: every
 /// self-dependence of every compute, analyzed in the *transformed* space,
 /// keyed by the transformed loop name that carries it.
 pub fn build_dep_summary(f: &Function, stmts: &[StmtPoly], model: &CostModel) -> DepSummary {
     let mut out = DepSummary::new();
     for (c, s) in f.computes().iter().zip(stmts) {
-        let store = c.store();
-        let mut arrays: Vec<&str> = c
-            .loads()
-            .iter()
-            .filter(|l| l.array == store.array)
-            .map(|l| l.array.as_str())
-            .collect();
-        arrays.dedup();
-        // Flow deps store -> load, plus output deps store -> store.
-        let mut deps = Vec::new();
-        for l in c.loads() {
-            if l.array == store.array {
-                deps.extend(s.analyze_dependence(store, l, DepKind::Flow));
-            }
-        }
-        if !arrays.is_empty() {
-            deps.extend(s.analyze_dependence(store, store, DepKind::Output));
-        }
-        for d in deps {
+        for d in self_dependences(c, s) {
             let Some(level) = d.carried_level else {
                 continue;
             };
@@ -233,16 +226,6 @@ pub fn build_dep_summary(f: &Function, stmts: &[StmtPoly], model: &CostModel) ->
 /// Returns [`CompileError::InvalidIr`] when lowering breaks a structural
 /// invariant and [`CompileError::PassFailed`] when a cleanup pass does.
 pub fn lower(f: &Function, stmts: &[StmtPoly]) -> Result<AffineFunc, CompileError> {
-    lower_checked(f, stmts, false)
-}
-
-/// [`lower`], with `pom-verify`'s per-pass translation validation when
-/// `checked` ([`CompileOptions::verify`]).
-fn lower_checked(
-    f: &Function,
-    stmts: &[StmtPoly],
-    checked: bool,
-) -> Result<AffineFunc, CompileError> {
     let ast = build_ast(stmts);
 
     let bodies: HashMap<String, StmtBody> = f
@@ -299,11 +282,8 @@ fn lower_checked(
         }
     }
     pom_ir::verify(&func).map_err(CompileError::InvalidIr)?;
-    let mut pm = pom_ir::PassManager::standard();
-    if checked {
-        pm = pm.check_each(pom_verify::check_hook());
-    }
-    pm.run(&mut func)
+    pom_ir::PassManager::standard()
+        .run(&mut func)
         .map_err(|(pass, issue)| CompileError::PassFailed { pass, issue })?;
     Ok(func)
 }
@@ -369,7 +349,7 @@ pub(crate) fn compile_prepared(
     opts: &CompileOptions,
 ) -> Result<(Compiled, PhaseTimes), CompileError> {
     let t0 = std::time::Instant::now();
-    let affine = lower_checked(f, &stmts, opts.verify)?;
+    let affine = lower(f, &stmts)?;
     let lowering = t0.elapsed();
     let t1 = std::time::Instant::now();
     let qor = estimate(&affine, &deps, &opts.model, opts.sharing);

@@ -820,8 +820,7 @@ fn schedule_carries_infeasible_ii(scheduled: &Function, deps: &pom_hls::DepSumma
     scheduled.schedule().iter().any(|p| {
         if let Primitive::Pipeline { loop_iv, ii, .. } = p {
             deps.carried_at(loop_iv)
-                .map(|d| d.chain_latency.div_ceil(d.distance.max(1)).max(1) > (*ii).max(1) as u64)
-                .unwrap_or(false)
+                .is_some_and(|d| d.rec_mii(0) > (*ii).max(1) as u64)
         } else {
             false
         }

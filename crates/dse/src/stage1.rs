@@ -21,10 +21,10 @@
 //! vectors"). [`reanalysis_disagreements`] keeps the re-analysing search
 //! as the oracle of that equivalence.
 
-use crate::compile::apply_schedule;
+use crate::compile::{apply_schedule, self_dependences};
 use pom_dsl::{Compute, Function};
 use pom_graph::DepGraph;
-use pom_poly::{DepKind, Dependence, StmtPoly};
+use pom_poly::{lex_non_negative, StmtPoly};
 
 /// A candidate stage-1 move on one statement.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,22 +99,6 @@ impl Profile {
     }
 }
 
-fn self_dependences(c: &Compute, s: &StmtPoly) -> Vec<Dependence> {
-    let store = c.store();
-    let mut deps = Vec::new();
-    let mut saw_self_array = false;
-    for l in c.loads() {
-        if l.array == store.array {
-            saw_self_array = true;
-            deps.extend(s.analyze_dependence(store, l, DepKind::Flow));
-        }
-    }
-    if saw_self_array {
-        deps.extend(s.analyze_dependence(store, store, DepKind::Output));
-    }
-    deps
-}
-
 fn profile(c: &Compute, s: &StmtPoly) -> Profile {
     let deps = self_dependences(c, s);
     let n = s.dims().len();
@@ -164,20 +148,7 @@ fn transform_vector(v: &[i64], m: &Move) -> Option<Vec<i64>> {
             }
         }
     }
-    let lex_ok = {
-        let mut ok = true;
-        for &x in &out {
-            if x > 0 {
-                break;
-            }
-            if x < 0 {
-                ok = false;
-                break;
-            }
-        }
-        ok
-    };
-    lex_ok.then_some(out)
+    lex_non_negative(out.iter().copied()).then_some(out)
 }
 
 fn apply_move(s: &mut StmtPoly, m: &Move, fresh: &mut usize) -> Vec<pom_dsl::Primitive> {

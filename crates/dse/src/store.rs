@@ -201,20 +201,18 @@ pub fn config_hash(opts: &CompileOptions) -> u64 {
     format!("{:?}", opts.model).hash(&mut h);
     format!("{:?}", opts.device).hash(&mut h);
     format!("{:?}", opts.sharing).hash(&mut h);
-    opts.verify.hash(&mut h);
     h.finish()
 }
 
 /// The header text committed to a shard (also what `open` validates).
 fn header_text(opts: &CompileOptions) -> String {
     format!(
-        "pom-store v{}\nconfig {:016x}\nmodel {:?}\ndevice {:?}\nsharing {:?}\nverify {}\n",
+        "pom-store v{}\nconfig {:016x}\nmodel {:?}\ndevice {:?}\nsharing {:?}\n",
         SCHEMA_VERSION,
         config_hash(opts),
         opts.model,
         opts.device,
         opts.sharing,
-        opts.verify,
     )
 }
 

@@ -18,7 +18,7 @@ use crate::cost::CostModel;
 use crate::device::ResourceUsage;
 use pom_dsl::expr::OpCounts;
 use pom_dsl::Expr;
-use pom_ir::{AffineFunc, AffineOp, ForOp};
+use pom_ir::{AffineFunc, AffineOp, ForOp, StoreOp};
 use std::collections::HashMap;
 
 /// A loop-carried dependence at some loop, as seen by the estimator.
@@ -31,6 +31,40 @@ pub struct CarriedDep {
     /// Latency of the operation chain that must complete between the
     /// dependent iterations.
     pub chain_latency: u64,
+}
+
+impl CarriedDep {
+    /// The recurrence MII `ceil((chain_latency + serial) / distance)`, at
+    /// least 1: `serial` is the latency of an unrolled reduction chain
+    /// through the same array that the recurrence also waits on (0 when
+    /// there is none).
+    pub fn rec_mii(&self, serial: u64) -> u64 {
+        (self.chain_latency + serial)
+            .div_ceil(self.distance.max(1))
+            .max(1)
+    }
+}
+
+/// Port demand of each access of `s` (destination first, then the loads)
+/// inside the fully unrolled loops `unrolled`, `(iv, trip)` outermost
+/// first: the product of the trips of the unrolled loops the access
+/// varies with. An access not varying with an unrolled iv is a broadcast,
+/// not an extra port demand.
+pub fn port_demand<'a>(
+    s: &'a StoreOp,
+    unrolled: &'a [(String, u64)],
+) -> impl Iterator<Item = (&'a str, u64)> + 'a {
+    std::iter::once(&s.dest)
+        .chain(s.value.loads())
+        .map(move |a| {
+            let distinct = unrolled
+                .iter()
+                .filter(|(iv, _)| a.indices.iter().any(|e| e.uses(iv)))
+                .map(|(_, t)| *t)
+                .product::<u64>()
+                .max(1);
+            (a.array.as_str(), distinct)
+        })
 }
 
 /// Per-loop dependence summary keyed by induction-variable name.
@@ -401,15 +435,9 @@ impl Estimator<'_> {
         // body also chains through the same array (a reduction whose
         // result feeds back across pipeline iterations), the whole
         // reduction tree is on the recurrence.
-        let rec_mii = self
-            .deps
-            .carried_at(&l.iv)
-            .map(|d| {
-                let serial = body.serial_chains.get(&d.array).copied().unwrap_or(0);
-                (d.chain_latency + serial).div_ceil(d.distance.max(1))
-            })
-            .unwrap_or(1)
-            .max(1);
+        let rec_mii = self.deps.carried_at(&l.iv).map_or(1, |d| {
+            d.rec_mii(body.serial_chains.get(&d.array).copied().unwrap_or(0))
+        });
 
         // ResMII from memory ports: the even-spread bound
         // `ceil(accesses / (banks × ports))` assumes accesses distribute
@@ -487,20 +515,8 @@ impl Estimator<'_> {
                     out.counts.div += c.div * mult as usize;
                     out.counts.cmp += c.cmp * mult as usize;
                     out.copies = out.copies.max(mult);
-                    // Distinct memory accesses: a reference not varying
-                    // with an unrolled loop is a broadcast, not an extra
-                    // port demand.
-                    let distinct = |a: &pom_poly::AccessFn| -> u64 {
-                        out.unrolled
-                            .iter()
-                            .filter(|(iv, _)| a.indices.iter().any(|e| e.uses(iv)))
-                            .map(|(_, t)| *t)
-                            .product::<u64>()
-                            .max(1)
-                    };
-                    *out.accesses.entry(s.dest.array.clone()).or_insert(0) += distinct(&s.dest);
-                    for load in s.value.loads() {
-                        *out.accesses.entry(load.array.clone()).or_insert(0) += distinct(load);
+                    for (array, n) in port_demand(s, &out.unrolled) {
+                        *out.accesses.entry(array.to_string()).or_insert(0) += n;
                     }
                 }
                 AffineOp::If(i) => self.collect_pipe_body(&i.body, mult, env, out),

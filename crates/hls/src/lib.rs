@@ -27,6 +27,8 @@ pub mod testbench;
 pub use codegen::{emit_hls_c, hls_c_loc};
 pub use cost::{CostModel, OpCost};
 pub use device::{DeviceSpec, ResourceUsage};
-pub use estimate::{bank_mux, bram18k_units, estimate, CarriedDep, DepSummary, LoopQoR, QoR};
+pub use estimate::{
+    bank_mux, bram18k_units, estimate, port_demand, CarriedDep, DepSummary, LoopQoR, QoR,
+};
 pub use report::SynthesisReport;
 pub use testbench::emit_testbench;

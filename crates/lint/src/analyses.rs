@@ -2,9 +2,8 @@
 
 use crate::context::{walk_loops, walk_stores, LintContext};
 use crate::{Analysis, Diagnostic, LintCode, Location};
-use pom_dsl::Compute;
 use pom_ir::AffineOp;
-use pom_poly::{fm, AccessFn, Constraint, DepKind, DependenceAnalysis, LinearExpr, StmtPoly};
+use pom_poly::{fm, AccessFn, Constraint, LinearExpr};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn path_ivs(path: &[crate::context::LoopFrame]) -> Vec<String> {
@@ -29,7 +28,7 @@ impl Analysis for IiFeasibility {
             let Some(dep) = cx.deps.carried_at(&l.iv) else {
                 return;
             };
-            let rec_mii = dep.chain_latency.div_ceil(dep.distance.max(1)).max(1);
+            let rec_mii = dep.rec_mii(0);
             if (ii.max(1) as u64) < rec_mii {
                 out.push(
                     Diagnostic::new(
@@ -239,9 +238,8 @@ impl Analysis for PortPressure {
 }
 
 /// Counts per-array concurrent accesses of a pipelined body, treating
-/// every inner loop as fully unrolled (Vitis pipeline semantics) — the
-/// estimator's `distinct` access rule: a reference not varying with an
-/// unrolled iv is a broadcast, not an extra port demand.
+/// every inner loop as fully unrolled (Vitis pipeline semantics), by the
+/// estimator's [`pom_hls::port_demand`].
 fn collect_concurrent_accesses(
     ops: &[AffineOp],
     unrolled: &mut Vec<(String, u64)>,
@@ -250,17 +248,8 @@ fn collect_concurrent_accesses(
     for op in ops {
         match op {
             AffineOp::Store(s) => {
-                let distinct = |a: &AccessFn| -> u64 {
-                    unrolled
-                        .iter()
-                        .filter(|(iv, _)| a.indices.iter().any(|e| e.uses(iv)))
-                        .map(|(_, t)| *t)
-                        .product::<u64>()
-                        .max(1)
-                };
-                *out.entry(s.dest.array.clone()).or_insert(0) += distinct(&s.dest);
-                for load in s.value.loads() {
-                    *out.entry(load.array.clone()).or_insert(0) += distinct(load);
+                for (array, n) in pom_hls::port_demand(s, unrolled) {
+                    *out.entry(array.to_string()).or_insert(0) += n;
                 }
             }
             AffineOp::If(i) => collect_concurrent_accesses(&i.body, unrolled, out),
@@ -276,10 +265,11 @@ fn collect_concurrent_accesses(
 
 /// POM004: every dependence must stay lexicographically non-negative
 /// under the current schedule — the paper's stage-1 invariant, made
-/// checkable on demand. Dependences are computed in the *original*
-/// iteration space of each compute and re-expressed in the transformed
-/// space through the statement's schedule map; Fourier–Motzkin then asks
-/// whether any dependent instance pair executes in reversed order.
+/// checkable on demand. Both checks are the validator's own: a compute's
+/// original-space self-dependences re-expressed through its schedule map
+/// ([`pom_verify::reversed_dependence`], one finding per statement), and
+/// the producer/consumer order ([`pom_verify::order_violations`], one
+/// finding per violating pair).
 pub struct ScheduleLegality;
 
 impl Analysis for ScheduleLegality {
@@ -291,167 +281,50 @@ impl Analysis for ScheduleLegality {
         let Some(src) = cx.source else {
             return; // needs the scheduled DSL source
         };
-        let f = src.function;
-        let analysis = DependenceAnalysis::new();
-
-        // Per-statement: self-dependences survive the schedule map.
-        for (c, s) in f.computes().iter().zip(src.stmts) {
-            let store = c.store();
-            let dims = c.iter_names();
-            let domain = c.domain();
-            let mut deps = Vec::new();
-            for l in c.loads() {
-                if l.array == store.array {
-                    deps.extend(analysis.analyze_pair(store, l, DepKind::Flow, &dims, &domain));
-                    deps.extend(analysis.analyze_pair(l, store, DepKind::Anti, &dims, &domain));
-                }
-            }
-            if c.loads().iter().any(|l| l.array == store.array) {
-                deps.extend(analysis.analyze_pair(store, store, DepKind::Output, &dims, &domain));
-            }
-            for d in &deps {
-                let Some(dist) = &d.distance else {
-                    continue;
-                };
-                if dist.0.iter().all(|&x| x == 0) {
-                    continue;
-                }
-                if let Some(level) = violated_level(s, &dims, &dist.0) {
-                    out.push(
-                        Diagnostic::new(
-                            LintCode::IllegalSchedule,
-                            Location::func_scope(&cx.func.name).with_stmt(c.name()),
-                            format!(
-                                "the {:?} dependence on `{}` with original distance {:?} \
-                                 executes in reversed order at transformed loop %{} — the \
-                                 schedule is illegal",
-                                d.kind,
-                                d.array,
-                                dist.0,
-                                s.dims()[level]
-                            ),
-                        )
-                        .with_suggestion(
-                            "undo the reordering (interchange/skew) of the carrying loop, or \
-                             skew the nest until the dependence is non-negative again",
+        let computes = src.function.computes();
+        for (c, s) in computes.iter().zip(src.stmts) {
+            let deps = pom_verify::self_dependences(c);
+            if let Some((d, level)) = pom_verify::reversed_dependence(c, s, &deps) {
+                out.push(
+                    Diagnostic::new(
+                        LintCode::IllegalSchedule,
+                        Location::func_scope(&cx.func.name).with_stmt(c.name()),
+                        format!(
+                            "{} — the schedule is illegal",
+                            d.reversed_at(&s.dims()[level])
                         ),
-                    );
-                    break; // one finding per statement is enough
-                }
+                    )
+                    .with_suggestion(
+                        "undo the reordering (interchange/skew) of the carrying loop, or \
+                         skew the nest until the dependence is non-negative again",
+                    ),
+                );
             }
         }
 
-        // Cross-statement program order: a consumer nest scheduled
-        // entirely before the producer nest it reads from.
-        let computes = f.computes();
-        for (pi, p) in computes.iter().enumerate() {
-            for (ci, c) in computes.iter().enumerate().skip(pi + 1) {
-                let pa = p.store();
-                let Some(ca) = c.loads().into_iter().find(|l| l.array == pa.array) else {
-                    continue;
-                };
-                if src.stmts[ci].statics()[0] >= src.stmts[pi].statics()[0] {
-                    continue; // still scheduled at or after the producer
-                }
-                if cells_overlap(p, pa, c, ca) {
-                    out.push(
-                        Diagnostic::new(
-                            LintCode::IllegalSchedule,
-                            Location::func_scope(&cx.func.name).with_stmt(c.name()),
-                            format!(
-                                "statement `{}` reads `{}` produced by `{}` but is scheduled \
-                                 before it",
-                                c.name(),
-                                pa.array,
-                                p.name()
-                            ),
-                        )
-                        .with_suggestion(format!(
-                            "schedule `{}` after `{}` (e.g. `{}.after({}, ...)`)",
-                            c.name(),
-                            p.name(),
-                            c.name(),
-                            p.name()
-                        )),
-                    );
-                }
-            }
+        for (pi, ci) in pom_verify::order_violations(src.function, src.stmts) {
+            let (p, c) = (&computes[pi], &computes[ci]);
+            out.push(
+                Diagnostic::new(
+                    LintCode::IllegalSchedule,
+                    Location::func_scope(&cx.func.name).with_stmt(c.name()),
+                    format!(
+                        "statement `{}` reads `{}` produced by `{}` but is scheduled before it",
+                        c.name(),
+                        p.store().array,
+                        p.name()
+                    ),
+                )
+                .with_suggestion(format!(
+                    "schedule `{}` after `{}` (e.g. `{}.after({}, ...)`)",
+                    c.name(),
+                    p.name(),
+                    c.name(),
+                    p.name()
+                )),
+            );
         }
     }
-}
-
-/// Finds the first transformed loop level at which some instance pair
-/// related by original-space distance `dist` executes in reversed order;
-/// `None` means the schedule preserves the dependence.
-fn violated_level(s: &StmtPoly, orig_dims: &[String], dist: &[i64]) -> Option<usize> {
-    let cur_dims: Vec<String> = s.dims().to_vec();
-    let prime = |n: &str| format!("{n}__snk");
-    let rename_all = |mut e: LinearExpr| -> LinearExpr {
-        for d in &cur_dims {
-            e = e.renamed(d, &prime(d));
-        }
-        e
-    };
-
-    // Source and sink instances both range over the transformed domain.
-    let mut sys: Vec<Constraint> = s.domain().constraints().to_vec();
-    for c in s.domain().constraints() {
-        sys.push(Constraint {
-            expr: rename_all(c.expr.clone()),
-            kind: c.kind,
-        });
-    }
-    // The sink's original coordinates are the source's displaced by dist.
-    for (k, od) in orig_dims.iter().enumerate() {
-        let e = s.orig_expr(od)?;
-        sys.push(Constraint::eq(
-            rename_all(e.clone()) - e.clone(),
-            LinearExpr::constant_expr(dist[k]),
-        ));
-    }
-
-    // Violation at level l: equal above l, sink strictly earlier at l.
-    for (l, dim) in cur_dims.iter().enumerate() {
-        let mut cs = sys.clone();
-        for above in &cur_dims[..l] {
-            cs.push(Constraint::eq(
-                LinearExpr::var(prime(above)),
-                LinearExpr::var(above),
-            ));
-        }
-        cs.push(Constraint::lt(
-            LinearExpr::var(prime(dim)),
-            LinearExpr::var(dim),
-        ));
-        if fm::feasible(&cs) {
-            return Some(l);
-        }
-    }
-    None
-}
-
-/// True when a producer access and a consumer access can touch the same
-/// array cell for some pair of points in their (original) domains.
-fn cells_overlap(p: &Compute, pa: &AccessFn, c: &Compute, ca: &AccessFn) -> bool {
-    let prime = |n: &str| format!("{n}__c");
-    let cdims = c.iter_names();
-    let rename_all = |mut e: LinearExpr| -> LinearExpr {
-        for d in &cdims {
-            e = e.renamed(d, &prime(d));
-        }
-        e
-    };
-    let mut sys: Vec<Constraint> = p.domain().constraints().to_vec();
-    for con in c.domain().constraints() {
-        sys.push(Constraint {
-            expr: rename_all(con.expr.clone()),
-            kind: con.kind,
-        });
-    }
-    for (ep, ec) in pa.indices.iter().zip(&ca.indices) {
-        sys.push(Constraint::eq(ep.clone(), rename_all(ec.clone())));
-    }
-    fm::feasible(&sys)
 }
 
 /// POM005: dead code — memrefs never accessed at all, and stores to
@@ -762,7 +635,7 @@ mod tests {
     use pom_dsl::{DataType, Function};
     use pom_hls::{CarriedDep, CostModel, DepSummary, DeviceSpec};
     use pom_ir::{AffineFunc, ForOp, HlsAttrs, IfOp, MemRefDecl, PartitionInfo, StoreOp};
-    use pom_poly::Bound;
+    use pom_poly::{Bound, StmtPoly};
 
     fn cb(v: i64) -> Bound {
         Bound::new(LinearExpr::constant_expr(v), 1)

@@ -64,7 +64,7 @@ pub use set::{BasicSet, LevelBounds, Points};
 pub use space::{DimId, PolyError};
 pub use stats::PolyStats;
 pub use transform::StmtPoly;
-pub use vector::{Direction, DirectionVector, DistanceVector};
+pub use vector::{lex_non_negative, Direction, DirectionVector, DistanceVector};
 
 /// Greatest common divisor of two non-negative integers.
 ///

@@ -40,6 +40,13 @@ impl fmt::Display for Direction {
     }
 }
 
+/// True when a distance vector, given outermost entry first, is
+/// lexicographically non-negative: its first non-zero entry (if any) is
+/// positive, so no dependent instance pair runs in reversed order.
+pub fn lex_non_negative(v: impl IntoIterator<Item = i64>) -> bool {
+    v.into_iter().find(|&d| d != 0).is_none_or(|d| d > 0)
+}
+
 /// A dependence distance vector `d = v_sink - v_source`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DistanceVector(pub Vec<i64>);
@@ -58,15 +65,7 @@ impl DistanceVector {
     /// True when the vector is lexicographically positive (a genuine
     /// source-before-sink dependence).
     pub fn is_lex_positive(&self) -> bool {
-        for &d in &self.0 {
-            if d > 0 {
-                return true;
-            }
-            if d < 0 {
-                return false;
-            }
-        }
-        false
+        self.0.iter().find(|&&d| d != 0).is_some_and(|&d| d > 0)
     }
 
     /// The loop level (0-based, outermost first) that carries the

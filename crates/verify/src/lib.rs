@@ -31,4 +31,7 @@ pub use cert::{Certificate, Obligation, ObligationKind, ObligationStatus, Valida
 pub use dataflow::{analyze_ranges, expr_interval, Interval, ValueRanges};
 pub use live::live_report;
 pub use passes::{check_hook, check_pass};
-pub use tv::{validate, validate_with, ValidateOptions};
+pub use tv::{
+    order_violations, reversed_dependence, self_dependences, validate, validate_with,
+    SelfDependence, ValidateOptions,
+};

@@ -27,6 +27,7 @@ use pom_poly::{
     ceil_div, floor_div, fm, AccessFn, BasicSet, Constraint, ConstraintKind, DepKind,
     DependenceAnalysis, DimId, LevelBounds, LinearExpr, Points, StmtPoly,
 };
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 /// Tuning knobs of the validator.
@@ -46,12 +47,29 @@ impl Default for ValidateOptions {
     }
 }
 
-/// One uniform dependence in the original iteration space.
+/// One uniform self-dependence of a compute in its original iteration
+/// space.
 #[derive(Clone, Debug)]
-struct DepRecord {
-    kind: DepKind,
-    array: String,
-    dist: Vec<i64>,
+pub struct SelfDependence {
+    /// Flow, anti or output.
+    pub kind: DepKind,
+    /// The array the dependence flows through.
+    pub array: String,
+    /// Sink minus source, one entry per original loop (never all zero).
+    pub dist: Vec<i64>,
+}
+
+impl SelfDependence {
+    /// "the {kind} dependence on `{array}` with original distance {dist}
+    /// executes in reversed order at transformed loop %{loop_iv}" — the
+    /// finding the validator and lint's POM004 both report.
+    pub fn reversed_at(&self, loop_iv: &str) -> String {
+        format!(
+            "the {:?} dependence on `{}` with original distance {:?} executes in reversed \
+             order at transformed loop %{loop_iv}",
+            self.kind, self.array, self.dist
+        )
+    }
 }
 
 /// Validates every rewrite of the function's recorded schedule,
@@ -79,7 +97,7 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
         .collect();
     // Original-space dependences do not depend on the schedule: compute
     // them once and re-check them after every rewrite.
-    let deps: Vec<Vec<DepRecord>> = computes.iter().map(original_deps).collect();
+    let deps: Vec<Vec<SelfDependence>> = computes.iter().map(self_dependences).collect();
     // Neither does a statement's original side of the domain and
     // footprint comparisons: it is built at the statement's first loop
     // transformation and dropped after its last, so a long schedule holds
@@ -171,8 +189,11 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
 }
 
 /// Uniform self-dependences of a compute in its original iteration
-/// space, exactly as the stage-1 legality analysis collects them.
-fn original_deps(c: &Compute) -> Vec<DepRecord> {
+/// space: flow and anti per load of the stored array, and output when
+/// there is such a load. Loop-independent (all-zero) and non-uniform
+/// dependences are left out; no schedule can reverse the former, and the
+/// latter have no distance to re-express.
+pub fn self_dependences(c: &Compute) -> Vec<SelfDependence> {
     let analysis = DependenceAnalysis::new();
     let store = c.store();
     let dims = c.iter_names();
@@ -193,7 +214,7 @@ fn original_deps(c: &Compute) -> Vec<DepRecord> {
             if dist.0.iter().all(|&x| x == 0) {
                 return None;
             }
-            Some(DepRecord {
+            Some(SelfDependence {
                 kind: d.kind,
                 array: d.array,
                 dist: dist.0,
@@ -630,24 +651,14 @@ fn bounded_points(
 fn dependences_obligation(
     c: &Compute,
     s: &StmtPoly,
-    deps: &[DepRecord],
+    deps: &[SelfDependence],
     cur: &Transformed,
 ) -> Obligation {
-    let dims = c.iter_names();
-    for d in deps {
-        if let Some(level) = violated_level(s, &dims, &d.dist, &cur.bx) {
-            return Obligation::failed(
-                ObligationKind::DependencesPreserved,
-                format!(
-                    "the {:?} dependence on `{}` with original distance {:?} executes in \
-                     reversed order at transformed loop %{}",
-                    d.kind,
-                    d.array,
-                    d.dist,
-                    s.dims()[level]
-                ),
-            );
-        }
+    if let Some((d, level)) = first_reversal(c, s, deps, &cur.bx) {
+        return Obligation::failed(
+            ObligationKind::DependencesPreserved,
+            d.reversed_at(&s.dims()[level]),
+        );
     }
     Obligation::passed(
         ObligationKind::DependencesPreserved,
@@ -657,6 +668,30 @@ fn dependences_obligation(
             deps.len()
         ),
     )
+}
+
+/// The first of `deps` (the [`self_dependences`] of `c`) that the
+/// schedule of `s`, `c`'s transformed statement, runs in reversed order,
+/// with the transformed loop level at which it does; `None` when the
+/// schedule preserves them all.
+pub fn reversed_dependence<'d>(
+    c: &Compute,
+    s: &StmtPoly,
+    deps: &'d [SelfDependence],
+) -> Option<(&'d SelfDependence, usize)> {
+    first_reversal(c, s, deps, &level_table(s.domain()).1)
+}
+
+/// [`reversed_dependence`] over the transformed domain's box `bx`.
+fn first_reversal<'d>(
+    c: &Compute,
+    s: &StmtPoly,
+    deps: &'d [SelfDependence],
+    bx: &[DeltaIv],
+) -> Option<(&'d SelfDependence, usize)> {
+    let dims = c.iter_names();
+    deps.iter()
+        .find_map(|d| Some((d, violated_level(s, &dims, &d.dist, bx)?)))
 }
 
 /// Finds the first transformed loop level at which some instance pair
@@ -1017,31 +1052,19 @@ fn footprint_obligation(orig: &Original, s: &StmtPoly, cur: &Transformed) -> Obl
 }
 
 /// Checks that every producer still executes before the consumers that
-/// read it (outermost sequence constants after re-sequencing).
+/// read it (see [`order_violations`]).
 fn order_obligation(f: &Function, stmts: &[StmtPoly]) -> Obligation {
     let computes = f.computes();
-    for (pi, p) in computes.iter().enumerate() {
-        for (ci, c) in computes.iter().enumerate().skip(pi + 1) {
-            let pa = p.store();
-            let Some(ca) = c.loads().into_iter().find(|l| l.array == pa.array) else {
-                continue;
-            };
-            if stmts[ci].statics()[0] >= stmts[pi].statics()[0] {
-                continue;
-            }
-            if cells_overlap(p, pa, c, ca) {
-                return Obligation::failed(
-                    ObligationKind::OrderPreserved,
-                    format!(
-                        "statement `{}` reads `{}` produced by `{}` but is now scheduled \
-                         before it",
-                        c.name(),
-                        pa.array,
-                        p.name()
-                    ),
-                );
-            }
-        }
+    if let Some((pi, ci)) = order_violations(f, stmts).next() {
+        return Obligation::failed(
+            ObligationKind::OrderPreserved,
+            format!(
+                "statement `{}` reads `{}` produced by `{}` but is now scheduled before it",
+                computes[ci].name(),
+                computes[pi].store().array,
+                computes[pi].name()
+            ),
+        );
     }
     Obligation::passed(
         ObligationKind::OrderPreserved,
@@ -1049,28 +1072,121 @@ fn order_obligation(f: &Function, stmts: &[StmtPoly]) -> Obligation {
     )
 }
 
-/// True when a producer access and a consumer access can touch the same
-/// array cell for some pair of points in their (original) domains.
-fn cells_overlap(p: &Compute, pa: &AccessFn, c: &Compute, ca: &AccessFn) -> bool {
-    let prime = |n: &str| format!("{n}__c");
-    let cdims = c.iter_names();
+/// Every producer/consumer pair `(p, c)` of compute indices, `p < c` and
+/// `c` loading the array `p` stores to, in which the schedule `stmts` (the
+/// transformed statements, in compute order) lets an instance of `c` read
+/// a cell of that array before the instance of `p` that writes it; in
+/// `(p, c)` order.
+///
+/// The statements' `[s0, d0, s1, d1, …]` schedules are compared position
+/// by position. Distinct outermost constants `s0` decide every instance
+/// pair at once: a consumer sequenced first violates when any of its loads
+/// can touch a produced cell within the original domains. Tied constants
+/// walk on through the loops the two share: at each shared loop a
+/// consumer instance with the smaller value, and at each later constant a
+/// consumer with the smaller one, comes first among the pairs equal on
+/// the shared loops above, which Fourier–Motzkin tests for a read of a
+/// produced cell. A loop the two do not share (another iterator name, or
+/// one statement ends) runs in compute order, as `build_ast` emits it, so
+/// the producer comes first.
+pub fn order_violations<'a>(
+    f: &'a Function,
+    stmts: &'a [StmtPoly],
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let computes = f.computes();
+    (0..computes.len())
+        .flat_map(move |pi| (pi + 1..computes.len()).map(move |ci| (pi, ci)))
+        .filter(move |&(pi, ci)| {
+            let (p, c) = (&computes[pi], &computes[ci]);
+            let pa = p.store();
+            let mut loads = c.loads().into_iter().filter(|l| l.array == pa.array);
+            let (sp, sc) = (&stmts[pi], &stmts[ci]);
+            match sc.statics()[0].cmp(&sp.statics()[0]) {
+                Ordering::Greater => false,
+                Ordering::Less => loads.any(|ca| {
+                    fm::feasible(&shared_cell(
+                        &p.domain(),
+                        pa.indices.iter().cloned(),
+                        &c.domain(),
+                        &c.iter_names(),
+                        ca.indices.iter().cloned(),
+                    ))
+                }),
+                Ordering::Equal => loads.any(|ca| reads_first(sp, pa, sc, ca)),
+            }
+        })
+}
+
+/// The instance pairs of a producer and a consumer that touch one cell:
+/// producer points of `pdom`, consumer points of `cdom` with each of its
+/// dims `cdims` primed, and the producer's cell `pa` equal to the
+/// consumer's `ca` (index expressions over the unprimed dims).
+fn shared_cell(
+    pdom: &BasicSet,
+    pa: impl Iterator<Item = LinearExpr>,
+    cdom: &BasicSet,
+    cdims: &[String],
+    ca: impl Iterator<Item = LinearExpr>,
+) -> Vec<Constraint> {
     let rename_all = |mut e: LinearExpr| -> LinearExpr {
-        for d in &cdims {
-            e = e.renamed(d, &prime(d));
+        for d in cdims {
+            e = e.renamed(d, &primed(d));
         }
         e
     };
-    let mut sys: Vec<Constraint> = p.domain().constraints().to_vec();
-    for con in c.domain().constraints() {
+    let mut sys: Vec<Constraint> = pdom.constraints().to_vec();
+    for con in cdom.constraints() {
         sys.push(Constraint {
             expr: rename_all(con.expr.clone()),
             kind: con.kind,
         });
     }
-    for (ep, ec) in pa.indices.iter().zip(&ca.indices) {
-        sys.push(Constraint::eq(ep.clone(), rename_all(ec.clone())));
+    sys.extend(
+        pa.zip(ca)
+            .map(|(ep, ec)| Constraint::eq(ep, rename_all(ec))),
+    );
+    sys
+}
+
+/// A consumer dim's name in [`shared_cell`]'s system.
+fn primed(d: &str) -> String {
+    format!("{d}__c")
+}
+
+/// The walk of [`order_violations`] past tied outermost constants: true
+/// when some instance of consumer `sc` reads, through `ca`, a cell the
+/// producer `sp` writes through `pa` before that write executes.
+fn reads_first(sp: &StmtPoly, pa: &AccessFn, sc: &StmtPoly, ca: &AccessFn) -> bool {
+    let mut sys = shared_cell(
+        sp.domain(),
+        pa.indices.iter().map(|e| sp.to_current(e)),
+        sc.domain(),
+        sc.dims(),
+        ca.indices.iter().map(|e| sc.to_current(e)),
+    );
+    for k in 0..=sp.dims().len().min(sc.dims().len()) {
+        if k > 0 {
+            match sc.statics()[k].cmp(&sp.statics()[k]) {
+                Ordering::Greater => return false,
+                Ordering::Less => return fm::feasible(&sys),
+                Ordering::Equal => {}
+            }
+        }
+        let (Some(pd), Some(cd)) = (sp.dims().get(k), sc.dims().get(k)) else {
+            return false;
+        };
+        if pd != cd {
+            return false;
+        }
+        let (at_p, at_c) = (LinearExpr::var(pd), LinearExpr::var(primed(cd)));
+        let mut earlier = sys.clone();
+        earlier.push(Constraint::lt(at_c.clone(), at_p.clone()));
+        if fm::feasible(&earlier) {
+            return true;
+        }
+        sys.push(Constraint::eq(at_c, at_p));
     }
-    fm::feasible(&sys)
+    false
 }
 
 #[cfg(test)]
@@ -1407,6 +1523,70 @@ mod tests {
         assert_eq!(capped, oracle);
         assert_eq!(set_facts(&a, &b, u64::MAX)[0], oracle);
         assert!(matches!(sorted.keys, Keys::Sorted(_)));
+    }
+
+    /// `P: A[i] = B[i] + B[i]` then `C: D[i] = A[i + s0] + A[i + s1]` over
+    /// `i ∈ [0, 8)`, `A` with 16 cells: `C` reads what `P` writes through
+    /// whichever of its loads has shift 0.
+    fn producer_consumer([s0, s1]: [i64; 2]) -> Function {
+        let mut f = Function::new("pc");
+        let i = f.var("i", 0, 8);
+        let a = f.placeholder("A", &[16], DataType::F32);
+        let b = f.placeholder("B", &[8], DataType::F32);
+        let d = f.placeholder("D", &[8], DataType::F32);
+        let iv = std::slice::from_ref(&i);
+        f.compute("P", iv, b.at(&[&i]) + b.at(&[&i]), a.access(&[&i]));
+        f.compute(
+            "C",
+            iv,
+            a.at(&[i.expr() + s0]) + a.at(&[i.expr() + s1]),
+            d.access(&[&i]),
+        );
+        f
+    }
+
+    /// The kind of the first failed obligation of `f`'s last certificate.
+    fn last_failure(f: &Function) -> Option<ObligationKind> {
+        let r = validate(f);
+        let last = r.certificates.last().expect("a certificate per primitive");
+        let kind = last.failures().next().map(|o| o.kind);
+        kind
+    }
+
+    #[test]
+    fn order_check_tests_every_load_of_the_produced_array() {
+        // Only `A[i]` reads a produced cell; the check must not stop at
+        // the first load of `A`, whichever of the two comes first.
+        for shifts in [[8, 0], [0, 8]] {
+            let mut f = producer_consumer(shifts);
+            f.after_all("P", "C");
+            assert_eq!(
+                last_failure(&f),
+                Some(ObligationKind::OrderPreserved),
+                "{shifts:?}"
+            );
+        }
+        let mut f = producer_consumer([8, 9]);
+        f.after_all("P", "C");
+        assert_eq!(last_failure(&f), None, "no load reads a produced cell");
+    }
+
+    #[test]
+    fn order_check_walks_tied_sequence_constants() {
+        // Fused under `i`, `P` after `C`: `C` reads `A[i]` before `P`
+        // writes it in the same iteration.
+        let mut f = producer_consumer([0, 0]);
+        f.after("P", "C", "i");
+        assert_eq!(last_failure(&f), Some(ObligationKind::OrderPreserved));
+        // `C` after `P` under `i` is the legal fusion.
+        let mut f = producer_consumer([0, 0]);
+        f.after("C", "P", "i");
+        assert_eq!(last_failure(&f), None);
+        // `C` reading `A[i + 1]` there would read a cell `P` writes in
+        // the next iteration: reversed at the shared loop itself.
+        let mut f = producer_consumer([1, 0]);
+        f.after("C", "P", "i");
+        assert_eq!(last_failure(&f), Some(ObligationKind::OrderPreserved));
     }
 
     #[test]

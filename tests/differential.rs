@@ -6,11 +6,13 @@
 //! escaped `pom-verify`'s certificates; the suite is the oracle the
 //! translation-validation layer is measured against.
 
+use pom::ir::{lower_to_affine, MemRefDecl, StmtBody};
 use pom::{
     auto_dse_with, compile, execute_func, reference_execute, CompileOptions, DseConfig, Function,
-    MemoryState,
+    MemoryState, PassManager,
 };
 use pom_bench::kernels;
+use std::collections::HashMap;
 
 /// Every placeholder any compute of `f` stores to.
 fn output_arrays(f: &Function) -> Vec<String> {
@@ -41,17 +43,45 @@ fn assert_identical(f: &Function, affine: &pom::AffineFunc, seed: u64, stage: &s
     }
 }
 
+/// Lowers the recorded schedule of `f` (loop rewrites only: none of the
+/// suite kernels records an HLS attribute) and runs the standard cleanup
+/// passes with `pom-verify`'s footprint hook checking each one.
+fn checked_lowering(f: &Function) -> pom::AffineFunc {
+    let ast = pom::poly::build_ast(&pom::dse::compile::apply_schedule(f));
+    let bodies: HashMap<String, StmtBody> = f
+        .computes()
+        .iter()
+        .map(|c| {
+            let body = StmtBody {
+                name: c.name().to_string(),
+                orig_dims: c.iter_names(),
+                body: c.body().clone(),
+                store: c.store().clone(),
+            };
+            (c.name().to_string(), body)
+        })
+        .collect();
+    let memrefs = f
+        .placeholders()
+        .iter()
+        .map(|p| MemRefDecl::new(p.name(), p.shape(), p.dtype()))
+        .collect();
+    let mut func = lower_to_affine(f.name(), memrefs, &ast, &bodies);
+    PassManager::standard()
+        .check_each(pom::verify::check_hook())
+        .run(&mut func)
+        .unwrap_or_else(|(pass, issue)| panic!("pass {pass} of {}: {issue}", f.name()));
+    func
+}
+
 /// The differential harness for one kernel: before DSE (untransformed
 /// lowering, with the footprint check hook installed) and after
 /// `auto_dse_with` under full validation.
 fn differential(f: &Function, seed: u64) {
-    // Checked-mode compile of the recorded (possibly empty) schedule:
-    // every pass runs under the pom-verify footprint hook.
-    let checked = CompileOptions {
-        verify: true,
-        ..CompileOptions::default()
-    };
-    let before = compile(f, &checked).expect("checked compile of the input schedule");
+    // The recorded (possibly empty) schedule, every pass checked by the
+    // pom-verify footprint hook, is what `compile` produces.
+    let before = compile(f, &CompileOptions::default()).expect("compile of the input schedule");
+    assert_eq!(before.affine, checked_lowering(f), "{}", f.name());
     assert_identical(f, &before.affine, seed, "before DSE");
 
     // Full-validation DSE: winner certificates plus every 2nd estimated

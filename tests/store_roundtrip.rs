@@ -6,6 +6,7 @@
 //! flips, a different compile configuration) must be rejected as a miss,
 //! never surfaced as a wrong answer.
 
+use pom::hls::estimate::Sharing;
 use pom::hls::{CarriedDep, DepSummary, ResourceUsage};
 use pom::{ArtifactStore, CompileOptions};
 use proptest::prelude::*;
@@ -183,8 +184,10 @@ fn truncated_artifact_is_a_miss() {
 fn different_compile_options_use_disjoint_shards() {
     let root = scratch("shards");
     let a = ArtifactStore::open(&root, &CompileOptions::default()).unwrap();
-    let mut opts = CompileOptions::default();
-    opts.verify = !opts.verify;
+    let opts = CompileOptions {
+        sharing: Sharing::Dataflow,
+        ..CompileOptions::default()
+    };
     let b = ArtifactStore::open(&root, &opts).unwrap();
     assert_ne!(a.shard_dir(), b.shard_dir(), "config must key the shard");
     a.save_infeasible(1, true);
