@@ -14,13 +14,14 @@
 //! open, oldest artifacts first. `--daemon SOCKET` sends the request to
 //! a running `pomd` instead of compiling locally and prints the daemon's
 //! serving payload (schedule + QoR + HLS C); other emit modes don't apply
-//! over the daemon. `--dataflow` turns on the rate-matching DSE
-//! refinement (beam searches only), so the winner is picked by simulated
-//! dataflow cycles. The `lint`, `verify`, `sim`, `live` and `dataflow`
-//! emit modes exit 1 on an error-severity diagnostic, a rejected
-//! certificate, a memory divergence from the interpreter, a dead store
-//! or failed contraction replay, and a deadlock or failed channel
-//! certificate, respectively.
+//! over the daemon. `--search portfolio` runs the portfolio beam search
+//! instead of the greedy descent. `--dataflow` turns on the
+//! rate-matching DSE refinement under either search, so the winner is
+//! picked by simulated dataflow cycles. The `lint`, `verify`, `sim`,
+//! `live` and `dataflow` emit modes exit 1 on an error-severity
+//! diagnostic, a rejected certificate, a memory divergence from the
+//! interpreter, a dead store or failed contraction replay, and a
+//! deadlock or failed channel certificate, respectively.
 
 use pom::{
     auto_dse_with, baselines, ArtifactStore, CompileOptions, DepGraph, DseConfig, DseResult,
@@ -40,8 +41,7 @@ const EMIT_MODES: &str = "dsl|graph|ir|c|tb|report|schedule|lint|verify|sim|live
 const COMPILE_FLAGS: &[FlagSpec] = &[
     SIZE,
     FlagSpec::new("--emit", EMIT_MODES, Kind::Text),
-    FlagSpec::new("--search", "greedy|beam|portfolio", Kind::Text),
-    FlagSpec::new("--budget-ms", "MS", Kind::Int),
+    FlagSpec::new("--search", "greedy|portfolio", Kind::Text),
     FlagSpec::switch("--no-dse"),
     FlagSpec::switch("--dataflow"),
     FlagSpec::new("--store", "DIR", Kind::Text),
@@ -233,7 +233,6 @@ fn main() {
     let use_dse = !flags.has("--no-dse");
     let dataflow = flags.has("--dataflow");
     let search = flags.text("--search").unwrap_or("greedy");
-    let budget_ms = flags.int("--budget-ms").map(|ms| ms as u64);
     let store = flags.text("--store").map(std::path::PathBuf::from);
     let store_max_bytes = flags.int("--store-max-bytes").map(|b| b as u64);
     let daemon = flags.text("--daemon").map(std::path::PathBuf::from);
@@ -272,24 +271,12 @@ fn main() {
             "--emit cache reports the DSE cache; it cannot be combined with --no-dse",
         ),
         (
-            budget_ms == Some(0),
-            "--budget-ms expects a positive budget (0 would return the untuned seed)",
-        ),
-        (
-            budget_ms.is_some() && greedy,
-            "--budget-ms only applies to the beam searches; pass --search beam|portfolio",
-        ),
-        (
             !greedy && !use_dse,
-            "--search beam|portfolio runs inside the DSE; it cannot be combined with --no-dse",
+            "--search portfolio runs inside the DSE; it cannot be combined with --no-dse",
         ),
         (
             dataflow && !use_dse,
             "--dataflow runs inside the DSE; it cannot be combined with --no-dse",
-        ),
-        (
-            dataflow && greedy,
-            "--dataflow rate-matching rides on the bounded searches; pass --search beam|portfolio",
         ),
     ];
     if let Some((_, why)) = misuse.iter().find(|(bad, _)| *bad) {
@@ -304,7 +291,6 @@ fn main() {
         store: store.clone(),
         store_max_bytes,
         search,
-        budget_ms,
         dataflow,
         ..DseConfig::default()
     };
@@ -438,17 +424,12 @@ fn emit_design(
                 if search != SearchMode::Greedy {
                     println!(
                         "Search ({search}): {} wave(s), {} expanded, {} simulated \
-                         ({} band-pruned), winner {} simulated cycle(s){}",
+                         ({} band-pruned), winner {} simulated cycle(s)",
                         r.stats.beam_depth,
                         r.stats.beam_expanded,
                         r.stats.sim_admitted,
                         r.stats.sim_pruned,
-                        r.stats.sim_cycles,
-                        if r.stats.budget_expired {
-                            "; budget expired (anytime best-so-far)"
-                        } else {
-                            ""
-                        }
+                        r.stats.sim_cycles
                     );
                 }
             }
@@ -497,15 +478,10 @@ fn emit_design(
                     );
                     println!(
                         "DSE sim admission: {} state(s) simulated, {} pruned by the \
-                         admission band, {:.3} s in the simulator{}",
+                         admission band, {:.3} s in the simulator",
                         r.stats.sim_admitted,
                         r.stats.sim_pruned,
-                        r.stats.sim_time.as_secs_f64(),
-                        if r.stats.budget_expired {
-                            " (budget expired: anytime best-so-far)"
-                        } else {
-                            ""
-                        }
+                        r.stats.sim_time.as_secs_f64()
                     );
                     println!(
                         "DSE winner (simulated): {} cycle(s) (dep {}, port {}, drain {}; \

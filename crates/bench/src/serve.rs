@@ -44,9 +44,7 @@
 //! streams' vocabulary); for `conv...` kernels the shape in the name
 //! wins and `<size>` is ignored.
 
-use pom_dse::{
-    auto_dse_with_cache, fingerprint, ArtifactStore, CompileOptions, DseCache, DseConfig, DseResult,
-};
+use pom_dse::{auto_dse_with_cache, fingerprint, CompileOptions, DseCache, DseConfig, DseResult};
 use pom_dsl::Function;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -221,18 +219,7 @@ impl ServeEngine {
     /// that budget (oldest artifacts first) right after opening, so
     /// `stats` reports post-GC disk usage.
     pub fn new(opts: CompileOptions, cfg: DseConfig, store: Option<&Path>) -> ServeEngine {
-        let cache = match store {
-            Some(root) => match ArtifactStore::open(root, &opts) {
-                Ok(s) => {
-                    if let Some(max) = cfg.store_max_bytes {
-                        let _ = s.gc(max);
-                    }
-                    DseCache::with_store(Arc::new(s))
-                }
-                Err(_) => DseCache::new(),
-            },
-            None => DseCache::new(),
-        };
+        let cache = DseCache::open(store, cfg.store_max_bytes, &opts);
         ServeEngine {
             opts,
             cfg,

@@ -100,13 +100,22 @@ fn compile_usage_errors_fail_before_compiling() {
         &["gemm", "--no-dse", "--emit", "cache"],
         "--emit cache reports",
     );
-    assert_usage_error(&["gemm", "--budget-ms", "5"], "--budget-ms only applies");
-    assert_usage_error(&["gemm", "--dataflow"], "--dataflow rate-matching rides");
+    assert_usage_error(&["gemm", "--search", "beam"], "unknown --search beam\n");
+    assert_usage_error(&["gemm", "--budget-ms", "5"], "unknown flag --budget-ms\n");
     assert!(
         start.elapsed() < std::time::Duration::from_secs(10),
         "usage errors took {:?}: something compiled first",
         start.elapsed()
     );
+}
+
+#[test]
+fn dataflow_refines_the_greedy_winner() {
+    let out = pomc(&["2mm", "--size", "16", "--dataflow", "--emit", "dataflow"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains("DSE dataflow: "), "{stdout}");
 }
 
 #[test]

@@ -32,12 +32,14 @@
 //! the same options set.
 
 use crate::compile::{CompileError, CompileOptions, Compiled};
+use crate::search::DseStats;
 use crate::store::ArtifactStore;
 use pom_dsl::Function;
 use pom_hls::{DepSummary, ResourceUsage};
 use pom_poly::StmtPoly;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -271,6 +273,53 @@ impl PhaseAccum {
     }
 }
 
+/// Counter baseline taken at search start, so a long-lived shared cache
+/// reports per-search deltas in [`DseStats`]. [`CacheSnapshot::record`]
+/// is the one writer of a search's cache, store and compile-phase
+/// counters.
+pub(crate) struct CacheSnapshot {
+    hits: usize,
+    misses: usize,
+    evictions: usize,
+    store_hits: usize,
+    store_misses: usize,
+    store_writes: usize,
+}
+
+impl CacheSnapshot {
+    /// The counters of `cache` now (zeros without a cache).
+    pub(crate) fn take(cache: Option<&DseCache>) -> CacheSnapshot {
+        let store = cache.and_then(DseCache::store);
+        CacheSnapshot {
+            hits: cache.map_or(0, DseCache::hits),
+            misses: cache.map_or(0, DseCache::misses),
+            evictions: cache.map_or(0, DseCache::evictions),
+            store_hits: store.map_or(0, |s| s.hits()),
+            store_misses: store.map_or(0, |s| s.misses()),
+            store_writes: store.map_or(0, |s| s.writes()),
+        }
+    }
+
+    /// Writes into `stats` what the search since [`CacheSnapshot::take`]
+    /// added to `cache`'s counters, the live entries left, and the
+    /// compile phases `acc` timed.
+    pub(crate) fn record(&self, cache: Option<&DseCache>, acc: &PhaseAccum, stats: &mut DseStats) {
+        if let Some(c) = cache {
+            stats.cache_hits = c.hits() - self.hits;
+            stats.cache_misses = c.misses() - self.misses;
+            stats.cache_evictions = c.evictions() - self.evictions;
+            stats.cache_entries = c.entries();
+            if let Some(s) = c.store() {
+                stats.store_hits = s.hits() - self.store_hits;
+                stats.store_misses = s.misses() - self.store_misses;
+                stats.store_writes = s.writes() - self.store_writes;
+            }
+        }
+        stats.lowering_time = acc.lowering();
+        stats.estimation_time = acc.estimation();
+    }
+}
+
 /// Locks a mutex, recovering the data from a poisoned lock: cache values
 /// are pure functions of their keys and every insert is a single
 /// statement, so a panicking holder cannot leave a torn entry behind —
@@ -399,6 +448,22 @@ impl DseCache {
             store: Some(store),
             ..Self::default()
         }
+    }
+
+    /// A cache backed by the store shard for `opts` under `root`, swept
+    /// down to `max_bytes` on open when given (oldest artifacts first; a
+    /// contended sweep — the store is open elsewhere — skips this time).
+    /// No `root`, or a store that fails to open, gives a memory-only
+    /// cache: the store is an accelerator, never a correctness
+    /// dependency.
+    pub fn open(root: Option<&Path>, max_bytes: Option<u64>, opts: &CompileOptions) -> Self {
+        let Some(Ok(store)) = root.map(|r| ArtifactStore::open(r, opts)) else {
+            return Self::new();
+        };
+        if let Some(max) = max_bytes {
+            let _ = store.gc(max);
+        }
+        Self::with_store(Arc::new(store))
     }
 
     /// The persistent backing store, if any.

@@ -187,6 +187,25 @@ pub(crate) fn self_dependences(c: &Compute, s: &StmtPoly) -> Vec<Dependence> {
     deps
 }
 
+/// The levels `deps` carry in a `depth`-deep nest: per level, the
+/// smallest distance of a uniform dependence carried there, `Some(1)` for
+/// a level only non-uniform dependences carry, `None` for a parallel
+/// level. Stage 1's profile and the stage-2 ladder's parallel levels read
+/// it over [`self_dependences`].
+pub(crate) fn carried_levels(deps: &[Dependence], depth: usize) -> Vec<Option<i64>> {
+    let mut carried = vec![None; depth];
+    for d in deps {
+        match (&d.distance, d.carried_level) {
+            (Some(v), Some(l)) => {
+                carried[l] = Some(carried[l].map_or(v.0[l], |c: i64| c.min(v.0[l])))
+            }
+            (None, Some(l)) => carried[l] = Some(carried[l].unwrap_or(1)),
+            _ => {}
+        }
+    }
+    carried
+}
+
 /// Builds the per-loop dependence summary for estimation: every
 /// self-dependence of every compute, analyzed in the *transformed* space,
 /// keyed by the transformed loop name that carries it.

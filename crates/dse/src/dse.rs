@@ -1,9 +1,12 @@
 //! The complete two-stage DSE engine (`f.auto_DSE()`).
 
-use crate::cache::{DseCache, PhaseAccum};
+use crate::cache::{CacheSnapshot, DseCache, PhaseAccum};
 use crate::compile::{CompileError, CompileOptions, Compiled};
+use crate::search::beam::portfolio_optimize_impl;
 use crate::search::ladder::SearchBase;
-use crate::search::stage2::{bottleneck_optimize_impl, full_compile, full_dep_template};
+use crate::search::stage2::{
+    bottleneck_optimize_impl, full_compile, full_dep_template, retarget_iis,
+};
 use crate::search::{DseConfig, DseStats, GroupConfig, SearchMode};
 use crate::signoff::Signoff;
 use crate::stage1::dependence_aware_transform_on;
@@ -93,20 +96,9 @@ pub fn auto_dse_with(
     opts: &CompileOptions,
     cfg: &DseConfig,
 ) -> Result<DseResult, CompileError> {
-    let cache = cfg.cache.then(|| match &cfg.store {
-        Some(root) => match crate::store::ArtifactStore::open(root, opts) {
-            Ok(s) => {
-                // Best-effort disk-budget sweep on open: a contended GC
-                // (the store is open elsewhere) just skips this time.
-                if let Some(max) = cfg.store_max_bytes {
-                    let _ = s.gc(max);
-                }
-                DseCache::with_store(std::sync::Arc::new(s))
-            }
-            Err(_) => DseCache::new(),
-        },
-        None => DseCache::new(),
-    });
+    let cache = cfg
+        .cache
+        .then(|| DseCache::open(cfg.store.as_deref(), cfg.store_max_bytes, opts));
     auto_dse_impl(f, opts, cfg, cache.as_ref())
 }
 
@@ -135,41 +127,31 @@ fn auto_dse_impl(
 ) -> Result<DseResult, CompileError> {
     // Counter snapshots: a daemon-shared cache accumulates across
     // requests, so this search's stats are deltas, not absolutes.
-    let snap = cache.map(CacheSnapshot::take);
-    let result = run_search(f, opts, cfg, cache);
+    let snap = CacheSnapshot::take(cache);
+    let acc = PhaseAccum::default();
+    let result = run_search(f, opts, cfg, cache, &acc);
     // The search's spills reach disk as one pack, on every exit — before
     // the deltas, so `store_writes` counts what this search published.
-    let store = cache.and_then(DseCache::store);
-    if let Some(s) = store {
+    if let Some(s) = cache.and_then(DseCache::store) {
         s.flush();
     }
     let mut r = result?;
-    if let (Some(c), Some(s0)) = (cache, snap) {
-        let stats = &mut r.stats;
-        stats.cache_hits = c.hits() - s0.hits;
-        stats.cache_misses = c.misses() - s0.misses;
-        stats.cache_evictions = c.evictions() - s0.evictions;
-        stats.cache_entries = c.entries();
-        if let Some(s) = store {
-            stats.store_hits = s.hits() - s0.store_hits;
-            stats.store_misses = s.misses() - s0.store_misses;
-            stats.store_writes = s.writes() - s0.store_writes;
-        }
-    }
+    snap.record(cache, &acc, &mut r.stats);
     Ok(r)
 }
 
 /// The search itself: stage 1, stage 2, the final compiles, the dataflow
-/// refinement and winner validation.
+/// refinement and winner validation, its compile phases timed into
+/// `acc`.
 fn run_search(
     f: &Function,
     opts: &CompileOptions,
     cfg: &DseConfig,
     cache: Option<&DseCache>,
+    acc: &PhaseAccum,
 ) -> Result<DseResult, CompileError> {
     let start = Instant::now();
     let poly_before = pom_poly::PolyStats::snapshot();
-    let acc = PhaseAccum::default();
     // Everything below replays `f`'s own schedule as a prefix of every
     // candidate's; reject one that does not replay before searching.
     crate::compile::try_apply_schedule(f)?;
@@ -182,10 +164,8 @@ fn run_search(
     // stage-2 consumer below reads it.
     let base = acc.time_lowering(|| SearchBase::with_graph(&stage1, graph));
     let s2 = match cfg.search {
-        SearchMode::Greedy => bottleneck_optimize_impl(&base, opts, cfg, cache, &acc)?,
-        SearchMode::Beam | SearchMode::Portfolio => {
-            crate::search::beam::beam_optimize_impl(&base, opts, cfg, cache, &acc)?
-        }
+        SearchMode::Greedy => bottleneck_optimize_impl(&base, opts, cfg, cache, acc)?,
+        SearchMode::Portfolio => portfolio_optimize_impl(&base, opts, cfg, cache, acc)?,
     };
     let mut scheduled = s2.function;
     let mut groups = s2.groups;
@@ -193,11 +173,11 @@ fn run_search(
     let anytime = s2.anytime;
     // The final compiles can reuse the search's full-function dependence
     // template: a pipeline-II retarget never changes the dependences.
-    let mut full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, &acc));
+    let mut full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, acc));
     // The repair loop's fitting compile is still in the cache, so this
     // lookup answers without recompiling the same schedule.
     let compile_full = |f: &Function, deps: Option<&pom_hls::DepSummary>| {
-        full_compile(&base, f, deps, opts, cache, &acc).map(|c| (*c).clone())
+        full_compile(&base, f, deps, opts, cache, acc).map(|c| (*c).clone())
     };
     let mut compiled = compile_full(&scheduled, full_template.as_deref())?;
     // Rate-matched dataflow refinement (`DseConfig::dataflow`): cut the
@@ -295,7 +275,7 @@ fn run_search(
         }
         if rounds > 0 {
             // The dependence template was built for the original groups.
-            full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, &acc));
+            full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, acc));
         }
         // Discharge the final plan's channel-sizing certificates and
         // record the dataflow-vs-sequential comparison on the winner.
@@ -321,19 +301,17 @@ fn run_search(
         (scheduled, compiled) = incumbent.into_design();
         stats.dataflow_time = t_df.elapsed();
     }
-    // Align declared IIs with what the recurrences actually allow: the
-    // estimator reports the achieved II regardless of the declared one,
-    // but the emitted pragmas (and POM001) should not promise II targets
-    // the dependences forbid.
-    let mut retargeted = false;
-    for l in &compiled.qor.loops {
-        let issue_ii = l.achieved_ii.saturating_sub(l.port_slide);
-        retargeted |= scheduled.retarget_pipeline_ii(&l.stmts, &l.iv, issue_ii as i64);
-    }
-    if retargeted {
-        // A genuine retarget changes the schedule's fingerprint, so this
-        // compiles at most once; a re-run over a warm cache answers here.
-        compiled = compile_full(&scheduled, full_template.as_deref())?;
+    // Declared IIs follow what the recurrences allow.
+    if let Some(c) = retarget_iis(
+        &base,
+        &mut scheduled,
+        &compiled,
+        full_template.as_deref(),
+        opts,
+        cache,
+        acc,
+    )? {
+        compiled = (*c).clone();
     }
     // Winner validation: the returned schedule always carries a full
     // certificate chain — every transformation primitive is replayed
@@ -352,8 +330,6 @@ fn run_search(
     // whole-search total the perf triage wants.
     stats.poly = pom_poly::PolyStats::snapshot().delta(&poly_before);
     stats.stage1_time = stage1_time;
-    stats.lowering_time = acc.lowering();
-    stats.estimation_time = acc.estimation();
     Ok(DseResult {
         function: scheduled,
         compiled,
@@ -362,34 +338,6 @@ fn run_search(
         dse_time,
         anytime,
     })
-}
-
-/// Counter baseline taken at search start, so a long-lived shared cache
-/// reports per-search deltas in `DseStats`.
-struct CacheSnapshot {
-    hits: usize,
-    misses: usize,
-    evictions: usize,
-    store_hits: usize,
-    store_misses: usize,
-    store_writes: usize,
-}
-
-impl CacheSnapshot {
-    fn take(c: &DseCache) -> CacheSnapshot {
-        let (store_hits, store_misses, store_writes) = match c.store() {
-            Some(s) => (s.hits(), s.misses(), s.writes()),
-            None => (0, 0, 0),
-        };
-        CacheSnapshot {
-            hits: c.hits(),
-            misses: c.misses(),
-            evictions: c.evictions(),
-            store_hits,
-            store_misses,
-            store_writes,
-        }
-    }
 }
 
 #[cfg(test)]

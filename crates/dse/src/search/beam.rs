@@ -1,4 +1,4 @@
-//! Anytime parallel beam search with sim-in-the-loop pruning.
+//! Portfolio search: a parallel beam with sim-in-the-loop pruning.
 //!
 //! The greedy descent of [`super::stage2`] follows a single trajectory:
 //! escalate the bottleneck group's preferred step, accept on estimated
@@ -7,7 +7,7 @@
 //! estimates can differ measurably in drain and port behavior, and the
 //! greedy ladder commits to one shape without ever measuring the other.
 //!
-//! The beam search explores the same [`GroupConfig`] space wave by wave:
+//! The portfolio explores the same [`GroupConfig`] space wave by wave:
 //! every frontier state expands all single-step escalations of all its
 //! groups, candidates are evaluated through the shared memoized compile
 //! cache on the scoped worker pool, and the top `BEAM_WIDTH` survivors
@@ -16,17 +16,19 @@
 //! seen are *measured*: their full schedule is compiled (cached) and run
 //! through `pom-sim` over a reusable interpreter arena. The incumbent —
 //! the measured state with the fewest simulated cycles whose full design
-//! fits the device — is the search's answer, and it only ever improves,
-//! which makes the search **anytime**: when [`DseConfig::budget_ms`]
-//! expires the incumbent-so-far is finalized and returned (with
-//! [`DseStats::budget_expired`] set) through the exact repair/validation
-//! tail the greedy winner takes.
+//! fits the device — is the search's answer. It only ever improves, and
+//! each improvement is one [`AnytimePoint`] of the result's anytime
+//! curve. The search runs until no frontier state has an unvisited
+//! successor, then finalizes the incumbent through the exact
+//! repair/validation tail the greedy winner takes.
 //!
-//! **Portfolio mode** seeds the first frontier from diverse basins: the
-//! greedy winner itself, the untiled locality schedule (the pluto-like
-//! basin), a polsca-like innermost-strip seed, and the balanced tile
-//! ladder a ScaleHLS-style dependence-unaware DSE walks. The greedy
-//! winner bypasses the admission band — it is always measured — so the
+//! The first frontier is seeded from diverse basins: the greedy winner
+//! itself, the untiled locality schedule (the pluto-like basin), a
+//! polsca-like innermost-strip seed, and the balanced tile ladder a
+//! ScaleHLS-style dependence-unaware DSE walks. The greedy winner
+//! bypasses the admission band — it is always measured — and every
+//! measured state is compiled by `measure_final` with the II retarget
+//! `auto_dse_with` applies to the winner (`stage2::retarget_iis`), so the
 //! portfolio result is never worse than greedy under the simulator's
 //! metric, and strictly better whenever any explored shape measures
 //! faster.
@@ -34,16 +36,14 @@
 //! Determinism: candidate jobs are indexed, [`run_indexed`] returns
 //! results in index order, ranking sorts are stable with index
 //! tie-breaks, and simulation runs in frontier order — so searches are
-//! byte-identical across worker counts. A budgeted run truncates that
-//! deterministic trajectory at a wall-clock point and is therefore only
-//! as reproducible as the clock; the determinism guarantee applies to
-//! `budget_ms: None`.
+//! byte-identical across worker counts.
 
-use super::config::{DseConfig, SearchMode};
+use super::config::DseConfig;
 use super::ladder::{GroupConfig, SearchBase};
 use super::stage2::{
     bottleneck_optimize_impl, composed_resources, eval_candidate, full_compile, full_dep_template,
-    group_infeasible, group_qor, repair_and_finalize, run_indexed, CandidateEval, Stage2Result,
+    group_infeasible, group_qor, repair_and_finalize, retarget_iis, run_indexed, CandidateEval,
+    Stage2Result,
 };
 use super::stats::DseStats;
 use crate::cache::{fingerprint, stable_hash, DseCache, PhaseAccum};
@@ -67,7 +67,7 @@ const BEAM_WIDTH: usize = 4;
 /// keep their estimate ranking.
 const SIM_ADMIT_PCT: u128 = 15;
 
-/// One point of a beam search's anytime incumbent trajectory: recorded
+/// One point of a portfolio search's anytime incumbent trajectory: recorded
 /// each time a measured state strictly improves on the incumbent, so
 /// `sim_cycles` is strictly decreasing across a run's points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,17 +111,19 @@ struct SimLoop {
     simmed: HashSet<u64>,
     incumbent: Option<Incumbent>,
     best_est: u64,
-    /// Hash of the state that bypasses the admission band (the greedy
-    /// winner under portfolio seeding).
-    force: Option<u64>,
+    /// Hash of the greedy winner's state, which bypasses the admission
+    /// band.
+    anchor: u64,
+    /// Stage-2 search start, the origin of the anytime curve.
+    t0: Instant,
+    anytime: Vec<AnytimePoint>,
 }
 
-/// The beam/portfolio search loop. Mirrors
-/// [`bottleneck_optimize_impl`]'s contract: same inputs, same
-/// [`Stage2Result`], same finalization (resource walk-back, bank
-/// repair) — so the downstream II retarget and winner validation in
-/// `auto_dse_with` run identically on the beam winner.
-pub(crate) fn beam_optimize_impl(
+/// The portfolio search loop. Mirrors [`bottleneck_optimize_impl`]'s
+/// contract: same inputs, same [`Stage2Result`], same finalization
+/// (resource walk-back, bank repair) — so the downstream II retarget and
+/// winner validation in `auto_dse_with` run identically on its winner.
+pub(crate) fn portfolio_optimize_impl(
     search_base: &SearchBase,
     opts: &CompileOptions,
     cfg: &DseConfig,
@@ -129,37 +131,30 @@ pub(crate) fn beam_optimize_impl(
     acc: &PhaseAccum,
 ) -> Result<Stage2Result, CompileError> {
     let t0 = Instant::now();
-    let deadline = cfg
-        .budget_ms
-        .map(|ms| t0 + Duration::from_millis(ms.max(1)));
-    let expired = move || deadline.is_some_and(|d| Instant::now() >= d);
     let workers = cfg.effective_workers();
-    let mut stats = DseStats::default();
-    let mut anytime: Vec<AnytimePoint> = Vec::new();
     let fits = |qor: &[(u64, pom_hls::ResourceUsage)]| {
         composed_resources(qor, opts).fits_logic(&opts.device)
     };
 
     // --- Seeds -----------------------------------------------------------
+    // The greedy winner anchors the portfolio: it bypasses the admission
+    // band below, so the portfolio never returns a measurably worse
+    // schedule than greedy.
+    let greedy = bottleneck_optimize_impl(search_base, opts, cfg, cache, acc)?;
+    let mut stats = DseStats {
+        lint_pruned: greedy.stats.lint_pruned,
+        estimated: greedy.stats.estimated,
+        parallel_evaluated: greedy.stats.parallel_evaluated,
+        certificates_checked: greedy.stats.certificates_checked,
+        certificates_passed: greedy.stats.certificates_passed,
+        certificates_sampled: greedy.stats.certificates_sampled,
+        ..DseStats::default()
+    };
+    let anchor = stable_hash(&greedy.groups);
     let base = search_base.groups().to_vec();
-    let mut seed_groups: Vec<Vec<GroupConfig>> = vec![base.clone()];
-    let mut force: Option<u64> = None;
-    if cfg.search == SearchMode::Portfolio {
-        // The greedy winner anchors the portfolio: it bypasses the
-        // admission band below, so the portfolio never returns a
-        // measurably worse schedule than greedy.
-        let greedy = bottleneck_optimize_impl(search_base, opts, cfg, cache, acc)?;
-        stats.lint_pruned += greedy.stats.lint_pruned;
-        stats.estimated += greedy.stats.estimated;
-        stats.parallel_evaluated += greedy.stats.parallel_evaluated;
-        stats.certificates_checked += greedy.stats.certificates_checked;
-        stats.certificates_passed += greedy.stats.certificates_passed;
-        stats.certificates_sampled += greedy.stats.certificates_sampled;
-        force = Some(stable_hash(&greedy.groups));
-        seed_groups.push(greedy.groups);
-        seed_groups.push(polsca_seed(&base, cfg));
-        seed_groups.extend(balanced_ladder(&base, cfg));
-    }
+    let mut seed_groups: Vec<Vec<GroupConfig>> = vec![base.clone(), greedy.groups];
+    seed_groups.push(polsca_seed(&base, cfg));
+    seed_groups.extend(balanced_ladder(&base, cfg));
     let mut visited: HashSet<u64> = HashSet::new();
     seed_groups.retain(|g| visited.insert(stable_hash(g)));
 
@@ -185,25 +180,26 @@ pub(crate) fn beam_optimize_impl(
     }
     let mut qors = evals.into_iter();
     let mut seeds: Vec<BeamState> = Vec::new();
-    let mut base_state: Option<BeamState> = None;
+    let mut greedy_state: Option<BeamState> = None;
     for groups in seed_groups {
         let qor: Vec<(u64, pom_hls::ResourceUsage)> = (0..groups.len())
             .map(|_| qors.next().expect("one QoR per (seed, group) job"))
             .collect::<Result<_, _>>()?;
         let est = qor.iter().map(|q| q.0).sum();
         let state = BeamState { groups, qor, est };
-        if base_state.is_none() {
-            base_state = Some(state.clone());
+        if stable_hash(&state.groups) == anchor {
+            greedy_state = Some(state.clone());
         }
         if fits(&state.qor) {
             seeds.push(state);
         }
     }
-    let base_state = base_state.expect("base seed always present");
+    let greedy_state = greedy_state.expect("the greedy winner is a seed");
     if seeds.is_empty() {
-        // Even the untiled design misses the device; there is nothing to
-        // search and the finalize walk-back owns that verdict.
-        seeds.push(base_state.clone());
+        // Even the greedy winner misses the device (its walk-back ran out
+        // of tiles); there is nothing to search and the finalize
+        // walk-back owns that verdict.
+        seeds.push(greedy_state.clone());
     }
     seeds.sort_by_key(|s| s.est); // stable: seed order breaks ties
 
@@ -213,33 +209,20 @@ pub(crate) fn beam_optimize_impl(
         simmed: HashSet::new(),
         incumbent: None,
         best_est: u64::MAX,
-        force,
+        anchor,
+        t0,
+        anytime: Vec::new(),
     };
     // Every fitting seed is offered to simulation *before* the beam
     // truncates to width — the portfolio guarantee must not depend on the
     // greedy seed's estimate rank.
-    stats.budget_expired = admit_frontier(
-        &seeds,
-        search_base,
-        opts,
-        cache,
-        acc,
-        &expired,
-        t0,
-        &mut sim,
-        &mut stats,
-        &mut anytime,
-    )?;
+    sim.admit(&seeds, search_base, opts, cache, acc, &mut stats)?;
     let mut frontier = seeds;
     frontier.truncate(BEAM_WIDTH);
     stats.beam_width = frontier.len();
 
     // --- Expansion waves -------------------------------------------------
-    while !stats.budget_expired {
-        if expired() {
-            stats.budget_expired = true;
-            break;
-        }
+    loop {
         // One job per unvisited single-step escalation of any group of
         // any frontier state, in (state, group, candidate) order.
         let mut expansions: Vec<(usize, usize, GroupConfig)> = Vec::new();
@@ -262,9 +245,6 @@ pub(crate) fn beam_optimize_impl(
 
         let frontier_ref = &frontier;
         let evals = run_indexed(expansions.len(), workers, |k| {
-            if expired() {
-                return Ok(None);
-            }
             let (pi, gi, cand) = &expansions[k];
             let parent = &frontier_ref[*pi];
             // Context for the relative prescreen, memoized per parent —
@@ -281,7 +261,6 @@ pub(crate) fn beam_optimize_impl(
                 cache,
                 acc,
             )
-            .map(Some)
         });
         if workers > 1 && expansions.len() > 1 {
             stats.parallel_evaluated += expansions.len();
@@ -290,9 +269,8 @@ pub(crate) fn beam_optimize_impl(
         let mut successors: Vec<BeamState> = Vec::new();
         for (k, ev) in evals.into_iter().enumerate() {
             match ev? {
-                None => stats.budget_expired = true,
-                Some(CandidateEval::Pruned) => stats.lint_pruned += 1,
-                Some(CandidateEval::Estimated(l, r)) => {
+                CandidateEval::Pruned => stats.lint_pruned += 1,
+                CandidateEval::Estimated(l, r) => {
                     stats.estimated += 1;
                     let (pi, gi, cand) = &expansions[k];
                     let parent = &frontier[*pi];
@@ -318,20 +296,7 @@ pub(crate) fn beam_optimize_impl(
         frontier = successors;
         stats.beam_width = stats.beam_width.max(frontier.len());
 
-        if admit_frontier(
-            &frontier,
-            search_base,
-            opts,
-            cache,
-            acc,
-            &expired,
-            t0,
-            &mut sim,
-            &mut stats,
-            &mut anytime,
-        )? {
-            stats.budget_expired = true;
-        }
+        sim.admit(&frontier, search_base, opts, cache, acc, &mut stats)?;
     }
 
     // --- Winner ----------------------------------------------------------
@@ -339,9 +304,9 @@ pub(crate) fn beam_optimize_impl(
         mut groups, qor, ..
     } = match &sim.incumbent {
         Some(inc) => inc.state.clone(),
-        // Budget expired before the first measurement: the best estimated
-        // seed (the greedy winner under portfolio) stands in.
-        None => base_state,
+        // No measured design fits the device: the greedy winner stands
+        // in, and the finalize walk-back owns that verdict.
+        None => greedy_state,
     };
     let function =
         repair_and_finalize(search_base, &mut groups, &qor, opts, cache, acc, &mut stats)?;
@@ -372,121 +337,97 @@ pub(crate) fn beam_optimize_impl(
         stats.sim_port_conflicts = report.port_conflicts;
     }
     stats.stage2_time = t0.elapsed();
-    if let Some(c) = cache {
-        stats.cache_hits = c.hits();
-        stats.cache_misses = c.misses();
-        stats.cache_evictions = c.evictions();
-        stats.cache_entries = c.entries();
-        if let Some(s) = c.store() {
-            stats.store_hits = s.hits();
-            stats.store_misses = s.misses();
-            stats.store_writes = s.writes();
-        }
-    }
-    stats.lowering_time = acc.lowering();
-    stats.estimation_time = acc.estimation();
     Ok(Stage2Result {
         function,
         groups,
         stats,
-        anytime,
+        anytime: sim.anytime,
     })
 }
 
-/// Offers every state of `frontier` to simulation, in order: states
-/// inside the admission band (or force-admitted) get a full cached
-/// compile and a `pom-sim` run over the shared arena; the incumbent
-/// updates on strict cycle improvement, recording an [`AnytimePoint`].
-/// Returns `Ok(true)` when the budget expired mid-admission.
-#[allow(clippy::too_many_arguments)]
-fn admit_frontier(
-    frontier: &[BeamState],
-    base: &SearchBase,
-    opts: &CompileOptions,
-    cache: Option<&DseCache>,
-    acc: &PhaseAccum,
-    expired: &dyn Fn() -> bool,
-    t0: Instant,
-    sim: &mut SimLoop,
-    stats: &mut DseStats,
-    anytime: &mut Vec<AnytimePoint>,
-) -> Result<bool, CompileError> {
-    for st in frontier {
-        sim.best_est = sim.best_est.min(st.est);
+impl SimLoop {
+    /// Offers every state of `frontier` to simulation, in order: states
+    /// inside the admission band (or the greedy anchor) get a full cached
+    /// compile and a `pom-sim` run over the shared arena; the incumbent
+    /// updates on strict cycle improvement, recording an [`AnytimePoint`].
+    fn admit(
+        &mut self,
+        frontier: &[BeamState],
+        base: &SearchBase,
+        opts: &CompileOptions,
+        cache: Option<&DseCache>,
+        acc: &PhaseAccum,
+        stats: &mut DseStats,
+    ) -> Result<(), CompileError> {
+        for st in frontier {
+            self.best_est = self.best_est.min(st.est);
+        }
+        for st in frontier {
+            let h = stable_hash(&st.groups);
+            if !self.simmed.insert(h) {
+                continue;
+            }
+            // Admission band: only states whose estimate could plausibly beat
+            // the best-estimated state's neighborhood are worth a full
+            // compile and simulation.
+            let in_band = (st.est as u128) * 100 <= (self.best_est as u128) * (100 + SIM_ADMIT_PCT);
+            if !in_band && self.anchor != h {
+                stats.sim_pruned += 1;
+                continue;
+            }
+            let (key, compiled) = measure_final(base, st, opts, cache, acc)?;
+            if !compiled.qor.resources.fits_logic(&opts.device) {
+                // The walk-back ran out of tiles to shrink; the design is
+                // over budget, so it cannot win at the device envelope.
+                stats.sim_pruned += 1;
+                continue;
+            }
+            let t_sim = Instant::now();
+            let arena = &mut self.arena;
+            let reports = &mut self.reports;
+            let mut run = || {
+                let r = arena.simulate(
+                    base.full().function(),
+                    SIM_SEED,
+                    &compiled.affine,
+                    &compiled.deps,
+                    &opts.model,
+                );
+                let cycles = r.cycles;
+                reports.insert(key, r);
+                cycles
+            };
+            let cycles = match cache {
+                Some(c) => c.memo_sim(key, &mut run),
+                None => run(),
+            };
+            stats.sim_time += t_sim.elapsed();
+            stats.sim_admitted += 1;
+            if self.incumbent.as_ref().is_none_or(|i| cycles < i.cycles) {
+                self.incumbent = Some(Incumbent {
+                    state: st.clone(),
+                    cycles,
+                    key,
+                });
+                self.anytime.push(AnytimePoint {
+                    elapsed: self.t0.elapsed(),
+                    sim_cycles: cycles,
+                    est_latency: st.est,
+                });
+            }
+        }
+        Ok(())
     }
-    for st in frontier {
-        let h = stable_hash(&st.groups);
-        if !sim.simmed.insert(h) {
-            continue;
-        }
-        if expired() {
-            return Ok(true);
-        }
-        // Admission band: only states whose estimate could plausibly beat
-        // the best-estimated state's neighborhood are worth a full
-        // compile and simulation.
-        let in_band = (st.est as u128) * 100 <= (sim.best_est as u128) * (100 + SIM_ADMIT_PCT);
-        if !in_band && sim.force != Some(h) {
-            stats.sim_pruned += 1;
-            continue;
-        }
-        let (key, compiled) = measure_final(base, st, opts, cache, acc)?;
-        if !compiled.qor.resources.fits_logic(&opts.device) {
-            // The walk-back ran out of tiles to shrink; the design is
-            // over budget, so it cannot win at the device envelope.
-            stats.sim_pruned += 1;
-            continue;
-        }
-        let t_sim = Instant::now();
-        let arena = &mut sim.arena;
-        let reports = &mut sim.reports;
-        let mut run = || {
-            let r = arena.simulate(
-                base.full().function(),
-                SIM_SEED,
-                &compiled.affine,
-                &compiled.deps,
-                &opts.model,
-            );
-            let cycles = r.cycles;
-            reports.insert(key, r);
-            cycles
-        };
-        let cycles = match cache {
-            Some(c) => c.memo_sim(key, &mut run),
-            None => run(),
-        };
-        stats.sim_time += t_sim.elapsed();
-        stats.sim_admitted += 1;
-        if sim
-            .incumbent
-            .as_ref()
-            .map(|i| cycles < i.cycles)
-            .unwrap_or(true)
-        {
-            sim.incumbent = Some(Incumbent {
-                state: st.clone(),
-                cycles,
-                key,
-            });
-            anytime.push(AnytimePoint {
-                elapsed: t0.elapsed(),
-                sim_cycles: cycles,
-                est_latency: st.est,
-            });
-        }
-    }
-    Ok(false)
 }
 
 /// Compiles a state the way `auto_dse_with` compiles the returned
 /// winner: resource walk-back + bank repair ([`repair_and_finalize`]),
-/// full cached compile, pipeline-II retarget to the achieved issue IIs,
-/// and a recompile when anything retargeted. Returns the *final*
-/// design's fingerprint and compiled form — so the cycle counts the
-/// admission loop compares are exactly the metric the finished designs
-/// exhibit, and in-search ordering cannot flip after finalization
-/// (which is what makes the portfolio ≥ greedy guarantee hold).
+/// full cached compile, and the pipeline-II retarget ([`retarget_iis`]).
+/// Returns the *final* design's fingerprint and compiled form — so the
+/// cycle counts the admission loop compares are exactly the metric the
+/// finished designs exhibit, and in-search ordering cannot flip after
+/// finalization (which is what makes the portfolio ≥ greedy guarantee
+/// hold).
 ///
 /// The repair walk-back re-runs per measured state over a scratch stats
 /// block (its group QoR and final compile are memoized, so repeated
@@ -504,15 +445,10 @@ fn measure_final(
     let mut scheduled =
         repair_and_finalize(base, &mut g, &state.qor, opts, cache, acc, &mut scratch)?;
     let template = cache.and_then(|c| full_dep_template(base, &g, c, opts, acc));
-    let mut compiled = full_compile(base, &scheduled, template.as_deref(), opts, cache, acc)?;
-    let mut retargeted = false;
-    for l in &compiled.qor.loops {
-        let issue_ii = l.achieved_ii.saturating_sub(l.port_slide);
-        retargeted |= scheduled.retarget_pipeline_ii(&l.stmts, &l.iv, issue_ii as i64);
-    }
-    if retargeted {
-        compiled = full_compile(base, &scheduled, template.as_deref(), opts, cache, acc)?;
-    }
+    let template = template.as_deref();
+    let compiled = full_compile(base, &scheduled, template, opts, cache, acc)?;
+    let compiled = retarget_iis(base, &mut scheduled, &compiled, template, opts, cache, acc)?
+        .unwrap_or(compiled);
     Ok((fingerprint(&scheduled), compiled))
 }
 

@@ -8,11 +8,10 @@ pub enum SearchMode {
     /// The default — byte-identical to the pre-beam search.
     #[default]
     Greedy,
-    /// Anytime parallel beam search over the same space, re-ranked by
-    /// simulated cycles ([`crate::search::beam`]).
-    Beam,
-    /// [`SearchMode::Beam`] seeded from the greedy winner plus the
-    /// pluto/polsca/scalehls baseline schedules (diverse basins).
+    /// Parallel beam search over the same space, re-ranked by simulated
+    /// cycles ([`crate::search::beam`]) and seeded from the greedy winner
+    /// plus the pluto/polsca/scalehls baseline schedules (diverse basins),
+    /// so it never returns a measurably worse schedule than greedy.
     Portfolio,
 }
 
@@ -21,7 +20,6 @@ impl SearchMode {
     pub fn parse(s: &str) -> Option<SearchMode> {
         match s {
             "greedy" => Some(SearchMode::Greedy),
-            "beam" => Some(SearchMode::Beam),
             "portfolio" => Some(SearchMode::Portfolio),
             _ => None,
         }
@@ -31,7 +29,6 @@ impl SearchMode {
     pub fn as_str(self) -> &'static str {
         match self {
             SearchMode::Greedy => "greedy",
-            SearchMode::Beam => "beam",
             SearchMode::Portfolio => "portfolio",
         }
     }
@@ -73,7 +70,7 @@ pub struct DseConfig {
     /// `None` (the default) never sweeps. A contended sweep (another
     /// process holds the store open) is skipped, not fatal.
     pub store_max_bytes: Option<u64>,
-    /// Worker threads for the beam/portfolio waves and the greedy
+    /// Worker threads for the portfolio's beam waves and the greedy
     /// descent's initial per-group evaluation: `0` = one per available
     /// core, `1` = serial. The greedy steps are always serial (≤ 3
     /// candidates each: too narrow to repay a thread batch). Parallel
@@ -88,16 +85,10 @@ pub struct DseConfig {
     /// produced an illegal schedule the legality screen missed.
     pub validate_sample_every: usize,
     /// Which search explores the stage-2 space. [`SearchMode::Greedy`]
-    /// (the default) is byte-identical to the pre-beam search; the beam
-    /// modes trade more compile/simulate work for schedules the greedy
-    /// descent's single trajectory cannot reach.
+    /// (the default) is byte-identical to the pre-beam search;
+    /// [`SearchMode::Portfolio`] trades more compile/simulate work for
+    /// schedules the greedy descent's single trajectory cannot reach.
     pub search: SearchMode,
-    /// Anytime wall-clock budget for the beam search: when it expires the
-    /// search stops at the next deadline check (before each candidate
-    /// compile and each simulation) and returns the best-so-far incumbent
-    /// with its verify certificate. `None` (the default) runs the beam to
-    /// frontier exhaustion. Ignored under greedy search.
-    pub budget_ms: Option<u64>,
     /// Rate-matched dataflow refinement: after the sequential search
     /// settles its winner, partition it into dataflow stages
     /// (`pom-dataflow`), co-simulate the plan with channel-accurate
@@ -122,7 +113,6 @@ impl Default for DseConfig {
             workers: 0,
             validate_sample_every: 0,
             search: SearchMode::Greedy,
-            budget_ms: None,
             dataflow: false,
         }
     }

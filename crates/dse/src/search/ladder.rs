@@ -5,10 +5,10 @@
 
 use super::config::DseConfig;
 use crate::cache::{canonical_fingerprint, fingerprint, stable_hash};
-use crate::compile::{apply_schedule, replay_from, sub_function};
+use crate::compile::{apply_schedule, carried_levels, replay_from, self_dependences, sub_function};
 use pom_dsl::{Function, PartitionStyle};
 use pom_graph::DepGraph;
-use pom_poly::{DepKind, StmtPoly};
+use pom_poly::StmtPoly;
 use std::collections::{BTreeMap, HashMap};
 
 /// The tiling/unrolling configuration of one node (fusion group).
@@ -144,9 +144,8 @@ fn plan_groups_on(f: &Function, stmts: &[StmtPoly]) -> Vec<GroupConfig> {
         let mut parallel: Vec<usize> = (0..dims.len()).collect();
         for &m in &members {
             let depth = stmts[m].dims().len();
-            let carried = carried_levels(f, stmts, m);
-            parallel
-                .retain(|&l| l >= depth || carried.get(l).map(|c| c.is_none()).unwrap_or(false));
+            let carried = carried_levels(&self_dependences(&f.computes()[m], &stmts[m]), depth);
+            parallel.retain(|&l| l >= depth || carried[l].is_none());
         }
         groups.push(GroupConfig {
             members: members
@@ -175,36 +174,6 @@ fn extent_range(s: &StmtPoly, dim: &str, env: &HashMap<String, i64>) -> (i64, i6
         .min()
         .unwrap_or(lb);
     (lb, ub.max(lb))
-}
-
-fn carried_levels(f: &Function, stmts: &[StmtPoly], idx: usize) -> Vec<Option<i64>> {
-    let c = &f.computes()[idx];
-    let s = &stmts[idx];
-    let store = c.store();
-    let mut carried = vec![None; s.dims().len()];
-    let mut deps = Vec::new();
-    let mut self_load = false;
-    for l in c.loads() {
-        if l.array == store.array {
-            deps.extend(s.analyze_dependence(store, l, DepKind::Flow));
-            self_load = true;
-        }
-    }
-    if self_load {
-        deps.extend(s.analyze_dependence(store, store, DepKind::Output));
-    }
-    for d in deps {
-        if let (Some(level), Some(v)) = (d.carried_level, &d.distance) {
-            let dist = v.0[level];
-            carried[level] = Some(match carried[level] {
-                Some(cur) if cur <= dist => cur,
-                _ => dist,
-            });
-        } else if let Some(level) = d.carried_level {
-            carried[level] = Some(1);
-        }
-    }
-    carried
 }
 
 /// Materializes stage-2 primitives for the given group configurations on

@@ -9,17 +9,16 @@
 //! * [`stage2`] — the paper's stage 2, the greedy bottleneck-oriented
 //!   descent (Section VI-B): escalate the parallelism of the
 //!   latency-critical group until a resource ceiling, then repair.
-//! * [`beam`] — an anytime parallel beam search over the same space,
-//!   ranked by simulated cycles from `pom-sim`, with a portfolio mode
-//!   that seeds the beam from the greedy winner and the baseline
-//!   strategies' schedules.
+//! * [`beam`] — the portfolio search: a parallel beam over the same
+//!   space, seeded from the greedy winner and the baseline strategies'
+//!   schedules and ranked by simulated cycles from `pom-sim`.
 //!
 //! Both searches share the memoized compile cache and the finalization
-//! path (resource repair, bank repair, winner validation), so a mode
-//! switch changes only which schedules are explored — never how a winner
-//! is compiled or certified. The scoped worker pool
-//! ([`run_indexed`]) serves the beam's waves and the greedy descent's
-//! one initial per-group batch; the descent evaluates its ≤ 3
+//! path (resource repair, bank repair, II retarget, winner validation),
+//! so a mode switch changes only which schedules are explored — never
+//! how a winner is compiled or certified. The scoped worker pool
+//! ([`run_indexed`]) serves the portfolio's waves and the greedy
+//! descent's one initial per-group batch; the descent evaluates its ≤ 3
 //! candidates per step serially.
 
 pub mod beam;

@@ -13,7 +13,7 @@
 use super::config::DseConfig;
 use super::ladder::{schedule_for, GroupConfig, GroupSlice, SearchBase};
 use super::stats::DseStats;
-use crate::cache::{DseCache, PhaseAccum};
+use crate::cache::{CacheSnapshot, DseCache, PhaseAccum};
 use crate::compile::{
     apply_schedule, build_dep_summary, compile_timed, sub_function, CompileError, CompileOptions,
     Compiled,
@@ -35,8 +35,8 @@ pub struct Stage2Result {
     pub groups: Vec<GroupConfig>,
     /// Search counters (lint-pruned candidates etc.).
     pub stats: DseStats,
-    /// The anytime incumbent trajectory of a beam/portfolio search:
-    /// one point per strict incumbent improvement, in time order. Empty
+    /// The anytime incumbent trajectory of a portfolio search: one point
+    /// per strict incumbent improvement, in time order. Empty
     /// under greedy search (see [`crate::search::beam::AnytimePoint`]).
     pub anytime: Vec<crate::search::beam::AnytimePoint>,
 }
@@ -73,8 +73,11 @@ pub fn try_bottleneck_optimize(
 ) -> Result<Stage2Result, CompileError> {
     let cache = cfg.cache.then(DseCache::new);
     let acc = PhaseAccum::default();
+    let snap = CacheSnapshot::take(cache.as_ref());
     let base = acc.time_lowering(|| SearchBase::new(stage1_fn));
-    bottleneck_optimize_impl(&base, opts, cfg, cache.as_ref(), &acc)
+    let mut r = bottleneck_optimize_impl(&base, opts, cfg, cache.as_ref(), &acc)?;
+    snap.record(cache.as_ref(), &acc, &mut r.stats);
+    Ok(r)
 }
 
 /// One candidate's evaluation outcome.
@@ -379,6 +382,40 @@ pub(crate) fn full_compile(
     }
 }
 
+/// Aligns `scheduled`'s declared pipeline IIs with the issue IIs
+/// (`achieved_ii - port_slide`) of its compile `compiled`: the estimator
+/// reports the achieved II regardless of the declared one, but the
+/// emitted pragmas (and POM001) should not promise II targets the
+/// dependences forbid. Returns the recompile when any loop moved, else
+/// `None`; a genuine retarget changes the schedule's fingerprint, so this
+/// compiles at most once, and a warm cache answers it. The one retarget
+/// of a finished design: `auto_dse_with`'s winner and every state the
+/// portfolio measures take it, so the portfolio measures exactly what
+/// the search returns.
+///
+/// # Errors
+///
+/// The recompile's [`CompileError`].
+pub(crate) fn retarget_iis(
+    base: &SearchBase,
+    scheduled: &mut Function,
+    compiled: &Compiled,
+    template: Option<&pom_hls::DepSummary>,
+    opts: &CompileOptions,
+    cache: Option<&DseCache>,
+    acc: &PhaseAccum,
+) -> Result<Option<Arc<Compiled>>, CompileError> {
+    let mut retargeted = false;
+    for l in &compiled.qor.loops {
+        let issue_ii = l.achieved_ii.saturating_sub(l.port_slide);
+        retargeted |= scheduled.retarget_pipeline_ii(&l.stmts, &l.iv, issue_ii as i64);
+    }
+    if !retargeted {
+        return Ok(None);
+    }
+    full_compile(base, scheduled, template, opts, cache, acc).map(Some)
+}
+
 impl PreparedGroup {
     /// POM001 verdict on the already-analyzed schedule.
     fn infeasible(&self) -> bool {
@@ -572,19 +609,6 @@ pub(crate) fn bottleneck_optimize_impl(
     } = descend(base, opts, cfg, cache, acc)?;
     let function = repair_and_finalize(base, &mut groups, &qor, opts, cache, acc, &mut dse_stats)?;
     dse_stats.stage2_time = t_stage2.elapsed();
-    if let Some(c) = cache {
-        dse_stats.cache_hits = c.hits();
-        dse_stats.cache_misses = c.misses();
-        dse_stats.cache_evictions = c.evictions();
-        dse_stats.cache_entries = c.entries();
-        if let Some(s) = c.store() {
-            dse_stats.store_hits = s.hits();
-            dse_stats.store_misses = s.misses();
-            dse_stats.store_writes = s.writes();
-        }
-    }
-    dse_stats.lowering_time = acc.lowering();
-    dse_stats.estimation_time = acc.estimation();
     Ok(Stage2Result {
         function,
         groups,

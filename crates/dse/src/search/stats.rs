@@ -30,7 +30,7 @@ pub struct DseStats {
     pub store_misses: usize,
     /// Artifacts spilled to the persistent store by this search.
     pub store_writes: usize,
-    /// Candidates evaluated inside a concurrent beam/portfolio wave (0
+    /// Candidates evaluated inside a concurrent portfolio wave (0
     /// for a greedy search, and for any search run with one worker).
     pub parallel_evaluated: usize,
     /// Wall time of stage 1 (dependence-aware transformation).
@@ -81,9 +81,6 @@ pub struct DseStats {
     /// Frontier survivors *not* simulated because their analytical
     /// estimate fell outside the admission band of the incumbent.
     pub sim_pruned: usize,
-    /// True when [`DseConfig::budget_ms`](crate::DseConfig::budget_ms) expired before the beam search
-    /// exhausted its frontier — the result is the anytime best-so-far.
-    pub budget_expired: bool,
     /// Rate-matching rounds of the dataflow refinement that strictly
     /// improved the plan ([`DseConfig::dataflow`](crate::DseConfig::dataflow);
     /// 0 when off).

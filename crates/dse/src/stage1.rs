@@ -21,7 +21,7 @@
 //! vectors"). [`reanalysis_disagreements`] keeps the re-analysing search
 //! as the oracle of that equivalence.
 
-use crate::compile::{apply_schedule, self_dependences};
+use crate::compile::{apply_schedule, carried_levels, self_dependences};
 use pom_dsl::{Compute, Function};
 use pom_graph::DepGraph;
 use pom_poly::{lex_non_negative, StmtPoly};
@@ -101,29 +101,16 @@ impl Profile {
 
 fn profile(c: &Compute, s: &StmtPoly) -> Profile {
     let deps = self_dependences(c, s);
-    let n = s.dims().len();
-    let mut carried = vec![None; n];
     let mut vectors = Vec::new();
     let mut non_uniform = false;
-    for d in &deps {
-        match (&d.distance, d.carried_level) {
-            (Some(v), Some(l)) => {
-                let dist = v.0[l];
-                carried[l] = Some(match carried[l] {
-                    Some(cur) if cur <= dist => cur,
-                    _ => dist,
-                });
-                vectors.push(v.0.clone());
-            }
-            (None, Some(l)) => {
-                non_uniform = true;
-                carried[l] = Some(carried[l].unwrap_or(1));
-            }
-            _ => {}
+    for d in deps.iter().filter(|d| d.carried_level.is_some()) {
+        match &d.distance {
+            Some(v) => vectors.push(v.0.clone()),
+            None => non_uniform = true,
         }
     }
     Profile {
-        carried,
+        carried: carried_levels(&deps, s.dims().len()),
         vectors,
         non_uniform,
     }
