@@ -20,10 +20,18 @@
 //! and gated at +10 %, so the loop-bound derivation cannot drift back to
 //! one projection per level unnoticed. Those searches run serially, each
 //! on a fresh thread (the projection memo is per thread), so the counts
-//! are the same on every machine and every run.
+//! are the same on every machine and every run. Beside each fingerprint
+//! sits an FNV-1a digest of the winner's translation-validation
+//! certificates (`{:?}` of `validate(winner).certificates`, every
+//! obligation's text included), gated for exact equality like the
+//! fingerprint: a validator change may make certification cheaper, never
+//! change what it certifies. `edge_detect` at 64 is in the suite for that
+//! digest: its domains sit at the 4096-point enumeration limit, so its
+//! certificates come from the bitset and enumeration path.
 
 use crate::experiments::common::{col, paper_options, Cell, Column, Report};
 use crate::kernels;
+use pom::verify::validate;
 use pom::{auto_dse_with, DseConfig, Function};
 use pom_poly::{fnv1a64, reference};
 use std::collections::HashMap;
@@ -55,11 +63,23 @@ pub struct PolyBenchReport {
     pub fm_speedup: f64,
     /// Aggregate dependence-sweep speedup.
     pub dep_speedup: f64,
-    /// Per DSE kernel: the FNV-1a fingerprint of `(schedule, QoR,
-    /// groups)` and the search's FM eliminations (`DseStats::poly`).
-    pub fingerprints: Vec<(&'static str, u64, u64)>,
+    /// Per DSE kernel: its end-to-end fingerprints.
+    pub fingerprints: Vec<Fingerprint>,
     /// Dense-kernel counters accumulated over the benchmark's dense runs.
     pub stats: pom_poly::PolyStats,
+}
+
+/// One fingerprint kernel's DSE search, hashed.
+#[derive(Clone, Debug)]
+pub struct Fingerprint {
+    /// Kernel name.
+    pub kernel: &'static str,
+    /// FNV-1a of the winner's `(schedule, QoR, groups)`.
+    pub fp: u64,
+    /// The search's FM eliminations (`DseStats::poly`).
+    pub fm_eliminations: u64,
+    /// FNV-1a of `{:?}` of the winner's certificates.
+    pub certificates: u64,
 }
 
 /// One abstract constraint row: equality flag, `(dim index, coeff)`
@@ -572,7 +592,8 @@ const SIZES: [i64; 4] = [31, 63, 127, 255];
 
 /// The e2e fingerprint kernels: small enough for CI, spanning dense
 /// linear algebra, both stencil schedules, and the two networks, whose
-/// searches walk back over several steps (vgg16 8, resnet18 14).
+/// searches walk back over several steps (vgg16 8, resnet18 14); and
+/// edge_detect at 64, whose certificates enumerate at the limit.
 fn fingerprint_suite() -> Vec<(&'static str, Function)> {
     vec![
         ("gemm", kernels::gemm(32)),
@@ -580,6 +601,7 @@ fn fingerprint_suite() -> Vec<(&'static str, Function)> {
         ("seidel", kernels::seidel(8)),
         ("vgg16", kernels::vgg16(1)),
         ("resnet18", kernels::resnet18(1)),
+        ("edge_detect", kernels::edge_detect(64)),
     ]
 }
 
@@ -660,7 +682,8 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
     // is serial (schedules are byte-identical at any worker count) and
     // runs on a thread of its own, so it starts from a cold projection
     // memo: its FM elimination count depends neither on the machine's
-    // core count nor on what ran earlier in this process.
+    // core count nor on what ran earlier in this process. The winner's
+    // certificates are hashed the same way.
     let opts = paper_options();
     let cfg = DseConfig {
         workers: 1,
@@ -668,7 +691,7 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
     };
     let fingerprints = fingerprint_suite()
         .into_iter()
-        .map(|(name, f)| {
+        .map(|(kernel, f)| {
             let r = std::thread::scope(|s| {
                 s.spawn(|| auto_dse_with(&f, &opts, &cfg).expect("DSE compiles"))
                     .join()
@@ -676,7 +699,13 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
             });
             let mut blob = r.function.to_string();
             let _ = write!(blob, "\n{:?}\n{:?}", r.compiled.qor, r.groups);
-            (name, fnv1a64(blob.as_bytes()), r.stats.poly.eliminations)
+            let certificates = format!("{:?}", validate(&r.function).certificates);
+            Fingerprint {
+                kernel,
+                fp: fnv1a64(blob.as_bytes()),
+                fm_eliminations: r.stats.poly.eliminations,
+                certificates: fnv1a64(certificates.as_bytes()),
+            }
         })
         .collect();
 
@@ -707,11 +736,15 @@ pub fn report(r: &PolyBenchReport, baseline: Option<&Baseline>) -> Report {
         COLUMNS,
         &r.rows,
     );
-    let fingerprints = r.fingerprints.iter().map(|&(kernel, fp, eliminations)| {
+    let fingerprints = r.fingerprints.iter().map(|f| {
         Cell::Obj(vec![
-            ("kernel", kernel.into()),
-            ("fp", Cell::Str(format!("{fp:016x}"))),
-            ("fm_eliminations", eliminations.into()),
+            ("kernel", f.kernel.into()),
+            ("fp", Cell::Str(format!("{:016x}", f.fp))),
+            ("fm_eliminations", f.fm_eliminations.into()),
+            (
+                "certificates",
+                Cell::Str(format!("{:016x}", f.certificates)),
+            ),
         ])
     });
     let st = &r.stats;
@@ -736,8 +769,9 @@ pub fn report(r: &PolyBenchReport, baseline: Option<&Baseline>) -> Report {
 }
 
 /// The committed baseline: aggregate speedups plus per-kernel
-/// fingerprints and FM elimination counts. Parsed with plain string
-/// search — the file is flat and the repo has no JSON dependency.
+/// fingerprints, FM elimination counts and certificate digests. Parsed
+/// with plain string search — the file is flat and the repo has no JSON
+/// dependency.
 #[derive(Clone, Debug)]
 pub struct Baseline {
     /// Aggregate FM speedup recorded when the baseline was committed.
@@ -749,6 +783,9 @@ pub struct Baseline {
     /// `(kernel, FM eliminations)` pairs a run may exceed by at most
     /// 10 %; a kernel without a recorded count is not gated.
     pub fm_eliminations: Vec<(String, u64)>,
+    /// `(kernel, certificate digest)` pairs that must match exactly; a
+    /// kernel without a recorded digest is not gated.
+    pub certificates: Vec<(String, u64)>,
 }
 
 /// Extracts `"key": <number>` from flat JSON.
@@ -762,35 +799,43 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Extracts `"key": "<hex>"` from flat JSON.
+fn json_hex(text: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let at = text.find(&pat)? + pat.len();
+    let rest = text[at..].trim_start().strip_prefix('"')?;
+    u64::from_str_radix(&rest[..rest.find('"')?], 16).ok()
+}
+
 /// Parses a committed baseline file.
 pub fn parse_baseline(text: &str) -> Option<Baseline> {
     let fm_speedup = json_number(text, "fm_speedup")?;
     let dep_speedup = json_number(text, "dep_speedup")?;
     let mut fingerprints = Vec::new();
     let mut fm_eliminations = Vec::new();
+    let mut certificates = Vec::new();
     let mut rest = text;
     while let Some(at) = rest.find("\"kernel\":") {
         rest = &rest[at + 9..];
         let name_start = rest.find('"')? + 1;
         let name_end = name_start + rest[name_start..].find('"')?;
         let name = rest[name_start..name_end].to_string();
-        let fp_at = rest.find("\"fp\":")? + 5;
-        let fp_rest = rest[fp_at..].trim_start();
-        let fp_start = 1; // skip opening quote
-        let fp_end = fp_start + fp_rest[fp_start..].find('"')?;
-        let fp = u64::from_str_radix(&fp_rest[fp_start..fp_end], 16).ok()?;
         let entry = &rest[..rest.find('}').unwrap_or(rest.len())];
         if let Some(n) = json_number(entry, "fm_eliminations") {
             fm_eliminations.push((name.clone(), n as u64));
         }
-        fingerprints.push((name, fp));
-        rest = &rest[fp_at..];
+        if let Some(digest) = json_hex(entry, "certificates") {
+            certificates.push((name.clone(), digest));
+        }
+        fingerprints.push((name, json_hex(entry, "fp")?));
+        rest = &rest[entry.len()..];
     }
     Some(Baseline {
         fm_speedup,
         dep_speedup,
         fingerprints,
         fm_eliminations,
+        certificates,
     })
 }
 
@@ -832,19 +877,30 @@ pub fn gate(report: &PolyBenchReport, baseline: Option<&Baseline>) -> Vec<String
                 report.dep_speedup, b.dep_speedup
             ));
         }
+        let find = |kernel: &str| report.fingerprints.iter().find(|f| f.kernel == kernel);
         for (kernel, want) in &b.fingerprints {
-            match report.fingerprints.iter().find(|(k, ..)| k == kernel) {
-                Some((_, got, _)) if got == want => {}
-                Some((_, got, _)) => fails.push(format!(
-                    "{kernel}: DSE fingerprint {got:016x} != baseline {want:016x} \
-                     (schedule or QoR changed)"
+            match find(kernel) {
+                Some(f) if f.fp == *want => {}
+                Some(f) => fails.push(format!(
+                    "{kernel}: DSE fingerprint {:016x} != baseline {want:016x} \
+                     (schedule or QoR changed)",
+                    f.fp
                 )),
                 None => fails.push(format!("{kernel}: fingerprint missing from report")),
             }
         }
+        for (kernel, want) in &b.certificates {
+            if let Some(f) = find(kernel).filter(|f| f.certificates != *want) {
+                fails.push(format!(
+                    "{kernel}: certificate digest {:016x} != baseline {want:016x} \
+                     (the winner's certificates changed)",
+                    f.certificates
+                ));
+            }
+        }
         for (kernel, want) in &b.fm_eliminations {
-            let found = report.fingerprints.iter().find(|(k, ..)| k == kernel);
-            if let Some(&(_, _, got)) = found {
+            if let Some(f) = find(kernel) {
+                let got = f.fm_eliminations;
                 if got.saturating_mul(10) > want.saturating_mul(11) {
                     fails.push(format!(
                         "{kernel}: {got} FM eliminations, >10% over baseline {want} \
@@ -887,7 +943,12 @@ mod tests {
             }],
             fm_speedup: 10.0,
             dep_speedup: 8.0,
-            fingerprints: vec![("gemm", 0xdead_beef_1234_5678, 200)],
+            fingerprints: vec![Fingerprint {
+                kernel: "gemm",
+                fp: 0xdead_beef_1234_5678,
+                fm_eliminations: 200,
+                certificates: 0x0123_4567_89ab_cdef,
+            }],
             stats: pom_poly::PolyStats::default(),
         };
         let json = super::report(&report, None).to_json();
@@ -900,17 +961,28 @@ mod tests {
             vec![("gemm".to_string(), 0xdead_beef_1234_5678)]
         );
         assert_eq!(b.fm_eliminations, vec![("gemm".to_string(), 200)]);
-        // A matching baseline gates clean; a shifted fingerprint fails.
+        assert_eq!(
+            b.certificates,
+            vec![("gemm".to_string(), 0x0123_4567_89ab_cdef)]
+        );
+        // A matching baseline gates clean; a shifted fingerprint or
+        // certificate digest fails, and a baseline without digests does
+        // not gate them.
         assert!(gate(&report, Some(&b)).is_empty());
         let mut bad = b.clone();
         bad.fingerprints[0].1 ^= 1;
         assert!(!gate(&report, Some(&bad)).is_empty());
+        let mut bad = b.clone();
+        bad.certificates[0].1 ^= 1;
+        assert_eq!(gate(&report, Some(&bad)).len(), 1);
+        bad.certificates.clear();
+        assert!(gate(&report, Some(&bad)).is_empty());
         // Up to 10 % more FM eliminations than the baseline pass; more
         // fail, and a baseline without counts does not gate them.
         let mut grown = report.clone();
-        grown.fingerprints[0].2 = 220;
+        grown.fingerprints[0].fm_eliminations = 220;
         assert!(gate(&grown, Some(&b)).is_empty());
-        grown.fingerprints[0].2 = 221;
+        grown.fingerprints[0].fm_eliminations = 221;
         assert_eq!(gate(&grown, Some(&b)).len(), 1);
         let mut uncounted = b.clone();
         uncounted.fm_eliminations.clear();

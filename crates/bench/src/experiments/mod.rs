@@ -240,7 +240,12 @@ mod tests {
             }],
             fm_speedup: 7.5,
             dep_speedup: f64::INFINITY,
-            fingerprints: vec![("gemm", 0xdead_beef_1234_5678, 200)],
+            fingerprints: vec![bench_poly::Fingerprint {
+                kernel: "gemm",
+                fp: 0xdead_beef_1234_5678,
+                fm_eliminations: 200,
+                certificates: 0x0123_4567_89ab_cdef,
+            }],
             stats: pom_poly::PolyStats::default(),
         };
         let sim = bench_sim::SuiteRun {
@@ -369,7 +374,7 @@ mod tests {
                 "rows",
                 "speedup",
             ],
-            &["all_passed", "fm_eliminations"],
+            &["all_passed", "certificates", "fm_eliminations"],
         ),
         (
             "bench-sim",

@@ -53,6 +53,15 @@ impl DenseRow {
         }
         self.eval(point)
     }
+
+    /// The coefficient on the dimension at `pos`.
+    fn coeff_at(&self, pos: usize) -> i64 {
+        self.terms
+            .iter()
+            .filter(|&&(p, _)| p == pos)
+            .map(|&(_, c)| c)
+            .sum()
+    }
 }
 
 /// A constraint compiled to a [`DenseRow`]; `holds` evaluates strictly.
@@ -514,7 +523,10 @@ impl BasicSet {
     }
 
     /// [`BasicSet::try_enumerate_points`] walking bounds the caller already
-    /// holds; `levels` must be this set's [`BasicSet::level_bounds`].
+    /// holds; `levels` must be this set's [`BasicSet::level_bounds`], or
+    /// bounds that every point of the set satisfies (the walk checks every
+    /// constraint at every point it reaches, so a looser table only costs
+    /// more points to reject).
     pub fn try_enumerate_points_with(
         &self,
         levels: &[LevelBounds],
@@ -547,12 +559,22 @@ impl BasicSet {
                 .map(|(e, d)| (DenseRow::compile(e, &dim_ids[..level]), *d))
                 .collect()
         };
+        let constraints: Vec<DenseConstraint> = self
+            .constraints
+            .iter()
+            .map(|c| DenseConstraint::compile(c, &dim_ids))
+            .collect();
+        let innermost = self.dims.len().saturating_sub(1);
         let walk = Walk {
-            constraints: self
-                .constraints
+            steps: constraints
                 .iter()
-                .map(|c| DenseConstraint::compile(c, &dim_ids))
+                .map(|c| c.0.coeff_at(innermost))
                 .collect(),
+            eq_masks: constraints
+                .iter()
+                .map(|c| -i64::from(c.1 == ConstraintKind::Eq))
+                .collect(),
+            constraints,
             levels: levels
                 .iter()
                 .enumerate()
@@ -562,7 +584,8 @@ impl BasicSet {
         };
         let mut out = Points::empty(self.dims.len());
         let mut point = Vec::with_capacity(self.dims.len());
-        walk.rec(&mut point, &mut out)?;
+        let mut values = Vec::with_capacity(walk.constraints.len());
+        walk.rec(&mut point, &mut values, &mut out)?;
         Ok(out)
     }
 }
@@ -603,7 +626,7 @@ impl Points {
     }
 
     /// The points in order, each a slice of [`Points::arity`] coordinates.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[i64]> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[i64]> + Clone + '_ {
         (0..self.len).map(move |k| &self.coords[k * self.arity..(k + 1) * self.arity])
     }
 
@@ -620,20 +643,29 @@ type DenseBound = (DenseRow, i64);
 /// lower and upper bound candidates.
 struct Walk {
     constraints: Vec<DenseConstraint>,
+    /// Each constraint's coefficient on the innermost dimension: how far
+    /// its value moves from one innermost point to the next.
+    steps: Vec<i64>,
+    /// All ones for an equality, zero for an inequality, per constraint.
+    eq_masks: Vec<i64>,
     levels: Vec<(Vec<DenseBound>, Vec<DenseBound>)>,
     limit: usize,
 }
 
 impl Walk {
-    fn rec(&self, point: &mut Vec<i64>, out: &mut Points) -> Result<(), EnumStop> {
+    /// Walks the levels below `point`'s prefix; `values` is the
+    /// innermost level's scratch buffer.
+    fn rec(
+        &self,
+        point: &mut Vec<i64>,
+        values: &mut Vec<i64>,
+        out: &mut Points,
+    ) -> Result<(), EnumStop> {
         let level = point.len();
         let Some((lbs, ubs)) = self.levels.get(level) else {
+            // Only a zero-dimension set has its leaf above every level.
             if self.constraints.iter().all(|c| c.holds(point)) {
-                if out.len >= self.limit {
-                    return Err(EnumStop::Limit);
-                }
-                out.coords.extend_from_slice(point);
-                out.len += 1;
+                self.emit(point, out)?;
             }
             return Ok(());
         };
@@ -647,11 +679,69 @@ impl Walk {
             .map(|(e, d)| floor_div(e.eval(point), *d))
             .min()
             .ok_or(EnumStop::Unbounded(level, "upper"))?;
+        if level + 1 == self.levels.len() {
+            return self.innermost(point, values, lb, ub, out);
+        }
         for v in lb..=ub {
             point.push(v);
-            self.rec(point, out)?;
+            self.rec(point, values, out)?;
             point.pop();
         }
+        Ok(())
+    }
+
+    /// The innermost level as a counted loop over `lb..=ub`: each
+    /// constraint's value at `lb` is one dot product, and each later
+    /// point adds the constraint's step to it. Every constraint is still
+    /// checked at every point: a value fails its constraint exactly when
+    /// its sign bit is set — for an equality, the sign bit of `x | -x` —
+    /// so one OR over the values decides the point. A constraint that
+    /// mentions a variable the dimension list does not name panics at the
+    /// first point, like [`DenseConstraint::holds`].
+    fn innermost(
+        &self,
+        point: &mut Vec<i64>,
+        values: &mut Vec<i64>,
+        lb: i64,
+        ub: i64,
+        out: &mut Points,
+    ) -> Result<(), EnumStop> {
+        if lb > ub {
+            return Ok(());
+        }
+        let level = point.len();
+        point.push(lb);
+        values.clear();
+        values.extend(self.constraints.iter().map(|c| c.0.eval_strict(point)));
+        let mut v = lb;
+        loop {
+            let signs = values
+                .iter()
+                .zip(&self.eq_masks)
+                .fold(0, |acc, (&x, &eq)| acc | x | (x.wrapping_neg() & eq));
+            if signs >= 0 {
+                point[level] = v;
+                self.emit(point, out)?;
+            }
+            if v == ub {
+                break;
+            }
+            v += 1;
+            for (x, &step) in values.iter_mut().zip(&self.steps) {
+                *x += step;
+            }
+        }
+        point.pop();
+        Ok(())
+    }
+
+    /// Appends a point that satisfies every constraint.
+    fn emit(&self, point: &[i64], out: &mut Points) -> Result<(), EnumStop> {
+        if out.len >= self.limit {
+            return Err(EnumStop::Limit);
+        }
+        out.coords.extend_from_slice(point);
+        out.len += 1;
         Ok(())
     }
 }
@@ -683,6 +773,14 @@ impl fmt::Display for BasicSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "missing value for variable j")]
+    fn enumerating_a_constraint_on_an_unknown_variable_panics() {
+        BasicSet::from_bounds(&[("i", 0, 3)])
+            .with_constraint(Constraint::ge_zero(LinearExpr::var("j")))
+            .enumerate_points(100);
+    }
 
     #[test]
     fn rectangular_domain_enumeration() {

@@ -96,20 +96,29 @@ impl StmtPoly {
 
     /// Rewrites an expression over the original iterators into the current
     /// iterator space.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `i64` coefficient overflow; substitute
+    /// [`StmtPoly::reconstruction`] with
+    /// [`LinearExpr::try_substituted_many`] to handle
+    /// [`PolyError`](crate::PolyError) instead.
     pub fn to_current(&self, expr: &LinearExpr) -> LinearExpr {
-        // Simultaneous substitution: replacements are not themselves
-        // rewritten, so orig names that coincide with current names
-        // (identity dims) cannot be captured — this replaces the old
-        // two-phase `__orig_*` placeholder rename without the per-call
-        // string formatting.
-        let subs: Vec<(crate::DimId, &LinearExpr)> = self
-            .orig_dims
+        expr.try_substituted_many(&self.reconstruction())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Each original iterator with its expression in the current
+    /// iterators: the simultaneous substitution [`StmtPoly::to_current`]
+    /// applies. Replacements are not themselves rewritten, so orig names
+    /// that coincide with current names (identity dims) cannot be
+    /// captured.
+    pub fn reconstruction(&self) -> Vec<(crate::DimId, &LinearExpr)> {
+        self.orig_dims
             .iter()
             .zip(&self.orig_exprs)
             .map(|(d, e)| (crate::DimId::intern(d), e))
-            .collect();
-        expr.try_substituted_many(&subs)
-            .unwrap_or_else(|e| panic!("{e}"))
+            .collect()
     }
 
     /// Rewrites an access function into the current iterator space.

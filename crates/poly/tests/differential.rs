@@ -719,3 +719,60 @@ fn zero_dimension_flat_enumeration() {
     assert_eq!(none.iter().count(), 0);
     assert_eq!(empty.enumerate_points(10), Vec::<Vec<i64>>::new());
 }
+
+/// The dense and reference sets of a shape's rows.
+fn shape_sets(rows: &[([i64; 3], i64)]) -> (pom_poly::BasicSet, reference::BasicSet) {
+    let mut named = reference::BasicSet::universe(&EX);
+    for (coeffs, constant) in rows {
+        let mut e = reference::LinearExpr::constant_expr(*constant);
+        for (d, &c) in EX.iter().zip(coeffs) {
+            e.set_coeff(*d, c);
+        }
+        named.add_constraint(reference::Constraint::ge_zero(e));
+    }
+    (shape_set(rows), named)
+}
+
+/// The enumerator runs its innermost level as a counted loop, stepping
+/// each constraint's value instead of re-evaluating it. On skewed, tiled
+/// and split sets, and on the system whose projection chain is inexact,
+/// it yields the reference enumeration point for point with the limit
+/// exactly at the point count, and gives up one below it. Walking the
+/// looser table of the set's bounding box instead leaves every point
+/// check to the stepped constraint values, and must give the same points.
+#[test]
+fn counted_walk_matches_the_reference_at_the_limit() {
+    let boxed = |dims: [&str; 3], (lo, hi): (i64, i64)| {
+        let bounds: Vec<(&str, i64, i64)> = dims.iter().map(|&d| (d, lo, hi)).collect();
+        pom_poly::BasicSet::from_bounds(&bounds).level_bounds()
+    };
+    let mut sets = Vec::new();
+    for y_shape in 0..3 {
+        for z_shape in 0..5 {
+            for skew in [-2, 1] {
+                let (dense, named) =
+                    shape_sets(&shape_rows((y_shape, z_shape, 3, 10, skew, -1, 4)));
+                sets.push((dense, named, boxed(EX, (-20, 20))));
+            }
+        }
+    }
+    let (dense, named) = materialize_sets(&[
+        (0, vec![2, -3, 3], -4),
+        (3, vec![2, -3, -1], 3),
+        (3, vec![3, 0, -2], 6),
+    ]);
+    sets.push((dense, named, boxed(DIMS, (0, 4))));
+    for (dense, named, loose) in &sets {
+        let want = named.enumerate_points(1_000_000);
+        assert!(!want.is_empty(), "{dense}");
+        for levels in [dense.level_bounds(), loose.clone()] {
+            let walked = dense.try_enumerate_flat(&levels, want.len());
+            assert_eq!(walked.map(|p| p.to_vecs()), Some(want.clone()), "{dense}");
+            assert_eq!(
+                dense.try_enumerate_flat(&levels, want.len() - 1),
+                None,
+                "{dense}"
+            );
+        }
+    }
+}

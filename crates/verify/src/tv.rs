@@ -139,7 +139,7 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
                             vec![
                                 dependences_obligation(c, s, &deps[si], &cur),
                                 domain_obligation(orig, s, &cur, opts.enumerate_limit),
-                                footprint_obligation(orig, s, &cur),
+                                footprint_obligation(orig, &cur),
                             ]
                         }
                     }
@@ -251,10 +251,35 @@ impl Row {
         }
     }
 
-    fn eval(&self, point: &[i64]) -> i64 {
-        self.terms
-            .iter()
-            .fold(self.constant, |v, &(pos, c)| v + c * point[pos])
+    /// The rows of the identity map on `arity` coordinates.
+    fn identity(arity: usize) -> Vec<Row> {
+        (0..arity)
+            .map(|k| Row {
+                terms: vec![(k, 1)],
+                constant: 0,
+            })
+            .collect()
+    }
+
+    /// The value at `point`; `None` when a product or partial sum leaves
+    /// `i64`.
+    fn eval(&self, point: &[i64]) -> Option<i64> {
+        self.terms.iter().try_fold(self.constant, |v, &(pos, c)| {
+            v.checked_add(c.checked_mul(point[pos])?)
+        })
+    }
+
+    /// The value range over the box `bx` (one interval per position),
+    /// by interval arithmetic in `i128`; `None` when it leaves `i64`.
+    fn range(&self, bx: &[(i64, i64)]) -> Option<(i64, i64)> {
+        let (mut lo, mut hi) = (self.constant as i128, self.constant as i128);
+        for &(pos, c) in &self.terms {
+            let (blo, bhi) = bx[pos];
+            let (a, b) = (c as i128 * blo as i128, c as i128 * bhi as i128);
+            lo = lo.checked_add(a.min(b))?;
+            hi = hi.checked_add(a.max(b))?;
+        }
+        Some((i64::try_from(lo).ok()?, i64::try_from(hi).ok()?))
     }
 }
 
@@ -267,26 +292,15 @@ struct Packer {
 }
 
 impl Packer {
-    /// Packs inside the tight box of the `arity`-vectors `walk` feeds to
-    /// its callback. A box too large to index with a `u64` — or around
-    /// nothing — packs no vector at all, like a vector of another arity;
+    /// Packs inside the box `bx` (inclusive `(low, high)` per
+    /// coordinate). A box too large to index with a `u64` — or an empty
+    /// one — packs no vector at all, like a vector of another arity;
     /// [`PointSet`] then compares the vectors themselves.
-    fn around(arity: usize, walk: impl FnOnce(&mut dyn FnMut(&[i64]))) -> Packer {
-        let mut lo = vec![i64::MAX; arity];
-        let mut hi = vec![i64::MIN; arity];
-        walk(&mut |v| {
-            if v.len() == arity {
-                for (k, &x) in v.iter().enumerate() {
-                    lo[k] = lo[k].min(x);
-                    hi[k] = hi[k].max(x);
-                }
-            }
-        });
+    fn of_box(bx: &[(i64, i64)]) -> Packer {
         let mut volume = Some(1u64);
-        let dims: Vec<(i64, u64)> = lo
+        let dims: Vec<(i64, u64)> = bx
             .iter()
-            .zip(&hi)
-            .map(|(&l, &h)| {
+            .map(|&(l, h)| {
                 let extent = u64::try_from(h as i128 - l as i128 + 1).ok();
                 volume = volume.zip(extent).and_then(|(v, e)| v.checked_mul(e));
                 (l, extent.unwrap_or(0))
@@ -295,26 +309,83 @@ impl Packer {
         match volume {
             Some(cells) => Packer { dims, cells },
             None => Packer {
-                dims: vec![(0, 0); arity],
+                dims: vec![(0, 0); bx.len()],
                 cells: 0,
             },
         }
     }
 
-    fn pack(&self, v: &[i64]) -> Option<u64> {
-        if v.len() != self.dims.len() {
-            return None;
-        }
-        let mut key = 0u64;
-        for (&x, &(lo, extent)) in v.iter().zip(&self.dims) {
-            let off = u64::try_from(x as i128 - lo as i128).ok()?;
-            if off >= extent {
-                return None;
+    /// Packs inside the tight box of the images of `points` under the
+    /// `arity`-coordinate maps among `maps` — the fallback for a box the
+    /// level table does not give. `None` when an image leaves `i64`.
+    fn around<'p>(
+        arity: usize,
+        maps: &[&[Row]],
+        points: impl Iterator<Item = &'p [i64]> + Clone,
+    ) -> Option<Packer> {
+        let mut bx = vec![(i64::MAX, i64::MIN); arity];
+        for rows in maps.iter().filter(|rows| rows.len() == arity) {
+            for p in points.clone() {
+                for (b, r) in bx.iter_mut().zip(rows.iter()) {
+                    let x = r.eval(p)?;
+                    *b = (b.0.min(x), b.1.max(x));
+                }
             }
-            key = key * extent + off;
         }
-        Some(key)
+        Some(Packer::of_box(&bx))
     }
+
+    /// The box of the images of points in the box `bx` under `maps` (all
+    /// of `arity` coordinates), by interval arithmetic over their rows;
+    /// `None` when a range leaves `i64`.
+    fn image_box(arity: usize, maps: &[&[Row]], bx: &[(i64, i64)]) -> Option<Vec<(i64, i64)>> {
+        let mut out = vec![(i64::MAX, i64::MIN); arity];
+        for rows in maps.iter().filter(|rows| rows.len() == arity) {
+            for (b, r) in out.iter_mut().zip(rows.iter()) {
+                let (lo, hi) = r.range(bx)?;
+                *b = (b.0.min(lo), b.1.max(hi));
+            }
+        }
+        Some(out)
+    }
+
+    /// Feeds `key` the key of the image of every point under `rows` that
+    /// lies in the box, and puts every other image into `outside`;
+    /// `None` when an image leaves `i64`. Every coordinate of every image
+    /// is evaluated with overflow checks.
+    fn each_key<'p>(
+        &self,
+        rows: &[Row],
+        points: impl Iterator<Item = &'p [i64]>,
+        outside: &mut BTreeSet<Vec<i64>>,
+        mut key: impl FnMut(u64),
+    ) -> Option<()> {
+        let packs = rows.len() == self.dims.len();
+        'points: for p in points {
+            if packs {
+                let mut k = 0u64;
+                for (r, &(lo, extent)) in rows.iter().zip(&self.dims) {
+                    let v = r.eval(p)?;
+                    // Exact: `v - lo` fits `u64` whenever `v >= lo`.
+                    let off = v.wrapping_sub(lo) as u64;
+                    if v < lo || off >= extent {
+                        outside.insert(image_of(rows, p)?);
+                        continue 'points;
+                    }
+                    k = k * extent + off;
+                }
+                key(k);
+            } else {
+                outside.insert(image_of(rows, p)?);
+            }
+        }
+        Some(())
+    }
+}
+
+/// The image of `point` under `rows`; `None` when it leaves `i64`.
+fn image_of(rows: &[Row], point: &[i64]) -> Option<Vec<i64>> {
+    rows.iter().map(|r| r.eval(point)).collect()
 }
 
 /// The largest box (in cells) whose [`PointSet`]s are bitsets: 2^20 bits
@@ -373,55 +444,44 @@ impl Keys {
 }
 
 impl PointSet {
-    /// The set of the vectors `walk` feeds to its callback.
-    fn collect(packer: &Packer, walk: impl FnOnce(&mut dyn FnMut(&[i64]))) -> PointSet {
-        Self::collect_capped(packer, BITSET_CELLS, walk)
+    /// The set of the images of `points` under each of `maps` (one
+    /// [`Row`] per image coordinate); `None` when an image leaves `i64`.
+    fn images<'p>(
+        packer: &Packer,
+        maps: &[&[Row]],
+        points: impl Iterator<Item = &'p [i64]> + Clone,
+    ) -> Option<PointSet> {
+        Self::images_capped(packer, BITSET_CELLS, maps, points)
     }
 
-    /// [`PointSet::collect`], with bitsets up to `cap` cells.
-    fn collect_capped(
+    /// [`PointSet::images`], with bitsets up to `cap` cells.
+    fn images_capped<'p>(
         packer: &Packer,
         cap: u64,
-        walk: impl FnOnce(&mut dyn FnMut(&[i64])),
-    ) -> PointSet {
+        maps: &[&[Row]],
+        points: impl Iterator<Item = &'p [i64]> + Clone,
+    ) -> Option<PointSet> {
         let mut outside = BTreeSet::new();
         let keys = if packer.cells <= cap {
             let mut words = vec![0u64; packer.cells.div_ceil(64) as usize];
-            let mut n = 0;
-            walk(&mut |v| match packer.pack(v) {
-                Some(key) => {
-                    let (word, bit) = ((key / 64) as usize, 1u64 << (key % 64));
-                    n += usize::from(words[word] & bit == 0);
-                    words[word] |= bit;
-                }
-                None => {
-                    outside.insert(v.to_vec());
-                }
-            });
+            for rows in maps {
+                packer.each_key(rows, points.clone(), &mut outside, |key| {
+                    words[(key / 64) as usize] |= 1 << (key % 64);
+                })?;
+            }
+            let n = words.iter().map(|w| w.count_ones() as usize).sum();
             Keys::Bits(words, n)
         } else {
             let mut keys = Vec::new();
-            walk(&mut |v| match packer.pack(v) {
-                Some(key) => keys.push(key),
-                None => {
-                    outside.insert(v.to_vec());
-                }
-            });
+            for rows in maps {
+                packer.each_key(rows, points.clone(), &mut outside, |key| keys.push(key))?;
+            }
             keys.sort_unstable();
             keys.dedup();
             keys.shrink_to_fit();
             Keys::Sorted(keys)
         };
-        PointSet { keys, outside }
-    }
-
-    /// The same, packed in the tight box of the vectors themselves.
-    /// `walk` runs twice (the box, then the keys) so that the vectors are
-    /// never all held at once.
-    fn tight(arity: usize, walk: impl Fn(&mut dyn FnMut(&[i64]))) -> (Packer, PointSet) {
-        let packer = Packer::around(arity, &walk);
-        let set = PointSet::collect(&packer, &walk);
-        (packer, set)
+        Some(PointSet { keys, outside })
     }
 
     fn len(&self) -> usize {
@@ -448,8 +508,9 @@ struct Original<'a> {
 struct Enumerated<'a> {
     instances: (Packer, PointSet),
     /// Per accessed array, in name order: which of `accesses` touch it,
-    /// and the cells they touch.
-    footprint: Vec<Footprint<'a>>,
+    /// and the cells they touch; `None` when an access image leaves
+    /// `i64`.
+    footprint: Option<Vec<Footprint<'a>>>,
 }
 
 struct Footprint<'a> {
@@ -459,8 +520,27 @@ struct Footprint<'a> {
 }
 
 impl<'a> Enumerated<'a> {
-    fn of(points: &Points, dims: &[String], accesses: &[&'a AccessFn]) -> Self {
-        let instances = PointSet::tight(dims.len(), |see| points.iter().for_each(see));
+    /// The instances `points` and their footprint, each set built in one
+    /// pass over the points per map. The boxes come from `bx`, the
+    /// domain's constant box: the instances' box is `bx` itself, and each
+    /// footprint's is its access rows' range over it. Only when a
+    /// dimension lacks a constant bound or a range leaves `i64` does a
+    /// set walk its images once more for their tight box.
+    fn of(points: &Points, bx: &[DeltaIv], dims: &[String], accesses: &[&'a AccessFn]) -> Self {
+        let boxed = closed_box(bx);
+        let tight = |arity: usize, maps: &[&[Row]]| -> Option<(Packer, PointSet)> {
+            let packer = match boxed
+                .as_deref()
+                .and_then(|b| Packer::image_box(arity, maps, b))
+            {
+                Some(b) => Packer::of_box(&b),
+                None => Packer::around(arity, maps, points.iter())?,
+            };
+            let set = PointSet::images(&packer, maps, points.iter())?;
+            Some((packer, set))
+        };
+        // An identity image is the point itself, which fits `i64`.
+        let instances = tight(dims.len(), &[&Row::identity(dims.len())]).expect("points fit i64");
         let dim_ids: Vec<DimId> = dims.iter().map(|d| DimId::intern(d)).collect();
         let rows: Vec<Vec<Row>> = accesses
             .iter()
@@ -483,32 +563,18 @@ impl<'a> Enumerated<'a> {
                 let touching: Vec<usize> = (0..accesses.len())
                     .filter(|&k| accesses[k].array == array)
                     .collect();
-                let cells = PointSet::tight(rows[touching[0]].len(), |see| {
-                    for &k in &touching {
-                        each_image(&rows[k], points, see);
-                    }
-                });
-                Footprint {
+                let maps: Vec<&[Row]> = touching.iter().map(|&k| rows[k].as_slice()).collect();
+                Some(Footprint {
                     array,
+                    cells: tight(maps[0].len(), &maps)?,
                     accesses: touching,
-                    cells,
-                }
+                })
             })
             .collect();
         Enumerated {
             instances,
             footprint,
         }
-    }
-}
-
-/// Feeds `see` the image of every point under `rows`.
-fn each_image(rows: &[Row], points: &Points, see: &mut dyn FnMut(&[i64])) {
-    let mut image = Vec::with_capacity(rows.len());
-    for p in points.iter() {
-        image.clear();
-        image.extend(rows.iter().map(|r| r.eval(p)));
-        see(&image);
     }
 }
 
@@ -520,7 +586,7 @@ impl<'a> Original<'a> {
         let (levels, bx) = level_table(&domain);
         let enumerated = levels
             .and_then(|levels| bounded_points(&domain, &levels, &bx, limit))
-            .map(|points| Enumerated::of(&points, &dims, &accesses));
+            .map(|points| Enumerated::of(&points, &bx, &dims, &accesses));
         Original {
             dims,
             domain,
@@ -531,16 +597,19 @@ impl<'a> Original<'a> {
 }
 
 /// What one rewrite step's obligations all read of the transformed
-/// statement: its dimension ids, its domain's constant box, and (when the
-/// original side is enumerated too) its points.
-struct Transformed {
+/// statement: its dimension ids, its domain's constant box, (when the
+/// original side is enumerated too) its points, and its reconstruction.
+struct Transformed<'s> {
     dims: Vec<DimId>,
     bx: Vec<DeltaIv>,
     points: Option<Points>,
+    /// The statement's [`StmtPoly::reconstruction`], which pulls original
+    /// expressions back into the transformed dims.
+    pullback: Vec<(DimId, &'s LinearExpr)>,
 }
 
-impl Transformed {
-    fn of(s: &StmtPoly, orig: &Original, limit: usize) -> Self {
+impl<'s> Transformed<'s> {
+    fn of(s: &'s StmtPoly, orig: &Original, limit: usize) -> Self {
         let (levels, bx) = level_table(s.domain());
         // Without an enumerated original there is nothing to compare the
         // points against; both comparisons go symbolic either way.
@@ -553,8 +622,14 @@ impl Transformed {
             dims: s.dims().iter().map(|d| DimId::intern(d)).collect(),
             bx,
             points,
+            pullback: s.reconstruction(),
         }
     }
+}
+
+/// `bx` as closed intervals, when every dimension has both bounds.
+fn closed_box(bx: &[DeltaIv]) -> Option<Vec<(i64, i64)>> {
+    bx.iter().map(|&(lo, hi)| Some((lo?, hi?))).collect()
 }
 
 /// A set's level-bounds table — `None` when a projection leaves `i64`
@@ -689,170 +764,223 @@ fn first_reversal<'d>(
     deps: &'d [SelfDependence],
     bx: &[DeltaIv],
 ) -> Option<(&'d SelfDependence, usize)> {
-    let dims = c.iter_names();
-    deps.iter()
-        .find_map(|d| Some((d, violated_level(s, &dims, &d.dist, bx)?)))
-}
-
-/// Finds the first transformed loop level at which some instance pair
-/// related by original-space distance `dist` executes in reversed
-/// order; `None` means the schedule preserves the dependence.
-///
-/// Levels are first screened through [`displacement_safe_levels`] — an
-/// interval argument over the per-level displacement of the instance
-/// pair that discharges almost every level of a legal schedule in a few
-/// integer operations. Only levels the screen cannot decide pay for the
-/// exact Fourier–Motzkin check on the doubled instance system, so the
-/// result is identical to running FM everywhere.
-fn violated_level(
-    s: &StmtPoly,
-    orig_dims: &[String],
-    dist: &[i64],
-    bx: &[DeltaIv],
-) -> Option<usize> {
-    let cur_dims: Vec<String> = s.dims().to_vec();
-    let screened = displacement_safe_levels(s, orig_dims, dist, &cur_dims, bx);
-    if screened
-        .as_ref()
-        .is_some_and(|safe| safe.iter().all(|&b| b))
-    {
+    if deps.is_empty() {
         return None;
     }
-    let prime = |n: &str| format!("{n}__snk");
-    let rename_all = |mut e: LinearExpr| -> LinearExpr {
-        for d in &cur_dims {
-            e = e.renamed(d, &prime(d));
+    let orig_dims = c.iter_names();
+    let step = Displacement::of(s, &orig_dims, bx);
+    // The verdict depends on the distance alone: one already found
+    // preserved (flow and anti often share it) is not checked again.
+    let mut preserved: Vec<&[i64]> = Vec::with_capacity(deps.len());
+    deps.iter().find_map(|d| {
+        if preserved.contains(&d.dist.as_slice()) {
+            return None;
         }
-        e
-    };
+        preserved.push(&d.dist);
+        Some((d, step.violated_level(&d.dist)?))
+    })
+}
 
-    // Source and sink instances both range over the transformed domain.
-    let mut sys: Vec<Constraint> = s.domain().constraints().to_vec();
-    for con in s.domain().constraints() {
-        sys.push(Constraint {
-            expr: rename_all(con.expr.clone()),
-            kind: con.kind,
-        });
-    }
-    // The sink's original coordinates are the source's displaced by dist.
-    for (k, od) in orig_dims.iter().enumerate() {
-        let e = s.orig_expr(od)?;
-        sys.push(Constraint::eq(
-            rename_all(e.clone()) - e.clone(),
-            LinearExpr::constant_expr(dist[k]),
-        ));
-    }
+/// The displacement system of one rewrite step, shared by every
+/// dependence checked at that step (see [`Displacement::safe_levels`]).
+struct Displacement<'s> {
+    s: &'s StmtPoly,
+    orig_dims: &'s [String],
+    /// Per original dim, the `(current position, coeff)` terms of its
+    /// reconstruction expression; `None` when one is missing or mentions
+    /// a dim the statement does not have.
+    eqs: Option<Vec<Vec<(usize, i64)>>>,
+    /// Each current dim's displacement interval before narrowing.
+    base: Vec<DeltaIv>,
+}
 
-    // Violation at level l: equal above l, sink strictly earlier at l.
-    for (l, dim) in cur_dims.iter().enumerate() {
-        if screened.as_ref().is_some_and(|safe| safe[l]) {
-            continue;
+impl<'s> Displacement<'s> {
+    /// The system of `s` over its domain's box `bx`; `orig_dims` are the
+    /// original loops the dependence distances are given in.
+    fn of(s: &'s StmtPoly, orig_dims: &'s [String], bx: &[DeltaIv]) -> Self {
+        let cur: Vec<DimId> = s.dims().iter().map(|d| DimId::intern(d)).collect();
+        let eqs = orig_dims
+            .iter()
+            .map(|od| {
+                s.orig_expr(od)?
+                    .terms_ids()
+                    .iter()
+                    .filter(|&&(_, c)| c != 0)
+                    .map(|&(id, c)| Some((cur.iter().rposition(|&d| d == id)?, c)))
+                    .collect()
+            })
+            .collect();
+        // δ_cd ∈ [lo - hi, hi - lo] whenever cd has constant bounds (and
+        // the spread fits `i64`; otherwise δ_cd is left unbounded).
+        let base = bx
+            .iter()
+            .map(|b| match *b {
+                (Some(lo), Some(hi)) => (lo.checked_sub(hi), hi.checked_sub(lo)),
+                _ => (None, None),
+            })
+            .collect();
+        Displacement {
+            s,
+            orig_dims,
+            eqs,
+            base,
         }
-        let mut cs = sys.clone();
-        for above in &cur_dims[..l] {
-            cs.push(Constraint::eq(
-                LinearExpr::var(prime(above)),
-                LinearExpr::var(above),
+    }
+
+    /// Finds the first transformed loop level at which some instance
+    /// pair related by original-space distance `dist` executes in
+    /// reversed order; `None` means the schedule preserves the
+    /// dependence.
+    ///
+    /// Levels are first screened through [`Displacement::safe_levels`] —
+    /// an interval argument over the per-level displacement of the
+    /// instance pair that discharges almost every level of a legal
+    /// schedule in a few integer operations. Only levels the screen
+    /// cannot decide pay for the exact Fourier–Motzkin check on the
+    /// doubled instance system, so the result is identical to running FM
+    /// everywhere.
+    fn violated_level(&self, dist: &[i64]) -> Option<usize> {
+        let screened = self.safe_levels(dist);
+        if screened
+            .as_ref()
+            .is_some_and(|safe| safe.iter().all(|&b| b))
+        {
+            return None;
+        }
+        let sys = self.doubled(dist)?;
+        let cur_dims = self.s.dims();
+        // Violation at level l: equal above l, sink strictly earlier at l.
+        for (l, dim) in cur_dims.iter().enumerate() {
+            if screened.as_ref().is_some_and(|safe| safe[l]) {
+                continue;
+            }
+            let mut cs = sys.clone();
+            for above in &cur_dims[..l] {
+                cs.push(Constraint::eq(
+                    LinearExpr::var(sink(above)),
+                    LinearExpr::var(above),
+                ));
+            }
+            cs.push(Constraint::lt(
+                LinearExpr::var(sink(dim)),
+                LinearExpr::var(dim),
+            ));
+            if fm::feasible(&cs) {
+                return Some(l);
+            }
+        }
+        None
+    }
+
+    /// The doubled instance system of `dist`: source and sink instances
+    /// both range over the transformed domain (the sink's dims renamed by
+    /// [`sink`]), and the sink's original coordinates are the source's
+    /// displaced by `dist`. `None` when an original dim has no
+    /// reconstruction expression.
+    fn doubled(&self, dist: &[i64]) -> Option<Vec<Constraint>> {
+        let cur_dims = self.s.dims();
+        let rename_all = |mut e: LinearExpr| -> LinearExpr {
+            for d in cur_dims {
+                e = e.renamed(d, &sink(d));
+            }
+            e
+        };
+        let domain = self.s.domain().constraints();
+        let mut sys = domain.to_vec();
+        for con in domain {
+            sys.push(Constraint {
+                expr: rename_all(con.expr.clone()),
+                kind: con.kind,
+            });
+        }
+        for (od, &d) in self.orig_dims.iter().zip(dist) {
+            let e = self.s.orig_expr(od)?;
+            sys.push(Constraint::eq(
+                rename_all(e.clone()) - e.clone(),
+                LinearExpr::constant_expr(d),
             ));
         }
-        cs.push(Constraint::lt(
-            LinearExpr::var(prime(dim)),
-            LinearExpr::var(dim),
-        ));
-        if fm::feasible(&cs) {
-            return Some(l);
-        }
+        Some(sys)
     }
-    None
+
+    /// Sound per-level screen for [`Displacement::violated_level`]:
+    /// `safe[l] == true` proves no instance pair related by `dist`
+    /// executes in reversed order at transformed level `l`; `false`
+    /// means "undecided, run FM".
+    ///
+    /// In displacement space the doubled instance system collapses:
+    /// writing `δ_cd` for the sink-minus-source displacement along
+    /// current dim `cd`, each original dim's reconstruction expression
+    /// `e_od` (linear in the current dims) yields one equation `Σ
+    /// coeff(e_od, cd) · δ_cd = dist[od]` — the constant parts cancel.
+    /// Each `δ_cd` starts bounded by the spread of `cd`'s constant domain
+    /// bounds (the transformed domain's box), and interval narrowing
+    /// over the equations (with integer rounding) tightens the rest: for
+    /// a tiled dim, `T·δ_out + δ_inn = 0` with `δ_inn ∈ (-T, T)` pins
+    /// both to zero. Level `l` is safe when, after also pinning every
+    /// outer `δ` to zero, `δ_l` cannot be negative — or the pinned system
+    /// is empty.
+    ///
+    /// Returns `None` when the screen cannot be built (a reconstruction
+    /// expression is missing or mentions an unknown dim).
+    fn safe_levels(&self, dist: &[i64]) -> Option<Vec<bool>> {
+        let eqs = self.eqs.as_deref()?;
+        let n = self.base.len();
+        let mut base = self.base.clone();
+        let Some(fixpoint) = narrow_deltas(&mut base, eqs, dist) else {
+            return Some(vec![true; n]); // no instance pair exists at all
+        };
+        let mut safe = vec![false; n];
+        for l in 0..n {
+            // Pinning and narrowing only raise lower bounds: a level whose
+            // displacement is already non-negative stays safe.
+            if base[l].0.is_some_and(|lo| lo >= 0) {
+                safe[l] = true;
+                continue;
+            }
+            let mut iv = base.clone();
+            let mut empty = false;
+            let mut pinned = false;
+            for v in iv.iter_mut().take(l) {
+                let lo = v.0.map_or(0, |x| x.max(0));
+                let hi = v.1.map_or(0, |x| x.min(0));
+                if lo > hi {
+                    empty = true;
+                    break;
+                }
+                pinned |= *v != (Some(0), Some(0));
+                *v = (Some(0), Some(0));
+            }
+            // Pins that change nothing leave a fixpoint as it is, with
+            // `δ_l` possibly negative.
+            if !empty && !pinned && fixpoint {
+                continue;
+            }
+            if empty || narrow_deltas(&mut iv, eqs, dist).is_none() {
+                safe[l] = true; // equal-prefix pairs cannot exist
+                continue;
+            }
+            safe[l] = iv[l].0.is_some_and(|lo| lo >= 0);
+        }
+        Some(safe)
+    }
 }
 
-/// Sound per-level screen for [`violated_level`]: `safe[l] == true`
-/// proves no instance pair related by `dist` executes in reversed order
-/// at transformed level `l`; `false` means "undecided, run FM".
-///
-/// In displacement space the doubled instance system collapses: writing
-/// `δ_cd` for the sink-minus-source displacement along current dim `cd`,
-/// each original dim's reconstruction expression `e_od` (linear in the
-/// current dims) yields one equation `Σ coeff(e_od, cd) · δ_cd =
-/// dist[od]` — the constant parts cancel. Each `δ_cd` starts bounded by
-/// the spread of `cd`'s constant domain bounds (`bx`, the transformed
-/// domain's box), and interval narrowing over the equations (with
-/// integer rounding) tightens the rest: for a tiled dim, `T·δ_out +
-/// δ_inn = 0` with `δ_inn ∈ (-T, T)` pins both to zero. Level `l` is
-/// safe when, after also pinning every outer `δ` to zero, `δ_l` cannot
-/// be negative — or the pinned system is empty.
-///
-/// Returns `None` when the screen cannot be built (a reconstruction
-/// expression is missing or mentions an unknown dim).
-fn displacement_safe_levels(
-    s: &StmtPoly,
-    orig_dims: &[String],
-    dist: &[i64],
-    cur_dims: &[String],
-    bx: &[DeltaIv],
-) -> Option<Vec<bool>> {
-    let n = cur_dims.len();
-    let pos: HashMap<&str, usize> = cur_dims
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (d.as_str(), i))
-        .collect();
-    let mut eqs: Vec<(Vec<(usize, i64)>, i64)> = Vec::new();
-    for (k, od) in orig_dims.iter().enumerate() {
-        let e = s.orig_expr(od)?;
-        let mut coeffs = Vec::new();
-        for (v, c) in e.terms() {
-            if c != 0 {
-                coeffs.push((*pos.get(v)?, c));
-            }
-        }
-        eqs.push((coeffs, dist[k]));
-    }
-
-    // δ_cd ∈ [lo - hi, hi - lo] whenever cd has constant bounds (and the
-    // spread fits `i64`; otherwise δ_cd is left unbounded).
-    let mut base: Vec<DeltaIv> = bx
-        .iter()
-        .map(|b| match *b {
-            (Some(lo), Some(hi)) => (lo.checked_sub(hi), hi.checked_sub(lo)),
-            _ => (None, None),
-        })
-        .collect();
-    let base_empty = !narrow_deltas(&mut base, &eqs);
-
-    let mut safe = vec![false; n];
-    for l in 0..n {
-        if base_empty {
-            safe[l] = true; // no instance pair exists at all
-            continue;
-        }
-        let mut iv = base.clone();
-        let mut empty = false;
-        for v in iv.iter_mut().take(l) {
-            let lo = v.0.map_or(0, |x| x.max(0));
-            let hi = v.1.map_or(0, |x| x.min(0));
-            if lo > hi {
-                empty = true;
-                break;
-            }
-            *v = (Some(0), Some(0));
-        }
-        if empty || !narrow_deltas(&mut iv, &eqs) {
-            safe[l] = true; // equal-prefix pairs cannot exist
-            continue;
-        }
-        safe[l] = iv[l].0.is_some_and(|lo| lo >= 0);
-    }
-    Some(safe)
+/// A current dim's name for the sink instance in
+/// [`Displacement::doubled`]'s system.
+fn sink(d: &str) -> String {
+    format!("{d}__snk")
 }
 
-/// Interval narrowing of `Σ coeffs·δ = rhs` equations to a fixpoint.
-/// Returns `false` when some interval becomes empty (no solution).
-fn narrow_deltas(iv: &mut [DeltaIv], eqs: &[(Vec<(usize, i64)>, i64)]) -> bool {
+/// Interval narrowing of the equations `Σ eqs[k]·δ = rhs[k]`, for at
+/// most `2·len` rounds. Returns `None` when some interval becomes empty
+/// (no solution), else whether the last round changed nothing (a
+/// fixpoint).
+fn narrow_deltas(iv: &mut [DeltaIv], eqs: &[Vec<(usize, i64)>], rhs: &[i64]) -> Option<bool> {
     let rounds = 2 * iv.len().max(1);
     for _ in 0..rounds {
         let mut changed = false;
-        for (coeffs, rhs) in eqs {
+        for (coeffs, &rhs) in eqs.iter().zip(rhs) {
             for &(vi, c) in coeffs {
                 // c·δ_vi = rhs - Σ_{j≠i} c_j·δ_j; bound the remainder.
                 let mut rest_lo = Some(0i64);
@@ -892,7 +1020,7 @@ fn narrow_deltas(iv: &mut [DeltaIv], eqs: &[(Vec<(usize, i64)>, i64)]) -> bool {
                 };
                 if let (Some(lo), Some(hi)) = (merged_lo, merged_hi) {
                     if lo > hi {
-                        return false;
+                        return None;
                     }
                 }
                 if (merged_lo, merged_hi) != iv[vi] {
@@ -902,10 +1030,10 @@ fn narrow_deltas(iv: &mut [DeltaIv], eqs: &[(Vec<(usize, i64)>, i64)]) -> bool {
             }
         }
         if !changed {
-            break;
+            return Some(true);
         }
     }
-    true
+    Some(false)
 }
 
 /// Checks that the transformed domain maps onto exactly the declared
@@ -932,7 +1060,14 @@ fn domain_obligation(orig: &Original, s: &StmtPoly, cur: &Transformed, limit: us
                 },
             })
             .collect();
-        let after = PointSet::collect(packer, |see| each_image(&rows, points, see));
+        // A reconstruction that leaves `i64` has no set to compare.
+        let Some(after) = PointSet::images(packer, &[&rows], points.iter()) else {
+            return Obligation::passed(
+                ObligationKind::DomainPreserved,
+                "image inclusion proven symbolically (Fourier–Motzkin); exact comparison \
+                 skipped: an instance's image leaves i64",
+            );
+        };
         if points.len() != before.len() || *before != after {
             return Obligation::failed(
                 ObligationKind::DomainPreserved,
@@ -953,6 +1088,11 @@ fn domain_obligation(orig: &Original, s: &StmtPoly, cur: &Transformed, limit: us
             ),
         );
     }
+    symbolic_domain(limit)
+}
+
+/// The domain obligation discharged by the inclusion proof alone.
+fn symbolic_domain(limit: usize) -> Obligation {
     Obligation::passed(
         ObligationKind::DomainPreserved,
         format!(
@@ -971,7 +1111,14 @@ fn domain_inclusion_violation(orig: &BasicSet, s: &StmtPoly, cur: &Transformed) 
     // transformed domain's bounding box decides most constraints in a
     // few integer ops; only box-undecided ones pay for Fourier–Motzkin.
     for c in orig.constraints() {
-        let pulled = s.to_current(&c.expr);
+        // A constraint whose pull-back leaves `i64` is not proven, like an
+        // overflowing Fourier–Motzkin step ("may be violated").
+        let Ok(pulled) = c.expr.try_substituted_many(&cur.pullback) else {
+            return Some(format!(
+                "some transformed instance may map outside the original domain: constraint \
+                 `{c}` leaves i64 when pulled back"
+            ));
+        };
         let (lo, hi) = expr_range(&pulled, &cur.dims, &cur.bx);
         let box_safe = match c.kind {
             ConstraintKind::GeZero => lo.is_some_and(|l| l >= 0),
@@ -1005,31 +1152,48 @@ fn domain_inclusion_violation(orig: &BasicSet, s: &StmtPoly, cur: &Transformed) 
 }
 
 /// Checks that per-array read/write footprints are unchanged.
-fn footprint_obligation(orig: &Original, s: &StmtPoly, cur: &Transformed) -> Obligation {
-    let (Some(before), Some(points)) = (&orig.enumerated, &cur.points) else {
-        return Obligation::passed(
+fn footprint_obligation(orig: &Original, cur: &Transformed) -> Obligation {
+    let symbolic = || {
+        Obligation::passed(
             ObligationKind::FootprintPreserved,
             "follows from domain preservation: transformed accesses are the original access \
              functions composed with the iterator-reconstruction map",
-        );
+        )
     };
-    let rows: Vec<Vec<Row>> = orig
+    let (
+        Some(Enumerated {
+            footprint: Some(footprint),
+            ..
+        }),
+        Some(points),
+    ) = (&orig.enumerated, &cur.points)
+    else {
+        return symbolic();
+    };
+    // An access whose pull-back or image leaves `i64` has no cell set to
+    // compare; the composition argument still holds for its array.
+    let rows: Vec<Option<Vec<Row>>> = orig
         .accesses
         .iter()
         .map(|a| {
             a.indices
                 .iter()
-                .map(|e| Row::compile(&s.to_current(e), &cur.dims))
+                .map(|e| {
+                    let pulled = e.try_substituted_many(&cur.pullback).ok()?;
+                    Some(Row::compile(&pulled, &cur.dims))
+                })
                 .collect()
         })
         .collect();
-    for fp in &before.footprint {
+    let mut unrepresentable = false;
+    for fp in footprint {
         let (packer, cells) = &fp.cells;
-        let after = PointSet::collect(packer, |see| {
-            for &k in &fp.accesses {
-                each_image(&rows[k], points, see);
-            }
-        });
+        let maps: Option<Vec<&[Row]>> = fp.accesses.iter().map(|&k| rows[k].as_deref()).collect();
+        let Some(after) = maps.and_then(|maps| PointSet::images(packer, &maps, points.iter()))
+        else {
+            unrepresentable = true;
+            continue;
+        };
         if after != *cells {
             return Obligation::failed(
                 ObligationKind::FootprintPreserved,
@@ -1042,11 +1206,14 @@ fn footprint_obligation(orig: &Original, s: &StmtPoly, cur: &Transformed) -> Obl
             );
         }
     }
+    if unrepresentable {
+        return symbolic();
+    }
     Obligation::passed(
         ObligationKind::FootprintPreserved,
         format!(
             "footprints of {} array(s) enumerated on both sides; cell sets identical",
-            before.footprint.len()
+            footprint.len()
         ),
     )
 }
@@ -1156,13 +1323,24 @@ fn primed(d: &str) -> String {
 /// The walk of [`order_violations`] past tied outermost constants: true
 /// when some instance of consumer `sc` reads, through `ca`, a cell the
 /// producer `sp` writes through `pa` before that write executes.
+/// An access whose pull-back leaves `i64` may read first.
 fn reads_first(sp: &StmtPoly, pa: &AccessFn, sc: &StmtPoly, ca: &AccessFn) -> bool {
+    let current = |s: &StmtPoly, a: &AccessFn| -> Option<Vec<LinearExpr>> {
+        let back = s.reconstruction();
+        a.indices
+            .iter()
+            .map(|e| e.try_substituted_many(&back).ok())
+            .collect()
+    };
+    let (Some(pa), Some(ca)) = (current(sp, pa), current(sc, ca)) else {
+        return true;
+    };
     let mut sys = shared_cell(
         sp.domain(),
-        pa.indices.iter().map(|e| sp.to_current(e)),
+        pa.into_iter(),
         sc.domain(),
         sc.dims(),
-        ca.indices.iter().map(|e| sc.to_current(e)),
+        ca.into_iter(),
     );
     for k in 0..=sp.dims().len().min(sc.dims().len()) {
         if k > 0 {
@@ -1194,6 +1372,8 @@ mod tests {
     use super::*;
     use crate::cert::ObligationStatus;
     use pom_dsl::DataType;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Jacobi-style stencil: A[t][i] = A[t-1][i+1] has dependence
     /// distance (1, -1) — legal as written, illegal when interchanged.
@@ -1326,7 +1506,7 @@ mod tests {
         let cur = Transformed::of(s, &orig, limit);
         (
             domain_obligation(&orig, s, &cur, limit),
-            footprint_obligation(&orig, s, &cur),
+            footprint_obligation(&orig, &cur),
         )
     }
 
@@ -1469,9 +1649,12 @@ mod tests {
 
     /// The packer around `vs` and their set, with bitsets up to `cap`.
     fn packed(packer: Option<&Packer>, vs: &[Vec<i64>], cap: u64) -> (Packer, PointSet) {
-        let walk = |see: &mut dyn FnMut(&[i64])| vs.iter().for_each(|v| see(v));
-        let own = Packer::around(2, walk);
-        let set = PointSet::collect_capped(packer.unwrap_or(&own), cap, walk);
+        let identity = Row::identity(2);
+        let maps: [&[Row]; 1] = [&identity];
+        let points = || vs.iter().map(Vec::as_slice);
+        let own = Packer::around(2, &maps, points()).expect("small vectors");
+        let set = PointSet::images_capped(packer.unwrap_or(&own), cap, &maps, points())
+            .expect("small vectors");
         (own, set)
     }
 
@@ -1523,6 +1706,203 @@ mod tests {
         assert_eq!(capped, oracle);
         assert_eq!(set_facts(&a, &b, u64::MAX)[0], oracle);
         assert!(matches!(sorted.keys, Keys::Sorted(_)));
+    }
+
+    /// One random map for [`image_sets_match_a_vector_oracle`]: per image
+    /// coordinate, `(position, coeff)` terms (positions taken modulo the
+    /// points' arity) and a constant.
+    type MapSpec = Vec<(Vec<(usize, i64)>, i64)>;
+
+    fn map_strategy() -> impl Strategy<Value = MapSpec> {
+        vec((vec((0usize..3, -3i64..4), 0..3), -5i64..6), 1..4)
+    }
+
+    fn map_rows(spec: &MapSpec, arity: usize) -> Vec<Row> {
+        spec.iter()
+            .map(|(terms, constant)| Row {
+                terms: terms.iter().map(|&(p, c)| (p % arity, c)).collect(),
+                constant: *constant,
+            })
+            .collect()
+    }
+
+    /// The images of `points` under `maps`, as the vectors themselves.
+    fn oracle(points: &[Vec<i64>], maps: &[Vec<Row>]) -> BTreeSet<Vec<i64>> {
+        let dot = |r: &Row, p: &[i64]| r.terms.iter().map(|&(k, c)| c * p[k]).sum::<i64>();
+        maps.iter()
+            .flat_map(|rows| {
+                points
+                    .iter()
+                    .map(move |p| rows.iter().map(|r| r.constant + dot(r, p)).collect())
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Image sets built by [`PointSet::images_capped`] answer `==`,
+        /// `len` and `common` like sets of the image vectors: over maps of
+        /// the packer's arity and of others, images inside and outside the
+        /// packer's box, bitsets and sorted keys (by the cap, and by a box
+        /// past [`BITSET_CELLS`]), and the empty point set.
+        #[test]
+        fn image_sets_match_a_vector_oracle(
+            (arity, coords) in (1usize..4, vec(-6i64..7, 0..100)),
+            (maps_a, maps_b) in (vec(map_strategy(), 1..4), vec(map_strategy(), 1..4)),
+            packing in 0u8..4,
+        ) {
+            let points: Vec<Vec<i64>> = coords.chunks_exact(arity).map(<[i64]>::to_vec).collect();
+            let rows_a: Vec<Vec<Row>> = maps_a.iter().map(|m| map_rows(m, arity)).collect();
+            let rows_b: Vec<Vec<Row>> = maps_b.iter().map(|m| map_rows(m, arity)).collect();
+            let a: Vec<&[Row]> = rows_a.iter().map(Vec::as_slice).collect();
+            let b: Vec<&[Row]> = rows_b.iter().map(Vec::as_slice).collect();
+            let bx: Option<Vec<(i64, i64)>> = (0..arity)
+                .map(|k| {
+                    let (lo, hi) = (points.iter().map(|p| p[k]).min()?, points.iter().map(|p| p[k]).max()?);
+                    Some((lo, hi))
+                })
+                .collect();
+            let out_arity = a[0].len();
+            let packer = match (packing, &bx) {
+                (1, Some(bx)) => Packer::of_box(&Packer::image_box(out_arity, &a, bx).expect("small")),
+                (2, _) => Packer::of_box(&vec![(-(1 << 20), 1 << 20); out_arity]),
+                _ => Packer::around(out_arity, &a, points.iter().map(Vec::as_slice)).expect("small"),
+            };
+            let cap = if packing == 3 { 0 } else { BITSET_CELLS };
+            let set = |maps: &[&[Row]]| {
+                PointSet::images_capped(&packer, cap, maps, points.iter().map(Vec::as_slice))
+                    .expect("small")
+            };
+            let (pa, pb) = (set(&a), set(&b));
+            let (ta, tb) = (oracle(&points, &rows_a), oracle(&points, &rows_b));
+            prop_assert_eq!(
+                (pa == pb, pa.len(), pb.len(), pa.common(&pb)),
+                (ta == tb, ta.len(), tb.len(), ta.intersection(&tb).count()),
+                "arity {} packing {} points {:?}", arity, packing, points
+            );
+            prop_assert_eq!(matches!(pa.keys, Keys::Sorted(_)), packer.cells > cap);
+        }
+    }
+
+    /// `B[i][j] = Σ A[i + di][j + dj]` over `i, j ∈ [1, 8]`, `di, dj ∈
+    /// {-1, 0, 1}`: a rectangular domain under stencil offsets.
+    fn conv3x3() -> Function {
+        let mut f = Function::new("conv");
+        let i = f.var("i", 1, 9);
+        let j = f.var("j", 1, 9);
+        let a = f.placeholder("A", &[10, 10], DataType::F32);
+        let b = f.placeholder("B", &[10, 10], DataType::F32);
+        let mut body = a.at(&[i.expr() - 1, j.expr() - 1]);
+        for (di, dj) in (-1..=1)
+            .flat_map(|di| (-1..=1).map(move |dj| (di, dj)))
+            .skip(1)
+        {
+            body = body + a.at(&[i.expr() + di, j.expr() + dj]);
+        }
+        f.compute("s", &[i.clone(), j.clone()], body, b.access(&[&i, &j]));
+        f
+    }
+
+    #[test]
+    fn level_table_boxes_are_the_walked_boxes() {
+        // On a rectangular domain the level table's constant box is the
+        // instances' tight box, and interval arithmetic over it gives each
+        // footprint's tight box: the boxes `Packer::around` walks for.
+        for f in [conv3x3(), stencil(16)] {
+            let c = &f.computes()[0];
+            let orig = Original::of(c, ValidateOptions::default().enumerate_limit);
+            let e = orig.enumerated.as_ref().expect("enumerable");
+            let points = c.domain().enumerate_flat(4096);
+            let ids: Vec<DimId> = orig.dims.iter().map(|d| DimId::intern(d)).collect();
+            let same = |a: &Packer, b: &Packer| a.dims == b.dims && a.cells == b.cells;
+            let identity = Row::identity(orig.dims.len());
+            let walked = Packer::around(orig.dims.len(), &[&identity], points.iter());
+            assert!(
+                same(&e.instances.0, &walked.expect("small")),
+                "{}",
+                f.name()
+            );
+            for fp in e.footprint.as_ref().expect("small images") {
+                let rows: Vec<Vec<Row>> = fp
+                    .accesses
+                    .iter()
+                    .map(|&k| {
+                        let index = &orig.accesses[k].indices;
+                        index.iter().map(|x| Row::compile(x, &ids)).collect()
+                    })
+                    .collect();
+                let maps: Vec<&[Row]> = rows.iter().map(Vec::as_slice).collect();
+                let walked = Packer::around(maps[0].len(), &maps, points.iter());
+                assert!(
+                    same(&fp.cells.0, &walked.expect("small")),
+                    "{} {}",
+                    f.name(),
+                    fp.array
+                );
+            }
+        }
+    }
+
+    /// `P: A[i·2^62] = X[i] * 2` over `i ∈ [0, 4)`, split by 2 into
+    /// `(i0, i1)`: the images of `i = 2, 3` leave `i64`, and so does the
+    /// pulled-back coefficient of `i0` (2^63).
+    fn huge_access() -> Function {
+        let mut f = Function::new("huge");
+        let i = f.var("i", 0, 4);
+        let x = f.placeholder("X", &[4], DataType::F32);
+        let a = f.placeholder("A", &[4], DataType::F32);
+        let y = f.placeholder("Y", &[4], DataType::F32);
+        let iv = std::slice::from_ref(&i);
+        let huge = || LinearExpr::term("i", 1 << 62);
+        f.compute("P", iv, x.at(&[&i]) * 2.0, a.access(&[huge()]));
+        f.compute("C", iv, a.at(&[huge()]) + 1.0, y.access(&[&i]));
+        f.split("P", "i", 2, "i0", "i1");
+        f
+    }
+
+    #[test]
+    fn huge_access_coefficient_does_not_panic() {
+        // The instances still compare exactly; no cell set of `A` can be
+        // built on either side, so the footprint takes the symbolic
+        // route — never wrapped values.
+        let r = validate(&huge_access());
+        assert!(r.passed(), "{}", r.render());
+        let obs = &r.certificates[0].obligations;
+        assert_eq!(
+            obs[1].detail,
+            "4 instances enumerated on both sides; sets identical",
+            "{}",
+            r.render()
+        );
+        assert!(
+            obs[2]
+                .detail
+                .starts_with("follows from domain preservation"),
+            "{}",
+            r.render()
+        );
+        // Fusing `C` into `P`'s outer loop ties their sequence constants,
+        // so the order check pulls `P`'s store back into `(i0, i1)`: that
+        // leaves `i64`, and the order is not proven.
+        let mut f = huge_access();
+        f.after("C", "P", "i0");
+        assert_eq!(last_failure(&f), Some(ObligationKind::OrderPreserved));
+    }
+
+    #[test]
+    fn overflowing_domain_pullback_is_not_proven() {
+        // `2^62·i ≥ 0` pulled back through `i = 4·i0 + i1` needs 2^64.
+        let f = huge_access();
+        let c = &f.computes()[0];
+        let orig = Original::of(c, 4096);
+        let mut s = StmtPoly::new("P", &[("i", 0, 3)]);
+        s.split("i", 4, "i0", "i1");
+        let cur = Transformed::of(&s, &orig, 4096);
+        let wide = BasicSet::from_bounds(&[("i", 0, 3)])
+            .with_constraint(Constraint::ge_zero(LinearExpr::term("i", 1 << 62)));
+        let witness = domain_inclusion_violation(&wide, &s, &cur).expect("not proven");
+        assert!(witness.contains("leaves i64"), "{witness}");
     }
 
     /// `P: A[i] = B[i] + B[i]` then `C: D[i] = A[i + s0] + A[i + s1]` over
