@@ -536,7 +536,7 @@ fn emit_design(
                         r.stats.dataflow_stages,
                         r.stats.dataflow_channels,
                         r.stats.dataflow_cycles,
-                        r.stats.dataflow_seq_cycles,
+                        seq.cycles,
                         r.stats.dataflow_time.as_secs_f64()
                     );
                 }

@@ -116,6 +116,18 @@ fn dataflow_refines_the_greedy_winner() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stdout.contains("DSE dataflow: "), "{stdout}");
+    assert!(stdout.contains("sequential cycles: "), "{stdout}");
+    // The refinement line compares against the sequential count the
+    // sign-off printed above it.
+    let seq = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("sequential cycles: "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("sequential cycle count");
+    assert!(
+        stdout.contains(&format!(" vs {seq} sequential")),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -63,7 +63,7 @@ pub use pom_poly as poly;
 pub use pom_sim as sim;
 pub use pom_verify as verify;
 
-pub use pom_dataflow::{channel_certificates, partition as partition_dataflow, DataflowPlan};
+pub use pom_dataflow::{channel_certificates, DataflowPlan};
 pub use pom_dse::{
     auto_dse, auto_dse_with, auto_dse_with_cache, baselines, compile, fingerprint, lint_report,
     AnytimePoint, ArtifactStore, CompileError, CompileOptions, Compiled, DseCache, DseConfig,
@@ -86,6 +86,15 @@ pub use pom_sim::{
     simulate, simulate_dataflow, ArrayOccupancy, DataflowReport, LoopSim, SimReport,
 };
 pub use pom_verify::{analyze_ranges, bank_report, live_report, validate, ValidationReport};
+
+/// The benchmark ledger's three-argument spelling of
+/// [`dataflow::partition`], kept so the ledger builds unchanged: the
+/// plan sizes its channels from the recorded streams alone, so `_live`
+/// is ignored. Everything else calls [`dataflow::partition`]; the shim
+/// goes once the ledger drops the argument.
+pub fn partition_dataflow(f: &Function, affine: &AffineFunc, _live: &LiveReport) -> DataflowPlan {
+    pom_dataflow::partition(f, affine)
+}
 
 /// The end-to-end POM driver: analysis, scheduling (user-specified or
 /// automatic), lowering, and HLS C generation.

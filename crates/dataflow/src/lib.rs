@@ -12,11 +12,11 @@
 //!   sets, merging any units whose concurrent execution would violate
 //!   an anti or output dependence. The resulting inter-stage
 //!   communication is provably forward-only and single-writer.
-//! - **Channel sizing**: streaming-compatible flows get a FIFO sized
-//!   from the `pom-live` flow-depth window, the exact positional
-//!   minimal depth of the element streams, and a round-trip latency
-//!   floor; incompatible or multi-consumer flows fall back to a
-//!   ping-pong buffer of twice the communicated footprint, which never
+//! - **Channel sizing**: read only from the recorded element streams.
+//!   A streaming-compatible single-consumer flow gets a FIFO of its
+//!   exact positional minimal depth, floored at the round-trip latency;
+//!   an incompatible or multi-consumer flow falls back to a ping-pong
+//!   buffer of twice the communicated footprint, which never
 //!   back-pressures.
 //! - **Certificates** ([`channel_certificates`]): every sizing is
 //!   discharged by replaying the valued element streams through a ring
@@ -37,14 +37,13 @@ use pom_dsl::Function;
 use pom_graph::DepGraph;
 use pom_ir::interp::Program;
 use pom_ir::{AffineFunc, AffineOp};
-use pom_live::LiveReport;
 use pom_sim::{ChannelSpec, StageSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// FIFO capacity floor, in elements. A FIFO shallower than the
 /// producer→consumer round-trip latency throttles the stream even when
-/// the live window is tiny (the k-th push waits for the release of push
+/// the minimal depth is tiny (the k-th push waits for the release of push
 /// `k − capacity`, whose pop finishes a full memory round-trip after
 /// its push), so capacities are floored well above the ~12-cycle
 /// round-trip of the cost model at II = 1.
@@ -55,9 +54,6 @@ pub const FIFO_LATENCY_FLOOR: u64 = 16;
 pub struct Channel {
     /// The simulator-facing spec (array, endpoints, capacity, kind).
     pub spec: ChannelSpec,
-    /// Static minimal buffer depth from `pom-live`'s flow-depth
-    /// analysis, when a matching producer→consumer row exists.
-    pub window_depth: Option<u64>,
     /// Exact positional minimal deadlock-free depth of the element
     /// streams (maximum over consumers).
     pub min_depth: u64,
@@ -128,7 +124,7 @@ impl DataflowPlan {
                 let spec = &c.spec;
                 let _ = writeln!(
                     s,
-                    "  {:<12} {} -> {}  {} depth {} (window {}, min {}, footprint {})",
+                    "  {:<12} {} -> {}  {} depth {} (min {}, footprint {})",
                     spec.array,
                     self.stages[spec.producer].name,
                     spec.consumers
@@ -138,8 +134,6 @@ impl DataflowPlan {
                         .join(", "),
                     if spec.pingpong { "ping-pong" } else { "fifo" },
                     spec.capacity,
-                    c.window_depth
-                        .map_or_else(|| "-".to_string(), |d| d.to_string()),
                     c.min_depth,
                     c.footprint,
                 );
@@ -178,26 +172,22 @@ fn unit_of(op: &AffineOp) -> Unit {
 
 /// Partitions `affine` into dataflow stages, additionally folding in
 /// the coarse-grained dependence edges of `f`'s graph (`pom-graph`) as
-/// merge constraints and using `live`'s flow depths for channel sizing.
+/// merge constraints.
 ///
 /// This is the production entry point: the DSE and `pomc` hold the
 /// source [`Function`] alongside the compiled [`AffineFunc`].
-pub fn partition(f: &Function, affine: &AffineFunc, live: &LiveReport) -> DataflowPlan {
-    partition_impl(affine, live, Some(&DepGraph::build(f)))
+pub fn partition(f: &Function, affine: &AffineFunc) -> DataflowPlan {
+    partition_impl(affine, Some(&DepGraph::build(f)))
 }
 
 /// Partitions from the affine function alone, deriving all dependence
 /// constraints from its exact access sets. Used by tests and by callers
 /// without the source-level function.
-pub fn partition_affine(affine: &AffineFunc, live: &LiveReport) -> DataflowPlan {
-    partition_impl(affine, live, None)
+pub fn partition_affine(affine: &AffineFunc) -> DataflowPlan {
+    partition_impl(affine, None)
 }
 
-fn partition_impl(
-    affine: &AffineFunc,
-    live: &LiveReport,
-    graph: Option<&DepGraph>,
-) -> DataflowPlan {
+fn partition_impl(affine: &AffineFunc, graph: Option<&DepGraph>) -> DataflowPlan {
     let units: Vec<Unit> = affine.body.iter().map(unit_of).collect();
     let n = units.len();
 
@@ -366,29 +356,17 @@ fn partition_impl(
         );
         let footprint = ring.pushes().len() as u64;
         let min_depth = ring.depth();
-        let window_depth = live
-            .depths
-            .iter()
-            .filter(|d| {
-                d.array == array
-                    && stage_stmts[p].contains(&d.producer)
-                    && consumers
-                        .iter()
-                        .any(|&c| stage_stmts[c].contains(&d.consumer))
-            })
-            .map(|d| d.depth)
-            .max();
         // Streaming-compatible single-consumer flows get a FIFO sized
         // from the exact positional minimal depth (floored against the
-        // round-trip latency). The static live window saturates to the
-        // full array for cross-nest flows (it describes the sequential
-        // order), so streaming compatibility is judged dynamically: a
-        // consumption order keeping more than half the footprint in
-        // flight (e.g. a transposed or reversed reader), or multiple
-        // consumers, falls back to ping-pong — 2× footprint, which the
-        // push rule can never exhaust. A FIFO's capacity is at least the
-        // ring depth, at which the replay of the same streams cannot
-        // deadlock (the lemma `certify`'s property test pins).
+        // round-trip latency). A static liveness window would saturate
+        // to the full array for cross-nest flows (it describes the
+        // sequential order), so streaming compatibility is judged on the
+        // streams alone: a consumption order keeping more than half the
+        // footprint in flight (e.g. a transposed or reversed reader), or
+        // multiple consumers, falls back to ping-pong — 2× footprint,
+        // which the push rule can never exhaust. A FIFO's capacity is at
+        // least the ring depth, at which the replay of the same streams
+        // cannot deadlock (the lemma `certify`'s property test pins).
         let streamable = min_depth <= (footprint / 2).max(FIFO_LATENCY_FLOOR);
         let fifo = consumers.len() == 1 && streamable;
         let (capacity, pingpong) = if fifo {
@@ -404,7 +382,6 @@ fn partition_impl(
                 capacity,
                 pingpong,
             },
-            window_depth,
             min_depth,
             footprint,
         });
@@ -425,7 +402,6 @@ mod tests {
     use pom_hls::{CostModel, DepSummary};
     use pom_ir::interp::execute_func;
     use pom_ir::{ForOp, HlsAttrs, MemRefDecl, StoreOp};
-    use pom_live::analyze_func;
     use pom_poly::{AccessFn, Bound, LinearExpr};
     use pom_sim::{simulate, simulate_dataflow};
 
@@ -527,8 +503,7 @@ mod tests {
     #[test]
     fn forward_chain_partitions_into_streaming_fifos() {
         let f = chain3(64, false);
-        let live = analyze_func(&f);
-        let plan = partition_affine(&f, &live);
+        let plan = partition_affine(&f);
         assert_eq!(plan.stages.len(), 3);
         assert!(plan.is_pipeline());
         assert_eq!(plan.stage_stmts, vec![vec!["p"], vec!["q"], vec!["r"]]);
@@ -547,8 +522,7 @@ mod tests {
     #[test]
     fn reversed_consumer_falls_back_to_pingpong() {
         let f = chain3(64, true);
-        let live = analyze_func(&f);
-        let plan = partition_affine(&f, &live);
+        let plan = partition_affine(&f);
         let u = plan
             .channels
             .iter()
@@ -592,8 +566,7 @@ mod tests {
             n - 1,
             vec![st("q", "A", LinearExpr::var("j"), Expr::Const(0.0))],
         ));
-        let live = analyze_func(&f);
-        let plan = partition_affine(&f, &live);
+        let plan = partition_affine(&f);
         assert_eq!(plan.stages.len(), 1, "anti dependence forbids the cut");
         assert!(plan.channels.is_empty());
         assert!(!plan.is_pipeline());
@@ -602,8 +575,7 @@ mod tests {
     #[test]
     fn plan_certifies_and_cosimulates_bit_identically() {
         let f = chain3(64, false);
-        let live = analyze_func(&f);
-        let plan = partition_affine(&f, &live);
+        let plan = partition_affine(&f);
         let mem0 = seeded(&f, 7);
 
         // Every channel sizing certificate replays.
@@ -650,8 +622,7 @@ mod tests {
     #[test]
     fn memory_lacking_an_array_fails_the_certificate_naming_it() {
         let f = chain3(16, false);
-        let live = analyze_func(&f);
-        let plan = partition_affine(&f, &live);
+        let plan = partition_affine(&f);
         let mut mem0 = seeded(&f, 7);
         mem0.take_entry("A");
         let certs = channel_certificates(&f, &plan, &mem0);
@@ -675,8 +646,7 @@ mod tests {
             15,
             vec![st("w", "A", LinearExpr::var("m"), Expr::Const(0.0))],
         ));
-        let live = analyze_func(&f);
-        let plan = partition_affine(&f, &live);
+        let plan = partition_affine(&f);
         assert!(plan.channels.is_empty());
         assert!(channel_certificates(&f, &plan, &MemoryState::new()).is_empty());
     }
@@ -684,8 +654,7 @@ mod tests {
     #[test]
     fn undersized_channel_fails_its_certificate() {
         let f = chain3(64, true);
-        let live = analyze_func(&f);
-        let mut plan = partition_affine(&f, &live);
+        let mut plan = partition_affine(&f);
         // Tamper: force the reversed-read channel into a too-shallow
         // FIFO. The replay must refuse to certify it.
         let u = plan

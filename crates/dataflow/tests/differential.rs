@@ -14,11 +14,11 @@
 //! repo-root `tests/corpus/`; `corpus_regressions_replay` re-runs every
 //! persisted kernel on each test run.
 
-use pom_dataflow::{channel_certificates, partition_affine};
+use pom_dataflow::{channel_certificates, partition_affine, DataflowPlan, FIFO_LATENCY_FLOOR};
 use pom_dsl::{BinOp, DataType, Expr};
 use pom_hls::{CostModel, DepSummary};
 use pom_ir::{execute_func, AffineFunc, AffineOp, ForOp, HlsAttrs, MemRefDecl, StoreOp};
-use pom_live::{analyze_func, seeded_memory};
+use pom_live::seeded_memory;
 use pom_poly::{AccessFn, Bound, LinearExpr};
 use pom_sim::simulate_dataflow;
 use pom_verify::ObligationStatus;
@@ -32,13 +32,15 @@ const SEED: u64 = 42;
 struct ChainSpec {
     /// Compute stages in the chain (2..=4).
     stages: usize,
-    /// Trip count of every nest.
+    /// Trip count of every nest (1..=40, so footprints straddle the
+    /// sizing rule's thresholds at `FIFO_LATENCY_FLOOR` and twice it).
     extent: i64,
     /// Stage 1 reads `T1[i - shift]` over `i in shift..extent-1` (a
     /// shifted window; cells below `shift` stay unwritten live-ins).
     shift: i64,
     /// The last stage reads its input reversed (`[extent-1-i]`), which
-    /// is never streaming-compatible and must fall back to ping-pong.
+    /// keeps the whole footprint in flight: a ping-pong once that exceeds
+    /// `FIFO_LATENCY_FLOOR`, a floor-sized FIFO holding it all below.
     reverse: bool,
     /// Stage 1 reduces its input into a single cell (`T2[0] += T1[i]`)
     /// instead of mapping element-wise.
@@ -261,8 +263,7 @@ fn build(spec: &ChainSpec) -> AffineFunc {
 /// certificate.
 fn check(spec: &ChainSpec) -> Result<(), String> {
     let f = build(spec);
-    let live = analyze_func(&f);
-    let plan = partition_affine(&f, &live);
+    let plan = partition_affine(&f);
     let want_stages = spec.stages + spec.tail_empty as usize;
     if plan.stages.len() != want_stages {
         return Err(format!(
@@ -270,6 +271,7 @@ fn check(spec: &ChainSpec) -> Result<(), String> {
             plan.stages.len()
         ));
     }
+    check_sizing(&plan).map_err(|e| format!("{e} for {spec:?}"))?;
     let deps = DepSummary::new();
     let mut df_mem = seeded_memory(&f, SEED);
     let report = simulate_dataflow(
@@ -299,6 +301,34 @@ fn check(spec: &ChainSpec) -> Result<(), String> {
                     c.rewrite, o.detail
                 ));
             }
+        }
+    }
+    Ok(())
+}
+
+/// The sizing rule, read from the recorded streams alone: a channel is
+/// a FIFO exactly when it has one consumer and its minimal depth keeps
+/// at most half the footprint (or the latency floor) in flight, and
+/// then holds `max(min_depth, FIFO_LATENCY_FLOOR)`; every other channel
+/// is a ping-pong of twice the footprint.
+fn check_sizing(plan: &DataflowPlan) -> Result<(), String> {
+    for c in &plan.channels {
+        let (spec, min, fp) = (&c.spec, c.min_depth, c.footprint);
+        let streamable = min <= (fp / 2).max(FIFO_LATENCY_FLOOR);
+        let want = if spec.consumers.len() == 1 && streamable {
+            (min.max(FIFO_LATENCY_FLOOR), false)
+        } else {
+            (2 * fp.max(1), true)
+        };
+        if (spec.capacity, spec.pingpong) != want {
+            return Err(format!(
+                "channel {} (min {min}, footprint {fp}, {} consumer(s)) sized \
+                 (capacity {}, ping-pong {}), the rule says {want:?}",
+                spec.array,
+                spec.consumers.len(),
+                spec.capacity,
+                spec.pingpong
+            ));
         }
     }
     Ok(())
@@ -395,7 +425,7 @@ fn fail(
 
 fn arb_spec() -> impl Strategy<Value = ChainSpec> {
     (
-        (2usize..=4, 1i64..=8, 0i64..=2),
+        (2usize..=4, 1i64..=40, 0i64..=2),
         (0u8..=1, 0u8..=1, 0u8..=1),
     )
         .prop_map(

@@ -91,9 +91,6 @@ pub struct DseStats {
     pub dataflow_channels: usize,
     /// Simulated dataflow cycles of the final plan (0 when off).
     pub dataflow_cycles: u64,
-    /// Simulated *sequential* cycles of the same final schedule — the
-    /// baseline the dataflow overlap is measured against.
-    pub dataflow_seq_cycles: u64,
     /// Wall time spent partitioning, co-simulating, and certifying
     /// during the dataflow refinement.
     pub dataflow_time: Duration,

@@ -3,9 +3,11 @@
 //! the dataflow refinement and the audits read about a compiled design,
 //! each computed at most once.
 //!
-//! The facts depend on each other — seeded memory → liveness → dataflow
-//! plan → co-simulation → channel certificates → lint — so a consumer
-//! that assembled the chain itself would recompute the shared prefix.
+//! The facts depend on each other — seeded memory → dataflow plan →
+//! co-simulation → channel certificates, and liveness → lint — so a
+//! consumer that assembled the chain itself would recompute the shared
+//! prefix. The plan and everything built on it never compute liveness:
+//! the dataflow refinement signs off every candidate through them.
 //! A [`Signoff`] computes every fact lazily on first use and hands out
 //! references afterwards, the way an MLIR analysis manager caches an
 //! analysis per operation.
@@ -99,11 +101,11 @@ impl<'a> Signoff<'a> {
             .get_or_init(|| pom_live::analyze_func(&self.compiled.affine))
     }
 
-    /// The dataflow plan: stage partition and sized channels.
+    /// The dataflow plan: stage partition and channels sized from the
+    /// recorded element streams (no liveness analysis).
     pub fn plan(&self) -> &DataflowPlan {
-        self.plan.get_or_init(|| {
-            pom_dataflow::partition(&self.function, &self.compiled.affine, self.live())
-        })
+        self.plan
+            .get_or_init(|| pom_dataflow::partition(&self.function, &self.compiled.affine))
     }
 
     /// The channel-accurate co-simulation of [`Signoff::plan`] and the
@@ -189,5 +191,31 @@ impl<'a> Signoff<'a> {
                 .with_live(self.live());
             Linter::standard().run(&cx)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pom_dsl::DataType;
+
+    #[test]
+    fn the_plan_and_what_reads_it_never_compute_liveness() {
+        // A two-stage chain: S1 fills `t`, S2 consumes it.
+        let n = 16usize;
+        let mut f = Function::new("chain");
+        let i = f.var("i", 0, n as i64);
+        let a = f.placeholder("A", &[n], DataType::F32);
+        let t = f.placeholder("t", &[n], DataType::F32);
+        let b = f.placeholder("B", &[n], DataType::F32);
+        f.compute("S1", &[i.clone()], a.at(&[&i]) * 2.0, t.access(&[&i]));
+        f.compute("S2", &[i.clone()], t.at(&[&i]) + 1.0, b.access(&[&i]));
+        let opts = CompileOptions::default();
+        let c = crate::compile::compile(&f, &opts).expect("compiles");
+        let s = Signoff::new(&f, &c, &opts, 7);
+        assert!(s.plan().is_pipeline());
+        assert!(!s.cosim().0.deadlock);
+        assert!(s.channel_certificates().iter().all(|c| c.passed()));
+        assert!(s.live.get().is_none(), "the plan computed liveness");
     }
 }

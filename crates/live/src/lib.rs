@@ -46,7 +46,7 @@ pub use report::render;
 
 use pom_ir::{AffineFunc, AffineOp};
 use pom_poly::{ceil_div, floor_div, fm, Constraint, ConstraintKind, LinearExpr};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Maximum number of access sites per array before the analysis degrades
 /// to inexact (windows = declared extents, no claims).
@@ -493,18 +493,17 @@ fn uncovered_pieces(writes: &[Site], r: &Site) -> Option<Vec<Vec<Constraint>>> {
 }
 
 /// Result of bounding a conflict-difference coordinate.
+#[derive(Clone, Copy)]
 enum DeltaBound {
     Empty,
     Range(i64),
     Unbounded,
 }
 
-/// Bounds `|delta|` over the (rationally relaxed) system `sys`. The FM
-/// relaxation can only loosen the bounds, which grows windows — sound.
+/// Bounds `|delta|` over the (rationally relaxed) system `sys`, which
+/// [`fm::feasible`] accepts. The FM relaxation can only loosen the
+/// bounds, which grows windows — sound.
 fn delta_bound(sys: &[Constraint], delta: &LinearExpr) -> DeltaBound {
-    if !fm::feasible(sys) {
-        return DeltaBound::Empty;
-    }
     let mut cons = sys.to_vec();
     cons.push(Constraint::eq(LinearExpr::var(DELTA), delta.clone()));
     let vars: BTreeSet<String> = cons
@@ -561,6 +560,33 @@ fn delta_bound(sys: &[Constraint], delta: &LinearExpr) -> DeltaBound {
     }
 }
 
+/// One conflict system's rational feasibility and the bounds of the
+/// differences asked of it so far.
+struct Bounded {
+    feasible: bool,
+    deltas: HashMap<LinearExpr, DeltaBound>,
+}
+
+/// The conflict systems one [`analyze_func`] call has bounded. The
+/// whole-array windows and the per-edge flow depths feed the same
+/// systems, and [`fm::feasible`] and [`delta_bound`] are pure, so each
+/// system is tested once and each `(system, Δ)` pair bounded once.
+#[derive(Default)]
+struct Systems(HashMap<Vec<Constraint>, Bounded>);
+
+impl Systems {
+    fn get(&mut self, sys: &[Constraint]) -> &mut Bounded {
+        if !self.0.contains_key(sys) {
+            let bounded = Bounded {
+                feasible: fm::feasible(sys),
+                deltas: HashMap::new(),
+            };
+            self.0.insert(sys.to_vec(), bounded);
+        }
+        self.0.get_mut(sys).expect("inserted above")
+    }
+}
+
 /// Accumulates per-dimension windows from conflict systems.
 struct Windows {
     w: Vec<i64>,
@@ -580,13 +606,30 @@ impl Windows {
     }
 
     /// Feeds one conflict system: `cell1 - cell2` per dimension.
-    fn feed(&mut self, sys: &[Constraint], idx1: &[LinearExpr], idx2: &[LinearExpr]) {
+    fn feed(
+        &mut self,
+        systems: &mut Systems,
+        sys: &[Constraint],
+        idx1: &[LinearExpr],
+        idx2: &[LinearExpr],
+    ) {
+        if self.w.iter().zip(&self.extents).all(|(w, e)| w >= e) {
+            return;
+        }
+        let bounded = systems.get(sys);
+        if !bounded.feasible {
+            return; // empty for every dim
+        }
         for d in 0..self.w.len() {
             if self.w[d] >= self.extents[d] {
                 continue;
             }
             let delta = idx1[d].clone() - idx2[d].clone();
-            match delta_bound(sys, &delta) {
+            let bound = *bounded
+                .deltas
+                .entry(delta)
+                .or_insert_with_key(|delta| delta_bound(sys, delta));
+            match bound {
                 DeltaBound::Empty => return, // system empty for every dim
                 DeltaBound::Unbounded => self.w[d] = self.extents[d],
                 DeltaBound::Range(m) => {
@@ -740,6 +783,7 @@ fn flow_pairs(writes: &[Site], reads: &[Site]) -> Vec<FlowPair> {
 /// Analyzes every array of `func`.
 pub fn analyze_func(func: &AffineFunc) -> LiveReport {
     let sites = collect_sites(func);
+    let mut systems = Systems::default();
     let mut report = LiveReport {
         func: func.name.clone(),
         ..Default::default()
@@ -814,7 +858,7 @@ pub fn analyze_func(func: &AffineFunc) -> LiveReport {
                 sys.extend(w2dom);
                 sys.extend(o1);
                 sys.extend(o2);
-                win.feed(&sys, &widx1, &w2idx);
+                win.feed(&mut systems, &sys, &widx1, &w2idx);
                 if win.w == win.extents {
                     break 'outer;
                 }
@@ -837,7 +881,7 @@ pub fn analyze_func(func: &AffineFunc) -> LiveReport {
                     let mut sys = piece_b.clone();
                     sys.extend(w2dom);
                     sys.extend(order);
-                    win.feed(&sys, &ridx, &w2idx);
+                    win.feed(&mut systems, &sys, &ridx, &w2idx);
                     if win.w == win.extents {
                         break 'outer_b;
                     }
@@ -863,7 +907,7 @@ pub fn analyze_func(func: &AffineFunc) -> LiveReport {
                             });
                         let mut sys = piece_a.clone();
                         sys.extend(piece_b);
-                        win.feed(&sys, &r1idx, &r2idx);
+                        win.feed(&mut systems, &sys, &r1idx, &r2idx);
                         if win.w == win.extents {
                             break 'outer_c;
                         }
@@ -906,7 +950,7 @@ pub fn analyze_func(func: &AffineFunc) -> LiveReport {
                         sys.extend(w2dom);
                         sys.extend(o1);
                         sys.extend(o2);
-                        ewin.feed(&sys, &widx1, &w2idx);
+                        ewin.feed(&mut systems, &sys, &widx1, &w2idx);
                     }
                 }
             }
