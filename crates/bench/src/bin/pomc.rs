@@ -104,7 +104,7 @@ const AUDITS: &[Audit] = &[
             FlagSpec::new("--baseline", "PATH", Kind::Text),
         ],
         run: |f| {
-            let report = bench_poly::run_suite(f.int("--iters").unwrap_or(200));
+            let report = bench_poly::run_suite(f.int("--iters").unwrap_or(1000));
             let path = f.text("--baseline").unwrap_or("BENCH_poly_baseline.json");
             let Ok(text) = std::fs::read_to_string(path) else {
                 println!("no baseline at {path}; gating on floors only");

@@ -18,13 +18,18 @@
 //!    sequential winner's simulated cycles while staying within the
 //!    sequential winner's resource envelope (the refinement only trades
 //!    resources between stages, never grows the total).
+//! 4. **POM010 oracle** — lint predicts channel stalls statically from
+//!    the plan; every channel whose co-simulated stall share exceeds
+//!    [`CHANNEL_STALL_PCT`] must draw that static POM010
+//!    ([`unflagged_stalls`]).
 //!
 //! Results render as a table and serialize as `BENCH_dataflow.json` so
 //! the dataflow-overlap trajectory is tracked across PRs.
 
 use crate::experiments::bench_sim::{run_over_suite, SuiteRun, SIM_SEED};
 use crate::experiments::common::{col, Column, Report};
-use pom::{auto_dse_with, CompileOptions, DseConfig, Function, Signoff};
+use pom::lint::analyses::CHANNEL_STALL_PCT;
+use pom::{auto_dse_with, CompileOptions, DseConfig, Function, LintCode, Signoff};
 
 /// Kernels the strict dataflow-vs-sequential throughput gate applies to:
 /// the whole-model DNN chains whose layer nests the partitioner overlaps.
@@ -61,6 +66,32 @@ pub struct KernelDataflow {
     pub within_envelope: bool,
     /// This row participates in the strict throughput gate.
     pub gated: bool,
+    /// Channels stalling above [`CHANNEL_STALL_PCT`] in the
+    /// co-simulation that the static POM010 does not flag.
+    pub unflagged: Vec<String>,
+}
+
+/// The channels of `signoff`'s plan whose co-simulated stall share
+/// (pop + push stalls over the dataflow cycles) exceeds
+/// [`CHANNEL_STALL_PCT`] but which draw no POM010 from the sign-off's
+/// lint, each as `array (share%)`. POM010 predicts stalls without
+/// simulating; the co-simulation is the oracle it must never miss.
+pub fn unflagged_stalls(signoff: &Signoff) -> Vec<String> {
+    let report = &signoff.cosim().0;
+    let flagged = signoff.lint().with_code(LintCode::ChannelPressure);
+    report
+        .channels
+        .iter()
+        .filter(|c| (c.stall_pop + c.stall_push) * 100 > report.cycles * CHANNEL_STALL_PCT)
+        .filter(|c| {
+            let names = format!("dataflow channel `{}` ", c.array);
+            !flagged.iter().any(|d| d.message.starts_with(&names))
+        })
+        .map(|c| {
+            let pct = (c.stall_pop + c.stall_push) * 100 / report.cycles;
+            format!("{} ({pct}%)", c.array)
+        })
+        .collect()
 }
 
 /// Measures one kernel: sequential winner simulated sequentially,
@@ -110,6 +141,7 @@ pub fn measure(kernel: &'static str, f: &Function, opts: &CompileOptions) -> Ker
             .resources
             .within(&seq.compiled.qor.resources),
         gated: THROUGHPUT_GATED.contains(&kernel),
+        unflagged: unflagged_stalls(&signoff),
     }
 }
 
@@ -119,9 +151,10 @@ pub fn run_suite(size: usize) -> SuiteRun<KernelDataflow> {
 }
 
 /// The gates: bit-identical memory and zero deadlocks everywhere, every
-/// channel certificate replayed, and a strict simulated-cycles win at an
-/// equal resource envelope on the DNN chains. Returns human-readable
-/// failures (empty = pass).
+/// channel certificate replayed, a strict simulated-cycles win at an
+/// equal resource envelope on the DNN chains, and a static POM010 on
+/// every channel the co-simulation sees stalling above the threshold.
+/// Returns human-readable failures (empty = pass).
 pub fn gate(r: &SuiteRun<KernelDataflow>) -> Vec<String> {
     let mut fails = Vec::new();
     for k in &r.rows {
@@ -154,6 +187,14 @@ pub fn gate(r: &SuiteRun<KernelDataflow>) -> Vec<String> {
                 k.kernel
             ));
         }
+        if !k.unflagged.is_empty() {
+            fails.push(format!(
+                "{}: co-simulated channel stall(s) above {CHANNEL_STALL_PCT}% without a \
+                 static POM010: {}",
+                k.kernel,
+                k.unflagged.join(", ")
+            ));
+        }
     }
     fails
 }
@@ -173,6 +214,7 @@ const COLUMNS: &[Column<KernelDataflow>] = &[
     col("certs_passed", "Passed", |k| k.certs_passed.into()),
     col("within_envelope", "Envelope", |k| k.within_envelope.into()),
     col("gated", "Gated", |k| k.gated.into()),
+    col("unflagged", "Unflagged", |k| k.unflagged.len().into()),
 ];
 
 /// The table and `BENCH_dataflow.json` of a run, gated by [`gate`].
@@ -207,6 +249,7 @@ mod tests {
         assert!(row.channels >= 1);
         assert_eq!(row.certs_passed, row.certs_checked);
         assert!(row.certs_checked >= 1);
+        assert!(row.unflagged.is_empty(), "{:?}", row.unflagged);
         let report = SuiteRun {
             rows: vec![row],
             size: 8,

@@ -12,10 +12,13 @@
 //!   direction vectors, carried levels) for the suite's access patterns.
 //!
 //! Wall-clock numbers do not travel between machines, but the *ratio*
-//! dense-vs-reference does, so CI gates on the speedup and on FNV-1a
-//! fingerprints of end-to-end DSE results (schedule + QoR) against the
-//! committed `BENCH_poly_baseline.json` — any schedule or QoR divergence
-//! fails the job even when the timings are fine. Each fingerprint kernel's
+//! dense-vs-reference does. Dense and reference runs alternate in short
+//! rounds and the ratio is the median over the rounds, so drift in the
+//! host's speed and a preempted round leave it alone. CI gates on that
+//! speedup and on FNV-1a fingerprints of end-to-end DSE results
+//! (schedule + QoR) against the committed `BENCH_poly_baseline.json` —
+//! any schedule or QoR divergence fails the job even when the timings
+//! are fine. Each fingerprint kernel's
 //! Fourier–Motzkin elimination count is recorded beside its fingerprint
 //! and gated at +10 %, so the loop-bound derivation cannot drift back to
 //! one projection per level unnoticed. Those searches run serially, each
@@ -47,7 +50,8 @@ pub struct PolyBenchRow {
     pub ref_s: f64,
     /// Wall seconds of the dense kernel.
     pub dense_s: f64,
-    /// `ref_s / dense_s`.
+    /// The median over the timed rounds of the round's reference time
+    /// over its dense time.
     pub speedup: f64,
     /// Dense and reference results agree (on integer points for
     /// projections, on rendered dependences for sweeps).
@@ -59,9 +63,11 @@ pub struct PolyBenchRow {
 pub struct PolyBenchReport {
     /// Per-workload rows, FM projections first.
     pub rows: Vec<PolyBenchRow>,
-    /// Aggregate FM speedup (total reference seconds / total dense).
+    /// Aggregate FM speedup: the median over the timed rounds of the
+    /// round's reference seconds over its dense seconds, summed over the
+    /// FM workloads.
     pub fm_speedup: f64,
-    /// Aggregate dependence-sweep speedup.
+    /// Aggregate dependence-sweep speedup, likewise.
     pub dep_speedup: f64,
     /// Per DSE kernel: its end-to-end fingerprints.
     pub fingerprints: Vec<Fingerprint>,
@@ -605,7 +611,66 @@ fn fingerprint_suite() -> Vec<(&'static str, Function)> {
     ]
 }
 
-/// Runs the full benchmark: `iters` timed iterations per workload.
+/// Timed rounds per workload. Each round times a chunk of iterations on
+/// the dense kernel and then the same chunk on the reference, so a
+/// change in the host's speed during the run hits both sides of a round
+/// alike; the ratios are medians over the rounds, so a round the host
+/// preempted does not move them.
+const ROUNDS: usize = 25;
+
+/// `(dense_s, reference_s)` per workload per round: `iters` iterations
+/// of each of `works` workloads on each side, split into [`ROUNDS`]
+/// chunks. A round runs every workload's dense chunk and then its
+/// reference chunk. `run(w, dense, it)` runs iteration `it` of workload
+/// `w` on the dense kernel or on the reference.
+fn time_rounds(
+    iters: usize,
+    works: usize,
+    run: impl Fn(usize, bool, usize),
+) -> Vec<Vec<(f64, f64)>> {
+    let chunk = iters.div_ceil(ROUNDS).max(1);
+    let mut times = vec![Vec::with_capacity(ROUNDS); works];
+    for round in 0..ROUNDS {
+        let its = round * chunk..(round + 1) * chunk;
+        for (w, times) in times.iter_mut().enumerate() {
+            let t = Instant::now();
+            its.clone().for_each(|it| run(w, true, it));
+            let dense_s = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            its.clone().for_each(|it| run(w, false, it));
+            times.push((dense_s, t.elapsed().as_secs_f64()));
+        }
+    }
+    times
+}
+
+/// The median over rounds of the reference-over-dense time ratio, each
+/// round's times summed over the workloads of `timed`.
+fn median_ratio<W: AsRef<[(f64, f64)]>>(timed: &[W]) -> f64 {
+    let mut ratios: Vec<f64> = (0..ROUNDS)
+        .map(|r| {
+            let dense: f64 = timed.iter().map(|w| w.as_ref()[r].0).sum();
+            let reference: f64 = timed.iter().map(|w| w.as_ref()[r].1).sum();
+            reference / dense.max(1e-9)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (ratios[(ROUNDS - 1) / 2] + ratios[ROUNDS / 2]) / 2.0
+}
+
+/// A workload's row from its identity check and its timed rounds.
+fn row(name: &'static str, identical: bool, rounds: &[(f64, f64)]) -> PolyBenchRow {
+    PolyBenchRow {
+        name,
+        dense_s: rounds.iter().map(|r| r.0).sum(),
+        ref_s: rounds.iter().map(|r| r.1).sum(),
+        speedup: median_ratio(&[rounds]),
+        identical,
+    }
+}
+
+/// Runs the full benchmark: `iters` timed iterations per workload and
+/// side, in alternating chunks.
 pub fn run_suite(iters: usize) -> PolyBenchReport {
     let stats_before = pom_poly::PolyStats::snapshot();
     let mut rows = Vec::new();
@@ -613,68 +678,52 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
     // FM projection: materialize every (workload, size) variant up front
     // so the timed loops measure elimination, not system construction.
     let fm_specs: Vec<Vec<FmSpec>> = SIZES.iter().map(|n| fm_suite(*n)).collect();
-    let workloads = fm_specs[0].len();
-    for w in 0..workloads {
+    let mut fm_timed = Vec::new();
+    for w in 0..fm_specs[0].len() {
         let dense_variants: Vec<Vec<pom_poly::Constraint>> =
             fm_specs.iter().map(|s| dense_system(&s[w])).collect();
         let ref_variants: Vec<Vec<reference::Constraint>> =
             fm_specs.iter().map(|s| ref_system(&s[w])).collect();
         let elim = fm_specs[0][w].elim;
 
+        // Each FM workload is timed right after its systems are built and
+        // checked, as the baseline was recorded: the dense side is bound
+        // by projection-memo hits, and timing every workload after
+        // building all of them reads ~20 % lower on the same binary.
         let identical = fm_specs.iter().all(|s| projections_agree(&s[w]));
-
-        let t = Instant::now();
-        for it in 0..iters {
-            let cs = &dense_variants[it % dense_variants.len()];
-            std::hint::black_box(pom_poly::fm::eliminate_all(cs, elim));
-        }
-        let dense_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        for it in 0..iters {
-            let cs = &ref_variants[it % ref_variants.len()];
-            std::hint::black_box(reference::fm::eliminate_all(cs, elim));
-        }
-        let ref_s = t.elapsed().as_secs_f64();
-
-        rows.push(PolyBenchRow {
-            name: fm_specs[0][w].name,
-            ref_s,
-            dense_s,
-            speedup: ref_s / dense_s.max(1e-9),
-            identical,
+        let mut rounds = time_rounds(iters, 1, |_, dense, it| {
+            if dense {
+                let cs = &dense_variants[it % dense_variants.len()];
+                std::hint::black_box(pom_poly::fm::eliminate_all(cs, elim));
+            } else {
+                let cs = &ref_variants[it % ref_variants.len()];
+                std::hint::black_box(reference::fm::eliminate_all(cs, elim));
+            }
         });
+        let rounds = rounds.remove(0);
+        rows.push(row(fm_specs[0][w].name, identical, &rounds));
+        fm_timed.push(rounds);
     }
-    let fm_ref: f64 = rows.iter().map(|r| r.ref_s).sum();
-    let fm_dense: f64 = rows.iter().map(|r| r.dense_s).sum();
 
     // Dependence sweep: domains and accesses materialized up front inside
-    // the closures, so the timed loops run analysis only.
-    for work in dep_works() {
-        let identical = work.dense.iter().zip(&work.named).all(|(d, r)| d() == r());
-
-        let t = Instant::now();
-        for it in 0..iters {
-            std::hint::black_box(work.dense[it % work.dense.len()]());
-        }
-        let dense_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        for it in 0..iters {
-            std::hint::black_box(work.named[it % work.named.len()]());
-        }
-        let ref_s = t.elapsed().as_secs_f64();
-
-        rows.push(PolyBenchRow {
-            name: work.name,
-            ref_s,
-            dense_s,
-            speedup: ref_s / dense_s.max(1e-9),
-            identical,
-        });
+    // the closures, so the timed loops run analysis only; the rounds
+    // alternate over all of its workloads.
+    let works = dep_works();
+    let identical: Vec<bool> = works
+        .iter()
+        .map(|w| w.dense.iter().zip(&w.named).all(|(d, r)| d() == r()))
+        .collect();
+    let dep_timed = time_rounds(iters, works.len(), |w, dense, it| {
+        let side = if dense {
+            &works[w].dense
+        } else {
+            &works[w].named
+        };
+        std::hint::black_box(side[it % side.len()]());
+    });
+    for ((work, identical), rounds) in works.iter().zip(identical).zip(&dep_timed) {
+        rows.push(row(work.name, identical, rounds));
     }
-    let dep_ref: f64 = rows.iter().map(|r| r.ref_s).sum::<f64>() - fm_ref;
-    let dep_dense: f64 = rows.iter().map(|r| r.dense_s).sum::<f64>() - fm_dense;
 
     // End-to-end fingerprints: the schedule, QoR, and group configs of a
     // DSE run, hashed deterministically. A dense-kernel change that shifts
@@ -710,8 +759,8 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
         .collect();
 
     PolyBenchReport {
-        fm_speedup: fm_ref / fm_dense.max(1e-9),
-        dep_speedup: dep_ref / dep_dense.max(1e-9),
+        fm_speedup: median_ratio(&fm_timed),
+        dep_speedup: median_ratio(&dep_timed),
         rows,
         fingerprints,
         stats: pom_poly::PolyStats::snapshot().delta(&stats_before),

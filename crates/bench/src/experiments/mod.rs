@@ -421,6 +421,7 @@ mod tests {
                 "speedup",
                 "stages",
                 "stall_channel",
+                "unflagged",
                 "within_envelope",
             ],
             &["multi_stage_kernels"],

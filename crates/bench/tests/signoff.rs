@@ -3,9 +3,12 @@
 //! order, by `==`), what the direct sequence of public calls produces for
 //! the same seed — the sequence the `signoff` mode of
 //! `examples/dump_designs.rs` runs, which stays the independent oracle.
+//! The co-simulation is in turn the oracle of lint's static POM010.
 
 use pom::dse::{auto_dse_with, DseConfig};
+use pom::lint::analyses::CHANNEL_STALL_PCT;
 use pom::{CompileOptions, DataflowReport, MemoryState, Signoff, SimReport};
+use pom_bench::experiments::bench_dataflow::unflagged_stalls;
 
 /// The memory seed of the sign-off executions (`dump_designs`' `SEED`).
 const SEED: u64 = 7;
@@ -91,8 +94,8 @@ fn signoff_facts_equal_the_direct_public_calls() {
             &s.channel_certificates(),
             &channel_certs.as_slice(),
         );
-        // `lint_report` signs off with seed 42; the co-simulated channel
-        // stalls it reads do not depend on the memory contents.
+        // `lint_report` signs off with seed 42; lint reads nothing that
+        // depends on the memory contents.
         assert_same(&design, "lint", s.lint(), &lint);
         assert_same(
             &design,
@@ -101,4 +104,38 @@ fn signoff_facts_equal_the_direct_public_calls() {
             &lint,
         );
     }
+}
+
+#[test]
+fn static_pom010_flags_every_co_simulated_stall() {
+    // The dataflow winners `bench-dataflow` co-simulates, at size 32.
+    let opts = pom_bench::experiments::common::paper_options();
+    let cfg = DseConfig {
+        dataflow: true,
+        ..DseConfig::default()
+    };
+    let mut stalling = 0;
+    for kernel in ["2mm", "3mm", "edge_detect", "gaussian", "blur"] {
+        let src = pom_bench::serve::kernel_by_name(kernel, 32).expect("known kernel");
+        let r = auto_dse_with(&src, &opts, &cfg).expect("DSE compiles");
+        let s = Signoff::new(&r.function, &r.compiled, &opts, 42);
+        assert!(s.plan().is_pipeline(), "{kernel}@32 is a dataflow pipeline");
+        let unflagged = unflagged_stalls(&s);
+        assert!(
+            unflagged.is_empty(),
+            "{kernel}@32: co-simulated stalls without a static POM010: {}\n{}",
+            unflagged.join(", "),
+            s.lint().render(kernel)
+        );
+        let report = &s.cosim().0;
+        stalling += report
+            .channels
+            .iter()
+            .filter(|c| (c.stall_pop + c.stall_push) * 100 > report.cycles * CHANNEL_STALL_PCT)
+            .count();
+    }
+    assert!(
+        stalling > 0,
+        "no channel stalls above the threshold: the check is vacuous"
+    );
 }

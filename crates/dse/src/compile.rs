@@ -309,7 +309,7 @@ pub fn lower(f: &Function, stmts: &[StmtPoly]) -> Result<AffineFunc, CompileErro
 
 /// Runs the standard lint registry over a compiled function with its full
 /// polyhedral context (dependences, schedule source, device, liveness
-/// and, for a dataflow pipeline, co-simulated channels):
+/// and, for a dataflow pipeline, the plan's stages and channels):
 /// [`Signoff::lint`](crate::signoff::Signoff::lint) with seed 42.
 pub fn lint_report(f: &Function, c: &Compiled, opts: &CompileOptions) -> LintReport {
     crate::signoff::Signoff::new(f, c, opts, 42).lint().clone()

@@ -4,10 +4,12 @@
 //! each computed at most once.
 //!
 //! The facts depend on each other — seeded memory → dataflow plan →
-//! co-simulation → channel certificates, and liveness → lint — so a
-//! consumer that assembled the chain itself would recompute the shared
-//! prefix. The plan and everything built on it never compute liveness:
-//! the dataflow refinement signs off every candidate through them.
+//! co-simulation → channel certificates, and liveness and the plan →
+//! lint — so a consumer that assembled the chain itself would recompute
+//! the shared prefix. The plan and everything built on it never compute
+//! liveness: the dataflow refinement signs off every candidate through
+//! them. Lint never simulates: it reads the plan and the compile's QoR
+//! figures.
 //! A [`Signoff`] computes every fact lazily on first use and hands out
 //! references afterwards, the way an MLIR analysis manager caches an
 //! analysis per operation.
@@ -15,12 +17,16 @@
 use crate::compile::{CompileOptions, Compiled};
 use pom_dataflow::DataflowPlan;
 use pom_dsl::{Function, MemoryState};
-use pom_lint::{ChannelObservation, LintContext, LintReport, Linter};
+use pom_hls::estimate::{expr_latency, loop_trip, pipeline_latency};
+use pom_hls::{CostModel, DepSummary, LoopQoR};
+use pom_ir::{AffineFunc, AffineOp, ForOp};
+use pom_lint::{ChannelShape, DataflowShape, LintContext, LintReport, Linter, StageShape};
 use pom_live::LiveReport;
 use pom_sim::{DataflowReport, SimReport};
 use pom_verify::Certificate;
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::collections::HashMap;
 
 /// The sign-off facts of one scheduled function and its compilation,
 /// each computed on first use from memory seeded with `seed`.
@@ -156,41 +162,214 @@ impl<'a> Signoff<'a> {
 
     /// The standard lint registry over the design with its source, its
     /// liveness report and — when the plan is a real pipeline — the
-    /// co-simulated channels behind POM010. A single-stage plan skips
-    /// the co-simulation, so the common lint path stays static.
+    /// plan's stages and channels behind POM010. Lint reads the plan,
+    /// never a simulation: POM010 predicts channel stalls statically
+    /// from stage latencies the compile's QoR figures already hold, so
+    /// neither [`Signoff::cosim`] nor [`Signoff::sim`] runs here.
     pub fn lint(&self) -> &LintReport {
         self.lint.get_or_init(|| {
             let (c, plan) = (&*self.compiled, self.plan());
-            let channels: Vec<ChannelObservation> = if plan.is_pipeline() {
-                let report = &self.cosim().0;
-                report
-                    .channels
-                    .iter()
-                    .map(|ch| ChannelObservation {
-                        array: ch.array.clone(),
-                        producer: ch.producer.clone(),
-                        consumers: ch.consumers.clone(),
-                        capacity: ch.capacity,
-                        pingpong: ch.pingpong,
-                        stall_pop: ch.stall_pop,
-                        stall_push: ch.stall_push,
-                        total_cycles: report.cycles,
-                        min_depth: plan
-                            .channels
-                            .iter()
-                            .find(|pc| pc.spec.array == ch.array)
-                            .map_or(0, |pc| pc.min_depth),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let cx = LintContext::new(&c.affine, &c.deps, &self.opts.model, &self.opts.device)
+            let shape = plan
+                .is_pipeline()
+                .then(|| dataflow_shape(plan, c, &self.opts.model));
+            let mut cx = LintContext::new(&c.affine, &c.deps, &self.opts.model, &self.opts.device)
                 .with_source(&self.function, &c.stmts)
-                .with_channels(&channels)
                 .with_live(self.live());
+            if let Some(shape) = &shape {
+                cx = cx.with_dataflow(shape);
+            }
             Linter::standard().run(&cx)
         })
+    }
+}
+
+/// `plan` as POM010 reads it: each stage's estimated latency, and each
+/// channel's sizing with the window of its producer's timeline in which
+/// the channel's final values are written.
+fn dataflow_shape(plan: &DataflowPlan, c: &Compiled, model: &CostModel) -> DataflowShape {
+    let mut times = OpTimes {
+        loops: &c.qor.loops,
+        next: 0,
+        deps: &c.deps,
+        model,
+    };
+    let mut env = HashMap::new();
+    let op_latency: Vec<u64> = c
+        .affine
+        .body
+        .iter()
+        .map(|op| times.op(op, &mut env))
+        .collect();
+    let stages = plan
+        .stages
+        .iter()
+        .map(|st| StageShape {
+            name: st.name.clone(),
+            latency: st.ops.iter().map(|&o| op_latency[o]).sum(),
+        })
+        .collect();
+    let channels = plan
+        .channels
+        .iter()
+        .map(|ch| {
+            let spec = &ch.spec;
+            ChannelShape {
+                array: spec.array.clone(),
+                producer: spec.producer,
+                consumers: spec.consumers.clone(),
+                capacity: spec.capacity,
+                pingpong: spec.pingpong,
+                min_depth: ch.min_depth,
+                footprint: ch.footprint,
+                written: written_window(
+                    &c.affine,
+                    &plan.stages[spec.producer].ops,
+                    &op_latency,
+                    &spec.array,
+                ),
+            }
+        })
+        .collect();
+    DataflowShape { stages, channels }
+}
+
+/// The cycles `[from, to]` of a stage running `ops` in which it writes the
+/// final values of `array`: the span of the last op storing to it,
+/// narrowed to its last `1/R` when loops of `R` iterations around every
+/// loop indexing `array` rewrite each element once per iteration (an
+/// outer reduction loop).
+fn written_window(func: &AffineFunc, ops: &[usize], op_latency: &[u64], array: &str) -> (u64, u64) {
+    let (mut offset, mut window) = (0, (0, 0));
+    for &o in ops {
+        let lat = op_latency[o];
+        let mut env = HashMap::new();
+        if let Some(rewrites) =
+            rewrites_per_element(&func.body[o], array, &mut Vec::new(), &mut env)
+        {
+            window = (offset + lat - lat / rewrites.max(1), offset + lat);
+        }
+        offset += lat;
+    }
+    window
+}
+
+/// For the last store to `array` under `op` (`None` if there is none):
+/// the product of the trips of its enclosing loops outside the outermost
+/// loop whose induction variable indexes `array`. `outer` holds the trips
+/// of the loops around `op`, outermost first.
+fn rewrites_per_element(
+    op: &AffineOp,
+    array: &str,
+    outer: &mut Vec<(String, u64)>,
+    env: &mut HashMap<String, i64>,
+) -> Option<u64> {
+    match op {
+        AffineOp::Store(s) if s.dest.array == array => Some(
+            outer
+                .iter()
+                .take_while(|(iv, _)| !s.dest.indices.iter().any(|e| e.uses(iv)))
+                .map(|&(_, trip)| trip)
+                .product(),
+        ),
+        AffineOp::Store(_) => None,
+        AffineOp::If(i) => i
+            .body
+            .iter()
+            .filter_map(|op| rewrites_per_element(op, array, outer, env))
+            .last(),
+        AffineOp::For(l) => {
+            let (lb, ub, trip) = loop_trip(l, env);
+            env.insert(l.iv.clone(), (lb + ub) / 2);
+            outer.push((l.iv.clone(), trip));
+            let found = l
+                .body
+                .iter()
+                .filter_map(|op| rewrites_per_element(op, array, outer, env))
+                .last();
+            outer.pop();
+            env.remove(&l.iv);
+            found
+        }
+    }
+}
+
+/// The latency of top-level ops, composed from the estimator's
+/// per-pipeline figures (`QoR::loops`: trip, achieved II, depth) the way
+/// the estimator composes them — ops in sequence add up, a perfect nest
+/// of plain loops flattens into its pipeline, any other loop repeats its
+/// body — so the ops of a function sum to its `QoR::latency` without
+/// estimating anything a second time.
+struct OpTimes<'a> {
+    loops: &'a [LoopQoR],
+    /// The next unmatched entry of `loops`: pipelines are met in the
+    /// estimator's own walk order.
+    next: usize,
+    deps: &'a DepSummary,
+    model: &'a CostModel,
+}
+
+impl OpTimes<'_> {
+    fn op(&mut self, op: &AffineOp, env: &mut HashMap<String, i64>) -> u64 {
+        match op {
+            AffineOp::Store(s) => expr_latency(&s.value, self.model) + self.model.store_latency,
+            AffineOp::If(i) => i.body.iter().map(|op| self.op(op, env)).sum(),
+            AffineOp::For(l) => match self.flatten(l, env) {
+                Some((ii, depth, trip)) => pipeline_latency(trip, ii, depth),
+                None => self.sequential(l, env),
+            },
+        }
+    }
+
+    /// `(II, depth, flattened trip)` of a pipelined loop, or of a perfect
+    /// nest of plain loops ending in one (no unrolling, no dependence
+    /// carried at the flattened loops).
+    fn flatten(&mut self, l: &ForOp, env: &mut HashMap<String, i64>) -> Option<(u64, u64, u64)> {
+        let (lb, ub, trip) = loop_trip(l, env);
+        if l.attrs.pipeline_ii.is_some() {
+            return Some(self.pipeline(l, trip));
+        }
+        if l.attrs.unroll_factor.is_some() || self.deps.carried_at(&l.iv).is_some() {
+            return None;
+        }
+        let [AffineOp::For(inner)] = &l.body[..] else {
+            return None;
+        };
+        env.insert(l.iv.clone(), (lb + ub) / 2);
+        let found = self.flatten(inner, env);
+        env.remove(&l.iv);
+        let (ii, depth, inner_trip) = found?;
+        Some((ii, depth, trip * inner_trip))
+    }
+
+    fn sequential(&mut self, l: &ForOp, env: &mut HashMap<String, i64>) -> u64 {
+        let (lb, ub, trip) = loop_trip(l, env);
+        if trip == 0 {
+            return 0;
+        }
+        env.insert(l.iv.clone(), (lb + ub) / 2);
+        let body: u64 = l.body.iter().map(|op| self.op(op, env)).sum();
+        env.remove(&l.iv);
+        let u = (l.attrs.unroll_factor.unwrap_or(1).max(1) as u64).min(trip);
+        let per_iter = if u > 1 && self.deps.carried_at(&l.iv).is_some() {
+            body * u
+        } else {
+            body
+        };
+        trip.div_ceil(u) * (per_iter + self.model.loop_overhead)
+    }
+
+    /// `(II, depth, trip)` of the pipelined loop `l`, read from its
+    /// entry in `QoR::loops`; the declared II and no depth when it has
+    /// none.
+    fn pipeline(&mut self, l: &ForOp, trip: u64) -> (u64, u64, u64) {
+        match self.loops[self.next..].iter().position(|q| q.iv == l.iv) {
+            Some(i) => {
+                let q = &self.loops[self.next + i];
+                self.next += i + 1;
+                (q.achieved_ii, q.depth, q.trip)
+            }
+            None => (l.attrs.pipeline_ii.unwrap_or(1).max(1) as u64, 0, trip),
+        }
     }
 }
 
@@ -198,18 +377,39 @@ impl<'a> Signoff<'a> {
 mod tests {
     use super::*;
     use pom_dsl::DataType;
+    use pom_poly::LinearExpr;
 
-    #[test]
-    fn the_plan_and_what_reads_it_never_compute_liveness() {
-        // A two-stage chain: S1 fills `t`, S2 consumes it.
-        let n = 16usize;
+    /// A two-stage chain: S1 fills `t`, S2 consumes it — in order, or
+    /// last element first.
+    fn chain(n: usize, reversed: bool) -> Function {
         let mut f = Function::new("chain");
         let i = f.var("i", 0, n as i64);
         let a = f.placeholder("A", &[n], DataType::F32);
         let t = f.placeholder("t", &[n], DataType::F32);
         let b = f.placeholder("B", &[n], DataType::F32);
-        f.compute("S1", &[i.clone()], a.at(&[&i]) * 2.0, t.access(&[&i]));
-        f.compute("S2", &[i.clone()], t.at(&[&i]) + 1.0, b.access(&[&i]));
+        f.compute(
+            "S1",
+            std::slice::from_ref(&i),
+            a.at(&[&i]) * 2.0,
+            t.access(&[&i]),
+        );
+        let read = if reversed {
+            LinearExpr::constant_expr(n as i64 - 1) - LinearExpr::from(&i)
+        } else {
+            LinearExpr::from(&i)
+        };
+        f.compute(
+            "S2",
+            std::slice::from_ref(&i),
+            t.at(&[read]) + 1.0,
+            b.access(&[&i]),
+        );
+        f
+    }
+
+    #[test]
+    fn the_plan_and_what_reads_it_never_compute_liveness() {
+        let f = chain(16, false);
         let opts = CompileOptions::default();
         let c = crate::compile::compile(&f, &opts).expect("compiles");
         let s = Signoff::new(&f, &c, &opts, 7);
@@ -217,5 +417,69 @@ mod tests {
         assert!(!s.cosim().0.deadlock);
         assert!(s.channel_certificates().iter().all(|c| c.passed()));
         assert!(s.live.get().is_none(), "the plan computed liveness");
+    }
+
+    #[test]
+    fn lint_never_simulates() {
+        // S2 reads `t` last element first, so it waits for all of S1:
+        // POM010 fires, predicted from the plan alone.
+        let f = chain(16, true);
+        let opts = CompileOptions::default();
+        let c = crate::compile::compile(&f, &opts).expect("compiles");
+        let s = Signoff::new(&f, &c, &opts, 7);
+        let found = s.lint().with_code(pom_lint::LintCode::ChannelPressure);
+        assert_eq!(found.len(), 1, "{}", s.lint().render("chain"));
+        assert!(found[0].message.contains("`t`"), "{}", found[0].message);
+        assert!(s.cosim.get().is_none(), "lint co-simulated the plan");
+        assert!(s.sim.get().is_none(), "lint simulated the design");
+    }
+
+    #[test]
+    fn stage_latencies_sum_to_the_estimate() {
+        let mut pipelined = chain(16, false);
+        pipelined
+            .split("S1", "i", 4, "i0", "i1")
+            .pipeline("S1", "i1", 1)
+            .pipeline("S2", "i", 2);
+        for f in [chain(16, false), chain(16, true), pipelined] {
+            let opts = CompileOptions::default();
+            let c = crate::compile::compile(&f, &opts).expect("compiles");
+            let plan = pom_dataflow::partition(&f, &c.affine);
+            let shape = dataflow_shape(&plan, &c, &opts.model);
+            let total: u64 = shape.stages.iter().map(|st| st.latency).sum();
+            assert_eq!(total, c.qor.latency);
+            assert_eq!(shape.channels[0].written, (0, shape.stages[0].latency));
+        }
+    }
+
+    #[test]
+    fn an_outer_reduction_writes_final_values_last() {
+        // S1 accumulates `t[i]` over an outer `k`: every element is final
+        // only in the last of the 4 passes.
+        let n = 16usize;
+        let mut f = Function::new("reduce");
+        let k = f.var("k", 0, 4);
+        let i = f.var("i", 0, n as i64);
+        let a = f.placeholder("A", &[4, n], DataType::F32);
+        let t = f.placeholder("t", &[n], DataType::F32);
+        let b = f.placeholder("B", &[n], DataType::F32);
+        f.compute(
+            "S1",
+            &[k.clone(), i.clone()],
+            t.at(&[&i]) + a.at(&[&k, &i]),
+            t.access(&[&i]),
+        );
+        f.compute(
+            "S2",
+            std::slice::from_ref(&i),
+            t.at(&[&i]) * 2.0,
+            b.access(&[&i]),
+        );
+        let opts = CompileOptions::default();
+        let c = crate::compile::compile(&f, &opts).expect("compiles");
+        let plan = pom_dataflow::partition(&f, &c.affine);
+        let shape = dataflow_shape(&plan, &c, &opts.model);
+        let lat = shape.stages[0].latency;
+        assert_eq!(shape.channels[0].written, (lat - lat / 4, lat));
     }
 }

@@ -272,6 +272,38 @@ pub fn estimate(func: &AffineFunc, deps: &DepSummary, model: &CostModel, sharing
     }
 }
 
+/// A loop's lower and upper bound under `env`, the upper clamped to
+/// the lower.
+fn loop_range(l: &ForOp, env: &HashMap<String, i64>) -> (i64, i64) {
+    let lb = l.lbs.iter().map(|b| b.eval_lower(env)).max().unwrap_or(0);
+    let ub = l.ubs.iter().map(|b| b.eval_upper(env)).min().unwrap_or(lb);
+    (lb, ub.max(lb))
+}
+
+/// The trip count used for costing, next to the (clamped)
+/// representative range `(lb, ub, trip)` under `env`, which binds the
+/// enclosing loops' ivs to representative values (the estimator uses
+/// nest midpoints). A loop with **constant** bounds gets its exact trip
+/// — possibly 0, in which case it contributes no latency. Symbolic
+/// bounds are evaluated under the representative values, which can
+/// spuriously look empty at tile edges, so those keep the historical
+/// clamp to at least 1.
+pub fn loop_trip(l: &ForOp, env: &HashMap<String, i64>) -> (i64, i64, u64) {
+    let (lb, ub) = loop_range(l, env);
+    let constant =
+        l.lbs.iter().all(|b| b.expr.is_constant()) && l.ubs.iter().all(|b| b.expr.is_constant());
+    let raw = l
+        .ubs
+        .iter()
+        .map(|b| b.eval_upper(env))
+        .min()
+        .unwrap_or(lb)
+        .saturating_sub(lb)
+        .saturating_add(1);
+    let trip = if constant { raw.max(0) } else { raw.max(1) } as u64;
+    (lb, ub, trip)
+}
+
 struct Estimator<'a> {
     model: &'a CostModel,
     deps: &'a DepSummary,
@@ -314,34 +346,6 @@ impl Estimator<'_> {
         }
     }
 
-    fn loop_range(&self, l: &ForOp, env: &HashMap<String, i64>) -> (i64, i64) {
-        let lb = l.lbs.iter().map(|b| b.eval_lower(env)).max().unwrap_or(0);
-        let ub = l.ubs.iter().map(|b| b.eval_upper(env)).min().unwrap_or(lb);
-        (lb, ub.max(lb))
-    }
-
-    /// The trip count used for costing, next to the (clamped)
-    /// representative range. A loop with **constant** bounds gets its
-    /// exact trip — possibly 0, in which case it contributes no latency.
-    /// Symbolic bounds are evaluated under representative outer-iv values
-    /// (nest midpoints), which can spuriously look empty at tile edges,
-    /// so those keep the historical clamp to at least 1.
-    fn loop_trip(&self, l: &ForOp, env: &HashMap<String, i64>) -> (i64, i64, u64) {
-        let (lb, ub) = self.loop_range(l, env);
-        let constant = l.lbs.iter().all(|b| b.expr.is_constant())
-            && l.ubs.iter().all(|b| b.expr.is_constant());
-        let raw = l
-            .ubs
-            .iter()
-            .map(|b| b.eval_upper(env))
-            .min()
-            .unwrap_or(lb)
-            .saturating_sub(lb)
-            .saturating_add(1);
-        let trip = if constant { raw.max(0) } else { raw.max(1) } as u64;
-        (lb, ub, trip)
-    }
-
     /// Loop flattening (Vitis `loop_flatten`): a perfect nest of plain
     /// loops ending in a pipelined loop flushes once per *outer* entry,
     /// not once per tile — model it by multiplying the pipelined trip.
@@ -353,7 +357,7 @@ impl Estimator<'_> {
         env: &mut HashMap<String, i64>,
     ) -> Option<(u64, u64, u64, ResourceUsage)> {
         // Returns (ii, depth, flattened_trip, resources).
-        let (lb, ub, trip) = self.loop_trip(l, env);
+        let (lb, ub, trip) = loop_trip(l, env);
         if l.attrs.pipeline_ii.is_some() {
             env.insert(l.iv.clone(), (lb + ub) / 2);
             let (ii, depth, res) = self.pipelined_parts(l, env);
@@ -381,7 +385,7 @@ impl Estimator<'_> {
         if let Some((ii, depth, trip, res)) = self.try_flatten(l, env) {
             return (pipeline_latency(trip, ii, depth), res);
         }
-        let (lb, ub, trip) = self.loop_trip(l, env);
+        let (lb, ub, trip) = loop_trip(l, env);
         if trip == 0 {
             // A constant-bounds empty loop runs zero iterations: no
             // latency, no datapath — only its control logic exists.
@@ -407,7 +411,7 @@ impl Estimator<'_> {
     }
 
     fn pipelined(&mut self, l: &ForOp, env: &mut HashMap<String, i64>) -> (u64, ResourceUsage) {
-        let (lb, ub, trip) = self.loop_trip(l, env);
+        let (lb, ub, trip) = loop_trip(l, env);
         env.insert(l.iv.clone(), (lb + ub) / 2);
         let (ii, depth, res) = self.pipelined_parts(l, env);
         env.remove(&l.iv);
@@ -421,7 +425,7 @@ impl Estimator<'_> {
         l: &ForOp,
         env: &mut HashMap<String, i64>,
     ) -> (u64, u64, ResourceUsage) {
-        let (_, _, trip) = self.loop_trip(l, env);
+        let (_, _, trip) = loop_trip(l, env);
 
         let mut body = PipeBody::default();
         self.collect_pipe_body(&l.body, 1, env, &mut body);
@@ -521,7 +525,7 @@ impl Estimator<'_> {
                 }
                 AffineOp::If(i) => self.collect_pipe_body(&i.body, mult, env, out),
                 AffineOp::For(l) => {
-                    let (lb, ub, trip) = self.loop_trip(l, env);
+                    let (lb, ub, trip) = loop_trip(l, env);
                     if trip == 0 {
                         // Constant-bounds empty loop: no unrolled copies,
                         // no accesses, no reduction chain.
@@ -554,7 +558,7 @@ impl Estimator<'_> {
 /// pipeline (trip 0, possible once constant-bounds loops report exact
 /// trips) costs nothing, and trip 1 pays the depth alone — `depth > trip`
 /// is fine because the fill/drain cost is depth-, not trip-, shaped.
-fn pipeline_latency(trip: u64, ii: u64, depth: u64) -> u64 {
+pub fn pipeline_latency(trip: u64, ii: u64, depth: u64) -> u64 {
     if trip == 0 {
         0
     } else {

@@ -150,10 +150,32 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
+/// Which affine expression [`check_expr_scope`] checks, named in the
+/// message only when the check fails.
+#[derive(Clone, Copy)]
+enum ExprSite<'a> {
+    /// A bound of the loop with this induction variable.
+    LoopBound(&'a str),
+    /// An index of an access to this memref.
+    Index(&'a str),
+    /// An `affine.if` condition.
+    IfCondition,
+}
+
+impl fmt::Display for ExprSite<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExprSite::LoopBound(iv) => write!(f, "bound of loop {iv}"),
+            ExprSite::Index(array) => write!(f, "index of {array}"),
+            ExprSite::IfCondition => f.write_str("if condition"),
+        }
+    }
+}
+
 fn check_expr_scope(
     e: &pom_poly::LinearExpr,
     scope: &[String],
-    what: &str,
+    what: ExprSite<'_>,
 ) -> Result<(), VerifyError> {
     for v in e.vars() {
         if !scope.iter().any(|s| s == v) {
@@ -194,7 +216,7 @@ fn verify_ops(
                             scope,
                         ));
                     }
-                    check_expr_scope(&b.expr, scope, &format!("bound of loop {}", l.iv))?;
+                    check_expr_scope(&b.expr, scope, ExprSite::LoopBound(&l.iv))?;
                 }
                 if let Some(ii) = l.attrs.pipeline_ii {
                     if ii < 1 {
@@ -241,7 +263,7 @@ fn verify_ops(
             }
             AffineOp::If(i) => {
                 for c in &i.conds {
-                    check_expr_scope(&c.expr, scope, "if condition")?;
+                    check_expr_scope(&c.expr, scope, ExprSite::IfCondition)?;
                 }
                 verify_ops(func, &i.body, scope, memrefs)?;
             }
@@ -268,7 +290,7 @@ fn verify_ops(
                         ));
                     }
                     for e in &a.indices {
-                        check_expr_scope(e, scope, &format!("index of {}", a.array)).map_err(
+                        check_expr_scope(e, scope, ExprSite::Index(&a.array)).map_err(
                             |mut err| {
                                 err.stmt = Some(s.stmt.clone());
                                 err
@@ -278,13 +300,29 @@ fn verify_ops(
                     Ok(())
                 };
                 check_access(&s.dest)?;
-                for l in s.value.loads() {
-                    check_access(l)?;
-                }
+                for_each_load(&s.value, &check_access)?;
             }
         }
     }
     Ok(())
+}
+
+/// Runs `check` on every load of `e`, left to right, stopping at the
+/// first failure.
+fn for_each_load(
+    e: &pom_dsl::Expr,
+    check: &impl Fn(&pom_poly::AccessFn) -> Result<(), VerifyError>,
+) -> Result<(), VerifyError> {
+    use pom_dsl::Expr;
+    match e {
+        Expr::Load(a) => check(a),
+        Expr::Binary(_, l, r) => {
+            for_each_load(l, check)?;
+            for_each_load(r, check)
+        }
+        Expr::Unary(_, e) => for_each_load(e, check),
+        Expr::Affine(_) | Expr::Const(_) => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -341,8 +379,39 @@ mod tests {
             }
         }
         let err = verify(&f).unwrap_err();
-        assert!(err.message.contains("references z"));
+        assert_eq!(
+            err.message,
+            "index of A references z, which is not an enclosing induction variable"
+        );
         assert_eq!(err.stmt.as_deref(), Some("S"));
+
+        // The same inside a load of the stored value.
+        let mut f = valid_func();
+        f.memrefs.push(MemRefDecl::new("B", &[8], DataType::F32));
+        if let AffineOp::For(l) = &mut f.body[0] {
+            if let AffineOp::Store(s) = &mut l.body[0] {
+                s.value =
+                    Expr::Const(1.0) + Expr::Load(AccessFn::new("B", vec![LinearExpr::var("y")]));
+            }
+        }
+        let err = verify(&f).unwrap_err();
+        assert_eq!(
+            err.message,
+            "index of B references y, which is not an enclosing induction variable"
+        );
+        assert_eq!(err.stmt.as_deref(), Some("S"));
+
+        // And in a loop bound, which names the loop.
+        let mut f = valid_func();
+        if let AffineOp::For(l) = &mut f.body[0] {
+            l.ubs = vec![Bound::new(LinearExpr::var("n"), 1)];
+        }
+        let err = verify(&f).unwrap_err();
+        assert_eq!(
+            err.message,
+            "bound of loop i references n, which is not an enclosing induction variable"
+        );
+        assert_eq!(err.stmt, None);
     }
 
     #[test]

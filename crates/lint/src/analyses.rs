@@ -560,18 +560,128 @@ impl Analysis for Liveness {
     }
 }
 
-/// A channel whose measured stall share of the dataflow makespan exceeds
-/// this percentage draws a POM010 warning.
+/// A channel whose predicted stall share of the dataflow makespan
+/// exceeds this percentage draws a POM010 warning.
 pub const CHANNEL_STALL_PCT: u64 = 10;
 
-/// POM010: a dataflow channel spends more than [`CHANNEL_STALL_PCT`]% of
-/// the simulated makespan blocked on push or pop. Unlike the static
-/// POM009 sizing note, this is a *measured* claim — it only fires when
-/// the caller attaches the per-channel figures of a `pom-sim` dataflow
-/// co-simulation ([`LintContext::with_channels`]), so a purely static
-/// lint run never reports it. The diagnostic names the channel and the
-/// exact positional minimal deadlock-free depth `pom-dataflow` computed
-/// for its element streams.
+/// The static start/finish schedule POM010 judges a dataflow plan by.
+///
+/// Every stage starts at cycle 0 as a concurrent process and runs for
+/// its estimated latency, but it cannot start before each input channel
+/// holds what its first read needs, nor finish before that channel's last
+/// element is written. A ping-pong consumer needs its producer's last
+/// element; a FIFO consumer needs the first `min_depth` elements, which
+/// is the whole stream once `min_depth` reaches the footprint. A producer
+/// writes a channel's final values evenly over the channel's
+/// [`written`](crate::ChannelShape::written) window, placed on the
+/// producer's own predicted timeline (stretched when its inputs hold it
+/// back). A channel's predicted stall is what its consumers wait for it:
+/// on the pop side, each consumer's wait for this channel alone; on the
+/// push side of a FIFO, how long after the producer's last write the
+/// slowest consumer is still draining.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ChannelSchedule {
+    /// Predicted start cycle per stage.
+    pub start: Vec<u64>,
+    /// Predicted finish cycle per stage.
+    pub finish: Vec<u64>,
+    /// Predicted pop-side wait per channel, summed over its consumers.
+    pub pop: Vec<u64>,
+    /// Predicted push-side wait per channel (0 for ping-pong buffers,
+    /// which never back-pressure).
+    pub push: Vec<u64>,
+}
+
+impl ChannelSchedule {
+    /// Schedules `shape`'s stages in plan order (every channel flows
+    /// forward, so a producer is scheduled before its consumers).
+    pub fn new(shape: &crate::DataflowShape) -> Self {
+        let (stages, channels) = (&shape.stages, &shape.channels);
+        let mut start = vec![0u64; stages.len()];
+        let mut finish = vec![0u64; stages.len()];
+        // Per channel: when its first needed element and its last
+        // element are available.
+        let mut first = vec![0u64; channels.len()];
+        let mut last = vec![0u64; channels.len()];
+        for (s, stage) in stages.iter().enumerate() {
+            let inputs = || {
+                channels
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, c)| c.consumers.contains(&s))
+            };
+            start[s] = inputs().map(|(ci, _)| first[ci]).max().unwrap_or(0);
+            let drained = inputs().map(|(ci, _)| last[ci]).max().unwrap_or(0);
+            finish[s] = (start[s] + stage.latency).max(drained);
+            // The stage's local cycle `t`, on its predicted timeline.
+            let span = finish[s] - start[s];
+            let at = |t: u64| start[s] + scale(t.min(stage.latency), span, stage.latency);
+            for (ci, c) in channels.iter().enumerate().filter(|(_, c)| c.producer == s) {
+                let (from, to) = (at(c.written.0), at(c.written.1.max(c.written.0)));
+                last[ci] = to;
+                first[ci] = if c.pingpong {
+                    to
+                } else {
+                    from + scale(c.min_depth.min(c.footprint), to - from, c.footprint)
+                };
+            }
+        }
+        let pop = channels
+            .iter()
+            .enumerate()
+            .map(|(ci, c)| {
+                c.consumers
+                    .iter()
+                    .map(|&k| first[ci].max(last[ci].saturating_sub(stages[k].latency)))
+                    .sum()
+            })
+            .collect();
+        let push = channels
+            .iter()
+            .enumerate()
+            .map(|(ci, c)| {
+                let drained = c.consumers.iter().map(|&k| finish[k]).max().unwrap_or(0);
+                if c.pingpong {
+                    0
+                } else {
+                    drained.saturating_sub(last[ci])
+                }
+            })
+            .collect();
+        ChannelSchedule {
+            start,
+            finish,
+            pop,
+            push,
+        }
+    }
+
+    /// The predicted dataflow makespan: the latest stage finish.
+    pub fn makespan(&self) -> u64 {
+        self.finish.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Channel `ci`'s predicted stall cycles (pop + push side).
+    pub fn stall(&self, ci: usize) -> u64 {
+        self.pop[ci] + self.push[ci]
+    }
+}
+
+/// `t · num / den`, rounded down; `t` when `den` is 0.
+fn scale(t: u64, num: u64, den: u64) -> u64 {
+    if den == 0 {
+        return t;
+    }
+    (u128::from(t) * u128::from(num) / u128::from(den)) as u64
+}
+
+/// POM010: a dataflow channel is predicted to hold its consumers or its
+/// producer back for more than [`CHANNEL_STALL_PCT`]% of the predicted
+/// makespan. The prediction is the static [`ChannelSchedule`] over the
+/// plan the caller attaches ([`LintContext::with_dataflow`]); no
+/// simulation runs. The diagnostic names the channel and the exact
+/// positional minimal deadlock-free depth `pom-dataflow` computed for
+/// its element streams.
 pub struct ChannelPressure;
 
 impl Analysis for ChannelPressure {
@@ -580,29 +690,35 @@ impl Analysis for ChannelPressure {
     }
 
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(channels) = cx.channels else {
+        let Some(shape) = cx.dataflow else {
             return;
         };
-        for ch in channels {
-            let stall = ch.stall_cycles();
-            if ch.total_cycles == 0 || stall * 100 <= ch.total_cycles * CHANNEL_STALL_PCT {
+        let schedule = ChannelSchedule::new(shape);
+        let makespan = schedule.makespan();
+        for (ci, ch) in shape.channels.iter().enumerate() {
+            let stall = schedule.stall(ci);
+            if makespan == 0 || stall * 100 <= makespan * CHANNEL_STALL_PCT {
                 continue;
             }
-            let pct = stall * 100 / ch.total_cycles;
+            let pct = stall * 100 / makespan;
             let kind = if ch.pingpong { "ping-pong" } else { "FIFO" };
+            let producer = &shape.stages[ch.producer].name;
+            let consumers: Vec<&str> = ch
+                .consumers
+                .iter()
+                .map(|&k| shape.stages[k].name.as_str())
+                .collect();
             let d = Diagnostic::new(
                 LintCode::ChannelPressure,
-                Location::func_scope(&cx.func.name).with_stmt(&ch.producer),
+                Location::func_scope(&cx.func.name).with_stmt(producer),
                 format!(
-                    "dataflow channel `{}` ({} -> {}) stalls {stall} of {} simulated \
-                     cycle(s) ({pct}%): {} pop-blocked, {} push-blocked on its \
-                     depth-{} {kind}",
+                    "dataflow channel `{}` ({producer} -> {}) is predicted to stall {stall} \
+                     of {makespan} cycle(s) ({pct}%): {} waiting to pop, {} waiting to \
+                     push on its depth-{} {kind}",
                     ch.array,
-                    ch.producer,
-                    ch.consumers.join(", "),
-                    ch.total_cycles,
-                    ch.stall_pop,
-                    ch.stall_push,
+                    consumers.join(", "),
+                    schedule.pop[ci],
+                    schedule.push[ci],
                     ch.capacity
                 ),
             );
@@ -776,27 +892,64 @@ mod tests {
         assert!(report.is_clean(), "{}", report.render("ok"));
     }
 
+    /// A producer of `1000` cycles feeding a consumer of `consumer`
+    /// cycles through one channel of footprint 1000 and minimal depth 3,
+    /// written over `written` of the producer's timeline.
+    fn two_stage_shape(consumer: u64, pingpong: bool, written: (u64, u64)) -> crate::DataflowShape {
+        let stage = |name: &str, latency| crate::StageShape {
+            name: name.into(),
+            latency,
+        };
+        crate::DataflowShape {
+            stages: vec![stage("s0", 1000), stage("s1", consumer)],
+            channels: vec![crate::ChannelShape {
+                array: "tmp".into(),
+                producer: 0,
+                consumers: vec![1],
+                capacity: if pingpong { 2000 } else { 16 },
+                pingpong,
+                min_depth: 3,
+                footprint: 1000,
+                written,
+            }],
+        }
+    }
+
+    #[test]
+    fn channel_schedule_places_reads_after_the_writes_they_need() {
+        // A FIFO consumer starts once 3 of 1000 elements are written and
+        // cannot finish before the last one.
+        let sched = ChannelSchedule::new(&two_stage_shape(500, false, (0, 1000)));
+        assert_eq!((sched.start[1], sched.finish[1]), (3, 1000));
+        assert_eq!(
+            (sched.pop[0], sched.push[0], sched.makespan()),
+            (500, 0, 1000)
+        );
+        // A consumer slower than its producer keeps a FIFO full after
+        // the producer's last write.
+        let sched = ChannelSchedule::new(&two_stage_shape(1500, false, (0, 1000)));
+        assert_eq!((sched.pop[0], sched.push[0]), (3, 503));
+        // Values final only in the last tenth of the producer (an outer
+        // reduction loop) arrive late even through a shallow FIFO.
+        let sched = ChannelSchedule::new(&two_stage_shape(500, false, (900, 1000)));
+        assert_eq!(sched.start[1], 900);
+        // A ping-pong consumer waits for the producer's last write.
+        let sched = ChannelSchedule::new(&two_stage_shape(500, true, (0, 1000)));
+        assert_eq!((sched.start[1], sched.finish[1]), (1000, 1500));
+        assert_eq!((sched.pop[0], sched.push[0]), (1000, 0));
+    }
+
     #[test]
     fn channel_pressure_fires_only_above_threshold() {
         let f = AffineFunc::new("df");
         let deps = DepSummary::new();
         let model = CostModel::vitis_f32();
         let device = DeviceSpec::xc7z020();
-        let obs = |stall_pop: u64, stall_push: u64, pingpong: bool| crate::ChannelObservation {
-            array: "tmp".into(),
-            producer: "s0".into(),
-            consumers: vec!["s1".into()],
-            capacity: 16,
-            pingpong,
-            stall_pop,
-            stall_push,
-            total_cycles: 1000,
-            min_depth: 3,
-        };
 
-        // 5% stall share: below the 10% threshold, no finding.
-        let quiet = [obs(30, 20, false)];
-        let cx = ctx(&f, &deps, &model, &device).with_channels(&quiet);
+        // Rate-matched stages behind a FIFO: 3 + 3 of 1003 predicted
+        // cycles, below the 10% threshold, no finding.
+        let quiet = two_stage_shape(1000, false, (0, 1000));
+        let cx = ctx(&f, &deps, &model, &device).with_dataflow(&quiet);
         let report = Linter::standard().run(&cx);
         assert!(
             report.with_code(LintCode::ChannelPressure).is_empty(),
@@ -804,31 +957,38 @@ mod tests {
             report.render("df")
         );
 
-        // 40% stall share on a FIFO: warns and suggests a deeper FIFO.
-        let hot = [obs(250, 150, false)];
-        let cx = ctx(&f, &deps, &model, &device).with_channels(&hot);
+        // A consumer twice as fast as its producer waits 500 of 1000
+        // cycles on a FIFO: warns and suggests a deeper FIFO.
+        let hot = two_stage_shape(500, false, (0, 1000));
+        let cx = ctx(&f, &deps, &model, &device).with_dataflow(&hot);
         let report = Linter::standard().run(&cx);
         let found = report.with_code(LintCode::ChannelPressure);
         assert_eq!(found.len(), 1, "{}", report.render("df"));
         assert_eq!(found[0].severity, Severity::Warning);
         assert!(found[0].message.contains("`tmp`"), "{}", found[0].message);
-        assert!(found[0].message.contains("(40%)"), "{}", found[0].message);
+        assert!(
+            found[0].message.contains("predicted"),
+            "{}",
+            found[0].message
+        );
+        assert!(found[0].message.contains("(50%)"), "{}", found[0].message);
         let help = found[0].suggestion.as_deref().unwrap();
         assert!(help.contains("deepen"), "{help}");
         assert!(help.contains("minimal deadlock-free depth 3"), "{help}");
         assert!(help.contains("try 32"), "{help}");
 
-        // Same share on a ping-pong buffer: the fix is rate-matching,
-        // not depth.
-        let pp = [obs(250, 150, true)];
-        let cx = ctx(&f, &deps, &model, &device).with_channels(&pp);
+        // The same stages behind a ping-pong buffer: the fix is
+        // rate-matching, not depth.
+        let pp = two_stage_shape(500, true, (0, 1000));
+        let cx = ctx(&f, &deps, &model, &device).with_dataflow(&pp);
         let report = Linter::standard().run(&cx);
         let found = report.with_code(LintCode::ChannelPressure);
         assert_eq!(found.len(), 1, "{}", report.render("df"));
+        assert!(found[0].message.contains("(66%)"), "{}", found[0].message);
         let help = found[0].suggestion.as_deref().unwrap();
         assert!(help.contains("rate-mismatched"), "{help}");
 
-        // Without observations attached the analysis is silent.
+        // Without a plan attached the analysis is silent.
         let report = Linter::standard().run(&ctx(&f, &deps, &model, &device));
         assert!(report.with_code(LintCode::ChannelPressure).is_empty());
     }

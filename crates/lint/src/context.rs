@@ -1,5 +1,8 @@
 //! The polyhedral context a lint run operates on, plus IR walkers that
-//! maintain the loop path and the affine constraint stack.
+//! maintain the loop path and the affine constraint stack. The context
+//! carries facts computed without executing the design — the affine IR,
+//! its dependences, the schedule source, the liveness report and the
+//! dataflow plan's [`DataflowShape`] — never simulation results.
 
 use pom_dsl::Function;
 use pom_hls::{CostModel, DepSummary, DeviceSpec};
@@ -18,40 +21,54 @@ pub struct SourceInfo<'a> {
     pub stmts: &'a [StmtPoly],
 }
 
-/// One inter-stage channel of a dataflow co-simulation, as observed by
-/// `pom-sim`'s concurrent-process model — the measured input of the
-/// channel-pressure analysis (POM010). The lint crate deliberately does
-/// not depend on the simulator; callers that ran a dataflow simulation
-/// (e.g. `pomc --emit lint`) translate its per-channel figures into this
-/// shape and attach them with [`LintContext::with_channels`].
-#[derive(Clone, Debug)]
-pub struct ChannelObservation {
+/// A dataflow plan as the channel-pressure analysis (POM010) reads it:
+/// the stages with their estimated latencies and the sized channels
+/// between them. It is built from the plan and the compile's own QoR
+/// figures, never from a simulation — the lint crate deliberately
+/// depends on neither `pom-sim` nor `pom-dataflow`; the sign-off
+/// (`pom_dse::signoff::Signoff::lint`) translates its plan into this
+/// shape and attaches it with [`LintContext::with_dataflow`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct DataflowShape {
+    /// The stages, in plan order (every channel flows forward).
+    pub stages: Vec<StageShape>,
+    /// The inter-stage channels.
+    pub channels: Vec<ChannelShape>,
+}
+
+/// One dataflow stage of a [`DataflowShape`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct StageShape {
+    /// Stage name.
+    pub name: String,
+    /// Estimated latency of the stage run on its own, in cycles.
+    pub latency: u64,
+}
+
+/// One sized channel of a [`DataflowShape`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct ChannelShape {
     /// The array the channel carries.
     pub array: String,
-    /// Producer stage name.
-    pub producer: String,
-    /// Consumer stage names.
-    pub consumers: Vec<String>,
+    /// Producer stage (index into [`DataflowShape::stages`]).
+    pub producer: usize,
+    /// Consumer stages (indices into [`DataflowShape::stages`]), all
+    /// after the producer.
+    pub consumers: Vec<usize>,
     /// Configured channel capacity in elements.
     pub capacity: u64,
     /// True for a ping-pong buffer, false for a FIFO.
     pub pingpong: bool,
-    /// Cycles consumers spent blocked popping from this channel.
-    pub stall_pop: u64,
-    /// Cycles the producer spent blocked pushing into this channel.
-    pub stall_push: u64,
-    /// Total simulated dataflow cycles (the stall-fraction denominator).
-    pub total_cycles: u64,
     /// Exact positional minimal deadlock-free depth of the channel's
-    /// element streams (from `pom-dataflow`'s sizing analysis).
+    /// element streams.
     pub min_depth: u64,
-}
-
-impl ChannelObservation {
-    /// Total cycles attributed to this channel (pop + push stalls).
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_pop + self.stall_push
-    }
+    /// Distinct elements the producer pushes.
+    pub footprint: u64,
+    /// The cycles of the producer's own timeline, `[from, to]`, in which
+    /// it writes the channel's final values: an element rewritten by an
+    /// enclosing reduction loop is final only in that loop's last
+    /// iteration.
+    pub written: (u64, u64),
 }
 
 /// Everything an [`crate::Analysis`] may consult.
@@ -67,9 +84,9 @@ pub struct LintContext<'a> {
     pub device: &'a DeviceSpec,
     /// Scheduled DSL source, when available (enables POM004).
     pub source: Option<SourceInfo<'a>>,
-    /// Measured dataflow channels, when a co-simulation ran (enables
-    /// POM010).
-    pub channels: Option<&'a [ChannelObservation]>,
+    /// The dataflow plan's stages and channels, when the function is a
+    /// dataflow pipeline (enables POM010).
+    pub dataflow: Option<&'a DataflowShape>,
     /// `pom-live`'s report on `func`, when the caller already holds it;
     /// the liveness analysis (POM007–POM009) computes it otherwise.
     pub live: Option<&'a LiveReport>,
@@ -89,7 +106,7 @@ impl<'a> LintContext<'a> {
             model,
             device,
             source: None,
-            channels: None,
+            dataflow: None,
             live: None,
         }
     }
@@ -100,9 +117,9 @@ impl<'a> LintContext<'a> {
         self
     }
 
-    /// Attaches measured dataflow-channel figures from a co-simulation.
-    pub fn with_channels(mut self, channels: &'a [ChannelObservation]) -> Self {
-        self.channels = Some(channels);
+    /// Attaches the dataflow plan's stages and channels.
+    pub fn with_dataflow(mut self, dataflow: &'a DataflowShape) -> Self {
+        self.dataflow = Some(dataflow);
         self
     }
 

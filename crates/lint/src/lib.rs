@@ -22,18 +22,19 @@
 //! | `POM007` | buffer provably oversized for its live window | Warning | IV |
 //! | `POM008` | array store overwritten before any read observes it | Error | IV |
 //! | `POM009` | minimal producer→consumer buffer depth | Note | IV |
-//! | `POM010` | dataflow channel stalls above threshold (under-sized) | Warning | IV |
+//! | `POM010` | predicted dataflow channel stall above threshold | Warning | IV |
 //!
 //! The linter is wired into two places: `dse::search` (candidate
 //! configurations are lint-screened before paying estimation cost) and
 //! the sign-off of a finished design (`pom_dse::signoff::Signoff::lint`,
-//! which attaches the sign-off's liveness report and co-simulated
-//! channels; `pom_dse::lint_report` and `pomc --emit lint` read it).
+//! which attaches the sign-off's liveness report and its dataflow
+//! plan's stages and channels; `pom_dse::lint_report` and `pomc --emit
+//! lint` read it).
 
 pub mod analyses;
 pub mod context;
 
-pub use context::{ChannelObservation, LintContext, SourceInfo};
+pub use context::{ChannelShape, DataflowShape, LintContext, SourceInfo, StageShape};
 
 use std::fmt;
 
@@ -95,12 +96,12 @@ pub enum LintCode {
     /// the carrying array were replaced by a FIFO/stream — informational
     /// sizing guidance for dataflow-style refactoring.
     BufferDepth,
-    /// POM010: a simulated dataflow channel spends more than a threshold
-    /// fraction of the makespan blocked on push/pop — the channel is
-    /// under-sized (FIFO too shallow) or the stages around it are
-    /// rate-mismatched (ping-pong). Measured, not static: fires only
-    /// when the caller attaches a co-simulation's channel figures via
-    /// [`LintContext::with_channels`].
+    /// POM010: a dataflow channel is predicted to hold its stages back
+    /// for more than a threshold fraction of the makespan — the channel
+    /// is under-sized (FIFO too shallow) or the stages around it are
+    /// rate-mismatched (ping-pong). Predicted statically from the
+    /// dataflow plan the caller attaches via
+    /// [`LintContext::with_dataflow`]; no simulation runs.
     ChannelPressure,
 }
 
