@@ -14,14 +14,21 @@
 //!    iterators stay symbolic ([`analyze_pipeline`]). The body is
 //!    compiled once: each index expression splits into an interned
 //!    symbolic part and an integer form over the pinned iterators, so an
-//!    access instance is a shape id plus one `i64` per dimension.
+//!    access instance is a shape id plus one `i64` per dimension. Where
+//!    inner bounds mention enclosing iterators (a split tail), those are
+//!    pinned too, one *case* per assignment, and the body is compiled
+//!    under that case prefix.
 //! 2. Accesses are classified exactly as the simulator's `time_iteration`
 //!    does: a load forwarded from an earlier same-iteration store costs no
 //!    port, repeated reads of one element cost one port, and only the last
 //!    writer of an element writes back. Two accesses of one shape alias
 //!    exactly when their constants agree, which a hashed lookup answers;
 //!    the remaining aliasing questions go to Fourier–Motzkin feasibility
-//!    over the free iterators' domain — `false` answers are proofs.
+//!    over the free iterators' domain — `false` answers are proofs. Cases
+//!    whose inner loops take the same bounds are classified once: where
+//!    every access of an array moves by the same amount from one case to
+//!    the next and constants decided every verdict, the other cases reuse
+//!    the first's classification with their constants shifted.
 //! 3. Surviving accesses are grouped into *bank classes*: residues of the
 //!    index expressions modulo the cyclic partition factors (mixed-radix
 //!    across dimensions, same combine as the simulator's `bank_of`). When
@@ -296,14 +303,27 @@ enum Op {
     },
     /// An in-pipeline loop, unrolled into `slot`. `bounds` (lower, upper;
     /// each with its divisor) is `None` when a bound mentions a free
-    /// iterator or a side has no bound.
+    /// iterator or a side has no bound; `cased` when a bound mentions a
+    /// case iterator.
     For {
         slot: usize,
         bounds: Option<[Vec<(Pinned, i64)>; 2]>,
+        cased: bool,
         body: Vec<Op>,
     },
     /// A guard inside the pipeline: the instance set varies per iteration.
     If,
+}
+
+/// Calls `f` on every site under `ops`, in program order.
+fn each_site<'o>(ops: &'o [Op], f: &mut impl FnMut(&'o Site)) {
+    for op in ops {
+        match op {
+            Op::Store { loads, dest } => loads.iter().chain([dest]).for_each(&mut *f),
+            Op::For { body, .. } => each_site(body, f),
+            Op::If => {}
+        }
+    }
 }
 
 /// A pipelined body compiled against a prefix of pinned case iterators.
@@ -311,6 +331,8 @@ struct Body<'a> {
     ops: Vec<Op>,
     /// Pinned slots: the case prefix plus the deepest in-pipeline nest.
     slots: usize,
+    /// Length of the case prefix: slots `0..cases`.
+    cases: usize,
     /// Accessed array names; a site's `array` indexes this.
     arrays: Vec<&'a str>,
     shapes: Shapes,
@@ -321,6 +343,7 @@ impl<'a> Body<'a> {
         let mut body = Body {
             ops: Vec::new(),
             slots: cases.len(),
+            cases: cases.len(),
             arrays: Vec::new(),
             shapes: Shapes::default(),
         };
@@ -354,12 +377,22 @@ impl<'a> Body<'a> {
                             .collect()
                     };
                     let bounds = side(&l.lbs).zip(side(&l.ubs)).map(|(lo, hi)| [lo, hi]);
+                    let cased = bounds
+                        .iter()
+                        .flatten()
+                        .flatten()
+                        .any(|(p, _)| p.terms.iter().any(|&(slot, _)| slot < self.cases));
                     let slot = stack.len();
                     stack.push(DimId::intern(&l.iv));
                     self.slots = self.slots.max(stack.len());
                     let body = self.compile_ops(&l.body, stack);
                     stack.pop();
-                    Op::For { slot, bounds, body }
+                    Op::For {
+                        slot,
+                        bounds,
+                        cased,
+                        body,
+                    }
                 }
             })
             .collect()
@@ -393,9 +426,119 @@ impl<'a> Body<'a> {
         let mut vals = vec![0; self.slots];
         vals[..case.len()].copy_from_slice(case);
         let mut insts = Insts::default();
-        insts.collect(&self.ops, &mut vals)?;
+        insts.collect(&self.ops, &mut vals, false)?;
         Ok(insts)
     }
+
+    /// What enumerating the body with its case iterators left symbolic
+    /// meets first: `SymbolicBounds` at the first loop a case iterator
+    /// bounds, `Ok` when no such loop is reached. With the case slots at
+    /// zero every other bound and index evaluates as it would compiled
+    /// without the prefix, overflow included (a zero term leaves every
+    /// partial sum as it was), so this is that compile's outcome.
+    fn probe(&self) -> Result<(), Stop> {
+        let mut vals = vec![0; self.slots];
+        Insts::default().collect(&self.ops, &mut vals, true)
+    }
+
+    /// The loop skeleton of the iteration whose case iterators take
+    /// `case`: the bounds of every in-pipeline loop it visits, in visit
+    /// order (an empty range as `(1, 0)`), and per slot the largest
+    /// magnitude its iterator takes. Two cases with one skeleton enumerate
+    /// the same sites in the same order with the same unrolled values.
+    /// `None` where enumerating the case fails: a guard, a symbolic or
+    /// overflowing bound, or more than [`INSTANCE_CAP`] stores.
+    fn skeleton(&self, case: &[i64]) -> Option<(Vec<i64>, Vec<u64>)> {
+        let mut vals = vec![0; self.slots];
+        vals[..case.len()].copy_from_slice(case);
+        let mut reach = vec![0; self.slots];
+        for (r, v) in reach.iter_mut().zip(case) {
+            *r = v.unsigned_abs();
+        }
+        let (mut key, mut stores) = (Vec::new(), 0);
+        walk_loops(&self.ops, &mut vals, &mut key, &mut reach, &mut stores)?;
+        Some((key, reach))
+    }
+
+    /// Per array, each dimension's coefficients on the case slots
+    /// (`dims × cases`, row-major), when every site of the array carries
+    /// the same ones; `None` when some array's sites disagree.
+    fn case_coeffs(&self) -> Option<Vec<Vec<i64>>> {
+        let mut coeffs: Vec<Option<Vec<i64>>> = vec![None; self.arrays.len()];
+        let mut uniform = true;
+        each_site(&self.ops, &mut |s| {
+            let mut row = vec![0; s.idx.len() * self.cases];
+            for (d, p) in s.idx.iter().enumerate() {
+                for &(slot, c) in p.terms.iter().filter(|t| t.0 < self.cases) {
+                    row[d * self.cases + slot] = c;
+                }
+            }
+            match &coeffs[s.array] {
+                None => coeffs[s.array] = Some(row),
+                Some(r) => uniform &= *r == row,
+            }
+        });
+        uniform.then(|| coeffs.into_iter().map(Option::unwrap_or_default).collect())
+    }
+
+    /// Whether no index form can leave `i64` while each slot's value
+    /// stays within `reach` in magnitude: `|base| + Σ |coeff| · reach`,
+    /// in `i128`, bounds every partial sum the checked evaluation forms.
+    fn fits(&self, reach: &[u64]) -> bool {
+        let mut fits = true;
+        each_site(&self.ops, &mut |s| {
+            fits &= s.idx.iter().all(|p| {
+                p.terms
+                    .iter()
+                    .try_fold(i128::from(p.base).abs(), |acc, &(slot, c)| {
+                        acc.checked_add(i128::from(c).checked_mul(i128::from(reach[slot]))?.abs())
+                    })
+                    .is_some_and(|b| b <= i128::from(i64::MAX))
+            });
+        });
+        fits
+    }
+}
+
+/// The loop walk of [`Body::skeleton`]; `stores` counts the stores
+/// visited, so a walk that enumeration would stop at the cap stops too.
+fn walk_loops(
+    ops: &[Op],
+    vals: &mut [i64],
+    key: &mut Vec<i64>,
+    reach: &mut [u64],
+    stores: &mut usize,
+) -> Option<()> {
+    for op in ops {
+        match op {
+            Op::Store { .. } => {
+                *stores += 1;
+                if *stores > INSTANCE_CAP {
+                    return None;
+                }
+            }
+            Op::If | Op::For { bounds: None, .. } => return None,
+            Op::For {
+                slot,
+                bounds: Some([lbs, ubs]),
+                body,
+                ..
+            } => {
+                let (lb, ub) = (bound(lbs, vals, true)?, bound(ubs, vals, false)?);
+                if lb > ub {
+                    key.extend([1, 0]);
+                    continue;
+                }
+                key.extend([lb, ub]);
+                reach[*slot] = reach[*slot].max(lb.unsigned_abs()).max(ub.unsigned_abs());
+                for v in lb..=ub {
+                    vals[*slot] = v;
+                    walk_loops(body, vals, key, reach, stores)?;
+                }
+            }
+        }
+    }
+    Some(())
 }
 
 /// Why an iteration's instances could not be enumerated.
@@ -446,7 +589,9 @@ impl Insts {
         })
     }
 
-    fn collect(&mut self, ops: &[Op], vals: &mut [i64]) -> Result<(), Stop> {
+    /// Enumerates `ops` under `vals`; a `probe` stops with
+    /// `SymbolicBounds` at the first loop a case iterator bounds.
+    fn collect(&mut self, ops: &[Op], vals: &mut [i64], probe: bool) -> Result<(), Stop> {
         for op in ops {
             match op {
                 Op::Store { loads, dest } => {
@@ -463,10 +608,12 @@ impl Insts {
                 }
                 Op::If => return Err(Stop::Inexact),
                 Op::For { bounds: None, .. } => return Err(Stop::SymbolicBounds),
+                Op::For { cased: true, .. } if probe => return Err(Stop::SymbolicBounds),
                 Op::For {
                     slot,
                     bounds: Some([lbs, ubs]),
                     body,
+                    ..
                 } => {
                     let (Some(lb), Some(ub)) = (bound(lbs, vals, true), bound(ubs, vals, false))
                     else {
@@ -474,7 +621,7 @@ impl Insts {
                     };
                     for v in lb..=ub {
                         vals[*slot] = v;
-                        self.collect(body, vals)?;
+                        self.collect(body, vals, probe)?;
                     }
                 }
             }
@@ -645,20 +792,25 @@ impl Bucket {
 
 /// The memory reads and write-backs of one pipeline iteration, per array.
 struct Case {
+    /// The case assignment this iteration was classified under (an index
+    /// into [`Classified::envs`]).
+    env: usize,
     consts: Vec<i64>,
     reads: Vec<Vec<Acc>>,
     writes: Vec<Vec<Acc>>,
 }
 
 impl Case {
-    /// Classifies `insts` with the simulator's rules; `None` when some
-    /// aliasing question the rules pose is undecidable.
+    /// Classifies `insts` with the simulator's rules, and tells whether
+    /// that asked Fourier–Motzkin anything; `None` when some aliasing
+    /// question the rules pose is undecidable.
     fn classify(
         insts: Insts,
+        env: usize,
         arrays: usize,
         shapes: &Shapes,
         domain: &[Constraint],
-    ) -> Option<Case> {
+    ) -> Option<(Case, bool)> {
         let cx = Cx {
             shapes,
             consts: &insts.consts,
@@ -714,11 +866,13 @@ impl Case {
                 Alias::Unknown => return None,
             }
         }
-        Some(Case {
+        let case = Case {
+            env,
             reads: read.into_iter().map(|b| b.entries).collect(),
             writes,
             consts: insts.consts,
-        })
+        };
+        Some((case, fm_budget < FM_BUDGET))
     }
 }
 
@@ -726,18 +880,136 @@ impl Case {
 /// compiled body and the classified accesses of each iteration case.
 struct Classified<'a> {
     body: Body<'a>,
+    /// The case iterators' values of each case, in enumeration order (one
+    /// empty assignment for the symbolic iteration).
+    envs: Vec<Vec<i64>>,
+    /// The classified iterations.
     cases: Vec<Case>,
-    /// Whether `cases` enumerate outer-iterator assignments (merged as
-    /// the worst case) rather than being the one symbolic iteration.
+    /// Case `i` classifies as `cases[of[i]]`; when that iteration was
+    /// classified under another assignment, with each array's constants
+    /// shifted by the case iterators' change times `coeffs`.
+    of: Vec<usize>,
+    /// [`Body::case_coeffs`]; empty where no case is shared.
+    coeffs: Vec<Vec<i64>>,
+    /// Whether `envs` enumerate outer-iterator assignments (merged as the
+    /// worst case) rather than being the one symbolic iteration.
     enumerated: bool,
 }
 
+impl<'a> Classified<'a> {
+    /// The one symbolic iteration of `body`, compiled without a prefix.
+    fn symbolic(body: Body<'a>, domain: &[Constraint]) -> Option<Self> {
+        let insts = body.instances(&[]).ok()?;
+        let (case, _) = Case::classify(insts, 0, body.arrays.len(), &body.shapes, domain)?;
+        Some(Classified {
+            body,
+            envs: vec![Vec::new()],
+            cases: vec![case],
+            of: vec![0],
+            coeffs: Vec::new(),
+            enumerated: false,
+        })
+    }
+}
+
 /// Steps 1–2 of [`analyze_pipeline`]; `None` when inexact.
+///
+/// A non-rectangular tail enumerates one case per assignment of its case
+/// iterators, but cases with one loop skeleton ([`Body::skeleton`]) form
+/// a class, and only its first case is enumerated and classified. Every
+/// other case of the class reuses that classification, its constants
+/// shifted per array and dimension by `Σ_v Δv · coeff_v`, when
+///
+/// * every site of an array carries the same coefficient on each case
+///   iterator ([`Body::case_coeffs`]): one skeleton then gives every
+///   same-array pair of instances the same constant difference in every
+///   case, so each aliasing verdict that constants decide is the same;
+/// * the representative asked Fourier–Motzkin nothing, so constants
+///   decided every verdict;
+/// * no shifted constant can leave `i64` ([`Body::fits`]), so no case
+///   would have overflowed where the representative did not.
+///
+/// A class that misses one is classified case by case. Either way the
+/// merge in [`Classified::group`] visits the cases in enumeration order.
 fn classify<'a>(
     pipe: &'a ForOp,
     outer: &[(String, i64, i64)],
     guarded: bool,
 ) -> Option<Classified<'a>> {
+    let dom = domain(pipe, outer);
+    let vars = case_vars(pipe);
+    if vars.is_empty() {
+        return Classified::symbolic(Body::compile(pipe, &[]), &dom);
+    }
+    let ids: Vec<DimId> = vars.iter().map(|v| DimId::intern(v)).collect();
+    let body = Body::compile(pipe, &ids);
+    match body.probe() {
+        // No loop the case iterators bound is ever reached: one symbolic
+        // iteration after all.
+        Ok(()) => return Classified::symbolic(Body::compile(pipe, &[]), &dom),
+        Err(Stop::SymbolicBounds) if !guarded => {}
+        Err(_) => return None,
+    }
+    let envs = case_envs(pipe, outer, &vars)?;
+
+    // Classes: the cases of one skeleton, with the largest magnitude each
+    // slot takes over them.
+    let mut class_of: FnvMap<Vec<i64>, usize> = FnvMap::default();
+    let mut classes: Vec<(Vec<usize>, Vec<u64>)> = Vec::new();
+    for (i, env) in envs.iter().enumerate() {
+        let (key, reach) = body.skeleton(env)?;
+        match class_of.get(&key) {
+            Some(&c) => {
+                let (members, r) = &mut classes[c];
+                members.push(i);
+                r.iter_mut()
+                    .zip(&reach)
+                    .for_each(|(r, &x)| *r = (*r).max(x));
+            }
+            None => {
+                class_of.insert(key, classes.len());
+                classes.push((vec![i], reach));
+            }
+        }
+    }
+    let coeffs = classes
+        .iter()
+        .any(|(members, _)| members.len() > 1)
+        .then(|| body.case_coeffs())
+        .flatten();
+    let arrays = body.arrays.len();
+    let classify = |i: usize| {
+        let insts = body.instances(&envs[i]).ok()?;
+        Case::classify(insts, i, arrays, &body.shapes, &dom)
+    };
+    let (mut cases, mut of) = (Vec::with_capacity(classes.len()), vec![0; envs.len()]);
+    for (members, reach) in &classes {
+        let (rep, asked_fm) = classify(members[0])?;
+        let share = members.len() > 1 && coeffs.is_some() && !asked_fm && body.fits(reach);
+        of[members[0]] = cases.len();
+        cases.push(rep);
+        for &i in &members[1..] {
+            if share {
+                of[i] = of[members[0]];
+            } else {
+                of[i] = cases.len();
+                cases.push(classify(i)?.0);
+            }
+        }
+    }
+    Some(Classified {
+        body,
+        envs,
+        cases,
+        of,
+        coeffs: coeffs.unwrap_or_default(),
+        enumerated: true,
+    })
+}
+
+/// The free iterators' domain: the enclosing sequential iterators' ranges
+/// and the pipeline's own, when constant.
+fn domain(pipe: &ForOp, outer: &[(String, i64, i64)]) -> Vec<Constraint> {
     let mut dom = Vec::new();
     let mut range = |iv: &str, lb: i64, ub: i64| {
         dom.push(Constraint::ge(
@@ -755,23 +1027,25 @@ fn classify<'a>(
     if let Some((lb, ub)) = const_range(pipe) {
         range(&pipe.iv, lb, ub);
     }
+    dom
+}
 
-    let body = Body::compile(pipe, &[]);
-    match body.instances(&[]) {
-        Ok(insts) => {
-            let case = Case::classify(insts, body.arrays.len(), &body.shapes, &dom)?;
-            return Some(Classified {
-                body,
-                cases: vec![case],
-                enumerated: false,
-            });
-        }
-        Err(Stop::SymbolicBounds) if !guarded => {}
-        Err(_) => return None,
-    }
+/// The iterators a case assignment pins: those an in-pipeline loop bound
+/// mentions and no in-pipeline loop binds, ordered by name.
+fn case_vars(pipe: &ForOp) -> Vec<&str> {
+    let (mut inner, mut mentioned) = (Vec::new(), BTreeSet::new());
+    bound_vars(&pipe.body, &mut inner, &mut mentioned);
+    mentioned
+        .into_iter()
+        .filter(|v| !inner.contains(v))
+        .collect()
+}
 
-    // Ranges of the iterators a case assignment may pin: the enclosing
-    // sequential iterators plus the pipeline's own (all executed in full).
+/// Every assignment of `vars` within their ranges — the enclosing
+/// sequential iterators' and the pipeline's own, all executed in full —
+/// the first iterator varying slowest. `None` when one has no constant
+/// range or there are none or more than [`CASE_CAP`] assignments.
+fn case_envs(pipe: &ForOp, outer: &[(String, i64, i64)], vars: &[&str]) -> Option<Vec<Vec<i64>>> {
     let mut ranges: HashMap<&str, (i64, i64)> = outer
         .iter()
         .map(|(iv, lb, ub)| (iv.as_str(), (*lb, *ub)))
@@ -779,16 +1053,8 @@ fn classify<'a>(
     if let Some((lb, ub)) = const_range(pipe) {
         ranges.insert(&pipe.iv, (lb, ub));
     }
-    let mut inner = Vec::new();
-    let mut mentioned = BTreeSet::new();
-    bound_vars(&pipe.body, &mut inner, &mut mentioned);
-    let case_vars: Vec<&str> = mentioned
-        .iter()
-        .map(String::as_str)
-        .filter(|v| !inner.iter().any(|iv| iv == v))
-        .collect();
     let mut cases = 1usize;
-    for v in &case_vars {
+    for v in vars {
         let (lb, ub) = ranges.get(v)?;
         let n = ub.checked_sub(*lb)?.checked_add(1)?.max(0) as usize;
         cases = cases.saturating_mul(n);
@@ -796,10 +1062,8 @@ fn classify<'a>(
             return None;
         }
     }
-
-    // One assignment per case, the first iterator varying slowest.
     let mut envs: Vec<Vec<i64>> = vec![Vec::new()];
-    for v in &case_vars {
+    for v in vars {
         let (lb, ub) = ranges[v];
         envs = envs
             .into_iter()
@@ -812,20 +1076,7 @@ fn classify<'a>(
             })
             .collect();
     }
-    let ids: Vec<DimId> = case_vars.iter().map(|v| DimId::intern(v)).collect();
-    let body = Body::compile(pipe, &ids);
-    let cases = envs
-        .iter()
-        .map(|env| {
-            let insts = body.instances(env).ok()?;
-            Case::classify(insts, body.arrays.len(), &body.shapes, &dom)
-        })
-        .collect::<Option<Vec<Case>>>()?;
-    Some(Classified {
-        body,
-        cases,
-        enumerated: true,
-    })
+    Some(envs)
 }
 
 // ---------------------------------------------------------------------
@@ -945,38 +1196,47 @@ impl Classified<'_> {
     /// Step 3: groups the classified accesses into bank classes under the
     /// partitioning `memrefs` declares.
     fn group(&self, memrefs: &[MemRefDecl]) -> BankAnalysis {
-        let profiles = |case: &Case| -> Vec<BankProfile> {
-            memrefs
-                .iter()
-                .filter_map(|m| {
-                    let a = self.body.arrays.iter().position(|&n| n == m.name)?;
-                    let (reads, writes) = (&case.reads[a], &case.writes[a]);
-                    (!reads.is_empty() || !writes.is_empty())
-                        .then(|| self.profile(m, case, reads, writes))
-                })
-                .collect()
-        };
+        let arrays: Vec<(usize, &MemRefDecl, ArrayBanks)> = memrefs
+            .iter()
+            .filter_map(|m| {
+                let a = self.body.arrays.iter().position(|&n| n == m.name)?;
+                Some((a, m, ArrayBanks::of(m)))
+            })
+            .collect();
+        // One profile per classified iteration and accessed array.
+        let profiles: Vec<Vec<Option<BankProfile>>> = self
+            .cases
+            .iter()
+            .map(|case| {
+                arrays
+                    .iter()
+                    .map(|(a, m, ab)| self.profile(*a, m, ab, case, &[]))
+                    .collect()
+            })
+            .collect();
         if !self.enumerated {
             return BankAnalysis {
                 exact: true,
-                profiles: profiles(&self.cases[0]),
+                profiles: profiles.into_iter().flatten().flatten().collect(),
             };
         }
         // Every case is executed, so the worst case per array is exact.
+        // A shared case's profile holds where its array's constants moved
+        // only along cyclic dimensions, whose residues a uniform shift
+        // permutes; one whose block-partitioned constants moved is
+        // regrouped under the shift.
         let mut merged: Vec<BankProfile> = Vec::new();
-        for p in self.cases.iter().flat_map(profiles) {
-            match merged.iter_mut().find(|m| m.array == p.array) {
-                Some(m) => {
-                    m.exact &= p.exact;
-                    if p.max_demand > m.max_demand {
-                        m.classes = p.classes;
-                    }
-                    m.reads = m.reads.max(p.reads);
-                    m.writes = m.writes.max(p.writes);
-                    m.max_demand = m.max_demand.max(p.max_demand);
-                    m.max_read_demand = m.max_read_demand.max(p.max_read_demand);
+        let mut shift = Vec::new();
+        for (i, env) in self.envs.iter().enumerate() {
+            let case = &self.cases[self.of[i]];
+            for ((a, m, ab), p) in arrays.iter().zip(&profiles[self.of[i]]) {
+                let Some(p) = p else { continue };
+                if case.env != i && self.moves(*a, ab, &self.envs[case.env], env, &mut shift) {
+                    let moved = self.profile(*a, m, ab, case, &shift);
+                    merge(&mut merged, moved.as_ref().unwrap_or(p));
+                } else {
+                    merge(&mut merged, p);
                 }
-                None => merged.push(p),
             }
         }
         BankAnalysis {
@@ -985,10 +1245,48 @@ impl Classified<'_> {
         }
     }
 
-    fn profile(&self, m: &MemRefDecl, case: &Case, reads: &[Acc], writes: &[Acc]) -> BankProfile {
-        let ab = ArrayBanks::of(m);
+    /// Whether moving array `a`'s constants from the assignment `from` to
+    /// `to` moves a block-partitioned dimension; if so, `shift` holds the
+    /// move per dimension. Both assignments lie in one class that passed
+    /// [`Body::fits`], which bounds each `Σ coeff · value` by `i64::MAX`,
+    /// so the `i128` sums cannot overflow.
+    fn moves(
+        &self,
+        a: usize,
+        ab: &ArrayBanks,
+        from: &[i64],
+        to: &[i64],
+        shift: &mut Vec<i128>,
+    ) -> bool {
+        let n = self.body.cases;
+        let coeffs = &self.coeffs[a];
+        shift.clear();
+        shift.extend(coeffs.chunks(n.max(1)).map(|row| {
+            row.iter()
+                .zip(from.iter().zip(to))
+                .map(|(&c, (&f, &t))| i128::from(c) * (i128::from(t) - i128::from(f)))
+                .sum::<i128>()
+        }));
+        ab.dims
+            .iter()
+            .zip(shift.iter())
+            .any(|(bd, &s)| bd.factor > 1 && !bd.cyclic && s != 0)
+    }
+
+    /// The profile of array `a` in `case`, its constants moved by `shift`
+    /// (per dimension; empty for none). `None` when the case neither reads
+    /// nor writes the array back.
+    fn profile(
+        &self,
+        a: usize,
+        m: &MemRefDecl,
+        ab: &ArrayBanks,
+        case: &Case,
+        shift: &[i128],
+    ) -> Option<BankProfile> {
+        let (reads, writes) = (&case.reads[a], &case.writes[a]);
+        let reference = reads.first().or(writes.first())?;
         let shapes = &self.body.shapes;
-        let reference = reads.first().or(writes.first()).expect("non-empty");
         // Classes are iteration-invariant exactly when every access is
         // congruent (mod factor) to the reference along each cyclic
         // dimension; block mapping is exact only for constant indices.
@@ -1030,10 +1328,18 @@ impl Classified<'_> {
             // bijection, so the class counts are the same.
             let key = |a: &Acc| {
                 let consts = &case.consts[a.at..a.at + ab.dims.len()];
-                ab.dims.iter().zip(consts).fold(0u64, |key, (bd, &c)| {
-                    let c = if bd.cyclic { c } else { c.max(0) };
-                    key * bd.factor.max(1) as u64 + bd.bank(c)
-                })
+                ab.dims
+                    .iter()
+                    .zip(consts)
+                    .enumerate()
+                    .fold(0u64, |key, (d, (bd, &c))| {
+                        let c = shift.get(d).map_or(c, |&s| {
+                            i64::try_from(i128::from(c) + s)
+                                .expect("`Body::fits` bounds every constant of a shared case")
+                        });
+                        let c = if bd.cyclic { c } else { c.max(0) };
+                        key * bd.factor.max(1) as u64 + bd.bank(c)
+                    })
             };
             let mut keys: Vec<(u64, bool)> = reads
                 .iter()
@@ -1048,7 +1354,7 @@ impl Classified<'_> {
                 max_read_demand = max_read_demand.max(r);
             }
         }
-        BankProfile {
+        Some(BankProfile {
             array: m.name.clone(),
             banks: ab.banks(),
             reads: reads.len() as u64,
@@ -1057,7 +1363,26 @@ impl Classified<'_> {
             classes,
             max_demand,
             max_read_demand,
+        })
+    }
+}
+
+/// Folds one case's profile of an array into the worst case over the
+/// cases so far: counts and demands take the maximum, `classes` those of
+/// the first case with the largest demand.
+fn merge(merged: &mut Vec<BankProfile>, p: &BankProfile) {
+    match merged.iter_mut().find(|m| m.array == p.array) {
+        Some(m) => {
+            m.exact &= p.exact;
+            if p.max_demand > m.max_demand {
+                m.classes = p.classes;
+            }
+            m.reads = m.reads.max(p.reads);
+            m.writes = m.writes.max(p.writes);
+            m.max_demand = m.max_demand.max(p.max_demand);
+            m.max_read_demand = m.max_read_demand.max(p.max_read_demand);
         }
+        None => merged.push(p.clone()),
     }
 }
 
@@ -1072,8 +1397,11 @@ impl Classified<'_> {
 /// non-rectangular tail a split with a non-dividing factor leaves), the
 /// per-iteration instance set varies, and the analysis enumerates one
 /// *case* per assignment of the mentioned iterators (capped at
-/// [`CASE_CAP`]), merging per-bank demand as the maximum over cases.
-/// Every assignment within the bounds is executed, so the merged figures
+/// [`CASE_CAP`]), merging per-bank demand as the maximum over cases in
+/// enumeration order. Cases whose inner loops take the same bounds share
+/// one classification wherever shifting its constants reproduces theirs
+/// exactly, so the result is that of classifying every case. Every
+/// assignment within the bounds is executed, so the merged figures
 /// stay exact worst-iteration values — unless the pipeline sits under a
 /// sequential guard (`guarded`), which may skip assignments; then the
 /// analysis claims nothing.
@@ -1100,16 +1428,18 @@ fn const_range(l: &ForOp) -> Option<(i64, i64)> {
 
 /// Collects every iterator mentioned by an in-pipeline loop bound
 /// (`mentioned`) and every in-pipeline loop iv (`inner`).
-fn bound_vars(ops: &[AffineOp], inner: &mut Vec<String>, mentioned: &mut BTreeSet<String>) {
+fn bound_vars<'a>(
+    ops: &'a [AffineOp],
+    inner: &mut Vec<&'a str>,
+    mentioned: &mut BTreeSet<&'a str>,
+) {
     for op in ops {
         match op {
             AffineOp::For(l) => {
                 for b in l.lbs.iter().chain(l.ubs.iter()) {
-                    for v in b.expr.vars() {
-                        mentioned.insert(v.to_string());
-                    }
+                    mentioned.extend(b.expr.vars());
                 }
-                inner.push(l.iv.clone());
+                inner.push(&l.iv);
                 bound_vars(&l.body, inner, mentioned);
             }
             AffineOp::If(i) => bound_vars(&i.body, inner, mentioned),
@@ -1325,6 +1655,10 @@ fn set_partition(m: &mut MemRefDecl, factors: &[i64]) {
         style,
     });
 }
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod generated;
 
 #[cfg(test)]
 mod tests {
@@ -1664,10 +1998,10 @@ mod tests {
     fn one_site_compiled_under_two_case_prefixes() {
         // for io (pipe, 0..=2) { for ii in 0..=min(3, 9 - 4*io) {
         //   b[4io + ii] = a[4io + ii] + c[io] } }
-        // The tail bound mentions io, so the body is compiled first with
-        // no prefix (c[io] symbolic; enumeration stops at the bound) and
-        // then under the case prefix io, where each site folds io away:
-        // c[io] becomes a constant, which its block partition requires.
+        // The tail bound mentions io, so the body is compiled under the
+        // case prefix io rather than with none (which leaves c[io]
+        // symbolic): each site folds io away, and c[io] becomes a
+        // constant, which its block partition requires.
         let (io, ii) = (LinearExpr::var("io"), LinearExpr::var("ii"));
         let idx = io.clone() * 4 + ii.clone();
         let tail = Bound::new(LinearExpr::constant_expr(9) - io.clone() * 4, 1);
@@ -1750,5 +2084,348 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The reference for the class path: every case enumerated and
+    /// classified on its own, after a symbolic attempt compiled without
+    /// the case prefix.
+    fn classify_per_case<'a>(
+        pipe: &'a ForOp,
+        outer: &[(String, i64, i64)],
+        guarded: bool,
+    ) -> Option<Classified<'a>> {
+        let dom = domain(pipe, outer);
+        let body = Body::compile(pipe, &[]);
+        match body.instances(&[]) {
+            Ok(_) => return Classified::symbolic(body, &dom),
+            Err(Stop::SymbolicBounds) if !guarded => {}
+            Err(_) => return None,
+        }
+        let vars = case_vars(pipe);
+        let envs = case_envs(pipe, outer, &vars)?;
+        let ids: Vec<DimId> = vars.iter().map(|v| DimId::intern(v)).collect();
+        let body = Body::compile(pipe, &ids);
+        let cases = (0..envs.len())
+            .map(|i| {
+                let insts = body.instances(&envs[i]).ok()?;
+                Some(Case::classify(insts, i, body.arrays.len(), &body.shapes, &dom)?.0)
+            })
+            .collect::<Option<Vec<Case>>>()?;
+        Some(Classified {
+            body,
+            of: (0..envs.len()).collect(),
+            envs,
+            cases,
+            coeffs: Vec::new(),
+            enumerated: true,
+        })
+    }
+
+    /// How the class path classified the pipelines it was compared on.
+    #[derive(Debug, Default)]
+    struct PathCounts {
+        /// Cases that reused another case's classification.
+        shared: usize,
+        /// Pipelines with a class of two cases or more classified case by
+        /// case.
+        per_case: usize,
+        /// Shared cases regrouped because a block-partitioned dimension's
+        /// constants moved.
+        block_moved: usize,
+    }
+
+    /// Asserts that the class path and the per-case reference give every
+    /// pipeline of `f` the same analysis under each of `partitions`, and
+    /// returns the largest number of iterations a pipeline classified.
+    fn assert_same_as_per_case(
+        f: &AffineFunc,
+        partitions: &[Vec<MemRefDecl>],
+        counts: &mut PathCounts,
+    ) -> usize {
+        let mut most = 0;
+        for site in pipelines(f) {
+            let fast = classify(site.pipe, &site.outer, site.guarded);
+            let slow = classify_per_case(site.pipe, &site.outer, site.guarded);
+            let (fast, slow) = match (fast, slow) {
+                (None, None) => continue,
+                (Some(fast), Some(slow)) => (fast, slow),
+                (fast, _) => panic!("class path exact: {}", fast.is_some()),
+            };
+            for memrefs in partitions {
+                assert_eq!(
+                    format!("{:#?}", fast.group(memrefs)),
+                    format!("{:#?}", slow.group(memrefs)),
+                    "under {memrefs:?}"
+                );
+            }
+            most = most.max(fast.cases.len());
+            let keys: BTreeSet<Vec<i64>> = fast
+                .envs
+                .iter()
+                .map(|env| fast.body.skeleton(env).expect("exact").0)
+                .collect();
+            counts.per_case += usize::from(fast.cases.len() > keys.len());
+            let mut shift = Vec::new();
+            for (i, env) in fast.envs.iter().enumerate() {
+                let rep = fast.cases[fast.of[i]].env;
+                if rep == i {
+                    continue;
+                }
+                counts.shared += 1;
+                counts.block_moved += usize::from(partitions.iter().any(|memrefs| {
+                    memrefs.iter().any(|m| {
+                        let Some(a) = fast.body.arrays.iter().position(|&n| n == m.name) else {
+                            return false;
+                        };
+                        fast.moves(a, &ArrayBanks::of(m), &fast.envs[rep], env, &mut shift)
+                    })
+                }));
+            }
+        }
+        most
+    }
+
+    fn with_partition(
+        memrefs: &[MemRefDecl],
+        factors: impl Fn(usize) -> i64,
+        block: bool,
+    ) -> Vec<MemRefDecl> {
+        memrefs
+            .iter()
+            .map(|m| {
+                let mut m = m.clone();
+                m.partition = Some(PartitionInfo {
+                    factors: (0..m.shape.len()).map(&factors).collect(),
+                    style: if block {
+                        pom_dsl::PartitionStyle::Block
+                    } else {
+                        pom_dsl::PartitionStyle::Cyclic
+                    },
+                });
+                m
+            })
+            .collect()
+    }
+
+    #[test]
+    fn class_path_matches_per_case_classification_on_generated_bodies() {
+        let mut rng = proptest::test_runner::TestRng::deterministic(
+            "class_path_matches_per_case_classification_on_generated_bodies",
+        );
+        let mut counts = PathCounts::default();
+        for _ in 0..512 {
+            let f = crate::generated::build(&crate::generated::gen_body(&mut rng));
+            let partitions = [
+                f.memrefs.clone(),
+                with_partition(&f.memrefs, |_| 1, false),
+                with_partition(&f.memrefs, |_| 2, true),
+                with_partition(&f.memrefs, |d| d as i64 + 2, false),
+            ];
+            assert_same_as_per_case(&f, &partitions, &mut counts);
+        }
+        // Each path of the class classification runs.
+        assert!(counts.shared >= 50, "{counts:?}");
+        assert!(counts.per_case >= 50, "{counts:?}");
+        assert!(counts.block_moved >= 40, "{counts:?}");
+    }
+
+    /// `lo ≤ f·jo + ju ≤ hi` split by `f`: `ju` from `max(lo - f·jo, 0)`
+    /// to `min(hi - f·jo, f - 1)`, with `col = f·jo + ju`.
+    fn tile(f: i64, lo: i64, hi: i64, body: Vec<AffineOp>) -> AffineOp {
+        let jo = LinearExpr::var("jo");
+        unrolled_between(
+            "ju",
+            vec![
+                Bound::new(LinearExpr::constant_expr(lo) - jo.clone() * f, 1),
+                cb(0),
+            ],
+            vec![
+                Bound::new(LinearExpr::constant_expr(hi) - jo * f, 1),
+                cb(f - 1),
+            ],
+            body,
+        )
+    }
+
+    fn unrolled_between(
+        iv: &str,
+        lbs: Vec<Bound>,
+        ubs: Vec<Bound>,
+        body: Vec<AffineOp>,
+    ) -> AffineOp {
+        AffineOp::For(ForOp {
+            iv: iv.into(),
+            lbs,
+            ubs,
+            attrs: HlsAttrs::default(),
+            extra: Vec::new(),
+            body,
+        })
+    }
+
+    fn sequential(iv: &str, lb: i64, ub: i64, body: Vec<AffineOp>) -> AffineOp {
+        unrolled_between(iv, vec![cb(lb)], vec![cb(ub)], body)
+    }
+
+    fn pipelined(iv: &str, lb: i64, ub: i64, body: Vec<AffineOp>) -> AffineOp {
+        let AffineOp::For(mut l) = sequential(iv, lb, ub, body) else {
+            unreachable!()
+        };
+        l.attrs.pipeline_ii = Some(1);
+        AffineOp::For(l)
+    }
+
+    /// The split-`j` tails of three kernels at tile factor `f`, as the
+    /// DSE lowers them: blur's two stages (`j` in `1..=62`, the pipeline
+    /// on `i` under the sequential `jo`), gemm (`j` in `0..=29` under
+    /// `i` and `jo`, the pipeline on the reduction `k`) and jacobi2d (`j`
+    /// in `1..=28`, the pipeline on `jo` itself).
+    fn split_tails(f: i64) -> Vec<AffineFunc> {
+        let (i, k) = (|| LinearExpr::var("i"), || LinearExpr::var("k"));
+        let col = || LinearExpr::var("jo") * f + LinearExpr::var("ju");
+        let ld = |a: &str, r: LinearExpr, c: LinearExpr| load(a, vec![r, c]);
+        let func = |name: &str, arrays: &[(&str, usize)], body: Vec<AffineOp>| {
+            let mut func = AffineFunc::new(name);
+            for &(a, n) in arrays {
+                func.memrefs.push(memref(a, &[n, n], None));
+            }
+            func.body = body;
+            func
+        };
+        let row = |a: &str, r: LinearExpr| {
+            ld(a, r.clone(), col() - 1) + ld(a, r.clone(), col()) + ld(a, r, col() + 1)
+        };
+        let blur_x = store("bx", vec![i(), col()], row("img", i()));
+        let blur_y = store(
+            "by",
+            vec![i(), col()],
+            ld("bx", i() - 1, col()) + ld("bx", i(), col()) + ld("bx", i() + 1, col()),
+        );
+        let blur = func(
+            "blur",
+            &[("img", 64), ("bx", 64), ("by", 64)],
+            [blur_x, blur_y]
+                .into_iter()
+                .map(|s| {
+                    sequential(
+                        "jo",
+                        0,
+                        62 / f,
+                        vec![pipelined("i", 1, 62, vec![tile(f, 1, 62, vec![s])])],
+                    )
+                })
+                .collect(),
+        );
+        let mac = store(
+            "c",
+            vec![i(), col()],
+            ld("c", i(), col()) + ld("a", i(), k()) * ld("b", k(), col()),
+        );
+        let gemm = func(
+            "gemm",
+            &[("a", 30), ("b", 30), ("c", 30)],
+            vec![sequential(
+                "i",
+                0,
+                29,
+                vec![sequential(
+                    "jo",
+                    0,
+                    29 / f,
+                    vec![pipelined("k", 0, 29, vec![tile(f, 0, 29, vec![mac])])],
+                )],
+            )],
+        );
+        let cross = row("a", i()) + ld("a", i() - 1, col()) + ld("a", i() + 1, col());
+        let jacobi = func(
+            "jacobi2d",
+            &[("a", 30), ("b", 30)],
+            vec![sequential(
+                "i",
+                1,
+                28,
+                vec![pipelined(
+                    "jo",
+                    0,
+                    28 / f,
+                    vec![tile(f, 1, 28, vec![store("b", vec![i(), col()], cross)])],
+                )],
+            )],
+        );
+        vec![blur, gemm, jacobi]
+    }
+
+    #[test]
+    fn class_path_matches_per_case_classification_on_kernel_tails() {
+        let mut counts = PathCounts::default();
+        for f in 2..=16 {
+            for func in split_tails(f) {
+                let partitions = [
+                    func.memrefs.clone(),
+                    with_partition(&func.memrefs, |d| if d == 1 { f } else { 1 }, false),
+                    with_partition(&func.memrefs, |d| if d == 1 { f } else { 2 }, false),
+                    with_partition(&func.memrefs, |d| if d == 1 { f } else { 1 }, true),
+                    with_partition(&func.memrefs, |_| 2, true),
+                    with_partition(&func.memrefs, |_| 3, false),
+                ];
+                let most = assert_same_as_per_case(&func, &partitions, &mut counts);
+                // One case iterator: a head case, the interior cases and a
+                // tail case.
+                assert!(most <= 3, "{} at factor {f}: {most} classified", func.name);
+            }
+        }
+        assert!(counts.shared > 0 && counts.block_moved > 0, "{counts:?}");
+    }
+
+    #[test]
+    fn a_tail_never_reached_is_one_symbolic_iteration() {
+        // for i (pipe) { b[i] = a[i]; for k in 0..=-1 { for m in 0..=i {
+        //   b[m] = a[m] } } }: the loop i bounds is never entered, so the
+        // iteration set does not vary and one symbolic iteration is exact.
+        let (i, m) = (|| LinearExpr::var("i"), || LinearExpr::var("m"));
+        let inner = unrolled_between(
+            "m",
+            vec![cb(0)],
+            vec![Bound::new(i(), 1)],
+            vec![store("b", vec![m()], load("a", vec![m()]))],
+        );
+        let l = pipe_loop(
+            "i",
+            8,
+            1,
+            vec![
+                store("b", vec![i()], load("a", vec![i()])),
+                sequential("k", 0, -1, vec![inner]),
+            ],
+        );
+        let mem = vec![memref("a", &[8], Some(&[2])), memref("b", &[8], None)];
+        let fast = classify(&l, &[], false).expect("exact");
+        assert!(!fast.enumerated);
+        let slow = classify_per_case(&l, &[], false).expect("exact");
+        assert_eq!(
+            format!("{:?}", fast.group(&mem)),
+            format!("{:?}", slow.group(&mem))
+        );
+        // Under a guard a reached tail claims nothing, an unreached one
+        // still does.
+        assert!(classify(&l, &[], true).is_some());
+        let reached = pipe_loop(
+            "i",
+            8,
+            1,
+            vec![sequential(
+                "k",
+                0,
+                0,
+                vec![unrolled_between(
+                    "m",
+                    vec![cb(0)],
+                    vec![Bound::new(i(), 1)],
+                    vec![store("b", vec![m()], load("a", vec![m()]))],
+                )],
+            )],
+        );
+        assert!(classify(&reached, &[], true).is_none());
+        assert!(classify(&reached, &[], false).is_some());
     }
 }

@@ -1,218 +1,31 @@
 //! A brute-force oracle for the bank analysis.
 //!
-//! Random small pipelined bodies — unrolled inner loops, shifted windows,
-//! reductions, mixed shapes such as `a[i]` beside `a[2i]`, and
-//! non-dividing split tails whose bounds force case enumeration — under
-//! random cyclic and block partitions. Every free iterator (the enclosing
-//! sequential `j` and the pipeline's `i`) is pinned to each value of its
-//! box, and the iteration is executed on concrete elements with the
-//! simulator's rules: a load of an element an earlier store of the
-//! iteration wrote is forwarded, repeated reads of one element cost one
-//! port, and only the last writer of an element writes back. Each
-//! surviving access is mapped through `ArrayBanks::bank_of_coords`.
+//! Random small pipelined bodies (`common/mod.rs`: unrolled inner loops,
+//! shifted windows, reductions, mixed shapes, and non-dividing split tails
+//! whose bounds force case enumeration) under random cyclic and block
+//! partitions. Every free iterator (the enclosing sequential `j` and the
+//! pipeline's `i`) is pinned to each value of its box, and the iteration
+//! is executed on concrete elements with the simulator's rules: a load of
+//! an element an earlier store of the iteration wrote is forwarded,
+//! repeated reads of one element cost one port, and only the last writer
+//! of an element writes back. Each surviving access is mapped through
+//! `ArrayBanks::bank_of_coords`.
 //!
 //! Whatever the analysis claims must match: when a loop is exact, its
 //! read and write counts, and for exact profiles its classes and
 //! demands, equal those of every iteration — or, when case enumeration
 //! was needed, those of the worst iteration.
 
+mod common;
+
+use common::{build, gen_body, Body};
 use pom_bank::{analyze_func, ArrayBanks};
-use pom_dsl::{DataType, Expr, PartitionStyle};
-use pom_ir::{AffineFunc, AffineOp, ForOp, HlsAttrs, MemRefDecl, PartitionInfo, StoreOp};
-use pom_poly::{AccessFn, Bound, LinearExpr};
-use proptest::prelude::*;
+use pom_ir::{AffineOp, MemRefDecl};
+use pom_poly::AccessFn;
 use proptest::test_runner::TestRng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const CASES: usize = 192;
-
-/// Array names and shapes: a 1-D window source, a 2-D array for the
-/// mixed-radix combine, and a small reduction target.
-const ARRAYS: [(&str, &[usize]); 3] = [("a", &[64]), ("m", &[4, 32]), ("s", &[8])];
-
-/// How a statement's unrolled inner loop `k` is bounded.
-#[derive(Clone, Copy, Debug)]
-enum Unroll {
-    /// No inner loop.
-    None,
-    /// `k` in `0..=n-1`.
-    Const(i64),
-    /// `k` in `0..=min(n-1, t-1 - n*i)`: the tail of splitting a trip
-    /// count `t` that `n` does not divide.
-    TailI(i64, i64),
-    /// `k` in `0..=n-1-j`: a triangle over the sequential iterator.
-    TailJ(i64),
-}
-
-/// An access: array index plus, per dimension, the coefficients of
-/// `i`, `k`, `j` and the constant.
-#[derive(Clone, Debug)]
-struct Access {
-    array: usize,
-    dims: Vec<[i64; 4]>,
-}
-
-#[derive(Clone, Debug)]
-struct Stmt {
-    unroll: Unroll,
-    dest: Access,
-    loads: Vec<Access>,
-}
-
-#[derive(Clone, Debug)]
-struct Body {
-    j_trip: i64,
-    i_trip: i64,
-    stmts: Vec<Stmt>,
-    /// Per array: `None`, or factors with cyclic (`true`) or block style.
-    parts: Vec<Option<(Vec<i64>, bool)>>,
-}
-
-fn pick(rng: &mut TestRng, lo: i64, hi: i64) -> i64 {
-    (lo..=hi).generate(rng)
-}
-
-fn gen_access(rng: &mut TestRng, unrolled: bool) -> Access {
-    let array = pick(rng, 0, 2) as usize;
-    let ck = |rng: &mut TestRng| if unrolled { pick(rng, 0, 1) } else { 0 };
-    // i's coefficient is 1 most of the time, 2 (mixed shapes) or 0
-    // (loop-invariant) otherwise.
-    let ci = |rng: &mut TestRng| [0, 1, 1, 2][pick(rng, 0, 3) as usize];
-    let dims = match array {
-        0 => vec![[ci(rng), ck(rng), pick(rng, 0, 1), pick(rng, 0, 3)]],
-        1 => vec![
-            [0, 0, pick(rng, 0, 1), pick(rng, 0, 1)],
-            [ci(rng).max(1), ck(rng), 0, pick(rng, 0, 3)],
-        ],
-        _ => vec![[0, ck(rng), pick(rng, 0, 1), pick(rng, 0, 2)]],
-    };
-    Access { array, dims }
-}
-
-fn gen_body(rng: &mut TestRng) -> Body {
-    let j_trip = pick(rng, 1, 2);
-    let i_trip = pick(rng, 2, 6);
-    let stmts = (0..pick(rng, 1, 3))
-        .map(|_| {
-            let n = pick(rng, 2, 3);
-            let unroll = match pick(rng, 0, 5) {
-                0 | 1 => Unroll::None,
-                2 | 3 => Unroll::Const(n),
-                4 => Unroll::TailI(n, pick(rng, n * (i_trip - 1) + 1, n * i_trip - 1)),
-                _ => Unroll::TailJ(n),
-            };
-            let unrolled = !matches!(unroll, Unroll::None);
-            let dest = gen_access(rng, unrolled);
-            let mut loads: Vec<Access> = (0..pick(rng, 1, 3))
-                .map(|_| gen_access(rng, unrolled))
-                .collect();
-            // A read-modify-write of the destination: a reduction.
-            if pick(rng, 0, 2) == 0 {
-                loads[0] = dest.clone();
-            }
-            Stmt {
-                unroll,
-                dest,
-                loads,
-            }
-        })
-        .collect();
-    let parts = ARRAYS
-        .iter()
-        .map(|(_, shape)| match pick(rng, 0, 2) {
-            0 => None,
-            style => Some((shape.iter().map(|_| pick(rng, 1, 4)).collect(), style == 1)),
-        })
-        .collect();
-    Body {
-        j_trip,
-        i_trip,
-        stmts,
-        parts,
-    }
-}
-
-fn cb(v: i64) -> Bound {
-    Bound::new(LinearExpr::constant_expr(v), 1)
-}
-
-fn seq(iv: &str, lbs: Vec<Bound>, ubs: Vec<Bound>, body: Vec<AffineOp>) -> ForOp {
-    ForOp {
-        iv: iv.into(),
-        lbs,
-        ubs,
-        attrs: HlsAttrs::default(),
-        extra: Vec::new(),
-        body,
-    }
-}
-
-fn access_fn(a: &Access) -> AccessFn {
-    let idx = a
-        .dims
-        .iter()
-        .map(|&[ci, ck, cj, c]| {
-            LinearExpr::term("i", ci) + LinearExpr::term("k", ck) + LinearExpr::term("j", cj) + c
-        })
-        .collect();
-    AccessFn::new(ARRAYS[a.array].0, idx)
-}
-
-fn build(b: &Body) -> AffineFunc {
-    let (i, j) = (LinearExpr::var("i"), LinearExpr::var("j"));
-    let stmts = b
-        .stmts
-        .iter()
-        .map(|s| {
-            let value = s
-                .loads
-                .iter()
-                .map(|a| Expr::Load(access_fn(a)))
-                .reduce(|x, y| x + y)
-                .expect("at least one load");
-            let store = AffineOp::Store(StoreOp {
-                stmt: "S".into(),
-                dest: access_fn(&s.dest),
-                value,
-            });
-            let ubs = match s.unroll {
-                Unroll::None => return store,
-                Unroll::Const(n) => vec![cb(n - 1)],
-                Unroll::TailI(n, t) => vec![
-                    cb(n - 1),
-                    Bound::new(LinearExpr::constant_expr(t - 1) - i.clone() * n, 1),
-                ],
-                Unroll::TailJ(n) => {
-                    vec![Bound::new(LinearExpr::constant_expr(n - 1) - j.clone(), 1)]
-                }
-            };
-            AffineOp::For(seq("k", vec![cb(0)], ubs, vec![store]))
-        })
-        .collect();
-    let mut pipe = seq("i", vec![cb(0)], vec![cb(b.i_trip - 1)], stmts);
-    pipe.attrs.pipeline_ii = Some(1);
-    let outer = seq(
-        "j",
-        vec![cb(0)],
-        vec![cb(b.j_trip - 1)],
-        vec![AffineOp::For(pipe)],
-    );
-    let mut f = AffineFunc::new("brute");
-    for ((name, shape), part) in ARRAYS.iter().zip(&b.parts) {
-        let mut m = MemRefDecl::new(*name, shape, DataType::F32);
-        m.partition = part.as_ref().map(|(factors, cyclic)| PartitionInfo {
-            factors: factors.clone(),
-            style: if *cyclic {
-                PartitionStyle::Cyclic
-            } else {
-                PartitionStyle::Block
-            },
-        });
-        f.memrefs.push(m);
-    }
-    f.body.push(AffineOp::For(outer));
-    f
-}
 
 /// What one concrete iteration costs one array.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -317,10 +130,7 @@ fn check(b: &Body) -> (bool, bool, usize) {
             iterations.push(it);
         }
     }
-    let enumerated = b
-        .stmts
-        .iter()
-        .any(|s| matches!(s.unroll, Unroll::TailI(..) | Unroll::TailJ(_)));
+    let enumerated = b.stmts.iter().any(|s| s.unroll.tail());
     let accessed: BTreeSet<&str> = iterations
         .iter()
         .flat_map(|it| it.read.iter().chain(&it.written).map(|(a, _)| a.as_str()))
