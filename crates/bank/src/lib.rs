@@ -708,7 +708,7 @@ impl Cx<'_> {
             let Some(k) = ca[d].checked_sub(cb[d]) else {
                 return Alias::Unknown;
             };
-            if diff.try_add_scaled(&self.shapes.lins[lb[d]], -1).is_err() {
+            if diff.add_scaled(&self.shapes.lins[lb[d]], -1).is_err() {
                 return Alias::Unknown;
             }
             diff.set_constant(k);

@@ -235,8 +235,9 @@ fn ref_system(spec: &FmSpec) -> Vec<reference::Constraint> {
 /// the constraint lists are compared semantically, not syntactically).
 fn projections_agree(spec: &FmSpec) -> bool {
     let dense = match pom_poly::fm::eliminate_all(&dense_system(spec), spec.elim) {
-        pom_poly::fm::Projection::Feasible(cs) => Some(cs),
-        pom_poly::fm::Projection::Infeasible => None,
+        Ok(pom_poly::fm::Projection::Feasible(cs)) => Some(cs),
+        Ok(pom_poly::fm::Projection::Infeasible) => None,
+        Err(_) => return false,
     };
     let named = match reference::fm::eliminate_all(&ref_system(spec), spec.elim) {
         reference::fm::Projection::Feasible(cs) => Some(cs),
@@ -311,8 +312,9 @@ fn dense_analyze(
         let analysis = pom_poly::DependenceAnalysis::new();
         let mut out = Vec::new();
         for read in &reads {
-            for d in analysis.analyze_pair(&write, read, pom_poly::DepKind::Flow, &dims, &domain) {
-                out.push(d.to_string());
+            match analysis.analyze_pair(&write, read, pom_poly::DepKind::Flow, &dims, &domain) {
+                Ok(deps) => out.extend(deps.iter().map(|d| d.to_string())),
+                Err(e) => out.push(e.to_string()),
             }
         }
         out
@@ -353,7 +355,10 @@ fn dense_realizable(
     Box::new(move || {
         let analysis = pom_poly::DependenceAnalysis::new();
         vecs.iter()
-            .map(|v| format!("{v:?}={}", analysis.distance_realizable(v, &dims, &domain)))
+            .map(|v| match analysis.distance_realizable(v, &dims, &domain) {
+                Ok(realizable) => format!("{v:?}={realizable}"),
+                Err(e) => format!("{v:?}={e}"),
+            })
             .collect()
     })
 }
@@ -694,7 +699,7 @@ pub fn run_suite(iters: usize) -> PolyBenchReport {
         let mut rounds = time_rounds(iters, 1, |_, dense, it| {
             if dense {
                 let cs = &dense_variants[it % dense_variants.len()];
-                std::hint::black_box(pom_poly::fm::eliminate_all(cs, elim));
+                let _ = std::hint::black_box(pom_poly::fm::eliminate_all(cs, elim));
             } else {
                 let cs = &ref_variants[it % ref_variants.len()];
                 std::hint::black_box(reference::fm::eliminate_all(cs, elim));

@@ -78,7 +78,7 @@ fn slice_statements_plus_suffix_replay_equal_a_full_replay() {
                 let scheduled = slice.sub().schedule(std::slice::from_ref(&g));
                 assert_eq!(scheduled, oracle, "{name}: group {gi} tiles {:?}", g.tiles);
                 assert_eq!(
-                    slice.sub().stmts_of(&scheduled),
+                    slice.sub().stmts_of(&scheduled).expect("replays"),
                     apply_schedule(&oracle),
                     "{name}: group {gi} tiles {:?}",
                     g.tiles
@@ -90,7 +90,7 @@ fn slice_statements_plus_suffix_replay_equal_a_full_replay() {
             let scheduled = base.full().schedule(&groups);
             assert_eq!(scheduled, oracle, "{name}: full schedule");
             assert_eq!(
-                base.full().stmts_of(&scheduled),
+                base.full().stmts_of(&scheduled).expect("replays"),
                 apply_schedule(&oracle),
                 "{name}: full statements"
             );
@@ -122,7 +122,7 @@ fn partitions_by_full_replay(scheduled: &Function, groups: &[GroupConfig]) -> Ve
                     .find_placeholder(&acc.array)
                     .expect("declared array")
                     .shape();
-                let cur = stmts[idx].access_to_current(acc);
+                let cur = stmts[idx].access_to_current(acc).unwrap();
                 for (d, e) in cur.indices.iter().enumerate() {
                     let f: i64 = (0..g.dims.len())
                         .filter(|&l| g.tiles[l] > 1 && e.uses(&format!("{}_g{gi}u", g.dims[l])))

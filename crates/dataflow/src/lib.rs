@@ -481,7 +481,7 @@ mod tests {
         ));
         let read_idx = if reverse {
             let mut e = LinearExpr::term("k", -1);
-            e.add_constant(n - 1);
+            e.add_constant(n - 1).unwrap();
             e
         } else {
             LinearExpr::var("k")

@@ -137,13 +137,13 @@ fn add(a: Expr, b: Expr) -> Expr {
 /// `i + off` / `extent-1 - i` index helpers.
 fn fwd(off: i64) -> LinearExpr {
     let mut e = LinearExpr::var("i");
-    e.add_constant(off);
+    e.add_constant(off).unwrap();
     e
 }
 
 fn rev(extent: i64) -> LinearExpr {
     let mut e = LinearExpr::term("i", -1);
-    e.add_constant(extent - 1);
+    e.add_constant(extent - 1).unwrap();
     e
 }
 

@@ -628,14 +628,14 @@ impl DseCache {
         f: &Function,
         opts: &CompileOptions,
         acc: &PhaseAccum,
-        prepare: impl FnOnce() -> (Vec<StmtPoly>, DepSummary),
+        prepare: impl FnOnce() -> Result<(Vec<StmtPoly>, DepSummary), CompileError>,
     ) -> Result<Arc<Compiled>, CompileError> {
         let fp = fingerprint(f);
         if let Some(c) = locked(&self.full).get(&fp) {
             self.record(true);
             return Ok(Arc::clone(c));
         }
-        let (stmts, deps) = acc.time_lowering(prepare);
+        let (stmts, deps) = acc.time_lowering(prepare)?;
         let (c, times) = crate::compile::compile_prepared(f, stmts, deps, opts)?;
         acc.add(&times);
         self.record(false);
@@ -696,7 +696,7 @@ mod tests {
         let prepare = || {
             let stmts = crate::compile::apply_schedule(&f);
             let deps = crate::compile::build_dep_summary(&f, &stmts, &opts.model);
-            (stmts, deps)
+            Ok((stmts, deps))
         };
         let a = cache
             .compile_full(&f, &opts, &acc, prepare)

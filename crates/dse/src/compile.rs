@@ -2,14 +2,14 @@
 //! polyhedral statements → polyhedral AST → annotated affine dialect →
 //! QoR estimate (Fig. 7 of the paper).
 
-use pom_dsl::{Compute, Function, Primitive};
+use pom_dsl::{Compute, Function, Primitive, ReplayError};
 use pom_hls::estimate::{dep_chain_latency, Sharing};
 use pom_hls::{estimate, CarriedDep, CostModel, DepSummary, DeviceSpec, QoR};
 use pom_ir::{
     lower_to_affine, AffineFunc, MemRefDecl, PartitionInfo, PassIssue, StmtBody, VerifyError,
 };
 use pom_lint::LintReport;
-use pom_poly::{build_ast, DepKind, Dependence, StmtPoly};
+use pom_poly::{build_ast, DepKind, Dependence, PolyError, StmtPoly};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -28,6 +28,8 @@ pub enum CompileError {
     /// Translation validation rejected the schedule: a rewrite failed a
     /// certificate obligation (rendered [`pom_verify::ValidationReport`]).
     Rejected(String),
+    /// A rewrite, the polyhedral AST or its lowering left `i64`.
+    Poly(PolyError),
 }
 
 impl fmt::Display for CompileError {
@@ -40,6 +42,7 @@ impl fmt::Display for CompileError {
             CompileError::Rejected(report) => {
                 write!(f, "translation validation rejected the schedule:\n{report}")
             }
+            CompileError::Poly(e) => write!(f, "lowering failed: {e}"),
         }
     }
 }
@@ -127,7 +130,8 @@ pub fn apply_schedule(f: &Function) -> Vec<StmtPoly> {
 /// # Errors
 ///
 /// Returns [`CompileError::Rejected`] carrying the validator's rendered
-/// report when a primitive names an iterator its statement does not have.
+/// report when a primitive names an iterator its statement does not have,
+/// and [`CompileError::Poly`] when a rewrite's arithmetic leaves `i64`.
 pub(crate) fn try_apply_schedule(f: &Function) -> Result<Vec<StmtPoly>, CompileError> {
     let stmts: Vec<StmtPoly> = f
         .computes()
@@ -162,8 +166,12 @@ pub(crate) fn replay_from(
         .map(|(i, c)| (c.name().to_string(), i))
         .collect();
     for p in &f.schedule()[done..] {
-        if p.replay(&mut stmts, &index).is_err() {
-            return Err(CompileError::Rejected(pom_verify::validate(f).render()));
+        match p.replay(&mut stmts, &index) {
+            Ok(()) => {}
+            Err(ReplayError::Poly(e)) => return Err(CompileError::Poly(e)),
+            Err(ReplayError::UnknownIterator { .. }) => {
+                return Err(CompileError::Rejected(pom_verify::validate(f).render()))
+            }
         }
     }
     Ok(stmts)
@@ -243,9 +251,11 @@ pub fn build_dep_summary(f: &Function, stmts: &[StmtPoly], model: &CostModel) ->
 /// # Errors
 ///
 /// Returns [`CompileError::InvalidIr`] when lowering breaks a structural
-/// invariant and [`CompileError::PassFailed`] when a cleanup pass does.
+/// invariant, [`CompileError::PassFailed`] when a cleanup pass does, and
+/// [`CompileError::Poly`] when a loop bound or a substituted index leaves
+/// `i64`.
 pub fn lower(f: &Function, stmts: &[StmtPoly]) -> Result<AffineFunc, CompileError> {
-    let ast = build_ast(stmts);
+    let ast = build_ast(stmts).map_err(CompileError::Poly)?;
 
     let bodies: HashMap<String, StmtBody> = f
         .computes()
@@ -284,7 +294,7 @@ pub fn lower(f: &Function, stmts: &[StmtPoly]) -> Result<AffineFunc, CompileErro
         }
     }
 
-    let mut func = lower_to_affine(f.name(), memrefs, &ast, &bodies);
+    let mut func = lower_to_affine(f.name(), memrefs, &ast, &bodies).map_err(CompileError::Poly)?;
     for prim in f.schedule() {
         match prim {
             Primitive::Pipeline { stmt, loop_iv, ii } => {

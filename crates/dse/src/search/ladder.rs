@@ -5,10 +5,12 @@
 
 use super::config::DseConfig;
 use crate::cache::{canonical_fingerprint, fingerprint, stable_hash};
-use crate::compile::{apply_schedule, carried_levels, replay_from, self_dependences, sub_function};
+use crate::compile::{
+    apply_schedule, carried_levels, replay_from, self_dependences, sub_function, CompileError,
+};
 use pom_dsl::{Function, PartitionStyle};
 use pom_graph::DepGraph;
-use pom_poly::StmtPoly;
+use pom_poly::{Bound, StmtPoly};
 use std::collections::{BTreeMap, HashMap};
 
 /// The tiling/unrolling configuration of one node (fusion group).
@@ -135,8 +137,8 @@ fn plan_groups_on(f: &Function, stmts: &[StmtPoly]) -> Vec<GroupConfig> {
         let mut extents: Vec<i64> = Vec::with_capacity(dims.len());
         for d in &dims {
             let (lb, ub) = extent_range(rep, d, &env);
-            env.insert(d.clone(), (lb + ub) / 2);
-            extents.push((ub - lb + 1).max(1));
+            env.insert(d.clone(), pom_poly::midpoint(lb, ub));
+            extents.push(ub.saturating_sub(lb).saturating_add(1).max(1));
         }
         // Parallel levels: parallel in every member that *has* the level
         // (a shallower fused member does not iterate the deeper levels,
@@ -162,15 +164,17 @@ fn plan_groups_on(f: &Function, stmts: &[StmtPoly]) -> Vec<GroupConfig> {
 }
 
 fn extent_range(s: &StmtPoly, dim: &str, env: &HashMap<String, i64>) -> (i64, i64) {
-    let (lbs, ubs) = s.domain().bounds_of(dim);
-    let lb = lbs
-        .iter()
-        .map(|(e, d)| -((-e.eval_partial(env)).div_euclid(*d)))
-        .max()
-        .unwrap_or(0);
+    // A level whose bounds leave `i64` counts as one iteration: it is
+    // never tiled.
+    let Ok((lbs, ubs)) = s.domain().bounds_of(dim) else {
+        return (0, 0);
+    };
+    // Bounds past the `i64` edge read as the edge.
+    let at = |(e, d): &(pom_poly::LinearExpr, i64)| Bound::new(e.clone(), *d);
+    let lb = lbs.iter().map(|b| at(b).eval_lower(env)).max().unwrap_or(0);
     let ub = ubs
         .iter()
-        .map(|(e, d)| e.eval_partial(env).div_euclid(*d))
+        .map(|b| at(b).eval_upper(env))
         .min()
         .unwrap_or(lb);
     (lb, ub.max(lb))
@@ -307,7 +311,11 @@ fn schedule_on(base: &Function, base_stmts: &[StmtPoly], groups: &[GroupConfig])
                     .find_placeholder(&acc.array)
                     .expect("declared array")
                     .shape();
-                for (d, e) in s.access_to_current(acc).indices.iter().enumerate() {
+                // An index whose rewrite leaves `i64` asks for no banks.
+                let Ok(cur) = s.access_to_current(acc) else {
+                    continue;
+                };
+                for (d, e) in cur.indices.iter().enumerate() {
                     let mut f = 1i64;
                     for (l, dim) in group.dims.iter().enumerate() {
                         if group.tiles[l] > 1 && e.uses(dim) {
@@ -358,11 +366,12 @@ impl Replayed {
     /// also after bank overrides and II retargets): the held statements
     /// plus a replay of the appended primitives only.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics, like [`apply_schedule`], when an appended primitive names a
-    /// loop its statement does not have.
-    pub fn stmts_of(&self, scheduled: &Function) -> Vec<StmtPoly> {
+    /// [`CompileError::Rejected`] when an appended primitive names a loop
+    /// its statement does not have, [`CompileError::Poly`] when its
+    /// arithmetic leaves `i64`.
+    pub fn stmts_of(&self, scheduled: &Function) -> Result<Vec<StmtPoly>, CompileError> {
         let done = self.function.schedule().len();
         debug_assert!(
             scheduled.schedule()[..done]
@@ -371,7 +380,7 @@ impl Replayed {
                 .all(|(a, b)| a == b || !b.is_loop_transformation()),
             "schedule does not extend the replayed prefix"
         );
-        replay_from(scheduled, self.stmts.clone(), done).unwrap_or_else(|e| panic!("{e}"))
+        replay_from(scheduled, self.stmts.clone(), done)
     }
 }
 

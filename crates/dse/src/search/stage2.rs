@@ -15,8 +15,8 @@ use super::ladder::{schedule_for, GroupConfig, GroupSlice, SearchBase};
 use super::stats::DseStats;
 use crate::cache::{CacheSnapshot, DseCache, PhaseAccum};
 use crate::compile::{
-    apply_schedule, build_dep_summary, compile_timed, sub_function, CompileError, CompileOptions,
-    Compiled,
+    build_dep_summary, compile_timed, sub_function, try_apply_schedule, CompileError,
+    CompileOptions, Compiled,
 };
 use pom_dsl::{Function, PartitionStyle, Primitive};
 use pom_hls::estimate::Sharing;
@@ -158,30 +158,42 @@ pub(crate) fn eval_candidate(
         if lint_screen(sub, cur, cand, opts) {
             return Ok(CandidateEval::Pruned);
         }
-        let (l, r) = group_compile(sub, cand, opts, acc)?;
-        return Ok(CandidateEval::Estimated(l, r));
+        return estimated_or_pruned(group_compile(sub, cand, opts, acc));
     };
 
     // Memoized path: dependence analysis and estimation happen at most
     // once per *canonical* scheduled sub-function — structurally identical
     // candidates (repeated DNN layers, symmetric nests) share entries.
     let key = slice.key(cand);
-    let mut prepared: Option<PreparedGroup> = None;
+    let mut prepared: Option<Result<PreparedGroup, CompileError>> = None;
     let cand_infeasible = cache.memo_infeasible(key, || {
         prepared
             .get_or_insert_with(|| prepare_candidate(slice, cand, cache, opts, acc))
-            .infeasible()
+            .as_ref()
+            .map_or(true, PreparedGroup::infeasible)
     });
     if !cur_infeasible && cand_infeasible {
         return Ok(CandidateEval::Pruned);
     }
-    let (l, r) = cache.memo_group_qor(key, || {
+    let estimated = cache.memo_group_qor(key, || {
         prepared
             .take()
-            .unwrap_or_else(|| prepare_candidate(slice, cand, cache, opts, acc))
+            .unwrap_or_else(|| prepare_candidate(slice, cand, cache, opts, acc))?
             .estimate(opts, acc)
-    })?;
-    Ok(CandidateEval::Estimated(l, r))
+    });
+    estimated_or_pruned(estimated)
+}
+
+/// A candidate's estimate, or `Pruned` when its rewrite leaves `i64`
+/// (an illegal move).
+fn estimated_or_pruned(
+    estimated: Result<(u64, pom_hls::ResourceUsage), CompileError>,
+) -> Result<CandidateEval, CompileError> {
+    match estimated {
+        Ok((l, r)) => Ok(CandidateEval::Estimated(l, r)),
+        Err(CompileError::Poly(_)) => Ok(CandidateEval::Pruned),
+        Err(e) => Err(e),
+    }
 }
 
 /// POM001 verdict of a group's *current* configuration — the context of
@@ -195,7 +207,7 @@ pub(crate) fn group_infeasible(
 ) -> bool {
     match cache {
         Some(c) => c.memo_infeasible(slice.key(g), || {
-            prepare_candidate(slice, g, c, opts, acc).infeasible()
+            prepare_candidate(slice, g, c, opts, acc).map_or(true, |p| p.infeasible())
         }),
         None => pipeline_infeasible(slice.sub().function(), g, opts),
     }
@@ -215,7 +227,7 @@ pub(crate) fn group_qor(
 ) -> Result<(u64, pom_hls::ResourceUsage), CompileError> {
     match cache {
         Some(c) => c.memo_group_qor(slice.key(g), || {
-            prepare_candidate(slice, g, c, opts, acc).estimate(opts, acc)
+            prepare_candidate(slice, g, c, opts, acc)?.estimate(opts, acc)
         }),
         None => group_compile(slice.sub().function(), g, opts, acc),
     }
@@ -235,25 +247,29 @@ struct PreparedGroup {
 /// those primitives only, and takes the dependence summary from
 /// `template` when one is given — the polyhedral dependence analysis is
 /// the dominant cost of a candidate evaluation.
+///
+/// # Errors
+///
+/// As [`Replayed::stmts_of`](super::ladder::Replayed::stmts_of).
 fn prepare(
     slice: &GroupSlice,
     g: &GroupConfig,
     template: Option<Arc<pom_hls::DepSummary>>,
     opts: &CompileOptions,
     acc: &PhaseAccum,
-) -> PreparedGroup {
+) -> Result<PreparedGroup, CompileError> {
     acc.time_lowering(|| {
         let scheduled = slice.sub().schedule(std::slice::from_ref(g));
-        let stmts = slice.sub().stmts_of(&scheduled);
+        let stmts = slice.sub().stmts_of(&scheduled)?;
         let deps = match template {
             Some(deps) => (*deps).clone(),
             None => build_dep_summary(&scheduled, &stmts, &opts.model),
         };
-        PreparedGroup {
+        Ok(PreparedGroup {
             scheduled,
             stmts,
             deps,
-        }
+        })
     })
 }
 
@@ -265,7 +281,7 @@ fn prepare_candidate(
     cache: &DseCache,
     opts: &CompileOptions,
     acc: &PhaseAccum,
-) -> PreparedGroup {
+) -> Result<PreparedGroup, CompileError> {
     let template = dep_template(slice, cand, cache, opts, acc);
     prepare(slice, cand, template, opts, acc)
 }
@@ -307,7 +323,7 @@ fn dep_template(
     let (reference, key) = slice.reference();
     cache.memo_dep_template(key, || {
         acc.time_lowering(|| {
-            let stmts = slice.sub().stmts_of(reference);
+            let stmts = slice.sub().stmts_of(reference).ok()?;
             let deps = build_dep_summary(reference, &stmts, &opts.model);
             let parallel_carries_dep = deps
                 .loops()
@@ -337,7 +353,7 @@ pub(crate) fn full_dep_template(
     let (reference, key) = base.reference();
     acc.time_lowering(|| {
         cache.memo_dep_template(key, || {
-            let stmts = base.full().stmts_of(reference);
+            let stmts = base.full().stmts_of(reference).ok()?;
             let deps = build_dep_summary(reference, &stmts, &opts.model);
             let parallel_carries_dep = deps.loops().any(|name| {
                 groups
@@ -367,12 +383,12 @@ pub(crate) fn full_compile(
 ) -> Result<Arc<Compiled>, CompileError> {
     match cache {
         Some(c) => c.compile_full(scheduled, opts, acc, || {
-            let stmts = base.full().stmts_of(scheduled);
+            let stmts = base.full().stmts_of(scheduled)?;
             let deps = match deps {
                 Some(d) => d.clone(),
                 None => build_dep_summary(scheduled, &stmts, &opts.model),
             };
-            (stmts, deps)
+            Ok((stmts, deps))
         }),
         None => {
             let (c, times) = compile_timed(scheduled, opts)?;
@@ -857,7 +873,10 @@ fn pipeline_infeasible(base: &Function, group: &GroupConfig, opts: &CompileOptio
     let members: Vec<&str> = group.members.iter().map(String::as_str).collect();
     let sub = sub_function(base, &members);
     let scheduled = schedule_for(&sub, std::slice::from_ref(group));
-    let stmts = apply_schedule(&scheduled);
+    // A configuration whose rewrite leaves `i64` cannot be built.
+    let Ok(stmts) = try_apply_schedule(&scheduled) else {
+        return true;
+    };
     let deps = build_dep_summary(&scheduled, &stmts, &opts.model);
     schedule_carries_infeasible_ii(&scheduled, &deps)
 }
@@ -1003,7 +1022,7 @@ mod tests {
     /// Lowers a scheduled function and asks pom-bank whether any
     /// pipelined loop's declared II is provably infeasible (POM006).
     fn has_bank_conflict(f: &Function, opts: &CompileOptions) -> bool {
-        let stmts = apply_schedule(f);
+        let stmts = crate::compile::apply_schedule(f);
         let func = lower(f, &stmts).expect("lowers");
         let ports = opts.model.ports_per_bank.max(1);
         pom_bank::analyze_func(&func).iter().any(|r| {

@@ -279,7 +279,7 @@ fn rewrites_per_element(
             .last(),
         AffineOp::For(l) => {
             let (lb, ub, trip) = loop_trip(l, env);
-            env.insert(l.iv.clone(), (lb + ub) / 2);
+            env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
             outer.push((l.iv.clone(), trip));
             let found = l
                 .body
@@ -334,7 +334,7 @@ impl OpTimes<'_> {
         let [AffineOp::For(inner)] = &l.body[..] else {
             return None;
         };
-        env.insert(l.iv.clone(), (lb + ub) / 2);
+        env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
         let found = self.flatten(inner, env);
         env.remove(&l.iv);
         let (ii, depth, inner_trip) = found?;
@@ -346,7 +346,7 @@ impl OpTimes<'_> {
         if trip == 0 {
             return 0;
         }
-        env.insert(l.iv.clone(), (lb + ub) / 2);
+        env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
         let body: u64 = l.body.iter().map(|op| self.op(op, env)).sum();
         env.remove(&l.iv);
         let u = (l.attrs.unroll_factor.unwrap_or(1).max(1) as u64).min(trip);

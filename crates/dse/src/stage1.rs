@@ -117,7 +117,7 @@ fn profile(c: &Compute, s: &StmtPoly) -> Profile {
 }
 
 /// Transforms a distance vector under a move. Returns `None` when the
-/// move makes it lexicographically negative (illegal).
+/// move makes it lexicographically negative or leaves `i64` (illegal).
 fn transform_vector(v: &[i64], m: &Move) -> Option<Vec<i64>> {
     let mut out = v.to_vec();
     match m {
@@ -128,7 +128,9 @@ fn transform_vector(v: &[i64], m: &Move) -> Option<Vec<i64>> {
         } => {
             let n = out.len();
             if n >= 2 {
-                out[n - 1] += factor * out[0];
+                out[n - 1] = factor
+                    .checked_mul(out[0])
+                    .and_then(|shift| out[n - 1].checked_add(shift))?;
                 if *interchange {
                     out.swap(0, n - 1);
                 }
@@ -138,17 +140,19 @@ fn transform_vector(v: &[i64], m: &Move) -> Option<Vec<i64>> {
     lex_non_negative(out.iter().copied()).then_some(out)
 }
 
-fn apply_move(s: &mut StmtPoly, m: &Move, fresh: &mut usize) -> Vec<pom_dsl::Primitive> {
+/// Applies `m` to `s`, returning its primitives; `None`, with `s`
+/// unchanged, when the move's skew leaves `i64` — then it is illegal.
+fn apply_move(s: &mut StmtPoly, m: &Move, fresh: &mut usize) -> Option<Vec<pom_dsl::Primitive>> {
     let dims = s.dims().to_vec();
     let name = s.name().to_string();
     match m {
         Move::Interchange(a, b) => {
             s.interchange(&dims[*a], &dims[*b]);
-            vec![pom_dsl::Primitive::Interchange {
+            Some(vec![pom_dsl::Primitive::Interchange {
                 stmt: name,
                 i: dims[*a].clone(),
                 j: dims[*b].clone(),
-            }]
+            }])
         }
         Move::Skew {
             factor,
@@ -158,7 +162,7 @@ fn apply_move(s: &mut StmtPoly, m: &Move, fresh: &mut usize) -> Vec<pom_dsl::Pri
             let n = dims.len();
             let i2 = format!("{}_w{}", dims[0], fresh);
             let j2 = format!("{}_w{}", dims[n - 1], fresh);
-            s.skew(&dims[0], &dims[n - 1], *factor, &i2, &j2);
+            s.skew(&dims[0], &dims[n - 1], *factor, &i2, &j2).ok()?;
             let mut prims = vec![pom_dsl::Primitive::Skew {
                 stmt: name.clone(),
                 i: dims[0].clone(),
@@ -175,7 +179,7 @@ fn apply_move(s: &mut StmtPoly, m: &Move, fresh: &mut usize) -> Vec<pom_dsl::Pri
                     j: j2,
                 });
             }
-            prims
+            Some(prims)
         }
     }
 }
@@ -252,8 +256,11 @@ pub(crate) fn dependence_aware_transform_on(
     for _ in 0..max_iters {
         let mut new_prims = Vec::new();
         for (s, prof) in stmts.iter_mut().zip(&mut profiles) {
-            if let Some((m, next)) = best_move(prof, s.dims().len()) {
-                new_prims.extend(apply_move(s, &m, &mut fresh));
+            let Some((m, next)) = best_move(prof, s.dims().len()) else {
+                continue;
+            };
+            if let Some(prims) = apply_move(s, &m, &mut fresh) {
+                new_prims.extend(prims);
                 *prof = next;
             }
         }
@@ -309,7 +316,9 @@ pub fn reanalysis_disagreements(f: &Function, max_iters: usize) -> Vec<String> {
                 };
                 let mut trial = s.clone();
                 let mut trial_fresh = fresh + 1000; // trial names never recorded
-                apply_move(&mut trial, &m, &mut trial_fresh);
+                if apply_move(&mut trial, &m, &mut trial_fresh).is_none() {
+                    continue;
+                }
                 let p2 = profile(c, &trial);
                 if derived.carried != p2.carried {
                     out.push(format!(
@@ -323,7 +332,11 @@ pub fn reanalysis_disagreements(f: &Function, max_iters: usize) -> Vec<String> {
                 }
             }
             if let Some((m, derived)) = best {
-                new_prims.extend(apply_move(&mut s.clone(), &m, &mut fresh));
+                new_prims.extend(
+                    apply_move(&mut s.clone(), &m, &mut fresh)
+                        .into_iter()
+                        .flatten(),
+                );
                 *kept = Some(derived);
             }
         }
@@ -353,7 +366,7 @@ fn const_extents(s: &StmtPoly) -> Option<Vec<(i64, i64)>> {
     let env = std::collections::HashMap::new();
     let mut out = Vec::new();
     for d in s.dims() {
-        let (lbs, ubs) = s.domain().bounds_of(d);
+        let (lbs, ubs) = s.domain().bounds_of(d).ok()?;
         if lbs.iter().any(|(e, _)| !e.is_constant()) || ubs.iter().any(|(e, _)| !e.is_constant()) {
             return None;
         }

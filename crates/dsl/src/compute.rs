@@ -147,8 +147,8 @@ mod tests {
         let s = gemm_compute();
         let d = s.domain();
         assert_eq!(d.dim_count(), 3);
-        assert!(d.contains(&[31, 31, 31]));
-        assert!(!d.contains(&[32, 0, 0]));
+        assert_eq!(d.contains(&[31, 31, 31]), Ok(true));
+        assert_eq!(d.contains(&[32, 0, 0]), Ok(false));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Computation expressions for compute bodies.
 
-use pom_poly::{AccessFn, LinearExpr};
+use pom_poly::{AccessFn, LinearExpr, PolyError};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -140,24 +140,29 @@ impl Expr {
 
     /// Applies an affine substitution to every index expression and affine
     /// leaf (used when lowering through transformed iteration spaces).
-    pub fn substituted(&self, name: &str, replacement: &LinearExpr) -> Expr {
-        match self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when a rewritten coefficient
+    /// leaves `i64`.
+    pub fn substituted(&self, name: &str, replacement: &LinearExpr) -> Result<Expr, PolyError> {
+        Ok(match self {
             Expr::Load(a) => Expr::Load(AccessFn::new(
                 a.array.clone(),
                 a.indices
                     .iter()
                     .map(|e| e.substituted(name, replacement))
-                    .collect(),
+                    .collect::<Result<_, _>>()?,
             )),
-            Expr::Affine(e) => Expr::Affine(e.substituted(name, replacement)),
+            Expr::Affine(e) => Expr::Affine(e.substituted(name, replacement)?),
             Expr::Const(v) => Expr::Const(*v),
             Expr::Binary(op, l, r) => Expr::Binary(
                 *op,
-                Box::new(l.substituted(name, replacement)),
-                Box::new(r.substituted(name, replacement)),
+                Box::new(l.substituted(name, replacement)?),
+                Box::new(r.substituted(name, replacement)?),
             ),
-            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.substituted(name, replacement))),
-        }
+            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.substituted(name, replacement)?)),
+        })
     }
 }
 
@@ -290,7 +295,7 @@ mod tests {
     fn substitution_rewrites_indices() {
         let e = load("A", "i") / 4.0;
         let rep = LinearExpr::term("i0", 8) + LinearExpr::var("i1");
-        let s = e.substituted("i", &rep);
+        let s = e.substituted("i", &rep).unwrap();
         let loads = s.loads();
         assert_eq!(loads[0].indices[0].coeff("i0"), 8);
     }

@@ -47,7 +47,7 @@ pub use compute::Compute;
 pub use expr::{BinOp, Expr, UnOp};
 pub use function::Function;
 pub use interp::{reference_execute, ArrayData, MemoryState};
-pub use schedule::{PartitionStyle, Primitive, UnknownIterator};
+pub use schedule::{PartitionStyle, Primitive, ReplayError};
 pub use types::{DataType, Placeholder, Var};
 
 pub use pom_poly::AccessFn;

@@ -5,7 +5,7 @@
 //! polyhedral IR (loop transformations) and the annotated affine dialect
 //! (hardware optimizations).
 
-use pom_poly::StmtPoly;
+use pom_poly::{PolyError, StmtPoly};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -181,9 +181,11 @@ impl Primitive {
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownIterator`], leaving `stmts` unchanged, when the
-    /// primitive names a loop its statement does not currently have (e.g.
-    /// splitting an already-split loop by its old name).
+    /// Returns [`ReplayError::UnknownIterator`], leaving `stmts`
+    /// unchanged, when the primitive names a loop its statement does not
+    /// currently have (e.g. splitting an already-split loop by its old
+    /// name), and [`ReplayError::Poly`], likewise, when the rewrite's
+    /// coefficient arithmetic leaves `i64`.
     ///
     /// # Panics
     ///
@@ -194,11 +196,11 @@ impl Primitive {
         &self,
         stmts: &mut [StmtPoly],
         index: &HashMap<String, usize>,
-    ) -> Result<(), UnknownIterator> {
+    ) -> Result<(), ReplayError> {
         let known =
             |s: &StmtPoly, names: &[&String]| match names.iter().find(|n| s.dim_index(n).is_none())
             {
-                Some(n) => Err(UnknownIterator {
+                Some(n) => Err(ReplayError::UnknownIterator {
                     iterator: n.to_string(),
                     stmt: s.name().to_string(),
                 }),
@@ -219,7 +221,7 @@ impl Primitive {
             } => {
                 let s = &mut stmts[index[stmt]];
                 known(s, &[i])?;
-                s.split(i, *factor, i0, i1);
+                s.split(i, *factor, i0, i1)?;
             }
             Primitive::Tile {
                 stmt,
@@ -234,7 +236,7 @@ impl Primitive {
             } => {
                 let s = &mut stmts[index[stmt]];
                 known(s, &[i, j])?;
-                s.tile(i, j, *t1, *t2, i0, j0, i1, j1);
+                s.tile(i, j, *t1, *t2, i0, j0, i1, j1)?;
             }
             Primitive::Skew {
                 stmt,
@@ -246,7 +248,7 @@ impl Primitive {
             } => {
                 let s = &mut stmts[index[stmt]];
                 known(s, &[i, j])?;
-                s.skew(i, j, *factor, i2, j2);
+                s.skew(i, j, *factor, i2, j2)?;
             }
             Primitive::After { stmt, other, level } => {
                 let snapshot = stmts[index[other]].clone();
@@ -268,26 +270,41 @@ impl Primitive {
     }
 }
 
-/// A loop transformation named a loop its statement does not have.
+/// Why [`Primitive::replay`] could not apply a rewrite.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownIterator {
-    /// The iterator name the primitive used.
-    iterator: String,
-    /// The statement whose current loops were searched.
-    stmt: String,
+pub enum ReplayError {
+    /// A loop transformation named a loop its statement does not have.
+    UnknownIterator {
+        /// The iterator name the primitive used.
+        iterator: String,
+        /// The statement whose current loops were searched.
+        stmt: String,
+    },
+    /// The rewrite's coefficient arithmetic left `i64`.
+    Poly(PolyError),
 }
 
-impl fmt::Display for UnknownIterator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "iterator `{}` is not a loop of statement `{}`",
-            self.iterator, self.stmt
-        )
+impl From<PolyError> for ReplayError {
+    fn from(e: PolyError) -> Self {
+        ReplayError::Poly(e)
     }
 }
 
-impl std::error::Error for UnknownIterator {}
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::UnknownIterator { iterator, stmt } => {
+                write!(
+                    f,
+                    "iterator `{iterator}` is not a loop of statement `{stmt}`"
+                )
+            }
+            ReplayError::Poly(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
 
 impl fmt::Display for Primitive {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -85,17 +85,22 @@ impl NodeAnalysis {
         let an = DependenceAnalysis::new();
         let store = c.store();
         let mut deps: Vec<Dependence> = Vec::new();
+        // An analysis that overflows `i64` answers "may depend".
+        let mut pair = |src, dst, kind| match an.analyze_pair(src, dst, kind, &dims, &domain) {
+            Ok(found) => deps.extend(found),
+            Err(_) => deps.push(Dependence::unknown(kind, &store.array, dims.len())),
+        };
 
         // Flow: store -> each later read of the same array.
         // Anti: each read -> store.
         for load in c.loads() {
             if load.array == store.array {
-                deps.extend(an.analyze_pair(store, load, DepKind::Flow, &dims, &domain));
-                deps.extend(an.analyze_pair(load, store, DepKind::Anti, &dims, &domain));
+                pair(store, load, DepKind::Flow);
+                pair(load, store, DepKind::Anti);
             }
         }
         // Output: store -> store.
-        deps.extend(an.analyze_pair(store, store, DepKind::Output, &dims, &domain));
+        pair(store, store, DepKind::Output);
 
         let mut carried_by_level: Vec<Option<i64>> = vec![None; dims.len()];
         let mut non_uniform = false;

@@ -24,10 +24,10 @@ impl ResourceUsage {
     /// Element-wise sum (spatial composition: both circuits exist).
     pub fn plus(&self, other: &ResourceUsage) -> ResourceUsage {
         ResourceUsage {
-            dsp: self.dsp + other.dsp,
-            ff: self.ff + other.ff,
-            lut: self.lut + other.lut,
-            bram18k: self.bram18k + other.bram18k,
+            dsp: self.dsp.saturating_add(other.dsp),
+            ff: self.ff.saturating_add(other.ff),
+            lut: self.lut.saturating_add(other.lut),
+            bram18k: self.bram18k.saturating_add(other.bram18k),
         }
     }
 
@@ -45,9 +45,9 @@ impl ResourceUsage {
     /// Multiplies compute resources by a replication factor (unrolling).
     pub fn scaled(&self, factor: u64) -> ResourceUsage {
         ResourceUsage {
-            dsp: self.dsp * factor,
-            ff: self.ff * factor,
-            lut: self.lut * factor,
+            dsp: self.dsp.saturating_mul(factor),
+            ff: self.ff.saturating_mul(factor),
+            lut: self.lut.saturating_mul(factor),
             bram18k: self.bram18k,
         }
     }

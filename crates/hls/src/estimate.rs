@@ -60,8 +60,7 @@ pub fn port_demand<'a>(
             let distinct = unrolled
                 .iter()
                 .filter(|(iv, _)| a.indices.iter().any(|e| e.uses(iv)))
-                .map(|(_, t)| *t)
-                .product::<u64>()
+                .fold(1u64, |n, (_, t)| n.saturating_mul(*t))
                 .max(1);
             (a.array.as_str(), distinct)
         })
@@ -322,7 +321,7 @@ impl Estimator<'_> {
         let mut res = ResourceUsage::zero();
         for op in ops {
             let (l, r) = self.one(op, env);
-            latency += l;
+            latency = latency.saturating_add(l);
             res = self.sharing.compose(&res, &r);
         }
         (latency, res)
@@ -359,7 +358,7 @@ impl Estimator<'_> {
         // Returns (ii, depth, flattened_trip, resources).
         let (lb, ub, trip) = loop_trip(l, env);
         if l.attrs.pipeline_ii.is_some() {
-            env.insert(l.iv.clone(), (lb + ub) / 2);
+            env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
             let (ii, depth, res) = self.pipelined_parts(l, env);
             env.remove(&l.iv);
             return Some((ii, depth, trip, res));
@@ -370,11 +369,11 @@ impl Estimator<'_> {
         let [AffineOp::For(inner)] = &l.body[..] else {
             return None;
         };
-        env.insert(l.iv.clone(), (lb + ub) / 2);
+        env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
         let result = self.try_flatten(inner, env);
         env.remove(&l.iv);
         let (ii, depth, inner_trip, res) = result?;
-        Some((ii, depth, trip * inner_trip, res))
+        Some((ii, depth, trip.saturating_mul(inner_trip), res))
     }
 
     fn sequential_loop(
@@ -391,7 +390,7 @@ impl Estimator<'_> {
             // latency, no datapath — only its control logic exists.
             return (0, self.model.loop_control);
         }
-        env.insert(l.iv.clone(), (lb + ub) / 2);
+        env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
         let (body_lat, body_res) = self.seq(&l.body, env);
         env.remove(&l.iv);
 
@@ -401,18 +400,20 @@ impl Estimator<'_> {
         let carried = self.deps.carried_at(&l.iv);
         let per_iter = if carried.is_some() && u > 1 {
             // Unrolled copies serialize through the carried dependence.
-            body_lat * u + self.model.loop_overhead
+            body_lat
+                .saturating_mul(u)
+                .saturating_add(self.model.loop_overhead)
         } else {
-            body_lat + self.model.loop_overhead
+            body_lat.saturating_add(self.model.loop_overhead)
         };
-        let latency = iters * per_iter;
+        let latency = iters.saturating_mul(per_iter);
         let res = body_res.scaled(u).plus(&self.model.loop_control);
         (latency, res)
     }
 
     fn pipelined(&mut self, l: &ForOp, env: &mut HashMap<String, i64>) -> (u64, ResourceUsage) {
         let (lb, ub, trip) = loop_trip(l, env);
-        env.insert(l.iv.clone(), (lb + ub) / 2);
+        env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
         let (ii, depth, res) = self.pipelined_parts(l, env);
         env.remove(&l.iv);
         (pipeline_latency(trip, ii, depth), res)
@@ -513,14 +514,19 @@ impl Estimator<'_> {
                     let lat = expr_latency(&s.value, self.model) + self.model.store_latency;
                     out.max_stmt_latency = out.max_stmt_latency.max(lat);
                     let c = s.value.op_counts();
-                    out.counts.add += c.add * mult as usize;
-                    out.counts.sub += c.sub * mult as usize;
-                    out.counts.mul += c.mul * mult as usize;
-                    out.counts.div += c.div * mult as usize;
-                    out.counts.cmp += c.cmp * mult as usize;
+                    let copies = usize::try_from(mult).unwrap_or(usize::MAX);
+                    let add = |total: &mut usize, n: usize| {
+                        *total = total.saturating_add(n.saturating_mul(copies));
+                    };
+                    add(&mut out.counts.add, c.add);
+                    add(&mut out.counts.sub, c.sub);
+                    add(&mut out.counts.mul, c.mul);
+                    add(&mut out.counts.div, c.div);
+                    add(&mut out.counts.cmp, c.cmp);
                     out.copies = out.copies.max(mult);
                     for (array, n) in port_demand(s, &out.unrolled) {
-                        *out.accesses.entry(array.to_string()).or_insert(0) += n;
+                        let total = out.accesses.entry(array.to_string()).or_insert(0);
+                        *total = total.saturating_add(n);
                     }
                 }
                 AffineOp::If(i) => self.collect_pipe_body(&i.body, mult, env, out),
@@ -543,9 +549,9 @@ impl Estimator<'_> {
                             *e = (*e).max(serial);
                         }
                     }
-                    env.insert(l.iv.clone(), (lb + ub) / 2);
+                    env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
                     out.unrolled.push((l.iv.clone(), trip));
-                    self.collect_pipe_body(&l.body, mult * trip, env, out);
+                    self.collect_pipe_body(&l.body, mult.saturating_mul(trip), env, out);
                     out.unrolled.pop();
                     env.remove(&l.iv);
                 }
@@ -562,7 +568,7 @@ pub fn pipeline_latency(trip: u64, ii: u64, depth: u64) -> u64 {
     if trip == 0 {
         0
     } else {
-        (trip - 1) * ii + depth
+        (trip - 1).saturating_mul(ii).saturating_add(depth)
     }
 }
 

@@ -155,7 +155,7 @@ fn collect_rows(
                     unroll: l.attrs.unroll_factor,
                 });
                 let (lb, ub) = bounds(l, env);
-                env.insert(l.iv.clone(), (lb + ub) / 2);
+                env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
                 collect_rows(&l.body, depth + 1, ii_by_iv, env, out);
                 env.remove(&l.iv);
             }

@@ -675,11 +675,11 @@ mod tests {
         // order w.r.t. itself only, which any reordering of (i, j) respects.
         let comp = f.find_compute("s").unwrap();
         let mut sp = comp.to_stmt_poly();
-        sp.tile("i", "j", 2, 3, "i0", "j0", "i1", "j1");
+        sp.tile("i", "j", 2, 3, "i0", "j0", "i1", "j1").unwrap();
         sp.interchange("i1", "j1");
         let mut builder = AstBuilder::new();
         builder.add_stmt(sp);
-        let ast = builder.build();
+        let ast = builder.build().unwrap();
 
         let bodies: HashMap<String, StmtBody> = [(
             "s".to_string(),
@@ -696,7 +696,7 @@ mod tests {
             .iter()
             .map(|p| MemRefDecl::new(p.name(), p.shape(), p.dtype()))
             .collect();
-        let func = lower_to_affine("gemm", memrefs, &ast, &bodies);
+        let func = lower_to_affine("gemm", memrefs, &ast, &bodies).unwrap();
         crate::verify::verify(&func).expect("valid IR");
 
         let mut ir_mem = MemoryState::for_function_seeded(&f, 7);
@@ -735,7 +735,7 @@ mod tests {
 
         let comp = f.find_compute("s").unwrap();
         let mut sp = comp.to_stmt_poly();
-        sp.skew("t", "i", 1, "t2", "i2");
+        sp.skew("t", "i", 1, "t2", "i2").unwrap();
         let mut builder = AstBuilder::new();
         builder.add_stmt(sp);
         let bodies: HashMap<String, StmtBody> = [(
@@ -753,7 +753,7 @@ mod tests {
             .iter()
             .map(|p| MemRefDecl::new(p.name(), p.shape(), p.dtype()))
             .collect();
-        let func = lower_to_affine("jacobi", memrefs, &builder.build(), &bodies);
+        let func = lower_to_affine("jacobi", memrefs, &builder.build().unwrap(), &bodies).unwrap();
         crate::verify::verify(&func).expect("valid IR");
 
         let mut ir_mem = MemoryState::for_function_seeded(&f, 3);

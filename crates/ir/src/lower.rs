@@ -7,7 +7,7 @@
 use crate::attrs::MemRefDecl;
 use crate::ops::{AffineFunc, AffineOp, ForOp, IfOp, StoreOp};
 use pom_dsl::Expr;
-use pom_poly::{AccessFn, AstNode, LinearExpr};
+use pom_poly::{AccessFn, AstNode, LinearExpr, PolyError};
 use std::collections::HashMap;
 
 /// The computation statement attached to user nodes: the compute body and
@@ -29,7 +29,12 @@ impl StmtBody {
     /// original iterator is replaced by its expression over the loop ivs.
     /// Substitution is capture-avoiding (original names may collide with
     /// loop iv names).
-    pub fn instantiate(&self, args: &[LinearExpr]) -> (Expr, AccessFn) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when a substituted coefficient
+    /// leaves `i64`.
+    pub fn instantiate(&self, args: &[LinearExpr]) -> Result<(Expr, AccessFn), PolyError> {
         assert_eq!(
             args.len(),
             self.orig_dims.len(),
@@ -47,22 +52,26 @@ impl StmtBody {
         let mut store_idx: Vec<LinearExpr> = self.store.indices.clone();
         for (d, p) in self.orig_dims.iter().zip(&placeholders) {
             let pv = LinearExpr::var(p);
-            body = body.substituted(d, &pv);
+            body = body.substituted(d, &pv)?;
             for e in &mut store_idx {
-                *e = e.substituted(d, &pv);
+                *e = e.substituted(d, &pv)?;
             }
         }
         for (p, a) in placeholders.iter().zip(args) {
-            body = body.substituted(p, a);
+            body = body.substituted(p, a)?;
             for e in &mut store_idx {
-                *e = e.substituted(p, a);
+                *e = e.substituted(p, a)?;
             }
         }
-        (body, AccessFn::new(self.store.array.clone(), store_idx))
+        Ok((body, AccessFn::new(self.store.array.clone(), store_idx)))
     }
 }
 
 /// Lowers a polyhedral AST into an [`AffineFunc`].
+///
+/// # Errors
+///
+/// As [`StmtBody::instantiate`].
 ///
 /// # Panics
 ///
@@ -72,14 +81,17 @@ pub fn lower_to_affine(
     memrefs: Vec<MemRefDecl>,
     ast: &[AstNode],
     bodies: &HashMap<String, StmtBody>,
-) -> AffineFunc {
+) -> Result<AffineFunc, PolyError> {
     let mut func = AffineFunc::new(name);
     func.memrefs = memrefs;
-    func.body = lower_nodes(ast, bodies);
-    func
+    func.body = lower_nodes(ast, bodies)?;
+    Ok(func)
 }
 
-fn lower_nodes(nodes: &[AstNode], bodies: &HashMap<String, StmtBody>) -> Vec<AffineOp> {
+fn lower_nodes(
+    nodes: &[AstNode],
+    bodies: &HashMap<String, StmtBody>,
+) -> Result<Vec<AffineOp>, PolyError> {
     let mut out = Vec::new();
     for n in nodes {
         match n {
@@ -89,18 +101,18 @@ fn lower_nodes(nodes: &[AstNode], bodies: &HashMap<String, StmtBody>) -> Vec<Aff
                 lbs: lbs.clone(),
                 ubs: ubs.clone(),
                 attrs: Default::default(),
-                body: lower_nodes(body, bodies),
+                body: lower_nodes(body, bodies)?,
             })),
             AstNode::If { conds, body } => out.push(AffineOp::If(IfOp {
                 conds: conds.clone(),
-                body: lower_nodes(body, bodies),
+                body: lower_nodes(body, bodies)?,
             })),
-            AstNode::Block(body) => out.extend(lower_nodes(body, bodies)),
+            AstNode::Block(body) => out.extend(lower_nodes(body, bodies)?),
             AstNode::User { stmt, args } => {
                 let sb = bodies
                     .get(stmt)
                     .unwrap_or_else(|| panic!("no statement body registered for {stmt}"));
-                let (value, dest) = sb.instantiate(args);
+                let (value, dest) = sb.instantiate(args)?;
                 out.push(AffineOp::Store(StoreOp {
                     stmt: stmt.clone(),
                     dest,
@@ -109,7 +121,7 @@ fn lower_nodes(nodes: &[AstNode], bodies: &HashMap<String, StmtBody>) -> Vec<Aff
             }
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -138,7 +150,7 @@ mod tests {
         let sp = StmtPoly::new("s", &[("i", 0, 7), ("j", 0, 7), ("k", 0, 7)]);
         let mut b = AstBuilder::new();
         b.add_stmt(sp);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         let mut bodies = HashMap::new();
         bodies.insert("s".to_string(), gemm_body());
         let memrefs = vec![
@@ -146,7 +158,7 @@ mod tests {
             MemRefDecl::new("B", &[8, 8], DataType::F32),
             MemRefDecl::new("C", &[8, 8], DataType::F32),
         ];
-        let f = lower_to_affine("gemm", memrefs, &ast, &bodies);
+        let f = lower_to_affine("gemm", memrefs, &ast, &bodies).unwrap();
         assert_eq!(f.body.len(), 1);
         assert_eq!(f.body[0].loop_depth(), 3);
         assert_eq!(f.stores().len(), 1);
@@ -158,13 +170,13 @@ mod tests {
     #[test]
     fn lower_tiled_schedule_rewrites_indices() {
         let mut sp = StmtPoly::new("s", &[("i", 0, 7), ("j", 0, 7), ("k", 0, 7)]);
-        sp.split("j", 4, "j0", "j1");
+        sp.split("j", 4, "j0", "j1").unwrap();
         let mut b = AstBuilder::new();
         b.add_stmt(sp);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         let mut bodies = HashMap::new();
         bodies.insert("s".to_string(), gemm_body());
-        let f = lower_to_affine("gemm", vec![], &ast, &bodies);
+        let f = lower_to_affine("gemm", vec![], &ast, &bodies).unwrap();
         let s = &f.stores()[0];
         // A[i][4*j0 + j1]
         assert_eq!(s.dest.indices[1].coeff("j0"), 4);
@@ -185,7 +197,7 @@ mod tests {
             body: Expr::Load(AccessFn::new("A", vec![LinearExpr::var("i")])),
             store: AccessFn::new("B", vec![LinearExpr::var("i")]),
         };
-        let (body, dest) = sb.instantiate(&[LinearExpr::var("i") + 1]);
+        let (body, dest) = sb.instantiate(&[LinearExpr::var("i") + 1]).unwrap();
         assert_eq!(dest.indices[0], LinearExpr::var("i") + 1);
         assert_eq!(body.loads()[0].indices[0], LinearExpr::var("i") + 1);
     }
@@ -196,6 +208,6 @@ mod tests {
         let sp = StmtPoly::new("ghost", &[("i", 0, 3)]);
         let mut b = AstBuilder::new();
         b.add_stmt(sp);
-        lower_to_affine("f", vec![], &b.build(), &HashMap::new());
+        lower_to_affine("f", vec![], &b.build().unwrap(), &HashMap::new()).unwrap();
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::ops::{AffineFunc, AffineOp};
 use crate::verify::{verify, VerifyError};
-use pom_poly::{ceil_div, floor_div, Bound, LinearExpr};
+use pom_poly::{ceil_div, floor_div, Bound, LinearExpr, PolyError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -23,7 +23,12 @@ pub trait Pass {
     /// The pass name (diagnostics).
     fn name(&self) -> &'static str;
     /// Rewrites the function in place.
-    fn run(&self, func: &mut AffineFunc);
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PolyError`] of a rewrite whose affine arithmetic
+    /// leaves `i64`; the function may then be partly rewritten.
+    fn run(&self, func: &mut AffineFunc) -> Result<(), PolyError>;
 }
 
 /// Why a pipeline stopped: a structural invariant broke or a
@@ -34,6 +39,8 @@ pub enum PassIssue {
     Verify(VerifyError),
     /// The check hook rejected a pass's rewrite (rendered certificate).
     Check(String),
+    /// A rewrite's affine arithmetic left `i64`.
+    Poly(PolyError),
 }
 
 impl fmt::Display for PassIssue {
@@ -41,6 +48,7 @@ impl fmt::Display for PassIssue {
         match self {
             PassIssue::Verify(e) => write!(f, "{e}"),
             PassIssue::Check(msg) => write!(f, "pass check failed:\n{msg}"),
+            PassIssue::Poly(e) => write!(f, "{e}"),
         }
     }
 }
@@ -98,13 +106,15 @@ impl PassManager {
     ///
     /// # Errors
     ///
-    /// Returns the failing pass name and the issue when `verify_each` is
-    /// enabled and a pass breaks an invariant, or when the `check_each`
-    /// hook rejects a rewrite.
+    /// Returns the failing pass name and the issue when a pass's affine
+    /// arithmetic leaves `i64`, when `verify_each` is enabled and a pass
+    /// breaks an invariant, or when the `check_each` hook rejects a
+    /// rewrite.
     pub fn run(&self, func: &mut AffineFunc) -> Result<(), (String, PassIssue)> {
         for p in &self.passes {
             let before = self.check.as_ref().map(|_| func.clone());
-            p.run(func);
+            p.run(func)
+                .map_err(|e| (p.name().to_string(), PassIssue::Poly(e)))?;
             if self.verify_each {
                 verify(func).map_err(|e| (p.name().to_string(), PassIssue::Verify(e)))?;
             }
@@ -124,19 +134,16 @@ impl PassManager {
 /// Drops loop-bound candidates dominated under interval analysis.
 pub struct SimplifyBounds;
 
-/// The `[min, max]` interval of an affine expression given iv ranges.
+/// The `[min, max]` interval of an affine expression given iv ranges;
+/// `None` when a variable has no range or an end leaves `i64`.
 fn expr_interval(e: &LinearExpr, ranges: &HashMap<String, (i64, i64)>) -> Option<(i64, i64)> {
     let mut lo = e.constant();
     let mut hi = e.constant();
     for (v, c) in e.terms() {
         let &(vlo, vhi) = ranges.get(v)?;
-        if c >= 0 {
-            lo += c * vlo;
-            hi += c * vhi;
-        } else {
-            lo += c * vhi;
-            hi += c * vlo;
-        }
+        let (at_lo, at_hi) = if c >= 0 { (vlo, vhi) } else { (vhi, vlo) };
+        lo = lo.checked_add(c.checked_mul(at_lo)?)?;
+        hi = hi.checked_add(c.checked_mul(at_hi)?)?;
     }
     Some((lo, hi))
 }
@@ -227,9 +234,10 @@ impl Pass for SimplifyBounds {
     fn name(&self) -> &'static str {
         "simplify-bounds"
     }
-    fn run(&self, func: &mut AffineFunc) {
+    fn run(&self, func: &mut AffineFunc) -> Result<(), PolyError> {
         let mut ranges = HashMap::new();
         simplify_ops(&mut func.body, &mut ranges);
+        Ok(())
     }
 }
 
@@ -240,37 +248,38 @@ impl Pass for SimplifyBounds {
 /// Inlines loops with a constant one-iteration range.
 pub struct CollapseUnitLoops;
 
-fn substitute_ops(ops: &mut Vec<AffineOp>, name: &str, value: i64) {
+fn substitute_ops(ops: &mut Vec<AffineOp>, name: &str, value: i64) -> Result<(), PolyError> {
     let rep = LinearExpr::constant_expr(value);
     for op in ops {
         match op {
             AffineOp::For(l) => {
                 for b in l.lbs.iter_mut().chain(l.ubs.iter_mut()) {
-                    b.expr = b.expr.substituted(name, &rep);
+                    b.expr = b.expr.substituted(name, &rep)?;
                 }
-                substitute_ops(&mut l.body, name, value);
+                substitute_ops(&mut l.body, name, value)?;
             }
             AffineOp::If(i) => {
                 for c in &mut i.conds {
-                    *c = c.substituted(name, &rep);
+                    *c = c.substituted(name, &rep)?;
                 }
-                substitute_ops(&mut i.body, name, value);
+                substitute_ops(&mut i.body, name, value)?;
             }
             AffineOp::Store(s) => {
                 for e in &mut s.dest.indices {
-                    *e = e.substituted(name, &rep);
+                    *e = e.substituted(name, &rep)?;
                 }
-                s.value = s.value.substituted(name, &rep);
+                s.value = s.value.substituted(name, &rep)?;
             }
         }
     }
+    Ok(())
 }
 
-fn collapse_ops(ops: &mut Vec<AffineOp>) {
+fn collapse_ops(ops: &mut Vec<AffineOp>) -> Result<(), PolyError> {
     let mut i = 0;
     while i < ops.len() {
         let replace = if let AffineOp::For(l) = &mut ops[i] {
-            collapse_ops(&mut l.body);
+            collapse_ops(&mut l.body)?;
             // Loops carrying HLS attributes are kept: the attribute is the
             // information (a pipelined trip-1 loop still pipelines its
             // body under flattening).
@@ -279,14 +288,14 @@ fn collapse_ops(ops: &mut Vec<AffineOp>) {
                     let env = HashMap::new();
                     let v = l.lbs.iter().map(|b| b.eval_lower(&env)).max().unwrap_or(0);
                     let mut body = std::mem::take(&mut l.body);
-                    substitute_ops(&mut body, &l.iv, v);
+                    substitute_ops(&mut body, &l.iv, v)?;
                     Some(body)
                 }
                 _ => None,
             }
         } else {
             if let AffineOp::If(f) = &mut ops[i] {
-                collapse_ops(&mut f.body);
+                collapse_ops(&mut f.body)?;
             }
             None
         };
@@ -299,14 +308,15 @@ fn collapse_ops(ops: &mut Vec<AffineOp>) {
             None => i += 1,
         }
     }
+    Ok(())
 }
 
 impl Pass for CollapseUnitLoops {
     fn name(&self) -> &'static str {
         "collapse-unit-loops"
     }
-    fn run(&self, func: &mut AffineFunc) {
-        collapse_ops(&mut func.body);
+    fn run(&self, func: &mut AffineFunc) -> Result<(), PolyError> {
+        collapse_ops(&mut func.body)
     }
 }
 
@@ -318,11 +328,11 @@ impl Pass for CollapseUnitLoops {
 /// trip count — making the spatial replication explicit in the IR.
 pub struct MaterializeUnroll;
 
-fn unroll_ops(ops: &mut Vec<AffineOp>) {
+fn unroll_ops(ops: &mut Vec<AffineOp>) -> Result<(), PolyError> {
     let mut i = 0;
     while i < ops.len() {
         let replace = if let AffineOp::For(l) = &mut ops[i] {
-            unroll_ops(&mut l.body);
+            unroll_ops(&mut l.body)?;
             match (l.attrs.unroll_factor, l.const_trip_count()) {
                 (Some(f), Some(trip)) if f >= trip && trip >= 1 => {
                     let env = HashMap::new();
@@ -330,7 +340,7 @@ fn unroll_ops(ops: &mut Vec<AffineOp>) {
                     let mut expanded = Vec::new();
                     for k in 0..trip {
                         let mut copy = l.body.clone();
-                        substitute_ops(&mut copy, &l.iv, lb + k);
+                        substitute_ops(&mut copy, &l.iv, lb + k)?;
                         expanded.extend(copy);
                     }
                     Some(expanded)
@@ -339,7 +349,7 @@ fn unroll_ops(ops: &mut Vec<AffineOp>) {
             }
         } else {
             if let AffineOp::If(f) = &mut ops[i] {
-                unroll_ops(&mut f.body);
+                unroll_ops(&mut f.body)?;
             }
             None
         };
@@ -352,14 +362,15 @@ fn unroll_ops(ops: &mut Vec<AffineOp>) {
             None => i += 1,
         }
     }
+    Ok(())
 }
 
 impl Pass for MaterializeUnroll {
     fn name(&self) -> &'static str {
         "materialize-unroll"
     }
-    fn run(&self, func: &mut AffineFunc) {
-        unroll_ops(&mut func.body);
+    fn run(&self, func: &mut AffineFunc) -> Result<(), PolyError> {
+        unroll_ops(&mut func.body)
     }
 }
 

@@ -283,7 +283,21 @@ impl Analysis for ScheduleLegality {
         };
         let computes = src.function.computes();
         for (c, s) in computes.iter().zip(src.stmts) {
-            let deps = pom_verify::self_dependences(c);
+            let deps = match pom_verify::self_dependences(c) {
+                Ok(deps) => deps,
+                Err(e) => {
+                    out.push(Diagnostic::new(
+                        LintCode::IllegalSchedule,
+                        Location::func_scope(&cx.func.name).with_stmt(c.name()),
+                        format!(
+                            "the dependences of `{}` cannot be analysed ({e}) — the schedule \
+                             may be illegal",
+                            c.name()
+                        ),
+                    ));
+                    continue;
+                }
+            };
             if let Some((d, level)) = pom_verify::reversed_dependence(c, s, &deps) {
                 out.push(
                     Diagnostic::new(
@@ -576,16 +590,20 @@ pub const CHANNEL_STALL_PCT: u64 = 10;
 /// [`written`](crate::ChannelShape::written) window, placed on the
 /// producer's own predicted timeline (stretched when its inputs hold it
 /// back). A channel's predicted stall is what its consumers wait for it:
-/// on the pop side, each consumer's wait for this channel alone; on the
-/// push side of a FIFO, how long after the producer's last write the
-/// slowest consumer is still draining.
+/// on the pop side, the waits of the consumers it binds — a consumer's
+/// wait is charged to one input, the one whose last element is written
+/// last (the first in plan order on a tie), as the co-simulation charges
+/// a wait to the latest-arriving read; on the push side of a FIFO, how
+/// long after the producer's last write the slowest consumer is still
+/// draining.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChannelSchedule {
     /// Predicted start cycle per stage.
     pub start: Vec<u64>,
     /// Predicted finish cycle per stage.
     pub finish: Vec<u64>,
-    /// Predicted pop-side wait per channel, summed over its consumers.
+    /// Predicted pop-side wait per channel, summed over the consumers it
+    /// binds.
     pub pop: Vec<u64>,
     /// Predicted push-side wait per channel (0 for ping-pong buffers,
     /// which never back-pressure).
@@ -626,16 +644,23 @@ impl ChannelSchedule {
                 };
             }
         }
-        let pop = channels
-            .iter()
-            .enumerate()
-            .map(|(ci, c)| {
-                c.consumers
-                    .iter()
-                    .map(|&k| first[ci].max(last[ci].saturating_sub(stages[k].latency)))
-                    .sum()
-            })
-            .collect();
+        let mut pop = vec![0u64; channels.len()];
+        for (k, stage) in stages.iter().enumerate() {
+            // The input whose last element arrives last binds the
+            // consumer (the first in plan order on a tie) and is charged
+            // its wait for that input.
+            let binding = channels
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.consumers.contains(&k))
+                .fold(None, |best: Option<usize>, (ci, _)| match best {
+                    Some(b) if last[b] >= last[ci] => Some(b),
+                    _ => Some(ci),
+                });
+            if let Some(ci) = binding {
+                pop[ci] += first[ci].max(last[ci].saturating_sub(stage.latency));
+            }
+        }
         let push = channels
             .iter()
             .enumerate()
@@ -937,6 +962,36 @@ mod tests {
         let sched = ChannelSchedule::new(&two_stage_shape(500, true, (0, 1000)));
         assert_eq!((sched.start[1], sched.finish[1]), (1000, 1500));
         assert_eq!((sched.pop[0], sched.push[0]), (1000, 0));
+    }
+
+    /// A consumer of two channels is bound by the one written last: its
+    /// pop wait is charged there alone, and the earlier input gets no pop
+    /// stall.
+    #[test]
+    fn channel_schedule_charges_a_wait_to_the_binding_input_only() {
+        let mut shape = two_stage_shape(500, false, (0, 1000));
+        shape.stages.insert(
+            0,
+            crate::StageShape {
+                name: "early".into(),
+                latency: 100,
+            },
+        );
+        let chan = &mut shape.channels[0];
+        (chan.producer, chan.consumers) = (1, vec![2]);
+        let mut early = chan.clone();
+        (early.array, early.producer, early.written, early.footprint) =
+            ("early".into(), 0, (0, 100), 100);
+        shape.channels.insert(0, early);
+        let sched = ChannelSchedule::new(&shape);
+        // The late channel binds: the same wait as with it alone.
+        assert_eq!((sched.pop[0], sched.pop[1]), (0, 500));
+        // On a tie the first input in plan order binds.
+        shape.channels[0].written = (0, 1000);
+        shape.stages[0].latency = 1000;
+        shape.channels[0].footprint = 1000;
+        let sched = ChannelSchedule::new(&shape);
+        assert_eq!((sched.pop[0], sched.pop[1]), (500, 0));
     }
 
     #[test]

@@ -362,18 +362,20 @@ fn exact_project(cons: &[Constraint], kill: &[String]) -> Option<Vec<Constraint>
             let v = kill[vi].clone();
             if let Some(ci) = cons
                 .iter()
-                .position(|c| c.kind == ConstraintKind::Eq && c.expr.coeff(&v).abs() == 1)
+                .position(|c| c.kind == ConstraintKind::Eq && matches!(c.expr.coeff(&v), 1 | -1))
             {
                 let c = cons.remove(ci);
                 let a = c.expr.coeff(&v);
-                let mut rest = c.expr.clone();
-                rest.set_coeff(v.clone(), 0);
-                let rep = if a == 1 {
-                    LinearExpr::zero() - rest
-                } else {
-                    rest
-                };
-                cons = cons.iter().map(|c| c.substituted(&v, &rep)).collect();
+                let mut rep = c.expr.clone();
+                rep.set_coeff(v.clone(), 0);
+                if a == 1 {
+                    rep.mul_assign(-1).ok()?;
+                }
+                cons = cons
+                    .iter()
+                    .map(|c| c.substituted(&v, &rep))
+                    .collect::<Result<_, _>>()
+                    .ok()?;
                 kill.remove(vi);
                 continue 'outer;
             }
@@ -383,7 +385,8 @@ fn exact_project(cons: &[Constraint], kill: &[String]) -> Option<Vec<Constraint>
         for vi in 0..kill.len() {
             let v = kill[vi].clone();
             let unit = cons.iter().all(|c| {
-                !c.uses(&v) || (c.kind == ConstraintKind::GeZero && c.expr.coeff(&v).abs() == 1)
+                !c.uses(&v)
+                    || (c.kind == ConstraintKind::GeZero && matches!(c.expr.coeff(&v), 1 | -1))
             });
             if !unit {
                 continue;
@@ -401,7 +404,8 @@ fn exact_project(cons: &[Constraint], kill: &[String]) -> Option<Vec<Constraint>
                 r.set_coeff(v.clone(), 0);
                 if a == 1 {
                     // v + r >= 0  =>  v >= -r
-                    lowers.push(LinearExpr::zero() - r);
+                    r.mul_assign(-1).ok()?;
+                    lowers.push(r);
                 } else {
                     // -v + r >= 0  =>  v <= r
                     uppers.push(r);
@@ -409,7 +413,9 @@ fn exact_project(cons: &[Constraint], kill: &[String]) -> Option<Vec<Constraint>
             }
             for lo in &lowers {
                 for up in &uppers {
-                    rest.push(Constraint::ge(up.clone(), lo.clone()));
+                    let mut gap = up.clone();
+                    gap.add_scaled(lo, -1).ok()?;
+                    rest.push(Constraint::ge_zero(gap));
                 }
             }
             cons = rest;
@@ -423,16 +429,16 @@ fn exact_project(cons: &[Constraint], kill: &[String]) -> Option<Vec<Constraint>
 
 /// The negation of a constraint as a union of constraints
 /// (`¬(e >= 0)` is `-e - 1 >= 0`; `¬(e == 0)` is two inequalities).
-fn negations(c: &Constraint) -> Vec<Constraint> {
-    match c.kind {
-        ConstraintKind::GeZero => {
-            vec![Constraint::ge_zero(LinearExpr::zero() - c.expr.clone() - 1)]
-        }
-        ConstraintKind::Eq => vec![
-            Constraint::ge_zero(c.expr.clone() - 1),
-            Constraint::ge_zero(LinearExpr::zero() - c.expr.clone() - 1),
-        ],
-    }
+/// `None` when a negated constant leaves `i64`.
+fn negations(c: &Constraint) -> Option<Vec<Constraint>> {
+    let minus_one = |mut e: LinearExpr| e.add_constant(-1).map(|()| e).ok();
+    let mut negated = c.expr.clone();
+    negated.mul_assign(-1).ok()?;
+    let below = Constraint::ge_zero(minus_one(negated)?);
+    Some(match c.kind {
+        ConstraintKind::GeZero => vec![below],
+        ConstraintKind::Eq => vec![Constraint::ge_zero(minus_one(c.expr.clone())?), below],
+    })
 }
 
 /// Subtracts the conjunction `p` from every piece, producing a disjoint
@@ -444,7 +450,7 @@ fn subtract(pieces: Vec<Vec<Constraint>>, p: &[Constraint]) -> Option<Vec<Vec<Co
     let mut out = Vec::new();
     for piece in pieces {
         for j in 0..p.len() {
-            for neg in negations(&p[j]) {
+            for neg in negations(&p[j])? {
                 let mut np = piece.clone();
                 np.extend_from_slice(&p[..j]);
                 np.push(neg);
@@ -512,7 +518,7 @@ fn delta_bound(sys: &[Constraint], delta: &LinearExpr) -> DeltaBound {
         .filter(|v| v != DELTA)
         .collect();
     let names: Vec<&str> = vars.iter().map(String::as_str).collect();
-    let proj = match fm::try_eliminate_all(&cons, &names) {
+    let proj = match fm::eliminate_all(&cons, &names) {
         Ok(p) => p.into_constraints(),
         Err(_) => return DeltaBound::Unbounded,
     };

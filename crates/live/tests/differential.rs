@@ -139,7 +139,7 @@ fn add(a: Expr, b: Expr) -> Expr {
 /// axis.
 fn idx(spec: &LiveSpec, outer_off: i64) -> Vec<LinearExpr> {
     let mut outer = LinearExpr::var("i");
-    outer.add_constant(outer_off);
+    outer.add_constant(outer_off).unwrap();
     let mut v = vec![outer];
     if spec.depth == 2 {
         v.push(LinearExpr::var("j"));

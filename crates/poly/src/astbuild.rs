@@ -12,8 +12,9 @@
 
 use crate::constraint::Constraint;
 use crate::expr::LinearExpr;
+use crate::floor_div;
+use crate::space::PolyError;
 use crate::transform::StmtPoly;
-use crate::{ceil_div, floor_div};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -35,15 +36,52 @@ impl Bound {
         Bound { expr, div }
     }
 
-    /// Evaluates as a lower bound (ceiling division).
+    /// Evaluates as a lower bound (ceiling division) in `i128`, clamped
+    /// to `i64`: a bound past the `i64` edge reads as the edge.
     pub fn eval_lower(&self, env: &HashMap<String, i64>) -> i64 {
-        ceil_div(self.expr.eval_partial(env), self.div)
+        lower_at(&self.expr, self.div, env)
     }
 
-    /// Evaluates as an upper bound (floor division).
+    /// Evaluates as an upper bound (floor division), clamped to `i64`.
     pub fn eval_upper(&self, env: &HashMap<String, i64>) -> i64 {
-        floor_div(self.expr.eval_partial(env), self.div)
+        upper_at(&self.expr, self.div, env)
     }
+}
+
+/// `ceil(e / div)` at `env` (missing variables zero), evaluated in `i128`
+/// and clamped to `i64`: a bound past the `i64` edge reads as the edge
+/// instead of overflowing.
+pub(crate) fn lower_at(e: &LinearExpr, div: i64, env: &HashMap<String, i64>) -> i64 {
+    floor_at(eval_wide(e, env).saturating_add(i128::from(div) - 1), div)
+}
+
+/// `floor(e / div)` at `env`, clamped like [`lower_at`].
+pub(crate) fn upper_at(e: &LinearExpr, div: i64, env: &HashMap<String, i64>) -> i64 {
+    floor_at(eval_wide(e, env), div)
+}
+
+/// `floor(v / div)` clamped to `i64`, divided in `i64` whenever `v` fits
+/// (an `i128` division is a call).
+fn floor_at(v: i128, div: i64) -> i64 {
+    i64::try_from(v).map_or_else(
+        |_| clamp(v.div_euclid(i128::from(div))),
+        |v| floor_div(v, div),
+    )
+}
+
+/// [`LinearExpr::eval_partial`] in `i128`, saturating: exact whenever the
+/// value fits `i64`, and far beyond.
+fn eval_wide(e: &LinearExpr, env: &HashMap<String, i64>) -> i128 {
+    e.terms_ids()
+        .iter()
+        .fold(i128::from(e.constant()), |v, &(id, c)| {
+            let x = env.get(id.name()).copied().unwrap_or(0);
+            v.saturating_add(i128::from(c) * i128::from(x))
+        })
+}
+
+fn clamp(v: i128) -> i64 {
+    v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
 /// Marker for how a [`Bound`] is rounded; retained for emitters that need
@@ -138,7 +176,11 @@ impl AstBuilder {
 
     /// Builds the AST for all statements, honouring the lexicographic
     /// `2d+1` schedule order.
-    pub fn build(&self) -> Vec<AstNode> {
+    ///
+    /// # Errors
+    ///
+    /// As [`build_ast`].
+    pub fn build(&self) -> Result<Vec<AstNode>, PolyError> {
         build_ast(&self.stmts)
     }
 }
@@ -147,10 +189,15 @@ impl AstBuilder {
 /// schedule order. Each statement's loop bounds are projected once, one
 /// [`BasicSet::level_bounds`](crate::BasicSet::level_bounds) table per
 /// statement, and every loop the statement takes part in reads it.
-pub fn build_ast(stmts: &[StmtPoly]) -> Vec<AstNode> {
-    let items: Vec<Item> = stmts.iter().map(Item::of).collect();
+///
+/// # Errors
+///
+/// Returns [`PolyError::Overflow`] when a statement's bound projection
+/// leaves `i64`.
+pub fn build_ast(stmts: &[StmtPoly]) -> Result<Vec<AstNode>, PolyError> {
+    let items: Vec<Item> = stmts.iter().map(Item::of).collect::<Result<_, _>>()?;
     let refs: Vec<&Item> = items.iter().collect();
-    build_level(&refs, 0)
+    Ok(build_level(&refs, 0))
 }
 
 /// A statement with the bounds of each of its loops, outermost first.
@@ -163,7 +210,7 @@ struct Item<'a> {
 type LoopBounds = (Vec<Bound>, Vec<Bound>);
 
 impl<'a> Item<'a> {
-    fn of(stmt: &'a StmtPoly) -> Self {
+    fn of(stmt: &'a StmtPoly) -> Result<Self, PolyError> {
         debug_assert_eq!(
             stmt.dims(),
             stmt.domain().dims(),
@@ -174,11 +221,11 @@ impl<'a> Item<'a> {
         };
         let bounds = stmt
             .domain()
-            .level_bounds()
+            .level_bounds()?
             .into_iter()
             .map(|(lbs, ubs)| (to_bounds(lbs), to_bounds(ubs)))
             .collect();
-        Item { stmt, bounds }
+        Ok(Item { stmt, bounds })
     }
 }
 
@@ -457,7 +504,7 @@ mod tests {
         let s = StmtPoly::new("S", &[("i", 0, 2), ("j", 0, 1)]);
         let mut b = AstBuilder::new();
         b.add_stmt(s);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         assert_eq!(ast.len(), 1);
         let inst = collect_instances(&ast);
         assert_eq!(inst.len(), 6);
@@ -468,10 +515,10 @@ mod tests {
     #[test]
     fn split_executes_original_instances_in_order() {
         let mut s = StmtPoly::new("S", &[("i", 0, 30)]);
-        s.split("i", 8, "i0", "i1");
+        s.split("i", 8, "i0", "i1").unwrap();
         let mut b = AstBuilder::new();
         b.add_stmt(s);
-        let inst = collect_instances(&b.build());
+        let inst = collect_instances(&b.build().unwrap());
         let values: Vec<i64> = inst.iter().map(|(_, v)| v[0]).collect();
         assert_eq!(values, (0..=30).collect::<Vec<_>>());
     }
@@ -479,10 +526,10 @@ mod tests {
     #[test]
     fn skewed_nest_executes_all_instances_once() {
         let mut s = StmtPoly::new("S", &[("t", 0, 3), ("i", 0, 3)]);
-        s.skew("t", "i", 1, "t2", "i2");
+        s.skew("t", "i", 1, "t2", "i2").unwrap();
         let mut b = AstBuilder::new();
         b.add_stmt(s);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         let inst = collect_instances(&ast);
         let set: BTreeSet<Vec<i64>> = inst.iter().map(|(_, v)| v.clone()).collect();
         assert_eq!(inst.len(), 16, "each instance exactly once");
@@ -497,10 +544,10 @@ mod tests {
     #[test]
     fn tiled_2d_executes_all_instances_once() {
         let mut s = StmtPoly::new("S", &[("i", 0, 6), ("j", 0, 9)]);
-        s.tile("i", "j", 4, 3, "i0", "j0", "i1", "j1");
+        s.tile("i", "j", 4, 3, "i0", "j0", "i1", "j1").unwrap();
         let mut b = AstBuilder::new();
         b.add_stmt(s);
-        let inst = collect_instances(&b.build());
+        let inst = collect_instances(&b.build().unwrap());
         assert_eq!(inst.len(), 70);
         let set: BTreeSet<Vec<i64>> = inst.iter().map(|(_, v)| v.clone()).collect();
         assert_eq!(set.len(), 70);
@@ -514,7 +561,7 @@ mod tests {
         let mut b = AstBuilder::new();
         b.add_stmt(s1);
         b.add_stmt(s2);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         assert_eq!(ast.len(), 2, "two separate loop nests");
         let inst = collect_instances(&ast);
         let names: Vec<&str> = inst.iter().map(|(n, _)| n.as_str()).collect();
@@ -529,7 +576,7 @@ mod tests {
         let mut b = AstBuilder::new();
         b.add_stmt(s1);
         b.add_stmt(s2);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         assert_eq!(ast.len(), 1, "single fused outer loop");
         let inst = collect_instances(&ast);
         // Per t: S1 over i, then S2 over m.
@@ -551,7 +598,7 @@ mod tests {
         let mut b = AstBuilder::new();
         b.add_stmt(s1);
         b.add_stmt(s2);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         assert_eq!(ast.len(), 1);
         let inst = collect_instances(&ast);
         let s1_count = inst.iter().filter(|(n, _)| n == "S1").count();
@@ -573,10 +620,10 @@ mod tests {
     #[test]
     fn display_renders_loops() {
         let mut s = StmtPoly::new("S", &[("i", 0, 7)]);
-        s.split("i", 4, "i0", "i1");
+        s.split("i", 4, "i0", "i1").unwrap();
         let mut b = AstBuilder::new();
         b.add_stmt(s);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         let text = ast[0].to_string();
         assert!(text.contains("for i0"), "got: {text}");
         assert!(text.contains("for i1"), "got: {text}");
@@ -588,7 +635,7 @@ mod tests {
         let s = StmtPoly::new("S", &[("i", 0, 2), ("j", 0, 2), ("k", 0, 2)]);
         let mut b = AstBuilder::new();
         b.add_stmt(s);
-        let ast = b.build();
+        let ast = b.build().unwrap();
         assert_eq!(ast[0].loop_depth(), 3);
     }
 }

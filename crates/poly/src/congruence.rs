@@ -65,7 +65,7 @@ pub fn range_over(e: &LinearExpr, domain: &[Constraint]) -> Option<(Option<i64>,
         .filter(|v| *v != T)
         .collect();
     let vars: Vec<&str> = vars.into_iter().collect();
-    let projected = match fm::try_eliminate_all(&cs, &vars) {
+    let projected = match fm::eliminate_all(&cs, &vars) {
         Ok(fm::Projection::Feasible(p)) => p,
         Ok(fm::Projection::Infeasible) | Err(_) => return None,
     };

@@ -1,7 +1,6 @@
 //! Affine constraints: equalities and inequalities over named dimensions.
 
 use crate::expr::LinearExpr;
-use crate::gcd;
 use crate::space::{DimId, PolyError};
 use std::collections::HashMap;
 use std::fmt;
@@ -95,25 +94,17 @@ impl Constraint {
     }
 
     /// Substitutes `name := replacement`.
-    pub fn substituted(&self, name: &str, replacement: &LinearExpr) -> Constraint {
-        Constraint {
-            expr: self.expr.substituted(name, replacement),
-            kind: self.kind,
-        }
-    }
-
-    /// Id-keyed, overflow-checked [`Constraint::substituted`].
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] on `i64` overflow.
-    pub fn try_substituted_id(
+    pub fn substituted(
         &self,
-        id: DimId,
+        name: &str,
         replacement: &LinearExpr,
     ) -> Result<Constraint, PolyError> {
         Ok(Constraint {
-            expr: self.expr.try_substituted_id(id, replacement)?,
+            expr: self.expr.substituted(name, replacement)?,
             kind: self.kind,
         })
     }
@@ -184,16 +175,6 @@ impl fmt::Display for Constraint {
             ConstraintKind::GeZero => write!(f, "{} >= 0", self.expr),
         }
     }
-}
-
-/// Checks whether the gcd of variable coefficients of an equality divides
-/// its constant — the classic GCD dependence/feasibility test.
-pub fn eq_has_integer_solutions(expr: &LinearExpr) -> bool {
-    let g = expr.coeff_gcd();
-    if g == 0 {
-        return expr.constant() == 0;
-    }
-    expr.constant() % gcd(g, 0) == 0 && expr.constant() % g == 0
 }
 
 #[cfg(test)]

@@ -11,10 +11,12 @@
 //! correspond to reuse carried by a loop (e.g. `q[i]` re-read along `j` in
 //! BICG), giving a minimal carried distance of one at that level.
 
+use crate::astbuild::{lower_at, upper_at};
 use crate::constraint::Constraint;
 use crate::expr::LinearExpr;
 use crate::fm;
 use crate::set::BasicSet;
+use crate::space::PolyError;
 use crate::vector::{Direction, DirectionVector, DistanceVector};
 use std::collections::HashMap;
 use std::fmt;
@@ -100,6 +102,20 @@ pub struct Dependence {
 }
 
 impl Dependence {
+    /// The conservative "may depend" answer for an analysis that could
+    /// not decide (its arithmetic left `i64`): a non-uniform dependence
+    /// of unknown direction carried at the outermost of `depth` levels
+    /// (loop-independent when there is no level).
+    pub fn unknown(kind: DepKind, array: &str, depth: usize) -> Dependence {
+        Dependence {
+            kind,
+            array: array.to_string(),
+            distance: None,
+            direction: DirectionVector(vec![Direction::Unknown; depth]),
+            carried_level: (depth > 0).then_some(0),
+        }
+    }
+
     /// True when the dependence is carried by some loop level.
     pub fn is_loop_carried(&self) -> bool {
         self.carried_level.is_some()
@@ -146,6 +162,13 @@ impl DependenceAnalysis {
     ///
     /// Returns one [`Dependence`] per *minimal* carried distance vector per
     /// carrying level, plus at most one loop-independent dependence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when the access constants, a
+    /// candidate distance or the domain's projection leave `i64`. The
+    /// analysis then cannot tell, and callers must read the pair as
+    /// dependent ([`Dependence::unknown`]), never as independent.
     pub fn analyze_pair(
         &self,
         src: &AccessFn,
@@ -153,9 +176,9 @@ impl DependenceAnalysis {
         kind: DepKind,
         dims: &[String],
         domain: &BasicSet,
-    ) -> Vec<Dependence> {
+    ) -> Result<Vec<Dependence>, PolyError> {
         if src.array != dst.array {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         debug_assert_eq!(
             src.indices.len(),
@@ -181,24 +204,24 @@ impl DependenceAnalysis {
             }
             a.push(row);
             // A·d = c_src - c_dst
-            b.push(es.constant() - ed.constant());
+            let delta = es.constant().checked_sub(ed.constant());
+            b.push(delta.ok_or(PolyError::Overflow)?);
         }
 
         if !uniform {
             return self.non_uniform_dependence(src, dst, kind, dims, domain);
         }
 
-        let Some((particular, nullspace)) = solve_integer_system(&a, &b) else {
-            return Vec::new(); // no integer solution: independent
+        let Some((particular, nullspace)) = solve_integer_system(&a, &b)? else {
+            return Ok(Vec::new()); // no integer solution: independent
         };
 
         // Keep lexicographically non-negative vectors that actually connect
         // two points of the domain; group by carrying level, keeping the
         // minimal carried distance. Rectangular domains get a constant-time
         // realizability check; others fall back to Fourier–Motzkin.
-        let ranges = domain
-            .rectangular_bounds()
-            .unwrap_or_else(|| midpoint_extents(dims, domain));
+        let rect = domain.rectangular_bounds();
+        let ranges = rect.map_or_else(|| midpoint_extents(dims, domain), Ok)?;
         let realizable = |d: &[i64]| -> bool {
             d.iter().zip(&ranges).all(|(&delta, &(lb, ub))| {
                 // i128: the extent of a domain near the i64 edges does
@@ -230,6 +253,13 @@ impl DependenceAnalysis {
         // Candidate distance vectors within the search radius, in odometer
         // order, each written into one reused buffer.
         let r = self.search_radius.max(1);
+        // Every candidate is `particular + Σ λ·v` with `|λ| <= r`: bound
+        // its components once, so the odometer adds unchecked.
+        let wide = |v: &[i64]| v.iter().map(|&x| i128::from(x).abs()).sum::<i128>();
+        let free = nullspace.iter().map(|v| wide(v)).sum::<i128>();
+        if wide(&particular) + i128::from(r) * free > i128::from(i64::MAX) {
+            return Err(PolyError::Overflow);
+        }
         if nullspace.is_empty() {
             consider(&particular);
         } else {
@@ -277,30 +307,39 @@ impl DependenceAnalysis {
                 });
             }
         }
-        out
+        Ok(out)
     }
 
     /// Exact check of `∃ s : s ∈ D and s + d ∈ D` for a concrete distance
     /// vector (Fourier–Motzkin feasibility). The analysis itself uses the
     /// cheaper per-dimension extent test; this is exposed for callers that
     /// need exactness on coupled domains.
-    pub fn distance_realizable(&self, d: &[i64], dims: &[String], domain: &BasicSet) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when a shifted constraint's
+    /// constant leaves `i64`: the distance may be realizable.
+    pub fn distance_realizable(
+        &self,
+        d: &[i64],
+        dims: &[String],
+        domain: &BasicSet,
+    ) -> Result<bool, PolyError> {
         let dim_ids: Vec<crate::DimId> = dims.iter().map(|s| crate::DimId::intern(s)).collect();
         let mut cs: Vec<Constraint> = domain.constraints().to_vec();
         for c in domain.constraints() {
             // Shift: substitute each dim x with (x + d_x). Shifting an
             // affine constraint only moves its constant, by coeff(x)*d_x.
             let mut shifted = c.clone();
-            let mut delta_const: i64 = 0;
             for (&id, &delta) in dim_ids.iter().zip(d) {
-                if delta != 0 {
-                    delta_const += shifted.expr.coeff_id(id) * delta;
-                }
+                let moved = shifted.expr.coeff_id(id).checked_mul(delta);
+                shifted
+                    .expr
+                    .add_constant(moved.ok_or(PolyError::Overflow)?)?;
             }
-            shifted.expr.add_constant(delta_const);
             cs.push(shifted);
         }
-        fm::feasible(&cs)
+        Ok(fm::feasible(&cs))
     }
 
     fn non_uniform_dependence(
@@ -310,7 +349,7 @@ impl DependenceAnalysis {
         kind: DepKind,
         dims: &[String],
         domain: &BasicSet,
-    ) -> Vec<Dependence> {
+    ) -> Result<Vec<Dependence>, PolyError> {
         // Conservative: check whether *any* pair of instances can touch the
         // same element; if so report an unknown-direction dependence
         // carried at the outermost level whose access rows differ.
@@ -319,19 +358,22 @@ impl DependenceAnalysis {
         for c in domain.constraints() {
             let mut shifted = c.clone();
             for (d, p) in dims.iter().zip(&primed) {
-                shifted = shifted.substituted(d, &LinearExpr::var(p));
+                shifted = shifted.substituted(d, &LinearExpr::var(p))?;
             }
             cs.push(shifted);
         }
         for (es, ed) in src.indices.iter().zip(&dst.indices) {
             let mut ed_primed = ed.clone();
             for (d, p) in dims.iter().zip(&primed) {
-                ed_primed = ed_primed.substituted(d, &LinearExpr::var(p));
+                ed_primed = ed_primed.substituted(d, &LinearExpr::var(p))?;
             }
-            cs.push(Constraint::eq(es.clone(), ed_primed));
+            // es == ed_primed
+            let mut same = es.clone();
+            same.add_scaled(&ed_primed, -1)?;
+            cs.push(Constraint::eq_zero(same));
         }
         if !fm::feasible(&cs) {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let level = (0..dims.len())
             .find(|&j| {
@@ -341,13 +383,9 @@ impl DependenceAnalysis {
                     .any(|(es, ed)| es.coeff(&dims[j]) != ed.coeff(&dims[j]))
             })
             .unwrap_or(0);
-        vec![Dependence {
-            kind,
-            array: src.array.clone(),
-            distance: None,
-            direction: DirectionVector(vec![Direction::Unknown; dims.len()]),
-            carried_level: Some(level),
-        }]
+        let mut dep = Dependence::unknown(kind, &src.array, dims.len());
+        dep.carried_level = Some(level);
+        Ok(vec![dep])
     }
 }
 
@@ -358,10 +396,10 @@ impl DependenceAnalysis {
 /// checking and II estimation. Bounds are evaluated in `i128` and
 /// clamped to `i64`, so a domain near the `i64` edges widens rather than
 /// overflows.
-fn midpoint_extents(dims: &[String], domain: &BasicSet) -> Vec<(i64, i64)> {
+fn midpoint_extents(dims: &[String], domain: &BasicSet) -> Result<Vec<(i64, i64)>, PolyError> {
     // One projection chain for all levels:
-    // `level_bounds()[dim_index(d)] == bounds_of(d)`.
-    let table = domain.level_bounds();
+    // `level_bounds()?[dim_index(d)] == bounds_of(d)?`.
+    let table = domain.level_bounds()?;
     let mut env: HashMap<String, i64> = HashMap::new();
     let mut out = Vec::with_capacity(dims.len());
     for d in dims {
@@ -371,49 +409,39 @@ fn midpoint_extents(dims: &[String], domain: &BasicSet) -> Vec<(i64, i64)> {
         let (lbs, ubs) = &table[idx];
         let lb = lbs
             .iter()
-            .map(|(e, dv)| eval_wide(e, &env).map_or(i64::MIN, |v| clamp(ceil_div_wide(v, *dv))))
+            .map(|(e, dv)| lower_at(e, *dv, &env))
             .max()
             .unwrap_or(0);
         let ub = ubs
             .iter()
-            .map(|(e, dv)| {
-                eval_wide(e, &env).map_or(i64::MAX, |v| clamp(v.div_euclid(i128::from(*dv))))
-            })
+            .map(|(e, dv)| upper_at(e, *dv, &env))
             .min()
             .unwrap_or(lb)
             .max(lb);
-        // i128: `lb + ub` leaves i64 for a domain near its edges; the
-        // midpoint itself lies between them.
-        env.insert(d.clone(), ((i128::from(lb) + i128::from(ub)) / 2) as i64);
+        env.insert(d.clone(), crate::midpoint(lb, ub));
         out.push((lb, ub));
     }
-    out
+    Ok(out)
 }
 
-/// [`LinearExpr::eval_partial`] in `i128`; `None` when even that
-/// overflows.
-fn eval_wide(e: &LinearExpr, env: &HashMap<String, i64>) -> Option<i128> {
-    e.terms_ids()
-        .iter()
-        .try_fold(i128::from(e.constant()), |v, &(id, c)| {
-            let x = env.get(id.name()).copied().unwrap_or(0);
-            v.checked_add(i128::from(c) * i128::from(x))
-        })
-}
-
-fn ceil_div_wide(a: i128, b: i64) -> i128 {
-    -((-a).div_euclid(i128::from(b)))
-}
-
-fn clamp(v: i128) -> i64 {
-    v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
-}
+/// An integer system's solutions: a particular solution and an integral
+/// nullspace basis.
+pub type IntegerSolution = (Vec<i64>, Vec<Vec<i64>>);
 
 /// Solves `A x = b` over the integers via rational Gaussian elimination.
 ///
-/// Returns `(particular_solution, nullspace_basis)` or `None` when no
+/// Returns `(particular_solution, nullspace_basis)`, or `None` when no
 /// integer solution exists. The nullspace basis vectors are integral.
-pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<Vec<i64>>)> {
+///
+/// # Errors
+///
+/// Returns [`PolyError::Overflow`] when the elimination's `i128`
+/// rationals, or a solution component, leave their range: the system's
+/// solvability is then unknown.
+pub fn solve_integer_system(
+    a: &[Vec<i64>],
+    b: &[i64],
+) -> Result<Option<IntegerSolution>, PolyError> {
     let m = a.len();
     let n = if m == 0 { 0 } else { a[0].len() };
     // Augmented rational matrix (num, den) with den > 0.
@@ -428,33 +456,28 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
         })
         .collect();
 
-    fn reduce(x: (i128, i128)) -> (i128, i128) {
-        let (mut num, mut den) = x;
-        if den < 0 {
-            num = -num;
-            den = -den;
-        }
+    fn reduce((num, den): (i128, i128)) -> Result<(i128, i128), PolyError> {
+        let (num, den) = (mul(num, den.signum())?, mul(den, den.signum())?);
         if num == 0 {
-            return (0, 1);
+            return Ok((0, 1));
         }
-        let g = {
-            let (mut a, mut b) = (num.abs(), den);
-            while b != 0 {
-                let t = a % b;
-                a = b;
-                b = t;
-            }
-            a
-        };
-        (num / g, den / g)
+        let g = gcd128(mul(num, num.signum())?, den);
+        Ok((num / g, den / g))
     }
-    fn sub_scaled(row: &mut [(i128, i128)], pivot_row: &[(i128, i128)], factor: (i128, i128)) {
+    fn sub_scaled(
+        row: &mut [(i128, i128)],
+        pivot_row: &[(i128, i128)],
+        factor: (i128, i128),
+    ) -> Result<(), PolyError> {
         for (x, p) in row.iter_mut().zip(pivot_row) {
             // x -= factor * p
-            let num = x.0 * factor.1 * p.1 - factor.0 * p.0 * x.1;
-            let den = x.1 * factor.1 * p.1;
-            *x = reduce((num, den));
+            let num = sub(
+                mul(mul(x.0, factor.1)?, p.1)?,
+                mul(mul(factor.0, p.0)?, x.1)?,
+            )?;
+            *x = reduce((num, mul(mul(x.1, factor.1)?, p.1)?))?;
         }
+        Ok(())
     }
 
     // Pick pivots preferring |entry| == 1 (then the smallest magnitude):
@@ -465,7 +488,7 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
     let mut pivot_cols: Vec<usize> = Vec::new();
     let mut row = 0;
     while row < m {
-        let mut best: Option<(usize, usize, i128)> = None; // (row, col, |num/den| rank)
+        let mut best: Option<(usize, usize, u128)> = None; // (row, col, |num/den| rank)
         #[allow(clippy::needless_range_loop)] // pivot search reads (r, col) pairs
         for col in 0..n {
             if pivot_cols.contains(&col) {
@@ -476,8 +499,8 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
                 if num == 0 {
                     continue;
                 }
-                let exact_one = num.abs() == den;
-                let rank = if exact_one { 0 } else { num.abs().max(den) };
+                let (num, den) = (num.unsigned_abs(), den.unsigned_abs());
+                let rank = if num == den { 0 } else { num.max(den) };
                 if best.map(|(_, _, b)| rank < b).unwrap_or(true) {
                     best = Some((r, col, rank));
                 }
@@ -490,9 +513,9 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
         // Normalize pivot row so pivot == 1.
         let pivot = mat[row][col];
         for x in &mut mat[row] {
-            let num = x.0 * pivot.1;
-            let den = x.1 * pivot.0;
-            *x = reduce((num, den));
+            let num = mul(x.0, pivot.1)?;
+            let den = mul(x.1, pivot.0)?;
+            *x = reduce((num, den))?;
         }
         // Eliminate in all other rows.
         for r in 0..m {
@@ -502,7 +525,7 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
             let f = mat[r][col];
             if f.0 != 0 {
                 let pivot_row = mat[row].clone();
-                sub_scaled(&mut mat[r], &pivot_row, f);
+                sub_scaled(&mut mat[r], &pivot_row, f)?;
             }
         }
         pivot_cols.push(col);
@@ -512,7 +535,7 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
     // Inconsistency check: zero row with non-zero rhs.
     for mrow in mat.iter().take(m).skip(row) {
         if mrow[..n].iter().all(|x| x.0 == 0) && mrow[n].0 != 0 {
-            return None;
+            return Ok(None);
         }
     }
 
@@ -523,7 +546,7 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
     // (an integer solution with small components exists for every uniform
     // dependence we care about, and the transformed domain bounds keep
     // interesting distances small).
-    let pivot_value = |r: usize, frees: &[i64]| -> Option<i64> {
+    let pivot_value = |r: usize, frees: &[i64]| -> Result<Option<i64>, PolyError> {
         // x_pc = rhs - sum_fc mat[r][fc] * t_fc, all over den.
         let (bn, bd) = mat[r][n];
         let mut num = bn;
@@ -531,32 +554,42 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
         for (&fc, &t) in free_cols.iter().zip(frees) {
             let (fn_, fd) = mat[r][fc];
             // num/den -= fn_/fd * t
-            num = num * fd - fn_ * t as i128 * den;
-            den *= fd;
+            let keep = mul(num, fd)?;
+            let take = mul(mul(fn_, t as i128)?, den)?;
+            num = sub(keep, take)?;
+            den = mul(den, fd)?;
         }
         if den < 0 {
-            num = -num;
-            den = -den;
+            num = mul(num, -1)?;
+            den = mul(den, -1)?;
         }
-        (num % den == 0).then(|| i64::try_from(num / den).ok())?
+        if num % den != 0 {
+            return Ok(None);
+        }
+        i64::try_from(num / den)
+            .map(Some)
+            .map_err(|_| PolyError::Overflow)
     };
-    let try_assignment = |frees: &[i64]| -> Option<Vec<i64>> {
+    let assignment = |frees: &[i64]| -> Result<Option<Vec<i64>>, PolyError> {
         let mut x = vec![0i64; n];
         for (&fc, &t) in free_cols.iter().zip(frees) {
             x[fc] = t;
         }
         for (r, &pc) in pivot_cols.iter().enumerate() {
-            x[pc] = pivot_value(r, frees)?;
+            let Some(v) = pivot_value(r, frees)? else {
+                return Ok(None);
+            };
+            x[pc] = v;
         }
-        Some(x)
+        Ok(Some(x))
     };
-    let mut particular = try_assignment(&vec![0; free_cols.len()]);
+    let mut particular = assignment(&vec![0; free_cols.len()])?;
     if particular.is_none() && !free_cols.is_empty() {
         const RADIUS: i64 = 4;
         let k = free_cols.len();
         let mut t = vec![-RADIUS; k];
         'search: loop {
-            if let Some(x) = try_assignment(&t) {
+            if let Some(x) = assignment(&t)? {
                 particular = Some(x);
                 break;
             }
@@ -574,35 +607,49 @@ pub fn solve_integer_system(a: &[Vec<i64>], b: &[i64]) -> Option<(Vec<i64>, Vec<
             }
         }
     }
-    let particular = particular?;
+    let Some(particular) = particular else {
+        return Ok(None);
+    };
 
     // Nullspace basis: one vector per free column, scaled to integers.
     let mut basis = Vec::with_capacity(free_cols.len());
+    let narrow = |v: i128| i64::try_from(v).map_err(|_| PolyError::Overflow);
     for &fc in &free_cols {
         // x_fc = t; pivots: x_pc = -mat[r][fc] * t.
         let mut denom_lcm: i128 = 1;
         for (r, _) in pivot_cols.iter().enumerate() {
             let (_, den) = mat[r][fc];
-            let g = {
-                let (mut a, mut b) = (denom_lcm, den);
-                while b != 0 {
-                    let t = a % b;
-                    a = b;
-                    b = t;
-                }
-                a
-            };
-            denom_lcm = denom_lcm / g * den;
+            denom_lcm = mul(denom_lcm / gcd128(denom_lcm, den), den)?;
         }
         let mut v = vec![0i64; n];
-        v[fc] = i64::try_from(denom_lcm).ok()?;
+        v[fc] = narrow(denom_lcm)?;
         for (r, &pc) in pivot_cols.iter().enumerate() {
             let (num, den) = mat[r][fc];
-            v[pc] = i64::try_from(-num * (denom_lcm / den)).ok()?;
+            v[pc] = narrow(mul(mul(num, -1)?, denom_lcm / den)?)?;
         }
         basis.push(v);
     }
-    Some((particular, basis))
+    Ok(Some((particular, basis)))
+}
+
+fn mul(a: i128, b: i128) -> Result<i128, PolyError> {
+    // Two factors in `i64` range cannot overflow, and skip the checked
+    // `i128` multiply (a call).
+    if i64::try_from(a).is_ok() && i64::try_from(b).is_ok() {
+        return Ok(a * b);
+    }
+    a.checked_mul(b).ok_or(PolyError::Overflow)
+}
+
+fn sub(a: i128, b: i128) -> Result<i128, PolyError> {
+    a.checked_sub(b).ok_or(PolyError::Overflow)
+}
+
+fn gcd128(mut a: i128, mut b: i128) -> i128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 #[cfg(test)]
@@ -618,7 +665,7 @@ mod tests {
         // d1 = 1, d2 = 1 (Fig. 1: A[i][j] vs A[i-1][j-1]).
         let a = vec![vec![1, 0], vec![0, 1]];
         let b = vec![1, 1];
-        let (p, ns) = solve_integer_system(&a, &b).expect("solvable");
+        let (p, ns) = solve_integer_system(&a, &b).unwrap().expect("solvable");
         assert_eq!(p, vec![1, 1]);
         assert!(ns.is_empty());
     }
@@ -629,7 +676,7 @@ mod tests {
         // k column -> nullspace e_k.
         let a = vec![vec![1, 0, 0], vec![0, 1, 0]];
         let b = vec![0, 0];
-        let (p, ns) = solve_integer_system(&a, &b).expect("solvable");
+        let (p, ns) = solve_integer_system(&a, &b).unwrap().expect("solvable");
         assert_eq!(p, vec![0, 0, 0]);
         assert_eq!(ns, vec![vec![0, 0, 1]]);
     }
@@ -638,7 +685,7 @@ mod tests {
     fn solve_inconsistent_system() {
         let a = vec![vec![1, 0], vec![1, 0]];
         let b = vec![0, 1];
-        assert!(solve_integer_system(&a, &b).is_none());
+        assert_eq!(solve_integer_system(&a, &b), Ok(None));
     }
 
     #[test]
@@ -646,7 +693,7 @@ mod tests {
         // 2d = 1 has no integer solution.
         let a = vec![vec![2]];
         let b = vec![1];
-        assert!(solve_integer_system(&a, &b).is_none());
+        assert_eq!(solve_integer_system(&a, &b), Ok(None));
     }
 
     #[test]
@@ -659,8 +706,9 @@ mod tests {
             "A",
             vec![LinearExpr::var("i") - 1, LinearExpr::var("j") - 1],
         );
-        let deps =
-            DependenceAnalysis::new().analyze_pair(&write, &read, DepKind::Flow, &d, &domain);
+        let deps = DependenceAnalysis::new()
+            .analyze_pair(&write, &read, DepKind::Flow, &d, &domain)
+            .unwrap();
         assert_eq!(deps.len(), 1);
         let dep = &deps[0];
         assert_eq!(dep.distance, Some(DistanceVector(vec![1, 1])));
@@ -674,7 +722,9 @@ mod tests {
         let d = dims(&["i", "j", "k"]);
         let domain = BasicSet::from_bounds(&[("i", 0, 31), ("j", 0, 31), ("k", 0, 31)]);
         let acc = AccessFn::new("C", vec![LinearExpr::var("i"), LinearExpr::var("j")]);
-        let deps = DependenceAnalysis::new().analyze_pair(&acc, &acc, DepKind::Flow, &d, &domain);
+        let deps = DependenceAnalysis::new()
+            .analyze_pair(&acc, &acc, DepKind::Flow, &d, &domain)
+            .unwrap();
         // Loop-independent (same iteration) + carried at k with distance 1.
         assert!(deps
             .iter()
@@ -692,7 +742,9 @@ mod tests {
         let d = dims(&["i", "j"]);
         let domain = BasicSet::from_bounds(&[("i", 0, 31), ("j", 0, 31)]);
         let acc = AccessFn::new("q", vec![LinearExpr::var("i")]);
-        let deps = DependenceAnalysis::new().analyze_pair(&acc, &acc, DepKind::Flow, &d, &domain);
+        let deps = DependenceAnalysis::new()
+            .analyze_pair(&acc, &acc, DepKind::Flow, &d, &domain)
+            .unwrap();
         let carried: Vec<_> = deps.iter().filter(|x| x.is_loop_carried()).collect();
         assert!(carried
             .iter()
@@ -708,8 +760,12 @@ mod tests {
         let read_n = AccessFn::new("A", vec![LinearExpr::var("i") - 1, LinearExpr::var("j")]);
         let read_w = AccessFn::new("A", vec![LinearExpr::var("i"), LinearExpr::var("j") - 1]);
         let an = DependenceAnalysis::new();
-        let dn = an.analyze_pair(&write, &read_n, DepKind::Flow, &d, &domain);
-        let dw = an.analyze_pair(&write, &read_w, DepKind::Flow, &d, &domain);
+        let dn = an
+            .analyze_pair(&write, &read_n, DepKind::Flow, &d, &domain)
+            .unwrap();
+        let dw = an
+            .analyze_pair(&write, &read_w, DepKind::Flow, &d, &domain)
+            .unwrap();
         assert!(dn
             .iter()
             .any(|x| x.distance == Some(DistanceVector(vec![1, 0]))));
@@ -727,8 +783,9 @@ mod tests {
         let domain = BasicSet::from_bounds(&[("i", 0, 1)]);
         let write = AccessFn::new("A", vec![LinearExpr::var("i")]);
         let read = AccessFn::new("A", vec![LinearExpr::var("i") - 2]);
-        let deps =
-            DependenceAnalysis::new().analyze_pair(&write, &read, DepKind::Flow, &d, &domain);
+        let deps = DependenceAnalysis::new()
+            .analyze_pair(&write, &read, DepKind::Flow, &d, &domain)
+            .unwrap();
         assert!(deps.is_empty());
     }
 
@@ -740,6 +797,7 @@ mod tests {
         let b = AccessFn::new("B", vec![LinearExpr::var("i")]);
         assert!(DependenceAnalysis::new()
             .analyze_pair(&a, &b, DepKind::Flow, &d, &domain)
+            .unwrap()
             .is_empty());
     }
 
@@ -750,7 +808,9 @@ mod tests {
         let domain = BasicSet::from_bounds(&[("i", 0, 7), ("j", 0, 7)]);
         let w = AccessFn::new("A", vec![LinearExpr::var("i"), LinearExpr::var("j")]);
         let r = AccessFn::new("A", vec![LinearExpr::var("j"), LinearExpr::var("i")]);
-        let deps = DependenceAnalysis::new().analyze_pair(&w, &r, DepKind::Flow, &d, &domain);
+        let deps = DependenceAnalysis::new()
+            .analyze_pair(&w, &r, DepKind::Flow, &d, &domain)
+            .unwrap();
         assert_eq!(deps.len(), 1);
         assert!(deps[0].distance.is_none());
         assert_eq!(deps[0].direction.0[0], Direction::Unknown);
@@ -771,13 +831,43 @@ mod tests {
             assert!(domain.rectangular_bounds().is_none());
             let store = AccessFn::new("A", vec![LinearExpr::var("mj")]);
             let load = AccessFn::new("A", vec![LinearExpr::var("mj") - 1]);
-            DependenceAnalysis::new().analyze_pair(&store, &load, DepKind::Flow, &d, &domain)
+            DependenceAnalysis::new()
+                .analyze_pair(&store, &load, DepKind::Flow, &d, &domain)
+                .unwrap()
         };
         let edge = analyze(1 << 62);
         assert_eq!(edge, analyze(0));
         assert!(edge
             .iter()
             .any(|x| x.distance == Some(DistanceVector(vec![0, 1]))));
+    }
+
+    /// Access constants whose difference leaves `i64`: the analysis
+    /// reports the overflow, where unchecked arithmetic panicked (dev
+    /// profile) or wrapped into a right-hand side whose empty solution
+    /// read as "independent" (release). `distance_realizable` likewise.
+    #[test]
+    fn overflowing_access_constants_are_an_error_not_independence() {
+        let d = dims(&["oi"]);
+        let domain = BasicSet::from_bounds(&[("oi", 0, 7)]);
+        let store = AccessFn::new("A", vec![LinearExpr::var("oi") + i64::MAX]);
+        let load = AccessFn::new("A", vec![LinearExpr::var("oi") - 2]);
+        let an = DependenceAnalysis::new();
+        assert_eq!(
+            an.analyze_pair(&store, &load, DepKind::Flow, &d, &domain),
+            Err(PolyError::Overflow)
+        );
+        let wide = BasicSet::from_bounds(&[("oi", 0, 7)]).with_le(
+            LinearExpr::term("oi", i64::MAX / 2),
+            LinearExpr::constant_expr(0),
+        );
+        assert_eq!(
+            an.distance_realizable(&[4], &d, &wide),
+            Err(PolyError::Overflow)
+        );
+        assert_eq!(an.distance_realizable(&[1], &d, &domain), Ok(true));
+        let unknown = Dependence::unknown(DepKind::Flow, "A", 1);
+        assert_eq!((unknown.distance, unknown.carried_level), (None, Some(0)));
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! unchanged; id-keyed twins (`coeff_id`, `set_coeff_id`, …) serve the
 //! hot paths.
 //!
-//! All arithmetic is overflow-checked: the `try_*` methods surface
-//! [`PolyError::Overflow`], and the operator impls panic instead of
-//! silently wrapping.
+//! All arithmetic is overflow-checked. The named operations
+//! ([`LinearExpr::add_scaled`], [`LinearExpr::mul_assign`], the
+//! substitutions) return [`PolyError::Overflow`]; the operator impls
+//! (`+`, `-`, `*`, unary `-`), which build expressions from literals,
+//! panic instead of silently wrapping.
 
 use crate::space::{DimId, PolyError};
 use std::collections::HashMap;
@@ -205,13 +207,6 @@ impl LinearExpr {
         e
     }
 
-    /// A single interned variable scaled by `coeff`.
-    pub fn term_id(id: DimId, coeff: i64) -> Self {
-        let mut e = LinearExpr::zero();
-        e.set_coeff_id(id, coeff);
-        e
-    }
-
     #[inline]
     fn position(&self, id: DimId) -> Result<usize, usize> {
         self.terms.as_slice().binary_search_by_key(&id, |&(d, _)| d)
@@ -268,11 +263,14 @@ impl LinearExpr {
     }
 
     /// Adds `delta` to the constant term.
-    pub fn add_constant(&mut self, delta: i64) {
-        self.constant = self
-            .constant
-            .checked_add(delta)
-            .unwrap_or_else(|| panic!("{}", PolyError::Overflow));
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when the constant leaves `i64`.
+    pub fn add_constant(&mut self, delta: i64) -> Result<(), PolyError> {
+        let sum = self.constant.checked_add(delta);
+        self.constant = sum.ok_or(PolyError::Overflow)?;
+        Ok(())
     }
 
     /// Iterates over `(name, coeff)` pairs with non-zero coefficients, in
@@ -342,7 +340,7 @@ impl LinearExpr {
     ///
     /// Returns [`PolyError::Overflow`] when any coefficient or the
     /// constant leaves `i64` range; `self` may be partially updated.
-    pub fn try_add_scaled(&mut self, rhs: &LinearExpr, k: i64) -> Result<(), PolyError> {
+    pub fn add_scaled(&mut self, rhs: &LinearExpr, k: i64) -> Result<(), PolyError> {
         if k == 0 {
             return Ok(());
         }
@@ -370,7 +368,7 @@ impl LinearExpr {
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] on `i64` overflow.
-    pub fn try_mul_assign(&mut self, k: i64) -> Result<(), PolyError> {
+    pub fn mul_assign(&mut self, k: i64) -> Result<(), PolyError> {
         if k == 0 {
             self.terms.clear();
             self.constant = 0;
@@ -383,26 +381,37 @@ impl LinearExpr {
         Ok(())
     }
 
-    /// Replaces every occurrence of `name` with `replacement`, checking
-    /// for coefficient overflow.
+    /// Replaces every occurrence of `name` with `replacement`.
+    ///
+    /// ```
+    /// use pom_poly::LinearExpr;
+    /// // i := 8*i0 + i1 applied to (i + 1)
+    /// let e = LinearExpr::var("i") + 1;
+    /// let rep = LinearExpr::term("i0", 8) + LinearExpr::var("i1");
+    /// assert_eq!(e.substituted("i", &rep).unwrap().to_string(), "8*i0 + i1 + 1");
+    /// ```
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] when the substitution's scaled
     /// addition leaves `i64` range (e.g. a near-`i64::MAX` skew factor).
-    pub fn try_substituted(
+    pub fn substituted(
         &self,
         name: &str,
         replacement: &LinearExpr,
     ) -> Result<LinearExpr, PolyError> {
         match DimId::lookup(name) {
-            Some(id) => self.try_substituted_id(id, replacement),
+            Some(id) => self.substituted_id(id, replacement),
             None => Ok(self.clone()),
         }
     }
 
-    /// Id-keyed [`LinearExpr::try_substituted`].
-    pub fn try_substituted_id(
+    /// Id-keyed [`LinearExpr::substituted`].
+    ///
+    /// # Errors
+    ///
+    /// As [`LinearExpr::substituted`].
+    pub fn substituted_id(
         &self,
         id: DimId,
         replacement: &LinearExpr,
@@ -413,27 +422,8 @@ impl LinearExpr {
         }
         let mut out = self.clone();
         out.set_coeff_id(id, 0);
-        out.try_add_scaled(replacement, c)?;
+        out.add_scaled(replacement, c)?;
         Ok(out)
-    }
-
-    /// Replaces every occurrence of `name` with `replacement`.
-    ///
-    /// ```
-    /// use pom_poly::LinearExpr;
-    /// // i := 8*i0 + i1 applied to (i + 1)
-    /// let e = LinearExpr::var("i") + 1;
-    /// let rep = LinearExpr::term("i0", 8) + LinearExpr::var("i1");
-    /// assert_eq!(e.substituted("i", &rep).to_string(), "8*i0 + i1 + 1");
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics on `i64` overflow; use [`LinearExpr::try_substituted`] to
-    /// handle [`PolyError::Overflow`] instead.
-    pub fn substituted(&self, name: &str, replacement: &LinearExpr) -> LinearExpr {
-        self.try_substituted(name, replacement)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Simultaneously substitutes several dimensions. Unlike chained
@@ -444,10 +434,7 @@ impl LinearExpr {
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] on `i64` overflow.
-    pub fn try_substituted_many(
-        &self,
-        subs: &[(DimId, &LinearExpr)],
-    ) -> Result<LinearExpr, PolyError> {
+    pub fn substituted_many(&self, subs: &[(DimId, &LinearExpr)]) -> Result<LinearExpr, PolyError> {
         let mut out = self.clone();
         let mut touched = false;
         for &(id, rep) in subs {
@@ -463,7 +450,7 @@ impl LinearExpr {
                 }
                 touched = true;
             }
-            out.try_add_scaled(rep, c)?;
+            out.add_scaled(rep, c)?;
         }
         Ok(out)
     }
@@ -559,11 +546,14 @@ impl From<&LinearExpr> for LinearExpr {
     }
 }
 
+/// The operators build expressions from literals, so a result outside
+/// `i64` is a bug in the caller, not an input to report.
+const OPERATOR_OVERFLOW: &str = "LinearExpr operator overflowed i64";
+
 impl Add for LinearExpr {
     type Output = LinearExpr;
     fn add(mut self, rhs: LinearExpr) -> LinearExpr {
-        self.try_add_scaled(&rhs, 1)
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.add_scaled(&rhs, 1).expect(OPERATOR_OVERFLOW);
         self
     }
 }
@@ -571,7 +561,7 @@ impl Add for LinearExpr {
 impl Add<i64> for LinearExpr {
     type Output = LinearExpr;
     fn add(mut self, rhs: i64) -> LinearExpr {
-        self.add_constant(rhs);
+        self.add_constant(rhs).expect(OPERATOR_OVERFLOW);
         self
     }
 }
@@ -579,8 +569,7 @@ impl Add<i64> for LinearExpr {
 impl Sub for LinearExpr {
     type Output = LinearExpr;
     fn sub(mut self, rhs: LinearExpr) -> LinearExpr {
-        self.try_add_scaled(&rhs, -1)
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.add_scaled(&rhs, -1).expect(OPERATOR_OVERFLOW);
         self
     }
 }
@@ -588,10 +577,8 @@ impl Sub for LinearExpr {
 impl Sub<i64> for LinearExpr {
     type Output = LinearExpr;
     fn sub(mut self, rhs: i64) -> LinearExpr {
-        self.add_constant(
-            rhs.checked_neg()
-                .unwrap_or_else(|| panic!("{}", PolyError::Overflow)),
-        );
+        self.add_constant(rhs.checked_neg().expect(OPERATOR_OVERFLOW))
+            .expect(OPERATOR_OVERFLOW);
         self
     }
 }
@@ -599,7 +586,7 @@ impl Sub<i64> for LinearExpr {
 impl Neg for LinearExpr {
     type Output = LinearExpr;
     fn neg(mut self) -> LinearExpr {
-        self.try_mul_assign(-1).unwrap_or_else(|e| panic!("{e}"));
+        self.mul_assign(-1).expect(OPERATOR_OVERFLOW);
         self
     }
 }
@@ -607,7 +594,7 @@ impl Neg for LinearExpr {
 impl Mul<i64> for LinearExpr {
     type Output = LinearExpr;
     fn mul(mut self, rhs: i64) -> LinearExpr {
-        self.try_mul_assign(rhs).unwrap_or_else(|e| panic!("{e}"));
+        self.mul_assign(rhs).expect(OPERATOR_OVERFLOW);
         self
     }
 }
@@ -632,7 +619,7 @@ impl fmt::Display for LinearExpr {
                 first = false;
             } else {
                 let sign = if c < 0 { "-" } else { "+" };
-                let a = c.abs();
+                let a = c.unsigned_abs();
                 if a == 1 {
                     write!(f, " {sign} {name}")?;
                 } else {
@@ -644,7 +631,7 @@ impl fmt::Display for LinearExpr {
             if first {
                 write!(f, "{}", self.constant)?;
             } else if self.constant < 0 {
-                write!(f, " - {}", -self.constant)?;
+                write!(f, " - {}", self.constant.unsigned_abs())?;
             } else {
                 write!(f, " + {}", self.constant)?;
             }
@@ -706,7 +693,7 @@ mod tests {
         // i := 8*i0 + i1 into 2*i + 5
         let e = LinearExpr::var("i") * 2 + 5;
         let rep = LinearExpr::term("i0", 8) + LinearExpr::var("i1");
-        let s = e.substituted("i", &rep);
+        let s = e.substituted("i", &rep).unwrap();
         assert_eq!(s.coeff("i0"), 16);
         assert_eq!(s.coeff("i1"), 2);
         assert_eq!(s.constant(), 5);
@@ -715,7 +702,7 @@ mod tests {
     #[test]
     fn substitution_is_noop_without_var() {
         let e = LinearExpr::var("j") + 1;
-        let s = e.substituted("i", &LinearExpr::constant_expr(7));
+        let s = e.substituted("i", &LinearExpr::constant_expr(7)).unwrap();
         assert_eq!(s, e);
     }
 
@@ -782,12 +769,12 @@ mod tests {
     fn overflow_is_reported_not_wrapped() {
         let big = LinearExpr::var("i") * (i64::MAX / 2);
         let mut doubled = big.clone();
-        assert_eq!(doubled.try_add_scaled(&big, 3), Err(PolyError::Overflow));
+        assert_eq!(doubled.add_scaled(&big, 3), Err(PolyError::Overflow));
         let e = LinearExpr::var("j");
         let rep = LinearExpr::var("i") * (i64::MAX / 2);
         // j := rep scaled by 4 overflows.
         let source = LinearExpr::var("j") * 4;
-        assert_eq!(source.try_substituted("j", &rep), Err(PolyError::Overflow));
-        assert!(e.try_substituted("j", &rep).is_ok());
+        assert_eq!(source.substituted("j", &rep), Err(PolyError::Overflow));
+        assert!(e.substituted("j", &rep).is_ok());
     }
 }

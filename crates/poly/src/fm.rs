@@ -20,8 +20,8 @@
 //! * repeated projections are answered from a per-thread memo keyed by
 //!   the exact (simplified system, eliminated dim) pair — exact keys, not
 //!   fingerprints, so a hash collision can never change a result;
-//! * all coefficient arithmetic is overflow-checked and surfaces
-//!   [`PolyError::Overflow`] through the `try_*` entry points.
+//! * all coefficient arithmetic is overflow-checked and surfaces as
+//!   [`PolyError::Overflow`].
 //!
 //! Every step is instrumented through [`crate::stats`].
 
@@ -218,7 +218,7 @@ fn eliminate_uncached(
     scratch: &mut Scratch,
 ) -> Result<Projection, PolyError> {
     // 1. Try equality substitution: find an equality a*var + rest == 0.
-    if let Some(cs) = try_equality_substitution(cs, var)? {
+    if let Some(cs) = equality_substitution(cs, var)? {
         return Ok(match simplify(&cs) {
             Some(cs) => Projection::Feasible(cs),
             None => Projection::Infeasible,
@@ -250,7 +250,7 @@ fn eliminate_uncached(
             others.set_coeff_id(var, 0);
             if a > 0 {
                 // a*var + others >= 0  =>  a*var >= -others
-                others.try_mul_assign(-1)?;
+                others.mul_assign(-1)?;
                 lowers.push((a, others));
             } else {
                 // a*var + others >= 0  =>  (-a)*var <= others
@@ -267,7 +267,7 @@ fn eliminate_uncached(
                 if c.expr.uses_id(var) {
                     push_ineq(&c.expr, var, lowers, uppers, rest)?;
                     let mut neg = c.expr.clone();
-                    neg.try_mul_assign(-1)?;
+                    neg.mul_assign(-1)?;
                     push_ineq(&neg, var, lowers, uppers, rest)?;
                 } else {
                     rest.push(c.clone());
@@ -283,8 +283,8 @@ fn eliminate_uncached(
     for (a, lo) in lowers.iter() {
         for (b, hi) in uppers.iter() {
             let mut combined = hi.clone();
-            combined.try_mul_assign(*a)?;
-            combined.try_add_scaled(lo, b.checked_neg().ok_or(PolyError::Overflow)?)?;
+            combined.mul_assign(*a)?;
+            combined.add_scaled(lo, b.checked_neg().ok_or(PolyError::Overflow)?)?;
             rest.push(Constraint::ge_zero(combined));
         }
     }
@@ -310,20 +310,11 @@ fn prepare(constraints: &[Constraint]) -> Option<Vec<Constraint>> {
 ///
 /// Returns [`PolyError::Overflow`] when a combination coefficient leaves
 /// `i64` range.
-pub fn try_eliminate(constraints: &[Constraint], var: &str) -> Result<Projection, PolyError> {
+pub fn eliminate(constraints: &[Constraint], var: &str) -> Result<Projection, PolyError> {
     let Some(cs) = prepare(constraints) else {
         return Ok(Projection::Infeasible);
     };
     eliminate_prepared(&cs, DimId::intern(var), &mut Scratch::default())
-}
-
-/// Infallible [`try_eliminate`].
-///
-/// # Panics
-///
-/// Panics on `i64` overflow.
-pub fn eliminate(constraints: &[Constraint], var: &str) -> Projection {
-    try_eliminate(constraints, var).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Eliminates several variables in order.
@@ -332,10 +323,7 @@ pub fn eliminate(constraints: &[Constraint], var: &str) -> Projection {
 ///
 /// Returns [`PolyError::Overflow`] when a combination coefficient leaves
 /// `i64` range.
-pub fn try_eliminate_all(
-    constraints: &[Constraint],
-    vars: &[&str],
-) -> Result<Projection, PolyError> {
+pub fn eliminate_all(constraints: &[Constraint], vars: &[&str]) -> Result<Projection, PolyError> {
     let Some(cs) = prepare(constraints) else {
         return Ok(Projection::Infeasible);
     };
@@ -357,7 +345,7 @@ impl Prepared {
         prepare(constraints).map(Prepared)
     }
 
-    /// [`try_eliminate_all`] of the prepared system, in `vars` order:
+    /// [`eliminate_all`] of the prepared system, in `vars` order:
     /// `None` when infeasible. Eliminating nothing borrows the rows.
     pub(crate) fn eliminate_all(
         &self,
@@ -436,15 +424,6 @@ fn exact_step(cs: &[Constraint], var: DimId) -> bool {
     unit_lowers || unit_uppers
 }
 
-/// Infallible [`try_eliminate_all`].
-///
-/// # Panics
-///
-/// Panics on `i64` overflow.
-pub fn eliminate_all(constraints: &[Constraint], vars: &[&str]) -> Projection {
-    try_eliminate_all(constraints, vars).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Rational + GCD feasibility check: eliminates every variable and checks
 /// the residual constant constraints. Sound for "infeasible" answers;
 /// "feasible" is exact whenever every elimination had a unit coefficient
@@ -473,13 +452,13 @@ pub fn feasible(constraints: &[Constraint]) -> bool {
         match eliminate_prepared(&cur, v, &mut scratch) {
             Ok(Projection::Feasible(cs)) => cur = cs,
             Ok(Projection::Infeasible) => return false,
-            Err(PolyError::Overflow) => return true,
+            Err(_) => return true,
         }
     }
     cur.iter().all(|c| !c.is_trivially_false())
 }
 
-fn try_equality_substitution(
+fn equality_substitution(
     cs: &[Constraint],
     var: DimId,
 ) -> Result<Option<Vec<Constraint>>, PolyError> {
@@ -495,13 +474,14 @@ fn try_equality_substitution(
     // a*var + rest == 0 => var = -rest / a; with |a| == 1: var = -a * rest.
     let mut replacement = eqc.expr.clone();
     replacement.set_coeff_id(var, 0);
-    replacement.try_mul_assign(-a)?; // a is ±1 so this is exact
+    replacement.mul_assign(-a)?; // a is ±1 so this is exact
     let mut out = Vec::with_capacity(cs.len() - 1);
     for (i, c) in cs.iter().enumerate() {
         if i == pos {
             continue;
         }
-        out.push(c.try_substituted_id(var, &replacement)?);
+        let expr = c.expr.substituted_id(var, &replacement)?;
+        out.push(Constraint { expr, kind: c.kind });
     }
     Ok(Some(out))
 }
@@ -529,7 +509,7 @@ mod tests {
             Constraint::ge(var("j"), cst(0)),
             Constraint::le(var("j"), cst(5)),
         ];
-        let Projection::Feasible(out) = eliminate(&cs, "j") else {
+        let Ok(Projection::Feasible(out)) = eliminate(&cs, "j") else {
             panic!("expected feasible");
         };
         // The resulting system must admit i in 0..=3 and nothing else.
@@ -548,7 +528,7 @@ mod tests {
             Constraint::ge(var("x") * 2, var("i")),
             Constraint::le(var("x"), cst(3)),
         ];
-        let Projection::Feasible(out) = eliminate(&cs, "x") else {
+        let Ok(Projection::Feasible(out)) = eliminate(&cs, "x") else {
             panic!("expected feasible");
         };
         let pt_ok: std::collections::HashMap<String, i64> =
@@ -596,7 +576,7 @@ mod tests {
             Constraint::ge(var("i"), cst(0)),
             Constraint::le(var("i"), cst(31)),
         ];
-        let out = eliminate_all(&cs, &["i", "i1"]).into_constraints();
+        let out = eliminate_all(&cs, &["i", "i1"]).unwrap().into_constraints();
         for i0 in -2..=6 {
             let pt: std::collections::HashMap<String, i64> =
                 [("i0".to_string(), i0)].into_iter().collect();
@@ -615,7 +595,7 @@ mod tests {
             Constraint::ge(var("s"), var("t")),
             Constraint::le(var("s"), var("t") + 5),
         ];
-        let out = eliminate(&cs, "s").into_constraints();
+        let out = eliminate(&cs, "s").unwrap().into_constraints();
         for t in -1..=5 {
             let pt: std::collections::HashMap<String, i64> =
                 [("t".to_string(), t)].into_iter().collect();
@@ -667,8 +647,8 @@ mod tests {
             Constraint::ge(var("memo_j"), var("memo_i")),
             Constraint::le(var("memo_j"), cst(9)),
         ];
-        let first = eliminate(&cs, "memo_j");
-        let second = eliminate(&cs, "memo_j");
+        let first = eliminate(&cs, "memo_j").unwrap();
+        let second = eliminate(&cs, "memo_j").unwrap();
         assert_eq!(first, second);
         let delta = crate::PolyStats::snapshot().delta(&before);
         assert!(delta.memo_hits >= 1, "second projection should hit memo");
@@ -718,7 +698,7 @@ mod tests {
             Constraint::ge_zero(var("ovf_x") * 3 - var("ovf_y") - cst(big)),
             Constraint::ge_zero(var("ovf_x") * -2 + var("ovf_y") + cst(big)),
         ];
-        assert_eq!(try_eliminate(&cs, "ovf_x"), Err(PolyError::Overflow));
+        assert_eq!(eliminate(&cs, "ovf_x"), Err(PolyError::Overflow));
         // feasible() answers conservatively instead of panicking.
         assert!(feasible(&cs));
     }

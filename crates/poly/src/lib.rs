@@ -31,7 +31,7 @@
 //! // { S(i, j) : 0 <= i < 4 and 0 <= j <= i }
 //! let set = BasicSet::from_bounds(&[("i", 0, 3), ("j", 0, 3)])
 //!     .with_le(LinearExpr::var("j"), LinearExpr::var("i"));
-//! assert_eq!(set.count_points(), 10);
+//! assert_eq!(set.count_points(), Ok(10));
 //! ```
 
 pub mod astbuild;
@@ -66,17 +66,19 @@ pub use stats::PolyStats;
 pub use transform::StmtPoly;
 pub use vector::{lex_non_negative, Direction, DirectionVector, DistanceVector};
 
-/// Greatest common divisor of two non-negative integers.
+/// Greatest common divisor of the magnitudes of two integers.
 ///
-/// `gcd(0, 0)` is defined as `0`.
+/// `gcd(0, 0)` is defined as `0`. The one gcd that does not fit `i64`,
+/// `2^63` (both arguments `0` or `i64::MIN`), is returned as its divisor
+/// `2^62`: still a positive common divisor.
 pub(crate) fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    i64::try_from(a).unwrap_or(1 << 62)
 }
 
 /// Floor division that rounds toward negative infinity.
@@ -85,10 +87,17 @@ pub fn floor_div(a: i64, b: i64) -> i64 {
     a.div_euclid(b)
 }
 
-/// Ceiling division that rounds toward positive infinity.
+/// Ceiling division that rounds toward positive infinity. Defined on
+/// all of `i64` (the result of a positive divisor always fits).
 pub fn ceil_div(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0, "ceil_div expects a positive divisor");
-    -((-a).div_euclid(b))
+    a.div_euclid(b) + i64::from(a.rem_euclid(b) != 0)
+}
+
+/// `(a + b) / 2`, rounded toward zero, without overflowing: the
+/// midpoint of two `i64`s always fits.
+pub fn midpoint(a: i64, b: i64) -> i64 {
+    ((i128::from(a) + i128::from(b)) / 2) as i64
 }
 
 #[cfg(test)]
@@ -103,6 +112,8 @@ mod tests {
         assert_eq!(gcd(0, 0), 0);
         assert_eq!(gcd(-12, 18), 6);
         assert_eq!(gcd(7, 13), 1);
+        assert_eq!(gcd(i64::MIN, 6), 2);
+        assert_eq!(gcd(i64::MIN, 0), 1 << 62);
     }
 
     #[test]
@@ -113,5 +124,9 @@ mod tests {
         assert_eq!(ceil_div(7, 2), 4);
         assert_eq!(ceil_div(-7, 2), -3);
         assert_eq!(ceil_div(8, 4), 2);
+        assert_eq!(ceil_div(i64::MIN, 1), i64::MIN);
+        assert_eq!(ceil_div(i64::MIN + 1, 2), i64::MIN / 2 + 1);
+        assert_eq!(midpoint(-7, 2), -2);
+        assert_eq!(midpoint(i64::MAX, i64::MAX - 2), i64::MAX - 1);
     }
 }

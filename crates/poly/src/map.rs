@@ -9,6 +9,7 @@
 use crate::constraint::Constraint;
 use crate::expr::LinearExpr;
 use crate::set::BasicSet;
+use crate::space::PolyError;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -24,9 +25,9 @@ use std::fmt;
 ///     vec![LinearExpr::var("j"), LinearExpr::var("i")],
 /// );
 /// let dom = BasicSet::from_bounds(&[("i", 0, 2), ("j", 0, 4)]);
-/// let img = m.apply(&dom);
-/// assert_eq!(img.count_points(), 15);
-/// assert!(img.contains(&[4, 2]));
+/// let img = m.apply(&dom).unwrap();
+/// assert_eq!(img.count_points(), Ok(15));
+/// assert_eq!(img.contains(&[4, 2]), Ok(true));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Map {
@@ -97,7 +98,11 @@ impl Map {
     /// Exact for unimodular relations (every transformation POM performs);
     /// for non-unimodular maps the result is the rational shadow, which may
     /// over-approximate the integer image (e.g. lose parity constraints).
-    pub fn apply(&self, set: &BasicSet) -> BasicSet {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when the projection leaves `i64`.
+    pub fn apply(&self, set: &BasicSet) -> Result<BasicSet, PolyError> {
         let mut combined = set.clone();
         for o in &self.out_dims {
             combined = combined.intersect(&BasicSet::universe(&[o.as_str()]));
@@ -106,20 +111,23 @@ impl Map {
             combined.add_constraint(c.clone());
         }
         let ins: Vec<&str> = self.in_dims.iter().map(String::as_str).collect();
-        let projected = combined.project_out(&ins);
+        let mut result = combined.project_out(&ins)?;
         // Reorder to out_dims order.
         let order: Vec<&str> = self.out_dims.iter().map(String::as_str).collect();
-        let mut result = projected;
         result.reorder_dims(&order);
-        result
+        Ok(result)
     }
 
     /// Composes `self` with `after`: `(after ∘ self)(x) = after(self(x))`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when the projection leaves `i64`.
+    ///
     /// # Panics
     ///
     /// Panics if `self.out_dims != after.in_dims`.
-    pub fn compose(&self, after: &Map) -> Map {
+    pub fn compose(&self, after: &Map) -> Result<Map, PolyError> {
         assert_eq!(
             self.out_dims, after.in_dims,
             "composition requires matching intermediate space"
@@ -127,12 +135,12 @@ impl Map {
         let mut constraints = self.constraints.clone();
         constraints.extend(after.constraints.iter().cloned());
         let mids: Vec<&str> = self.out_dims.iter().map(String::as_str).collect();
-        let cs = crate::fm::eliminate_all(&constraints, &mids).into_constraints();
-        Map {
+        let cs = crate::fm::eliminate_all(&constraints, &mids)?.into_constraints();
+        Ok(Map {
             in_dims: self.in_dims.clone(),
             out_dims: after.out_dims.clone(),
             constraints: cs,
-        }
+        })
     }
 
     /// Evaluates the map at a concrete input point, assuming the map is a
@@ -206,12 +214,11 @@ mod tests {
             vec![LinearExpr::var("j"), LinearExpr::var("i")],
         );
         let dom = BasicSet::from_bounds(&[("i", 0, 1), ("j", 0, 2)]);
-        let img = m.apply(&dom);
+        let img = m.apply(&dom).unwrap();
         assert_eq!(img.dims(), &["a".to_string(), "b".to_string()]);
-        assert_eq!(img.count_points(), 6);
-        assert!(img.contains(&[2, 1]));
-        assert!(!img.contains(&[1, 2]) || img.contains(&[1, 2])); // (1, 1) max on b
-        assert!(!img.contains(&[3, 0]));
+        assert_eq!(img.count_points(), Ok(6));
+        assert_eq!(img.contains(&[2, 1]), Ok(true));
+        assert_eq!(img.contains(&[3, 0]), Ok(false));
     }
 
     #[test]
@@ -226,10 +233,10 @@ mod tests {
             ],
         );
         let dom = BasicSet::from_bounds(&[("i", 0, 2), ("j", 0, 2)]);
-        let img = m.apply(&dom);
-        assert_eq!(img.count_points(), 9);
-        assert!(img.contains(&[2, 4]));
-        assert!(!img.contains(&[0, 3]));
+        let img = m.apply(&dom).unwrap();
+        assert_eq!(img.count_points(), Ok(9));
+        assert_eq!(img.contains(&[2, 4]), Ok(true));
+        assert_eq!(img.contains(&[0, 3]), Ok(false));
     }
 
     #[test]
@@ -250,13 +257,13 @@ mod tests {
         // f: i -> i + 1; g: x -> x + 2. g∘f : i -> i + 3 (unimodular, exact).
         let f = Map::from_exprs(&["i"], &["x"], vec![LinearExpr::var("i") + 1]);
         let g = Map::from_exprs(&["x"], &["y"], vec![LinearExpr::var("x") + 2]);
-        let gf = f.compose(&g);
+        let gf = f.compose(&g).unwrap();
         let dom = BasicSet::from_bounds(&[("i", 0, 3)]);
-        let img = gf.apply(&dom);
-        assert!(img.contains(&[3]));
-        assert!(img.contains(&[6]));
-        assert!(!img.contains(&[7]));
-        assert_eq!(img.count_points(), 4);
+        let img = gf.apply(&dom).unwrap();
+        assert_eq!(img.contains(&[3]), Ok(true));
+        assert_eq!(img.contains(&[6]), Ok(true));
+        assert_eq!(img.contains(&[7]), Ok(false));
+        assert_eq!(img.count_points(), Ok(4));
     }
 
     #[test]
@@ -265,10 +272,10 @@ mod tests {
         // shadow spans [0, 6]. Documented over-approximation.
         let m = Map::from_exprs(&["i"], &["y"], vec![LinearExpr::var("i") * 2]);
         let dom = BasicSet::from_bounds(&[("i", 0, 3)]);
-        let img = m.apply(&dom);
-        assert!(img.contains(&[0]));
-        assert!(img.contains(&[6]));
-        assert!(!img.contains(&[7]));
+        let img = m.apply(&dom).unwrap();
+        assert_eq!(img.contains(&[0]), Ok(true));
+        assert_eq!(img.contains(&[6]), Ok(true));
+        assert_eq!(img.contains(&[7]), Ok(false));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! use pom_poly::parse_set;
 //!
 //! let s = parse_set("{ [i, j] : 0 <= i < 32 and 0 <= j <= i }").unwrap();
-//! assert_eq!(s.count_points(), 32 * 33 / 2);
+//! assert_eq!(s.count_points(), Ok(32 * 33 / 2));
 //! ```
 //!
 //! Grammar (a pragmatic subset of isl's):
@@ -302,30 +302,30 @@ mod tests {
     #[test]
     fn rectangle() {
         let s = parse_set("{ [i, j] : 0 <= i < 4 and 0 <= j < 3 }").unwrap();
-        assert_eq!(s.count_points(), 12);
-        assert!(s.contains(&[3, 2]));
-        assert!(!s.contains(&[4, 0]));
+        assert_eq!(s.count_points(), Ok(12));
+        assert_eq!(s.contains(&[3, 2]), Ok(true));
+        assert_eq!(s.contains(&[4, 0]), Ok(false));
     }
 
     #[test]
     fn triangle_with_chained_comparisons() {
         let s = parse_set("{ [i, j] : 0 <= j <= i < 5 }").unwrap();
-        assert_eq!(s.count_points(), 15);
+        assert_eq!(s.count_points(), Ok(15));
     }
 
     #[test]
     fn coefficients_and_constants() {
         let s = parse_set("{ [i] : 2*i <= 7 and i >= -1 }").unwrap();
         // i in [-1, 3]
-        assert_eq!(s.count_points(), 5);
+        assert_eq!(s.count_points(), Ok(5));
         let s = parse_set("{ [i] : 0 <= 2i < 10 }").unwrap();
-        assert_eq!(s.count_points(), 5);
+        assert_eq!(s.count_points(), Ok(5));
     }
 
     #[test]
     fn equality_and_subtraction() {
         let s = parse_set("{ [i, j] : i - j = 1 and 0 <= i < 5 and 0 <= j < 5 }").unwrap();
-        assert_eq!(s.count_points(), 4);
+        assert_eq!(s.count_points(), Ok(4));
     }
 
     #[test]
@@ -357,6 +357,6 @@ mod tests {
         // Parsed sets plug into the rest of the engine.
         let s = parse_set("{ [t, i] : 0 <= t < 4 and t <= i < t + 6 }").unwrap();
         let stmt = crate::StmtPoly::from_domain("S", s);
-        assert_eq!(stmt.instance_count(100_000), 24);
+        assert_eq!(stmt.domain().count_points(), Ok(24));
     }
 }

@@ -123,7 +123,7 @@ impl LinearExpr {
     /// Replaces every occurrence of `name` with `replacement`.
     ///
     /// ```
-    /// use pom_poly::LinearExpr;
+    /// use pom_poly::reference::LinearExpr;
     /// // i := 8*i0 + i1 applied to (i + 1)
     /// let e = LinearExpr::var("i") + 1;
     /// let rep = LinearExpr::term("i0", 8) + LinearExpr::var("i1");

@@ -12,7 +12,7 @@ use std::fmt;
 /// polyhedral IR (Section V-B).
 ///
 /// ```
-/// use pom_poly::BasicSet;
+/// use pom_poly::reference::BasicSet;
 ///
 /// let dom = BasicSet::from_bounds(&[("i", 0, 31), ("j", 0, 31)]);
 /// assert_eq!(dom.count_points(), 1024);

@@ -101,7 +101,11 @@ impl UnionMap {
             .unwrap_or(1);
         let mut seen: HashMap<Vec<i64>, String> = HashMap::new();
         for s in stmts {
-            for p in s.domain().enumerate_flat(limit).iter() {
+            let domain = s.domain();
+            let points = domain
+                .level_bounds()
+                .and_then(|l| domain.enumerate_points(&l, limit));
+            for p in points.map_err(|e| e.to_string())?.iter() {
                 let ts = timestamp(s, p, width);
                 if let Some(prev) = seen.insert(ts.clone(), s.name().to_string()) {
                     if prev != s.name() {

@@ -5,7 +5,6 @@ use crate::expr::LinearExpr;
 use crate::fm;
 use crate::space::{DimId, PolyError};
 use crate::{ceil_div, floor_div};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A linear expression compiled against a dimension list: `(position,
@@ -14,7 +13,8 @@ use std::fmt;
 /// evaluates as zero, like [`LinearExpr::eval_partial`] (enumeration
 /// compiles a level's bounds against the levels above it, so the point's
 /// un-assigned suffix is never read); [`DenseRow::eval_strict`] panics on
-/// it instead, like [`LinearExpr::eval`].
+/// it instead, like [`LinearExpr::eval`]. Evaluation is checked: a value
+/// outside `i64` is [`PolyError::Overflow`].
 struct DenseRow {
     terms: Vec<(usize, i64)>,
     constant: i64,
@@ -41,13 +41,15 @@ impl DenseRow {
         }
     }
 
-    fn eval(&self, point: &[i64]) -> i64 {
+    fn eval(&self, point: &[i64]) -> Result<i64, PolyError> {
+        let term = |v: i64, &(pos, c): &(usize, i64)| v.checked_add(c.checked_mul(point[pos])?);
         self.terms
             .iter()
-            .fold(self.constant, |v, &(pos, c)| v + c * point[pos])
+            .try_fold(self.constant, term)
+            .ok_or(PolyError::Overflow)
     }
 
-    fn eval_strict(&self, point: &[i64]) -> i64 {
+    fn eval_strict(&self, point: &[i64]) -> Result<i64, PolyError> {
         if let Some(id) = self.unknown {
             panic!("missing value for variable {}", id.name());
         }
@@ -72,12 +74,12 @@ impl DenseConstraint {
         DenseConstraint(DenseRow::compile(&c.expr, dim_ids), c.kind)
     }
 
-    fn holds(&self, point: &[i64]) -> bool {
-        let v = self.0.eval_strict(point);
-        match self.1 {
+    fn holds(&self, point: &[i64]) -> Result<bool, PolyError> {
+        let v = self.0.eval_strict(point)?;
+        Ok(match self.1 {
             ConstraintKind::Eq => v == 0,
             ConstraintKind::GeZero => v >= 0,
-        }
+        })
     }
 }
 
@@ -96,9 +98,9 @@ pub type LevelBounds = (Vec<BoundTerm>, Vec<BoundTerm>);
 /// use pom_poly::BasicSet;
 ///
 /// let dom = BasicSet::from_bounds(&[("i", 0, 31), ("j", 0, 31)]);
-/// assert_eq!(dom.count_points(), 1024);
-/// assert!(dom.contains(&[5, 7]));
-/// assert!(!dom.contains(&[32, 0]));
+/// assert_eq!(dom.count_points(), Ok(1024));
+/// assert_eq!(dom.contains(&[5, 7]), Ok(true));
+/// assert_eq!(dom.contains(&[32, 0]), Ok(false));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BasicSet {
@@ -177,11 +179,6 @@ impl BasicSet {
         self.with_constraint(Constraint::ge(lhs, rhs))
     }
 
-    /// Builder-style: adds `lhs == rhs`.
-    pub fn with_eq(self, lhs: LinearExpr, rhs: LinearExpr) -> Self {
-        self.with_constraint(Constraint::eq(lhs, rhs))
-    }
-
     /// Intersects two sets over the union of their dimension lists
     /// (dimensions of `self` first, then any new dimensions of `other`).
     pub fn intersect(&self, other: &BasicSet) -> BasicSet {
@@ -198,10 +195,15 @@ impl BasicSet {
 
     /// Membership test for a point given in dimension order.
     ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when a constraint's value at the
+    /// point leaves `i64`.
+    ///
     /// # Panics
     ///
     /// Panics if `point.len() != self.dim_count()`.
-    pub fn contains(&self, point: &[i64]) -> bool {
+    pub fn contains(&self, point: &[i64]) -> Result<bool, PolyError> {
         assert_eq!(
             point.len(),
             self.dims.len(),
@@ -210,9 +212,12 @@ impl BasicSet {
             self.dims.len()
         );
         let dim_ids = self.dim_ids();
-        self.constraints
-            .iter()
-            .all(|c| DenseConstraint::compile(c, &dim_ids).holds(point))
+        for c in &self.constraints {
+            if !DenseConstraint::compile(c, &dim_ids).holds(point)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// The interned ids of the dimension list, in dimension order.
@@ -220,31 +225,15 @@ impl BasicSet {
         self.dims.iter().map(|d| DimId::intern(d)).collect()
     }
 
-    /// Membership test with a named assignment.
-    pub fn contains_assignment(&self, point: &HashMap<String, i64>) -> bool {
-        self.constraints.iter().all(|c| c.satisfied(point))
-    }
-
     /// Projects out the named dimensions (Fourier–Motzkin), returning a set
     /// over the remaining dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `i64` coefficient overflow; use
-    /// [`BasicSet::try_project_out`] to handle [`PolyError::Overflow`].
-    pub fn project_out(&self, names: &[&str]) -> BasicSet {
-        self.try_project_out(names)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Overflow-checked [`BasicSet::project_out`].
     ///
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] when a Fourier–Motzkin combination
     /// coefficient leaves `i64` range.
-    pub fn try_project_out(&self, names: &[&str]) -> Result<BasicSet, PolyError> {
-        let cs = fm::try_eliminate_all(&self.constraints, names)?.into_constraints();
+    pub fn project_out(&self, names: &[&str]) -> Result<BasicSet, PolyError> {
+        let cs = fm::eliminate_all(&self.constraints, names)?.into_constraints();
         Ok(BasicSet {
             dims: self
                 .dims
@@ -263,12 +252,19 @@ impl BasicSet {
     }
 
     /// Substitutes `name := replacement` in every constraint. The dimension
-    /// list is unchanged; use [`BasicSet::remove_dim`] or
-    /// [`BasicSet::replace_dim`] to adjust arity.
-    pub fn substitute(&mut self, name: &str, replacement: &LinearExpr) {
-        for c in &mut self.constraints {
-            *c = c.substituted(name, replacement);
-        }
+    /// list is unchanged; use [`BasicSet::replace_dim`] to adjust arity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] on `i64` overflow, leaving the
+    /// set unchanged.
+    pub fn substitute(&mut self, name: &str, replacement: &LinearExpr) -> Result<(), PolyError> {
+        self.constraints = self
+            .constraints
+            .iter()
+            .map(|c| c.substituted(name, replacement))
+            .collect::<Result<_, _>>()?;
+        Ok(())
     }
 
     /// Renames a dimension in both the dimension list and all constraints.
@@ -279,16 +275,6 @@ impl BasicSet {
         for c in &mut self.constraints {
             *c = c.renamed(from, to);
         }
-    }
-
-    /// Removes a dimension from the dimension list (constraints must no
-    /// longer mention it).
-    pub fn remove_dim(&mut self, name: &str) {
-        debug_assert!(
-            self.constraints.iter().all(|c| !c.uses(name)),
-            "removing dimension {name} still referenced by constraints"
-        );
-        self.dims.retain(|d| d != name);
     }
 
     /// Replaces dimension `name` with new dimensions inserted at its
@@ -327,7 +313,16 @@ impl BasicSet {
     /// Fourier–Motzkin step each, while every step is exact (see
     /// [`BasicSet::level_bounds`]); past an inexact step they are
     /// projected out outermost first.
-    pub fn bounds_of(&self, dim: &str) -> LevelBounds {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] when a projection or a bound's
+    /// negation leaves `i64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is not a dimension of the set.
+    pub fn bounds_of(&self, dim: &str) -> Result<LevelBounds, PolyError> {
         let idx = self
             .dim_index(dim)
             .unwrap_or_else(|| panic!("dimension {dim} not found"));
@@ -341,13 +336,11 @@ impl BasicSet {
                 }
             });
         }
-        chained.unwrap_or_else(|| {
-            Self::bounds_at(prepared.as_ref(), &dim_ids, idx).unwrap_or_else(|e| panic!("{e}"))
-        })
+        chained.unwrap_or_else(|| Self::bounds_at(prepared.as_ref(), &dim_ids, idx))
     }
 
     /// [`BasicSet::bounds_of`] of every dimension, outermost first:
-    /// `level_bounds()[k] == bounds_of(&dims()[k])`.
+    /// `level_bounds()?[k] == bounds_of(&dims()[k])?`.
     ///
     /// One projection chain serves all levels: starting from the
     /// simplified system, level `n-1` reads its bounds, dimension `n-1`
@@ -361,21 +354,12 @@ impl BasicSet {
     /// that is not exact, or that proves the set empty or overflows,
     /// each level projects out its later dimensions outermost first.
     ///
-    /// # Panics
-    ///
-    /// Panics on `i64` coefficient overflow, like `bounds_of`; use
-    /// [`BasicSet::try_level_bounds`] to handle [`PolyError::Overflow`].
-    pub fn level_bounds(&self) -> Vec<LevelBounds> {
-        self.try_level_bounds().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Overflow-checked [`BasicSet::level_bounds`].
-    ///
     /// # Errors
     ///
     /// Returns [`PolyError::Overflow`] when a Fourier–Motzkin combination
-    /// coefficient of some level's projection leaves `i64` range.
-    pub fn try_level_bounds(&self) -> Result<Vec<LevelBounds>, PolyError> {
+    /// coefficient of some level's projection, or a bound's negation,
+    /// leaves `i64` range.
+    pub fn level_bounds(&self) -> Result<Vec<LevelBounds>, PolyError> {
         let prepared = fm::Prepared::new(&self.constraints);
         let dim_ids = self.dim_ids();
         let mut chained = Vec::with_capacity(dim_ids.len());
@@ -388,7 +372,9 @@ impl BasicSet {
         let mut levels = (0..reached)
             .map(|k| Self::bounds_at(prepared.as_ref(), &dim_ids, k))
             .collect::<Result<Vec<_>, _>>()?;
-        levels.extend(chained.into_iter().rev());
+        for bounds in chained.into_iter().rev() {
+            levels.push(bounds?);
+        }
         Ok(levels)
     }
 
@@ -404,18 +390,18 @@ impl BasicSet {
             Some(p) => p.eliminate_all(&dim_ids[idx + 1..])?,
             None => None,
         };
-        Ok(match projected {
+        match projected {
             Some(cs) => Self::read_bounds(&cs, dim_ids[idx]),
-            None => (
+            None => Ok((
                 vec![(LinearExpr::constant_expr(0), 1)],
                 vec![(LinearExpr::constant_expr(-1), 1)],
-            ),
-        })
+            )),
+        }
     }
 
     /// The bound candidates on `dim_id` of a system whose later
     /// dimensions are projected out.
-    fn read_bounds(cs: &[Constraint], dim_id: DimId) -> LevelBounds {
+    fn read_bounds(cs: &[Constraint], dim_id: DimId) -> Result<LevelBounds, PolyError> {
         let mut lbs = Vec::new();
         let mut ubs = Vec::new();
         for c in cs {
@@ -423,30 +409,26 @@ impl BasicSet {
             if a == 0 {
                 continue;
             }
+            // a*dim + rest >= 0 (or == 0): dim >= ceil(-rest / a) when
+            // a > 0, dim <= floor(rest / -a) when a < 0.
             let mut rest = c.expr.clone();
             rest.set_coeff_id(dim_id, 0);
-            match c.kind {
-                ConstraintKind::GeZero => {
-                    if a > 0 {
-                        // a*dim + rest >= 0 => dim >= ceil(-rest / a)
-                        lbs.push((-rest, a));
-                    } else {
-                        // dim <= floor(rest / -a)
-                        ubs.push((rest, -a));
-                    }
+            let bound = if a > 0 {
+                rest.mul_assign(-1)?;
+                (rest, a)
+            } else {
+                (rest, a.checked_neg().ok_or(PolyError::Overflow)?)
+            };
+            match (c.kind, a > 0) {
+                (ConstraintKind::Eq, _) => {
+                    lbs.push(bound.clone());
+                    ubs.push(bound);
                 }
-                ConstraintKind::Eq => {
-                    if a > 0 {
-                        lbs.push((-rest.clone(), a));
-                        ubs.push((-rest, a));
-                    } else {
-                        lbs.push((rest.clone(), -a));
-                        ubs.push((rest, -a));
-                    }
-                }
+                (ConstraintKind::GeZero, true) => lbs.push(bound),
+                (ConstraintKind::GeZero, false) => ubs.push(bound),
             }
         }
-        (lbs, ubs)
+        Ok((lbs, ubs))
     }
 
     /// When the set is a constant rectangle (every constraint bounds a
@@ -463,21 +445,23 @@ impl BasicSet {
             let idx = self.dim_index(v)?;
             let a = c.expr.coeff(v);
             let k = c.expr.constant();
+            // A bound whose arithmetic leaves `i64` makes the set count
+            // as non-rectangular.
             match c.kind {
                 ConstraintKind::Eq => {
-                    if k % a != 0 {
+                    if k.checked_rem(a)? != 0 {
                         return None;
                     }
-                    let val = -k / a;
+                    let val = k.checked_neg()?.checked_div(a)?;
                     lo[idx] = lo[idx].max(val);
                     hi[idx] = hi[idx].min(val);
                 }
                 ConstraintKind::GeZero => {
                     // a*x + k >= 0
                     if a > 0 {
-                        lo[idx] = lo[idx].max(ceil_div(-k, a));
+                        lo[idx] = lo[idx].max(ceil_div(k.checked_neg()?, a));
                     } else {
-                        hi[idx] = hi[idx].min(floor_div(k, -a));
+                        hi[idx] = hi[idx].min(floor_div(k, a.checked_neg()?));
                     }
                 }
             }
@@ -488,65 +472,29 @@ impl BasicSet {
         Some(lo.into_iter().zip(hi).collect())
     }
 
-    /// Enumerates all integer points of a bounded set, in lexicographic
-    /// order of the dimension list. Intended for testing and small domains.
+    /// Enumerates the integer points of a bounded set, in lexicographic
+    /// order of the dimension list, walking the bound table `levels`:
+    /// this set's [`BasicSet::level_bounds`], or bounds that every point
+    /// of the set satisfies (the walk checks every constraint at every
+    /// point it reaches, so a looser table only costs more points to
+    /// reject).
+    ///
+    /// # Errors
+    ///
+    /// [`PolyError::Limit`] when the set holds more than `limit` points,
+    /// [`PolyError::Unbounded`] when the walk reaches a dimension without
+    /// a lower or upper bound, and [`PolyError::Overflow`] when a bound
+    /// or a constraint's value leaves `i64`.
     ///
     /// # Panics
     ///
-    /// Panics if a dimension is unbounded or the enumeration exceeds
-    /// `limit` points; [`BasicSet::try_enumerate_points`] returns `None`
-    /// instead.
-    pub fn enumerate_points(&self, limit: usize) -> Vec<Vec<i64>> {
-        self.enumerate_flat(limit).to_vecs()
-    }
-
-    /// [`BasicSet::enumerate_points`] into one flat buffer.
-    ///
-    /// # Panics
-    ///
-    /// As [`BasicSet::enumerate_points`].
-    pub fn enumerate_flat(&self, limit: usize) -> Points {
-        self.enumerate(&self.level_bounds(), limit)
-            .unwrap_or_else(|stop| match stop {
-                EnumStop::Limit => panic!("point enumeration exceeded limit {limit}"),
-                EnumStop::Unbounded(level, side) => {
-                    panic!("dimension {} has no {side} bound", self.dims[level])
-                }
-            })
-    }
-
-    /// [`BasicSet::enumerate_points`] for callers with a fallback: `None`
-    /// when the walk reaches a dimension without a lower or upper bound,
-    /// or when the set holds more than `limit` points.
-    pub fn try_enumerate_points(&self, limit: usize) -> Option<Vec<Vec<i64>>> {
-        self.try_enumerate_points_with(&self.level_bounds(), limit)
-    }
-
-    /// [`BasicSet::try_enumerate_points`] walking bounds the caller already
-    /// holds; `levels` must be this set's [`BasicSet::level_bounds`], or
-    /// bounds that every point of the set satisfies (the walk checks every
-    /// constraint at every point it reaches, so a looser table only costs
-    /// more points to reject).
-    pub fn try_enumerate_points_with(
+    /// Panics if `levels` does not hold one entry per dimension, or a
+    /// constraint names a variable the set does not have.
+    pub fn enumerate_points(
         &self,
         levels: &[LevelBounds],
         limit: usize,
-    ) -> Option<Vec<Vec<i64>>> {
-        self.try_enumerate_flat(levels, limit).map(|p| p.to_vecs())
-    }
-
-    /// [`BasicSet::try_enumerate_points_with`] into one flat buffer: the
-    /// same points in the same order, without a vector per point.
-    pub fn try_enumerate_flat(&self, levels: &[LevelBounds], limit: usize) -> Option<Points> {
-        self.enumerate(levels, limit).ok()
-    }
-
-    /// Counts the integer points of a bounded set (testing helper).
-    pub fn count_points(&self) -> usize {
-        self.enumerate_flat(10_000_000).len()
-    }
-
-    fn enumerate(&self, levels: &[LevelBounds], limit: usize) -> Result<Points, EnumStop> {
+    ) -> Result<Points, PolyError> {
         assert_eq!(levels.len(), self.dims.len(), "one bounds entry per level");
         // Bound candidates per level only depend on the dimension, not the
         // prefix values, so the walk reads one table of them; every row
@@ -587,6 +535,18 @@ impl BasicSet {
         let mut values = Vec::with_capacity(walk.constraints.len());
         walk.rec(&mut point, &mut values, &mut out)?;
         Ok(out)
+    }
+
+    /// Counts the integer points of a bounded set (testing helper): the
+    /// [`BasicSet::enumerate_points`] walk of its own bound table, with a
+    /// limit of ten million points.
+    ///
+    /// # Errors
+    ///
+    /// As [`BasicSet::level_bounds`] and [`BasicSet::enumerate_points`].
+    pub fn count_points(&self) -> Result<usize, PolyError> {
+        let points = self.enumerate_points(&self.level_bounds()?, 10_000_000)?;
+        Ok(points.len())
     }
 }
 
@@ -660,25 +620,30 @@ impl Walk {
         point: &mut Vec<i64>,
         values: &mut Vec<i64>,
         out: &mut Points,
-    ) -> Result<(), EnumStop> {
+    ) -> Result<(), PolyError> {
         let level = point.len();
         let Some((lbs, ubs)) = self.levels.get(level) else {
             // Only a zero-dimension set has its leaf above every level.
-            if self.constraints.iter().all(|c| c.holds(point)) {
-                self.emit(point, out)?;
+            for c in &self.constraints {
+                if !c.holds(point)? {
+                    return Ok(());
+                }
             }
-            return Ok(());
+            return self.emit(point, out);
         };
-        let lb = lbs
-            .iter()
-            .map(|(e, d)| ceil_div(e.eval(point), *d))
-            .max()
-            .ok_or(EnumStop::Unbounded(level, "lower"))?;
-        let ub = ubs
-            .iter()
-            .map(|(e, d)| floor_div(e.eval(point), *d))
-            .min()
-            .ok_or(EnumStop::Unbounded(level, "upper"))?;
+        let tightest =
+            |bounds: &[DenseBound], round: fn(i64, i64) -> i64, pick: fn(i64, i64) -> i64| {
+                let at = |b: Option<i64>, (e, d): &DenseBound| {
+                    let v = round(e.eval(point)?, *d);
+                    Ok::<_, PolyError>(Some(b.map_or(v, |b| pick(b, v))))
+                };
+                bounds
+                    .iter()
+                    .try_fold(None, at)?
+                    .ok_or(PolyError::Unbounded(level))
+            };
+        let lb = tightest(lbs, ceil_div, i64::max)?;
+        let ub = tightest(ubs, floor_div, i64::min)?;
         if level + 1 == self.levels.len() {
             return self.innermost(point, values, lb, ub, out);
         }
@@ -697,7 +662,9 @@ impl Walk {
     /// its sign bit is set — for an equality, the sign bit of `x | -x` —
     /// so one OR over the values decides the point. A constraint that
     /// mentions a variable the dimension list does not name panics at the
-    /// first point, like [`DenseConstraint::holds`].
+    /// first point, like [`DenseConstraint::holds`]. Each value is checked
+    /// at both ends of the range; it moves monotonically between them, so
+    /// the steps in between cannot leave `i64`.
     fn innermost(
         &self,
         point: &mut Vec<i64>,
@@ -705,14 +672,22 @@ impl Walk {
         lb: i64,
         ub: i64,
         out: &mut Points,
-    ) -> Result<(), EnumStop> {
+    ) -> Result<(), PolyError> {
         if lb > ub {
             return Ok(());
         }
         let level = point.len();
+        let span = ub.checked_sub(lb).ok_or(PolyError::Overflow)?;
         point.push(lb);
         values.clear();
-        values.extend(self.constraints.iter().map(|c| c.0.eval_strict(point)));
+        for (c, &step) in self.constraints.iter().zip(&self.steps) {
+            let v = c.0.eval_strict(point)?;
+            let last = step
+                .checked_mul(span)
+                .and_then(|moved| v.checked_add(moved));
+            last.ok_or(PolyError::Overflow)?;
+            values.push(v);
+        }
         let mut v = lb;
         loop {
             let signs = values
@@ -736,22 +711,14 @@ impl Walk {
     }
 
     /// Appends a point that satisfies every constraint.
-    fn emit(&self, point: &[i64], out: &mut Points) -> Result<(), EnumStop> {
+    fn emit(&self, point: &[i64], out: &mut Points) -> Result<(), PolyError> {
         if out.len >= self.limit {
-            return Err(EnumStop::Limit);
+            return Err(PolyError::Limit(self.limit));
         }
         out.coords.extend_from_slice(point);
         out.len += 1;
         Ok(())
     }
-}
-
-/// Why a point enumeration gave up (the walk is lazy: a missing bound
-/// only counts once some prefix actually reaches that dimension).
-enum EnumStop {
-    Limit,
-    /// The level, and which bound (`"lower"` / `"upper"`) it lacks.
-    Unbounded(usize, &'static str),
 }
 
 impl fmt::Display for BasicSet {
@@ -773,19 +740,23 @@ impl fmt::Display for BasicSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     #[should_panic(expected = "missing value for variable j")]
     fn enumerating_a_constraint_on_an_unknown_variable_panics() {
-        BasicSet::from_bounds(&[("i", 0, 3)])
-            .with_constraint(Constraint::ge_zero(LinearExpr::var("j")))
-            .enumerate_points(100);
+        let s = BasicSet::from_bounds(&[("i", 0, 3)])
+            .with_constraint(Constraint::ge_zero(LinearExpr::var("j")));
+        let _ = s.enumerate_points(&s.level_bounds().unwrap(), 100);
     }
 
     #[test]
     fn rectangular_domain_enumeration() {
         let s = BasicSet::from_bounds(&[("i", 0, 3), ("j", 1, 2)]);
-        let pts = s.enumerate_points(1000);
+        let pts = s
+            .enumerate_points(&s.level_bounds().unwrap(), 1000)
+            .unwrap()
+            .to_vecs();
         assert_eq!(pts.len(), 8);
         assert_eq!(pts[0], vec![0, 1]);
         assert_eq!(pts[7], vec![3, 2]);
@@ -796,17 +767,17 @@ mod tests {
         // { (i, j) : 0 <= i <= 3, 0 <= j <= i }
         let s = BasicSet::from_bounds(&[("i", 0, 3), ("j", 0, 3)])
             .with_le(LinearExpr::var("j"), LinearExpr::var("i"));
-        assert_eq!(s.count_points(), 1 + 2 + 3 + 4);
-        assert!(s.contains(&[2, 2]));
-        assert!(!s.contains(&[2, 3]));
+        assert_eq!(s.count_points(), Ok(1 + 2 + 3 + 4));
+        assert_eq!(s.contains(&[2, 2]), Ok(true));
+        assert_eq!(s.contains(&[2, 3]), Ok(false));
     }
 
     #[test]
     fn projection_removes_dimension() {
         let s = BasicSet::from_bounds(&[("i", 0, 3), ("j", 0, 5)]);
-        let p = s.project_out(&["j"]);
+        let p = s.project_out(&["j"]).unwrap();
         assert_eq!(p.dims(), &["i".to_string()]);
-        assert_eq!(p.count_points(), 4);
+        assert_eq!(p.count_points(), Ok(4));
     }
 
     #[test]
@@ -823,7 +794,7 @@ mod tests {
         let b = BasicSet::from_bounds(&[("i", 5, 20), ("j", 0, 1)]);
         let c = a.intersect(&b);
         assert_eq!(c.dims(), &["i".to_string(), "j".to_string()]);
-        assert_eq!(c.count_points(), 5 * 2);
+        assert_eq!(c.count_points(), Ok(5 * 2));
     }
 
     #[test]
@@ -831,7 +802,7 @@ mod tests {
         // j in [i, 7]
         let s = BasicSet::from_bounds(&[("i", 0, 3), ("j", 0, 7)])
             .with_ge(LinearExpr::var("j"), LinearExpr::var("i"));
-        let (lbs, ubs) = s.bounds_of("j");
+        let (lbs, ubs) = s.bounds_of("j").unwrap();
         // Max lower bound at i = 2 must be 2.
         let prefix: HashMap<String, i64> = [("i".to_string(), 2)].into_iter().collect();
         let lb = lbs
@@ -855,7 +826,7 @@ mod tests {
             .intersect(&BasicSet::universe(&["s"]))
             .with_ge(LinearExpr::var("s"), LinearExpr::var("t"))
             .with_le(LinearExpr::var("s"), LinearExpr::var("t") + 5);
-        let (lbs, ubs) = s.bounds_of("t");
+        let (lbs, ubs) = s.bounds_of("t").unwrap();
         let prefix = HashMap::new();
         let lb = lbs
             .iter()
@@ -887,8 +858,8 @@ mod tests {
             LinearExpr::var("i1"),
             LinearExpr::constant_expr(8),
         ));
-        let tiled = s.project_out(&["i"]);
-        assert_eq!(tiled.count_points(), 32);
+        let tiled = s.project_out(&["i"]).unwrap();
+        assert_eq!(tiled.count_points(), Ok(32));
     }
 
     #[test]
@@ -896,7 +867,7 @@ mod tests {
         let mut s = BasicSet::from_bounds(&[("i", 0, 3)]);
         s.rename_dim("i", "t");
         assert_eq!(s.dims(), &["t".to_string()]);
-        assert_eq!(s.count_points(), 4);
+        assert_eq!(s.count_points(), Ok(4));
 
         let mut s = BasicSet::from_bounds(&[("i", 0, 3), ("j", 0, 1)]);
         s.replace_dim("i", &["i0", "i1"]);
@@ -911,24 +882,24 @@ mod tests {
         let mut s = BasicSet::from_bounds(&[("i", 0, 2), ("j", 0, 5)]);
         s.reorder_dims(&["j", "i"]);
         // Point order now (j, i).
-        assert!(s.contains(&[5, 2]));
-        assert!(!s.contains(&[2, 5]));
-        assert_eq!(s.count_points(), 18);
+        assert_eq!(s.contains(&[5, 2]), Ok(true));
+        assert_eq!(s.contains(&[2, 5]), Ok(false));
+        assert_eq!(s.count_points(), Ok(18));
     }
 
     #[test]
     fn flat_points_hold_each_point_once_in_order() {
         let s = BasicSet::from_bounds(&[("i", 0, 2), ("j", 0, 2)])
             .with_le(LinearExpr::var("j"), LinearExpr::var("i"));
-        let points = s.enumerate_flat(100);
+        let levels = s.level_bounds().unwrap();
+        let points = s.enumerate_points(&levels, 100).unwrap();
         assert_eq!((points.arity(), points.len()), (2, 6));
         let seen: Vec<&[i64]> = points.iter().collect();
         assert_eq!(seen[0], &[0, 0]);
         assert_eq!(seen[5], &[2, 2]);
-        assert_eq!(points.to_vecs(), s.enumerate_points(100));
-        assert_eq!(s.try_enumerate_flat(&s.level_bounds(), 5), None);
+        assert_eq!(s.enumerate_points(&levels, 5), Err(PolyError::Limit(5)));
         // A zero-dimension set: one point, no coordinates.
-        let unit = BasicSet::universe(&[]).enumerate_flat(1);
+        let unit = BasicSet::universe(&[]).enumerate_points(&[], 1).unwrap();
         assert_eq!((unit.arity(), unit.len()), (0, 1));
         assert_eq!(unit.to_vecs(), vec![Vec::<i64>::new()]);
     }
@@ -950,9 +921,9 @@ mod tests {
             .with_le(LinearExpr::var("i1"), LinearExpr::constant_expr(3))
             .with_ge(LinearExpr::var("j"), LinearExpr::var("i1"))
             .with_le(LinearExpr::var("j"), LinearExpr::var("i1") + 2);
-        let levels = s.level_bounds();
+        let levels = s.level_bounds().unwrap();
         for (k, d) in s.dims().iter().enumerate() {
-            assert_eq!(levels[k], s.bounds_of(d), "level {k}");
+            assert_eq!(levels[k], s.bounds_of(d).unwrap(), "level {k}");
         }
         // i0's range is the exact projection [0, 3]; the last tile
         // holds i1 in [0, 1] only.
@@ -972,7 +943,31 @@ mod tests {
         };
         assert_eq!(range(&levels[0], &env(&[])), (Some(0), Some(3)));
         assert_eq!(range(&levels[1], &env(&[("i0", 3)])), (Some(0), Some(1)));
-        assert_eq!(s.count_points(), 14 * 3);
+        assert_eq!(s.count_points(), Ok(14 * 3));
+    }
+
+    /// Enumeration reports what stops it: a level without a bound, and
+    /// bound or constraint values that leave `i64`, whose unchecked
+    /// evaluation panicked (dev profile) or wrapped (release).
+    #[test]
+    fn enumeration_reports_unbounded_levels_and_overflow() {
+        let open =
+            BasicSet::universe(&["ov_i"]).with_ge(LinearExpr::var("ov_i"), LinearExpr::zero());
+        assert_eq!(
+            open.enumerate_points(&open.level_bounds().unwrap(), 10),
+            Err(PolyError::Unbounded(0))
+        );
+        // ov_j's upper bound 2^62·ov_i leaves i64 at ov_i = 2.
+        let wide = BasicSet::from_bounds(&[("ov_i", 1, 2), ("ov_j", 0, 3)])
+            .with_le(LinearExpr::var("ov_j"), LinearExpr::term("ov_i", 1 << 62));
+        assert_eq!(
+            wide.enumerate_points(&wide.level_bounds().unwrap(), 100),
+            Err(PolyError::Overflow)
+        );
+        // Near the edge, bounds and the innermost steps stay exact.
+        let edge = BasicSet::from_bounds(&[("ov_i", i64::MAX - 2, i64::MAX)]);
+        assert_eq!(edge.count_points(), Ok(3));
+        assert_eq!(edge.contains(&[i64::MAX]), Ok(true));
     }
 
     #[test]

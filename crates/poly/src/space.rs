@@ -152,16 +152,23 @@ thread_local! {
 
 /// Errors of the polyhedral kernel.
 ///
-/// The kernel's hot-path arithmetic is overflow-checked: rather than
-/// silently wrapping (the release-mode default for `i64`), coefficient
-/// math that leaves `i64` range surfaces as [`PolyError::Overflow`]
-/// through the `try_*` entry points, or as a panic through the infallible
-/// convenience wrappers.
+/// Every kernel operation that can fail returns `Result<_, PolyError>`;
+/// there is no second, panicking form. Coefficient arithmetic is
+/// overflow-checked: rather than silently wrapping (the release-mode
+/// default for `i64`), a value that leaves `i64` range surfaces as
+/// [`PolyError::Overflow`]. Callers read an `Err` as "cannot tell" and
+/// take their conservative answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolyError {
     /// A coefficient or constant overflowed `i64` during expression
-    /// arithmetic, substitution, or Fourier–Motzkin combination.
+    /// arithmetic, substitution, Fourier–Motzkin combination, dependence
+    /// analysis or point enumeration.
     Overflow,
+    /// A point enumeration reached more points than its limit.
+    Limit(usize),
+    /// A point enumeration reached a level (outermost first) without a
+    /// lower or an upper bound.
+    Unbounded(usize),
 }
 
 impl fmt::Display for PolyError {
@@ -171,6 +178,8 @@ impl fmt::Display for PolyError {
                 f,
                 "coefficient arithmetic overflowed i64 in the polyhedral kernel"
             ),
+            PolyError::Limit(limit) => write!(f, "point enumeration exceeded limit {limit}"),
+            PolyError::Unbounded(level) => write!(f, "dimension {level} lacks a bound"),
         }
     }
 }

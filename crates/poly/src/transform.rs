@@ -18,6 +18,7 @@ use crate::constraint::Constraint;
 use crate::dependence::{AccessFn, DepKind, Dependence, DependenceAnalysis};
 use crate::expr::LinearExpr;
 use crate::set::BasicSet;
+use crate::space::PolyError;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -97,15 +98,11 @@ impl StmtPoly {
     /// Rewrites an expression over the original iterators into the current
     /// iterator space.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on `i64` coefficient overflow; substitute
-    /// [`StmtPoly::reconstruction`] with
-    /// [`LinearExpr::try_substituted_many`] to handle
-    /// [`PolyError`](crate::PolyError) instead.
-    pub fn to_current(&self, expr: &LinearExpr) -> LinearExpr {
-        expr.try_substituted_many(&self.reconstruction())
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Returns [`PolyError::Overflow`] on `i64` coefficient overflow.
+    pub fn to_current(&self, expr: &LinearExpr) -> Result<LinearExpr, PolyError> {
+        expr.substituted_many(&self.reconstruction())
     }
 
     /// Each original iterator with its expression in the current
@@ -122,11 +119,16 @@ impl StmtPoly {
     }
 
     /// Rewrites an access function into the current iterator space.
-    pub fn access_to_current(&self, access: &AccessFn) -> AccessFn {
-        AccessFn::new(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] on `i64` coefficient overflow.
+    pub fn access_to_current(&self, access: &AccessFn) -> Result<AccessFn, PolyError> {
+        let indices = access.indices.iter().map(|e| self.to_current(e));
+        Ok(AccessFn::new(
             access.array.clone(),
-            access.indices.iter().map(|e| self.to_current(e)).collect(),
-        )
+            indices.collect::<Result<_, _>>()?,
+        ))
     }
 
     /// Index of a current iterator.
@@ -159,14 +161,23 @@ impl StmtPoly {
     /// `s.split(i, t, i0, i1)` — strip-mines loop `i` with factor `t`,
     /// producing outer `i0` and inner `i1` with `i = t*i0 + i1`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] on `i64` coefficient overflow,
+    /// leaving the statement unchanged.
+    ///
     /// # Panics
     ///
     /// Panics if `i` is unknown or `t < 1`.
-    pub fn split(&mut self, i: &str, t: i64, i0: &str, i1: &str) {
+    pub fn split(&mut self, i: &str, t: i64, i0: &str, i1: &str) -> Result<(), PolyError> {
         assert!(t >= 1, "split factor must be >= 1, got {t}");
         let pos = self.require_dim(i);
         let replacement = LinearExpr::term(i0, t) + LinearExpr::var(i1);
-        self.domain.substitute(i, &replacement);
+        let subbed = |e: &LinearExpr| e.substituted(i, &replacement);
+        let orig_exprs = self.orig_exprs.iter().map(subbed);
+        let orig_exprs = orig_exprs.collect::<Result<_, _>>()?;
+        self.domain.substitute(i, &replacement)?;
+        self.orig_exprs = orig_exprs;
         self.domain.replace_dim(i, &[i0, i1]);
         self.domain.add_constraint(Constraint::ge(
             LinearExpr::var(i1),
@@ -179,13 +190,16 @@ impl StmtPoly {
         self.dims
             .splice(pos..=pos, [i0.to_string(), i1.to_string()]);
         self.statics.insert(pos + 1, 0);
-        for e in &mut self.orig_exprs {
-            *e = e.substituted(i, &replacement);
-        }
+        Ok(())
     }
 
     /// `s.tile(i, j, t1, t2, i0, j0, i1, j1)` — tiles two *adjacent* loop
     /// levels, producing the order `(i0, j0, i1, j1)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] on `i64` coefficient overflow,
+    /// leaving the statement unchanged.
     ///
     /// # Panics
     ///
@@ -202,7 +216,7 @@ impl StmtPoly {
         j0: &str,
         i1: &str,
         j1: &str,
-    ) {
+    ) -> Result<(), PolyError> {
         let pi = self.require_dim(i);
         let pj = self.require_dim(j);
         assert_eq!(
@@ -210,34 +224,45 @@ impl StmtPoly {
             pi + 1,
             "tile requires adjacent loop levels; {i} at {pi}, {j} at {pj}"
         );
-        self.split(i, t1, i0, i1);
-        self.split(j, t2, j0, j1);
+        let mut tiled = self.clone();
+        tiled.split(i, t1, i0, i1)?;
+        tiled.split(j, t2, j0, j1)?;
         // Order now: ..., i0, i1, j0, j1, ... -> swap i1 and j0.
-        self.interchange(i1, j0);
+        tiled.interchange(i1, j0);
+        *self = tiled;
+        Ok(())
     }
 
     /// `s.skew(i, j, f, i2, j2)` — skews loop `j` by `f` times loop `i`:
     /// `i2 = i`, `j2 = f*i + j`. The classic wavefront transformation that
     /// turns dependence direction `(<, >)`-style conflicts into `(<, <)`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`PolyError::Overflow`] on `i64` coefficient overflow
+    /// (a skew factor near `i64::MAX`), leaving the statement unchanged.
+    ///
     /// # Panics
     ///
     /// Panics if either iterator is unknown or `f == 0`.
-    pub fn skew(&mut self, i: &str, j: &str, f: i64, i2: &str, j2: &str) {
+    pub fn skew(&mut self, i: &str, j: &str, f: i64, i2: &str, j2: &str) -> Result<(), PolyError> {
         assert!(f != 0, "skew factor must be non-zero");
         self.require_dim(i);
         self.require_dim(j);
         // Inverse relations: i = i2, j = j2 - f*i2.
-        let j_rep = LinearExpr::var(j2) - LinearExpr::term(i2, f);
+        let mut j_rep = LinearExpr::var(j2);
+        j_rep.add_scaled(&LinearExpr::term(i2, f), -1)?;
         let i_rep = LinearExpr::var(i2);
-        self.domain.substitute(j, &j_rep);
-        self.domain.substitute(i, &i_rep);
-        self.domain.replace_dim(j, &[j2]);
-        self.domain.replace_dim(i, &[i2]);
-        for e in &mut self.orig_exprs {
-            *e = e.substituted(j, &j_rep);
-            *e = e.substituted(i, &i_rep);
-        }
+        let subbed = |e: &LinearExpr| e.substituted(j, &j_rep)?.substituted(i, &i_rep);
+        let orig_exprs = self.orig_exprs.iter().map(subbed);
+        let orig_exprs = orig_exprs.collect::<Result<_, _>>()?;
+        let mut domain = self.domain.clone();
+        domain.substitute(j, &j_rep)?;
+        domain.substitute(i, &i_rep)?;
+        domain.replace_dim(j, &[j2]);
+        domain.replace_dim(i, &[i2]);
+        self.domain = domain;
+        self.orig_exprs = orig_exprs;
         for d in &mut self.dims {
             if d == i {
                 *d = i2.to_string();
@@ -245,6 +270,7 @@ impl StmtPoly {
                 *d = j2.to_string();
             }
         }
+        Ok(())
     }
 
     /// Renames a current iterator (used when fusing loops of two
@@ -305,23 +331,32 @@ impl StmtPoly {
     // ------------------------------------------------------------------
 
     /// Runs dependence analysis between two accesses expressed over the
-    /// *original* iterators, in the *current* (transformed) space.
+    /// *original* iterators, in the *current* (transformed) space. An
+    /// analysis that overflows `i64` answers "may depend":
+    /// [`Dependence::unknown`] carried at the outermost level.
     pub fn analyze_dependence(
         &self,
         src: &AccessFn,
         dst: &AccessFn,
         kind: DepKind,
     ) -> Vec<Dependence> {
-        let src_cur = self.access_to_current(src);
-        let dst_cur = self.access_to_current(dst);
-        DependenceAnalysis::new().analyze_pair(&src_cur, &dst_cur, kind, &self.dims, &self.domain)
+        let (dims, domain) = (&self.dims, &self.domain);
+        let (s, d) = (self.access_to_current(src), self.access_to_current(dst));
+        let analyzed =
+            s.and_then(|s| DependenceAnalysis::new().analyze_pair(&s, &d?, kind, dims, domain));
+        analyzed.unwrap_or_else(|_| vec![Dependence::unknown(kind, &src.array, dims.len())])
     }
 
     /// Enumerates the *original* iteration vectors of all instances, used
     /// to verify that transformations preserve the computation set.
-    pub fn enumerate_original_instances(&self, limit: usize) -> Vec<Vec<i64>> {
-        self.domain
-            .enumerate_flat(limit)
+    ///
+    /// # Errors
+    ///
+    /// As [`BasicSet::enumerate_points`].
+    pub fn enumerate_original_instances(&self, limit: usize) -> Result<Vec<Vec<i64>>, PolyError> {
+        let domain = &self.domain;
+        let points = domain.enumerate_points(&domain.level_bounds()?, limit)?;
+        Ok(points
             .iter()
             .map(|p| {
                 let assignment: HashMap<String, i64> =
@@ -331,13 +366,7 @@ impl StmtPoly {
                     .map(|e| e.eval(&assignment))
                     .collect()
             })
-            .collect()
-    }
-
-    /// The trip count of the whole nest (product of points), for tests and
-    /// latency estimation on small domains.
-    pub fn instance_count(&self, limit: usize) -> usize {
-        self.domain.enumerate_flat(limit).len()
+            .collect())
     }
 
     fn require_dim(&self, name: &str) -> usize {
@@ -366,6 +395,7 @@ mod tests {
 
     fn orig_set(s: &StmtPoly) -> BTreeSet<Vec<i64>> {
         s.enumerate_original_instances(100_000)
+            .unwrap()
             .into_iter()
             .collect()
     }
@@ -383,18 +413,18 @@ mod tests {
     fn split_preserves_instances() {
         let mut s = StmtPoly::new("S", &[("i", 0, 31)]);
         let before = orig_set(&s);
-        s.split("i", 8, "i0", "i1");
+        s.split("i", 8, "i0", "i1").unwrap();
         assert_eq!(s.dims(), &["i0".to_string(), "i1".to_string()]);
         assert_eq!(orig_set(&s), before);
-        assert_eq!(s.instance_count(100_000), 32);
+        assert_eq!(s.domain().count_points(), Ok(32));
     }
 
     #[test]
     fn split_non_divisible_factor() {
         // 0..=30 split by 8: 31 instances, partial last tile.
         let mut s = StmtPoly::new("S", &[("i", 0, 30)]);
-        s.split("i", 8, "i0", "i1");
-        assert_eq!(s.instance_count(100_000), 31);
+        s.split("i", 8, "i0", "i1").unwrap();
+        assert_eq!(s.domain().count_points(), Ok(31));
     }
 
     #[test]
@@ -402,9 +432,9 @@ mod tests {
         // Section V-B: tiling {S(t, i) : 0<=t<=31, 0<=i<=31} at i by 8
         // gives {S(t,i0,i1) : 0<=t<=31, 0<=i0<=3, 0<=i1<=7}.
         let mut s = StmtPoly::new("S", &[("t", 0, 31), ("i", 0, 31)]);
-        s.split("i", 8, "i0", "i1");
-        assert_eq!(s.instance_count(2_000_000), 32 * 32);
-        let (lbs, ubs) = s.domain().bounds_of("i0");
+        s.split("i", 8, "i0", "i1").unwrap();
+        assert_eq!(s.domain().count_points(), Ok(32 * 32));
+        let (lbs, ubs) = s.domain().bounds_of("i0").unwrap();
         let empty = HashMap::new();
         let lb = lbs
             .iter()
@@ -423,7 +453,7 @@ mod tests {
     fn tile_2d_order_and_instances() {
         let mut s = StmtPoly::new("S", &[("i", 0, 31), ("j", 0, 31)]);
         let before = orig_set(&s);
-        s.tile("i", "j", 4, 4, "i0", "j0", "i1", "j1");
+        s.tile("i", "j", 4, 4, "i0", "j0", "i1", "j1").unwrap();
         assert_eq!(
             s.dims(),
             &[
@@ -440,11 +470,11 @@ mod tests {
     fn skew_preserves_instances_and_changes_dependence() {
         let mut s = StmtPoly::new("S", &[("t", 0, 3), ("i", 0, 3)]);
         let before = orig_set(&s);
-        s.skew("t", "i", 1, "t2", "i2");
+        s.skew("t", "i", 1, "t2", "i2").unwrap();
         assert_eq!(orig_set(&s), before);
         // Skewed domain is non-rectangular: i2 in [t2, t2+3].
-        assert!(s.domain().contains(&[3, 6]));
-        assert!(!s.domain().contains(&[0, 4]));
+        assert_eq!(s.domain().contains(&[3, 6]), Ok(true));
+        assert_eq!(s.domain().contains(&[0, 4]), Ok(false));
 
         // Jacobi-style dependence (1, -1) becomes (1, 0) after skewing:
         // write A[t][i], read A[t-1][i+1].
@@ -462,14 +492,14 @@ mod tests {
     #[test]
     fn orig_expr_tracks_transformations() {
         let mut s = StmtPoly::new("S", &[("i", 0, 31)]);
-        s.split("i", 8, "i0", "i1");
+        s.split("i", 8, "i0", "i1").unwrap();
         let e = s.orig_expr("i").unwrap();
         assert_eq!(e.coeff("i0"), 8);
         assert_eq!(e.coeff("i1"), 1);
 
         // Access A[i+1] in current space: A[8*i0 + i1 + 1].
         let acc = AccessFn::new("A", vec![LinearExpr::var("i") + 1]);
-        let cur = s.access_to_current(&acc);
+        let cur = s.access_to_current(&acc).unwrap();
         assert_eq!(cur.indices[0].coeff("i0"), 8);
         assert_eq!(cur.indices[0].constant(), 1);
     }
@@ -514,6 +544,6 @@ mod tests {
     #[should_panic(expected = "adjacent")]
     fn tile_requires_adjacent_levels() {
         let mut s = StmtPoly::new("S", &[("i", 0, 3), ("k", 0, 3), ("j", 0, 3)]);
-        s.tile("i", "j", 2, 2, "i0", "j0", "i1", "j1");
+        s.tile("i", "j", 2, 2, "i0", "j0", "i1", "j1").unwrap();
     }
 }

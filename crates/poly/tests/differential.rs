@@ -19,7 +19,13 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use pom_poly::reference;
+use pom_poly::{reference, PolyError};
+
+/// The dense kernel's enumeration walk of `set`'s own bound table, one
+/// vector per point.
+fn walk(set: &pom_poly::BasicSet, limit: usize) -> Result<Vec<Vec<i64>>, PolyError> {
+    Ok(set.enumerate_points(&set.level_bounds()?, limit)?.to_vecs())
+}
 
 /// Dimension names used by every generated system. The prefix keeps the
 /// global intern table's entries for this suite recognizable; interning is
@@ -141,7 +147,7 @@ proptest! {
     #[test]
     fn projection_integer_points_match(spec in spec_strategy()) {
         let (dense, named) = materialize(&spec);
-        let dense_proj = pom_poly::fm::eliminate(&dense, "dp_k").into_constraints();
+        let dense_proj = pom_poly::fm::eliminate(&dense, "dp_k").unwrap().into_constraints();
         let named_proj = reference::fm::eliminate(&named, "dp_k").into_constraints();
         for i in -2i64..7 {
             for j in -2i64..7 {
@@ -177,7 +183,7 @@ proptest! {
             continue;
         }
         for (idx, d) in DIMS.iter().enumerate() {
-            let (dlo, dhi) = dense.bounds_of(d);
+            let (dlo, dhi) = dense.bounds_of(d).unwrap();
             let (nlo, nhi) = named.bounds_of(d);
             // Probe every assignment of the outer dims in a small box.
             let outer = &DIMS[..idx];
@@ -209,13 +215,13 @@ proptest! {
     #[test]
     fn contains_and_enumeration_match(spec in spec_strategy(), probe in vec(-1i64..6, 3)) {
         let (dense, named) = materialize_sets(&spec);
-        prop_assert_eq!(dense.contains(&probe), named.contains(&probe));
-        prop_assert_eq!(dense.enumerate_points(500), named.enumerate_points(500));
-        prop_assert_eq!(dense.count_points(), named.count_points());
+        prop_assert_eq!(dense.contains(&probe), Ok(named.contains(&probe)));
+        prop_assert_eq!(walk(&dense, 500), Ok(named.enumerate_points(500)));
+        prop_assert_eq!(dense.count_points(), Ok(named.count_points()));
     }
 
-    /// The fallible enumerator returns the reference enumeration, and
-    /// `None` exactly when that holds more than `limit` points or the
+    /// The enumerator returns the reference enumeration, `Limit` exactly
+    /// when that holds more than `limit` points, and `Unbounded` when the
     /// walk meets a dimension without a lower or an upper bound. The
     /// outermost dimension is the one left unboxed, so the walk always
     /// reaches it.
@@ -242,12 +248,12 @@ proptest! {
 
         let (lbs, ubs) = named.bounds_of(DIMS[0]);
         let expected = if lbs.is_empty() || ubs.is_empty() {
-            None
+            Err(PolyError::Unbounded(0))
         } else {
             let all = named.enumerate_points(1_000_000);
-            (all.len() <= limit).then_some(all)
+            if all.len() <= limit { Ok(all) } else { Err(PolyError::Limit(limit)) }
         };
-        prop_assert_eq!(dense.try_enumerate_points(limit), expected, "limit {} system {:?}", limit, system);
+        prop_assert_eq!(walk(&dense, limit), expected, "limit {} system {:?}", limit, system);
     }
 
     /// The one-table form of `bounds_of`: `level_bounds()[k]` is
@@ -259,16 +265,16 @@ proptest! {
         let mut open = pom_poly::BasicSet::universe(&DIMS);
         materialize(&spec).0.into_iter().for_each(|c| open.add_constraint(c));
         for set in [boxed, open] {
-            let levels = set.level_bounds();
+            let levels = set.level_bounds().unwrap();
             prop_assert_eq!(levels.len(), DIMS.len());
             for (k, d) in DIMS.iter().enumerate() {
-                prop_assert_eq!(&levels[k], &set.bounds_of(d), "level {} of {}", k, set);
+                prop_assert_eq!(&levels[k], &set.bounds_of(d).unwrap(), "level {} of {}", k, set);
             }
         }
     }
 
     /// Enumerating from a level-bounds table walks exactly like
-    /// `try_enumerate_points`, `None` cases included: the table built one
+    /// the set's own table, error cases included: the table built one
     /// `bounds_of` at a time and the one `level_bounds` returns give the
     /// same answer. Same systems as `try_enumerate_points_matches`.
     #[test]
@@ -289,11 +295,12 @@ proptest! {
         let mut dense = pom_poly::BasicSet::universe(&DIMS);
         materialize(&system).0.into_iter().for_each(|c| dense.add_constraint(c));
 
-        let by_dim: Vec<pom_poly::LevelBounds> = DIMS.iter().map(|d| dense.bounds_of(d)).collect();
-        let expected = dense.try_enumerate_points(limit);
-        prop_assert_eq!(dense.try_enumerate_points_with(&by_dim, limit), expected.clone());
+        let by_dim: Vec<pom_poly::LevelBounds> =
+            DIMS.iter().map(|d| dense.bounds_of(d).unwrap()).collect();
+        let expected = walk(&dense, limit);
+        prop_assert_eq!(dense.enumerate_points(&by_dim, limit).map(|p| p.to_vecs()), expected.clone());
         prop_assert_eq!(
-            dense.try_enumerate_points_with(&dense.level_bounds(), limit),
+            dense.enumerate_points(&dense.level_bounds().unwrap(), limit).map(|p| p.to_vecs()),
             expected,
             "limit {} system {:?}", limit, system
         );
@@ -304,10 +311,10 @@ proptest! {
     #[test]
     fn project_out_matches(spec in spec_strategy()) {
         let (dense, named) = materialize_sets(&spec);
-        let dp = dense.project_out(&["dp_k"]);
+        let dp = dense.project_out(&["dp_k"]).unwrap();
         let np = named.project_out(&["dp_k"]);
         prop_assert_eq!(dp.dims(), np.dims());
-        prop_assert_eq!(dp.enumerate_points(500), np.enumerate_points(500));
+        prop_assert_eq!(walk(&dp, 500), Ok(np.enumerate_points(500)));
     }
 
     /// Full dependence analysis — distance vectors, direction vectors,
@@ -345,7 +352,7 @@ proptest! {
 
         let dense_deps = pom_poly::DependenceAnalysis::new().analyze_pair(
             &dw, &dr, pom_poly::DepKind::Flow, &dims, &dense_domain,
-        );
+        ).unwrap();
         let named_deps = reference::DependenceAnalysis::new().analyze_pair(
             &nw, &nr, reference::dependence::DepKind::Flow, &dims, &named_domain,
         );
@@ -496,9 +503,9 @@ proptest! {
         let rows = shape_rows(shape);
         let set = shape_set(&rows);
         let points = shape_points(&rows);
-        check_fibers(&set.level_bounds(), &points, &mut Vec::new());
+        check_fibers(&set.level_bounds().unwrap(), &points, &mut Vec::new());
         let walked: Vec<Vec<i64>> = points.iter().map(|p| p.to_vec()).collect();
-        prop_assert_eq!(set.enumerate_points(100_000), walked, "shape {:?}", shape);
+        prop_assert_eq!(walk(&set, 100_000), Ok(walked), "shape {:?}", shape);
     }
 
     /// The flat enumeration is the nested one, point for point, `None`
@@ -532,7 +539,7 @@ proptest! {
             let all = named.enumerate_points(1_000_000);
             (all.len() <= limit).then_some(all)
         };
-        let flat = dense.try_enumerate_flat(&dense.level_bounds(), limit);
+        let flat = dense.enumerate_points(&dense.level_bounds().unwrap(), limit).ok();
         if let Some(points) = &flat {
             prop_assert_eq!(points.arity(), DIMS.len());
             prop_assert_eq!(points.iter().len(), points.len());
@@ -540,7 +547,7 @@ proptest! {
         }
         let nested = flat.map(|p| p.iter().map(<[i64]>::to_vec).collect::<Vec<_>>());
         prop_assert_eq!(&nested, &expected, "limit {} system {:?}", limit, system);
-        prop_assert_eq!(dense.try_enumerate_points(limit), expected);
+        prop_assert_eq!(walk(&dense, limit).ok(), expected);
     }
 }
 
@@ -596,7 +603,7 @@ fn inexact_chain_falls_back_to_outermost_first() {
     ];
     let (dense, named) = materialize_sets(&spec);
     assert!(!dense.is_empty());
-    let levels = dense.level_bounds();
+    let levels = dense.level_bounds().unwrap();
     for (idx, d) in DIMS.iter().enumerate() {
         let (nlo, nhi) = named.bounds_of(d);
         let want = probe_bounds(
@@ -617,7 +624,7 @@ fn inexact_chain_falls_back_to_outermost_first() {
             want,
             "level_bounds of {d}"
         );
-        let by_dim = dense.bounds_of(d);
+        let by_dim = dense.bounds_of(d).unwrap();
         assert_eq!(
             probe_bounds(|p| dense_bounds_at(&by_dim, p), idx),
             want,
@@ -653,12 +660,12 @@ fn exact_chain_is_tighter_than_outermost_first() {
         named.add_constraint(c);
     }
     // The integer points agree, and none has `dp_i = 2`.
-    let points = dense.enumerate_points(1000);
+    let points = walk(&dense, 1000).unwrap();
     assert_eq!(points, named.enumerate_points(1000));
     assert!(!points.is_empty());
     assert!(points.iter().all(|p| p[0] <= 1));
 
-    let levels = dense.level_bounds();
+    let levels = dense.level_bounds().unwrap();
     for (idx, d) in DIMS.iter().enumerate() {
         let (nlo, nhi) = named.bounds_of(d);
         let wide = probe_bounds(
@@ -676,7 +683,7 @@ fn exact_chain_is_tighter_than_outermost_first() {
         );
         let tight = probe_bounds(|p| dense_bounds_at(&levels[idx], p), idx);
         assert_eq!(
-            probe_bounds(|p| dense_bounds_at(&dense.bounds_of(d), p), idx),
+            probe_bounds(|p| dense_bounds_at(&dense.bounds_of(d).unwrap(), p), idx),
             tight,
             "bounds_of {d} == level_bounds"
         );
@@ -701,23 +708,23 @@ fn exact_chain_is_tighter_than_outermost_first() {
 fn zero_dimension_flat_enumeration() {
     let point = pom_poly::BasicSet::universe(&[]);
     let points = point
-        .try_enumerate_flat(&point.level_bounds(), 10)
+        .enumerate_points(&point.level_bounds().unwrap(), 10)
         .expect("bounded");
     assert_eq!((points.arity(), points.len()), (0, 1));
     assert_eq!(points.iter().collect::<Vec<_>>(), vec![&[] as &[i64]]);
     assert_eq!(
-        point.enumerate_points(10),
-        reference::BasicSet::universe(&[]).enumerate_points(10)
+        walk(&point, 10),
+        Ok(reference::BasicSet::universe(&[]).enumerate_points(10))
     );
-    assert_eq!(point.try_enumerate_flat(&[], 0), None);
+    assert_eq!(point.enumerate_points(&[], 0), Err(PolyError::Limit(0)));
 
     let empty = point.with_constraint(pom_poly::Constraint::ge_zero(
         pom_poly::LinearExpr::constant_expr(-1),
     ));
-    let none = empty.try_enumerate_flat(&[], 10).expect("bounded");
+    let none = empty.enumerate_points(&[], 10).expect("bounded");
     assert!(none.is_empty());
     assert_eq!(none.iter().count(), 0);
-    assert_eq!(empty.enumerate_points(10), Vec::<Vec<i64>>::new());
+    assert_eq!(walk(&empty, 10), Ok(Vec::<Vec<i64>>::new()));
 }
 
 /// The dense and reference sets of a shape's rows.
@@ -744,7 +751,9 @@ fn shape_sets(rows: &[([i64; 3], i64)]) -> (pom_poly::BasicSet, reference::Basic
 fn counted_walk_matches_the_reference_at_the_limit() {
     let boxed = |dims: [&str; 3], (lo, hi): (i64, i64)| {
         let bounds: Vec<(&str, i64, i64)> = dims.iter().map(|&d| (d, lo, hi)).collect();
-        pom_poly::BasicSet::from_bounds(&bounds).level_bounds()
+        pom_poly::BasicSet::from_bounds(&bounds)
+            .level_bounds()
+            .unwrap()
     };
     let mut sets = Vec::new();
     for y_shape in 0..3 {
@@ -765,14 +774,332 @@ fn counted_walk_matches_the_reference_at_the_limit() {
     for (dense, named, loose) in &sets {
         let want = named.enumerate_points(1_000_000);
         assert!(!want.is_empty(), "{dense}");
-        for levels in [dense.level_bounds(), loose.clone()] {
-            let walked = dense.try_enumerate_flat(&levels, want.len());
-            assert_eq!(walked.map(|p| p.to_vecs()), Some(want.clone()), "{dense}");
+        for levels in [dense.level_bounds().unwrap(), loose.clone()] {
+            let walked = dense.enumerate_points(&levels, want.len());
+            assert_eq!(walked.map(|p| p.to_vecs()), Ok(want.clone()), "{dense}");
             assert_eq!(
-                dense.try_enumerate_flat(&levels, want.len() - 1),
-                None,
+                dense.enumerate_points(&levels, want.len() - 1),
+                Err(PolyError::Limit(want.len() - 1)),
                 "{dense}"
             );
         }
+    }
+}
+
+/// A coefficient, constant or bound: small, or within a factor of 4 of
+/// `i64::MAX` on either side.
+fn wide() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..4,
+        (i64::MAX / 4)..=i64::MAX,
+        -i64::MAX..=-(i64::MAX / 4)
+    ]
+}
+
+/// A system over `DIMS` whose coefficients and constants are [`wide`].
+fn wide_spec_strategy() -> impl Strategy<Value = Vec<Spec>> {
+    vec((0i64..4, vec(wide(), 3), wide()), 1..4)
+}
+
+thread_local! {
+    /// Set while the reference kernel runs: its arithmetic is unchecked,
+    /// and the panics it raises then are expected, not reported.
+    static QUIET: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The reference kernel's answer, or the message of its panic. The
+/// reference computes in unchecked `i64` (a panic on overflow in the
+/// test profile), so it answers only where no step leaves `i64`.
+fn reference_answer<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(|q| q.get()) {
+                default(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(true));
+    let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(false));
+    answer.map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    })
+}
+
+/// `Ok(dense)` must be the reference's answer, unless the reference
+/// overflows on the way; an `Err` is always allowed. Nothing panics.
+fn assert_exact_or_err<T: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
+    dense: Result<T, E>,
+    reference: impl FnOnce() -> T,
+    what: &str,
+) {
+    // Without overflow checks the reference wraps silently: its answer
+    // is then no oracle.
+    let Ok(dense) = dense else {
+        return;
+    };
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    match reference_answer(reference) {
+        Ok(want) => assert_eq!(dense, want, "{what}"),
+        Err(msg) => assert!(msg.contains("overflow"), "{what}: reference failed: {msg}"),
+    }
+}
+
+/// A constraint's value at `point` (over `DIMS`, missing dims zero), in
+/// `i128`: exact for the sample points below.
+fn value_at(terms: impl Iterator<Item = (String, i64)>, constant: i64, point: &[i64]) -> i128 {
+    terms.fold(i128::from(constant), |v, (name, c)| {
+        let at = DIMS.iter().position(|d| *d == name).map_or(0, |k| point[k]);
+        v + i128::from(c) * i128::from(at)
+    })
+}
+
+/// Sample points of a wide system: small values and values near the
+/// `i64` edges, so both small and wide constraints are decided both ways.
+fn wide_samples() -> Vec<[i64; 3]> {
+    let values = [-2, 0, 1, 3, i64::MAX / 4, -(i64::MAX / 4), i64::MAX / 2];
+    let mut out = Vec::new();
+    for &i in &values {
+        for &j in &values {
+            for &k in &[0, 2, i64::MAX / 3] {
+                out.push([i, j, k]);
+            }
+        }
+    }
+    out
+}
+
+/// Which sample points a dense constraint list admits.
+fn dense_admits(cs: &[pom_poly::Constraint]) -> Vec<bool> {
+    wide_samples()
+        .iter()
+        .map(|p| {
+            cs.iter().all(|c| {
+                let v = value_at(
+                    c.expr.terms().map(|(n, c)| (n.to_string(), c)),
+                    c.expr.constant(),
+                    p,
+                );
+                match c.kind {
+                    pom_poly::ConstraintKind::Eq => v == 0,
+                    pom_poly::ConstraintKind::GeZero => v >= 0,
+                }
+            })
+        })
+        .collect()
+}
+
+/// Which sample points a reference constraint list admits.
+fn reference_admits(cs: &[reference::Constraint]) -> Vec<bool> {
+    wide_samples()
+        .iter()
+        .map(|p| {
+            cs.iter().all(|c| {
+                let v = value_at(
+                    c.expr.terms().map(|(n, c)| (n.to_string(), c)),
+                    c.expr.constant(),
+                    p,
+                );
+                match c.kind {
+                    reference::ConstraintKind::Eq => v == 0,
+                    reference::ConstraintKind::GeZero => v >= 0,
+                }
+            })
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Expression arithmetic and substitution on coefficients within a
+    /// factor of 4 of `i64::MAX`: `Ok` is exactly the reference's
+    /// result, or the kernel reports the overflow; it never panics.
+    #[test]
+    fn wide_expression_arithmetic_is_exact_or_an_error(
+        a in vec(wide(), 3),
+        ac in wide(),
+        b in vec(wide(), 3),
+        bc in wide(),
+        k in wide(),
+    ) {
+        let (da, db) = (dense_expr(&a, ac), dense_expr(&b, bc));
+        let (na, nb) = (ref_expr(&a, ac), ref_expr(&b, bc));
+
+        let mut sum = da.clone();
+        let added = sum.add_scaled(&db, k).map(|()| sum.to_string());
+        assert_exact_or_err(added, || (na.clone() + nb.clone() * k).to_string(), "add_scaled");
+
+        let mut scaled = da.clone();
+        let multiplied = scaled.mul_assign(k).map(|()| scaled.to_string());
+        assert_exact_or_err(multiplied, || (na.clone() * k).to_string(), "mul_assign");
+
+        // dp_i := (b without dp_i), by name and by id.
+        let mut rep = db.clone();
+        rep.set_coeff("dp_i", 0);
+        let mut nrep = nb.clone();
+        nrep.set_coeff("dp_i", 0);
+        let by_name = da.substituted("dp_i", &rep);
+        let by_id = da.substituted_id(pom_poly::DimId::intern("dp_i"), &rep);
+        prop_assert_eq!(&by_name, &by_id);
+        assert_exact_or_err(
+            by_name.map(|e| e.to_string()),
+            || na.substituted("dp_i", &nrep).to_string(),
+            "substituted",
+        );
+
+        // dp_i := rep and dp_j := k·dp_k at once; neither replacement
+        // names a substituted dim, so the reference may chain them.
+        let second = pom_poly::LinearExpr::term("dp_k", k);
+        let mut rep_k = rep.clone();
+        rep_k.set_coeff("dp_j", 0);
+        let mut nrep_k = nrep.clone();
+        nrep_k.set_coeff("dp_j", 0);
+        let subs = [
+            (pom_poly::DimId::intern("dp_i"), &rep_k),
+            (pom_poly::DimId::intern("dp_j"), &second),
+        ];
+        assert_exact_or_err(
+            da.substituted_many(&subs).map(|e| e.to_string()),
+            || {
+                na.substituted("dp_i", &nrep_k)
+                    .substituted("dp_j", &reference::LinearExpr::term("dp_k", k))
+                    .to_string()
+            },
+            "substituted_many",
+        );
+
+        let c = pom_poly::Constraint::ge_zero(da.clone());
+        let nc = reference::Constraint::ge_zero(na.clone());
+        assert_exact_or_err(
+            c.substituted("dp_i", &rep).map(|c| c.to_string()),
+            || nc.substituted("dp_i", &nrep).to_string(),
+            "Constraint::substituted",
+        );
+    }
+
+    /// Fourier–Motzkin on wide systems: an `Ok` projection admits exactly
+    /// the sample points the reference's does, through `eliminate`,
+    /// `eliminate_all` and `BasicSet::project_out`; or the kernel reports
+    /// the overflow. It never panics.
+    #[test]
+    fn wide_projection_is_exact_or_an_error(spec in wide_spec_strategy()) {
+        let (dense, named) = materialize(&spec);
+        let admits = |p: Result<pom_poly::fm::Projection, PolyError>| {
+            p.map(|p| dense_admits(&p.into_constraints()))
+        };
+        assert_exact_or_err(
+            admits(pom_poly::fm::eliminate(&dense, "dp_k")),
+            || reference_admits(&reference::fm::eliminate(&named, "dp_k").into_constraints()),
+            "eliminate",
+        );
+        assert_exact_or_err(
+            admits(pom_poly::fm::eliminate_all(&dense, &["dp_k", "dp_j"])),
+            || {
+                reference_admits(
+                    &reference::fm::eliminate_all(&named, &["dp_k", "dp_j"]).into_constraints(),
+                )
+            },
+            "eliminate_all",
+        );
+        let mut dset = pom_poly::BasicSet::universe(&DIMS);
+        dense.iter().for_each(|c| dset.add_constraint(c.clone()));
+        let mut nset = reference::BasicSet::universe(&DIMS);
+        named.iter().for_each(|c| nset.add_constraint(c.clone()));
+        assert_exact_or_err(
+            dset.project_out(&["dp_j"]).map(|s| dense_admits(s.constraints())),
+            || reference_admits(nset.project_out(&["dp_j"]).constraints()),
+            "project_out",
+        );
+        // The bound table answers or reports, and agrees with `bounds_of`.
+        if let Ok(levels) = dset.level_bounds() {
+            for (k, d) in DIMS.iter().enumerate() {
+                prop_assert_eq!(dset.bounds_of(d), Ok(levels[k].clone()));
+            }
+        }
+    }
+
+    /// Enumeration of boxes near the `i64` edges, cut by wide rows: the
+    /// points are the reference's, or the walk reports the limit, a
+    /// missing bound or the overflow. It never panics.
+    #[test]
+    fn wide_enumeration_is_exact_or_an_error(
+        spec in wide_spec_strategy(),
+        lows in vec(wide(), 3),
+        widths in vec(0i64..4, 3),
+    ) {
+        let (dc, nc) = materialize(&spec);
+        let bounds: Vec<(&str, i64, i64)> = DIMS
+            .iter()
+            .zip(lows.iter().zip(&widths))
+            .map(|(d, (&lo, &w))| (*d, lo.min(i64::MAX - w), lo.min(i64::MAX - w) + w))
+            .collect();
+        let mut dense = pom_poly::BasicSet::from_bounds(&bounds);
+        let mut named = reference::BasicSet::from_bounds(&bounds);
+        dc.into_iter().for_each(|c| dense.add_constraint(c));
+        nc.into_iter().for_each(|c| named.add_constraint(c));
+        assert_exact_or_err(walk(&dense, 200), || named.enumerate_points(200), "enumerate_points");
+        assert_exact_or_err(dense.count_points(), || named.count_points(), "count_points");
+    }
+
+    /// Dependence analysis on accesses with wide coefficients and
+    /// constants: `Ok` renders exactly as the reference, or the analysis
+    /// reports the overflow (callers then read "may depend"). It never
+    /// panics.
+    #[test]
+    fn wide_dependence_is_exact_or_an_error(
+        wc in vec(wide(), 2),
+        woff in wide(),
+        roff in wide(),
+        extent in 0i64..8,
+    ) {
+        let dims = ["dp_i".to_string(), "dp_j".to_string()];
+        let bounds = [("dp_i", 0i64, extent), ("dp_j", 0, extent)];
+        let idx = |off: i64| {
+            let mut e = pom_poly::LinearExpr::constant_expr(off);
+            e.set_coeff("dp_i", wc[0]);
+            e.set_coeff("dp_j", wc[1]);
+            e
+        };
+        let ridx = |off: i64| {
+            let mut e = reference::LinearExpr::constant_expr(off);
+            e.set_coeff("dp_i", wc[0]);
+            e.set_coeff("dp_j", wc[1]);
+            e
+        };
+        let w = pom_poly::AccessFn::new("A", vec![idx(woff)]);
+        let r = pom_poly::AccessFn::new("A", vec![idx(roff)]);
+        let nw = reference::AccessFn::new("A", vec![ridx(woff)]);
+        let nr = reference::AccessFn::new("A", vec![ridx(roff)]);
+        let domain = pom_poly::BasicSet::from_bounds(&bounds);
+        let named_domain = reference::BasicSet::from_bounds(&bounds);
+        let dense = pom_poly::DependenceAnalysis::new()
+            .analyze_pair(&w, &r, pom_poly::DepKind::Flow, &dims, &domain)
+            .map(|deps| deps.iter().map(|d| d.to_string()).collect::<Vec<_>>());
+        assert_exact_or_err(
+            dense,
+            || {
+                reference::DependenceAnalysis::new()
+                    .analyze_pair(&nw, &nr, reference::dependence::DepKind::Flow, &dims, &named_domain)
+                    .iter()
+                    .map(|d| d.to_string())
+                    .collect::<Vec<_>>()
+            },
+            "analyze_pair",
+        );
+        let d = [woff.wrapping_sub(roff), 1];
+        assert_exact_or_err(
+            pom_poly::DependenceAnalysis::new().distance_realizable(&d, &dims, &domain),
+            || reference::DependenceAnalysis::new().distance_realizable(&d, &dims, &named_domain),
+            "distance_realizable",
+        );
     }
 }

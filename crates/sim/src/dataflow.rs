@@ -614,7 +614,7 @@ mod tests {
         ));
         let read_idx = if reverse {
             let mut e = LinearExpr::term("j", -1);
-            e.add_constant(n - 1);
+            e.add_constant(n - 1).unwrap();
             e
         } else {
             LinearExpr::var("j")

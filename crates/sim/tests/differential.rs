@@ -90,11 +90,11 @@ fn iv(level: usize) -> String {
 fn read_index(spec: &NestSpec, level: usize) -> LinearExpr {
     if spec.flips[level] {
         let mut e = LinearExpr::term(iv(level), -1);
-        e.add_constant((spec.extents[level] - 1).max(0));
+        e.add_constant((spec.extents[level] - 1).max(0)).unwrap();
         e
     } else {
         let mut e = LinearExpr::var(iv(level));
-        e.add_constant(spec.offsets[level]);
+        e.add_constant(spec.offsets[level]).unwrap();
         e
     }
 }
@@ -140,7 +140,7 @@ fn build(spec: &NestSpec) -> AffineFunc {
     });
     let mut body = if spec.guard {
         let mut cond = LinearExpr::var(iv(0));
-        cond.add_constant(-1);
+        cond.add_constant(-1).unwrap();
         vec![AffineOp::If(IfOp {
             conds: vec![Constraint::ge_zero(cond)],
             body: vec![store],

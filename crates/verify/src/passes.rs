@@ -202,7 +202,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "drop-last-iteration"
             }
-            fn run(&self, func: &mut AffineFunc) {
+            fn run(&self, func: &mut AffineFunc) -> Result<(), pom_poly::PolyError> {
                 func.walk_mut(&mut |op| {
                     if let AffineOp::For(l) = op {
                         for b in &mut l.ubs {
@@ -210,6 +210,7 @@ mod tests {
                         }
                     }
                 });
+                Ok(())
             }
         }
         let mut f = sample_func();
@@ -231,10 +232,10 @@ mod tests {
     fn collapse_and_simplify_survive_direct_check() {
         let mut f = sample_func();
         let before = f.clone();
-        SimplifyBounds.run(&mut f);
+        SimplifyBounds.run(&mut f).unwrap();
         check_pass("simplify-bounds", &before, &f).expect("simplify preserves");
         let before = f.clone();
-        CollapseUnitLoops.run(&mut f);
+        CollapseUnitLoops.run(&mut f).unwrap();
         check_pass("collapse-unit-loops", &before, &f).expect("collapse preserves");
     }
 

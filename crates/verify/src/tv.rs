@@ -25,7 +25,7 @@ use crate::cert::{Certificate, Obligation, ObligationKind, ValidationReport};
 use pom_dsl::{Compute, Function, Primitive};
 use pom_poly::{
     ceil_div, floor_div, fm, AccessFn, BasicSet, Constraint, ConstraintKind, DepKind,
-    DependenceAnalysis, DimId, LevelBounds, LinearExpr, Points, StmtPoly,
+    DependenceAnalysis, DimId, LevelBounds, LinearExpr, Points, PolyError, StmtPoly,
 };
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -97,7 +97,8 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
         .collect();
     // Original-space dependences do not depend on the schedule: compute
     // them once and re-check them after every rewrite.
-    let deps: Vec<Vec<SelfDependence>> = computes.iter().map(self_dependences).collect();
+    let deps: Vec<Result<Vec<SelfDependence>, PolyError>> =
+        computes.iter().map(self_dependences).collect();
     // Neither does a statement's original side of the domain and
     // footprint comparisons: it is built at the statement's first loop
     // transformation and dropped after its last, so a long schedule holds
@@ -193,7 +194,13 @@ pub fn validate_with(f: &Function, opts: &ValidateOptions) -> ValidationReport {
 /// there is such a load. Loop-independent (all-zero) and non-uniform
 /// dependences are left out; no schedule can reverse the former, and the
 /// latter have no distance to re-express.
-pub fn self_dependences(c: &Compute) -> Vec<SelfDependence> {
+///
+/// # Errors
+///
+/// Returns [`PolyError::Overflow`] when an analysis leaves `i64`: the
+/// dependences are then unknown, and no schedule can be proven to keep
+/// them.
+pub fn self_dependences(c: &Compute) -> Result<Vec<SelfDependence>, PolyError> {
     let analysis = DependenceAnalysis::new();
     let store = c.store();
     let dims = c.iter_names();
@@ -201,14 +208,15 @@ pub fn self_dependences(c: &Compute) -> Vec<SelfDependence> {
     let mut deps = Vec::new();
     for l in c.loads() {
         if l.array == store.array {
-            deps.extend(analysis.analyze_pair(store, l, DepKind::Flow, &dims, &domain));
-            deps.extend(analysis.analyze_pair(l, store, DepKind::Anti, &dims, &domain));
+            deps.extend(analysis.analyze_pair(store, l, DepKind::Flow, &dims, &domain)?);
+            deps.extend(analysis.analyze_pair(l, store, DepKind::Anti, &dims, &domain)?);
         }
     }
     if c.loads().iter().any(|l| l.array == store.array) {
-        deps.extend(analysis.analyze_pair(store, store, DepKind::Output, &dims, &domain));
+        deps.extend(analysis.analyze_pair(store, store, DepKind::Output, &dims, &domain)?);
     }
-    deps.into_iter()
+    Ok(deps
+        .into_iter()
         .filter_map(|d| {
             let dist = d.distance?;
             if dist.0.iter().all(|&x| x == 0) {
@@ -220,7 +228,7 @@ pub fn self_dependences(c: &Compute) -> Vec<SelfDependence> {
                 dist: dist.0,
             })
         })
-        .collect()
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -637,7 +645,7 @@ fn closed_box(bx: &[DeltaIv]) -> Option<Vec<(i64, i64)>> {
 /// in dimension order, ignoring bounds that mention other dims (every
 /// dimension unbounded without a table).
 fn level_table(set: &BasicSet) -> (Option<Vec<LevelBounds>>, Vec<DeltaIv>) {
-    let Ok(levels) = set.try_level_bounds() else {
+    let Ok(levels) = set.level_bounds() else {
         return (None, vec![(None, None); set.dim_count()]);
     };
     let bx = levels
@@ -714,7 +722,7 @@ fn bounded_points(
     if volume.is_some_and(|v| v > limit as u128) {
         return None;
     }
-    set.try_enumerate_flat(levels, limit)
+    set.enumerate_points(levels, limit).ok()
 }
 
 // ---------------------------------------------------------------------
@@ -726,9 +734,18 @@ fn bounded_points(
 fn dependences_obligation(
     c: &Compute,
     s: &StmtPoly,
-    deps: &[SelfDependence],
+    deps: &Result<Vec<SelfDependence>, PolyError>,
     cur: &Transformed,
 ) -> Obligation {
+    let deps = match deps {
+        Ok(deps) => deps,
+        Err(e) => {
+            return Obligation::failed(
+                ObligationKind::DependencesPreserved,
+                format!("the original dependences cannot be analysed ({e}): may be violated"),
+            )
+        }
+    };
     if let Some((d, level)) = first_reversal(c, s, deps, &cur.bx) {
         return Obligation::failed(
             ObligationKind::DependencesPreserved,
@@ -1113,7 +1130,7 @@ fn domain_inclusion_violation(orig: &BasicSet, s: &StmtPoly, cur: &Transformed) 
     for c in orig.constraints() {
         // A constraint whose pull-back leaves `i64` is not proven, like an
         // overflowing Fourier–Motzkin step ("may be violated").
-        let Ok(pulled) = c.expr.try_substituted_many(&cur.pullback) else {
+        let Ok(pulled) = c.expr.substituted_many(&cur.pullback) else {
             return Some(format!(
                 "some transformed instance may map outside the original domain: constraint \
                  `{c}` leaves i64 when pulled back"
@@ -1179,7 +1196,7 @@ fn footprint_obligation(orig: &Original, cur: &Transformed) -> Obligation {
             a.indices
                 .iter()
                 .map(|e| {
-                    let pulled = e.try_substituted_many(&cur.pullback).ok()?;
+                    let pulled = e.substituted_many(&cur.pullback).ok()?;
                     Some(Row::compile(&pulled, &cur.dims))
                 })
                 .collect()
@@ -1329,7 +1346,7 @@ fn reads_first(sp: &StmtPoly, pa: &AccessFn, sc: &StmtPoly, ca: &AccessFn) -> bo
         let back = s.reconstruction();
         a.indices
             .iter()
-            .map(|e| e.try_substituted_many(&back).ok())
+            .map(|e| e.substituted_many(&back).ok())
             .collect()
     };
     let (Some(pa), Some(ca)) = (current(sp, pa), current(sc, ca)) else {
@@ -1813,7 +1830,10 @@ mod tests {
             let c = &f.computes()[0];
             let orig = Original::of(c, ValidateOptions::default().enumerate_limit);
             let e = orig.enumerated.as_ref().expect("enumerable");
-            let points = c.domain().enumerate_flat(4096);
+            let domain = c.domain();
+            let points = domain
+                .enumerate_points(&domain.level_bounds().unwrap(), 4096)
+                .unwrap();
             let ids: Vec<DimId> = orig.dims.iter().map(|d| DimId::intern(d)).collect();
             let same = |a: &Packer, b: &Packer| a.dims == b.dims && a.cells == b.cells;
             let identity = Row::identity(orig.dims.len());
@@ -1897,7 +1917,7 @@ mod tests {
         let c = &f.computes()[0];
         let orig = Original::of(c, 4096);
         let mut s = StmtPoly::new("P", &[("i", 0, 3)]);
-        s.split("i", 4, "i0", "i1");
+        s.split("i", 4, "i0", "i1").unwrap();
         let cur = Transformed::of(&s, &orig, 4096);
         let wide = BasicSet::from_bounds(&[("i", 0, 3)])
             .with_constraint(Constraint::ge_zero(LinearExpr::term("i", 1 << 62)));

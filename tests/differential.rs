@@ -47,7 +47,7 @@ fn assert_identical(f: &Function, affine: &pom::AffineFunc, seed: u64, stage: &s
 /// suite kernels records an HLS attribute) and runs the standard cleanup
 /// passes with `pom-verify`'s footprint hook checking each one.
 fn checked_lowering(f: &Function) -> pom::AffineFunc {
-    let ast = pom::poly::build_ast(&pom::dse::compile::apply_schedule(f));
+    let ast = pom::poly::build_ast(&pom::dse::compile::apply_schedule(f)).expect("bounds fit i64");
     let bodies: HashMap<String, StmtBody> = f
         .computes()
         .iter()
@@ -66,7 +66,7 @@ fn checked_lowering(f: &Function) -> pom::AffineFunc {
         .iter()
         .map(|p| MemRefDecl::new(p.name(), p.shape(), p.dtype()))
         .collect();
-    let mut func = lower_to_affine(f.name(), memrefs, &ast, &bodies);
+    let mut func = lower_to_affine(f.name(), memrefs, &ast, &bodies).expect("indices fit i64");
     PassManager::standard()
         .check_each(pom::verify::check_hook())
         .run(&mut func)
