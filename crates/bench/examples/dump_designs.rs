@@ -143,7 +143,7 @@ fn signoff(src: &pom::Function, r: &DseResult, opts: &CompileOptions) -> String 
     let mut sim = pom::simulate(&c.affine, &c.deps, &mut sim_memory, &opts.model);
     sim.sim_time = Default::default();
     let live = pom::analyze_liveness(&c.affine);
-    let plan = pom::dataflow::partition(f, &c.affine);
+    let plan = pom::dataflow::partition(&c.affine);
     let initial = MemoryState::for_function_seeded(src, SEED);
     let channel_certs = pom::channel_certificates(&c.affine, &plan, &initial);
     let mut df_memory = MemoryState::for_function_seeded(src, SEED);

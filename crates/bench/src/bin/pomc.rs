@@ -408,13 +408,7 @@ fn emit_design(
         "tb" => println!("{}", pom::emit_testbench(&c.affine, 42)),
         "report" => {
             let base = baselines::baseline_compiled(f, opts);
-            let report = SynthesisReport::generate(
-                &c.affine,
-                &c.deps,
-                &opts.model,
-                &opts.device,
-                opts.sharing,
-            );
+            let report = SynthesisReport::generate(&c.affine, c.qor.clone(), &opts.device);
             println!("{}", report.render());
             println!(
                 "Speedup over unoptimized baseline: {:.1}x",

@@ -44,9 +44,10 @@
 //! streams' vocabulary); for `conv...` kernels the shape in the name
 //! wins and `<size>` is ignored.
 
+use pom_dse::cache::Bounded;
 use pom_dse::{auto_dse_with_cache, fingerprint, CompileOptions, DseCache, DseConfig, DseResult};
 use pom_dsl::Function;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -156,29 +157,6 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// FIFO-bounded response map (mirrors the cache's eviction policy).
-struct Responses {
-    map: HashMap<u64, Arc<String>>,
-    order: VecDeque<u64>,
-    cap: usize,
-}
-
-impl Responses {
-    fn insert(&mut self, fp: u64, r: Arc<String>) {
-        if self.map.insert(fp, r).is_none() {
-            self.order.push_back(fp);
-        }
-        while self.map.len() > self.cap {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-    }
-}
-
 type Outcome = Result<Arc<String>, String>;
 
 /// What a request found when it reached batch admission.
@@ -196,7 +174,7 @@ pub struct ServeEngine {
     opts: CompileOptions,
     cfg: DseConfig,
     cache: DseCache,
-    responses: Mutex<Responses>,
+    responses: Mutex<Bounded<u64, Arc<String>>>,
     /// In-flight compiles: fingerprint → the followers waiting on it.
     pending: Mutex<HashMap<u64, Vec<mpsc::Sender<Outcome>>>>,
     requests: AtomicUsize,
@@ -224,11 +202,7 @@ impl ServeEngine {
             opts,
             cfg,
             cache,
-            responses: Mutex::new(Responses {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                cap: pom_dse::cache::DEFAULT_CAPACITY,
-            }),
+            responses: Mutex::new(Bounded::new(pom_dse::cache::DEFAULT_CAPACITY)),
             pending: Mutex::new(HashMap::new()),
             requests: AtomicUsize::new(0),
             memory_hits: AtomicUsize::new(0),
@@ -289,7 +263,7 @@ impl ServeEngine {
             return Err(format!("unknown kernel {kernel}"));
         };
         let fp = fingerprint(&f);
-        if let Some(r) = locked(&self.responses).map.get(&fp).cloned() {
+        if let Some(r) = locked(&self.responses).get(&fp).cloned() {
             self.memory_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(r);
         }

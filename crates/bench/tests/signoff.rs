@@ -54,7 +54,7 @@ fn signoff_facts_equal_the_direct_public_calls() {
         let mut sim_memory = MemoryState::for_function_seeded(&src, SEED);
         let sim = pom::simulate(&c.affine, &c.deps, &mut sim_memory, &opts.model);
         let live = pom::analyze_liveness(&c.affine);
-        let plan = pom::dataflow::partition(f, &c.affine);
+        let plan = pom::dataflow::partition(&c.affine);
         let initial = MemoryState::for_function_seeded(&src, SEED);
         let channel_certs = pom::channel_certificates(&c.affine, &plan, &initial);
         let mut df_memory = MemoryState::for_function_seeded(&src, SEED);

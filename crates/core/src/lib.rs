@@ -89,11 +89,11 @@ pub use pom_verify::{analyze_ranges, bank_report, live_report, validate, Validat
 
 /// The benchmark ledger's three-argument spelling of
 /// [`dataflow::partition`], kept so the ledger builds unchanged: the
-/// plan sizes its channels from the recorded streams alone, so `_live`
-/// is ignored. Everything else calls [`dataflow::partition`]; the shim
-/// goes once the ledger drops the argument.
-pub fn partition_dataflow(f: &Function, affine: &AffineFunc, _live: &LiveReport) -> DataflowPlan {
-    pom_dataflow::partition(f, affine)
+/// plan is cut and sized from `affine` alone, so `_f` and `_live` are
+/// ignored. Everything else calls [`dataflow::partition`]; the shim
+/// goes once the ledger drops the arguments.
+pub fn partition_dataflow(_f: &Function, affine: &AffineFunc, _live: &LiveReport) -> DataflowPlan {
+    pom_dataflow::partition(affine)
 }
 
 /// The end-to-end POM driver: analysis, scheduling (user-specified or
@@ -148,13 +148,11 @@ impl Pom {
     ///
     /// Same as [`Pom::compile`].
     pub fn report(&self, f: &Function) -> Result<SynthesisReport, CompileError> {
-        let compiled = self.compile(f)?;
+        let Compiled { affine, qor, .. } = self.compile(f)?;
         Ok(SynthesisReport::generate(
-            &compiled.affine,
-            &compiled.deps,
-            &self.options.model,
+            &affine,
+            qor,
             &self.options.device,
-            self.options.sharing,
         ))
     }
 

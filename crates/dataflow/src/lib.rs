@@ -6,12 +6,11 @@
 //! processes communicating through bounded channels, instead of one
 //! nest after another. The crate provides:
 //!
-//! - **Partitioning** ([`partition`] / [`partition_affine`]): cuts the
-//!   function's top-level ops into stages using the coarse-grained
-//!   dependence graph (`pom-graph`) and exact interpreter-order access
-//!   sets, merging any units whose concurrent execution would violate
-//!   an anti or output dependence. The resulting inter-stage
-//!   communication is provably forward-only and single-writer.
+//! - **Partitioning** ([`partition`]): cuts the function's top-level
+//!   ops into stages from their exact access sets, merging any units
+//!   whose concurrent execution would violate an anti or output
+//!   dependence. The resulting inter-stage communication is provably
+//!   forward-only and single-writer.
 //! - **Channel sizing**: read only from the recorded element streams.
 //!   A streaming-compatible single-consumer flow gets a FIFO of its
 //!   exact positional minimal depth, floored at the round-trip latency;
@@ -33,8 +32,6 @@ mod stream;
 
 pub use certify::channel_certificates;
 
-use pom_dsl::Function;
-use pom_graph::DepGraph;
 use pom_ir::interp::Program;
 use pom_ir::{AffineFunc, AffineOp};
 use pom_sim::{ChannelSpec, StageSpec};
@@ -170,24 +167,9 @@ fn unit_of(op: &AffineOp) -> Unit {
     u
 }
 
-/// Partitions `affine` into dataflow stages, additionally folding in
-/// the coarse-grained dependence edges of `f`'s graph (`pom-graph`) as
-/// merge constraints.
-///
-/// This is the production entry point: the DSE and `pomc` hold the
-/// source [`Function`] alongside the compiled [`AffineFunc`].
-pub fn partition(f: &Function, affine: &AffineFunc) -> DataflowPlan {
-    partition_impl(affine, Some(&DepGraph::build(f)))
-}
-
-/// Partitions from the affine function alone, deriving all dependence
-/// constraints from its exact access sets. Used by tests and by callers
-/// without the source-level function.
-pub fn partition_affine(affine: &AffineFunc) -> DataflowPlan {
-    partition_impl(affine, None)
-}
-
-fn partition_impl(affine: &AffineFunc, graph: Option<&DepGraph>) -> DataflowPlan {
+/// Partitions `affine` into dataflow stages, deriving every dependence
+/// constraint from the exact access sets of its top-level ops.
+pub fn partition(affine: &AffineFunc) -> DataflowPlan {
     let units: Vec<Unit> = affine.body.iter().map(unit_of).collect();
     let n = units.len();
 
@@ -198,11 +180,6 @@ fn partition_impl(affine: &AffineFunc, graph: Option<&DepGraph>) -> DataflowPlan
     // overwrites what an earlier unit reads or writes. Each such pair
     // forbids every boundary between the two units.
     let mut cut_ok = vec![true; n.saturating_sub(1)];
-    let mut forbid = |u: usize, w: usize| {
-        for c in cut_ok.iter_mut().take(w).skip(u) {
-            *c = false;
-        }
-    };
     for u in 0..n {
         for w in (u + 1)..n {
             let output = units[u].writes.intersection(&units[w].writes).count() > 0;
@@ -211,33 +188,9 @@ fn partition_impl(affine: &AffineFunc, graph: Option<&DepGraph>) -> DataflowPlan
                 .iter()
                 .any(|a| units[w].writes.contains(a) && !units[u].writes.contains(a));
             if output || anti {
-                forbid(u, w);
-            }
-        }
-    }
-    // Fold in the coarse-grained graph: its anti/output edges (the
-    // edges that are not producer→consumer flows) forbid the same
-    // boundaries at statement granularity.
-    if let Some(g) = graph {
-        let stage_of_stmt = |name: &str| -> Option<usize> {
-            units.iter().position(|u| u.stmts.iter().any(|s| s == name))
-        };
-        for e in g.edges() {
-            let is_flow =
-                g.nodes()[e.from].store == e.array && g.nodes()[e.to].loads.contains(&e.array);
-            if is_flow {
-                continue;
-            }
-            let (Some(u), Some(w)) = (
-                stage_of_stmt(&g.nodes()[e.from].name),
-                stage_of_stmt(&g.nodes()[e.to].name),
-            ) else {
-                continue;
-            };
-            if u < w {
-                forbid(u, w);
-            } else if w < u {
-                forbid(w, u);
+                for c in &mut cut_ok[u..w] {
+                    *c = false;
+                }
             }
         }
     }
@@ -503,7 +456,7 @@ mod tests {
     #[test]
     fn forward_chain_partitions_into_streaming_fifos() {
         let f = chain3(64, false);
-        let plan = partition_affine(&f);
+        let plan = partition(&f);
         assert_eq!(plan.stages.len(), 3);
         assert!(plan.is_pipeline());
         assert_eq!(plan.stage_stmts, vec![vec!["p"], vec!["q"], vec!["r"]]);
@@ -522,7 +475,7 @@ mod tests {
     #[test]
     fn reversed_consumer_falls_back_to_pingpong() {
         let f = chain3(64, true);
-        let plan = partition_affine(&f);
+        let plan = partition(&f);
         let u = plan
             .channels
             .iter()
@@ -566,7 +519,7 @@ mod tests {
             n - 1,
             vec![st("q", "A", LinearExpr::var("j"), Expr::Const(0.0))],
         ));
-        let plan = partition_affine(&f);
+        let plan = partition(&f);
         assert_eq!(plan.stages.len(), 1, "anti dependence forbids the cut");
         assert!(plan.channels.is_empty());
         assert!(!plan.is_pipeline());
@@ -575,7 +528,7 @@ mod tests {
     #[test]
     fn plan_certifies_and_cosimulates_bit_identically() {
         let f = chain3(64, false);
-        let plan = partition_affine(&f);
+        let plan = partition(&f);
         let mem0 = seeded(&f, 7);
 
         // Every channel sizing certificate replays.
@@ -622,7 +575,7 @@ mod tests {
     #[test]
     fn memory_lacking_an_array_fails_the_certificate_naming_it() {
         let f = chain3(16, false);
-        let plan = partition_affine(&f);
+        let plan = partition(&f);
         let mut mem0 = seeded(&f, 7);
         mem0.take_entry("A");
         let certs = channel_certificates(&f, &plan, &mem0);
@@ -646,7 +599,7 @@ mod tests {
             15,
             vec![st("w", "A", LinearExpr::var("m"), Expr::Const(0.0))],
         ));
-        let plan = partition_affine(&f);
+        let plan = partition(&f);
         assert!(plan.channels.is_empty());
         assert!(channel_certificates(&f, &plan, &MemoryState::new()).is_empty());
     }
@@ -654,7 +607,7 @@ mod tests {
     #[test]
     fn undersized_channel_fails_its_certificate() {
         let f = chain3(64, true);
-        let mut plan = partition_affine(&f);
+        let mut plan = partition(&f);
         // Tamper: force the reversed-read channel into a too-shallow
         // FIFO. The replay must refuse to certify it.
         let u = plan

@@ -14,7 +14,7 @@
 //! repo-root `tests/corpus/`; `corpus_regressions_replay` re-runs every
 //! persisted kernel on each test run.
 
-use pom_dataflow::{channel_certificates, partition_affine, DataflowPlan, FIFO_LATENCY_FLOOR};
+use pom_dataflow::{channel_certificates, partition, DataflowPlan, FIFO_LATENCY_FLOOR};
 use pom_dsl::{BinOp, DataType, Expr};
 use pom_hls::{CostModel, DepSummary};
 use pom_ir::{execute_func, AffineFunc, AffineOp, ForOp, HlsAttrs, MemRefDecl, StoreOp};
@@ -263,7 +263,7 @@ fn build(spec: &ChainSpec) -> AffineFunc {
 /// certificate.
 fn check(spec: &ChainSpec) -> Result<(), String> {
     let f = build(spec);
-    let plan = partition_affine(&f);
+    let plan = partition(&f);
     let want_stages = spec.stages + spec.tail_empty as usize;
     if plan.stages.len() != want_stages {
         return Err(format!(

@@ -332,16 +332,18 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// FIFO (rather than LRU) keeps `get` contention-free — no order
 /// mutation on reads — and is good enough here because entries are
 /// equally cheap to recompute and traffic within one search is bursty,
-/// not scan-resistant.
+/// not scan-resistant. The DSE cache's maps and `pomd`'s response cache
+/// are both one.
 #[derive(Debug)]
-struct Bounded<K, V> {
+pub struct Bounded<K, V> {
     map: HashMap<K, V>,
     order: VecDeque<K>,
     cap: usize,
 }
 
 impl<K: Eq + Hash + Clone, V> Bounded<K, V> {
-    fn new(cap: usize) -> Self {
+    /// An empty map holding at most `cap` (at least 1) entries.
+    pub fn new(cap: usize) -> Self {
         Bounded {
             map: HashMap::new(),
             order: VecDeque::new(),
@@ -349,7 +351,8 @@ impl<K: Eq + Hash + Clone, V> Bounded<K, V> {
         }
     }
 
-    fn get(&self, k: &K) -> Option<&V> {
+    /// The value under `k`.
+    pub fn get(&self, k: &K) -> Option<&V> {
         self.map.get(k)
     }
 
@@ -359,7 +362,7 @@ impl<K: Eq + Hash + Clone, V> Bounded<K, V> {
 
     /// Inserts, returning how many old entries were evicted (0 or 1; a
     /// re-insert of a live key never grows the map, so never evicts).
-    fn insert(&mut self, k: K, v: V) -> usize {
+    pub fn insert(&mut self, k: K, v: V) -> usize {
         if self.map.insert(k.clone(), v).is_none() {
             self.order.push_back(k);
         }

@@ -4,7 +4,7 @@
 
 use pom_dsl::{Compute, Function, Primitive, ReplayError};
 use pom_hls::estimate::{dep_chain_latency, Sharing};
-use pom_hls::{estimate, CarriedDep, CostModel, DepSummary, DeviceSpec, QoR};
+use pom_hls::{estimate_ops, CarriedDep, CostModel, DepSummary, DeviceSpec, QoR};
 use pom_ir::{
     lower_to_affine, AffineFunc, MemRefDecl, PartitionInfo, PassIssue, StmtBody, VerifyError,
 };
@@ -96,6 +96,9 @@ pub struct Compiled {
     pub affine: AffineFunc,
     /// The QoR estimate.
     pub qor: QoR,
+    /// The latency of each top-level op of `affine`, as the estimate
+    /// summed them into `qor.latency` ([`pom_hls::estimate_ops`]).
+    pub op_latency: Vec<u64>,
     /// The per-loop dependence summary used for estimation.
     pub deps: DepSummary,
     /// The transformed polyhedral statements, in compute order.
@@ -381,12 +384,13 @@ pub(crate) fn compile_prepared(
     let affine = lower(f, &stmts)?;
     let lowering = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let qor = estimate(&affine, &deps, &opts.model, opts.sharing);
+    let (qor, op_latency) = estimate_ops(&affine, &deps, &opts.model, opts.sharing);
     let estimation = t1.elapsed();
     Ok((
         Compiled {
             affine,
             qor,
+            op_latency,
             deps,
             stmts,
         },

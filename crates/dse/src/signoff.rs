@@ -8,8 +8,8 @@
 //! lint — so a consumer that assembled the chain itself would recompute
 //! the shared prefix. The plan and everything built on it never compute
 //! liveness: the dataflow refinement signs off every candidate through
-//! them. Lint never simulates: it reads the plan and the compile's QoR
-//! figures.
+//! them. Lint never simulates: it reads the plan and the per-op
+//! latencies the compile's estimate recorded.
 //! A [`Signoff`] computes every fact lazily on first use and hands out
 //! references afterwards, the way an MLIR analysis manager caches an
 //! analysis per operation.
@@ -17,9 +17,8 @@
 use crate::compile::{CompileOptions, Compiled};
 use pom_dataflow::DataflowPlan;
 use pom_dsl::{Function, MemoryState};
-use pom_hls::estimate::{expr_latency, loop_trip, pipeline_latency};
-use pom_hls::{CostModel, DepSummary, LoopQoR};
-use pom_ir::{AffineFunc, AffineOp, ForOp};
+use pom_hls::estimate::loop_trip;
+use pom_ir::{AffineFunc, AffineOp};
 use pom_lint::{ChannelShape, DataflowShape, LintContext, LintReport, Linter, StageShape};
 use pom_live::LiveReport;
 use pom_sim::{DataflowReport, SimReport};
@@ -111,7 +110,7 @@ impl<'a> Signoff<'a> {
     /// recorded element streams (no liveness analysis).
     pub fn plan(&self) -> &DataflowPlan {
         self.plan
-            .get_or_init(|| pom_dataflow::partition(&self.function, &self.compiled.affine))
+            .get_or_init(|| pom_dataflow::partition(&self.compiled.affine))
     }
 
     /// The channel-accurate co-simulation of [`Signoff::plan`] and the
@@ -164,14 +163,12 @@ impl<'a> Signoff<'a> {
     /// liveness report and — when the plan is a real pipeline — the
     /// plan's stages and channels behind POM010. Lint reads the plan,
     /// never a simulation: POM010 predicts channel stalls statically
-    /// from stage latencies the compile's QoR figures already hold, so
+    /// from the stage latencies the compile's estimate recorded, so
     /// neither [`Signoff::cosim`] nor [`Signoff::sim`] runs here.
     pub fn lint(&self) -> &LintReport {
         self.lint.get_or_init(|| {
             let (c, plan) = (&*self.compiled, self.plan());
-            let shape = plan
-                .is_pipeline()
-                .then(|| dataflow_shape(plan, c, &self.opts.model));
+            let shape = plan.is_pipeline().then(|| dataflow_shape(plan, c));
             let mut cx = LintContext::new(&c.affine, &c.deps, &self.opts.model, &self.opts.device)
                 .with_source(&self.function, &c.stmts)
                 .with_live(self.live());
@@ -183,29 +180,22 @@ impl<'a> Signoff<'a> {
     }
 }
 
-/// `plan` as POM010 reads it: each stage's estimated latency, and each
+/// `plan` as POM010 reads it: each stage's latency, summed from the
+/// estimate's own per-op latencies (`Compiled::op_latency`), and each
 /// channel's sizing with the window of its producer's timeline in which
 /// the channel's final values are written.
-fn dataflow_shape(plan: &DataflowPlan, c: &Compiled, model: &CostModel) -> DataflowShape {
-    let mut times = OpTimes {
-        loops: &c.qor.loops,
-        next: 0,
-        deps: &c.deps,
-        model,
-    };
-    let mut env = HashMap::new();
-    let op_latency: Vec<u64> = c
-        .affine
-        .body
-        .iter()
-        .map(|op| times.op(op, &mut env))
-        .collect();
+fn dataflow_shape(plan: &DataflowPlan, c: &Compiled) -> DataflowShape {
+    let op_latency = &c.op_latency;
     let stages = plan
         .stages
         .iter()
         .map(|st| StageShape {
             name: st.name.clone(),
-            latency: st.ops.iter().map(|&o| op_latency[o]).sum(),
+            latency: st
+                .ops
+                .iter()
+                .map(|&o| op_latency[o])
+                .fold(0, u64::saturating_add),
         })
         .collect();
     let channels = plan
@@ -224,7 +214,7 @@ fn dataflow_shape(plan: &DataflowPlan, c: &Compiled, model: &CostModel) -> Dataf
                 written: written_window(
                     &c.affine,
                     &plan.stages[spec.producer].ops,
-                    &op_latency,
+                    op_latency,
                     &spec.array,
                 ),
             }
@@ -239,16 +229,17 @@ fn dataflow_shape(plan: &DataflowPlan, c: &Compiled, model: &CostModel) -> Dataf
 /// loop indexing `array` rewrite each element once per iteration (an
 /// outer reduction loop).
 fn written_window(func: &AffineFunc, ops: &[usize], op_latency: &[u64], array: &str) -> (u64, u64) {
-    let (mut offset, mut window) = (0, (0, 0));
+    let (mut offset, mut window) = (0u64, (0, 0));
     for &o in ops {
         let lat = op_latency[o];
         let mut env = HashMap::new();
         if let Some(rewrites) =
             rewrites_per_element(&func.body[o], array, &mut Vec::new(), &mut env)
         {
-            window = (offset + lat - lat / rewrites.max(1), offset + lat);
+            let end = offset.saturating_add(lat);
+            window = (end - lat / rewrites.max(1), end);
         }
-        offset += lat;
+        offset = offset.saturating_add(lat);
     }
     window
 }
@@ -289,86 +280,6 @@ fn rewrites_per_element(
             outer.pop();
             env.remove(&l.iv);
             found
-        }
-    }
-}
-
-/// The latency of top-level ops, composed from the estimator's
-/// per-pipeline figures (`QoR::loops`: trip, achieved II, depth) the way
-/// the estimator composes them — ops in sequence add up, a perfect nest
-/// of plain loops flattens into its pipeline, any other loop repeats its
-/// body — so the ops of a function sum to its `QoR::latency` without
-/// estimating anything a second time.
-struct OpTimes<'a> {
-    loops: &'a [LoopQoR],
-    /// The next unmatched entry of `loops`: pipelines are met in the
-    /// estimator's own walk order.
-    next: usize,
-    deps: &'a DepSummary,
-    model: &'a CostModel,
-}
-
-impl OpTimes<'_> {
-    fn op(&mut self, op: &AffineOp, env: &mut HashMap<String, i64>) -> u64 {
-        match op {
-            AffineOp::Store(s) => expr_latency(&s.value, self.model) + self.model.store_latency,
-            AffineOp::If(i) => i.body.iter().map(|op| self.op(op, env)).sum(),
-            AffineOp::For(l) => match self.flatten(l, env) {
-                Some((ii, depth, trip)) => pipeline_latency(trip, ii, depth),
-                None => self.sequential(l, env),
-            },
-        }
-    }
-
-    /// `(II, depth, flattened trip)` of a pipelined loop, or of a perfect
-    /// nest of plain loops ending in one (no unrolling, no dependence
-    /// carried at the flattened loops).
-    fn flatten(&mut self, l: &ForOp, env: &mut HashMap<String, i64>) -> Option<(u64, u64, u64)> {
-        let (lb, ub, trip) = loop_trip(l, env);
-        if l.attrs.pipeline_ii.is_some() {
-            return Some(self.pipeline(l, trip));
-        }
-        if l.attrs.unroll_factor.is_some() || self.deps.carried_at(&l.iv).is_some() {
-            return None;
-        }
-        let [AffineOp::For(inner)] = &l.body[..] else {
-            return None;
-        };
-        env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
-        let found = self.flatten(inner, env);
-        env.remove(&l.iv);
-        let (ii, depth, inner_trip) = found?;
-        Some((ii, depth, trip * inner_trip))
-    }
-
-    fn sequential(&mut self, l: &ForOp, env: &mut HashMap<String, i64>) -> u64 {
-        let (lb, ub, trip) = loop_trip(l, env);
-        if trip == 0 {
-            return 0;
-        }
-        env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
-        let body: u64 = l.body.iter().map(|op| self.op(op, env)).sum();
-        env.remove(&l.iv);
-        let u = (l.attrs.unroll_factor.unwrap_or(1).max(1) as u64).min(trip);
-        let per_iter = if u > 1 && self.deps.carried_at(&l.iv).is_some() {
-            body * u
-        } else {
-            body
-        };
-        trip.div_ceil(u) * (per_iter + self.model.loop_overhead)
-    }
-
-    /// `(II, depth, trip)` of the pipelined loop `l`, read from its
-    /// entry in `QoR::loops`; the declared II and no depth when it has
-    /// none.
-    fn pipeline(&mut self, l: &ForOp, trip: u64) -> (u64, u64, u64) {
-        match self.loops[self.next..].iter().position(|q| q.iv == l.iv) {
-            Some(i) => {
-                let q = &self.loops[self.next + i];
-                self.next += i + 1;
-                (q.achieved_ii, q.depth, q.trip)
-            }
-            None => (l.attrs.pipeline_ii.unwrap_or(1).max(1) as u64, 0, trip),
         }
     }
 }
@@ -444,8 +355,9 @@ mod tests {
         for f in [chain(16, false), chain(16, true), pipelined] {
             let opts = CompileOptions::default();
             let c = crate::compile::compile(&f, &opts).expect("compiles");
-            let plan = pom_dataflow::partition(&f, &c.affine);
-            let shape = dataflow_shape(&plan, &c, &opts.model);
+            let plan = pom_dataflow::partition(&c.affine);
+            let shape = dataflow_shape(&plan, &c);
+            assert_eq!(c.op_latency.len(), c.affine.body.len());
             let total: u64 = shape.stages.iter().map(|st| st.latency).sum();
             assert_eq!(total, c.qor.latency);
             assert_eq!(shape.channels[0].written, (0, shape.stages[0].latency));
@@ -477,8 +389,8 @@ mod tests {
         );
         let opts = CompileOptions::default();
         let c = crate::compile::compile(&f, &opts).expect("compiles");
-        let plan = pom_dataflow::partition(&f, &c.affine);
-        let shape = dataflow_shape(&plan, &c, &opts.model);
+        let plan = pom_dataflow::partition(&c.affine);
+        let shape = dataflow_shape(&plan, &c);
         let lat = shape.stages[0].latency;
         assert_eq!(shape.channels[0].written, (lat - lat / 4, lat));
     }

@@ -228,6 +228,19 @@ pub fn bank_mux(banks: u64) -> ResourceUsage {
 
 /// Estimates the QoR of an annotated affine function.
 pub fn estimate(func: &AffineFunc, deps: &DepSummary, model: &CostModel, sharing: Sharing) -> QoR {
+    estimate_ops(func, deps, model, sharing).0
+}
+
+/// [`estimate`], beside the latency of each top-level op of `func.body`
+/// as the estimate sums them into `QoR::latency` (saturating). The one
+/// composition of loop latencies: per-stage consumers read this slice
+/// rather than re-deriving it from `QoR::loops`.
+pub fn estimate_ops(
+    func: &AffineFunc,
+    deps: &DepSummary,
+    model: &CostModel,
+    sharing: Sharing,
+) -> (QoR, Vec<u64>) {
     let banks: HashMap<String, u64> = func
         .memrefs
         .iter()
@@ -253,7 +266,8 @@ pub fn estimate(func: &AffineFunc, deps: &DepSummary, model: &CostModel, sharing
         loops: Vec::new(),
     };
     let mut env = HashMap::new();
-    let (latency, compute_res) = est.seq(&func.body, &mut env);
+    let mut op_latency = Vec::with_capacity(func.body.len());
+    let (latency, compute_res) = est.seq(&func.body, &mut env, |l| op_latency.push(l));
 
     // Memory resources: BRAM banks per array, plus partition muxing.
     let mut res = compute_res;
@@ -263,12 +277,13 @@ pub fn estimate(func: &AffineFunc, deps: &DepSummary, model: &CostModel, sharing
         res = res.plus(&bank_mux(b));
     }
     let power = model.power(&res);
-    QoR {
+    let qor = QoR {
         latency,
         resources: res,
         power,
         loops: est.loops,
-    }
+    };
+    (qor, op_latency)
 }
 
 /// A loop's lower and upper bound under `env`, the upper clamped to
@@ -315,12 +330,19 @@ struct Estimator<'a> {
 }
 
 impl Estimator<'_> {
-    /// Sequential composition of sibling ops.
-    fn seq(&mut self, ops: &[AffineOp], env: &mut HashMap<String, i64>) -> (u64, ResourceUsage) {
+    /// Sequential composition of sibling ops; `each` sees every op's
+    /// latency in order.
+    fn seq(
+        &mut self,
+        ops: &[AffineOp],
+        env: &mut HashMap<String, i64>,
+        mut each: impl FnMut(u64),
+    ) -> (u64, ResourceUsage) {
         let mut latency = 0u64;
         let mut res = ResourceUsage::zero();
         for op in ops {
             let (l, r) = self.one(op, env);
+            each(l);
             latency = latency.saturating_add(l);
             res = self.sharing.compose(&res, &r);
         }
@@ -334,7 +356,7 @@ impl Estimator<'_> {
                 let counts = s.value.op_counts();
                 (lat, self.model.body_resources(&counts))
             }
-            AffineOp::If(i) => self.seq(&i.body, env),
+            AffineOp::If(i) => self.seq(&i.body, env, |_| {}),
             AffineOp::For(l) => {
                 if l.attrs.pipeline_ii.is_some() {
                     self.pipelined(l, env)
@@ -391,7 +413,7 @@ impl Estimator<'_> {
             return (0, self.model.loop_control);
         }
         env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
-        let (body_lat, body_res) = self.seq(&l.body, env);
+        let (body_lat, body_res) = self.seq(&l.body, env, |_| {});
         env.remove(&l.iv);
 
         let unroll = l.attrs.unroll_factor.unwrap_or(1).max(1) as u64;
@@ -1045,6 +1067,20 @@ mod tests {
         f.body.push(AffineOp::For(outer));
         let q = estimate(&f, &DepSummary::new(), &m, Sharing::Reuse);
         assert!(q.latency > 0, "symbolic bounds must not zero out the nest");
+    }
+
+    #[test]
+    fn op_latencies_sum_to_the_latency() {
+        // Two sibling nests, one pipelined: each top-level op's latency is
+        // what the estimate added for it.
+        let m = CostModel::vitis_f32();
+        let mut f = accumulate_loop(64, true);
+        f.body.push(accumulate_loop(32, false).body.remove(0));
+        let (q, ops) = estimate_ops(&f, &DepSummary::new(), &m, Sharing::Reuse);
+        assert_eq!(q, estimate(&f, &DepSummary::new(), &m, Sharing::Reuse));
+        assert_eq!(ops.len(), 2);
+        assert_eq!(ops[0], pipeline_latency(64, 1, q.loops[0].depth));
+        assert_eq!(ops.iter().sum::<u64>(), q.latency);
     }
 
     #[test]

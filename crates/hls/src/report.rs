@@ -6,11 +6,10 @@
 //! initiation intervals and latencies, and a resource-utilization table
 //! against the target device.
 
-use crate::cost::CostModel;
 use crate::device::DeviceSpec;
-use crate::estimate::{estimate, DepSummary, Sharing};
+use crate::estimate::{loop_trip, LoopQoR};
 use crate::QoR;
-use pom_ir::{AffineFunc, AffineOp, ForOp};
+use pom_ir::{AffineFunc, AffineOp};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -43,23 +42,21 @@ pub struct SynthesisReport {
 }
 
 impl SynthesisReport {
-    /// Builds a report by estimating `func` against `device`.
-    pub fn generate(
-        func: &AffineFunc,
-        deps: &DepSummary,
-        model: &CostModel,
-        device: &DeviceSpec,
-        sharing: Sharing,
-    ) -> SynthesisReport {
-        let qor = estimate(func, deps, model, sharing);
-        let ii_by_iv: HashMap<&str, u64> = qor
-            .loops
-            .iter()
-            .map(|l| (l.iv.as_str(), l.achieved_ii))
-            .collect();
-        let mut loops = Vec::new();
-        let mut env = HashMap::new();
-        collect_rows(&func.body, 0, &ii_by_iv, &mut env, &mut loops);
+    /// The report of `func` against `device`, from `qor`, the
+    /// estimate of `func` its compilation made: nothing is estimated
+    /// again. Trips are the estimator's ([`loop_trip`], enclosing loops
+    /// at their midpoints); a pipelined row's II is the one of the next
+    /// unmatched `QoR::loops` entry, which the estimator records in this
+    /// walk's order.
+    pub fn generate(func: &AffineFunc, qor: QoR, device: &DeviceSpec) -> SynthesisReport {
+        let mut rows = Rows {
+            pipelines: &qor.loops,
+            next: 0,
+            env: HashMap::new(),
+            out: Vec::new(),
+        };
+        rows.collect(&func.body, 0, false);
+        let loops = rows.out;
         SynthesisReport {
             function: func.name.clone(),
             device: device.clone(),
@@ -136,95 +133,116 @@ impl SynthesisReport {
     }
 }
 
-fn collect_rows(
-    ops: &[AffineOp],
-    depth: usize,
-    ii_by_iv: &HashMap<&str, u64>,
-    env: &mut HashMap<String, i64>,
-    out: &mut Vec<LoopRow>,
-) {
-    for op in ops {
-        match op {
-            AffineOp::For(l) => {
-                let trip = loop_trip(l, env);
-                out.push(LoopRow {
-                    label: format!("{}- loop_{}", "  ".repeat(depth), l.iv),
-                    trip,
-                    pipelined: l.attrs.pipeline_ii.is_some(),
-                    ii: ii_by_iv.get(l.iv.as_str()).copied(),
-                    unroll: l.attrs.unroll_factor,
-                });
-                let (lb, ub) = bounds(l, env);
-                env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
-                collect_rows(&l.body, depth + 1, ii_by_iv, env, out);
-                env.remove(&l.iv);
+/// The loop-table walk, in program order.
+struct Rows<'q> {
+    /// The estimate's pipelines; `next` is the first unmatched one.
+    pipelines: &'q [LoopQoR],
+    next: usize,
+    /// The enclosing loops' ivs at their midpoints, as the estimator
+    /// binds them.
+    env: HashMap<String, i64>,
+    out: Vec<LoopRow>,
+}
+
+impl Rows<'_> {
+    /// Rows for `ops` at nesting `depth`; inside a pipeline
+    /// (`in_pipeline`) loops are unrolled into its body and have no
+    /// entry of their own.
+    fn collect(&mut self, ops: &[AffineOp], depth: usize, in_pipeline: bool) {
+        for op in ops {
+            match op {
+                AffineOp::For(l) => {
+                    let (lb, ub, trip) = loop_trip(l, &self.env);
+                    let pipelined = l.attrs.pipeline_ii.is_some();
+                    let ii = if pipelined && !in_pipeline {
+                        self.pipelines[self.next..]
+                            .iter()
+                            .position(|q| q.iv == l.iv)
+                            .map(|i| {
+                                self.next += i + 1;
+                                self.pipelines[self.next - 1].achieved_ii
+                            })
+                    } else {
+                        None
+                    };
+                    self.out.push(LoopRow {
+                        label: format!("{}- loop_{}", "  ".repeat(depth), l.iv),
+                        trip,
+                        pipelined,
+                        ii,
+                        unroll: l.attrs.unroll_factor,
+                    });
+                    self.env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
+                    self.collect(&l.body, depth + 1, in_pipeline || pipelined);
+                    self.env.remove(&l.iv);
+                }
+                AffineOp::If(i) => self.collect(&i.body, depth, in_pipeline),
+                AffineOp::Store(_) => {}
             }
-            AffineOp::If(i) => collect_rows(&i.body, depth, ii_by_iv, env, out),
-            AffineOp::Store(_) => {}
         }
     }
-}
-
-fn bounds(l: &ForOp, env: &HashMap<String, i64>) -> (i64, i64) {
-    let lb = l.lbs.iter().map(|b| b.eval_lower(env)).max().unwrap_or(0);
-    let ub = l.ubs.iter().map(|b| b.eval_upper(env)).min().unwrap_or(lb);
-    (lb, ub.max(lb))
-}
-
-fn loop_trip(l: &ForOp, env: &HashMap<String, i64>) -> u64 {
-    let (lb, ub) = bounds(l, env);
-    (ub - lb + 1).max(1) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::{estimate, DepSummary, Sharing};
+    use crate::CostModel;
     use pom_dsl::DataType;
-    use pom_ir::{HlsAttrs, MemRefDecl, StoreOp};
+    use pom_ir::{ForOp, HlsAttrs, MemRefDecl, StoreOp};
     use pom_poly::{AccessFn, Bound, LinearExpr};
 
-    fn sample_func() -> AffineFunc {
-        let cb = |v: i64| Bound::new(LinearExpr::constant_expr(v), 1);
-        let mut f = AffineFunc::new("kernel");
-        f.memrefs.push(MemRefDecl::new("A", &[64], DataType::F32));
-        let store = StoreOp {
-            stmt: "S".into(),
-            dest: AccessFn::new("A", vec![LinearExpr::var("j")]),
-            value: pom_dsl::Expr::Load(AccessFn::new("A", vec![LinearExpr::var("j")])) * 2.0,
-        };
-        let inner = ForOp {
+    fn cb(v: i64) -> Bound {
+        Bound::new(LinearExpr::constant_expr(v), 1)
+    }
+
+    /// `for iv in lb..=ub` (pipelined at II 1 when asked) around `body`.
+    fn for_op(iv: &str, lb: i64, ub: i64, pipeline: bool, body: Vec<AffineOp>) -> AffineOp {
+        AffineOp::For(ForOp {
             extra: Vec::new(),
-            iv: "j".into(),
-            lbs: vec![cb(0)],
-            ubs: vec![cb(63)],
+            iv: iv.into(),
+            lbs: vec![cb(lb)],
+            ubs: vec![cb(ub)],
             attrs: HlsAttrs {
-                pipeline_ii: Some(1),
+                pipeline_ii: pipeline.then_some(1),
                 ..Default::default()
             },
-            body: vec![AffineOp::Store(store)],
-        };
-        let outer = ForOp {
-            extra: Vec::new(),
-            iv: "i".into(),
-            lbs: vec![cb(0)],
-            ubs: vec![cb(9)],
-            attrs: HlsAttrs::none(),
-            body: vec![AffineOp::For(inner)],
-        };
-        f.body.push(AffineOp::For(outer));
+            body,
+        })
+    }
+
+    /// `stmt: dst[iv] = src[iv] * 2`.
+    fn scale(stmt: &str, dst: &str, src: &str, iv: &str) -> AffineOp {
+        AffineOp::Store(StoreOp {
+            stmt: stmt.into(),
+            dest: AccessFn::new(dst, vec![LinearExpr::var(iv)]),
+            value: pom_dsl::Expr::Load(AccessFn::new(src, vec![LinearExpr::var(iv)])) * 2.0,
+        })
+    }
+
+    fn sample_func() -> AffineFunc {
+        let mut f = AffineFunc::new("kernel");
+        f.memrefs.push(MemRefDecl::new("A", &[64], DataType::F32));
+        let inner = for_op("j", 0, 63, true, vec![scale("S", "A", "A", "j")]);
+        f.body.push(for_op("i", 0, 9, false, vec![inner]));
         f
+    }
+
+    /// The report of `f` from its estimate.
+    fn report(f: &AffineFunc, device: &DeviceSpec) -> SynthesisReport {
+        let qor = estimate(
+            f,
+            &DepSummary::new(),
+            &CostModel::vitis_f32(),
+            Sharing::Reuse,
+        );
+        SynthesisReport::generate(f, qor, device)
     }
 
     #[test]
     fn report_contains_hierarchy_and_utilization() {
         let f = sample_func();
-        let report = SynthesisReport::generate(
-            &f,
-            &DepSummary::new(),
-            &CostModel::vitis_f32(),
-            &DeviceSpec::xc7z020(),
-            Sharing::Reuse,
-        );
+        let report = report(&f, &DeviceSpec::xc7z020());
         assert_eq!(report.loops.len(), 2);
         assert_eq!(report.loops[0].trip, 10);
         assert_eq!(report.loops[1].trip, 64);
@@ -240,13 +258,53 @@ mod tests {
     #[test]
     fn time_scales_with_clock() {
         let f = sample_func();
-        let model = CostModel::vitis_f32();
-        let deps = DepSummary::new();
         let d100 = DeviceSpec::xc7z020();
         let mut d200 = DeviceSpec::xc7z020();
         d200.clock_ns = 5.0;
-        let r100 = SynthesisReport::generate(&f, &deps, &model, &d100, Sharing::Reuse);
-        let r200 = SynthesisReport::generate(&f, &deps, &model, &d200, Sharing::Reuse);
+        let (r100, r200) = (report(&f, &d100), report(&f, &d200));
         assert!((r100.time_us() - 2.0 * r200.time_us()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sibling_pipelines_sharing_an_iv_show_their_own_ii() {
+        // Both nests pipeline an `i`. The first feeds 32 unrolled reads
+        // of the unpartitioned `x` through 2 ports (II 16), the second
+        // one read per iteration (II 1).
+        let mut f = AffineFunc::new("siblings");
+        for (name, shape) in [("x", 1024), ("y", 1024), ("z", 64)] {
+            f.memrefs
+                .push(MemRefDecl::new(name, &[shape], DataType::F32));
+        }
+        let unrolled = for_op("j", 0, 31, false, vec![scale("S1", "y", "x", "j")]);
+        f.body.push(for_op("i", 0, 31, true, vec![unrolled]));
+        f.body
+            .push(for_op("i", 0, 63, true, vec![scale("S2", "z", "z", "i")]));
+        let report = report(&f, &DeviceSpec::xc7z020());
+        let iis: Vec<_> = report.qor.loops.iter().map(|l| l.achieved_ii).collect();
+        assert_eq!(iis, [16, 1]);
+        let rows: Vec<_> = report
+            .loops
+            .iter()
+            .map(|r| (r.label.trim(), r.ii))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("- loop_i", Some(16)),
+                ("- loop_j", None),
+                ("- loop_i", Some(1))
+            ]
+        );
+    }
+
+    #[test]
+    fn a_constant_empty_loop_reads_the_trip_the_estimate_costs() {
+        let mut f = AffineFunc::new("empty");
+        f.memrefs.push(MemRefDecl::new("A", &[8], DataType::F32));
+        f.body
+            .push(for_op("i", 0, -1, false, vec![scale("S", "A", "A", "i")]));
+        let report = report(&f, &DeviceSpec::xc7z020());
+        assert_eq!(report.qor.latency, 0);
+        assert_eq!(report.loops[0].trip, 0);
     }
 }

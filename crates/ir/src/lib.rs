@@ -27,7 +27,5 @@ pub use attrs::{HlsAttrs, MemRefDecl, PartitionInfo, RawAttr};
 pub use interp::execute_func;
 pub use lower::{lower_to_affine, StmtBody};
 pub use ops::{AffineFunc, AffineOp, ForOp, IfOp, StoreOp};
-pub use passes::{
-    CheckHook, CollapseUnitLoops, MaterializeUnroll, Pass, PassIssue, PassManager, SimplifyBounds,
-};
+pub use passes::{CheckHook, CollapseUnitLoops, Pass, PassIssue, PassManager, SimplifyBounds};
 pub use verify::{verify, VerifyError};

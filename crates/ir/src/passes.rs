@@ -8,9 +8,6 @@
 //!   cleaning both the printed IR and the emitted HLS C.
 //! * [`CollapseUnitLoops`] — loops with a constant single-iteration range
 //!   are inlined by substituting the induction variable.
-//! * [`MaterializeUnroll`] — fully unrolls loops whose unroll factor
-//!   covers a constant trip count, replicating the body with the iv
-//!   substituted (what the HLS tool does spatially, made explicit).
 
 use crate::ops::{AffineFunc, AffineOp};
 use crate::verify::{verify, VerifyError};
@@ -320,60 +317,6 @@ impl Pass for CollapseUnitLoops {
     }
 }
 
-// ---------------------------------------------------------------------
-// MaterializeUnroll
-// ---------------------------------------------------------------------
-
-/// Fully unrolls loops whose requested unroll factor covers their constant
-/// trip count — making the spatial replication explicit in the IR.
-pub struct MaterializeUnroll;
-
-fn unroll_ops(ops: &mut Vec<AffineOp>) -> Result<(), PolyError> {
-    let mut i = 0;
-    while i < ops.len() {
-        let replace = if let AffineOp::For(l) = &mut ops[i] {
-            unroll_ops(&mut l.body)?;
-            match (l.attrs.unroll_factor, l.const_trip_count()) {
-                (Some(f), Some(trip)) if f >= trip && trip >= 1 => {
-                    let env = HashMap::new();
-                    let lb = l.lbs.iter().map(|b| b.eval_lower(&env)).max().unwrap_or(0);
-                    let mut expanded = Vec::new();
-                    for k in 0..trip {
-                        let mut copy = l.body.clone();
-                        substitute_ops(&mut copy, &l.iv, lb + k)?;
-                        expanded.extend(copy);
-                    }
-                    Some(expanded)
-                }
-                _ => None,
-            }
-        } else {
-            if let AffineOp::If(f) = &mut ops[i] {
-                unroll_ops(&mut f.body)?;
-            }
-            None
-        };
-        match replace {
-            Some(body) => {
-                let n = body.len();
-                ops.splice(i..=i, body);
-                i += n;
-            }
-            None => i += 1,
-        }
-    }
-    Ok(())
-}
-
-impl Pass for MaterializeUnroll {
-    fn name(&self) -> &'static str {
-        "materialize-unroll"
-    }
-    fn run(&self, func: &mut AffineFunc) -> Result<(), PolyError> {
-        unroll_ops(&mut func.body)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,66 +414,6 @@ mod tests {
             }
         }
         assert_eq!(run_interp(&f), before);
-    }
-
-    #[test]
-    fn materialize_unroll_replicates_body() {
-        let mut f = AffineFunc::new("f");
-        f.memrefs.push(MemRefDecl::new("A", &[8], DataType::F32));
-        let store = StoreOp {
-            stmt: "S".into(),
-            dest: AccessFn::new("A", vec![LinearExpr::var("j")]),
-            value: pom_dsl::Expr::Affine(LinearExpr::var("j") * 2),
-        };
-        let inner = ForOp {
-            extra: Vec::new(),
-            iv: "j".into(),
-            lbs: vec![cb(0)],
-            ubs: vec![cb(3)],
-            attrs: HlsAttrs {
-                unroll_factor: Some(4),
-                ..Default::default()
-            },
-            body: vec![AffineOp::Store(store)],
-        };
-        f.body.push(AffineOp::For(inner));
-        let before = run_interp(&f);
-        PassManager::new()
-            .verify_each(true)
-            .add(MaterializeUnroll)
-            .run(&mut f)
-            .expect("verifies");
-        assert_eq!(f.body.len(), 4, "four replicated stores");
-        assert!(f.body.iter().all(|op| matches!(op, AffineOp::Store(_))));
-        assert_eq!(run_interp(&f), before);
-    }
-
-    #[test]
-    fn partial_unroll_is_left_alone() {
-        let mut f = AffineFunc::new("f");
-        f.memrefs.push(MemRefDecl::new("A", &[8], DataType::F32));
-        let store = StoreOp {
-            stmt: "S".into(),
-            dest: AccessFn::new("A", vec![LinearExpr::var("j")]),
-            value: pom_dsl::Expr::Const(1.0),
-        };
-        let inner = ForOp {
-            extra: Vec::new(),
-            iv: "j".into(),
-            lbs: vec![cb(0)],
-            ubs: vec![cb(7)],
-            attrs: HlsAttrs {
-                unroll_factor: Some(2),
-                ..Default::default()
-            },
-            body: vec![AffineOp::Store(store)],
-        };
-        f.body.push(AffineOp::For(inner));
-        PassManager::new()
-            .add(MaterializeUnroll)
-            .run(&mut f)
-            .unwrap();
-        assert!(matches!(f.body[0], AffineOp::For(_)), "factor < trip kept");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 use crate::context::{walk_loops, walk_stores, LintContext};
 use crate::{Analysis, Diagnostic, LintCode, Location};
-use pom_ir::AffineOp;
+use pom_hls::estimate::loop_trip;
+use pom_ir::{AffineFunc, AffineOp, ForOp};
 use pom_poly::{fm, AccessFn, Constraint, LinearExpr};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 fn path_ivs(path: &[crate::context::LoopFrame]) -> Vec<String> {
     path.iter().map(|f| f.iv.clone()).collect()
@@ -170,19 +171,8 @@ impl Analysis for PortPressure {
 
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         // (a) Port demand per outermost pipelined loop.
-        walk_loops(cx.func, &mut |l, path| {
-            let Some(ii) = l.attrs.pipeline_ii else {
-                return;
-            };
-            if path[..path.len() - 1]
-                .iter()
-                .any(|f| f.pipeline_ii.is_some())
-            {
-                return; // inner loops fold into the outer pipeline's body
-            }
-            let mut unrolled: Vec<(String, u64)> = Vec::new();
-            let mut accesses: BTreeMap<String, u64> = BTreeMap::new();
-            collect_concurrent_accesses(&l.body, &mut unrolled, &mut accesses);
+        for (l, ivs, accesses) in pipelined_accesses(cx.func) {
+            let ii = l.attrs.pipeline_ii.unwrap_or(1);
             for (array, n) in &accesses {
                 let banks = cx
                     .func
@@ -196,7 +186,7 @@ impl Analysis for PortPressure {
                     out.push(
                         Diagnostic::new(
                             LintCode::PortPressure,
-                            Location::in_loops(&cx.func.name, &path_ivs(path)),
+                            Location::in_loops(&cx.func.name, &ivs),
                             format!(
                                 "`{array}` serves {n} concurrent accesses per iteration of \
                                  pipelined loop %{} through {banks} bank(s) x {} port(s); \
@@ -211,7 +201,7 @@ impl Analysis for PortPressure {
                     );
                 }
             }
-        });
+        }
 
         // (b) BRAM budget of the partitioning (the estimator's accounting).
         let mut bram = 0u64;
@@ -237,27 +227,76 @@ impl Analysis for PortPressure {
     }
 }
 
+/// An outermost pipelined loop, the ivs of its loops (outermost first,
+/// its own last) and its body's concurrent accesses per array.
+type PipelineAccesses<'a> = (&'a ForOp, Vec<String>, BTreeMap<String, u64>);
+
+/// Every outermost pipelined loop of `func` with its accesses, each
+/// enclosing iv bound at its midpoint, as the estimator binds them.
+fn pipelined_accesses(func: &AffineFunc) -> Vec<PipelineAccesses<'_>> {
+    fn walk<'a>(
+        ops: &'a [AffineOp],
+        ivs: &mut Vec<String>,
+        env: &mut HashMap<String, i64>,
+        found: &mut Vec<PipelineAccesses<'a>>,
+    ) {
+        for op in ops {
+            match op {
+                AffineOp::For(l) => {
+                    let (lb, ub, _) = loop_trip(l, env);
+                    env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
+                    ivs.push(l.iv.clone());
+                    if l.attrs.pipeline_ii.is_some() {
+                        let mut accesses = BTreeMap::new();
+                        collect_concurrent_accesses(&l.body, &mut Vec::new(), env, &mut accesses);
+                        found.push((l, ivs.clone(), accesses));
+                    } else {
+                        walk(&l.body, ivs, env, found);
+                    }
+                    ivs.pop();
+                    env.remove(&l.iv);
+                }
+                AffineOp::If(i) => walk(&i.body, ivs, env, found),
+                AffineOp::Store(_) => {}
+            }
+        }
+    }
+    let mut found = Vec::new();
+    walk(&func.body, &mut Vec::new(), &mut HashMap::new(), &mut found);
+    found
+}
+
 /// Counts per-array concurrent accesses of a pipelined body, treating
-/// every inner loop as fully unrolled (Vitis pipeline semantics), by the
-/// estimator's [`pom_hls::port_demand`].
+/// every inner loop as fully unrolled (Vitis pipeline semantics), the
+/// way the estimator's pipeline body counts them: each loop's copies are
+/// its [`loop_trip`] with the enclosing ivs at their midpoints (a
+/// constant-bounds empty loop has none), each access's demand its
+/// [`pom_hls::port_demand`].
 fn collect_concurrent_accesses(
     ops: &[AffineOp],
     unrolled: &mut Vec<(String, u64)>,
+    env: &mut HashMap<String, i64>,
     out: &mut BTreeMap<String, u64>,
 ) {
     for op in ops {
         match op {
             AffineOp::Store(s) => {
                 for (array, n) in pom_hls::port_demand(s, unrolled) {
-                    *out.entry(array.to_string()).or_insert(0) += n;
+                    let total = out.entry(array.to_string()).or_insert(0);
+                    *total = total.saturating_add(n);
                 }
             }
-            AffineOp::If(i) => collect_concurrent_accesses(&i.body, unrolled, out),
+            AffineOp::If(i) => collect_concurrent_accesses(&i.body, unrolled, env, out),
             AffineOp::For(l) => {
-                let trip = l.const_trip_count().unwrap_or(1).max(1) as u64;
+                let (lb, ub, trip) = loop_trip(l, env);
+                if trip == 0 {
+                    continue;
+                }
+                env.insert(l.iv.clone(), pom_poly::midpoint(lb, ub));
                 unrolled.push((l.iv.clone(), trip));
-                collect_concurrent_accesses(&l.body, unrolled, out);
+                collect_concurrent_accesses(&l.body, unrolled, env, out);
                 unrolled.pop();
+                env.remove(&l.iv);
             }
         }
     }
@@ -1224,6 +1263,58 @@ mod tests {
             .register(PortPressure)
             .run(&ctx(&f, &deps, &model, &device));
         assert!(report.is_clean(), "{}", report.render("ports"));
+    }
+
+    #[test]
+    fn port_pressure_counts_a_symbolic_unrolled_loop_as_the_estimator_does() {
+        // Pipelined i in 0..=7 around an unrolled j in 0..=i: at i's
+        // midpoint 3 the body holds 4 copies of `y[j] = x[j]`, so both
+        // unpartitioned arrays serve 4 accesses through 2 ports.
+        let mut f = AffineFunc::new("triangle");
+        f.memrefs.push(MemRefDecl::new("x", &[8], DataType::F32));
+        f.memrefs.push(MemRefDecl::new("y", &[8], DataType::F32));
+        f.body.push(AffineOp::For(ForOp {
+            extra: Vec::new(),
+            iv: "i".into(),
+            lbs: vec![cb(0)],
+            ubs: vec![cb(7)],
+            attrs: HlsAttrs {
+                pipeline_ii: Some(1),
+                ..Default::default()
+            },
+            body: vec![AffineOp::For(ForOp {
+                extra: Vec::new(),
+                iv: "j".into(),
+                lbs: vec![cb(0)],
+                ubs: vec![Bound::new(LinearExpr::var("i"), 1)],
+                attrs: HlsAttrs::none(),
+                body: vec![AffineOp::Store(StoreOp {
+                    stmt: "s".into(),
+                    dest: AccessFn::new("y", vec![LinearExpr::var("j")]),
+                    value: load("x", vec![LinearExpr::var("j")]),
+                })],
+            })],
+        }));
+        let deps = DepSummary::new();
+        let model = CostModel::vitis_f32();
+        let device = DeviceSpec::xc7z020();
+        let q = pom_hls::estimate(&f, &deps, &model, pom_hls::estimate::Sharing::Reuse);
+        // The estimator's even-spread ResMII (its II before pom-bank's
+        // exact worst-iteration slide) from the same 4 copies.
+        assert_eq!(q.loops[0].unrolled_copies, 4);
+        assert_eq!(q.loops[0].achieved_ii - q.loops[0].port_slide, 2);
+        let report = Linter::new()
+            .register(PortPressure)
+            .run(&ctx(&f, &deps, &model, &device));
+        assert_eq!(report.warning_count(), 2, "{}", report.render("triangle"));
+        for d in &report.diagnostics {
+            assert!(
+                d.message.contains("serves 4 concurrent accesses"),
+                "{}",
+                d.message
+            );
+            assert!(d.message.contains("forces II >= 2"), "{}", d.message);
+        }
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! validation hook proving that a pass rewrite preserved the function's
 //! observable effect.
 //!
-//! IR passes (`simplify-bounds`, `collapse-unit-loops`,
-//! `materialize-unroll`) restructure loops without changing which cells
-//! each statement writes. [`check_pass`] exploits that: it executes the
-//! loop structure abstractly — enumerating iteration points from the
-//! constant bounds, evaluating `affine.if` guards, and recording every
-//! `(statement, array, cell)` a store touches — before and after the
-//! rewrite, and rejects the pass when the two footprints differ. The
-//! enumeration is bounded; a function too large to enumerate is accepted
-//! with a note (structural verification still runs).
+//! IR passes (`simplify-bounds`, `collapse-unit-loops`) restructure
+//! loops without changing which cells each statement writes.
+//! [`check_pass`] exploits that: it runs the function on the compiled
+//! executor ([`pom_ir::interp`], no memory, declared layouts) and records
+//! every `(statement, array, element)` a store instance writes, before
+//! and after the rewrite, and rejects the pass when the two footprints
+//! differ or when only one side faults. The enumeration is bounded; a
+//! function too large to enumerate, or one that faults on both sides, is
+//! accepted with a note (structural verification still runs).
 //!
 //! Install with [`check_hook`]:
 //!
@@ -19,85 +19,43 @@
 //! let pm = PassManager::standard().check_each(pom_verify::check_hook());
 //! ```
 
-use pom_ir::{AffineFunc, AffineOp};
-use std::collections::{BTreeSet, HashMap};
+use pom_ir::interp::{Fault, Program};
+use pom_ir::AffineFunc;
+use std::collections::BTreeSet;
 
 /// Default cap on enumerated store instances per function.
 const DEFAULT_LIMIT: usize = 1 << 16;
 
-/// One recorded store instance: `(stmt, array, cell indices)`.
-type Footprint = BTreeSet<(String, String, Vec<i64>)>;
+/// One recorded store instance: `(stmt, array id, flat element)`.
+type Footprint<'a> = BTreeSet<(&'a str, usize, usize)>;
 
-/// Enumerates the write footprint of `func`, or `None` when bounds are
-/// non-constant at the top level or the instance count exceeds `limit`.
-fn footprint(func: &AffineFunc, limit: usize) -> Option<Footprint> {
-    let mut out = Footprint::new();
-    let mut env: HashMap<String, i64> = HashMap::new();
-    if walk(&func.body, &mut env, &mut out, limit) {
-        Some(out)
-    } else {
-        None
+/// Why a footprint walk stopped early.
+enum Stop {
+    /// More than the limit's store instances.
+    Limit,
+    /// The executor faulted.
+    Fault(Fault),
+}
+
+impl From<Fault> for Stop {
+    fn from(f: Fault) -> Self {
+        Stop::Fault(f)
     }
 }
 
-fn walk(
-    ops: &[AffineOp],
-    env: &mut HashMap<String, i64>,
-    out: &mut Footprint,
-    limit: usize,
-) -> bool {
-    for op in ops {
-        match op {
-            AffineOp::For(l) => {
-                if l.lbs
-                    .iter()
-                    .chain(&l.ubs)
-                    .any(|b| b.expr.vars().any(|v| !env.contains_key(v)))
-                {
-                    return false;
-                }
-                let lb = l.lbs.iter().map(|b| b.eval_lower(env)).max();
-                let ub = l.ubs.iter().map(|b| b.eval_upper(env)).min();
-                let (Some(lb), Some(ub)) = (lb, ub) else {
-                    return false;
-                };
-                for v in lb..=ub {
-                    env.insert(l.iv.clone(), v);
-                    if !walk(&l.body, env, out, limit) {
-                        env.remove(&l.iv);
-                        return false;
-                    }
-                }
-                env.remove(&l.iv);
+/// The write footprint of `prog`, walked on the compiled executor.
+fn footprint<'a>(prog: &Program<'a>, limit: usize) -> Result<Footprint<'a>, Stop> {
+    let mut out = Footprint::new();
+    prog.layout_only()
+        .walk(prog.ops(), &mut |inst, _| {
+            out.insert((inst.store.op.stmt.as_str(), inst.dest.0, inst.dest.1));
+            if out.len() > limit {
+                Err(Stop::Limit)
+            } else {
+                Ok(())
             }
-            AffineOp::If(i) => {
-                if i.conds
-                    .iter()
-                    .any(|c| c.expr.vars().any(|v| !env.contains_key(v)))
-                {
-                    return false;
-                }
-                if i.conds.iter().all(|c| c.satisfied(env)) && !walk(&i.body, env, out, limit) {
-                    return false;
-                }
-            }
-            AffineOp::Store(s) => {
-                if s.dest
-                    .indices
-                    .iter()
-                    .any(|e| e.vars().any(|v| !env.contains_key(v)))
-                {
-                    return false;
-                }
-                let cell: Vec<i64> = s.dest.indices.iter().map(|e| e.eval_partial(env)).collect();
-                out.insert((s.stmt.clone(), s.dest.array.clone(), cell));
-                if out.len() > limit {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+        })
+        .map(|()| out)
 }
 
 /// Validates that a pass rewrite preserved the per-statement write
@@ -106,30 +64,39 @@ fn walk(
 /// # Errors
 ///
 /// A rendered diff naming the pass and up to three differing store
-/// instances on each side.
+/// instances on each side, or the fault of the one side that faults.
 pub fn check_pass(pass: &str, before: &AffineFunc, after: &AffineFunc) -> Result<(), String> {
-    let (Some(b), Some(a)) = (
-        footprint(before, DEFAULT_LIMIT),
-        footprint(after, DEFAULT_LIMIT),
-    ) else {
-        // Not enumerable (symbolic bounds or too large): nothing to
+    let (bp, ap) = (Program::new(before), Program::new(after));
+    let (b, a) = match (footprint(&bp, DEFAULT_LIMIT), footprint(&ap, DEFAULT_LIMIT)) {
+        (Ok(b), Ok(a)) => (b, a),
+        (Ok(_), Err(Stop::Fault(e))) => {
+            return Err(format!("pass `{pass}` made `{}` fault: {e}", before.name))
+        }
+        (Err(Stop::Fault(e)), Ok(_)) => {
+            return Err(format!(
+                "pass `{pass}` changed `{}` from faulting ({e}) to not faulting",
+                before.name
+            ))
+        }
+        // Too large to enumerate, or faulting on both sides: nothing to
         // compare; structural verification still guards the rewrite.
-        return Ok(());
+        _ => return Ok(()),
     };
     if b == a {
         return Ok(());
     }
-    let fmt_side = |side: &Footprint, other: &Footprint| -> Vec<String> {
+    let fmt_side = |prog: &Program<'_>, side: &Footprint, other: &Footprint| -> Vec<String> {
+        let layouts = prog.layout_only();
         side.difference(other)
             .take(3)
-            .map(|(stmt, array, cell)| {
-                let idx: Vec<String> = cell.iter().map(|x| x.to_string()).collect();
-                format!("{stmt}: {array}[{}]", idx.join("]["))
+            .map(|&(stmt, id, flat)| {
+                let shape = layouts.arrays.shape(id).unwrap_or(&[]);
+                format!("{stmt}: {}{}", prog.arrays()[id], subscripts(shape, flat))
             })
             .collect()
     };
-    let lost = fmt_side(&b, &a);
-    let gained = fmt_side(&a, &b);
+    let lost = fmt_side(&bp, &b, &a);
+    let gained = fmt_side(&ap, &a, &b);
     let mut msg = format!(
         "pass `{pass}` changed the write footprint of `{}` \
          ({} instances before, {} after)",
@@ -144,6 +111,16 @@ pub fn check_pass(pass: &str, before: &AffineFunc, after: &AffineFunc) -> Result
         msg.push_str(&format!("; gained: {}", gained.join(", ")));
     }
     Err(msg)
+}
+
+/// `[i][j]…`: the row-major element `flat` of an array of `shape`.
+fn subscripts(shape: &[usize], mut flat: usize) -> String {
+    let mut idx = vec![0; shape.len()];
+    for (i, &n) in idx.iter_mut().zip(shape).rev() {
+        *i = flat % n.max(1);
+        flat /= n.max(1);
+    }
+    idx.iter().map(|i| format!("[{i}]")).collect()
 }
 
 /// A ready-to-install [`pom_ir::CheckHook`] wrapping [`check_pass`].
@@ -240,7 +217,26 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_on_one_side_rejects_and_on_both_is_not_enumerable() {
+        // Shifting the store one element right writes A[8] of an 8-cell
+        // array on the last iteration.
+        let f = sample_func();
+        let mut shifted = f.clone();
+        shifted.walk_mut(&mut |op| {
+            if let AffineOp::Store(s) = op {
+                s.dest.indices[0] = s.dest.indices[0].clone() + 1;
+            }
+        });
+        let msg = check_pass("shift", &f, &shifted).unwrap_err();
+        assert!(msg.contains("made `f` fault"), "{msg}");
+        assert!(check_pass("unshift", &shifted, &f).is_err());
+        assert_eq!(check_pass("p", &shifted, &shifted.clone()), Ok(()));
+    }
+
+    #[test]
     fn symbolic_bounds_are_skipped_not_rejected() {
+        // The executor reads the unbound `n` as 0 on both sides, as every
+        // walk of affine semantics does.
         let mut f = sample_func();
         if let AffineOp::For(l) = &mut f.body[0] {
             l.ubs = vec![Bound::new(LinearExpr::var("n"), 1)];
