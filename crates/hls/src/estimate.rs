@@ -6,7 +6,10 @@
 //! * Pipelined loop: `II = max(RecMII, ResMII, 1)` with
 //!   `RecMII = ceil(chain_latency / dependence_distance)` over dependences
 //!   carried at the pipelined level, and `ResMII` from memory-port
-//!   pressure `ceil(accesses / (banks × ports))` per array;
+//!   pressure ([`port_res_mii`]): pom-bank's exact per-bank demand
+//!   `ceil(demand / ports)` where it analyses the pipeline exactly and
+//!   no array is both read and written back, else the even-spread bound
+//!   `ceil(accesses / (banks × ports))` per array;
 //!   `latency = (trip - 1) * II + depth`.
 //! * Loops inside a pipelined loop are fully unrolled (Vitis semantics);
 //!   inner carried dependences serialize into the pipeline depth.
@@ -64,6 +67,78 @@ pub fn port_demand<'a>(
                 .max(1);
             (a.array.as_str(), distinct)
         })
+}
+
+/// One array's memory-port bound on a pipelined loop's II, as
+/// [`port_res_mii`] prices it: `ceil(demand / ports)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PortMii {
+    /// The array.
+    pub array: String,
+    /// Accesses per iteration the bound divides: the largest per-bank
+    /// demand under the exact model, the raw access count under the
+    /// even-spread one.
+    pub demand: u64,
+    /// The ports serving `demand` each cycle: one bank's under the exact
+    /// model, every bank's under the even-spread one.
+    pub ports: u64,
+    /// Whether `demand` is pom-bank's exact per-bank figure.
+    pub exact: bool,
+}
+
+impl PortMii {
+    /// The II this array's ports alone force, at least 1.
+    pub fn res_mii(&self) -> u64 {
+        self.demand.div_ceil(self.ports.max(1)).max(1)
+    }
+}
+
+/// The memory-port ResMII of one pipelined loop, one [`PortMii`] per
+/// array — the port model the estimator and pom-lint's POM003 share.
+///
+/// Where `bank`, pom-bank's analysis of the loop, is exact and no array
+/// is both read from memory and written back in one iteration, each
+/// array's bound is its largest per-bank demand over one bank's ports,
+/// so the largest is [`pom_bank::BankAnalysis::min_feasible_ii`]: an
+/// element is read once per iteration however many unrolled copies name
+/// it, and a bank serves only its own accesses. Everywhere else each
+/// array's bound is the even-spread `ceil(accesses / (banks × ports))`
+/// over `accesses`, the per-array sums of [`port_demand`], with `banks`
+/// giving an array's bank count. A read-and-written array keeps the
+/// fallback because a write-back takes its port at its result cycle,
+/// where it competes with a later iteration's reads — a conflict one
+/// iteration's profile cannot see.
+pub fn port_res_mii<'a>(
+    bank: Option<&pom_bank::BankAnalysis>,
+    accesses: impl IntoIterator<Item = (&'a str, u64)>,
+    banks: impl Fn(&str) -> u64,
+    ports_per_bank: u64,
+) -> Vec<PortMii> {
+    let exact = bank.filter(|b| {
+        b.min_feasible_ii(ports_per_bank).is_some()
+            && !b.profiles.iter().any(|p| p.reads > 0 && p.writes > 0)
+    });
+    match exact {
+        Some(b) => b
+            .profiles
+            .iter()
+            .map(|p| PortMii {
+                array: p.array.clone(),
+                demand: p.max_demand,
+                ports: ports_per_bank,
+                exact: true,
+            })
+            .collect(),
+        None => accesses
+            .into_iter()
+            .map(|(array, demand)| PortMii {
+                array: array.to_string(),
+                demand,
+                ports: banks(array).saturating_mul(ports_per_bank),
+                exact: false,
+            })
+            .collect(),
+    }
 }
 
 /// Per-loop dependence summary keyed by induction-variable name.
@@ -246,22 +321,19 @@ pub fn estimate_ops(
         .iter()
         .map(|m| (m.name.clone(), m.banks().max(1) as u64))
         .collect();
-    // Per-iteration port slide per pipelined loop, where pom-bank can
-    // enumerate the per-iteration accesses exactly. Keyed by the loop's
-    // statements — sibling nests reuse iv names.
-    let bank_slides: Vec<(Vec<String>, u64)> = pom_bank::analyze_func(func)
+    // pom-bank's analysis of each pipelined loop whose per-iteration
+    // accesses it enumerates exactly. Keyed by the loop's statements —
+    // sibling nests reuse iv names.
+    let exact_banks: Vec<(Vec<String>, pom_bank::BankAnalysis)> = pom_bank::analyze_func(func)
         .into_iter()
-        .filter_map(|r| {
-            r.analysis
-                .port_slide(model.ports_per_bank)
-                .map(|s| (r.stmts, s))
-        })
+        .filter(|r| r.analysis.port_slide(model.ports_per_bank).is_some())
+        .map(|r| (r.stmts, r.analysis))
         .collect();
     let mut est = Estimator {
         model,
         deps,
         banks: &banks,
-        bank_slides: &bank_slides,
+        exact_banks: &exact_banks,
         sharing,
         loops: Vec::new(),
     };
@@ -322,9 +394,9 @@ struct Estimator<'a> {
     model: &'a CostModel,
     deps: &'a DepSummary,
     banks: &'a HashMap<String, u64>,
-    /// Exact per-iteration port slide per pipelined loop (keyed by the
-    /// loop's statements), from pom-bank.
-    bank_slides: &'a [(Vec<String>, u64)],
+    /// pom-bank's exact analysis per pipelined loop (keyed by the loop's
+    /// statements).
+    exact_banks: &'a [(Vec<String>, pom_bank::BankAnalysis)],
     sharing: Sharing,
     loops: Vec<LoopQoR>,
 }
@@ -466,32 +538,37 @@ impl Estimator<'_> {
             d.rec_mii(body.serial_chains.get(&d.array).copied().unwrap_or(0))
         });
 
-        // ResMII from memory ports: the even-spread bound
-        // `ceil(accesses / (banks × ports))` assumes accesses distribute
-        // uniformly over banks...
-        let mut res_mii = 1u64;
-        for (array, accesses) in &body.accesses {
-            let banks = self.banks.get(array).copied().unwrap_or(1);
-            let ports = banks * self.model.ports_per_bank;
-            res_mii = res_mii.max(accesses.div_ceil(ports.max(1)));
-        }
-        let base = rec_mii.max(res_mii);
-
-        // ...which windowed stencil re-reads violate: accesses sharing a
-        // residue class pile into one bank. The simulator's calendars
-        // grant all of an iteration's reads at the issue cycle, so an
-        // overloaded bank slides the issue by `ceil(demand/ports) - 1`
-        // cycles past the *declared* II on every iteration. Where
-        // pom-bank enumerated the accesses exactly, floor the effective
-        // II at `declared + slide`; the excess over `base` is reported as
-        // `port_slide` and kept out of the declared-II retarget (no II
-        // absorbs it — only repartitioning removes it).
-        let declared = l.attrs.pipeline_ii.unwrap_or(1).max(1) as u64;
-        let ii = self
-            .bank_slides
+        // ResMII from memory ports: pom-bank's exact per-bank demand
+        // where the port model admits it, else the even-spread bound.
+        let ports = self.model.ports_per_bank;
+        let exact = self
+            .exact_banks
             .iter()
             .find(|(stmts, _)| body.stmts.iter().any(|s| stmts.contains(s)))
-            .map_or(base, |&(_, s)| base.max(declared + s));
+            .map(|(_, b)| b);
+        let res_mii = port_res_mii(
+            exact,
+            body.accesses.iter().map(|(a, &n)| (a.as_str(), n)),
+            |a| self.banks.get(a).copied().unwrap_or(1),
+            ports,
+        )
+        .iter()
+        .map(PortMii::res_mii)
+        .fold(1, u64::max);
+        let base = rec_mii.max(res_mii);
+
+        // The simulator's calendars grant all of an iteration's reads at
+        // the issue cycle, so a bank whose read demand exceeds its ports
+        // slides the issue by `ceil(demand/ports) - 1` cycles past the
+        // *declared* II on every iteration. Where pom-bank enumerated the
+        // accesses exactly, floor the effective II at `declared + slide`;
+        // the excess over `base` is reported as `port_slide` and kept out
+        // of the declared-II retarget (no II absorbs it — only
+        // repartitioning removes it).
+        let declared = l.attrs.pipeline_ii.unwrap_or(1).max(1) as u64;
+        let ii = exact
+            .and_then(|b| b.port_slide(ports))
+            .map_or(base, |s| base.max(declared + s));
 
         // Resources: unrolled operator instances are spatial — every copy
         // gets its own operators (Vitis only time-shares across iterations
@@ -804,6 +881,78 @@ mod tests {
         });
         let q2 = estimate(&f2, &DepSummary::new(), &m, Sharing::Reuse);
         assert_eq!(q2.loops[0].achieved_ii, 1);
+    }
+
+    /// `dest = a[i+j] + a[i+j+1] + a[i+j+2]` over an unrolled j in 0..=2
+    /// inside a pipelined i, `a` cyclically partitioned by 4: nine reads
+    /// of a five-element window.
+    fn window_sum(dest: AccessFn) -> AffineFunc {
+        let mut f = AffineFunc::new("f");
+        f.memrefs.push(MemRefDecl::new("a", &[128], DataType::F32));
+        f.memrefs.push(MemRefDecl::new("b", &[64], DataType::F32));
+        f.memref_mut("a").unwrap().partition = Some(PartitionInfo {
+            factors: vec![4],
+            style: PartitionStyle::Cyclic,
+        });
+        let ij = LinearExpr::var("i") + LinearExpr::var("j");
+        let body = pom_dsl::Expr::Load(AccessFn::new("a", vec![ij.clone()]))
+            + pom_dsl::Expr::Load(AccessFn::new("a", vec![ij.clone() + 1]))
+            + pom_dsl::Expr::Load(AccessFn::new("a", vec![ij + 2]));
+        let inner = ForOp {
+            extra: Vec::new(),
+            iv: "j".into(),
+            lbs: vec![cb(0)],
+            ubs: vec![cb(2)],
+            attrs: HlsAttrs::none(),
+            body: vec![AffineOp::Store(StoreOp {
+                stmt: "S".into(),
+                dest,
+                value: body,
+            })],
+        };
+        f.body.push(AffineOp::For(ForOp {
+            extra: Vec::new(),
+            iv: "i".into(),
+            lbs: vec![cb(0)],
+            ubs: vec![cb(59)],
+            attrs: HlsAttrs {
+                pipeline_ii: Some(1),
+                ..Default::default()
+            },
+            body: vec![AffineOp::For(inner)],
+        }));
+        f
+    }
+
+    #[test]
+    fn exact_res_mii_reads_each_element_once() {
+        // Even spread prices all nine reads: ceil(9 / (4 banks × 2
+        // ports)) = 2. pom-bank sees five distinct elements, at most two
+        // per bank: one cycle's ports, II 1.
+        let m = CostModel::vitis_f32();
+        let f = window_sum(AccessFn::new("b", vec![LinearExpr::var("i")]));
+        let q = estimate(&f, &DepSummary::new(), &m, Sharing::Reuse);
+        assert_eq!(q.loops[0].unrolled_copies, 3);
+        assert_eq!(q.loops[0].achieved_ii, 1);
+        assert_eq!(q.loops[0].port_slide, 0);
+        let bank = &pom_bank::analyze_func(&f)[0].analysis;
+        assert_eq!(bank.min_feasible_ii(m.ports_per_bank), Some(1));
+    }
+
+    #[test]
+    fn a_read_and_written_array_keeps_the_even_spread_bound() {
+        // The same window, its sum written back into `a`: a write-back
+        // takes a port at its result cycle, beside a later iteration's
+        // reads, so the estimator keeps the even-spread ResMII of the
+        // ten accesses of `a` even though one iteration's exact per-bank
+        // demand fits a cycle.
+        let m = CostModel::vitis_f32();
+        let f = window_sum(AccessFn::new("a", vec![LinearExpr::var("i") + 65]));
+        let bank = &pom_bank::analyze_func(&f)[0].analysis;
+        assert_eq!(bank.min_feasible_ii(m.ports_per_bank), Some(1));
+        let q = estimate(&f, &DepSummary::new(), &m, Sharing::Reuse);
+        assert_eq!(q.loops[0].achieved_ii, 2);
+        assert_eq!(q.loops[0].port_slide, 0);
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub use codegen::{emit_hls_c, hls_c_loc};
 pub use cost::{CostModel, OpCost};
 pub use device::{DeviceSpec, ResourceUsage};
 pub use estimate::{
-    bank_mux, bram18k_units, estimate, estimate_ops, port_demand, CarriedDep, DepSummary, LoopQoR,
-    QoR,
+    bank_mux, bram18k_units, estimate, estimate_ops, port_demand, port_res_mii, CarriedDep,
+    DepSummary, LoopQoR, PortMii, QoR,
 };
 pub use report::SynthesisReport;
 pub use testbench::emit_testbench;

@@ -3,6 +3,7 @@
 use crate::context::{walk_loops, walk_stores, LintContext};
 use crate::{Analysis, Diagnostic, LintCode, Location};
 use pom_hls::estimate::loop_trip;
+use pom_hls::port_res_mii;
 use pom_ir::{AffineFunc, AffineOp, ForOp};
 use pom_poly::{fm, AccessFn, Constraint, LinearExpr};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -157,11 +158,14 @@ impl Analysis for BoundsCheck {
 }
 
 /// POM003: concurrent accesses of a pipelined/unrolled body must not
-/// exceed the ports its array partition provides (`banks x
-/// ports_per_bank`), and the partitioning itself must fit the device's
-/// BRAM budget (paper Section VI-B). Mirrors the estimator's ResMII and
-/// BRAM accounting, so a clean design is one whose declared II the
-/// estimator can actually honour.
+/// exceed the ports its array partition provides, and the partitioning
+/// itself must fit the device's BRAM budget (paper Section VI-B). The
+/// port half prices each array with the estimator's own
+/// [`pom_hls::port_res_mii`] — pom-bank's exact per-bank demand where
+/// that applies, the even-spread `ceil(accesses / (banks x
+/// ports_per_bank))` elsewhere — and the BRAM half with its accounting,
+/// so a clean design is one whose declared II the estimator can
+/// actually honour.
 pub struct PortPressure;
 
 impl Analysis for PortPressure {
@@ -170,36 +174,62 @@ impl Analysis for PortPressure {
     }
 
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        // (a) Port demand per outermost pipelined loop.
-        for (l, ivs, accesses) in pipelined_accesses(cx.func) {
+        // (a) Port demand per outermost pipelined loop. pom-bank reports
+        // the same loops in the same program order.
+        let ports_per_bank = cx.model.ports_per_bank;
+        let banks = |array: &str| cx.func.memref(array).map_or(1, |m| m.banks().max(1) as u64);
+        let bank = pom_bank::analyze_func(cx.func);
+        for ((l, ivs, accesses), rep) in pipelined_accesses(cx.func).into_iter().zip(&bank) {
             let ii = l.attrs.pipeline_ii.unwrap_or(1);
-            for (array, n) in &accesses {
-                let banks = cx
-                    .func
-                    .memref(array)
-                    .map(|m| m.banks().max(1) as u64)
-                    .unwrap_or(1);
-                let ports = (banks * cx.model.ports_per_bank).max(1);
-                let res_mii = n.div_ceil(ports);
-                if res_mii > ii.max(1) as u64 {
-                    let want_banks = n.div_ceil(cx.model.ports_per_bank);
-                    out.push(
-                        Diagnostic::new(
-                            LintCode::PortPressure,
-                            Location::in_loops(&cx.func.name, &ivs),
-                            format!(
-                                "`{array}` serves {n} concurrent accesses per iteration of \
-                                 pipelined loop %{} through {banks} bank(s) x {} port(s); \
-                                 memory alone forces II >= {res_mii} > declared {ii}",
-                                l.iv, cx.model.ports_per_bank
-                            ),
-                        )
-                        .with_suggestion(format!(
-                            "cyclically partition `{array}` into >= {want_banks} banks to \
-                             feed the unrolled units, or declare pipeline II >= {res_mii}"
-                        )),
-                    );
+            let mut arrays = port_res_mii(
+                Some(&rep.analysis),
+                accesses.iter().map(|(a, &n)| (a.as_str(), n)),
+                banks,
+                ports_per_bank,
+            );
+            arrays.sort_by(|a, b| a.array.cmp(&b.array));
+            for p in arrays {
+                let res_mii = p.res_mii();
+                if res_mii <= ii.max(1) as u64 {
+                    continue;
                 }
+                let (array, n, banks) = (&p.array, p.demand, banks(&p.array));
+                let (message, suggestion) = if p.exact {
+                    (
+                        format!(
+                            "`{array}` puts {n} same-cycle accesses per iteration of pipelined \
+                             loop %{} on one of its {banks} bank(s) x {ports_per_bank} \
+                             port(s); memory alone forces II >= {res_mii} > declared {ii}",
+                            l.iv
+                        ),
+                        format!(
+                            "partition `{array}` as POM006 suggests, or declare pipeline \
+                             II >= {res_mii}"
+                        ),
+                    )
+                } else {
+                    (
+                        format!(
+                            "`{array}` serves {n} concurrent accesses per iteration of \
+                             pipelined loop %{} through {banks} bank(s) x {ports_per_bank} \
+                             port(s); memory alone forces II >= {res_mii} > declared {ii}",
+                            l.iv
+                        ),
+                        format!(
+                            "cyclically partition `{array}` into >= {} banks to feed the \
+                             unrolled units, or declare pipeline II >= {res_mii}",
+                            n.div_ceil(ports_per_bank)
+                        ),
+                    )
+                };
+                out.push(
+                    Diagnostic::new(
+                        LintCode::PortPressure,
+                        Location::in_loops(&cx.func.name, &ivs),
+                        message,
+                    )
+                    .with_suggestion(suggestion),
+                );
             }
         }
 
@@ -1267,17 +1297,20 @@ mod tests {
 
     #[test]
     fn port_pressure_counts_a_symbolic_unrolled_loop_as_the_estimator_does() {
-        // Pipelined i in 0..=7 around an unrolled j in 0..=i: at i's
-        // midpoint 3 the body holds 4 copies of `y[j] = x[j]`, so both
-        // unpartitioned arrays serve 4 accesses through 2 ports.
+        // Pipelined i in 0..=127 around an unrolled j in 0..=i: the inner
+        // bound takes 128 values, more than pom-bank enumerates
+        // (`CASE_CAP`), so the pipeline is inexact and both the estimator
+        // and POM003 fall back to the even-spread count. At i's midpoint
+        // 63 the body holds 64 copies of `y[j] = x[j]`, so both
+        // unpartitioned arrays serve 64 accesses through 2 ports.
         let mut f = AffineFunc::new("triangle");
-        f.memrefs.push(MemRefDecl::new("x", &[8], DataType::F32));
-        f.memrefs.push(MemRefDecl::new("y", &[8], DataType::F32));
+        f.memrefs.push(MemRefDecl::new("x", &[128], DataType::F32));
+        f.memrefs.push(MemRefDecl::new("y", &[128], DataType::F32));
         f.body.push(AffineOp::For(ForOp {
             extra: Vec::new(),
             iv: "i".into(),
             lbs: vec![cb(0)],
-            ubs: vec![cb(7)],
+            ubs: vec![cb(127)],
             attrs: HlsAttrs {
                 pipeline_ii: Some(1),
                 ..Default::default()
@@ -1295,26 +1328,101 @@ mod tests {
                 })],
             })],
         }));
+        assert!(!pom_bank::analyze_func(&f)[0].analysis.exact);
         let deps = DepSummary::new();
         let model = CostModel::vitis_f32();
         let device = DeviceSpec::xc7z020();
         let q = pom_hls::estimate(&f, &deps, &model, pom_hls::estimate::Sharing::Reuse);
-        // The estimator's even-spread ResMII (its II before pom-bank's
-        // exact worst-iteration slide) from the same 4 copies.
-        assert_eq!(q.loops[0].unrolled_copies, 4);
-        assert_eq!(q.loops[0].achieved_ii - q.loops[0].port_slide, 2);
+        // The estimator's even-spread ResMII from the same 64 copies.
+        assert_eq!(q.loops[0].unrolled_copies, 64);
+        assert_eq!(q.loops[0].port_slide, 0);
+        assert_eq!(q.loops[0].achieved_ii, 32);
         let report = Linter::new()
             .register(PortPressure)
             .run(&ctx(&f, &deps, &model, &device));
         assert_eq!(report.warning_count(), 2, "{}", report.render("triangle"));
         for d in &report.diagnostics {
             assert!(
-                d.message.contains("serves 4 concurrent accesses"),
+                d.message.contains("serves 64 concurrent accesses"),
                 "{}",
                 d.message
             );
-            assert!(d.message.contains("forces II >= 2"), "{}", d.message);
+            assert!(d.message.contains("forces II >= 32"), "{}", d.message);
         }
+    }
+
+    #[test]
+    fn port_pressure_prices_an_exact_pipeline_by_its_per_bank_demand() {
+        // b[i] = a[i+j] + a[i+j+1] over an unrolled j in 0..=3: eight
+        // reads naming five elements. The raw count would force
+        // ceil(8 / 2) = 4 on an unpartitioned `a`; pom-bank's exact
+        // demand, like the estimator's ResMII, is the 5 distinct reads
+        // through 2 ports, so II 3 is clean and II 2 is flagged with the
+        // figure POM006 reports.
+        let window = |ii: i64| {
+            let mut f = AffineFunc::new("window");
+            f.memrefs.push(MemRefDecl::new("a", &[64], DataType::F32));
+            f.memrefs.push(MemRefDecl::new("b", &[64], DataType::F32));
+            let (i, j) = (LinearExpr::var("i"), LinearExpr::var("j"));
+            f.body.push(AffineOp::For(ForOp {
+                extra: Vec::new(),
+                iv: "i".into(),
+                lbs: vec![cb(0)],
+                ubs: vec![cb(59)],
+                attrs: HlsAttrs {
+                    pipeline_ii: Some(ii),
+                    ..Default::default()
+                },
+                body: vec![AffineOp::For(ForOp {
+                    extra: Vec::new(),
+                    iv: "j".into(),
+                    lbs: vec![cb(0)],
+                    ubs: vec![cb(3)],
+                    attrs: HlsAttrs::none(),
+                    body: vec![AffineOp::Store(StoreOp {
+                        stmt: "s".into(),
+                        dest: AccessFn::new("b", vec![i.clone()]),
+                        value: load("a", vec![i.clone() + j.clone()])
+                            + load("a", vec![i.clone() + j.clone() + 1]),
+                    })],
+                })],
+            }));
+            f
+        };
+        let deps = DepSummary::new();
+        let model = CostModel::vitis_f32();
+        let device = DeviceSpec::xc7z020();
+        let q = pom_hls::estimate(&window(3), &deps, &model, pom_hls::estimate::Sharing::Reuse);
+        assert_eq!(q.loops[0].achieved_ii - q.loops[0].port_slide, 3);
+        let lint = |f: &AffineFunc| {
+            Linter::new()
+                .register(PortPressure)
+                .register(BankConflict)
+                .run(&ctx(f, &deps, &model, &device))
+        };
+        let f = window(3);
+        assert!(lint(&f).is_clean(), "{}", lint(&f).render("window"));
+        let f = window(2);
+        let report = lint(&f);
+        let pom3 = report.with_code(LintCode::PortPressure);
+        assert_eq!(pom3.len(), 1, "{}", report.render("window"));
+        assert!(
+            pom3[0].message.contains("puts 5 same-cycle accesses"),
+            "{}",
+            pom3[0].message
+        );
+        assert!(
+            pom3[0].message.contains("forces II >= 3"),
+            "{}",
+            pom3[0].message
+        );
+        let pom6 = report.with_code(LintCode::BankConflict);
+        assert_eq!(pom6.len(), 1, "{}", report.render("window"));
+        assert!(
+            pom6[0].message.contains("force II >= 3"),
+            "{}",
+            pom6[0].message
+        );
     }
 
     #[test]
