@@ -15,7 +15,7 @@
 //!
 //! `greedy` is `table3_greedy` + `dnn_greedy` + resnet18 (77 inputs);
 //! `portfolio` is `portfolio_sim` (5 inputs, `SearchMode::Portfolio` with
-//! the dataflow refinement); `signoff` is the six `signoff` inputs plus
+//! the dataflow sign-off); `signoff` is the six `signoff` inputs plus
 //! the 14-kernel suite at size 32, each greedy-compiled and then signed
 //! off: `{:#?}` of the simulation report (host time zeroed), the
 //! dataflow plan, its co-simulation, the channel certificates, the

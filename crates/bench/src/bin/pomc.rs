@@ -15,9 +15,10 @@
 //! a running `pomd` instead of compiling locally and prints the daemon's
 //! serving payload (schedule + QoR + HLS C); other emit modes don't apply
 //! over the daemon. `--search portfolio` runs the portfolio beam search
-//! instead of the greedy descent. `--dataflow` turns on the
-//! rate-matching DSE refinement under either search, so the winner is
-//! picked by simulated dataflow cycles. The `lint`, `verify`, `sim`,
+//! instead of the greedy descent. `--dataflow` has either search sign
+//! its returned design off as a dataflow pipeline (stage partition,
+//! channel certificates, co-simulated cycles); the design itself is the
+//! same as without it. The `lint`, `verify`, `sim`,
 //! `live` and `dataflow` emit modes exit 1 on an error-severity
 //! diagnostic, a rejected certificate, a memory divergence from the
 //! interpreter, a dead store or failed contraction replay, and a
@@ -129,9 +130,9 @@ const AUDITS: &[Audit] = &[
     },
     Audit {
         name: "bench-dataflow",
-        about: "dataflow vs sequential winners of all 14 kernels; fails on a divergence, deadlock \
-                or failed channel certificate, or a DNN that does not win in-envelope \
-                (bench_dataflow)",
+        about: "dataflow vs sequential runs of all 14 kernels' winners; fails on a divergence, \
+                deadlock or failed channel certificate, a DNN whose dataflow run does not win, \
+                or a channel stall without POM010 (bench_dataflow)",
         out: "BENCH_dataflow.json",
         flags: &[SIZE],
         run: |f| bench_dataflow::report(&bench_dataflow::run_suite(f.int("--size").unwrap_or(64))),
@@ -523,14 +524,11 @@ fn emit_design(
             if let Some(r) = dse {
                 if cfg.dataflow {
                     println!(
-                        "DSE dataflow: {} rate-matching round(s) over {} stage(s) and \
-                         {} channel(s), winner {} dataflow cycle(s) vs {} sequential, \
-                         {:.3} s refining",
-                        r.stats.dataflow_rounds,
+                        "DSE dataflow: {} stage(s) and {} channel(s), {} dataflow cycle(s), \
+                         {:.3} s signing off",
                         r.stats.dataflow_stages,
                         r.stats.dataflow_channels,
                         r.stats.dataflow_cycles,
-                        seq.cycles,
                         r.stats.dataflow_time.as_secs_f64()
                     );
                 }

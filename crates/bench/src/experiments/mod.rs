@@ -422,7 +422,6 @@ mod tests {
                 "stages",
                 "stall_channel",
                 "unflagged",
-                "within_envelope",
             ],
             &["multi_stage_kernels"],
         ),

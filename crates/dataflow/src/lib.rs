@@ -23,7 +23,8 @@
 //!   obligation) — no deadlock, bit-identical values.
 //!
 //! The plan feeds `pom_sim::simulate_dataflow` for channel-accurate
-//! co-simulation and the DSE's dataflow mode for rate-matching.
+//! co-simulation, which the DSE's dataflow mode runs once on the design
+//! it returns.
 
 #![warn(missing_docs)]
 

@@ -141,8 +141,7 @@ fn auto_dse_impl(
 }
 
 /// The search itself: stage 1, stage 2, the final compiles, the dataflow
-/// refinement and winner validation, its compile phases timed into
-/// `acc`.
+/// sign-off and winner validation, its compile phases timed into `acc`.
 fn run_search(
     f: &Function,
     opts: &CompileOptions,
@@ -168,122 +167,32 @@ fn run_search(
         SearchMode::Portfolio => portfolio_optimize_impl(&base, opts, cfg, cache, acc)?,
     };
     let mut scheduled = s2.function;
-    let mut groups = s2.groups;
+    let groups = s2.groups;
     let mut stats = s2.stats;
     let anytime = s2.anytime;
     // The final compiles can reuse the search's full-function dependence
     // template: a pipeline-II retarget never changes the dependences.
-    let mut full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, acc));
+    let full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, acc));
+    let template = full_template.as_deref();
     // The repair loop's fitting compile is still in the cache, so this
     // lookup answers without recompiling the same schedule.
-    let compile_full = |f: &Function, deps: Option<&pom_hls::DepSummary>| {
-        full_compile(&base, f, deps, opts, cache, acc).map(|c| (*c).clone())
-    };
-    let mut compiled = compile_full(&scheduled, full_template.as_deref())?;
-    // Rate-matched dataflow refinement (`DseConfig::dataflow`): cut the
-    // sequential winner into dataflow stages, co-simulate the plan with
-    // channel back-pressure, and greedily rebalance per-stage unrolls —
-    // escalate the bottleneck stage, and when that alone busts the
-    // envelope, pair it with a de-escalation of the slackest stage.
-    // Throughput follows the slowest stage, so every accepted move
-    // rate-matches stage IIs; acceptance requires strictly fewer
-    // simulated dataflow cycles and resources within the sequential
-    // winner's envelope (the refinement may trade, never grow).
+    let mut compiled = (*full_compile(&base, &scheduled, template, opts, cache, acc)?).clone();
+    // Declared IIs follow what the recurrences allow.
+    if let Some(c) = retarget_iis(&base, &mut scheduled, &compiled, template, opts, cache, acc)? {
+        compiled = (*c).clone();
+    }
+    // Dataflow sign-off (`DseConfig::dataflow`): cut the returned design
+    // into dataflow stages, discharge its channel-sizing certificates and
+    // co-simulate the plan, so the figures describe the design that ships.
     if cfg.dataflow {
-        const DF_SEED: u64 = 0x5EED;
         let t_df = Instant::now();
-        let envelope = compiled.qor.resources;
-        // Each candidate's sign-off measures it; the accepted one becomes
-        // the incumbent, so its plan and co-simulation are never redone.
-        let mut incumbent = Signoff::owned(scheduled, compiled, opts, DF_SEED);
-        let mut rounds = 0usize;
-        const MAX_ROUNDS: usize = 16;
-        while incumbent.plan().is_pipeline() && !incumbent.cosim().0.deadlock && rounds < MAX_ROUNDS
-        {
-            let (plan, best) = (incumbent.plan(), &incumbent.cosim().0);
-            // Bottleneck = the stage whose local schedule is slowest;
-            // slack = the fastest (the one with cycles to give back).
-            let local = |s: &pom_sim::StageSim| s.report.cycles;
-            let bi = match best.stages.iter().enumerate().max_by_key(|(_, s)| local(s)) {
-                Some((i, _)) => i,
-                None => break,
-            };
-            let si = best
-                .stages
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != bi)
-                .min_by_key(|(_, s)| local(s))
-                .map(|(i, _)| i);
-            let in_stage = |g: &GroupConfig, stage: usize| {
-                g.members
-                    .iter()
-                    .any(|m| plan.stage_stmts[stage].iter().any(|s| s == m))
-            };
-            // Candidate group vectors: escalate a bottleneck group alone,
-            // or paired with one de-escalation of a slack-stage group.
-            let mut cand_groups: Vec<Vec<GroupConfig>> = Vec::new();
-            for (gi, g) in groups.iter().enumerate() {
-                if !in_stage(g, bi) {
-                    continue;
-                }
-                for esc in g.escalation_candidates_preferred(cfg) {
-                    let mut cg = groups.clone();
-                    cg[gi] = esc;
-                    cand_groups.push(cg.clone());
-                    if let Some(si) = si {
-                        for (hi, h) in groups.iter().enumerate() {
-                            if hi == gi || !in_stage(h, si) {
-                                continue;
-                            }
-                            for de in h.deescalation_candidates() {
-                                let mut cg2 = cg.clone();
-                                cg2[hi] = de;
-                                cand_groups.push(cg2);
-                            }
-                        }
-                    }
-                }
-            }
-            let mut winner: Option<(u64, Signoff<'_>, Vec<GroupConfig>)> = None;
-            for cg in cand_groups {
-                let cand_f = base.full().schedule(&cg);
-                let c = match compile_full(&cand_f, None) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
-                stats.estimated += 1;
-                if !c.qor.resources.within(&envelope) {
-                    continue;
-                }
-                let cand = Signoff::owned(cand_f, c, opts, DF_SEED);
-                let r = &cand.cosim().0;
-                let bar = winner.as_ref().map_or(best.cycles, |w| w.0);
-                let cycles = r.cycles;
-                if !r.deadlock && cycles < bar {
-                    winner = Some((cycles, cand, cg));
-                }
-            }
-            match winner {
-                Some((_, cand, cg)) => {
-                    incumbent = cand;
-                    groups = cg;
-                    rounds += 1;
-                }
-                None => break,
-            }
-        }
-        if rounds > 0 {
-            // The dependence template was built for the original groups.
-            full_template = cache.and_then(|c| full_dep_template(&base, &groups, c, opts, acc));
-        }
-        // Discharge the final plan's channel-sizing certificates.
-        let certs = incumbent.channel_certificates();
+        let signoff = Signoff::new(&scheduled, &compiled, opts, 0x5EED);
+        let certs = signoff.channel_certificates();
         stats.certificates_checked += certs.len();
         stats.certificates_passed += certs.iter().filter(|c| c.passed()).count();
         if let Some(bad) = certs.iter().find(|c| !c.passed()) {
             let mut report = pom_verify::ValidationReport {
-                func: incumbent.compiled().affine.name.clone(),
+                func: compiled.affine.name.clone(),
                 certificates: vec![bad.clone()],
             };
             report
@@ -291,25 +200,11 @@ fn run_search(
                 .extend(certs.iter().filter(|c| c.passed()).cloned());
             return Err(CompileError::Rejected(report.render()));
         }
-        let plan = incumbent.plan();
-        stats.dataflow_rounds = rounds;
+        let plan = signoff.plan();
         stats.dataflow_stages = plan.stages.len();
         stats.dataflow_channels = plan.channels.len();
-        stats.dataflow_cycles = incumbent.cosim().0.cycles;
-        (scheduled, compiled) = incumbent.into_design();
+        stats.dataflow_cycles = signoff.cosim().0.cycles;
         stats.dataflow_time = t_df.elapsed();
-    }
-    // Declared IIs follow what the recurrences allow.
-    if let Some(c) = retarget_iis(
-        &base,
-        &mut scheduled,
-        &compiled,
-        full_template.as_deref(),
-        opts,
-        cache,
-        acc,
-    )? {
-        compiled = (*c).clone();
     }
     // Winner validation: the returned schedule always carries a full
     // certificate chain — every transformation primitive is replayed
@@ -427,9 +322,11 @@ mod tests {
             df < in_order,
             "overlap must win: dataflow {df} vs sequential {in_order}"
         );
-        // The refinement may trade resources between stages but never
-        // grow past the sequential winner's envelope.
-        assert!(r.compiled.qor.resources.within(&seq.compiled.qor.resources));
+        // The dataflow mode signs the greedy winner off; it returns that
+        // design itself.
+        assert_eq!(r.function.to_string(), seq.function.to_string());
+        assert_eq!(r.groups, seq.groups);
+        assert_eq!(r.compiled.qor, seq.compiled.qor);
         // Winner validation plus every channel-sizing certificate passed.
         assert!(r.stats.certificates_checked > seq.stats.certificates_checked);
         assert_eq!(r.stats.certificates_checked, r.stats.certificates_passed);

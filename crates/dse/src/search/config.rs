@@ -89,16 +89,13 @@ pub struct DseConfig {
     /// [`SearchMode::Portfolio`] trades more compile/simulate work for
     /// schedules the greedy descent's single trajectory cannot reach.
     pub search: SearchMode,
-    /// Rate-matched dataflow refinement: after the sequential search
-    /// settles its winner, partition it into dataflow stages
-    /// (`pom-dataflow`), co-simulate the plan with channel-accurate
-    /// back-pressure, and iteratively rebalance the per-stage unrolls —
-    /// escalating the bottleneck stage and, when the envelope is tight,
-    /// de-escalating slack stages to pay for it. Only strict simulated
-    /// dataflow-cycle improvements whose resources stay within the
-    /// sequential winner's envelope are accepted; throughput follows the
-    /// slowest stage, so the refinement rate-matches stage IIs. Off by
-    /// default.
+    /// Dataflow sign-off: once the search has settled and retargeted its
+    /// winner, partition that design into dataflow stages
+    /// (`pom-dataflow`), discharge its channel-sizing certificates (a
+    /// failed one rejects the compile) and co-simulate the plan with
+    /// channel-accurate back-pressure into the `DseStats::dataflow_*`
+    /// figures. The search and the returned design are the same as with
+    /// it off. Off by default.
     pub dataflow: bool,
 }
 

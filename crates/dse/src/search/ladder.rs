@@ -57,23 +57,6 @@ impl GroupConfig {
         out
     }
 
-    /// All single-step de-escalations (halving one parallel level's tile
-    /// back towards 1), innermost first — the dataflow refinement's
-    /// rate-matching move: a stage running faster than the pipeline
-    /// bottleneck returns resources by shrinking its unroll, which the
-    /// bottleneck stage can then spend.
-    pub fn deescalation_candidates(&self) -> Vec<GroupConfig> {
-        let mut out = Vec::new();
-        for &l in self.parallel.iter().rev() {
-            if self.tiles[l] > 1 {
-                let mut c = self.clone();
-                c.tiles[l] /= 2;
-                out.push(c);
-            }
-        }
-        out
-    }
-
     /// All single-step escalations under `cfg`'s parallelism cap, in the
     /// greedy ladder's preference order: levels still under
     /// `LEVEL_CAP` first (innermost first), then the over-cap spills —

@@ -81,17 +81,15 @@ pub struct DseStats {
     /// Frontier survivors *not* simulated because their analytical
     /// estimate fell outside the admission band of the incumbent.
     pub sim_pruned: usize,
-    /// Rate-matching rounds of the dataflow refinement that strictly
-    /// improved the plan ([`DseConfig::dataflow`](crate::DseConfig::dataflow);
-    /// 0 when off).
-    pub dataflow_rounds: usize,
-    /// Stages in the final dataflow plan (0 when the refinement was off).
+    /// Stages in the returned design's dataflow plan
+    /// ([`DseConfig::dataflow`](crate::DseConfig::dataflow); 0 when off).
     pub dataflow_stages: usize,
-    /// Inter-stage channels in the final dataflow plan.
+    /// Inter-stage channels in the returned design's dataflow plan.
     pub dataflow_channels: usize,
-    /// Simulated dataflow cycles of the final plan (0 when off).
+    /// Co-simulated dataflow cycles of the returned design's plan (0 when
+    /// off).
     pub dataflow_cycles: u64,
-    /// Wall time spent partitioning, co-simulating, and certifying
-    /// during the dataflow refinement.
+    /// Wall time of the dataflow sign-off: partitioning the returned
+    /// design, replaying its channel certificates and co-simulating it.
     pub dataflow_time: Duration,
 }

@@ -1,15 +1,16 @@
 //! One sign-off of a finished design: the facts `pomc --emit
 //! lint|sim|dataflow|live`, [`lint_report`](crate::compile::lint_report),
-//! the dataflow refinement and the audits read about a compiled design,
-//! each computed at most once.
+//! the DSE's dataflow sign-off ([`DseConfig::dataflow`](crate::DseConfig::dataflow))
+//! and the audits read about a compiled design, each computed at most
+//! once.
 //!
 //! The facts depend on each other — seeded memory → dataflow plan →
 //! co-simulation → channel certificates, and liveness and the plan →
 //! lint — so a consumer that assembled the chain itself would recompute
 //! the shared prefix. The plan and everything built on it never compute
-//! liveness: the dataflow refinement signs off every candidate through
-//! them. Lint never simulates: it reads the plan and the per-op
-//! latencies the compile's estimate recorded.
+//! liveness: the DSE's dataflow sign-off reads only them. Lint never
+//! simulates: it reads the plan and the per-op latencies the compile's
+//! estimate recorded.
 //! A [`Signoff`] computes every fact lazily on first use and hands out
 //! references afterwards, the way an MLIR analysis manager caches an
 //! analysis per operation.
@@ -23,15 +24,14 @@ use pom_lint::{ChannelShape, DataflowShape, LintContext, LintReport, Linter, Sta
 use pom_live::LiveReport;
 use pom_sim::{DataflowReport, SimReport};
 use pom_verify::Certificate;
-use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// The sign-off facts of one scheduled function and its compilation,
 /// each computed on first use from memory seeded with `seed`.
 pub struct Signoff<'a> {
-    function: Cow<'a, Function>,
-    compiled: Cow<'a, Compiled>,
+    function: &'a Function,
+    compiled: &'a Compiled,
     opts: &'a CompileOptions,
     seed: u64,
     memory: OnceCell<MemoryState>,
@@ -47,24 +47,9 @@ pub struct Signoff<'a> {
 impl<'a> Signoff<'a> {
     /// Signs off `c`, the compilation of the scheduled function `f`.
     pub fn new(f: &'a Function, c: &'a Compiled, opts: &'a CompileOptions, seed: u64) -> Self {
-        Self::from_parts(Cow::Borrowed(f), Cow::Borrowed(c), opts, seed)
-    }
-
-    /// [`Signoff::new`] over a design the sign-off owns; a caller that
-    /// keeps the design takes it back with [`Signoff::into_design`].
-    pub fn owned(f: Function, c: Compiled, opts: &'a CompileOptions, seed: u64) -> Self {
-        Self::from_parts(Cow::Owned(f), Cow::Owned(c), opts, seed)
-    }
-
-    fn from_parts(
-        function: Cow<'a, Function>,
-        compiled: Cow<'a, Compiled>,
-        opts: &'a CompileOptions,
-        seed: u64,
-    ) -> Self {
         Signoff {
-            function,
-            compiled,
+            function: f,
+            compiled: c,
             opts,
             seed,
             memory: OnceCell::new(),
@@ -79,18 +64,13 @@ impl<'a> Signoff<'a> {
     }
 
     /// The scheduled function.
-    pub fn function(&self) -> &Function {
-        &self.function
+    pub fn function(&self) -> &'a Function {
+        self.function
     }
 
     /// Its compilation.
-    pub fn compiled(&self) -> &Compiled {
-        &self.compiled
-    }
-
-    /// The scheduled function and its compilation, dropping the facts.
-    pub fn into_design(self) -> (Function, Compiled) {
-        (self.function.into_owned(), self.compiled.into_owned())
+    pub fn compiled(&self) -> &'a Compiled {
+        self.compiled
     }
 
     /// The initial memory every execution below starts from
@@ -117,7 +97,7 @@ impl<'a> Signoff<'a> {
     /// memory it leaves.
     pub fn cosim(&self) -> &(DataflowReport, MemoryState) {
         self.cosim.get_or_init(|| {
-            let (c, plan) = (&*self.compiled, self.plan());
+            let (c, plan) = (self.compiled, self.plan());
             let mut mem = self.memory().clone();
             let report = pom_sim::simulate_dataflow(
                 &c.affine,
@@ -135,7 +115,7 @@ impl<'a> Signoff<'a> {
     /// leaves.
     pub fn sim(&self) -> &(SimReport, MemoryState) {
         self.sim.get_or_init(|| {
-            let c = &*self.compiled;
+            let c = self.compiled;
             let mut mem = self.memory().clone();
             let report = pom_sim::simulate(&c.affine, &c.deps, &mut mem, &self.opts.model);
             (report, mem)
@@ -167,10 +147,10 @@ impl<'a> Signoff<'a> {
     /// neither [`Signoff::cosim`] nor [`Signoff::sim`] runs here.
     pub fn lint(&self) -> &LintReport {
         self.lint.get_or_init(|| {
-            let (c, plan) = (&*self.compiled, self.plan());
+            let (c, plan) = (self.compiled, self.plan());
             let shape = plan.is_pipeline().then(|| dataflow_shape(plan, c));
             let mut cx = LintContext::new(&c.affine, &c.deps, &self.opts.model, &self.opts.device)
-                .with_source(&self.function, &c.stmts)
+                .with_source(self.function, &c.stmts)
                 .with_live(self.live());
             if let Some(shape) = &shape {
                 cx = cx.with_dataflow(shape);

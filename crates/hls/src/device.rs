@@ -52,16 +52,6 @@ impl ResourceUsage {
         }
     }
 
-    /// True when every figure is within `other`'s — the equal-envelope
-    /// comparison of the dataflow DSE refinement, which may only trade
-    /// resources between stages, never grow the winner's total.
-    pub fn within(&self, other: &ResourceUsage) -> bool {
-        self.dsp <= other.dsp
-            && self.ff <= other.ff
-            && self.lut <= other.lut
-            && self.bram18k <= other.bram18k
-    }
-
     /// True when the compute fabric (DSP/FF/LUT) fits `device` — the DSE's
     /// resource exit test. BRAM is deliberately left out: the search lets
     /// partitioning overshoot it (the muxing cost surfaces in FF/LUT) and

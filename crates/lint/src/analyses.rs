@@ -819,8 +819,7 @@ impl Analysis for ChannelPressure {
             let d = if ch.pingpong {
                 d.with_suggestion(format!(
                     "the stages around `{}` are rate-mismatched; rebalance their IIs \
-                     (dataflow DSE rate-matching) — the buffer itself is deadlock-free \
-                     at depth >= {}",
+                     or unrolls — the buffer itself is deadlock-free at depth >= {}",
                     ch.array, ch.min_depth
                 ))
             } else {
@@ -1102,7 +1101,7 @@ mod tests {
         assert!(help.contains("try 32"), "{help}");
 
         // The same stages behind a ping-pong buffer: the fix is
-        // rate-matching, not depth.
+        // rebalancing the stages, not depth.
         let pp = two_stage_shape(500, true, (0, 1000));
         let cx = ctx(&f, &deps, &model, &device).with_dataflow(&pp);
         let report = Linter::standard().run(&cx);
