@@ -40,11 +40,25 @@
 //! partition search ([`minimal_conflict_free_factors`]) runs 1–2 once per
 //! loop and only step 3 per trial.
 //!
-//! From the profile follow an exact bank-aware ResMII
-//! ([`BankAnalysis::exact_res_mii`]), a conflict-freedom predicate
-//! backing POM006 certificates ([`BankAnalysis::conflict_free`]), and a
-//! minimal conflict-free partition search for DSE repair
-//! ([`minimal_conflict_free_factors`]).
+//! One iteration's profile does not see a write-back that lands while a
+//! later iteration reads: the simulator grants it at its result cycle.
+//! Given a [`Timing`] (when each statement's write lands, which loops
+//! flatten into the pipeline), step 4 places those write-backs:
+//!
+//! 4. For an array both read and written back, and a candidate II, every
+//!    cycle offset `o` in `[0, II)` of the modulo schedule counts, per
+//!    bank, the issuing iteration's reads (offset 0) plus every write-back
+//!    landing on `o`: statement `s`, landing `r_s` cycles after its
+//!    iteration issues, writes back on `o = r_s mod II` the elements of
+//!    the iteration `⌊r_s / II⌋` earlier — the pipeline iterator's (and a
+//!    flattened outer loop's) coefficients shift its residues, and a case
+//!    iterator of that earlier iteration takes its own value
+//!    ([`InFlight`]).
+//!
+//! From the profile follow a conflict-freedom predicate backing POM006
+//! certificates ([`BankAnalysis::conflict_free`]), the least II the ports
+//! admit ([`BankAnalysis::feasible_ii`]), and a minimal conflict-free
+//! partition search for DSE repair ([`minimal_conflict_free_factors`]).
 //!
 //! Whenever the structure is not analyzable — guards inside the pipeline
 //! body, non-constant inner-loop bounds, undecidable aliasing, index
@@ -55,7 +69,7 @@
 #![warn(missing_docs)]
 
 use pom_dsl::PartitionStyle;
-use pom_ir::{AffineFunc, AffineOp, ForOp, MemRefDecl};
+use pom_ir::{AffineFunc, AffineOp, ForOp, MemRefDecl, StoreOp};
 use pom_poly::{congruent_coeffs, fm, AccessFn, Bound, Constraint, DimId, LinearExpr};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,6 +86,19 @@ pub const CASE_CAP: usize = 64;
 /// Upper bound on Fourier–Motzkin feasibility queries per pipeline; the
 /// quadratic aliasing pass falls back to inexact when it is exhausted.
 const FM_BUDGET: usize = 20_000;
+
+/// When a pipeline's write-backs take their ports — what placing them in
+/// flight needs of the latency model, which lives above this crate.
+pub trait Timing {
+    /// Cycles from an iteration's issue to the cycle the store `s` writes
+    /// its result back, when none of the iteration's reads slid.
+    fn landing(&self, s: &StoreOp) -> u64;
+    /// Whether the loop of iterator `iv` carries a dependence; such a loop
+    /// is not flattened into a pipeline it encloses.
+    fn carried(&self, iv: &str) -> bool;
+    /// The ports each bank grants per cycle.
+    fn ports_per_bank(&self) -> u64;
+}
 
 // ---------------------------------------------------------------------
 // Bank mapping (shared semantics with pom-sim's port calendars)
@@ -297,9 +324,11 @@ struct Site {
 
 /// One op of a compiled pipelined body.
 enum Op {
+    /// A store; its write-back lands `landing` cycles after the issue.
     Store {
         loads: Vec<Site>,
         dest: Site,
+        landing: u64,
     },
     /// An in-pipeline loop, unrolled into `slot`. `bounds` (lower, upper;
     /// each with its divisor) is `None` when a bound mentions a free
@@ -319,7 +348,7 @@ enum Op {
 fn each_site<'o>(ops: &'o [Op], f: &mut impl FnMut(&'o Site)) {
     for op in ops {
         match op {
-            Op::Store { loads, dest } => loads.iter().chain([dest]).for_each(&mut *f),
+            Op::Store { loads, dest, .. } => loads.iter().chain([dest]).for_each(&mut *f),
             Op::For { body, .. } => each_site(body, f),
             Op::If => {}
         }
@@ -339,7 +368,7 @@ struct Body<'a> {
 }
 
 impl<'a> Body<'a> {
-    fn compile(pipe: &'a ForOp, cases: &[DimId]) -> Self {
+    fn compile(pipe: &'a ForOp, cases: &[DimId], timing: Option<&dyn Timing>) -> Self {
         let mut body = Body {
             ops: Vec::new(),
             slots: cases.len(),
@@ -347,11 +376,16 @@ impl<'a> Body<'a> {
             arrays: Vec::new(),
             shapes: Shapes::default(),
         };
-        body.ops = body.compile_ops(&pipe.body, &mut cases.to_vec());
+        body.ops = body.compile_ops(&pipe.body, &mut cases.to_vec(), timing);
         body
     }
 
-    fn compile_ops(&mut self, ops: &'a [AffineOp], stack: &mut Vec<DimId>) -> Vec<Op> {
+    fn compile_ops(
+        &mut self,
+        ops: &'a [AffineOp],
+        stack: &mut Vec<DimId>,
+        timing: Option<&dyn Timing>,
+    ) -> Vec<Op> {
         ops.iter()
             .map(|op| match op {
                 AffineOp::Store(s) => Op::Store {
@@ -362,6 +396,7 @@ impl<'a> Body<'a> {
                         .map(|a| self.site(a, stack))
                         .collect(),
                     dest: self.site(&s.dest, stack),
+                    landing: timing.map_or(0, |t| t.landing(s)),
                 },
                 AffineOp::If(_) => Op::If,
                 AffineOp::For(l) => {
@@ -385,7 +420,7 @@ impl<'a> Body<'a> {
                     let slot = stack.len();
                     stack.push(DimId::intern(&l.iv));
                     self.slots = self.slots.max(stack.len());
-                    let body = self.compile_ops(&l.body, stack);
+                    let body = self.compile_ops(&l.body, stack, timing);
                     stack.pop();
                     Op::For {
                         slot,
@@ -569,6 +604,8 @@ struct Insts {
     /// Store `i` reads `loads[load_ends[i - 1]..load_ends[i]]`.
     load_ends: Vec<usize>,
     dests: Vec<Acc>,
+    /// Store `i`'s write-back lands `landings[i]` cycles after the issue.
+    landings: Vec<u64>,
 }
 
 impl Insts {
@@ -594,7 +631,11 @@ impl Insts {
     fn collect(&mut self, ops: &[Op], vals: &mut [i64], probe: bool) -> Result<(), Stop> {
         for op in ops {
             match op {
-                Op::Store { loads, dest } => {
+                Op::Store {
+                    loads,
+                    dest,
+                    landing,
+                } => {
                     if self.dests.len() >= INSTANCE_CAP {
                         return Err(Stop::Inexact);
                     }
@@ -605,6 +646,7 @@ impl Insts {
                     self.load_ends.push(self.loads.len());
                     let d = self.push(dest, vals)?;
                     self.dests.push(d);
+                    self.landings.push(*landing);
                 }
                 Op::If => return Err(Stop::Inexact),
                 Op::For { bounds: None, .. } => return Err(Stop::SymbolicBounds),
@@ -798,6 +840,13 @@ struct Case {
     consts: Vec<i64>,
     reads: Vec<Vec<Acc>>,
     writes: Vec<Vec<Acc>>,
+    /// Per array, when each write-back lands after the issue (parallel to
+    /// `writes`).
+    landings: Vec<Vec<u64>>,
+    /// Whether a load takes its value from an earlier store of the same
+    /// iteration: the simulator then times that store's result from the
+    /// forwarded value, not from a read.
+    forwarded: bool,
 }
 
 impl Case {
@@ -828,12 +877,15 @@ impl Case {
         // A load is compared with the earlier writes, then the earlier
         // memory reads, and the first verdict other than `Never` decides.
         let (mut written, mut read) = (buckets(&dests), buckets(&loads));
-        let mut start = 0;
+        let (mut start, mut forwarded) = (0, false);
         for (&dest, &end) in insts.dests.iter().zip(&insts.load_ends) {
             'load: for &q in &insts.loads[start..end] {
-                for earlier in [&written[q.array], &read[q.array]] {
+                for (from_store, earlier) in [(true, &written[q.array]), (false, &read[q.array])] {
                     match earlier.find(q, &cx, &mut fm_budget) {
-                        Alias::Same => continue 'load,
+                        Alias::Same => {
+                            forwarded |= from_store;
+                            continue 'load;
+                        }
                         Alias::Never => {}
                         Alias::Unknown => return None,
                     }
@@ -854,7 +906,7 @@ impl Case {
             fast[i] = later[d.array].fast(d, &cx);
             later[d.array].insert(d);
         }
-        let mut writes = vec![Vec::new(); arrays];
+        let (mut writes, mut landings) = (vec![Vec::new(); arrays], vec![Vec::new(); arrays]);
         for (i, &d) in insts.dests.iter().enumerate() {
             let verdict = fast[i].unwrap_or_else(|| {
                 let rest = insts.dests[i + 1..].iter().copied();
@@ -862,7 +914,10 @@ impl Case {
             });
             match verdict {
                 Alias::Same => {}
-                Alias::Never => writes[d.array].push(d),
+                Alias::Never => {
+                    writes[d.array].push(d);
+                    landings[d.array].push(insts.landings[i]);
+                }
                 Alias::Unknown => return None,
             }
         }
@@ -870,6 +925,8 @@ impl Case {
             env,
             reads: read.into_iter().map(|b| b.entries).collect(),
             writes,
+            landings,
+            forwarded,
             consts: insts.consts,
         };
         Some((case, fm_budget < FM_BUDGET))
@@ -894,7 +951,22 @@ struct Classified<'a> {
     /// Whether `envs` enumerate outer-iterator assignments (merged as the
     /// worst case) rather than being the one symbolic iteration.
     enumerated: bool,
+    /// The case iterators, in the order each of `envs` gives their values
+    /// (empty for the symbolic iteration).
+    vars: Vec<DimId>,
+    /// The pipeline's declared II.
+    ii: u64,
+    /// Given a [`Timing`]: the pipeline's region and the ports per bank.
+    region: Option<(Region, u64)>,
 }
+
+/// The iterators of a pipeline's region — the loops flattened into it,
+/// outermost first, then its own — with their constant ranges.
+type Region = Vec<(DimId, Option<(i64, i64)>)>;
+
+/// Candidate earlier iterations: the assignment each is classified under
+/// and how far each free region iterator moved.
+type Earlier = Vec<(usize, Vec<i64>)>;
 
 impl<'a> Classified<'a> {
     /// The one symbolic iteration of `body`, compiled without a prefix.
@@ -908,6 +980,9 @@ impl<'a> Classified<'a> {
             of: vec![0],
             coeffs: Vec::new(),
             enumerated: false,
+            vars: Vec::new(),
+            ii: 1,
+            region: None,
         })
     }
 }
@@ -931,22 +1006,52 @@ impl<'a> Classified<'a> {
 ///
 /// A class that misses one is classified case by case. Either way the
 /// merge in [`Classified::group`] visits the cases in enumeration order.
-fn classify<'a>(
+fn classify<'a>(site: &PipelineSite<'a>, timing: Option<&dyn Timing>) -> Option<Classified<'a>> {
+    classify_cases(site.pipe, &site.outer, site.guarded, timing).map(|c| c.at(site, timing))
+}
+
+impl<'a> Classified<'a> {
+    /// Attaches the pipeline's declared II and, given a timing, its region.
+    fn at(mut self, site: &PipelineSite<'a>, timing: Option<&dyn Timing>) -> Self {
+        self.ii = site.pipe.attrs.pipeline_ii.unwrap_or(1).max(1) as u64;
+        self.region = timing.map(|t| {
+            // The simulator flattens the innermost run of perfect,
+            // unroll-free loops that carry no dependence into the pipeline.
+            let flat = site
+                .chain
+                .iter()
+                .rev()
+                .take_while(|l| l.attrs.unroll_factor.is_none() && !t.carried(&l.iv))
+                .count();
+            let region = site.chain[site.chain.len() - flat..]
+                .iter()
+                .chain([&site.pipe])
+                .map(|l| (DimId::intern(&l.iv), const_range(l)))
+                .collect();
+            (region, t.ports_per_bank().max(1))
+        });
+        self
+    }
+}
+
+/// [`classify`] before the region is attached.
+fn classify_cases<'a>(
     pipe: &'a ForOp,
     outer: &[(String, i64, i64)],
     guarded: bool,
+    timing: Option<&dyn Timing>,
 ) -> Option<Classified<'a>> {
     let dom = domain(pipe, outer);
     let vars = case_vars(pipe);
     if vars.is_empty() {
-        return Classified::symbolic(Body::compile(pipe, &[]), &dom);
+        return Classified::symbolic(Body::compile(pipe, &[], timing), &dom);
     }
     let ids: Vec<DimId> = vars.iter().map(|v| DimId::intern(v)).collect();
-    let body = Body::compile(pipe, &ids);
+    let body = Body::compile(pipe, &ids, timing);
     match body.probe() {
         // No loop the case iterators bound is ever reached: one symbolic
         // iteration after all.
-        Ok(()) => return Classified::symbolic(Body::compile(pipe, &[]), &dom),
+        Ok(()) => return Classified::symbolic(Body::compile(pipe, &[], timing), &dom),
         Err(Stop::SymbolicBounds) if !guarded => {}
         Err(_) => return None,
     }
@@ -1004,6 +1109,9 @@ fn classify<'a>(
         of,
         coeffs: coeffs.unwrap_or_default(),
         enumerated: true,
+        vars: ids,
+        ii: 1,
+        region: None,
     })
 }
 
@@ -1102,9 +1210,58 @@ pub struct BankProfile {
     pub max_demand: u64,
     /// Largest per-bank *read* demand (when exact). The simulator's
     /// calendars grant all of an iteration's memory reads at the issue
-    /// cycle, so reads alone determine the per-iteration issue slide;
-    /// write-backs land at result time and only lengthen the drain.
+    /// cycle, so reads alone determine the per-iteration issue slide.
+    /// Write-backs land at result time, where they compete with a later
+    /// iteration's reads ([`InFlight`]).
     pub max_read_demand: u64,
+}
+
+/// The busiest bank-cycle of one array's modulo schedule at one II.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Peak {
+    /// Accesses the bank serves in that cycle: the issuing iteration's
+    /// reads (offset 0) plus the write-backs landing then.
+    pub demand: u64,
+    /// The cycle's offset in `[0, II)` from the issue.
+    pub offset: u64,
+    /// The bank, numbered as [`ArrayBanks::bank_of_coords`] does.
+    pub bank: u64,
+}
+
+/// The write-backs of an array a pipeline both reads and writes back,
+/// each placed in the cycle it lands (step 4 of the crate docs).
+///
+/// Every iteration's issue is taken at its modulo slot: iterations near a
+/// flush see a subset of the write-backs counted, the drain after the last
+/// issue sees no reads, and an iteration across a flattened outer loop's
+/// step is counted with every borrow its position allows. A dependence
+/// stall inside the region moves the slots; the estimator's recurrence
+/// bound keeps the shipped IIs clear of those.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InFlight {
+    /// Array name.
+    pub array: String,
+    /// The loop's declared II.
+    pub ii: u64,
+    /// Per II from 1, the busiest bank-cycle. The last entry holds for
+    /// every larger II: there no write-back lands a whole II late. Where
+    /// the reads' busiest bank plus every landing's busiest fits the
+    /// [`Timing`]'s ports, no II overloads a bank, and the one entry holds
+    /// that bound.
+    pub peaks: Vec<Peak>,
+}
+
+impl InFlight {
+    /// The busiest bank-cycle at `ii`.
+    pub fn peak(&self, ii: u64) -> &Peak {
+        let i = usize::try_from(ii.max(1)).unwrap_or(usize::MAX);
+        &self.peaks[i.min(self.peaks.len()) - 1]
+    }
+
+    /// Whether every bank serves every cycle of the schedule at `ii`.
+    pub fn fits(&self, ii: u64, ports_per_bank: u64) -> bool {
+        self.peak(ii).demand <= ports_per_bank.max(1)
+    }
 }
 
 /// The bank analysis of one pipelined loop.
@@ -1115,6 +1272,14 @@ pub struct BankAnalysis {
     pub exact: bool,
     /// One profile per accessed array.
     pub profiles: Vec<BankProfile>,
+    /// One entry per array both read and written back, when a [`Timing`]
+    /// placed every such array's write-backs; empty otherwise, and then
+    /// those arrays are judged by their one-iteration profile. The
+    /// analysis without a timing, a load forwarded from a same-iteration
+    /// store (which moves a result off its statement's latency), a region
+    /// whose borrows need a range that is not constant, and residues that
+    /// no one reference classifies all leave it empty.
+    pub in_flight: Vec<InFlight>,
 }
 
 impl BankAnalysis {
@@ -1123,30 +1288,42 @@ impl BankAnalysis {
         BankAnalysis::default()
     }
 
-    /// The exact bank-aware ResMII contribution: the largest
-    /// `ceil(demand / ports)` over exactly-profiled arrays. `None` when
-    /// the analysis has no exact profile to offer.
-    pub fn exact_res_mii(&self, ports_per_bank: u64) -> Option<u64> {
-        if !self.exact {
-            return None;
-        }
-        self.profiles
-            .iter()
-            .filter(|p| p.exact)
-            .map(|p| p.max_demand.div_ceil(ports_per_bank.max(1)).max(1))
-            .max()
+    /// Whether every profile is exact.
+    fn all_exact(&self) -> bool {
+        self.exact && self.profiles.iter().all(|p| p.exact)
     }
 
-    /// True when the loop is provably conflict-free: every array's
-    /// per-bank demand fits in one cycle's ports, so the simulator's
-    /// calendars never slide a request and the loop sustains any II its
-    /// dependences allow. Requires full exactness.
+    /// The placed write-backs of `array`, if any.
+    pub fn flight(&self, array: &str) -> Option<&InFlight> {
+        self.in_flight.iter().find(|f| f.array == array)
+    }
+
+    /// Whether every array both read and written back has its write-backs
+    /// placed in flight.
+    pub fn placed(&self) -> bool {
+        self.profiles
+            .iter()
+            .all(|p| p.reads == 0 || p.writes == 0 || self.flight(&p.array).is_some())
+    }
+
+    /// The per-bank demand of `p`'s array at the declared II: the busiest
+    /// bank-cycle where its write-backs are placed, else the largest
+    /// one-iteration demand.
+    pub fn demand(&self, p: &BankProfile) -> u64 {
+        self.flight(&p.array)
+            .map_or(p.max_demand, |f| f.peak(f.ii).demand)
+    }
+
+    /// True when the loop is provably conflict-free at its declared II:
+    /// every array's per-bank demand ([`BankAnalysis::demand`]) fits one
+    /// cycle's ports, so the simulator's calendars never slide a request.
+    /// Requires full exactness.
     pub fn conflict_free(&self, ports_per_bank: u64) -> bool {
-        self.exact
+        self.all_exact()
             && self
                 .profiles
                 .iter()
-                .all(|p| p.exact && p.max_demand <= ports_per_bank.max(1))
+                .all(|p| self.demand(p) <= ports_per_bank.max(1))
     }
 
     /// The per-iteration issue slide the port calendars impose (`None`
@@ -1155,7 +1332,7 @@ impl BankAnalysis {
     /// pushes the issue `ceil(d / ports) - 1` cycles past the declared
     /// II — on *every* iteration, independent of the II itself.
     pub fn port_slide(&self, ports_per_bank: u64) -> Option<u64> {
-        if !self.exact || self.profiles.iter().any(|p| !p.exact) {
+        if !self.all_exact() {
             return None;
         }
         Some(
@@ -1171,25 +1348,63 @@ impl BankAnalysis {
         )
     }
 
-    /// The smallest II the bank demand admits (`None` when inexact):
-    /// `max(1, max_b ceil(demand_b / ports))` over all arrays. A declared
-    /// II below this provably incurs port stalls — the POM006 condition.
-    /// This is the charitable window model (demand spread over II
-    /// cycles); the simulator's cycle-accurate figure is
-    /// [`BankAnalysis::port_slide`], which no II absorbs.
-    pub fn min_feasible_ii(&self, ports_per_bank: u64) -> Option<u64> {
-        if !self.exact || self.profiles.iter().any(|p| !p.exact) {
+    /// The least II at or above `from` that the ports admit (`None` when
+    /// inexact). An array whose write-backs are placed admits the IIs at
+    /// which every cycle of its schedule fits ([`InFlight::fits`]); every
+    /// other array admits `II >= ceil(demand / ports)`, the charitable
+    /// window model (its demand spread over II cycles), whose
+    /// cycle-accurate figure is [`BankAnalysis::port_slide`]. Where no II
+    /// fits the placed arrays, they fall back to the window model too.
+    /// A declared II below `feasible_ii(declared)` provably incurs port
+    /// stalls — the POM006 condition.
+    pub fn feasible_ii(&self, from: u64, ports_per_bank: u64) -> Option<u64> {
+        if !self.all_exact() {
             return None;
         }
-        Some(
+        let ports = ports_per_bank.max(1);
+        let window = |placed: bool| {
             self.profiles
                 .iter()
-                .map(|p| p.max_demand.div_ceil(ports_per_bank.max(1)))
-                .max()
-                .unwrap_or(1)
-                .max(1),
+                .filter(|p| placed || self.flight(&p.array).is_none())
+                .map(|p| p.max_demand.div_ceil(ports))
+                .fold(from.max(1), u64::max)
+        };
+        Some(
+            self.fit_from(window(false), ports)
+                .unwrap_or_else(|| window(true)),
         )
     }
+
+    /// The least II at or above `lo` where every placed array fits; `lo`
+    /// itself when none is placed, `None` when no II fits.
+    pub fn fit_from(&self, lo: u64, ports_per_bank: u64) -> Option<u64> {
+        let last = self.in_flight.iter().map(|f| f.peaks.len() as u64).max();
+        (lo..=last.unwrap_or(lo).max(lo))
+            .find(|&ii| self.in_flight.iter().all(|f| f.fits(ii, ports_per_bank)))
+    }
+
+    /// [`BankAnalysis::feasible_ii`] from 1.
+    pub fn min_feasible_ii(&self, ports_per_bank: u64) -> Option<u64> {
+        self.feasible_ii(1, ports_per_bank)
+    }
+}
+
+/// The class key of an access with per-dimension index constants
+/// `consts`: its bank as [`ArrayBanks::bank_of_coords`] numbers it.
+fn class_key(ab: &ArrayBanks, consts: impl IntoIterator<Item = i64>) -> u64 {
+    ab.dims.iter().zip(consts).fold(0u64, |key, (bd, c)| {
+        let c = if bd.cyclic { c } else { c.max(0) };
+        key * bd.factor.max(1) as u64 + bd.bank(c)
+    })
+}
+
+/// The largest multiplicity among `keys` (sorted in place) and its key,
+/// the lowest on ties.
+fn busiest(keys: &mut [u64]) -> (u64, u64) {
+    keys.sort_unstable();
+    keys.chunk_by(|x, y| x == y)
+        .map(|c| (c.len() as u64, c[0]))
+        .fold((0, 0), |best, c| if c.0 > best.0 { c } else { best })
 }
 
 impl Classified<'_> {
@@ -1215,10 +1430,8 @@ impl Classified<'_> {
             })
             .collect();
         if !self.enumerated {
-            return BankAnalysis {
-                exact: true,
-                profiles: profiles.into_iter().flatten().flatten().collect(),
-            };
+            let profiles: Vec<BankProfile> = profiles.into_iter().flatten().flatten().collect();
+            return self.with_flights(&arrays, profiles);
         }
         // Every case is executed, so the worst case per array is exact.
         // A shared case's profile holds where its array's constants moved
@@ -1239,9 +1452,34 @@ impl Classified<'_> {
                 }
             }
         }
+        self.with_flights(&arrays, merged)
+    }
+
+    /// The exact analysis of `profiles`, with the write-backs of every
+    /// array both read and written back placed in flight where step 4
+    /// applies — all of them or none.
+    fn with_flights(
+        &self,
+        arrays: &[(usize, &MemRefDecl, ArrayBanks)],
+        profiles: Vec<BankProfile>,
+    ) -> BankAnalysis {
+        let in_flight = match &self.region {
+            Some((region, ports)) if !self.cases.iter().any(|c| c.forwarded) => arrays
+                .iter()
+                .filter(|(_, m, _)| {
+                    profiles
+                        .iter()
+                        .any(|p| p.array == m.name && p.exact && p.reads > 0 && p.writes > 0)
+                })
+                .map(|(a, m, ab)| self.place(*a, m, ab, region, *ports))
+                .collect::<Option<Vec<_>>>()
+                .unwrap_or_default(),
+            _ => Vec::new(),
+        };
         BankAnalysis {
             exact: true,
-            profiles: merged,
+            profiles,
+            in_flight,
         }
     }
 
@@ -1286,41 +1524,7 @@ impl Classified<'_> {
     ) -> Option<BankProfile> {
         let (reads, writes) = (&case.reads[a], &case.writes[a]);
         let reference = reads.first().or(writes.first())?;
-        let shapes = &self.body.shapes;
-        // Classes are iteration-invariant exactly when every access is
-        // congruent (mod factor) to the reference along each cyclic
-        // dimension; block mapping is exact only for constant indices.
-        // Both depend on the shape alone, so each shape is checked once.
-        let classifiable = |shape: usize| {
-            let (s, r) = (&shapes.shapes[shape], &shapes.shapes[reference.shape]);
-            s.len() == ab.dims.len()
-                && ab.dims.iter().enumerate().all(|(d, bd)| {
-                    bd.factor <= 1
-                        || if bd.cyclic {
-                            s[d] == r[d]
-                                || congruent_coeffs(
-                                    &shapes.lins[s[d]],
-                                    &shapes.lins[r[d]],
-                                    bd.factor,
-                                )
-                        } else {
-                            shapes.lins[s[d]].is_constant()
-                        }
-                })
-        };
-        let mut seen: Vec<usize> = Vec::new();
-        // The mixed-radix class key must also fit a `u64`.
-        let exact = ab
-            .dims
-            .iter()
-            .try_fold(1u64, |p, bd| p.checked_mul(bd.factor.max(1) as u64))
-            .is_some()
-            && reads.iter().chain(writes).all(|a| {
-                seen.contains(&a.shape) || {
-                    seen.push(a.shape);
-                    classifiable(a.shape)
-                }
-            });
+        let exact = self.classifiable(ab, reference.shape, reads.iter().chain(writes));
         let (mut classes, mut max_demand, mut max_read_demand) = (0, 0, 0);
         if exact {
             // A cyclic key is the residue itself, not its difference from
@@ -1328,18 +1532,15 @@ impl Classified<'_> {
             // bijection, so the class counts are the same.
             let key = |a: &Acc| {
                 let consts = &case.consts[a.at..a.at + ab.dims.len()];
-                ab.dims
-                    .iter()
-                    .zip(consts)
-                    .enumerate()
-                    .fold(0u64, |key, (d, (bd, &c))| {
-                        let c = shift.get(d).map_or(c, |&s| {
+                class_key(
+                    ab,
+                    consts.iter().enumerate().map(|(d, &c)| {
+                        shift.get(d).map_or(c, |&s| {
                             i64::try_from(i128::from(c) + s)
                                 .expect("`Body::fits` bounds every constant of a shared case")
-                        });
-                        let c = if bd.cyclic { c } else { c.max(0) };
-                        key * bd.factor.max(1) as u64 + bd.bank(c)
-                    })
+                        })
+                    }),
+                )
             };
             let mut keys: Vec<(u64, bool)> = reads
                 .iter()
@@ -1364,6 +1565,496 @@ impl Classified<'_> {
             max_demand,
             max_read_demand,
         })
+    }
+}
+
+impl Classified<'_> {
+    /// Whether the bank classes of `accesses` are iteration-invariant: every
+    /// access congruent (mod factor) to the `reference` shape along each
+    /// cyclic dimension, and constant along each block one, with the
+    /// mixed-radix class key fitting a `u64`. Both depend on the shape
+    /// alone, so each shape is checked once.
+    fn classifiable<'x>(
+        &self,
+        ab: &ArrayBanks,
+        reference: usize,
+        accesses: impl IntoIterator<Item = &'x Acc>,
+    ) -> bool {
+        let shapes = &self.body.shapes;
+        let classifiable = |shape: usize| {
+            let (s, r) = (&shapes.shapes[shape], &shapes.shapes[reference]);
+            s.len() == ab.dims.len()
+                && ab.dims.iter().enumerate().all(|(d, bd)| {
+                    bd.factor <= 1
+                        || if bd.cyclic {
+                            s[d] == r[d]
+                                || congruent_coeffs(
+                                    &shapes.lins[s[d]],
+                                    &shapes.lins[r[d]],
+                                    bd.factor,
+                                )
+                        } else {
+                            shapes.lins[s[d]].is_constant()
+                        }
+                })
+        };
+        let mut seen: Vec<usize> = Vec::new();
+        ab.dims
+            .iter()
+            .try_fold(1u64, |p, bd| p.checked_mul(bd.factor.max(1) as u64))
+            .is_some()
+            && accesses.into_iter().all(|a| {
+                seen.contains(&a.shape) || {
+                    seen.push(a.shape);
+                    classifiable(a.shape)
+                }
+            })
+    }
+
+    /// The index constants of access `acc` of array `a` in the iteration of
+    /// case assignment `i`: its classified case's constants, moved by the
+    /// case iterators' change where that case was classified under another
+    /// assignment. `None` when a constant leaves `i64`.
+    fn consts_in(&self, i: usize, a: usize, acc: &Acc, out: &mut Vec<i64>) -> Option<()> {
+        let case = &self.cases[self.of[i]];
+        let n = self.body.shapes.shapes[acc.shape].len();
+        let base = &case.consts[acc.at..acc.at + n];
+        if case.env == i {
+            out.extend_from_slice(base);
+            return Some(());
+        }
+        let (from, to, k) = (&self.envs[case.env], &self.envs[i], self.body.cases);
+        for (d, &c) in base.iter().enumerate() {
+            let moved = self.coeffs[a][d * k..(d + 1) * k]
+                .iter()
+                .zip(from.iter().zip(to))
+                .map(|(&c, (&f, &t))| i128::from(c) * (i128::from(t) - i128::from(f)))
+                .sum::<i128>();
+            out.push(i64::try_from(i128::from(c) + moved).ok()?);
+        }
+        Some(())
+    }
+
+    /// Step 4 for array `a`: the busiest bank-cycle of its modulo schedule
+    /// at every II that can differ, over the iterations of `region`.
+    /// `None` where the placement does not apply (see
+    /// [`BankAnalysis::in_flight`]).
+    fn place(
+        &self,
+        a: usize,
+        m: &MemRefDecl,
+        ab: &ArrayBanks,
+        region: &[(DimId, Option<(i64, i64)>)],
+        ports: u64,
+    ) -> Option<InFlight> {
+        let n = ab.dims.len();
+        let accesses = || {
+            self.cases
+                .iter()
+                .flat_map(move |c| c.reads[a].iter().chain(&c.writes[a]))
+        };
+        let reference = accesses().next()?.shape;
+        if !self.classifiable(ab, reference, accesses()) {
+            return None;
+        }
+        // Each region iterator is pinned by a case assignment or free; the
+        // borrows of a free one below the outermost need its trip count.
+        let pinned: Vec<Option<usize>> = region
+            .iter()
+            .map(|(iv, _)| self.vars.iter().position(|v| v == iv))
+            .collect();
+        let needs_range = |k: usize| pinned[k].is_some() || k > 0;
+        let trip = |k: usize| {
+            region[k]
+                .1
+                .and_then(|(lb, ub)| ub.checked_sub(lb)?.checked_add(1))
+        };
+        if (0..region.len()).any(|k| needs_range(k) && trip(k).is_none_or(|t| t < 1)) {
+            return None;
+        }
+        // Per iteration: the reads' constants, and the write-backs'
+        // constants with their shapes and landings — per assignment, moved
+        // to it, or per classified case in its own frame. Along cyclic
+        // dimensions an assignment that reuses a case's classification
+        // shifts every constant of the array by one amount per dimension,
+        // which permutes residues: a case's busiest banks stand for every
+        // assignment it classifies, and so do its residues along a
+        // dimension the case iterators do not move.
+        struct Iter {
+            reads: Vec<i64>,
+            writes: Vec<i64>,
+            shapes: Vec<usize>,
+            landings: Vec<u64>,
+        }
+        let build = |per_case: bool| -> Option<Vec<Iter>> {
+            let count = if per_case {
+                self.cases.len()
+            } else {
+                self.envs.len()
+            };
+            (0..count)
+                .map(|i| {
+                    let case = &self.cases[if per_case { i } else { self.of[i] }];
+                    let mut it = Iter {
+                        reads: Vec::new(),
+                        writes: Vec::new(),
+                        shapes: case.writes[a].iter().map(|w| w.shape).collect(),
+                        landings: case.landings[a].clone(),
+                    };
+                    for (accs, out) in [
+                        (&case.reads[a], &mut it.reads),
+                        (&case.writes[a], &mut it.writes),
+                    ] {
+                        for acc in accs {
+                            if per_case {
+                                out.extend_from_slice(&case.consts[acc.at..acc.at + n]);
+                            } else {
+                                self.consts_in(i, a, acc, out)?;
+                            }
+                        }
+                    }
+                    Some(it)
+                })
+                .collect()
+        };
+        let keyed = |iters: &[Iter]| -> [Vec<Vec<u64>>; 2] {
+            let keys = |consts: &[i64]| -> Vec<u64> {
+                consts
+                    .chunks(n.max(1))
+                    .map(|c| class_key(ab, c.iter().copied()))
+                    .collect()
+            };
+            [
+                iters.iter().map(|it| keys(&it.reads)).collect(),
+                iters.iter().map(|it| keys(&it.writes)).collect(),
+            ]
+        };
+        let per_case = self.cases.len() < self.envs.len()
+            && ab.dims.iter().all(|bd| bd.cyclic || bd.factor <= 1);
+        let mut iters = build(per_case)?;
+        let [mut reads, mut writes] = keyed(&iters);
+        let mut landings: Vec<u64> = iters
+            .iter()
+            .flat_map(|it| it.landings.iter().copied())
+            .collect();
+        landings.sort_unstable();
+        landings.dedup();
+        let last = *landings.last()?;
+        let mut keys: Vec<u64> = Vec::new();
+        let most = |a: (u64, u64), b: (u64, u64)| if b.0 > a.0 { b } else { a };
+        // A cycle without reads holds write-backs alone — the drain after
+        // the last issue, and every offset but the issue's: each landing
+        // contributes at most its busiest bank over all iterations, and
+        // the drain reaches that sum. Its bank is the first landing's.
+        let alone: Vec<(u64, u64)> = landings
+            .iter()
+            .map(|&r| {
+                (0..iters.len())
+                    .map(|j| {
+                        keys.clear();
+                        let at = iters[j].landings.iter().zip(&writes[j]);
+                        keys.extend(at.filter(|(l, _)| **l == r).map(|(_, &k)| k));
+                        busiest(&mut keys)
+                    })
+                    .fold((0, 0), most)
+            })
+            .collect();
+        // The issue cycle without a landing: the reads alone.
+        let (read_demand, read_bank) = reads
+            .iter()
+            .map(|r| {
+                keys.clear();
+                keys.extend_from_slice(r);
+                busiest(&mut keys)
+            })
+            .fold((0, 0), most);
+        // Where even every landing's busiest bank on the reads' busiest
+        // fits the ports, no II overloads a bank: that bound is the one
+        // entry.
+        let bound = read_demand + alone.iter().map(|w| w.0).sum::<u64>();
+        if bound <= ports {
+            return Some(InFlight {
+                array: m.name.clone(),
+                ii: self.ii,
+                peaks: vec![Peak {
+                    demand: bound,
+                    offset: 0,
+                    bank: read_bank,
+                }],
+            });
+        }
+        // Where the partitioning already puts the reads and the write-backs
+        // in different banks, the issue cycle never holds both.
+        let unmoved = |k: usize| {
+            let c = self.body.cases;
+            !per_case || self.coeffs[a][k * c..(k + 1) * c].iter().all(|&x| x == 0)
+        };
+        let apart = {
+            let h: Vec<(&[i64], &[i64])> = iters
+                .iter()
+                .map(|it| (&it.reads[..], &it.writes[..]))
+                .collect();
+            (0..n).any(|k| {
+                let bd = ab.dims[k];
+                bd.cyclic && unmoved(k) && self.apart(a, ab, region, &h, k, bd.factor)
+            })
+        };
+        if per_case && !apart {
+            iters = build(false)?;
+            [reads, writes] = keyed(&iters);
+        }
+        // How far each write shape's index moves per unit step of each
+        // free region iterator, per dimension.
+        let shapes = &self.body.shapes;
+        let steps = |shape: usize| -> Vec<i64> {
+            region
+                .iter()
+                .zip(&pinned)
+                .flat_map(|((iv, _), p)| {
+                    shapes.shapes[shape].iter().map(move |&l| {
+                        if p.is_some() {
+                            0
+                        } else {
+                            shapes.lins[l].coeff_id(*iv)
+                        }
+                    })
+                })
+                .collect()
+        };
+        let mut step_of: FnvMap<usize, Vec<i64>> = FnvMap::default();
+        for it in &iters {
+            for &sh in &it.shapes {
+                step_of.entry(sh).or_insert_with(|| steps(sh));
+            }
+        }
+        let index: FnvMap<&[i64], usize> = self
+            .envs
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.as_slice(), i))
+            .collect();
+        // The region's iterations, where every range is constant.
+        let reach = region
+            .iter()
+            .try_fold(1u64, |n, (_, r)| {
+                let (lb, ub) = (*r)?;
+                n.checked_mul(u64::try_from(ub.checked_sub(lb)?.checked_add(1)?).ok()?)
+            })
+            .unwrap_or(u64::MAX);
+        let (mut landed, mut worst, mut moved) = (Vec::new(), Vec::new(), Vec::with_capacity(n));
+        let mut peaks = Vec::new();
+        let mut preds: FnvMap<(usize, u64), Earlier> = FnvMap::default();
+        for ii in 1..=last + 1 {
+            let mut peak = Peak {
+                demand: read_demand,
+                offset: 0,
+                bank: read_bank,
+            };
+            for (&r, &(_, bank)) in landings.iter().zip(&alone) {
+                let o = r % ii;
+                let demand = landings
+                    .iter()
+                    .zip(&alone)
+                    .filter(|(q, _)| *q % ii == o)
+                    .map(|(_, w)| w.0)
+                    .sum();
+                if demand > peak.demand {
+                    peak = Peak {
+                        demand,
+                        offset: o,
+                        bank,
+                    };
+                }
+            }
+            // The issue cycle with landings: each iteration's reads beside
+            // the write-backs of the iterations whole IIs before it — none
+            // where that is further back than the region reaches.
+            if apart || !landings.iter().any(|r| r % ii == 0 && r / ii < reach) {
+                peaks.push(peak);
+                continue;
+            }
+            for (i, read_keys) in reads.iter().enumerate() {
+                keys.clear();
+                keys.extend_from_slice(read_keys);
+                for &r in landings.iter().filter(|r| *r % ii == 0) {
+                    let d = r / ii;
+                    let from = preds
+                        .entry((i, d))
+                        .or_insert_with(|| self.predecessors(region, &pinned, &index, i, d));
+                    if from.is_empty() {
+                        continue;
+                    }
+                    // Where the earlier iteration's position is not known,
+                    // each bank takes its worst borrow.
+                    worst.clear();
+                    for (j, deltas) in from.iter() {
+                        let it = &iters[*j];
+                        landed.clear();
+                        for w in (0..it.landings.len()).filter(|&w| it.landings[w] == r) {
+                            landed.push(if deltas.iter().all(|&d| d == 0) {
+                                writes[*j][w]
+                            } else {
+                                let step = &step_of[&it.shapes[w]];
+                                moved.clear();
+                                for dim in 0..n {
+                                    let c = deltas.iter().enumerate().fold(
+                                        i128::from(it.writes[w * n + dim]),
+                                        |c, (k, &dk)| {
+                                            c + i128::from(step[k * n + dim]) * i128::from(dk)
+                                        },
+                                    );
+                                    moved.push(i64::try_from(c).ok()?);
+                                }
+                                class_key(ab, moved.iter().copied())
+                            });
+                        }
+                        if from.len() == 1 {
+                            keys.extend_from_slice(&landed);
+                        } else {
+                            landed.sort_unstable();
+                            let counts = landed.chunk_by(|x, y| x == y);
+                            worst.extend(counts.map(|c| (c[0], c.len())));
+                        }
+                    }
+                    // Sorted by bank, then count: each run's last is its
+                    // worst borrow.
+                    worst.sort_unstable();
+                    for c in worst.chunk_by(|x, y| x.0 == y.0) {
+                        let (bank, times) = c[c.len() - 1];
+                        keys.extend(std::iter::repeat_n(bank, times));
+                    }
+                }
+                if keys.len() == read_keys.len() {
+                    continue; // no write-back lands: the reads alone
+                }
+                let (demand, bank) = busiest(&mut keys);
+                if demand > peak.demand {
+                    peak = Peak {
+                        demand,
+                        offset: 0,
+                        bank,
+                    };
+                }
+            }
+            peaks.push(peak);
+        }
+        Some(InFlight {
+            array: m.name.clone(),
+            ii: self.ii,
+            peaks,
+        })
+    }
+
+    /// The iterations `d` steps before the one of assignment `i`, as the
+    /// assignment each is classified under and how far each free region
+    /// iterator moved (zero for a pinned one). Subtracting `d` from the
+    /// region's mixed-radix position borrows from the outer iterators; a
+    /// free iterator's position is unknown, so each borrow it allows is
+    /// one candidate. None when the position precedes the region.
+    fn predecessors(
+        &self,
+        region: &[(DimId, Option<(i64, i64)>)],
+        pinned: &[Option<usize>],
+        index: &FnvMap<&[i64], usize>,
+        i: usize,
+        d: u64,
+    ) -> Earlier {
+        let Ok(d) = i64::try_from(d) else {
+            return Vec::new();
+        };
+        // (borrow into the next iterator out, assignment, moves)
+        let mut states = vec![(-d, self.envs[i].clone(), vec![0i64; region.len()])];
+        for k in (0..region.len()).rev() {
+            let range = region[k].1;
+            let trip = range.and_then(|(lb, ub)| ub.checked_sub(lb)?.checked_add(1));
+            let mut next = Vec::new();
+            for (carry, mut env, moves) in states {
+                match (pinned[k], range, trip) {
+                    (Some(v), Some((lb, _)), Some(t)) => {
+                        let Some(y) = env[v].checked_sub(lb).and_then(|y| y.checked_add(carry))
+                        else {
+                            continue;
+                        };
+                        env[v] = lb + y.rem_euclid(t);
+                        next.push((y.div_euclid(t), env, moves));
+                    }
+                    // The outermost free iterator takes the whole move,
+                    // unless no two of its values are that far apart.
+                    (None, _, _) if k == 0 && trip.is_none_or(|t| carry > -t) => {
+                        let mut moves = moves;
+                        moves[k] = carry;
+                        next.push((0, env, moves));
+                    }
+                    (None, _, _) if k == 0 => {}
+                    (None, _, Some(t)) => {
+                        for borrow in carry.div_euclid(t)..=(t - 1 + carry).div_euclid(t) {
+                            let mut moves = moves.clone();
+                            moves[k] = carry - borrow * t;
+                            next.push((borrow, env.clone(), moves));
+                        }
+                    }
+                    // `place` checked every range this needs.
+                    _ => {}
+                }
+            }
+            states = next;
+        }
+        states
+            .into_iter()
+            .filter(|(carry, ..)| *carry == 0)
+            .filter_map(|(_, env, moves)| Some((*index.get(env.as_slice())?, moves)))
+            .collect()
+    }
+
+    /// Whether, along dimension `k` under cyclic factor `f`, no read of
+    /// array `a` shares a bank residue with a write-back: all its accesses
+    /// share one symbolic part there that no region iterator moves, and
+    /// the reads' constants (`halves`' first halves, per assignment) take
+    /// residues the write-backs' (second halves) never take.
+    fn apart(
+        &self,
+        a: usize,
+        ab: &ArrayBanks,
+        region: &[(DimId, Option<(i64, i64)>)],
+        halves: &[(&[i64], &[i64])],
+        k: usize,
+        f: i64,
+    ) -> bool {
+        let shapes = &self.body.shapes;
+        let n = ab.dims.len();
+        let mut lins = self
+            .cases
+            .iter()
+            .flat_map(|c| c.reads[a].iter().chain(&c.writes[a]))
+            .map(|acc| shapes.shapes[acc.shape][k]);
+        let Some(lin) = lins.next() else {
+            return false;
+        };
+        if f < 2
+            || lins.any(|l| l != lin)
+            || region.iter().any(|(iv, _)| shapes.lins[lin].uses_id(*iv))
+        {
+            return false;
+        }
+        let Some(mut read) = usize::try_from(f)
+            .ok()
+            .filter(|&f| f <= 1 << 16)
+            .map(|f| vec![false; f])
+        else {
+            return false;
+        };
+        let column = |half: &[i64]| {
+            let residues = half.iter().skip(k).step_by(n.max(1));
+            residues
+                .map(|c| c.rem_euclid(f) as usize)
+                .collect::<Vec<_>>()
+        };
+        for (r, _) in halves {
+            column(r).into_iter().for_each(|c| read[c] = true);
+        }
+        !halves
+            .iter()
+            .any(|(_, w)| column(w).into_iter().any(|c| read[c]))
     }
 }
 
@@ -1411,7 +2102,21 @@ pub fn analyze_pipeline(
     outer: &[(String, i64, i64)],
     guarded: bool,
 ) -> BankAnalysis {
-    classify(pipe, outer, guarded).map_or_else(BankAnalysis::inexact, |c| c.group(memrefs))
+    let site = PipelineSite {
+        pipe,
+        outer: outer.to_vec(),
+        guarded,
+        chain: Vec::new(),
+    };
+    analyze_site(memrefs, &site, None)
+}
+
+fn analyze_site(
+    memrefs: &[MemRefDecl],
+    site: &PipelineSite,
+    timing: Option<&dyn Timing>,
+) -> BankAnalysis {
+    classify(site, timing).map_or_else(BankAnalysis::inexact, |c| c.group(memrefs))
 }
 
 /// Constant bounds of a loop, when both sides are constant.
@@ -1471,8 +2176,19 @@ pub struct LoopBankReport {
 /// sequential loops contribute symbolic free iterators (with constant
 /// bounds as domain constraints when available); loops inside a pipeline
 /// are fully unrolled into it, mirroring both the estimator and the
-/// simulator.
+/// simulator. Without a [`Timing`], write-backs are not placed in flight
+/// ([`BankAnalysis::in_flight`]); [`analyze_timed`] places them.
 pub fn analyze_func(func: &AffineFunc) -> Vec<LoopBankReport> {
+    analyze(func, None)
+}
+
+/// [`analyze_func`], with every write-back of an array a pipeline both
+/// reads and writes back placed in the cycle `timing` lands it.
+pub fn analyze_timed(func: &AffineFunc, timing: &dyn Timing) -> Vec<LoopBankReport> {
+    analyze(func, Some(timing))
+}
+
+fn analyze(func: &AffineFunc, timing: Option<&dyn Timing>) -> Vec<LoopBankReport> {
     pipelines(func)
         .into_iter()
         .map(|site| {
@@ -1482,7 +2198,7 @@ pub fn analyze_func(func: &AffineFunc) -> Vec<LoopBankReport> {
                 iv: site.pipe.iv.clone(),
                 stmts,
                 declared_ii: site.pipe.attrs.pipeline_ii.unwrap_or(1).max(1) as u64,
-                analysis: analyze_pipeline(&func.memrefs, site.pipe, &site.outer, site.guarded),
+                analysis: analyze_site(&func.memrefs, &site, timing),
             }
         })
         .collect()
@@ -1496,19 +2212,26 @@ struct PipelineSite<'a> {
     outer: Vec<(String, i64, i64)>,
     /// Whether a sequential-level guard encloses the pipeline.
     guarded: bool,
+    /// The enclosing loops each of whose bodies is only the next one,
+    /// outermost first, down to the pipeline: the loops the simulator may
+    /// flatten into it.
+    chain: Vec<&'a ForOp>,
 }
 
 /// The outermost pipelined loops of `func`, in program order.
 fn pipelines(func: &AffineFunc) -> Vec<PipelineSite<'_>> {
     let mut out = Vec::new();
-    walk(&func.body, &mut Vec::new(), false, &mut out);
+    walk(&func.body, &mut Vec::new(), false, &[], &mut out);
     out
 }
 
+/// Collects the pipelines under `ops`; `chain` is the perfect nest that
+/// `ops` ends, when `ops` is a single loop's whole body.
 fn walk<'a>(
     ops: &'a [AffineOp],
     outer: &mut Vec<(String, i64, i64)>,
     guarded: bool,
+    chain: &[&'a ForOp],
     out: &mut Vec<PipelineSite<'a>>,
 ) {
     for op in ops {
@@ -1517,12 +2240,18 @@ fn walk<'a>(
                 pipe: l,
                 outer: outer.clone(),
                 guarded,
+                chain: chain.to_vec(),
             }),
             AffineOp::For(l) => {
                 let pushed = const_range(l).map(|(lb, ub)| {
                     outer.push((l.iv.clone(), lb, ub));
                 });
-                walk(&l.body, outer, guarded, out);
+                let inner: Vec<&ForOp> = if l.body.len() == 1 {
+                    chain.iter().copied().chain([l]).collect()
+                } else {
+                    Vec::new()
+                };
+                walk(&l.body, outer, guarded, &inner, out);
                 if pushed.is_some() {
                     outer.pop();
                 }
@@ -1530,7 +2259,7 @@ fn walk<'a>(
             // A sequential-level guard selects whole pipeline executions;
             // it does not make the per-iteration instance set vary, but it
             // may skip outer-iterator cases — remember it.
-            AffineOp::If(i) => walk(&i.body, outer, true, out),
+            AffineOp::If(i) => walk(&i.body, outer, true, &[], out),
             AffineOp::Store(_) => {}
         }
     }
@@ -1568,15 +2297,17 @@ fn stored_stmts(ops: &[AffineOp], out: &mut Vec<String>) {
 
 /// Searches the smallest factor vector (by doubling, clamped to the
 /// shape) that makes every *exactly analyzed* pipelined loop of `func`
-/// conflict-free on `array` — loops the analysis cannot enumerate carry
-/// no certificate and are left out of the demand measure. Returns
-/// `None` when the array is already conflict-free or no factor
-/// assignment helps (e.g. the demand comes from repeated same-bank
-/// accesses no split separates).
+/// conflict-free on `array` at its declared II — loops the analysis
+/// cannot enumerate carry no certificate and are left out of the demand
+/// measure, which is [`BankAnalysis::demand`] (write-backs placed in
+/// flight where `timing` places them). Returns `None` when the array is
+/// already conflict-free or no factor assignment helps (e.g. the demand
+/// comes from repeated same-bank accesses no split separates).
 pub fn minimal_conflict_free_factors(
     func: &AffineFunc,
     array: &str,
     ports_per_bank: u64,
+    timing: Option<&dyn Timing>,
 ) -> Option<Vec<i64>> {
     // A trial changes nothing but `array`'s declaration, so only its
     // profiles are regrouped, and only in the loops that touch it (a loop
@@ -1594,14 +2325,19 @@ pub fn minimal_conflict_free_factors(
     let loops: Vec<Classified> = pipelines(func)
         .into_iter()
         .filter(|site| touches(&site.pipe.body, array))
-        .filter_map(|site| classify(site.pipe, &site.outer, site.guarded))
+        .filter_map(|site| classify(&site, timing))
         .collect();
     let worst = |memrefs: &[MemRefDecl]| -> u64 {
         loops
             .iter()
-            .flat_map(|l| l.group(memrefs).profiles)
-            .filter(|p| p.exact)
-            .map(|p| p.max_demand)
+            .map(|l| l.group(memrefs))
+            .flat_map(|an| {
+                an.profiles
+                    .iter()
+                    .filter(|p| p.exact)
+                    .map(|p| an.demand(p))
+                    .collect::<Vec<_>>()
+            })
             .max()
             .unwrap_or(0)
     };
@@ -1697,6 +2433,16 @@ mod tests {
         }
     }
 
+    /// `l` as a pipeline with no enclosing loop.
+    fn bare(l: &ForOp, guarded: bool) -> PipelineSite<'_> {
+        PipelineSite {
+            pipe: l,
+            outer: Vec::new(),
+            guarded,
+            chain: Vec::new(),
+        }
+    }
+
     fn memref(name: &str, shape: &[usize], factors: Option<&[i64]>) -> MemRefDecl {
         let mut m = MemRefDecl::new(name, shape, DataType::F32);
         if let Some(f) = factors {
@@ -1743,7 +2489,6 @@ mod tests {
         let a = an.profiles.iter().find(|p| p.array == "a").unwrap();
         assert!(a.exact);
         assert_eq!((a.reads, a.writes, a.max_demand), (3, 0, 3));
-        assert_eq!(an.exact_res_mii(2), Some(2));
         assert!(!an.conflict_free(2));
         assert_eq!(an.min_feasible_ii(2), Some(2));
     }
@@ -1837,7 +2582,7 @@ mod tests {
         let an = analyze_pipeline(&mem, &l, &[], false);
         assert!(!an.exact);
         assert!(!an.conflict_free(2));
-        assert_eq!(an.exact_res_mii(2), None);
+        assert_eq!(an.min_feasible_ii(2), None);
     }
 
     #[test]
@@ -1913,10 +2658,16 @@ mod tests {
         f.memrefs.push(memref("a", &[32], None));
         f.memrefs.push(memref("b", &[32], None));
         f.body.push(AffineOp::For(l));
-        assert_eq!(minimal_conflict_free_factors(&f, "a", 2), Some(vec![2]));
-        assert_eq!(minimal_conflict_free_factors(&f, "a", 1), Some(vec![4]));
+        assert_eq!(
+            minimal_conflict_free_factors(&f, "a", 2, None),
+            Some(vec![2])
+        );
+        assert_eq!(
+            minimal_conflict_free_factors(&f, "a", 1, None),
+            Some(vec![4])
+        );
         // b has demand 1: already conflict-free, nothing to repair.
-        assert_eq!(minimal_conflict_free_factors(&f, "b", 2), None);
+        assert_eq!(minimal_conflict_free_factors(&f, "b", 2, None), None);
         // acc-style same-element demand is not separable by splitting.
         let acc = || vec![LinearExpr::zero()];
         let l2 = pipe_loop(
@@ -1932,7 +2683,103 @@ mod tests {
         g.memrefs.push(memref("a", &[32], None));
         g.memrefs.push(memref("c", &[1], None));
         g.body.push(AffineOp::For(l2));
-        assert_eq!(minimal_conflict_free_factors(&g, "c", 1), None);
+        assert_eq!(minimal_conflict_free_factors(&g, "c", 1, None), None);
+    }
+
+    /// Lands every write-back `0` cycles after the issue; `1` names the
+    /// loops that carry a dependence; two ports per bank.
+    struct Landing(u64, &'static [&'static str]);
+
+    impl Timing for Landing {
+        fn landing(&self, _: &StoreOp) -> u64 {
+            self.0
+        }
+
+        fn carried(&self, iv: &str) -> bool {
+            self.1.contains(&iv)
+        }
+
+        fn ports_per_bank(&self) -> u64 {
+            2
+        }
+    }
+
+    /// `B[t][i] = B[t-1][i-1] + B[t-1][i] + B[t-1][i+1]`, `i` pipelined at
+    /// `ii` under a sequential `t` that carries the dependence, `B`
+    /// partitioned cyclically by `factors`.
+    fn stencil_1d(ii: i64, factors: &[i64]) -> AffineFunc {
+        let (t, i) = (LinearExpr::var("t"), LinearExpr::var("i"));
+        let row = |di: i64| vec![t.clone() - 1, i.clone() + di];
+        let body = load("B", row(-1)) + load("B", row(0)) + load("B", row(1));
+        let mut pipe = pipe_loop(
+            "i",
+            15,
+            ii,
+            vec![store("B", vec![t.clone(), i.clone()], body)],
+        );
+        pipe.lbs = vec![cb(1)];
+        let mut f = AffineFunc::new("stencil");
+        f.memrefs.push(memref("B", &[8, 16], Some(factors)));
+        f.body.push(AffineOp::For(ForOp {
+            iv: "t".into(),
+            lbs: vec![cb(1)],
+            ubs: vec![cb(7)],
+            attrs: HlsAttrs::default(),
+            extra: Vec::new(),
+            body: vec![AffineOp::For(pipe)],
+        }));
+        f
+    }
+
+    #[test]
+    fn a_write_back_in_flight_meets_the_reads_it_lands_beside() {
+        // Factor 2 along `i`: the reads of iteration i put two ports' worth
+        // on bank (i+1) % 2 and one on bank i % 2. One iteration's profile
+        // fits 2 ports (the write-back's bank holds one read), but landing
+        // 3 cycles after the issue, the write-back of iteration i-3 shares
+        // bank (i-3) % 2 = (i+1) % 2 with two reads at II 1.
+        let timing = Landing(3, &["t"]);
+        let f = stencil_1d(1, &[1, 2]);
+        let untimed = &analyze_func(&f)[0].analysis;
+        assert!(untimed.in_flight.is_empty());
+        assert!(untimed.conflict_free(2), "one iteration's profile fits");
+        let an = &analyze_timed(&f, &timing)[0].analysis;
+        let b = an.flight("B").expect("placed");
+        assert_eq!(b.ii, 1);
+        assert_eq!(
+            *b.peak(1),
+            Peak {
+                demand: 3,
+                offset: 0,
+                bank: 1,
+            }
+        );
+        assert!(!an.conflict_free(2));
+        // At II 2 it lands at offset 1 of the iteration one II later, apart
+        // from every read; an even landing lands beside the single read.
+        assert_eq!(b.peak(2).demand, 2);
+        assert_eq!(an.feasible_ii(1, 2), Some(2));
+        assert!(analyze_timed(&stencil_1d(2, &[1, 2]), &timing)[0]
+            .analysis
+            .conflict_free(2));
+        assert!(analyze_timed(&f, &Landing(4, &["t"]))[0]
+            .analysis
+            .conflict_free(2));
+        // Doubling the time dimension's factor puts rows t-1 and t in
+        // different banks, and II 1 fits.
+        let apart = &analyze_timed(&stencil_1d(1, &[2, 2]), &timing)[0].analysis;
+        assert!(apart.conflict_free(2));
+        assert_eq!(apart.feasible_ii(1, 2), Some(1));
+        // The repair finds that factor.
+        assert_eq!(
+            minimal_conflict_free_factors(&f, "B", 2, Some(&timing)),
+            Some(vec![2, 2])
+        );
+        // Flattened into the pipeline, `t`'s step borrows: the write-back
+        // of row t-1's last iterations lands beside row t's first reads,
+        // which the time factor no longer separates.
+        let flat = &analyze_timed(&stencil_1d(1, &[2, 2]), &Landing(3, &[]))[0].analysis;
+        assert!(!flat.conflict_free(2));
     }
 
     fn unrolled(iv: &str, lb: i64, ubs: Vec<Bound>, body: Vec<AffineOp>) -> AffineOp {
@@ -2095,7 +2942,7 @@ mod tests {
         guarded: bool,
     ) -> Option<Classified<'a>> {
         let dom = domain(pipe, outer);
-        let body = Body::compile(pipe, &[]);
+        let body = Body::compile(pipe, &[], Some(&Lands));
         match body.instances(&[]) {
             Ok(_) => return Classified::symbolic(body, &dom),
             Err(Stop::SymbolicBounds) if !guarded => {}
@@ -2104,7 +2951,7 @@ mod tests {
         let vars = case_vars(pipe);
         let envs = case_envs(pipe, outer, &vars)?;
         let ids: Vec<DimId> = vars.iter().map(|v| DimId::intern(v)).collect();
-        let body = Body::compile(pipe, &ids);
+        let body = Body::compile(pipe, &ids, Some(&Lands));
         let cases = (0..envs.len())
             .map(|i| {
                 let insts = body.instances(&envs[i]).ok()?;
@@ -2118,7 +2965,29 @@ mod tests {
             cases,
             coeffs: Vec::new(),
             enumerated: true,
+            vars: ids,
+            ii: 1,
+            region: None,
         })
+    }
+
+    /// Lands every write-back five cycles after the issue; no loop
+    /// carries a dependence; one port per bank, so few placements fit
+    /// without their table.
+    struct Lands;
+
+    impl Timing for Lands {
+        fn landing(&self, _: &StoreOp) -> u64 {
+            5
+        }
+
+        fn carried(&self, _: &str) -> bool {
+            false
+        }
+
+        fn ports_per_bank(&self) -> u64 {
+            1
+        }
     }
 
     /// How the class path classified the pipelines it was compared on.
@@ -2144,8 +3013,10 @@ mod tests {
     ) -> usize {
         let mut most = 0;
         for site in pipelines(f) {
-            let fast = classify(site.pipe, &site.outer, site.guarded);
-            let slow = classify_per_case(site.pipe, &site.outer, site.guarded);
+            // Timed, so the write-backs each path places are compared too.
+            let fast = classify(&site, Some(&Lands));
+            let slow = classify_per_case(site.pipe, &site.outer, site.guarded)
+                .map(|c| c.at(&site, Some(&Lands)));
             let (fast, slow) = match (fast, slow) {
                 (None, None) => continue,
                 (Some(fast), Some(slow)) => (fast, slow),
@@ -2399,7 +3270,7 @@ mod tests {
             ],
         );
         let mem = vec![memref("a", &[8], Some(&[2])), memref("b", &[8], None)];
-        let fast = classify(&l, &[], false).expect("exact");
+        let fast = classify(&bare(&l, false), None).expect("exact");
         assert!(!fast.enumerated);
         let slow = classify_per_case(&l, &[], false).expect("exact");
         assert_eq!(
@@ -2408,7 +3279,7 @@ mod tests {
         );
         // Under a guard a reached tail claims nothing, an unreached one
         // still does.
-        assert!(classify(&l, &[], true).is_some());
+        assert!(classify(&bare(&l, true), None).is_some());
         let reached = pipe_loop(
             "i",
             8,
@@ -2425,7 +3296,7 @@ mod tests {
                 )],
             )],
         );
-        assert!(classify(&reached, &[], true).is_none());
-        assert!(classify(&reached, &[], false).is_some());
+        assert!(classify(&bare(&reached, true), None).is_none());
+        assert!(classify(&bare(&reached, false), None).is_some());
     }
 }

@@ -107,12 +107,17 @@ fn main() {
 fn design(r: &DseResult, opts: &CompileOptions) -> String {
     let st = &r.stats;
     let affine = &r.compiled.affine;
+    let timing = pom::hls::WriteTiming {
+        model: &opts.model,
+        deps: &r.compiled.deps,
+    };
     let repairs: Vec<(&str, Option<Vec<i64>>)> = affine
         .memrefs
         .iter()
         .map(|m| {
             let ports = opts.model.ports_per_bank;
-            let factors = bank::minimal_conflict_free_factors(affine, &m.name, ports);
+            let factors =
+                bank::minimal_conflict_free_factors(affine, &m.name, ports, Some(&timing));
             (m.name.as_str(), factors)
         })
         .collect();
@@ -126,7 +131,7 @@ fn design(r: &DseResult, opts: &CompileOptions) -> String {
         st.estimated,
         st.lint_pruned,
         st.bank_repaired,
-        bank::analyze_func(affine),
+        bank::analyze_timed(affine, &timing),
         repairs,
         pom::validate(&r.function),
         r.compiled.hls_c()

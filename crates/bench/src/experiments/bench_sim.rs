@@ -27,9 +27,10 @@
 
 use crate::experiments::common::{col, paper_options, Column, Report};
 use crate::serve::{kernel_by_name, SUITE};
+use pom::hls::WriteTiming;
 use pom::{
-    auto_dse_with, bank_report, compile, AffineFunc, CompileOptions, Compiled, DseConfig, Function,
-    Signoff,
+    auto_dse_with, bank_report_timed, compile, AffineFunc, CompileOptions, Compiled, DseConfig,
+    Function, Signoff,
 };
 use pom_dse::run_indexed;
 use pom_ir::AffineOp;
@@ -178,7 +179,11 @@ pub fn measure(
     let est = compiled.qor.latency;
     // Conflict-freedom cross-check: loops the static analysis certifies
     // conflict-free must simulate with zero port stalls.
-    let free_ivs = certified_free_ivs(&compiled.affine, opts.model.ports_per_bank);
+    let timing = WriteTiming {
+        model: &opts.model,
+        deps: &compiled.deps,
+    };
+    let free_ivs = certified_free_ivs(&compiled.affine, opts.model.ports_per_bank, &timing);
     let certified_stall_port = report
         .loops
         .iter()
@@ -210,7 +215,11 @@ pub fn measure(
 /// outermost pipelined loop of that name holds a passing certificate —
 /// a loop pom-bank cannot enumerate exactly gets no certificate at all,
 /// and its stalls must not be charged to a certified sibling.
-fn certified_free_ivs(func: &AffineFunc, ports_per_bank: u64) -> BTreeSet<String> {
+fn certified_free_ivs(
+    func: &AffineFunc,
+    ports_per_bank: u64,
+    timing: &WriteTiming,
+) -> BTreeSet<String> {
     fn pipelined<'a>(ops: &'a [AffineOp], out: &mut BTreeMap<&'a str, usize>) {
         for op in ops {
             match op {
@@ -226,7 +235,7 @@ fn certified_free_ivs(func: &AffineFunc, ports_per_bank: u64) -> BTreeSet<String
     let mut loops = BTreeMap::new();
     pipelined(&func.body, &mut loops);
     let mut passed: BTreeMap<&str, usize> = BTreeMap::new();
-    let certs = bank_report(func, ports_per_bank);
+    let certs = bank_report_timed(func, ports_per_bank, timing);
     for c in certs.certificates.iter().filter(|c| c.passed()) {
         *passed.entry(c.stmt.as_str()).or_default() += 1;
     }
@@ -364,22 +373,28 @@ mod tests {
         }
         f.body
             .push(copy_nest("a", "b", 7, LinearExpr::constant_expr(0)));
-        let ports = paper_options().model.ports_per_bank;
-        let certs = bank_report(&f, ports);
+        let opts = paper_options();
+        let ports = opts.model.ports_per_bank;
+        let deps = pom::hls::DepSummary::new();
+        let timing = WriteTiming {
+            model: &opts.model,
+            deps: &deps,
+        };
+        let certs = bank_report_timed(&f, ports, &timing);
         assert_eq!(certs.certificates.len(), 1);
         assert!(certs.certificates[0].passed());
         assert_eq!(
-            certified_free_ivs(&f, ports),
+            certified_free_ivs(&f, ports, &timing),
             BTreeSet::from(["i".to_string()])
         );
 
         f.body.push(copy_nest("x", "y", 127, LinearExpr::var("i")));
         assert_eq!(
-            bank_report(&f, ports).certificates.len(),
+            bank_report_timed(&f, ports, &timing).certificates.len(),
             1,
             "inexact: no certificate"
         );
-        assert!(certified_free_ivs(&f, ports).is_empty());
+        assert!(certified_free_ivs(&f, ports, &timing).is_empty());
     }
 
     #[test]

@@ -101,7 +101,10 @@ fn slice_statements_plus_suffix_replay_equal_a_full_replay() {
 /// The partition primitives `scheduled` must carry under the rule
 /// `schedule_for` used before it read the stage-1 statements: replay the
 /// *whole* schedule, and give array dimension `d` the product of the
-/// tiles whose unrolled loop `{dim}_g{gi}u` its index mentions.
+/// tiles whose unrolled loop `{dim}_g{gi}u` its index mentions — and,
+/// where every load of a member's stored array sits one fixed nonzero
+/// step `k` from the store along `d`, at least the least power of two
+/// that does not divide `k`.
 fn partitions_by_full_replay(scheduled: &Function, groups: &[GroupConfig]) -> Vec<String> {
     let stmts = apply_schedule(scheduled);
     let mut factors: BTreeMap<&str, Vec<i64>> = scheduled
@@ -117,6 +120,34 @@ fn partitions_by_full_replay(scheduled: &Function, groups: &[GroupConfig]) -> Ve
                 .position(|c| c.name() == member)
                 .expect("member is a compute");
             let c = &scheduled.computes()[idx];
+            let store = stmts[idx].access_to_current(c.store()).unwrap();
+            let rows: Vec<_> = c
+                .loads()
+                .into_iter()
+                .filter(|l| l.array == store.array)
+                .map(|l| stmts[idx].access_to_current(l).unwrap())
+                .collect();
+            let shape = scheduled
+                .find_placeholder(&store.array)
+                .expect("declared array")
+                .shape();
+            for (d, e) in store.indices.iter().enumerate() {
+                let steps: Vec<Option<i64>> = rows
+                    .iter()
+                    .map(|l| {
+                        let mut diff = l.indices[d].clone();
+                        diff.add_scaled(e, -1).ok()?;
+                        diff.is_constant().then(|| diff.constant())
+                    })
+                    .collect();
+                if let Some(&Some(k)) = steps.first() {
+                    if k != 0 && steps.iter().all(|s| *s == Some(k)) {
+                        let f = 2i64 << k.unsigned_abs().trailing_zeros();
+                        let slot = &mut factors.get_mut(store.array.as_str()).expect("declared")[d];
+                        *slot = (*slot).max(f.min(shape[d] as i64));
+                    }
+                }
+            }
             for acc in std::iter::once(c.store()).chain(c.loads()) {
                 let shape = scheduled
                     .find_placeholder(&acc.array)

@@ -85,7 +85,9 @@ pub use pom_live::{
 pub use pom_sim::{
     simulate, simulate_dataflow, ArrayOccupancy, DataflowReport, LoopSim, SimReport,
 };
-pub use pom_verify::{analyze_ranges, bank_report, live_report, validate, ValidationReport};
+pub use pom_verify::{
+    analyze_ranges, bank_report, bank_report_timed, live_report, validate, ValidationReport,
+};
 
 /// The benchmark ledger's three-argument spelling of
 /// [`dataflow::partition`], kept so the ledger builds unchanged: the

@@ -10,7 +10,7 @@ use crate::compile::{
 };
 use pom_dsl::{Function, PartitionStyle};
 use pom_graph::DepGraph;
-use pom_poly::{Bound, StmtPoly};
+use pom_poly::{AccessFn, Bound, StmtPoly};
 use std::collections::{BTreeMap, HashMap};
 
 /// The tiling/unrolling configuration of one node (fusion group).
@@ -286,6 +286,22 @@ fn schedule_on(base: &Function, base_stmts: &[StmtPoly], groups: &[GroupConfig])
         for member in &group.members {
             let c = &base.computes()[index[member.as_str()]];
             let s = &base_stmts[index[member.as_str()]];
+            // A member that reads its array a fixed step back along a
+            // dimension (`B[t-1][..]` into `B[t][..]`) gets the rows it
+            // reads and the rows it writes back in different banks there,
+            // so no write-back in flight lands on a bank a later iteration
+            // reads.
+            if let Some(factors) = partition_factors.get_mut(&c.store().array) {
+                let shape = base
+                    .find_placeholder(&c.store().array)
+                    .expect("declared array")
+                    .shape();
+                for (d, f) in factors.iter_mut().enumerate() {
+                    if let Some(sep) = row_separation(c.store(), &c.loads(), d) {
+                        *f = (*f).max(sep.min(shape[d] as i64));
+                    }
+                }
+            }
             for acc in std::iter::once(c.store()).chain(c.loads()) {
                 let Some(factors) = partition_factors.get_mut(&acc.array) else {
                     continue;
@@ -318,6 +334,24 @@ fn schedule_on(base: &Function, base_stmts: &[StmtPoly], groups: &[GroupConfig])
         }
     }
     g
+}
+
+/// The cyclic factor along dimension `d` that puts every load of
+/// `store`'s array in other banks than the store: when each such load's
+/// index there is the store's plus one nonzero step `k`, the least power
+/// of two that does not divide `k`. `None` when there is no such load or
+/// the steps differ.
+fn row_separation(store: &AccessFn, loads: &[&AccessFn], d: usize) -> Option<i64> {
+    let mut steps = loads.iter().filter(|l| l.array == store.array).map(|l| {
+        let mut diff = l.indices.get(d)?.clone();
+        diff.add_scaled(store.indices.get(d)?, -1).ok()?;
+        diff.is_constant().then(|| diff.constant())
+    });
+    let k = steps.next()??;
+    if k == 0 || !steps.all(|s| s == Some(k)) {
+        return None;
+    }
+    2i64.checked_shl(k.unsigned_abs().trailing_zeros())
 }
 
 /// A function with its recorded schedule replayed once: what stage-2

@@ -402,7 +402,9 @@ pub(crate) fn full_compile(
 /// (`achieved_ii - port_slide`) of its compile `compiled`: the estimator
 /// reports the achieved II regardless of the declared one, but the
 /// emitted pragmas (and POM001) should not promise II targets the
-/// dependences forbid. Returns the recompile when any loop moved, else
+/// dependences or the memory ports forbid — a declared II the ports do
+/// not fit at (a bank overloaded in some cycle of the modulo schedule)
+/// moves to the least one that fits. Returns the recompile when any loop moved, else
 /// `None`; a genuine retarget changes the schedule's fingerprint, so this
 /// compiles at most once, and a warm cache answers it. The one retarget
 /// of a finished design: `auto_dse_with`'s winner and every state the
@@ -661,24 +663,30 @@ pub(crate) fn repair_and_finalize(
     let mut bank_overrides: Vec<(String, Vec<i64>)> = Vec::new();
     let ports = opts.model.ports_per_bank.max(1);
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    for rep in pom_bank::analyze_func(func) {
-        // Any exact over-demand is worth repairing: the port
-        // calendars slide the issue past the *declared* II on
-        // every iteration, so no II choice absorbs a conflict —
-        // only repartitioning removes it.
-        if !rep.analysis.exact || rep.analysis.conflict_free(ports) {
+    let timing = pom_hls::WriteTiming {
+        model: &opts.model,
+        deps: &fitting.deps,
+    };
+    for rep in pom_bank::analyze_timed(func, &timing) {
+        // Any exact over-demand at the declared II is worth repairing: the
+        // port calendars slide the issue past the *declared* II on every
+        // iteration, so no II choice absorbs a read conflict — only
+        // repartitioning removes it.
+        let an = &rep.analysis;
+        if !an.exact || an.conflict_free(ports) {
             continue;
         }
-        for p in rep
-            .analysis
+        for p in an
             .profiles
             .iter()
-            .filter(|p| p.exact && p.max_demand > ports)
+            .filter(|p| p.exact && an.demand(p) > ports)
         {
             if !seen.insert(p.array.clone()) {
                 continue;
             }
-            if let Some(factors) = pom_bank::minimal_conflict_free_factors(func, &p.array, ports) {
+            if let Some(factors) =
+                pom_bank::minimal_conflict_free_factors(func, &p.array, ports, Some(&timing))
+            {
                 bank_overrides.push((p.array.clone(), factors));
             }
         }

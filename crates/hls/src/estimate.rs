@@ -6,10 +6,12 @@
 //! * Pipelined loop: `II = max(RecMII, ResMII, 1)` with
 //!   `RecMII = ceil(chain_latency / dependence_distance)` over dependences
 //!   carried at the pipelined level, and `ResMII` from memory-port
-//!   pressure ([`port_res_mii`]): pom-bank's exact per-bank demand
-//!   `ceil(demand / ports)` where it analyses the pipeline exactly and
-//!   no array is both read and written back, else the even-spread bound
-//!   `ceil(accesses / (banks × ports))` per array;
+//!   pressure ([`port_res_mii`]): where pom-bank analyses the pipeline
+//!   exactly, each array's per-bank demand `ceil(demand / ports)`, and
+//!   for an array both read and written back the least II at which each
+//!   cycle of the modulo schedule — the issuing iteration's reads plus the
+//!   write-backs landing then ([`WriteTiming`]) — fits the ports; else
+//!   the even-spread bound `ceil(accesses / (banks × ports))` per array;
 //!   `latency = (trip - 1) * II + depth`.
 //! * Loops inside a pipelined loop are fully unrolled (Vitis semantics);
 //!   inner carried dependences serialize into the pipeline depth.
@@ -69,8 +71,35 @@ pub fn port_demand<'a>(
         })
 }
 
+/// The write-back timing the simulator's `time_iteration` follows: a
+/// statement's result is written back [`expr_latency`] cycles after its
+/// iteration issues when no read slid, a loop that carries a dependence
+/// is not flattened into the pipeline below it, and each bank grants the
+/// model's ports per cycle.
+pub struct WriteTiming<'a> {
+    /// The operator latencies.
+    pub model: &'a CostModel,
+    /// The loops that carry a dependence.
+    pub deps: &'a DepSummary,
+}
+
+impl pom_bank::Timing for WriteTiming<'_> {
+    fn landing(&self, s: &StoreOp) -> u64 {
+        expr_latency(&s.value, self.model)
+    }
+
+    fn carried(&self, iv: &str) -> bool {
+        self.deps.carried_at(iv).is_some()
+    }
+
+    fn ports_per_bank(&self) -> u64 {
+        self.model.ports_per_bank
+    }
+}
+
 /// One array's memory-port bound on a pipelined loop's II, as
-/// [`port_res_mii`] prices it: `ceil(demand / ports)`.
+/// [`port_res_mii`] prices it: `ceil(demand / ports)`, or where its
+/// write-backs are placed in flight, the least II at which they fit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortMii {
     /// The array.
@@ -84,42 +113,60 @@ pub struct PortMii {
     pub ports: u64,
     /// Whether `demand` is pom-bank's exact per-bank figure.
     pub exact: bool,
+    /// Where the array is read and written back and pom-bank placed its
+    /// write-backs in flight: the least II at or above `port_res_mii`'s
+    /// `from` that fits them, and the busiest bank-cycle at `from`.
+    pub in_flight: Option<(u64, pom_bank::Peak)>,
 }
 
 impl PortMii {
     /// The II this array's ports alone force, at least 1.
     pub fn res_mii(&self) -> u64 {
-        self.demand.div_ceil(self.ports.max(1)).max(1)
+        self.in_flight
+            .as_ref()
+            .map_or(self.demand.div_ceil(self.ports.max(1)), |(ii, _)| *ii)
+            .max(1)
     }
 }
 
-/// The memory-port ResMII of one pipelined loop, one [`PortMii`] per
-/// array — the port model the estimator and pom-lint's POM003 share.
+/// The memory-port ResMII of one pipelined loop at or above `from`, one
+/// [`PortMii`] per array — the port model the estimator and pom-lint's
+/// POM003 share.
 ///
-/// Where `bank`, pom-bank's analysis of the loop, is exact and no array
-/// is both read from memory and written back in one iteration, each
-/// array's bound is its largest per-bank demand over one bank's ports,
-/// so the largest is [`pom_bank::BankAnalysis::min_feasible_ii`]: an
+/// Where `bank`, pom-bank's analysis of the loop, is exact, each array's
+/// bound is its largest per-bank demand over one bank's ports: an
 /// element is read once per iteration however many unrolled copies name
-/// it, and a bank serves only its own accesses. Everywhere else each
-/// array's bound is the even-spread `ceil(accesses / (banks × ports))`
-/// over `accesses`, the per-array sums of [`port_demand`], with `banks`
-/// giving an array's bank count. A read-and-written array keeps the
-/// fallback because a write-back takes its port at its result cycle,
-/// where it competes with a later iteration's reads — a conflict one
-/// iteration's profile cannot see.
+/// it, and a bank serves only its own accesses. An array both read from
+/// memory and written back takes its write-backs' ports at their result
+/// cycles, beside a later iteration's reads; where pom-bank placed them
+/// ([`pom_bank::InFlight`]), its bound is the least II at or above
+/// `from` and every other array's bound at which each cycle of the
+/// modulo schedule fits ([`pom_bank::BankAnalysis::fit_from`]).
+/// Everywhere else — an inexact analysis, write-backs not placed, or no
+/// II that fits them — each array's bound is the even-spread
+/// `ceil(accesses / (banks × ports))` over `accesses`, the per-array sums
+/// of [`port_demand`], with `banks` giving an array's bank count.
 pub fn port_res_mii<'a>(
     bank: Option<&pom_bank::BankAnalysis>,
+    from: u64,
     accesses: impl IntoIterator<Item = (&'a str, u64)>,
     banks: impl Fn(&str) -> u64,
     ports_per_bank: u64,
 ) -> Vec<PortMii> {
-    let exact = bank.filter(|b| {
-        b.min_feasible_ii(ports_per_bank).is_some()
-            && !b.profiles.iter().any(|p| p.reads > 0 && p.writes > 0)
-    });
+    let ports = ports_per_bank.max(1);
+    let exact = bank
+        .filter(|b| b.min_feasible_ii(ports).is_some() && b.placed())
+        .and_then(|b| {
+            let lo = b
+                .profiles
+                .iter()
+                .filter(|p| b.flight(&p.array).is_none())
+                .map(|p| p.max_demand.div_ceil(ports))
+                .fold(from.max(1), u64::max);
+            Some((b, b.fit_from(lo, ports)?))
+        });
     match exact {
-        Some(b) => b
+        Some((b, ii)) => b
             .profiles
             .iter()
             .map(|p| PortMii {
@@ -127,6 +174,7 @@ pub fn port_res_mii<'a>(
                 demand: p.max_demand,
                 ports: ports_per_bank,
                 exact: true,
+                in_flight: b.flight(&p.array).map(|f| (ii, f.peak(from).clone())),
             })
             .collect(),
         None => accesses
@@ -136,6 +184,7 @@ pub fn port_res_mii<'a>(
                 demand,
                 ports: banks(array).saturating_mul(ports_per_bank),
                 exact: false,
+                in_flight: None,
             })
             .collect(),
     }
@@ -240,9 +289,11 @@ pub struct LoopQoR {
     /// Achieved initiation interval — the effective issue-to-issue
     /// distance, including any per-iteration port slide.
     pub achieved_ii: u64,
-    /// Per-iteration issue slide from overloaded memory banks (part of
-    /// `achieved_ii`). No declared II absorbs it, so the DSE retarget
-    /// excludes it; only repartitioning the offending array removes it.
+    /// Per-iteration issue slide from banks the reads alone overload
+    /// (part of `achieved_ii`). No declared II absorbs it, so the DSE
+    /// retarget excludes it; only repartitioning the offending array
+    /// removes it. A write-back in flight is not a slide: the II decides
+    /// which reads it lands beside, so it raises the ResMII instead.
     pub port_slide: u64,
     /// Trip count of the pipelined loop.
     pub trip: u64,
@@ -324,11 +375,13 @@ pub fn estimate_ops(
     // pom-bank's analysis of each pipelined loop whose per-iteration
     // accesses it enumerates exactly. Keyed by the loop's statements —
     // sibling nests reuse iv names.
-    let exact_banks: Vec<(Vec<String>, pom_bank::BankAnalysis)> = pom_bank::analyze_func(func)
-        .into_iter()
-        .filter(|r| r.analysis.port_slide(model.ports_per_bank).is_some())
-        .map(|r| (r.stmts, r.analysis))
-        .collect();
+    let timing = WriteTiming { model, deps };
+    let exact_banks: Vec<(Vec<String>, pom_bank::BankAnalysis)> =
+        pom_bank::analyze_timed(func, &timing)
+            .into_iter()
+            .filter(|r| r.analysis.port_slide(model.ports_per_bank).is_some())
+            .map(|r| (r.stmts, r.analysis))
+            .collect();
     let mut est = Estimator {
         model,
         deps,
@@ -538,8 +591,9 @@ impl Estimator<'_> {
             d.rec_mii(body.serial_chains.get(&d.array).copied().unwrap_or(0))
         });
 
-        // ResMII from memory ports: pom-bank's exact per-bank demand
-        // where the port model admits it, else the even-spread bound.
+        // ResMII from memory ports at or above the RecMII: pom-bank's
+        // exact per-bank demand, with write-backs in flight, where the
+        // port model admits it, else the even-spread bound.
         let ports = self.model.ports_per_bank;
         let exact = self
             .exact_banks
@@ -548,6 +602,7 @@ impl Estimator<'_> {
             .map(|(_, b)| b);
         let res_mii = port_res_mii(
             exact,
+            rec_mii,
             body.accesses.iter().map(|(a, &n)| (a.as_str(), n)),
             |a| self.banks.get(a).copied().unwrap_or(1),
             ports,
@@ -940,19 +995,36 @@ mod tests {
     }
 
     #[test]
-    fn a_read_and_written_array_keeps_the_even_spread_bound() {
-        // The same window, its sum written back into `a`: a write-back
-        // takes a port at its result cycle, beside a later iteration's
-        // reads, so the estimator keeps the even-spread ResMII of the
-        // ten accesses of `a` even though one iteration's exact per-bank
-        // demand fits a cycle.
+    fn a_write_back_in_flight_prices_the_cycle_it_lands_in() {
+        // The same window, its sum written back into `a` 10 cycles (a load
+        // and two fadds) after its iteration issues. One iteration's
+        // profile fits a cycle's ports either way; what decides the II is
+        // the bank the write-back lands on, beside the reads of the
+        // iteration issuing then. a[i+65] lands at II 1 on bank (i+3) % 4,
+        // which that iteration reads once: II 1.
         let m = CostModel::vitis_f32();
-        let f = window_sum(AccessFn::new("a", vec![LinearExpr::var("i") + 65]));
+        let i = LinearExpr::var("i");
+        let f = window_sum(AccessFn::new("a", vec![i.clone() + 65]));
+        let q = estimate(&f, &DepSummary::new(), &m, Sharing::Reuse);
+        assert_eq!(q.loops[0].achieved_ii, 1);
+        // a[i+66] lands on bank i % 4, beside two reads: 3 accesses for 2
+        // ports. At II 2 it lands beside the iteration five later, on bank
+        // (i+1) % 4 and one read.
+        let f = window_sum(AccessFn::new("a", vec![i + 66]));
         let bank = &pom_bank::analyze_func(&f)[0].analysis;
         assert_eq!(bank.min_feasible_ii(m.ports_per_bank), Some(1));
         let q = estimate(&f, &DepSummary::new(), &m, Sharing::Reuse);
         assert_eq!(q.loops[0].achieved_ii, 2);
         assert_eq!(q.loops[0].port_slide, 0);
+        let deps = DepSummary::new();
+        let timing = WriteTiming {
+            model: &m,
+            deps: &deps,
+        };
+        let bank = &pom_bank::analyze_timed(&f, &timing)[0].analysis;
+        let ports = port_res_mii(Some(bank), 1, [], |_| 4, m.ports_per_bank);
+        let (ii, peak) = ports[0].in_flight.clone().expect("placed");
+        assert_eq!((ii, peak.demand, peak.offset), (2, 3, 0));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use cost::{CostModel, OpCost};
 pub use device::{DeviceSpec, ResourceUsage};
 pub use estimate::{
     bank_mux, bram18k_units, estimate, estimate_ops, port_demand, port_res_mii, CarriedDep,
-    DepSummary, LoopQoR, PortMii, QoR,
+    DepSummary, LoopQoR, PortMii, QoR, WriteTiming,
 };
 pub use report::SynthesisReport;
 pub use testbench::emit_testbench;

@@ -161,11 +161,12 @@ impl Analysis for BoundsCheck {
 /// exceed the ports its array partition provides, and the partitioning
 /// itself must fit the device's BRAM budget (paper Section VI-B). The
 /// port half prices each array with the estimator's own
-/// [`pom_hls::port_res_mii`] — pom-bank's exact per-bank demand where
-/// that applies, the even-spread `ceil(accesses / (banks x
-/// ports_per_bank))` elsewhere — and the BRAM half with its accounting,
-/// so a clean design is one whose declared II the estimator can
-/// actually honour.
+/// [`pom_hls::port_res_mii`] from the declared II up — pom-bank's exact
+/// per-bank demand where that applies, with the write-backs of an array
+/// read and written back placed in the cycles they land, the even-spread
+/// `ceil(accesses / (banks x ports_per_bank))` elsewhere — and the BRAM
+/// half with its accounting, so a clean design is one whose declared II
+/// the estimator can actually honour.
 pub struct PortPressure;
 
 impl Analysis for PortPressure {
@@ -178,11 +179,16 @@ impl Analysis for PortPressure {
         // the same loops in the same program order.
         let ports_per_bank = cx.model.ports_per_bank;
         let banks = |array: &str| cx.func.memref(array).map_or(1, |m| m.banks().max(1) as u64);
-        let bank = pom_bank::analyze_func(cx.func);
+        let timing = pom_hls::WriteTiming {
+            model: cx.model,
+            deps: cx.deps,
+        };
+        let bank = pom_bank::analyze_timed(cx.func, &timing);
         for ((l, ivs, accesses), rep) in pipelined_accesses(cx.func).into_iter().zip(&bank) {
             let ii = l.attrs.pipeline_ii.unwrap_or(1);
             let mut arrays = port_res_mii(
                 Some(&rep.analysis),
+                ii.max(1) as u64,
                 accesses.iter().map(|(a, &n)| (a.as_str(), n)),
                 banks,
                 ports_per_bank,
@@ -194,7 +200,44 @@ impl Analysis for PortPressure {
                     continue;
                 }
                 let (array, n, banks) = (&p.array, p.demand, banks(&p.array));
-                let (message, suggestion) = if p.exact {
+                let (message, suggestion) = if let Some((_, peak)) = &p.in_flight {
+                    // The repair's factors name the dimension whose cyclic
+                    // factor separates the rows read from those written back.
+                    let factors = pom_bank::minimal_conflict_free_factors(
+                        cx.func,
+                        array,
+                        ports_per_bank,
+                        Some(&timing),
+                    );
+                    let current = cx
+                        .func
+                        .memref(array)
+                        .map(|m| pom_bank::ArrayBanks::of(m).dims);
+                    let separate = factors
+                        .zip(current)
+                        .and_then(|(fs, cur)| {
+                            let dim = (0..fs.len())
+                                .find(|&d| cur.get(d).is_none_or(|b| b.factor != fs[d]))?;
+                            Some(format!(
+                                "cyclically partition `{array}` by {} along dim {} to put the \
+                                 rows it reads and the rows it writes back in different banks, \
+                                 or ",
+                                fs[dim],
+                                dim + 1
+                            ))
+                        })
+                        .unwrap_or_default();
+                    (
+                        format!(
+                            "a write-back of `{array}` lands at cycle offset {} of pipelined \
+                             loop %{}'s II-{ii} schedule on bank {}, which then serves {} \
+                             accesses through {ports_per_bank} port(s); memory alone forces \
+                             II >= {res_mii} > declared {ii}",
+                            peak.offset, l.iv, peak.bank, peak.demand
+                        ),
+                        format!("{separate}declare pipeline II >= {res_mii}"),
+                    )
+                } else if p.exact {
                     (
                         format!(
                             "`{array}` puts {n} same-cycle accesses per iteration of pipelined \
@@ -508,19 +551,23 @@ impl Analysis for BankConflict {
         walk_loops(cx.func, &mut |l, path| {
             paths.insert(l.iv.clone(), path_ivs(path));
         });
-        for rep in pom_bank::analyze_func(cx.func) {
-            let Some(min_ii) = rep.analysis.min_feasible_ii(ports) else {
+        let timing = pom_hls::WriteTiming {
+            model: cx.model,
+            deps: cx.deps,
+        };
+        for rep in pom_bank::analyze_timed(cx.func, &timing) {
+            let an = &rep.analysis;
+            let Some(min_ii) = an.feasible_ii(rep.declared_ii, ports) else {
                 continue; // inexact: claim nothing
             };
             if min_ii <= rep.declared_ii {
                 continue;
             }
-            let Some(worst) = rep
-                .analysis
+            let Some(worst) = an
                 .profiles
                 .iter()
                 .filter(|p| p.exact)
-                .max_by_key(|p| p.max_demand)
+                .max_by_key(|p| an.demand(p))
             else {
                 continue;
             };
@@ -528,19 +575,23 @@ impl Analysis for BankConflict {
                 .get(&rep.iv)
                 .cloned()
                 .unwrap_or_else(|| vec![rep.iv.clone()]);
-            let suggestion =
-                match pom_bank::minimal_conflict_free_factors(cx.func, &worst.array, ports) {
-                    Some(factors) => format!(
-                        "cyclically partition `{}` with factors {factors:?} (the minimal \
+            let suggestion = match pom_bank::minimal_conflict_free_factors(
+                cx.func,
+                &worst.array,
+                ports,
+                Some(&timing),
+            ) {
+                Some(factors) => format!(
+                    "cyclically partition `{}` with factors {factors:?} (the minimal \
                      conflict-free partitioning), or declare pipeline II >= {min_ii}",
-                        worst.array
-                    ),
-                    None => format!(
-                        "declare pipeline II >= {min_ii} on %{}; no partitioning of `{}` \
+                    worst.array
+                ),
+                None => format!(
+                    "declare pipeline II >= {min_ii} on %{}; no partitioning of `{}` \
                      separates these accesses",
-                        rep.iv, worst.array
-                    ),
-                };
+                    rep.iv, worst.array
+                ),
+            };
             out.push(
                 Diagnostic::new(
                     LintCode::BankConflict,
@@ -549,7 +600,12 @@ impl Analysis for BankConflict {
                         "`{}` is partitioned into {} bank(s) but {} same-cycle accesses \
                          of pipelined loop %{} provably collide in one bank; {} port(s) \
                          per bank force II >= {min_ii} > declared {}",
-                        worst.array, worst.banks, worst.max_demand, rep.iv, ports, rep.declared_ii
+                        worst.array,
+                        worst.banks,
+                        an.demand(worst),
+                        rep.iv,
+                        ports,
+                        rep.declared_ii
                     ),
                 )
                 .with_suggestion(suggestion),
@@ -1559,6 +1615,75 @@ mod tests {
             .register(DeadCode)
             .run(&ctx(&f, &deps, &model, &device));
         assert!(report.is_clean(), "{}", report.render("red"));
+    }
+
+    #[test]
+    fn port_pressure_names_a_write_back_in_flight_and_the_row_factor() {
+        // B[t][i] = (B[t-1][i-1] * 0.5 + B[t-1][i+1] * 0.5) + B[t-1][i],
+        // `i` pipelined at II 1 under a `t` that carries the dependence,
+        // `B` split by 2 along `i`. Each iteration reads two elements of
+        // bank (i+1) % 2 and one of bank i % 2; its write-back lands 13
+        // cycles after the issue, on bank (i-13) % 2 = (i+1) % 2 beside
+        // the two reads of iteration i+13. A factor 2 along `t` puts rows
+        // t-1 and t in different banks.
+        let (t, i) = (LinearExpr::var("t"), LinearExpr::var("i"));
+        let at = |di: i64| load("B", vec![t.clone() - 1, i.clone() + di]);
+        let mut f = AffineFunc::new("stencil");
+        let mut b = MemRefDecl::new("B", &[8, 32], DataType::F32);
+        b.partition = Some(PartitionInfo {
+            factors: vec![1, 2],
+            style: pom_dsl::PartitionStyle::Cyclic,
+        });
+        f.memrefs.push(b);
+        f.body.push(AffineOp::For(ForOp {
+            extra: Vec::new(),
+            iv: "t".into(),
+            lbs: vec![cb(1)],
+            ubs: vec![cb(7)],
+            attrs: HlsAttrs::none(),
+            body: vec![AffineOp::For(ForOp {
+                extra: Vec::new(),
+                iv: "i".into(),
+                lbs: vec![cb(1)],
+                ubs: vec![cb(30)],
+                attrs: HlsAttrs {
+                    pipeline_ii: Some(1),
+                    ..Default::default()
+                },
+                body: vec![AffineOp::Store(StoreOp {
+                    stmt: "s".into(),
+                    dest: AccessFn::new("B", vec![t.clone(), i.clone()]),
+                    value: (at(-1) * 0.5 + at(1) * 0.5) + at(0),
+                })],
+            })],
+        }));
+        let mut deps = DepSummary::new();
+        deps.insert(
+            "t",
+            pom_hls::CarriedDep {
+                array: "B".into(),
+                distance: 1,
+                chain_latency: 13,
+            },
+        );
+        let model = CostModel::vitis_f32();
+        let device = DeviceSpec::xc7z020();
+        let report = Linter::new()
+            .register(PortPressure)
+            .run(&ctx(&f, &deps, &model, &device));
+        let pom3 = report.with_code(LintCode::PortPressure);
+        assert_eq!(pom3.len(), 1, "{}", report.render("stencil"));
+        let message = &pom3[0].message;
+        for part in [
+            "write-back of `B` lands at cycle offset 0",
+            "on bank 1",
+            "serves 3 accesses",
+            "forces II >= 2 > declared 1",
+        ] {
+            assert!(message.contains(part), "{message}");
+        }
+        let help = pom3[0].suggestion.as_deref().unwrap();
+        assert!(help.contains("by 2 along dim 1"), "{help}");
     }
 
     /// b[i] = a[i] + a[i+1] + a[i+2] at the given II, with `a`

@@ -6,12 +6,15 @@
 //! [`Certificate`] carrying a [`ObligationKind::BankConflictFree`]
 //! obligation:
 //!
-//! * **passed** — every array's per-bank demand fits one cycle's ports.
-//!   The simulator's port calendars then never slide a grant, so the
-//!   loop shows zero simulated port stalls at *any* declared II; the
-//!   `pomc bench-sim` differential audit enforces exactly this.
-//! * **failed** — some bank needs more port-cycles than the declared II
-//!   provides (`ceil(demand / ports) > II`): the declared II is provably
+//! * **passed** — every array's per-bank demand at the declared II fits
+//!   one cycle's ports ([`pom_bank::BankAnalysis::conflict_free`]; with a
+//!   [`Timing`], the write-backs of an array read and written back are
+//!   counted in the cycles they land). The simulator's port calendars
+//!   then never slide a grant, so the loop shows zero simulated port
+//!   stalls; the `pomc bench-sim` differential audit enforces exactly
+//!   this.
+//! * **failed** — the declared II is below the least II the ports admit
+//!   ([`pom_bank::BankAnalysis::feasible_ii`]): it is provably
 //!   infeasible. This is the same condition pom-lint reports as POM006.
 //!
 //! Loops in the middle band (conflicting but still feasible at their
@@ -19,15 +22,31 @@
 //! certificate: the analysis claims nothing it cannot prove.
 
 use crate::cert::{Certificate, Obligation, ObligationKind, ValidationReport};
-use pom_bank::{analyze_func, LoopBankReport};
+use pom_bank::{analyze_func, analyze_timed, LoopBankReport, Timing};
 use pom_ir::AffineFunc;
 
 /// Builds the conflict-freedom report for every outermost pipelined
-/// loop of `func`, given the target's `ports_per_bank`.
+/// loop of `func`, given the target's `ports_per_bank`, without placing
+/// write-backs in flight ([`pom_bank::analyze_func`]).
 pub fn bank_report(func: &AffineFunc, ports_per_bank: u64) -> ValidationReport {
+    report(func, analyze_func(func), ports_per_bank)
+}
+
+/// [`bank_report`] with the write-backs of every array a pipeline reads
+/// and writes back placed in the cycles `timing` lands them
+/// ([`pom_bank::analyze_timed`]).
+pub fn bank_report_timed(
+    func: &AffineFunc,
+    ports_per_bank: u64,
+    timing: &dyn Timing,
+) -> ValidationReport {
+    report(func, analyze_timed(func, timing), ports_per_bank)
+}
+
+fn report(func: &AffineFunc, reps: Vec<LoopBankReport>, ports_per_bank: u64) -> ValidationReport {
     let ports = ports_per_bank.max(1);
     let mut certificates = Vec::new();
-    for rep in analyze_func(func) {
+    for rep in reps {
         let Some(cert) = certify(&rep, ports, certificates.len()) else {
             continue;
         };
@@ -49,11 +68,14 @@ fn certify(rep: &LoopBankReport, ports: u64, step: usize) -> Option<Certificate>
             let worst = an
                 .profiles
                 .iter()
-                .max_by_key(|p| p.max_demand)
+                .max_by_key(|p| an.demand(p))
                 .expect("non-empty");
             format!(
                 "worst per-bank demand {} (array `{}`, {} bank(s)) fits {} port(s)/cycle",
-                worst.max_demand, worst.array, worst.banks, ports
+                an.demand(worst),
+                worst.array,
+                worst.banks,
+                ports
             )
         };
         return Some(Certificate {
@@ -65,7 +87,7 @@ fn certify(rep: &LoopBankReport, ports: u64, step: usize) -> Option<Certificate>
     }
     // Not conflict-free: certify the *failure* only when the declared II
     // is provably infeasible — the middle band stays silent.
-    let min_ii = an.min_feasible_ii(ports)?;
+    let min_ii = an.feasible_ii(rep.declared_ii, ports)?;
     if min_ii <= rep.declared_ii {
         return None;
     }
@@ -73,7 +95,7 @@ fn certify(rep: &LoopBankReport, ports: u64, step: usize) -> Option<Certificate>
         .profiles
         .iter()
         .filter(|p| p.exact)
-        .max_by_key(|p| p.max_demand)?;
+        .max_by_key(|p| an.demand(p))?;
     Some(Certificate {
         step,
         rewrite,
@@ -82,7 +104,11 @@ fn certify(rep: &LoopBankReport, ports: u64, step: usize) -> Option<Certificate>
             ObligationKind::BankConflictFree,
             format!(
                 "array `{}`: per-bank demand {} needs II >= {} through {} port(s)/cycle, declared II is {}",
-                worst.array, worst.max_demand, min_ii, ports, rep.declared_ii
+                worst.array,
+                an.demand(worst),
+                min_ii,
+                ports,
+                rep.declared_ii
             ),
         )],
     })

@@ -26,7 +26,7 @@ pub mod live;
 pub mod passes;
 pub mod tv;
 
-pub use bank::bank_report;
+pub use bank::{bank_report, bank_report_timed};
 pub use cert::{Certificate, Obligation, ObligationKind, ObligationStatus, ValidationReport};
 pub use dataflow::{analyze_ranges, expr_interval, Interval, ValueRanges};
 pub use live::live_report;
